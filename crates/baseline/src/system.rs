@@ -222,7 +222,9 @@ mod tests {
             left,
             right,
             Duration::from_secs(60),
-            |l: &(u32, i64), r: &(u32, i64)| l.0 == r.0,
+            |l: &(u32, i64)| l.0,
+            |r: &(u32, i64)| r.0,
+            |_: &(u32, i64), _: &(u32, i64)| true,
             |l: &(u32, i64), r: &(u32, i64)| (l.0, l.1 + r.1),
         );
         let out = q.collecting_sink("sink", joined);

@@ -246,13 +246,16 @@ where
     );
 
     // Resolve REMOTE originating tuples through the upstream unfolded streams:
-    // match on upstream delivering id == derived originating id.
+    // match on upstream delivering id == derived originating id. The id is the join
+    // key, so each event probes only the events stored under its own id.
     let resolved = q.join(
         &format!("{name}-mu-join"),
         remote_branch,
         upstream,
         upstream_window,
-        |d: &UnfoldedEvent<T, S>, u: &UpstreamEvent<S>| d.origin_id == u.sink_id,
+        |d: &UnfoldedEvent<T, S>| d.origin_id,
+        |u: &UpstreamEvent<S>| u.sink_id,
+        |_: &UnfoldedEvent<T, S>, _: &UpstreamEvent<S>| true,
         |d: &UnfoldedEvent<T, S>, u: &UpstreamEvent<S>| UnfoldedEvent {
             sink_ts: d.sink_ts,
             sink_id: d.sink_id,
@@ -345,6 +348,33 @@ mod tests {
         assert!(wrong.origin_data.is_none());
     }
 
+    /// Runs the MU over one derived and one upstream stream (600 s window) and
+    /// returns the complete unfolded stream.
+    fn run_mu(
+        derived: Vec<UnfoldedEvent<&'static str, i64>>,
+        upstream: Vec<UpstreamEvent<i64>>,
+    ) -> Vec<UnfoldedEvent<&'static str, i64>> {
+        let mut q = Query::new(NoProvenance);
+        let derived = q.source(
+            "derived",
+            VecSource::new(derived.into_iter().map(|e| (e.sink_ts, e)).collect()),
+        );
+        let upstream = q.source(
+            "upstream",
+            VecSource::new(upstream.into_iter().map(|e| (e.sink_ts, e)).collect()),
+        );
+        let out = attach_multi_unfolder(
+            &mut q,
+            "mu",
+            derived,
+            vec![upstream],
+            Duration::from_secs(600),
+        );
+        let sink = q.collecting_sink("sink", out);
+        q.deploy().unwrap().wait().unwrap();
+        sink.tuples().iter().map(|t| t.data.clone()).collect()
+    }
+
     #[test]
     fn mu_resolves_remote_tuples_and_passes_source_tuples_through() {
         // Simulate the provenance instance of a distributed deployment: the derived
@@ -398,32 +428,7 @@ mod tests {
             },
         ];
 
-        let mut q = Query::new(NoProvenance);
-        let derived = q.source(
-            "derived",
-            VecSource::new(derived_events.into_iter().map(|e| (e.sink_ts, e)).collect()),
-        );
-        let upstream = q.source(
-            "upstream",
-            VecSource::new(
-                upstream_events
-                    .into_iter()
-                    .map(|e| (e.sink_ts, e))
-                    .collect(),
-            ),
-        );
-        let out = attach_multi_unfolder(
-            &mut q,
-            "mu",
-            derived,
-            vec![upstream],
-            Duration::from_secs(600),
-        );
-        let sink = q.collecting_sink("sink", out);
-        q.deploy().unwrap().wait().unwrap();
-
-        let outputs: Vec<UnfoldedEvent<&'static str, i64>> =
-            sink.tuples().iter().map(|t| t.data.clone()).collect();
+        let outputs = run_mu(derived_events, upstream_events);
         assert_eq!(outputs.len(), 3);
         // alert-a passes through untouched.
         let a: Vec<_> = outputs
@@ -442,6 +447,47 @@ mod tests {
         payloads.sort_unstable();
         assert_eq!(payloads, vec![7, 8]);
         assert!(b.iter().all(|e| e.origin_kind == OpKind::Source));
+    }
+
+    #[test]
+    fn mu_stitches_every_derived_event_sharing_a_remote_id_whichever_side_came_first() {
+        // Two sink tuples were both derived from the remote tuple `shared`; its two
+        // upstream events lie between them in time, so the first derived event is
+        // already waiting in the join window when they arrive and the second one
+        // finds them there. A third upstream event resolves nothing.
+        let shared = TupleId::new(1, 100);
+        let derived = |secs: u64, seq: u64, alert: &'static str| UnfoldedEvent {
+            sink_ts: Timestamp::from_secs(secs),
+            sink_id: TupleId::new(2, seq),
+            sink_data: alert,
+            origin_kind: OpKind::Remote,
+            origin_ts: Timestamp::from_secs(40),
+            origin_id: shared,
+            origin_data: None::<i64>,
+        };
+        let upstream = |sink_id: TupleId, seq: u64, payload: i64| UpstreamEvent {
+            sink_id,
+            sink_ts: Timestamp::from_secs(40),
+            origin_kind: OpKind::Source,
+            origin_ts: Timestamp::from_secs(seq),
+            origin_id: TupleId::new(1, seq),
+            origin_data: Some(payload),
+        };
+        let derived_events = vec![derived(30, 0, "early"), derived(50, 1, "late")];
+        let upstream_events = vec![
+            upstream(shared, 1, 7),
+            upstream(shared, 2, 8),
+            upstream(TupleId::new(1, 999), 3, 9),
+        ];
+
+        let resolved: Vec<(&'static str, i64)> = run_mu(derived_events, upstream_events)
+            .iter()
+            .map(|e| (e.sink_data, e.origin_data.expect("resolved")))
+            .collect();
+        assert_eq!(
+            resolved,
+            vec![("early", 7), ("early", 8), ("late", 7), ("late", 8)]
+        );
     }
 
     #[test]

@@ -163,17 +163,30 @@ where
         ProvenanceRecord<D, S>,
     > = std::collections::HashMap::new();
     for event in events {
-        let entry = groups.entry(event.sink_id).or_insert_with(|| {
-            order.push(event.sink_id);
+        let UnfoldedEvent {
+            sink_ts,
+            sink_id,
+            sink_data,
+            origin_ts,
+            origin_id,
+            origin_data,
+            ..
+        } = event;
+        let entry = groups.entry(sink_id).or_insert_with(|| {
+            order.push(sink_id);
             ProvenanceRecord {
-                sink_id: event.sink_id,
-                sink_ts: event.sink_ts,
-                sink_data: event.sink_data.clone(),
+                sink_id,
+                sink_ts,
+                sink_data,
                 sources: Vec::new(),
             }
         });
-        if let Some(record) = event.source_record() {
-            entry.sources.push(record);
+        if let Some(data) = origin_data {
+            entry.sources.push(SourceRecord {
+                ts: origin_ts,
+                id: origin_id,
+                data,
+            });
         }
     }
     order
@@ -848,7 +861,16 @@ impl<O: TupleData, S: TupleData> ShardProvenanceCollector<O, S> {
     /// [`ControlPlane::with_provenance`](genealog_control::ControlPlane::with_provenance).
     pub fn contribution_json(&self, sink_id: &str) -> Option<String> {
         let id = genealog_spe::tuple::TupleId::parse(sink_id)?;
-        let record = self.records().into_iter().find(|r| r.sink_id == id)?;
+        // One request concerns one sink tuple: group only its own events, not the
+        // whole collection.
+        let record = group_provenance(
+            self.collected
+                .select(|t| t.data.sink_id == id)
+                .iter()
+                .map(|t| t.data.clone())
+                .collect(),
+        )
+        .pop()?;
         Some(json::object([
             (
                 "sink",

@@ -75,6 +75,17 @@ impl Gauge {
         }
     }
 
+    /// Moves the gauge by `delta`, for a reading that several writers each hold a
+    /// share of (the shard instances of one logical operator): every writer publishes
+    /// the change of its own share and the gauge reads the sum.
+    #[inline]
+    pub fn adjust(&self, delta: i64) {
+        if !self.inert {
+            // Two's-complement add: a negative delta wraps to the subtraction.
+            self.value.fetch_add(delta as u64, Ordering::Relaxed);
+        }
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)

@@ -719,11 +719,13 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
 
     /// Adds a windowed equi-key Join with `right`.
     ///
-    /// `left_key`/`right_key` partition the inputs when the planner shards the join
-    /// (matching pairs always meet inside one shard); `predicate` further filters
+    /// `left_key`/`right_key` are the join keys: every lowering indexes the Join's
+    /// windows by them (a probe visits only the same-key tuples of the other side),
+    /// and when the planner shards the join they also partition the inputs, so
+    /// matching pairs always meet inside one shard. `predicate` further filters
     /// candidate pairs *within* a key; `out_key` orders the canonical fan-in.
     /// Unannotated joins under the default configuration lower to the plain
-    /// single-instance operator (the key extractors are then unused).
+    /// single-instance operator. Key extractors must be pure.
     ///
     /// # Panics
     /// Panics if `right` belongs to a different [`LogicalPlan`].
@@ -743,8 +745,8 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
         R: TupleData,
         O: TupleData,
         K: Ord + std::hash::Hash + Clone + Send + 'static,
-        LK: FnMut(&T) -> K + Send + 'static,
-        RK: FnMut(&R) -> K + Send + 'static,
+        LK: FnMut(&T) -> K + Clone + Send + 'static,
+        RK: FnMut(&R) -> K + Clone + Send + 'static,
         OK: FnMut(&O) -> K + Send + 'static,
         PR: FnMut(&T, &R) -> bool + Clone + Send + 'static,
         CF: FnMut(&T, &R) -> O + Clone + Send + 'static,
@@ -789,9 +791,9 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
                             )
                         }),
                     None if default <= 1 => {
-                        return Lowered::Stream(
-                            q.join(&owned, left, right, window, predicate, combine),
-                        );
+                        return Lowered::Stream(q.join(
+                            &owned, left, right, window, left_key, right_key, predicate, combine,
+                        ));
                     }
                     None => JoinShardPlacement::all_local(default),
                 };
@@ -1247,7 +1249,7 @@ mod tests {
                     |l: &Reading| l.0,
                     |r: &Reading| r.0,
                     |o: &(u32, i64, i64)| o.0,
-                    |l: &Reading, r: &Reading| l.0 == r.0,
+                    |_: &Reading, _: &Reading| true,
                     |l: &Reading, r: &Reading| (l.0, l.1, r.1),
                 )
                 .with(Parallelism::shards(shards))

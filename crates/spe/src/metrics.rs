@@ -159,10 +159,19 @@ impl OpCounters {
         stats
     }
 
-    /// A registry gauge named `metric`, labelled `operator=<logical name>`.
-    /// Inert (set is a no-op) when metrics are disabled.
-    pub fn gauge(&self, metric: &'static str) -> Arc<Gauge> {
-        self.registry.gauge(metric, &[("operator", &self.name)])
+    /// A registry gauge named `metric`, labelled `operator=<logical name>` plus
+    /// `extra`. Inert (set is a no-op) when metrics are disabled.
+    pub fn gauge(&self, metric: &'static str, extra: &[(&str, &str)]) -> Arc<Gauge> {
+        let mut labels = vec![("operator", self.name.as_str())];
+        labels.extend_from_slice(extra);
+        self.registry.gauge(metric, &labels)
+    }
+
+    /// A registry counter named `metric`, labelled `operator=<logical name>`, for
+    /// counts beyond the tuples in/out every operator has. Shard instances of one
+    /// logical operator get the same counter, so it reads their sum.
+    pub fn counter(&self, metric: &'static str) -> Arc<Counter> {
+        self.registry.counter(metric, &[("operator", &self.name)])
     }
 
     /// A registry histogram named `metric`, labelled `operator=<logical
@@ -187,7 +196,7 @@ mod tests {
         assert_eq!(stats.tuples_in, 1);
         assert_eq!(stats.tuples_out, 3);
         // The gauge from a lazily-bound (disabled) registry is inert.
-        let g = counters.gauge("genealog_source_replay_offset");
+        let g = counters.gauge("genealog_source_replay_offset", &[]);
         g.set(42);
         assert_eq!(g.get(), 0);
     }

@@ -1,19 +1,43 @@
-//! The Join operator: predicate join of two streams within a time window.
+//! The Join operator: keyed (equi-)join of two streams within a time window.
 //!
-//! For each pair `(tL, tR)` with `|tL.ts − tR.ts| ≤ WS` that satisfies the predicate,
-//! the Join emits one output tuple combining the two payloads (§2). The paper's
-//! instrumented Join (§4.1) points `U1` at the more recent of the two inputs and `U2`
-//! at the older one — that instrumentation is the [`ProvenanceSystem::join_meta`] hook.
+//! For each pair `(tL, tR)` with `|tL.ts − tR.ts| ≤ WS`, equal join keys
+//! (`left_key(tL) == right_key(tR)`) and a true residual predicate, the Join emits one
+//! output tuple combining the two payloads (§2). The paper's instrumented Join (§4.1)
+//! points `U1` at the more recent of the two inputs and `U2` at the older one — that
+//! instrumentation is the [`ProvenanceSystem::join_meta`] hook.
 //!
 //! The two inputs are processed in global timestamp order (left side wins ties), so
 //! the sequence of output tuples is deterministic regardless of thread scheduling.
+//!
+//! # Keyed windows
+//!
+//! Each side retains its processed tuples twice: in a time-ordered deque — the source
+//! of truth for purge order and for the checkpoint snapshot — and in a hash index of
+//! per-key buckets, each bucket in insertion order. A probe walks only the bucket of
+//! its own key, so its cost is the number of same-key tuples retained on the other
+//! side, not the size of the other side's window (the multi-stream unfolder of §6 joins
+//! on a unique tuple id: a handful of candidates per probe instead of the whole window).
+//!
+//! The output is the one a nested loop over the whole window would produce, order
+//! included: every match of one probe has the probe's key, so all of them live in one
+//! bucket, and a bucket is a subsequence of the time-ordered deque — it lists the
+//! same-key tuples in the order the deque does. The index is derived state: purge pops
+//! the evicted tuple from the front of its bucket (the oldest tuple of the window is
+//! the oldest of its key), and a restore rebuilds the buckets from the restored deques.
+//! A genuine theta join passes `|_| ()` for both keys: one bucket, scanned in full.
+//!
+//! Key extractors must be pure — the key of a tuple is recomputed when it is purged.
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::Arc;
+
+use genealog_metrics::{Counter, Gauge};
 
 use crate::channel::{OutputSlot, StreamReceiver};
 use crate::error::SpeError;
-use crate::metrics::OpMetrics;
+use crate::metrics::{OpCounters, OpMetrics};
 use crate::operator::{Operator, OperatorStats};
 use crate::provenance::{detach_tuple, ProvenanceSystem};
 use crate::state::{CheckpointHandle, Snapshot};
@@ -30,12 +54,15 @@ struct JoinSnapshot<L, R, M> {
     emitted_watermark: Timestamp,
 }
 
-struct JoinSide<T, M> {
+struct JoinSide<T, K, M> {
     rx: StreamReceiver<T, M>,
     /// Elements received but not yet processed (kept in arrival = timestamp order).
     pending: VecDeque<Arc<GTuple<T, M>>>,
-    /// Already-processed tuples retained for matching against the other side.
+    /// Already-processed tuples retained for matching against the other side, in
+    /// timestamp order: what purge walks and what a checkpoint snapshots.
     window: VecDeque<Arc<GTuple<T, M>>>,
+    /// The same tuples by join key, each bucket in `window` order: what a probe walks.
+    index: HashMap<K, VecDeque<Arc<GTuple<T, M>>>>,
     promised: Timestamp,
     /// Epoch barrier this side has reached (checkpoint alignment): the side is not
     /// pumped again until the other side reaches the same barrier.
@@ -43,28 +70,41 @@ struct JoinSide<T, M> {
     ended: bool,
 }
 
-impl<T, M> JoinSide<T, M> {
+impl<T, K: Hash + Eq, M> JoinSide<T, K, M> {
     fn new(rx: StreamReceiver<T, M>) -> Self {
         JoinSide {
             rx,
             pending: VecDeque::new(),
             window: VecDeque::new(),
+            index: HashMap::new(),
             promised: Timestamp::MIN,
             at_barrier: None,
             ended: false,
         }
     }
 
-    fn lower_bound(&self) -> Timestamp {
+    /// The oldest timestamp this side may still hand over to the join, now or after
+    /// a barrier it is held at. It bounds what can still be matched and emitted, so
+    /// purge and the output watermark follow the lesser of the two sides' bounds.
+    fn progress_bound(&self) -> Timestamp {
         if let Some(front) = self.pending.front() {
             front.ts
-        } else if self.ended || self.at_barrier.is_some() {
-            // A side blocked on a barrier delivers nothing until the cut is aligned,
-            // so it must not hold back the release of the other side's buffered
-            // pre-barrier tuples.
+        } else if self.ended {
             Timestamp::MAX
         } else {
             self.promised
+        }
+    }
+
+    /// What the other side's head is held back by. A side blocked on a barrier
+    /// delivers nothing until the cut is aligned, so it must not hold back the
+    /// release of the other side's buffered pre-barrier tuples — though what it
+    /// delivers after the cut may be as old as its [`Self::progress_bound`].
+    fn lower_bound(&self) -> Timestamp {
+        if self.pending.is_empty() && self.at_barrier.is_some() {
+            Timestamp::MAX
+        } else {
+            self.progress_bound()
         }
     }
 
@@ -92,24 +132,103 @@ impl<T, M> JoinSide<T, M> {
         }
     }
 
-    fn purge(&mut self, frontier: Timestamp, ws: Duration) {
-        while let Some(front) = self.window.front() {
-            if front.ts + ws < frontier {
-                self.window.pop_front();
-            } else {
-                break;
+    /// The retained tuples a probe with `key` has to look at, oldest first.
+    fn candidates(&self, key: &K) -> impl Iterator<Item = &Arc<GTuple<T, M>>> {
+        self.index.get(key).into_iter().flatten()
+    }
+
+    /// Retains a processed tuple under its join key.
+    fn retain(&mut self, key: K, tuple: Arc<GTuple<T, M>>) {
+        self.index
+            .entry(key)
+            .or_default()
+            .push_back(Arc::clone(&tuple));
+        self.window.push_back(tuple);
+    }
+
+    /// Replaces the retained tuples with a restored window, rebuilding the index.
+    fn restore(
+        &mut self,
+        tuples: impl Iterator<Item = Arc<GTuple<T, M>>>,
+        key_of: &mut impl FnMut(&T) -> K,
+    ) {
+        self.window.clear();
+        self.index.clear();
+        for tuple in tuples {
+            self.retain(key_of(&tuple.data), tuple);
+        }
+    }
+
+    fn purge(&mut self, frontier: Timestamp, ws: Duration, key_of: &mut impl FnMut(&T) -> K) {
+        while self.window.front().is_some_and(|t| t.ts + ws < frontier) {
+            let evicted = self.window.pop_front().expect("checked non-empty");
+            // The oldest tuple of the window is the oldest tuple of its key.
+            if let Entry::Occupied(mut bucket) = self.index.entry(key_of(&evicted.data)) {
+                let dropped = bucket.get_mut().pop_front();
+                debug_assert!(dropped.is_some_and(|t| Arc::ptr_eq(&t, &evicted)));
+                if bucket.get().is_empty() {
+                    bucket.remove();
+                }
             }
         }
     }
 }
 
+/// The Join's own instruments, beside the tuple counters every operator has: how
+/// many tuples each side retains and how many candidates the probes visited
+/// (candidates ÷ tuples in is the live "is this join scanning?" number). Probes count
+/// into a local; the registry is touched once per pumped batch. Shard instances of
+/// one logical join share the instruments, so the gauges move by deltas.
+struct JoinInstruments {
+    probe_candidates: Arc<Counter>,
+    unpublished_candidates: u64,
+    /// Per side (left, right): the gauge and this instance's share of it.
+    window_tuples: [(Arc<Gauge>, usize); 2],
+}
+
+impl JoinInstruments {
+    fn new(counters: &OpCounters) -> Self {
+        JoinInstruments {
+            probe_candidates: counters.counter("genealog_join_probe_candidates_total"),
+            unpublished_candidates: 0,
+            window_tuples: ["left", "right"].map(|side| {
+                let gauge = counters.gauge("genealog_join_window_tuples", &[("side", side)]);
+                (gauge, 0)
+            }),
+        }
+    }
+
+    fn publish(&mut self, window: [usize; 2]) {
+        if self.unpublished_candidates > 0 {
+            self.probe_candidates
+                .add(std::mem::take(&mut self.unpublished_candidates));
+        }
+        for ((gauge, published), retained) in self.window_tuples.iter_mut().zip(window) {
+            if retained != *published {
+                gauge.adjust(retained as i64 - *published as i64);
+                *published = retained;
+            }
+        }
+    }
+}
+
+impl Drop for JoinInstruments {
+    /// Whichever way the operator stops, its last probes are counted and its
+    /// windows, dropped with it, leave the gauges.
+    fn drop(&mut self) {
+        self.publish([0, 0]);
+    }
+}
+
 /// The Join operator runtime.
-pub struct JoinOp<L, R, O, PR, CF, P: ProvenanceSystem> {
+pub struct JoinOp<L, R, O, K, LK, RK, PR, CF, P: ProvenanceSystem> {
     name: String,
-    left: JoinSide<L, P::Meta>,
-    right: JoinSide<R, P::Meta>,
+    left: JoinSide<L, K, P::Meta>,
+    right: JoinSide<R, K, P::Meta>,
     output: OutputSlot<O, P::Meta>,
     window: Duration,
+    left_key: LK,
+    right_key: RK,
     predicate: PR,
     combine: CF,
     provenance: P,
@@ -118,18 +237,23 @@ pub struct JoinOp<L, R, O, PR, CF, P: ProvenanceSystem> {
     metrics: OpMetrics,
 }
 
-impl<L, R, O, PR, CF, P> JoinOp<L, R, O, PR, CF, P>
+impl<L, R, O, K, LK, RK, PR, CF, P> JoinOp<L, R, O, K, LK, RK, PR, CF, P>
 where
     L: TupleData,
     R: TupleData,
     O: TupleData,
+    K: Hash + Eq + Send + 'static,
+    LK: FnMut(&L) -> K + Send + 'static,
+    RK: FnMut(&R) -> K + Send + 'static,
     PR: FnMut(&L, &R) -> bool + Send + 'static,
     CF: FnMut(&L, &R) -> O + Send + 'static,
     P: ProvenanceSystem,
 {
-    /// Creates a Join operator with the given window size `WS`. When `checkpoints`
-    /// is filled before the query is deployed, the Join aligns epoch barriers across
-    /// its two inputs and snapshots both time windows at each aligned cut.
+    /// Creates a Join operator with the given window size `WS`, matching pairs with
+    /// equal `left_key`/`right_key` that also satisfy the residual `predicate`. When
+    /// `checkpoints` is filled before the query is deployed, the Join aligns epoch
+    /// barriers across its two inputs and snapshots both time windows at each
+    /// aligned cut.
     ///
     /// # Panics
     /// Panics if the window size is zero.
@@ -140,6 +264,8 @@ where
         right: StreamReceiver<R, P::Meta>,
         output: OutputSlot<O, P::Meta>,
         window: Duration,
+        left_key: LK,
+        right_key: RK,
         predicate: PR,
         combine: CF,
         provenance: P,
@@ -152,6 +278,8 @@ where
             right: JoinSide::new(right),
             output,
             window,
+            left_key,
+            right_key,
             predicate,
             combine,
             provenance,
@@ -162,11 +290,14 @@ where
     }
 }
 
-impl<L, R, O, PR, CF, P> Operator for JoinOp<L, R, O, PR, CF, P>
+impl<L, R, O, K, LK, RK, PR, CF, P> Operator for JoinOp<L, R, O, K, LK, RK, PR, CF, P>
 where
     L: TupleData,
     R: TupleData,
     O: TupleData,
+    K: Hash + Eq + Send + 'static,
+    LK: FnMut(&L) -> K + Send + 'static,
+    RK: FnMut(&R) -> K + Send + 'static,
     PR: FnMut(&L, &R) -> bool + Send + 'static,
     CF: FnMut(&L, &R) -> O + Send + 'static,
     P: ProvenanceSystem,
@@ -182,6 +313,7 @@ where
     fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
         let mut out = self.output.open();
         let counters = self.metrics.handles(&self.name);
+        let mut instruments = JoinInstruments::new(&counters);
         let checkpoints = self.checkpoints.get().cloned();
         if let Some(ckpt) = &checkpoints {
             ckpt.store.register(&self.name);
@@ -193,16 +325,21 @@ where
                 // Re-stitch the provenance graph slice: every restored window tuple
                 // gets a fresh, unset N-cell so recovered chains link only among
                 // recovered tuples (see `ProvenanceSystem::detach_meta`).
-                self.left.window = snapshot
-                    .left_window
-                    .iter()
-                    .map(|t| detach_tuple(&self.provenance, t))
-                    .collect();
-                self.right.window = snapshot
-                    .right_window
-                    .iter()
-                    .map(|t| detach_tuple(&self.provenance, t))
-                    .collect();
+                let provenance = &self.provenance;
+                self.left.restore(
+                    snapshot
+                        .left_window
+                        .iter()
+                        .map(|t| detach_tuple(provenance, t)),
+                    &mut self.left_key,
+                );
+                self.right.restore(
+                    snapshot
+                        .right_window
+                        .iter()
+                        .map(|t| detach_tuple(provenance, t)),
+                    &mut self.right_key,
+                );
                 self.emitted_watermark = snapshot.emitted_watermark;
             }
         }
@@ -218,7 +355,9 @@ where
             if left_ready {
                 let tuple = self.left.pending.pop_front().expect("checked non-empty");
                 counters.inc_in();
-                for candidate in &self.right.window {
+                let key = (self.left_key)(&tuple.data);
+                for candidate in self.right.candidates(&key) {
+                    instruments.unpublished_candidates += 1;
                     if tuple.ts.distance(candidate.ts) <= self.window
                         && (self.predicate)(&tuple.data, &candidate.data)
                     {
@@ -236,11 +375,13 @@ where
                         counters.inc_out();
                     }
                 }
-                self.left.window.push_back(tuple);
+                self.left.retain(key, tuple);
             } else if right_ready {
                 let tuple = self.right.pending.pop_front().expect("checked non-empty");
                 counters.inc_in();
-                for candidate in &self.left.window {
+                let key = (self.right_key)(&tuple.data);
+                for candidate in self.left.candidates(&key) {
+                    instruments.unpublished_candidates += 1;
                     if tuple.ts.distance(candidate.ts) <= self.window
                         && (self.predicate)(&candidate.data, &tuple.data)
                     {
@@ -258,14 +399,13 @@ where
                         counters.inc_out();
                     }
                 }
-                self.right.window.push_back(tuple);
+                self.right.retain(key, tuple);
             } else {
-                // Barrier alignment must be checked *before* the frontier==MAX end
-                // branch: when both sides are blocked on a barrier, both lower
-                // bounds read MAX exactly like the all-ended case. Reaching this
-                // branch with a side blocked or ended means its pending buffer is
-                // empty (a pending head would be releasable against a MAX bound),
-                // so the windows are the only state crossing the cut.
+                // Barrier alignment comes first: with both sides at the cut there is
+                // nothing to wait for. Reaching this branch with a side blocked or
+                // ended means its pending buffer is empty (a pending head would be
+                // releasable against a MAX bound), so the windows are the only state
+                // crossing the cut.
                 let left_blocked = self.left.at_barrier.is_some();
                 let right_blocked = self.right.at_barrier.is_some();
                 let left_at_cut = left_blocked || self.left.ended;
@@ -296,14 +436,15 @@ where
                 }
                 // No head is releasable: either everything has ended, or we must wait
                 // for more elements from the side currently holding us back.
-                let frontier = left_lb.min(right_lb);
+                let frontier = self.left.progress_bound().min(self.right.progress_bound());
                 if frontier == Timestamp::MAX {
                     let _ = out.send_watermark(Timestamp::MAX);
                     let _ = out.send_end();
                     return Ok(counters.stats(&self.name));
                 }
-                self.left.purge(frontier, self.window);
-                self.right.purge(frontier, self.window);
+                self.left.purge(frontier, self.window, &mut self.left_key);
+                self.right.purge(frontier, self.window, &mut self.right_key);
+                instruments.publish([self.left.window.len(), self.right.window.len()]);
                 if frontier > self.emitted_watermark && frontier > Timestamp::MIN {
                     self.emitted_watermark = frontier;
                     if out.send_watermark(frontier).is_err() {
@@ -373,6 +514,15 @@ mod tests {
         right: Vec<Element<(u32, i64), ()>>,
         window_secs: u64,
     ) -> Vec<(u64, (u32, i64, i64))> {
+        run_checkpointed_join(left, right, window_secs, Default::default())
+    }
+
+    fn run_checkpointed_join(
+        left: Vec<Element<(u32, i64), ()>>,
+        right: Vec<Element<(u32, i64), ()>>,
+        window_secs: u64,
+        checkpoints: CheckpointHandle,
+    ) -> Vec<(u64, (u32, i64, i64))> {
         let (ltx, lrx) = stream_channel(256);
         let (rtx, rrx) = stream_channel(256);
         let out_slot = OutputSlot::<(u32, i64, i64), ()>::new();
@@ -393,10 +543,12 @@ mod tests {
             rrx,
             out_slot,
             Duration::from_secs(window_secs),
-            |l: &(u32, i64), r: &(u32, i64)| l.0 == r.0,
+            |l: &(u32, i64)| l.0,
+            |r: &(u32, i64)| r.0,
+            |_: &(u32, i64), _: &(u32, i64)| true,
             |l: &(u32, i64), r: &(u32, i64)| (l.0, l.1, r.1),
             NoProvenance,
-            Default::default(),
+            checkpoints,
         );
         Box::new(op).run().unwrap();
         let mut outputs = Vec::new();
@@ -477,6 +629,101 @@ mod tests {
     }
 
     #[test]
+    fn unequal_keys_never_reach_the_predicate() {
+        let (ltx, lrx) = stream_channel(16);
+        let (rtx, rrx) = stream_channel(16);
+        for (tx, key) in [(&ltx, 1u32), (&rtx, 2u32)] {
+            tx.send(Element::Tuple(tup(10, (key, 0i64)))).unwrap();
+            tx.send(Element::End).unwrap();
+        }
+        let op = JoinOp::new(
+            "join",
+            lrx,
+            rrx,
+            OutputSlot::<i64, ()>::new(),
+            Duration::from_secs(60),
+            |l: &(u32, i64)| l.0,
+            |r: &(u32, i64)| r.0,
+            |_: &(u32, i64), _: &(u32, i64)| -> bool { panic!("probed across keys") },
+            |l: &(u32, i64), r: &(u32, i64)| l.1 + r.1,
+            NoProvenance,
+            Default::default(),
+        );
+        let stats = Box::new(op).run().unwrap();
+        assert_eq!((stats.tuples_in, stats.tuples_out), (2, 0));
+    }
+
+    /// While one side waits at a barrier the other runs ahead to its own; what it
+    /// retains must still be there for the tuples the waiting side sends after the
+    /// cut, which are older than where the running side got to.
+    #[test]
+    fn side_running_ahead_to_a_barrier_keeps_partners_of_the_waiting_side() {
+        let store = crate::state::CheckpointStore::in_memory();
+        let handle = CheckpointHandle::default();
+        let config = crate::state::CheckpointConfig::new(1, store);
+        handle.set(config).expect("fresh handle");
+        let out = run_checkpointed_join(
+            vec![
+                Element::Tuple(tup(10, (1u32, 110i64))),
+                Element::Barrier(1),
+                Element::Tuple(tup(12, (1u32, 112i64))),
+            ],
+            vec![
+                Element::Tuple(tup(9, (1u32, 9i64))),
+                Element::Tuple(tup(20, (1u32, 20i64))),
+                Element::Barrier(1),
+            ],
+            5,
+            handle,
+        );
+        assert_eq!(out, vec![(10, (1, 110, 9)), (12, (1, 112, 9))]);
+    }
+
+    /// Killed between two barriers: the replacement restores the windows of epoch 1
+    /// and must probe them through a rebuilt index — a restored tuple still in the
+    /// window matches, one the restored run has since purged does not, and the purge
+    /// takes the right tuple out of a bucket that holds both.
+    #[test]
+    fn restored_join_probes_and_purges_through_the_rebuilt_index() {
+        let store = crate::state::CheckpointStore::in_memory();
+        let checkpoints = || {
+            let handle = CheckpointHandle::default();
+            let config = crate::state::CheckpointConfig::new(1, Arc::clone(&store));
+            handle.set(config).expect("fresh handle");
+            handle
+        };
+        // First attempt: epoch 1 cuts after L0, L10 | R1; L11 is joined after the
+        // cut and lost with the operator.
+        let before = run_checkpointed_join(
+            vec![
+                Element::Tuple(tup(0, (1u32, 100i64))),
+                Element::Tuple(tup(10, (1u32, 110i64))),
+                Element::Barrier(1),
+                Element::Tuple(tup(11, (1u32, 111i64))),
+            ],
+            vec![Element::Tuple(tup(1, (1u32, 1i64))), Element::Barrier(1)],
+            5,
+            checkpoints(),
+        );
+        assert_eq!(before, vec![(1, (1, 100, 1))]);
+        assert_eq!(store.begin_recovery(), Some(1));
+
+        // Second attempt: the sources replay from the cut. R12 is released once the
+        // left watermark passes it, by which time the frontier (11) has purged L0
+        // and R1 (ts + 5 < 11) but not L10.
+        let after = run_checkpointed_join(
+            vec![
+                Element::Tuple(tup(11, (1u32, 111i64))),
+                Element::Watermark(Timestamp::from_secs(16)),
+            ],
+            vec![Element::Tuple(tup(12, (1u32, 12i64)))],
+            5,
+            checkpoints(),
+        );
+        assert_eq!(after, vec![(12, (1, 110, 12)), (12, (1, 111, 12))]);
+    }
+
+    #[test]
     #[should_panic(expected = "window size must be positive")]
     fn zero_window_is_rejected() {
         let (_ltx, lrx) = stream_channel::<i64, ()>(1);
@@ -488,6 +735,8 @@ mod tests {
             rrx,
             slot,
             Duration::ZERO,
+            |_: &i64| (),
+            |_: &i64| (),
             |_: &i64, _: &i64| true,
             |l: &i64, r: &i64| l + r,
             NoProvenance,
@@ -517,7 +766,9 @@ mod tests {
             rrx,
             out_slot,
             Duration::from_secs(60),
-            |l: &(u32, i64), r: &(u32, i64)| l.0 == r.0,
+            |l: &(u32, i64)| l.0,
+            |r: &(u32, i64)| r.0,
+            |_: &(u32, i64), _: &(u32, i64)| true,
             |l: &(u32, i64), r: &(u32, i64)| (l.0, l.1, r.1),
             NoProvenance,
             Default::default(),

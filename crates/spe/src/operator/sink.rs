@@ -95,6 +95,17 @@ impl<T, M> CollectedStream<T, M> {
         self.tuples.lock().clone()
     }
 
+    /// The collected tuples `keep` accepts, in arrival order — a lookup that copies
+    /// only what it was looking for, however much has been collected.
+    pub fn select(&self, mut keep: impl FnMut(&GTuple<T, M>) -> bool) -> Vec<Arc<GTuple<T, M>>> {
+        self.tuples
+            .lock()
+            .iter()
+            .filter(|t| keep(t))
+            .cloned()
+            .collect()
+    }
+
     /// Number of collected tuples.
     pub fn len(&self) -> usize {
         self.tuples.lock().len()

@@ -165,8 +165,8 @@ impl<G: SourceGenerator, P: ProvenanceSystem> Operator for SourceOp<G, P> {
         let counters = self.metrics.handles(&self.name);
         // Live load-shedding signals: how far the source has replayed and which
         // barrier epoch it last committed.
-        let replay_offset = counters.gauge("genealog_source_replay_offset");
-        let barrier_epoch = counters.gauge("genealog_source_barrier_epoch");
+        let replay_offset = counters.gauge("genealog_source_replay_offset", &[]);
+        let barrier_epoch = counters.gauge("genealog_source_barrier_epoch", &[]);
         let mut seq: u64 = 0;
         let mut last_ts = Timestamp::MIN;
 

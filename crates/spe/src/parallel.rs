@@ -568,10 +568,11 @@ impl<P: ProvenanceSystem> Query<P> {
     /// Adds a key-partitioned equi-key Join running `parallelism` shard instances.
     ///
     /// Both inputs are hash-partitioned on their key extractors (`left_key`,
-    /// `right_key`), so matching pairs always meet inside the same shard; `predicate`
-    /// further filters candidate pairs *within* a key — pairs whose keys differ never
-    /// meet, which is what makes the join shardable. Shard outputs are reunified in
-    /// canonical `(timestamp, out_key, per-key emission order)`.
+    /// `right_key`), so matching pairs always meet inside the same shard, and each
+    /// shard's Join indexes its windows by the same keys; `predicate` further filters
+    /// candidate pairs *within* a key — pairs whose keys differ never meet, which is
+    /// what makes the join shardable. Shard outputs are reunified in canonical
+    /// `(timestamp, out_key, per-key emission order)`.
     #[allow(clippy::too_many_arguments)] // mirrors join() plus the sharding knobs
     pub fn sharded_join<L, R, O, K, LK, RK, OK, PR, CF>(
         &mut self,
@@ -591,8 +592,8 @@ impl<P: ProvenanceSystem> Query<P> {
         R: TupleData,
         O: TupleData,
         K: Ord + Hash + Clone + Send + 'static,
-        LK: FnMut(&L) -> K + Send + 'static,
-        RK: FnMut(&R) -> K + Send + 'static,
+        LK: FnMut(&L) -> K + Clone + Send + 'static,
+        RK: FnMut(&R) -> K + Clone + Send + 'static,
         OK: FnMut(&O) -> K + Send + 'static,
         PR: FnMut(&L, &R) -> bool + Clone + Send + 'static,
         CF: FnMut(&L, &R) -> O + Clone + Send + 'static,
@@ -633,8 +634,8 @@ impl<P: ProvenanceSystem> Query<P> {
         R: TupleData,
         O: TupleData,
         K: Ord + Hash + Clone + Send + 'static,
-        LK: FnMut(&L) -> K + Send + 'static,
-        RK: FnMut(&R) -> K + Send + 'static,
+        LK: FnMut(&L) -> K + Clone + Send + 'static,
+        RK: FnMut(&R) -> K + Clone + Send + 'static,
         PR: FnMut(&L, &R) -> bool + Clone + Send + 'static,
         CF: FnMut(&L, &R) -> O + Clone + Send + 'static,
     {
@@ -643,8 +644,8 @@ impl<P: ProvenanceSystem> Query<P> {
             "a sharded operator needs at least one shard placement"
         );
         let instances = placements.len();
-        let lefts = self.partition(&format!("{name}.lx"), left, instances, left_key);
-        let rights = self.partition(&format!("{name}.rx"), right, instances, right_key);
+        let lefts = self.partition(&format!("{name}.lx"), left, instances, left_key.clone());
+        let rights = self.partition(&format!("{name}.rx"), right, instances, right_key.clone());
         let mut outs = Vec::with_capacity(instances);
         for (i, ((l, r), placement)) in lefts.into_iter().zip(rights).zip(placements).enumerate() {
             let mut stream = match placement {
@@ -661,6 +662,8 @@ impl<P: ProvenanceSystem> Query<P> {
                         right_rx,
                         slot,
                         window,
+                        left_key.clone(),
+                        right_key.clone(),
                         predicate.clone(),
                         combine.clone(),
                         self.provenance().clone(),

@@ -12,6 +12,7 @@
 //! in the paper's evaluation.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
 
@@ -937,13 +938,22 @@ impl<P: ProvenanceSystem> Query<P> {
         stream
     }
 
-    /// Adds a Join of two streams within the time window `window`.
-    pub fn join<L, R, O, PR, CF>(
+    /// Adds a Join of two streams within the time window `window`: pairs with equal
+    /// `left_key`/`right_key` that satisfy the residual `predicate` are combined.
+    ///
+    /// The retained windows are indexed by key, so a probe costs the same-key tuples
+    /// of the other side, not its whole window. A theta join (no equality to key on)
+    /// passes `|_| ()` for both extractors and `predicate` sees every pair in the
+    /// window. Key extractors must be pure.
+    #[allow(clippy::too_many_arguments)] // mirrors the paper's Join parameters
+    pub fn join<L, R, O, K, LK, RK, PR, CF>(
         &mut self,
         name: &str,
         left: StreamRef<L, P::Meta>,
         right: StreamRef<R, P::Meta>,
         window: Duration,
+        left_key: LK,
+        right_key: RK,
         predicate: PR,
         combine: CF,
     ) -> StreamRef<O, P::Meta>
@@ -951,6 +961,9 @@ impl<P: ProvenanceSystem> Query<P> {
         L: TupleData,
         R: TupleData,
         O: TupleData,
+        K: Hash + Eq + Send + 'static,
+        LK: FnMut(&L) -> K + Send + 'static,
+        RK: FnMut(&R) -> K + Send + 'static,
         PR: FnMut(&L, &R) -> bool + Send + 'static,
         CF: FnMut(&L, &R) -> O + Send + 'static,
     {
@@ -964,6 +977,8 @@ impl<P: ProvenanceSystem> Query<P> {
             right_rx,
             slot,
             window,
+            left_key,
+            right_key,
             predicate,
             combine,
             self.provenance.clone(),
@@ -1652,7 +1667,9 @@ mod tests {
             counts,
             right,
             Duration::from_hours(1),
-            |c: &(u32, i64), r: &(u32, i64)| c.0 == r.0,
+            |c: &(u32, i64)| c.0,
+            |r: &(u32, i64)| r.0,
+            |_: &(u32, i64), _: &(u32, i64)| true,
             |c: &(u32, i64), r: &(u32, i64)| (c.0, c.1, r.1),
         );
         let out = q.collecting_sink("sink", joined);

@@ -259,7 +259,9 @@ pub fn q4_stage2<P: ProvenanceSystem>(
         daily,
         midnight,
         Q4_JOIN_WINDOW,
-        |d: &DailyConsumption, r: &MeterReading| d.meter_id == r.meter_id,
+        |d: &DailyConsumption| d.meter_id,
+        |r: &MeterReading| r.meter_id,
+        |_: &DailyConsumption, _: &MeterReading| true,
         |d: &DailyConsumption, r: &MeterReading| AnomalyAlert {
             meter_id: d.meter_id,
             consumption_diff: (r.consumption * 24).abs_diff(d.total),

@@ -240,6 +240,36 @@ fn control_endpoint_serves_live_metrics_and_provenance_of_a_spanning_query() {
         Some(12)
     );
 
+    // The multi-stream unfolder's join stitches by tuple id through its keyed
+    // windows: a probe visits the events stored under its own id, never the
+    // window. Two of the three shards are remote: their 4 sink tuples are REMOTE
+    // at the origin and resolve to their 8 source tuples.
+    let mu_join = merged.operator("prov-mu-join").expect("MU join report");
+    assert_eq!(mu_join.stats.tuples_in, 4 + 8);
+    assert_eq!(mu_join.stats.tuples_out, 8);
+    let candidates = metric_value(
+        &exposition,
+        "genealog_join_probe_candidates_total",
+        r#"operator="prov-mu-join""#,
+    )
+    .expect("join probe counter is exported");
+    assert!(
+        (8..=2 * mu_join.stats.tuples_in).contains(&candidates),
+        "{candidates} candidates for {} tuples in: the MU join is scanning",
+        mu_join.stats.tuples_in
+    );
+    for side in ["left", "right"] {
+        assert_eq!(
+            metric_value(
+                &exposition,
+                "genealog_join_window_tuples",
+                &format!(r#"operator="prov-mu-join",side="{side}""#)
+            ),
+            Some(0),
+            "a finished join retains nothing"
+        );
+    }
+
     // Queue-depth gauges exist per edge and read 0 on the drained query.
     let depth_lines: Vec<&str> = exposition
         .lines()

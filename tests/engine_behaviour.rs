@@ -5,9 +5,14 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use proptest::prelude::*;
+
 use genealog::prelude::*;
 use genealog_spe::channel::{stream_channel, OutputSlot};
+use genealog_spe::operator::join::JoinOp;
 use genealog_spe::operator::source::{RateLimit, SourceConfig};
+use genealog_spe::operator::Operator;
+use genealog_spe::provenance::NoProvenance;
 use genealog_spe::query::NodeKind;
 use genealog_spe::QueryConfig;
 
@@ -109,6 +114,9 @@ fn every_standard_operator_participates_in_one_provenanced_query() {
         left,
         right,
         Duration::from_mins(2),
+        // A theta join: nothing to key on, the predicate sees every pair in the window.
+        |_: &i64| (),
+        |_: &i64| (),
         |a: &i64, b: &i64| a != b,
         |a: &i64, b: &i64| a + b,
     );
@@ -301,4 +309,169 @@ fn per_operator_batch_config_is_applied_to_subsequent_operators() {
     let out = q.collecting_sink("sink", mapped);
     q.deploy().unwrap().wait().unwrap();
     assert_eq!(out.len(), 50);
+}
+
+// ---------------------------------------------------------------------------
+// The keyed Join emits exactly what a scan of the whole window would
+// ---------------------------------------------------------------------------
+
+type Keyed = (u32, i64);
+/// `(ts_millis, (key, left value, right value))`: one emitted pair.
+type Pair = (u64, (u32, i64, i64));
+
+/// Rejects some pairs of equal key.
+fn residual(l: &Keyed, r: &Keyed) -> bool {
+    (l.1 + r.1) % 3 != 0
+}
+
+/// Reference join, kept apart from the operator: no index, no purging, no
+/// watermarks. Tuples are taken in timestamp order, left first on ties, and each
+/// one is compared with every earlier tuple of the other side, oldest first.
+fn brute_force_join(left: &[(u64, Keyed)], right: &[(u64, Keyed)], ws: u64) -> Vec<Pair> {
+    let mut out = Vec::new();
+    let (mut l, mut r) = (0, 0);
+    while l < left.len() || r < right.len() {
+        let take_left = r == right.len() || (l < left.len() && left[l].0 <= right[r].0);
+        let seen = if take_left { &right[..r] } else { &left[..l] };
+        for &(other_ts, other) in seen {
+            let (ts, lv, rv) = if take_left {
+                (left[l].0, left[l].1, other)
+            } else {
+                (right[r].0, other, right[r].1)
+            };
+            if ts.abs_diff(other_ts) <= ws && lv.0 == rv.0 && residual(&lv, &rv) {
+                out.push((ts.max(other_ts) * 1000, (lv.0, lv.1, rv.1)));
+            }
+        }
+        if take_left {
+            l += 1;
+        } else {
+            r += 1;
+        }
+    }
+    out
+}
+
+/// Runs one `JoinOp` over the two element sequences and returns its output.
+fn drive_join<K, LK, RK, PR>(
+    sides: &[Vec<Element<Keyed, ()>>; 2],
+    ws: u64,
+    left_key: LK,
+    right_key: RK,
+    predicate: PR,
+) -> Vec<Pair>
+where
+    K: std::hash::Hash + Eq + Send + 'static,
+    LK: FnMut(&Keyed) -> K + Send + 'static,
+    RK: FnMut(&Keyed) -> K + Send + 'static,
+    PR: FnMut(&Keyed, &Keyed) -> bool + Send + 'static,
+{
+    let [left_rx, right_rx] = sides.each_ref().map(|side| {
+        let (tx, rx) = stream_channel(side.len() + 1);
+        for element in side.iter().cloned().chain([Element::End]) {
+            tx.send(element).unwrap();
+        }
+        rx
+    });
+    let slot = OutputSlot::<(u32, i64, i64), ()>::new();
+    let (otx, mut orx) = stream_channel(64);
+    slot.connect(otx);
+    let op = JoinOp::new(
+        "join",
+        left_rx,
+        right_rx,
+        slot,
+        Duration::from_secs(ws),
+        left_key,
+        right_key,
+        predicate,
+        |l: &Keyed, r: &Keyed| (l.0, l.1, r.1),
+        NoProvenance,
+        Default::default(),
+    );
+    let running = std::thread::spawn(move || Box::new(op).run());
+    let mut out = Vec::new();
+    loop {
+        match orx.recv() {
+            Element::Tuple(t) => out.push((t.ts.as_millis(), t.data)),
+            Element::Watermark(_) | Element::Barrier(_) => {}
+            Element::End => break,
+        }
+    }
+    running.join().unwrap().unwrap();
+    out
+}
+
+/// One side's steps `(key draw, value, gap to the previous tuple, watermark lead)`.
+type Steps = Vec<(u32, u32, u64, u64)>;
+
+/// Builds one side's elements. Timestamps repeat (gap 0); a
+/// non-zero lead puts a watermark that far *ahead* of the tuple just sent, which
+/// moves the join's frontier past data it has seen and forces purges. Key shapes:
+/// 0 = one hot key among a few cold ones, 1 = every tuple its own key (the i-th
+/// left tuple can only meet the i-th right tuple), 2 = three evenly used keys.
+fn join_side(steps: &Steps, key_shape: u8) -> Vec<Element<Keyed, ()>> {
+    let mut elements = Vec::new();
+    let mut ts = 0u64;
+    for (i, &(draw, value, gap, lead)) in steps.iter().enumerate() {
+        ts += gap;
+        let key = match key_shape {
+            0 if draw < 8 => 0,
+            0 => draw,
+            1 => i as u32,
+            _ => draw % 3,
+        };
+        elements.push(Element::Tuple(Arc::new(GTuple::new(
+            Timestamp::from_secs(ts),
+            0,
+            (key, i64::from(value)),
+            (),
+        ))));
+        if lead > 0 {
+            ts += lead;
+            elements.push(Element::Watermark(Timestamp::from_secs(ts)));
+        }
+    }
+    elements
+}
+
+/// The `(ts_secs, payload)` of one side's tuples, as the reference takes them.
+fn tuples_of(elements: &[Element<Keyed, ()>]) -> Vec<(u64, Keyed)> {
+    elements
+        .iter()
+        .filter_map(|e| match e {
+            Element::Tuple(t) => Some((t.ts.as_secs(), t.data)),
+            _ => None,
+        })
+        .collect()
+}
+
+fn join_steps() -> impl Strategy<Value = Steps> {
+    proptest::collection::vec((0u32..12, 0u32..50, 0u64..4, 0u64..3), 0..40)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Window sizes of a few seconds against gaps of 0–3 s put many pairs at exactly
+    /// `|Δts| == WS` and many just outside it.
+    #[test]
+    fn keyed_join_output_equals_the_brute_force_reference(
+        left in join_steps(),
+        right in join_steps(),
+        key_shape in 0u8..3,
+        ws in 1u64..6,
+    ) {
+        let sides = [join_side(&left, key_shape), join_side(&right, key_shape)];
+        let expected = brute_force_join(&tuples_of(&sides[0]), &tuples_of(&sides[1]), ws);
+
+        let keyed = drive_join(&sides, ws, |l: &Keyed| l.0, |r: &Keyed| r.0, residual);
+        prop_assert_eq!(&keyed, &expected);
+        // A theta join — unit keys, the equality in the predicate — is the scan of
+        // the whole window the operator used to be.
+        let scanned = drive_join(&sides, ws, |_: &Keyed| (), |_: &Keyed| (), |l: &Keyed, r: &Keyed| {
+            l.0 == r.0 && residual(l, r)
+        });
+        prop_assert_eq!(&scanned, &expected);
+    }
 }

@@ -29,6 +29,7 @@ use genealog_distributed::deployment::{
 };
 use genealog_distributed::{FaultPlan, LinkFaults, NetworkConfig, OneShot, TcpLoopbackTransport};
 use genealog_spe::operator::aggregate::WindowView;
+use genealog_spe::parallel::Parallelism;
 use genealog_spe::query::{QueryConfig, ShardPlacement};
 use genealog_spe::state::{run_with_recovery, CheckpointConfig, CheckpointStore, RecoveryConfig};
 use genealog_spe::PlannerConfig;
@@ -63,6 +64,25 @@ fn canonical_tuples(
         .iter()
         .map(|t| (t.ts.as_millis(), format!("{:?}", t.data)))
         .collect()
+}
+
+/// The contribution set of every sink tuple of a single-instance run, sorted.
+fn canonical_lineage(provenance: &ProvenanceCollector<Reading>) -> Vec<Lineage> {
+    let mut lineage: Vec<Lineage> = provenance
+        .assignments()
+        .iter()
+        .map(|a| {
+            let key = (a.sink_ts.as_millis(), format!("{:?}", a.sink_data));
+            let sources: BTreeSet<SinkTuple> = a
+                .source_records::<Reading>()
+                .iter()
+                .map(|r| (r.ts.as_millis(), format!("{:?}", r.data)))
+                .collect();
+            (key, sources)
+        })
+        .collect();
+    lineage.sort();
+    lineage
 }
 
 /// Outcome of one (possibly recovered) run, in canonical form.
@@ -134,24 +154,9 @@ fn run_local(
         })
         .expect("recovery must succeed within the attempt budget");
 
-    let tuples = canonical_tuples(&sink);
-    let mut lineage: Vec<Lineage> = provenance
-        .assignments()
-        .iter()
-        .map(|a| {
-            let key = (a.sink_ts.as_millis(), format!("{:?}", a.sink_data));
-            let sources: BTreeSet<SinkTuple> = a
-                .source_records::<Reading>()
-                .iter()
-                .map(|r| (r.ts.as_millis(), format!("{:?}", r.data)))
-                .collect();
-            (key, sources)
-        })
-        .collect();
-    lineage.sort();
     Run {
-        tuples,
-        lineage,
+        tuples: canonical_tuples(&sink),
+        lineage: canonical_lineage(&provenance),
         recoveries: store.recoveries(),
         fault_fired: kill_at_close.is_some() && !trigger.is_armed(),
     }
@@ -364,6 +369,71 @@ fn run_remote_tcp(
     }
 }
 
+// ---------------------------------------------------------------------------
+// Scenario D: a keyed join is killed between two barriers
+// ---------------------------------------------------------------------------
+
+/// Runs `left ⋈ right` (equal keys, 6 s window, a residual predicate) under
+/// GeneaLog with checkpointing on, plain or sharded. When `kill_at_pair` is set,
+/// the combine function panics — once, on the first attempt — at that many matched
+/// pairs, killing the join (shard) thread somewhere between two barriers. The
+/// replacement restores both time windows from the latest complete epoch and has
+/// to rebuild its key index from them: post-restore tuples must find their
+/// pre-barrier partners, and tuples purged since must stay gone.
+fn run_join(
+    left: &[(Timestamp, Reading)],
+    right: &[(Timestamp, Reading)],
+    shards: usize,
+    kill_at_pair: Option<u64>,
+) -> Run {
+    let store = CheckpointStore::in_memory();
+    let trigger = OneShot::armed();
+    let pairs = Arc::new(AtomicU64::new(0));
+    let system = GeneaLog::new();
+
+    let (_, (sink, provenance)) =
+        run_with_recovery(&store, RecoveryConfig::default(), |_attempt| {
+            let plan = GlPlan::with_config(
+                system.clone(),
+                PlannerConfig::default()
+                    .with_checkpoints(CheckpointConfig::new(INTERVAL, Arc::clone(&store))),
+            );
+            let trigger = Arc::clone(&trigger);
+            let pairs = Arc::clone(&pairs);
+            let matched = plan
+                .source("left", VecSource::new(left.to_vec()))
+                .join(
+                    "match",
+                    plan.source("right", VecSource::new(right.to_vec())),
+                    Duration::from_secs(6),
+                    sum_key,
+                    sum_key,
+                    sum_key,
+                    |l: &Reading, r: &Reading| (l.1 + r.1) % 3 != 0,
+                    move |l: &Reading, r: &Reading| {
+                        if let Some(k) = kill_at_pair {
+                            if pairs.fetch_add(1, Ordering::SeqCst) + 1 >= k && trigger.fire() {
+                                panic!("injected join failure");
+                            }
+                        }
+                        (l.0, l.1 * 1000 + r.1)
+                    },
+                )
+                .with(Parallelism::shards(shards));
+            let (out, provenance) = logical_provenance_sink(matched, "prov");
+            let sink = out.collecting_sink("sink");
+            Ok((plan.deploy()?, (sink, provenance)))
+        })
+        .expect("recovery must succeed within the attempt budget");
+
+    Run {
+        tuples: canonical_tuples(&sink),
+        lineage: canonical_lineage(&provenance),
+        recoveries: store.recoveries(),
+        fault_fired: kill_at_pair.is_some() && !trigger.is_armed(),
+    }
+}
+
 /// Strategy: a timestamp-ordered stream of keyed readings spanning several
 /// checkpoint epochs and several window closes.
 fn keyed_readings() -> impl Strategy<Value = Vec<(Timestamp, Reading)>> {
@@ -406,6 +476,35 @@ proptest! {
                 prop_assert_eq!(&clean.tuples, &recovered.tuples);
                 prop_assert_eq!(&clean.lineage, &recovered.lineage);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// **Kill a join between two barriers.** Plain and sharded, a run whose join
+    /// panics at its `kill_at_pair`-th match recovers from the latest complete
+    /// checkpoint and produces the identical sink bytes and identical GeneaLog
+    /// contribution sets as the fault-free run.
+    #[test]
+    fn killed_keyed_join_recovers_byte_identically(
+        left in keyed_readings(),
+        right in keyed_readings(),
+        kill_at_pair in 1u64..12,
+    ) {
+        for shards in [1usize, 3] {
+            let clean = run_join(&left, &right, shards, None);
+            prop_assert_eq!(clean.recoveries, 0);
+            let recovered = run_join(&left, &right, shards, Some(kill_at_pair));
+            if recovered.fault_fired {
+                prop_assert!(
+                    recovered.recoveries >= 1,
+                    "the injected panic must push the run through recovery"
+                );
+            }
+            prop_assert_eq!(&clean.tuples, &recovered.tuples);
+            prop_assert_eq!(&clean.lineage, &recovered.lineage);
         }
     }
 }
