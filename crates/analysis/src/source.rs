@@ -5,7 +5,7 @@
 //! - **no-direct-print** — engine crates must not write to the standard streams
 //!   directly; runtime events go through the `Tracer` ring buffer (queryable,
 //!   bounded, test-observable) instead of interleaving with benchmark output.
-//!   `crates/bench` (the `quick_bench` harness, whose job *is* terminal output)
+//!   `crates/bench` (the criterion figure benches, whose job *is* terminal output)
 //!   is exempt, and a line carrying a `spe-lint: allow` comment is skipped.
 //! - **metric-naming** — every metric registered on a `MetricsRegistry` must
 //!   use the `genealog_*` prefix so dashboards can scope a scrape to this
@@ -111,7 +111,7 @@ pub fn check_file(path: &str, contents: &str) -> Vec<SourceViolation> {
                     message: format!(
                         "`{macro_name}` writes to {stream} directly; engine crates \
                          report through `Tracer::global().emit(..)` (ring-buffered, \
-                         queryable) — only the quick_bench harness prints"
+                         queryable) — only the figure benches in `crates/bench` print"
                     ),
                 });
             }

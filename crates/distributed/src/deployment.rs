@@ -1,20 +1,29 @@
-//! Three-instance deployments of the evaluation queries (Figures 7, 9C, 10C, 11C).
+//! Deployments spanning several SPE instances.
 //!
-//! Each deployment runs three independent engine runtimes ("SPE instances"):
-//!
-//! 1. **Instance 1** — the query's Source and first processing stage; under GeneaLog it
-//!    also hosts a single-stream unfolder whose unfolded stream is shipped to the
-//!    provenance instance.
-//! 2. **Instance 2** — the remaining processing stage and the data Sink; under GeneaLog
-//!    it hosts the unfolder of the delivering stream feeding the Sink.
-//! 3. **Instance 3** — the provenance instance: under GeneaLog it runs the multi-stream
-//!    unfolder (MU) that stitches the two unfolded streams together and persists the
-//!    complete provenance; under the baseline it merely receives the source streams the
-//!    baseline has to ship.
-//!
-//! All three functions block until the deployment has drained and return a
-//! [`DistributedOutcome`] with the per-instance reports, the alerts, the captured
-//! provenance and the per-link traffic counters.
+//! * **Endpoints** — [`add_send`] / [`add_receive`] (and their logical-plan
+//!   counterparts [`send_stream`] / [`receive_stream`]) splice the Send and Receive
+//!   operators of §2 into a query.
+//! * **Distributed shard groups** — [`remote_shard_group_over`] spans a
+//!   key-partitioned operator's Partition exchange across SPE instances: one remote
+//!   instance per shard running `Receive → shard operator → Send`, reached over the
+//!   links a [`ShardTransport`] builds. It is the single builder for every
+//!   provenance system, transport and failure mode: the system decides through
+//!   [`WireProvenance::ship_lineage`] whether an instance also ships a lineage
+//!   side-stream (under GeneaLog: a single-stream unfolder feeding
+//!   [`UpstreamEvent`]s back to the origin), and faults are transport decorators
+//!   (`FaultyTransport`, `TcpLoopbackTransport::with_return_kill`). The `spe-node`
+//!   worker wires the shards it hosts through the same per-instance function.
+//!   [`logical_shard_provenance_sink`] stitches the lineage across the REMOTE
+//!   boundary at the origin with the multi-stream unfolder of §6.
+//! * **The paper's three-instance deployments** of Q1–Q4 (Figures 7, 9C, 10C, 11C;
+//!   the rows of Figure 13) — [`deploy_distributed_genealog`],
+//!   [`deploy_distributed_noprov`] and [`deploy_distributed_baseline`]. Instance 1
+//!   runs the Source and the first processing stage, instance 2 the remaining stage
+//!   and the data Sink, instance 3 is the provenance instance: under GeneaLog it
+//!   runs the multi-stream unfolder (MU) stitching the two unfolded streams, under
+//!   the baseline it merely receives the source stream the baseline has to ship.
+//!   All three block until the deployment has drained and return a
+//!   [`DistributedOutcome`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -38,7 +47,6 @@ use genealog::{
 use genealog_baseline::AriadneBaseline;
 
 use crate::endpoint::{ReceiveOp, SendOp, WireProvenance};
-use crate::fault::{FaultySender, LinkFaults};
 use crate::network::{FrameSink, FrameSource, LinkStats, NetworkConfig, SharedLink, SimulatedLink};
 use crate::wire::{WireDecode, WireEncode};
 
@@ -199,15 +207,55 @@ where
 // Distributed shard groups: spanning the Partition exchange across SPE instances
 // ---------------------------------------------------------------------------
 
+/// Number of logical channels multiplexed onto every shard's return link (see
+/// [`ReturnChannels`]).
+pub(crate) const RETURN_CHANNELS: usize = 3;
+
+/// Mux index of the return link's data channel.
+const DATA_CHANNEL: usize = 0;
+
+/// The channels of one shard's return link, by role.
+///
+/// [`ReturnChannels::take`] is the one place that fixes their order on the mux;
+/// both ends of every shard link — the in-process builder, the `spe-node` worker
+/// and its client — go through it.
+pub(crate) struct ReturnChannels<T> {
+    /// The shard's result stream.
+    pub(crate) data: T,
+    /// The lineage side-stream ([`WireProvenance::ship_lineage`]); idle under
+    /// systems that ship none.
+    pub(crate) lineage: T,
+    /// The instance's live metrics snapshots.
+    pub(crate) metrics: T,
+}
+
+impl<T> ReturnChannels<T> {
+    /// Takes the next [`RETURN_CHANNELS`] channels off `channels`, in mux order.
+    ///
+    /// # Panics
+    /// Panics if fewer channels are left — a transport that ignored the channel
+    /// count it was asked for.
+    pub(crate) fn take(channels: &mut impl Iterator<Item = T>) -> Self {
+        let mut next = || {
+            channels
+                .next()
+                .expect("a shard's return link multiplexes RETURN_CHANNELS channels")
+        };
+        // Field order is mux order: `data` first, i.e. index DATA_CHANNEL.
+        ReturnChannels {
+            data: next(),
+            lineage: next(),
+            metrics: next(),
+        }
+    }
+}
+
 /// The physical links wiring one remote shard to its originating instance, as
 /// built by a [`ShardTransport`].
 ///
 /// The forward link carries the shard's partitioned sub-stream origin → remote;
 /// the return link is multiplexed into `back_channels` logical channels
-/// remote → origin. Channel index semantics are fixed by the shard-group
-/// builders: channel 0 is the shard's result stream, channel 1 (GeneaLog groups
-/// only) the unfolded provenance stream, and the last channel the instance's
-/// live metrics snapshots.
+/// remote → origin; the shard-group builder assigns their roles.
 pub struct ShardWiring {
     /// Origin-side sender of the forward link.
     pub forward_tx: Box<dyn FrameSink>,
@@ -223,10 +271,51 @@ pub struct ShardWiring {
     pub back_stats: Arc<LinkStats>,
 }
 
-/// The transport seam of the distributed shard-group builders: everything above
+impl ShardWiring {
+    /// Boxes the halves of a forward link and a multiplexed return link (channel
+    /// halves in channel order).
+    pub(crate) fn new(
+        (forward_tx, forward_rx, forward_stats): (impl FrameSink, impl FrameSource, Arc<LinkStats>),
+        (back_txs, back_rxs, back_stats): (
+            Vec<impl FrameSink>,
+            Vec<impl FrameSource>,
+            Arc<LinkStats>,
+        ),
+    ) -> Self {
+        ShardWiring {
+            forward_tx: Box::new(forward_tx),
+            forward_rx: Box::new(forward_rx),
+            forward_stats,
+            back_txs: back_txs
+                .into_iter()
+                .map(|tx| Box::new(tx) as Box<dyn FrameSink>)
+                .collect(),
+            back_rxs: back_rxs
+                .into_iter()
+                .map(|rx| Box::new(rx) as Box<dyn FrameSource>)
+                .collect(),
+            back_stats,
+        }
+    }
+
+    /// Replaces the remote-side sender of the return link's data channel with
+    /// `wrap(sender)` — how a transport decorator faults or kills a shard's result
+    /// stream without knowing the channel layout.
+    pub(crate) fn wrap_data_tx(
+        &mut self,
+        wrap: impl FnOnce(Box<dyn FrameSink>) -> Box<dyn FrameSink>,
+    ) {
+        let tx = self.back_txs.remove(DATA_CHANNEL);
+        self.back_txs.insert(DATA_CHANNEL, wrap(tx));
+    }
+}
+
+/// The transport seam of the distributed shard-group builder: everything above
 /// it — wire framing, sequence numbers, provenance stitching, metrics
 /// shipping — is transport-agnostic, so swapping [`SimulatedTransport`] for the
-/// TCP transport (or anything else that moves frames) changes no bytes.
+/// TCP transport (or anything else that moves frames) changes no bytes. A
+/// transport can wrap another one to decorate the links it builds; that is how
+/// faults are injected (`FaultyTransport`).
 pub trait ShardTransport {
     /// Builds the forward and return links of shard `shard`, the return link
     /// multiplexed into `back_channels` channels.
@@ -238,8 +327,7 @@ pub trait ShardTransport {
 }
 
 /// The in-process [`ShardTransport`]: a [`SimulatedLink`] per direction with the
-/// configured bandwidth/latency model, exactly what the shard-group builders
-/// wired before the transport seam existed.
+/// configured bandwidth/latency model.
 #[derive(Debug, Clone, Copy)]
 pub struct SimulatedTransport {
     network: NetworkConfig,
@@ -254,22 +342,10 @@ impl SimulatedTransport {
 
 impl ShardTransport for SimulatedTransport {
     fn shard_links(&self, _shard: usize, back_channels: usize) -> Result<ShardWiring, SpeError> {
-        let (forward_tx, forward_rx, forward_stats) = SimulatedLink::new(self.network);
-        let (back_txs, back_rxs, back_stats) = SharedLink::new(back_channels, self.network);
-        Ok(ShardWiring {
-            forward_tx: Box::new(forward_tx),
-            forward_rx: Box::new(forward_rx),
-            forward_stats,
-            back_txs: back_txs
-                .into_iter()
-                .map(|tx| Box::new(tx) as Box<dyn FrameSink>)
-                .collect(),
-            back_rxs: back_rxs
-                .into_iter()
-                .map(|rx| Box::new(rx) as Box<dyn FrameSource>)
-                .collect(),
-            back_stats,
-        })
+        Ok(ShardWiring::new(
+            SimulatedLink::new(self.network),
+            SharedLink::new(back_channels, self.network),
+        ))
     }
 }
 
@@ -279,24 +355,27 @@ impl ShardTransport for SimulatedTransport {
 pub struct ShardLinks {
     /// Traffic origin → remote (the shard's partitioned sub-stream).
     pub forward: Arc<LinkStats>,
-    /// Traffic remote → origin (the shard results; for groups built with
-    /// [`remote_shard_group_gl`] the unfolded provenance events share this same
-    /// physical link, multiplexed — [`remote_shard_group`] ships results only).
+    /// Traffic remote → origin: the shard results, the lineage side-stream (when
+    /// the provenance system ships one) and the metrics snapshots share this one
+    /// physical link, multiplexed.
     pub back: Arc<LinkStats>,
 }
 
 /// The remote SPE instances hosting the shards of one distributed shard group.
 ///
-/// Returned by [`remote_shard_group`] / [`remote_shard_group_gl`] alongside the
-/// [`ShardPlacement`]s to hand to
-/// `Query::sharded_aggregate_placed`. After the originating query has drained, call
+/// Returned by [`remote_shard_group_over`] alongside the [`ShardPlacement`]s to
+/// hand to `LogicalStream::place`. After the originating query has drained, call
 /// [`RemoteShardGroup::wait`] to join the remote instances and fold their reports
 /// into the origin's with
 /// [`QueryReport::merge_distributed`](genealog_spe::runtime::QueryReport).
+#[derive(Default)]
 pub struct RemoteShardGroup {
+    /// Engines of the instances this process hosts (none for a `spe-node` group:
+    /// those run in the node processes).
     handles: Vec<QueryHandle>,
     links: Vec<ShardLinks>,
     shippers: Vec<MetricsShipper>,
+    lineage_rxs: Vec<Box<dyn FrameSource>>,
     metrics_rxs: Vec<Box<dyn FrameSource>>,
     pumps: Vec<JoinHandle<()>>,
 }
@@ -327,7 +406,7 @@ impl MetricsShipper {
 /// the remote mid-stream) would hold the link open forever and the originating
 /// query — and with it the whole recovery path — would wedge waiting for an
 /// end-of-stream that can no longer arrive.
-pub(crate) fn spawn_metrics_shipper<L: FrameSink>(
+fn spawn_metrics_shipper<L: FrameSink>(
     registry: Arc<MetricsRegistry>,
     link: L,
     engine: QueryCompletion,
@@ -347,23 +426,91 @@ pub(crate) fn spawn_metrics_shipper<L: FrameSink>(
     MetricsShipper { stop, thread }
 }
 
+/// Wires and deploys one remote shard instance — the body shared by
+/// [`remote_shard_group_over`] and the `spe-node` worker, so in-process and
+/// node-hosted shards cannot drift:
+/// `Receive → build → [lineage side-stream] → Send`, then the metrics shipper
+/// (when the engine's registry is enabled).
+///
+/// `q` arrives configured (provenance system, checkpoints); `build` adds the shard
+/// operator and should name it with the group's logical name, the same in every
+/// instance, so the per-instance reports fold into one operator.
+///
+/// # Errors
+/// Propagates the engine's deployment error.
+pub(crate) fn deploy_shard_instance<P, I, O, R, S, B>(
+    mut q: Query<P>,
+    name: &str,
+    forward_rx: R,
+    back: ReturnChannels<S>,
+    build: B,
+) -> Result<(QueryHandle, Option<MetricsShipper>), SpeError>
+where
+    P: WireProvenance,
+    I: TupleData + WireEncode + WireDecode,
+    O: TupleData + WireEncode + WireDecode,
+    R: FrameSource,
+    S: FrameSink,
+    B: FnOnce(&mut Query<P>, StreamRef<I, P::Meta>) -> StreamRef<O, P::Meta>,
+{
+    let received = add_receive(&mut q, &format!("{name}.recv"), forward_rx);
+    let out = build(&mut q, received);
+    let to_send = P::ship_lineage::<I, O, S>(&mut q, name, out, back.lineage);
+    add_send(&mut q, &format!("{name}.send"), to_send, back.data);
+    let handle = q.deploy()?;
+    let shipper = handle
+        .registry()
+        .is_enabled()
+        .then(|| spawn_metrics_shipper(handle.registry(), back.metrics, handle.completion()));
+    Ok((handle, shipper))
+}
+
 impl RemoteShardGroup {
-    /// Assembles a group from already-wired parts. The `spe-node` client path
-    /// uses this with no local handles or shippers: the queries run in the node
-    /// processes, so `wait` only drains the metrics pumps.
-    pub(crate) fn from_parts(
-        handles: Vec<QueryHandle>,
-        links: Vec<ShardLinks>,
-        shippers: Vec<MetricsShipper>,
-        metrics_rxs: Vec<Box<dyn FrameSource>>,
-    ) -> Self {
-        RemoteShardGroup {
-            handles,
-            links,
-            shippers,
-            metrics_rxs,
-            pumps: Vec::new(),
-        }
+    /// Registers a remote instance hosted by this process.
+    pub(crate) fn host(&mut self, (handle, shipper): (QueryHandle, Option<MetricsShipper>)) {
+        self.handles.push(handle);
+        self.shippers.extend(shipper);
+    }
+
+    /// The origin's side of the next remote shard (shards attach in shard order):
+    /// keeps its link counters and side-channel receivers, and returns the
+    /// placement splicing it into the originating query — egress Send onto the
+    /// forward link, ingress Receive from the return link's data channel, both
+    /// tagged into per-endpoint shard groups so the runtime folds their reports
+    /// across the group.
+    pub(crate) fn attach_shard<P, I, O, S>(
+        &mut self,
+        name: &str,
+        instances: usize,
+        forward_tx: S,
+        back: ReturnChannels<Box<dyn FrameSource>>,
+        links: ShardLinks,
+    ) -> ShardPlacement<P, I, O>
+    where
+        P: WireProvenance,
+        I: TupleData + WireEncode,
+        O: TupleData + WireDecode,
+        S: FrameSink,
+    {
+        self.links.push(links);
+        self.lineage_rxs.push(back.lineage);
+        self.metrics_rxs.push(back.metrics);
+        let group_name = name.to_string();
+        let return_rx = back.data;
+        ShardPlacement::remote(
+            move |q: &mut Query<P>, idx: usize, shard: StreamRef<I, P::Meta>| {
+                let egress = add_send(q, &format!("{group_name}.egress[{idx}]"), shard, forward_tx);
+                q.set_shard_group(egress, format!("{group_name}.egress"), instances);
+                let stream: StreamRef<O, P::Meta> =
+                    add_receive(q, &format!("{group_name}.ingress[{idx}]"), return_rx);
+                q.set_shard_group(
+                    stream.producer(),
+                    format!("{group_name}.ingress"),
+                    instances,
+                );
+                stream
+            },
+        )
     }
 
     /// Streams the remote instances' registry snapshots into `registry` (normally
@@ -434,93 +581,39 @@ impl RemoteShardGroup {
     }
 }
 
-/// What [`remote_shard_group`] hands back: the per-shard placements for the
+/// What [`remote_shard_group_over`] hands back: the per-shard placements for the
 /// originating query and the handle joining the remote instances.
 pub type ShardGroupDeployment<P, I, O> = (Vec<ShardPlacement<P, I, O>>, RemoteShardGroup);
 
-/// The placement that splices one remote shard into the originating query: egress
-/// Send onto the forward link, ingress Receive from the return link, both tagged
-/// into per-endpoint shard groups so the runtime folds their reports across the
-/// group. Shared by [`remote_shard_group`] and [`remote_shard_group_gl`] so the
-/// two paths cannot drift apart.
-pub(crate) fn splice_remote_shard<P, I, O, S, R>(
-    name: &str,
-    instances: usize,
-    forward_tx: S,
-    return_rx: R,
-) -> ShardPlacement<P, I, O>
-where
-    P: WireProvenance,
-    I: TupleData + WireEncode,
-    O: TupleData + WireDecode,
-    S: FrameSink,
-    R: FrameSource,
-{
-    let group_name = name.to_string();
-    ShardPlacement::remote(
-        move |q: &mut Query<P>, idx: usize, shard: StreamRef<I, P::Meta>| {
-            let egress = add_send(q, &format!("{group_name}.egress[{idx}]"), shard, forward_tx);
-            q.set_shard_group(egress, format!("{group_name}.egress"), instances);
-            let stream: StreamRef<O, P::Meta> =
-                add_receive(q, &format!("{group_name}.ingress[{idx}]"), return_rx);
-            q.set_shard_group(
-                stream.producer(),
-                format!("{group_name}.ingress"),
-                instances,
-            );
-            stream
-        },
-    )
-}
-
 /// Builds the remote SPE instances of a distributed shard group and the matching
-/// [`ShardPlacement`]s for the originating query.
+/// [`ShardPlacement`]s for the originating query — the one builder for every
+/// provenance system and transport.
 ///
 /// For each of the `instances` shards this spawns a dedicated SPE instance running
-/// `ReceiveOp → (the plan built by `build`) → SendOp`, connected to the origin by a
-/// forward and a return [`SimulatedLink`]. The returned placements splice each shard
+/// `ReceiveOp → (the plan built by `build`) → SendOp`, connected to the origin by the
+/// forward and return links `transport` builds ([`SimulatedTransport`] for
+/// in-process links, `TcpLoopbackTransport` for real sockets, either wrapped in a
+/// fault decorator by the recovery tests). The returned placements splice each shard
 /// into the origin's Partition exchange: the shard's partitioned sub-stream leaves
 /// through an instrumented Send (`{name}.egress[i]`), and the remote results re-enter
 /// through a Receive (`{name}.ingress[i]`) feeding the provenance-safe fan-in.
 ///
 /// `provenance` is called once per instance so each remote engine gets its own id
-/// namespace (e.g. `GeneaLog::for_instance`); `build` should name the shard operator
-/// with the group's logical name (the same in every instance) so
+/// namespace (e.g. `GeneaLog::for_instance`). Recovery drivers pass clones of one
+/// long-lived system per shard instead: tuple ids must stay unique across restart
+/// attempts (the checkpointed provenance prefix is grouped by sink tuple id, so a
+/// rebuilt engine that restarted its id counter at zero could collide with ids the
+/// failed attempt already persisted), and clones share the id counter.
+///
+/// Under a system that ships lineage ([`WireProvenance::ship_lineage`] — GeneaLog),
+/// convert the result with [`GlShardGroup::from`] to get at the per-shard
+/// provenance streams.
+///
+/// `build` should name the shard operator with the group's logical name (the same
+/// in every instance) so
 /// [`QueryReport::merge_distributed`](genealog_spe::runtime::QueryReport) folds the
 /// per-instance reports into one operator with an `instances` count, exactly like a
 /// local shard group.
-///
-/// # Errors
-/// Propagates deployment errors from the remote instances.
-pub fn remote_shard_group<P, I, O, PF, B>(
-    name: &str,
-    instances: usize,
-    network: NetworkConfig,
-    config: QueryConfig,
-    provenance: PF,
-    build: B,
-) -> Result<ShardGroupDeployment<P, I, O>, SpeError>
-where
-    P: WireProvenance,
-    I: TupleData + WireEncode + WireDecode,
-    O: TupleData + WireEncode + WireDecode,
-    PF: Fn(usize) -> P,
-    B: Fn(&mut Query<P>, usize, StreamRef<I, P::Meta>) -> StreamRef<O, P::Meta>,
-{
-    remote_shard_group_over(
-        name,
-        instances,
-        &SimulatedTransport::new(network),
-        config,
-        provenance,
-        build,
-    )
-}
-
-/// [`remote_shard_group`] over an explicit [`ShardTransport`] — the same wiring,
-/// provenance semantics and metrics shipping, with the physical links supplied by
-/// `transport` (e.g. `TcpLoopbackTransport` for real sockets) instead of the
-/// in-process [`SimulatedLink`].
 ///
 /// # Errors
 /// Propagates link-establishment errors from the transport and deployment errors
@@ -542,65 +635,43 @@ where
 {
     assert!(instances > 0, "a shard group needs at least one instance");
     let mut placements = Vec::with_capacity(instances);
-    let mut handles = Vec::with_capacity(instances);
-    let mut links = Vec::with_capacity(instances);
-    let mut shippers = Vec::with_capacity(instances);
-    let mut metrics_rxs = Vec::with_capacity(instances);
+    let mut group = RemoteShardGroup::default();
     for i in 0..instances {
-        // One physical return link, two multiplexed channels: shard results and the
-        // instance's live metrics snapshots.
-        let ShardWiring {
-            forward_tx,
-            forward_rx,
-            forward_stats,
-            mut back_txs,
-            mut back_rxs,
-            back_stats,
-        } = transport.shard_links(i, 2)?;
-        let metrics_tx = back_txs.pop().expect("two channels");
-        let data_tx = back_txs.pop().expect("two channels");
-        let metrics_rx = back_rxs.pop().expect("two channels");
-        let data_rx = back_rxs.pop().expect("two channels");
-
-        let mut remote = Query::with_config(provenance(i), config);
-        let received: StreamRef<I, P::Meta> =
-            add_receive(&mut remote, &format!("{name}.recv"), forward_rx);
-        let out = build(&mut remote, i, received);
-        add_send(&mut remote, &format!("{name}.send"), out, data_tx);
-        let handle = remote.deploy()?;
-        if handle.registry().is_enabled() {
-            shippers.push(spawn_metrics_shipper(
-                handle.registry(),
-                metrics_tx,
-                handle.completion(),
-            ));
-        }
-        handles.push(handle);
-
-        placements.push(splice_remote_shard(name, instances, forward_tx, data_rx));
-        links.push(ShardLinks {
-            forward: forward_stats,
-            back: back_stats,
-        });
-        metrics_rxs.push(metrics_rx);
+        let wiring = transport.shard_links(i, RETURN_CHANNELS)?;
+        group.host(deploy_shard_instance(
+            Query::with_config(provenance(i), config),
+            name,
+            wiring.forward_rx,
+            ReturnChannels::take(&mut wiring.back_txs.into_iter()),
+            |q, received| build(q, i, received),
+        )?);
+        placements.push(group.attach_shard(
+            name,
+            instances,
+            wiring.forward_tx,
+            ReturnChannels::take(&mut wiring.back_rxs.into_iter()),
+            ShardLinks {
+                forward: wiring.forward_stats,
+                back: wiring.back_stats,
+            },
+        ));
     }
-    Ok((
-        placements,
-        RemoteShardGroup {
-            handles,
-            links,
-            shippers,
-            metrics_rxs,
-            pumps: Vec::new(),
-        },
-    ))
+    Ok((placements, group))
 }
 
 /// A distributed shard group under **GeneaLog**: the placements, the remote
 /// instances, and the per-shard provenance streams needed to stitch lineage across
-/// the REMOTE boundary (see [`attach_shard_provenance_sink`]).
+/// the REMOTE boundary (see [`logical_shard_provenance_sink`]).
+///
+/// Each remote instance runs a single-stream unfolder on its shard output and ships
+/// the unfolded stream — mapped to [`UpstreamEvent`]s keyed by the delivering
+/// tuple's id — back to the origin on the lineage channel of the shard's return
+/// link. The origin resolves the REMOTE originating tuples of its own unfolded sink
+/// stream against these upstream streams with the multi-stream unfolder
+/// (Definition 6.4), which is what makes the distributed shard group's contribution
+/// sets identical to the single-instance plan's.
 pub struct GlShardGroup<I, O> {
-    /// Placements for `Query::sharded_aggregate_placed` on the originating query.
+    /// Placements for `LogicalStream::place` on the originating query.
     pub placements: Vec<ShardPlacement<GeneaLog, I, O>>,
     /// The remote instances and link counters.
     pub group: RemoteShardGroup,
@@ -609,53 +680,23 @@ pub struct GlShardGroup<I, O> {
     pub provenance_links: Vec<Box<dyn FrameSource>>,
 }
 
-/// [`remote_shard_group`] under **GeneaLog**, with cross-boundary provenance.
-///
-/// Each remote instance additionally runs a single-stream unfolder on its shard
-/// output and ships the unfolded stream — mapped to [`UpstreamEvent`]s keyed by the
-/// delivering tuple's id — back to the origin on a second channel of the shard's
-/// return link (multiplexed, [`SharedLink`]). The origin resolves the REMOTE
-/// originating tuples of its own unfolded sink stream against these upstream streams
-/// with the multi-stream unfolder (Definition 6.4), which is what makes the
-/// distributed shard group's contribution sets identical to the single-instance
-/// plan's.
-///
-/// Remote instance `i` uses the GeneaLog id namespace `first_instance + i`; the
-/// originating query must use a different one.
-///
-/// # Errors
-/// Propagates deployment errors from the remote instances.
-pub fn remote_shard_group_gl<I, O, B>(
-    name: &str,
-    instances: usize,
-    first_instance: u32,
-    network: NetworkConfig,
-    config: QueryConfig,
-    build: B,
-) -> Result<GlShardGroup<I, O>, SpeError>
-where
-    I: TupleData + WireEncode + WireDecode,
-    O: TupleData + WireEncode + WireDecode,
-    B: Fn(&mut Query<GeneaLog>, usize, StreamRef<I, GlMeta>) -> StreamRef<O, GlMeta>,
-{
-    remote_shard_group_gl_with_faults(
-        name,
-        instances,
-        |i| GeneaLog::for_instance(first_instance + i as u32),
-        network,
-        config,
-        |_| LinkFaults::none(),
-        build,
-    )
+impl<I, O> From<ShardGroupDeployment<GeneaLog, I, O>> for GlShardGroup<I, O> {
+    fn from((placements, mut group): ShardGroupDeployment<GeneaLog, I, O>) -> Self {
+        let provenance_links = std::mem::take(&mut group.lineage_rxs);
+        GlShardGroup {
+            placements,
+            group,
+            provenance_links,
+        }
+    }
 }
 
-/// [`remote_shard_group_gl`] over an explicit [`ShardTransport`]: identical
-/// provenance stitching and metrics shipping, with the shard links supplied by the
-/// transport instead of the in-process [`SimulatedLink`].
+/// [`remote_shard_group_over`] under **GeneaLog** with the plain id-namespace
+/// layout: remote instance `i` allocates tuple ids in namespace
+/// `first_instance + i`; the originating query must use a different one.
 ///
 /// # Errors
-/// Propagates link-establishment errors from the transport and deployment errors
-/// from the remote instances.
+/// Same as [`remote_shard_group_over`].
 pub fn remote_shard_group_gl_over<I, O, B>(
     name: &str,
     instances: usize,
@@ -669,168 +710,13 @@ where
     O: TupleData + WireEncode + WireDecode,
     B: Fn(&mut Query<GeneaLog>, usize, StreamRef<I, GlMeta>) -> StreamRef<O, GlMeta>,
 {
-    remote_shard_group_gl_with_faults_over(
-        name,
-        instances,
-        |i| GeneaLog::for_instance(first_instance + i as u32),
-        transport,
-        config,
-        |_| LinkFaults::none(),
-        build,
-    )
-}
-
-/// [`remote_shard_group_gl`] with frame faults injected on the remote → origin data
-/// channel of selected shards.
-///
-/// `faults` is called once per shard index; the returned [`LinkFaults`] decorate the
-/// shard's return-link data channel with a [`FaultySender`]. A severed channel
-/// surfaces at the origin's ingress as a mid-stream close, a dropped frame as a
-/// sequence gap — both fail the originating query into the recovery path, which is
-/// exactly what the fault-injection tests drive. Pass `|_| LinkFaults::none()` (or
-/// use [`remote_shard_group_gl`]) for a healthy deployment.
-///
-/// `systems` supplies the [`GeneaLog`] instance for each shard index instead of the
-/// plain `first_instance` namespace offset of [`remote_shard_group_gl`]. Recovery
-/// drivers need this: tuple ids must stay unique across restart attempts (the
-/// checkpointed provenance prefix is grouped by sink tuple id, so a rebuilt engine
-/// that restarts its id counter at zero could collide with ids already persisted by
-/// the failed attempt). Passing clones of one long-lived system per shard keeps the
-/// shared id counter monotone across attempts.
-///
-/// # Errors
-/// Propagates deployment errors from the remote instances.
-#[allow(clippy::too_many_arguments)]
-pub fn remote_shard_group_gl_with_faults<I, O, B, FF, SF>(
-    name: &str,
-    instances: usize,
-    systems: SF,
-    network: NetworkConfig,
-    config: QueryConfig,
-    faults: FF,
-    build: B,
-) -> Result<GlShardGroup<I, O>, SpeError>
-where
-    I: TupleData + WireEncode + WireDecode,
-    O: TupleData + WireEncode + WireDecode,
-    B: Fn(&mut Query<GeneaLog>, usize, StreamRef<I, GlMeta>) -> StreamRef<O, GlMeta>,
-    FF: Fn(usize) -> LinkFaults,
-    SF: Fn(usize) -> GeneaLog,
-{
-    remote_shard_group_gl_with_faults_over(
-        name,
-        instances,
-        systems,
-        &SimulatedTransport::new(network),
-        config,
-        faults,
-        build,
-    )
-}
-
-/// [`remote_shard_group_gl_with_faults`] over an explicit [`ShardTransport`].
-///
-/// Frame faults injected through `faults` decorate the data channel *above* the
-/// transport, so they compose with whatever failure modes the transport itself has
-/// (a TCP transport can additionally kill sockets underneath the mux — see
-/// `TcpLoopbackTransport::with_return_kill`).
-///
-/// # Errors
-/// Propagates link-establishment errors from the transport and deployment errors
-/// from the remote instances.
-#[allow(clippy::too_many_arguments)]
-pub fn remote_shard_group_gl_with_faults_over<I, O, B, FF, SF>(
-    name: &str,
-    instances: usize,
-    systems: SF,
-    transport: &dyn ShardTransport,
-    config: QueryConfig,
-    faults: FF,
-    build: B,
-) -> Result<GlShardGroup<I, O>, SpeError>
-where
-    I: TupleData + WireEncode + WireDecode,
-    O: TupleData + WireEncode + WireDecode,
-    B: Fn(&mut Query<GeneaLog>, usize, StreamRef<I, GlMeta>) -> StreamRef<O, GlMeta>,
-    FF: Fn(usize) -> LinkFaults,
-    SF: Fn(usize) -> GeneaLog,
-{
-    assert!(instances > 0, "a shard group needs at least one instance");
-    let mut placements = Vec::with_capacity(instances);
-    let mut handles = Vec::with_capacity(instances);
-    let mut links = Vec::with_capacity(instances);
-    let mut provenance_links = Vec::with_capacity(instances);
-    let mut shippers = Vec::with_capacity(instances);
-    let mut metrics_rxs = Vec::with_capacity(instances);
-    for i in 0..instances {
-        // One physical return link, three multiplexed channels: shard results, the
-        // unfolded provenance stream, and the instance's live metrics snapshots.
-        let ShardWiring {
-            forward_tx,
-            forward_rx,
-            forward_stats,
-            mut back_txs,
-            mut back_rxs,
-            back_stats,
-        } = transport.shard_links(i, 3)?;
-        let metrics_tx = back_txs.pop().expect("three channels");
-        let provenance_tx = back_txs.pop().expect("three channels");
-        let data_tx = back_txs.pop().expect("three channels");
-        let metrics_rx = back_rxs.pop().expect("three channels");
-        let provenance_rx = back_rxs.pop().expect("three channels");
-        let data_rx = back_rxs.pop().expect("three channels");
-
-        let mut remote = Query::with_config(systems(i), config);
-        let received: StreamRef<I, GlMeta> =
-            add_receive(&mut remote, &format!("{name}.recv"), forward_rx);
-        let out = build(&mut remote, i, received);
-        let (to_send, unfolded) = attach_unfolder(&mut remote, &format!("{name}.su"), out);
-        let data_tx = FaultySender::new(data_tx, faults(i));
-        add_send(&mut remote, &format!("{name}.send"), to_send, data_tx);
-        let events = remote.map_one(
-            &format!("{name}.su.events"),
-            unfolded,
-            |u: &UnfoldedTuple<O>| u.to_event::<I>().to_upstream(),
-        );
-        add_send(
-            &mut remote,
-            &format!("{name}.send.prov"),
-            events,
-            provenance_tx,
-        );
-        let handle = remote.deploy()?;
-        if handle.registry().is_enabled() {
-            shippers.push(spawn_metrics_shipper(
-                handle.registry(),
-                metrics_tx,
-                handle.completion(),
-            ));
-        }
-        handles.push(handle);
-
-        placements.push(splice_remote_shard(name, instances, forward_tx, data_rx));
-        links.push(ShardLinks {
-            forward: forward_stats,
-            back: back_stats,
-        });
-        provenance_links.push(provenance_rx);
-        metrics_rxs.push(metrics_rx);
-    }
-    Ok(GlShardGroup {
-        placements,
-        group: RemoteShardGroup {
-            handles,
-            links,
-            shippers,
-            metrics_rxs,
-            pumps: Vec::new(),
-        },
-        provenance_links,
-    })
+    let provenance = |i: usize| GeneaLog::for_instance(first_instance + i as u32);
+    remote_shard_group_over(name, instances, transport, config, provenance, build)
+        .map(GlShardGroup::from)
 }
 
 /// Collects the stitched provenance of a query whose plan contains distributed shard
-/// groups (the output of [`attach_shard_provenance_sink`]).
+/// groups (the output of [`logical_shard_provenance_sink`]).
 #[derive(Debug, Clone)]
 pub struct ShardProvenanceCollector<O, S> {
     collected: CollectedStream<UnfoldedEvent<O, S>, GlMeta>,
@@ -906,14 +792,16 @@ where
 }
 
 /// Attaches a provenance sink that stitches GeneaLog lineage across the REMOTE
-/// boundaries of distributed shard groups.
+/// boundaries of distributed shard groups: the unfolder, the MU and the
+/// stitched-provenance sink are spliced in behind the [`LogicalStream`] at lowering
+/// time, and the collector is populated once the lowered query runs.
 ///
 /// The origin's own unfolded stream terminates at REMOTE originating tuples for
 /// every sink tuple that crossed back from a remote shard; this helper resolves them
 /// with the multi-stream unfolder of §6 against the remote instances' unfolded
 /// streams (`provenance_links`, from [`GlShardGroup`]), so the collected records
 /// carry the actual source tuples — identical to what
-/// `genealog::attach_provenance_sink` reports for the equivalent single-instance
+/// `genealog::logical_provenance_sink` reports for the equivalent single-instance
 /// plan. Local shards' lineage needs no stitching (their chain pointers never left
 /// the process) and passes the unfolder through unchanged, so mixed local/remote
 /// groups work too.
@@ -926,39 +814,8 @@ where
 /// the collector.
 ///
 /// # Panics
-/// Panics if `provenance_links` is empty (with no remote shard there is no REMOTE
-/// boundary; use `genealog::attach_provenance_sink` instead).
-pub fn attach_shard_provenance_sink<O, S, R>(
-    q: &mut Query<GeneaLog>,
-    name: &str,
-    stream: StreamRef<O, GlMeta>,
-    provenance_links: Vec<R>,
-    upstream_window: Duration,
-) -> (StreamRef<O, GlMeta>, ShardProvenanceCollector<O, S>)
-where
-    O: TupleData,
-    S: TupleData + WireEncode + WireDecode,
-    R: FrameSource,
-{
-    let collected = CollectedStream::new();
-    let passthrough = attach_shard_provenance_into(
-        q,
-        name,
-        stream,
-        provenance_links,
-        upstream_window,
-        collected.clone(),
-    );
-    (passthrough, ShardProvenanceCollector { collected })
-}
-
-/// [`attach_shard_provenance_sink`] for the declarative logical-plan API: the
-/// unfolder, the MU and the stitched-provenance sink are spliced in behind the
-/// [`LogicalStream`] at lowering time. The collector is populated once the lowered
-/// query runs.
-///
-/// # Panics
-/// Panics (at lowering) if `provenance_links` is empty.
+/// Panics (at lowering) if `provenance_links` is empty: with no remote shard there
+/// is no REMOTE boundary; use `genealog::logical_provenance_sink` instead.
 pub fn logical_shard_provenance_sink<O, S, R>(
     stream: LogicalStream<GeneaLog, O>,
     name: &str,
@@ -972,49 +829,31 @@ where
 {
     let collected: CollectedStream<UnfoldedEvent<O, S>, GlMeta> = CollectedStream::new();
     let copy = collected.clone();
-    let owned = name.to_string();
+    let name = name.to_string();
     let passthrough = stream.raw(&format!("{name}-stitch"), move |q, s| {
-        attach_shard_provenance_into(q, &owned, s, provenance_links, upstream_window, copy)
+        assert!(
+            !provenance_links.is_empty(),
+            "stitching requires at least one remote provenance stream"
+        );
+        q.note_provenance_collector();
+        let (passthrough, unfolded) = attach_unfolder(q, &name, s);
+        let derived = q.map_one(
+            &format!("{name}.events"),
+            unfolded,
+            |u: &UnfoldedTuple<O>| u.to_event::<S>(),
+        );
+        let upstreams = provenance_links
+            .into_iter()
+            .enumerate()
+            .map(|(i, link)| {
+                add_receive::<UpstreamEvent<S>, _, _>(q, &format!("{name}.upstream[{i}]"), link)
+            })
+            .collect();
+        let complete = attach_multi_unfolder(q, &name, derived, upstreams, upstream_window);
+        q.collecting_sink_into(&format!("{name}.sink"), complete, &copy);
+        passthrough
     });
     (passthrough, ShardProvenanceCollector { collected })
-}
-
-/// Core of the stitched-provenance attachment, sinking the complete unfolded
-/// stream into a caller-provided collection.
-fn attach_shard_provenance_into<O, S, R>(
-    q: &mut Query<GeneaLog>,
-    name: &str,
-    stream: StreamRef<O, GlMeta>,
-    provenance_links: Vec<R>,
-    upstream_window: Duration,
-    collected: CollectedStream<UnfoldedEvent<O, S>, GlMeta>,
-) -> StreamRef<O, GlMeta>
-where
-    O: TupleData,
-    S: TupleData + WireEncode + WireDecode,
-    R: FrameSource,
-{
-    assert!(
-        !provenance_links.is_empty(),
-        "stitching requires at least one remote provenance stream"
-    );
-    q.note_provenance_collector();
-    let (passthrough, unfolded) = attach_unfolder(q, name, stream);
-    let derived = q.map_one(
-        &format!("{name}.events"),
-        unfolded,
-        |u: &UnfoldedTuple<O>| u.to_event::<S>(),
-    );
-    let upstreams = provenance_links
-        .into_iter()
-        .enumerate()
-        .map(|(i, link)| {
-            add_receive::<UpstreamEvent<S>, _, _>(q, &format!("{name}.upstream[{i}]"), link)
-        })
-        .collect();
-    let complete = attach_multi_unfolder(q, name, derived, upstreams, upstream_window);
-    q.collecting_sink_into(&format!("{name}.sink"), complete, &collected);
-    passthrough
 }
 
 /// Renders the query graphs of several SPE instances as one DOT digraph with one

@@ -25,13 +25,15 @@ use genealog_spe::error::SpeError;
 use genealog_spe::metrics::{OpCounters, OpMetrics};
 use genealog_spe::operator::{Operator, OperatorStats};
 use genealog_spe::provenance::{NoProvenance, ProvenanceSystem, RemoteContext};
+use genealog_spe::query::{Query, StreamRef};
 use genealog_spe::state::CheckpointHandle;
 use genealog_spe::tuple::{Element, GTuple, TupleData, TupleId};
 use genealog_spe::Timestamp;
 
-use genealog::{GeneaLog, GlMeta, OpKind};
+use genealog::{attach_unfolder, GeneaLog, GlMeta, OpKind, UnfoldedTuple};
 use genealog_baseline::{AriadneBaseline, BlMeta};
 
+use crate::deployment::add_send;
 use crate::network::{FrameSink, FrameSource, LinkReceiver, LinkSender};
 use crate::wire::{WireDecode, WireEncode, WireError, WireReader};
 
@@ -46,10 +48,33 @@ pub struct WireTag {
 }
 
 /// Extension of [`ProvenanceSystem`] for systems whose tuples can cross instance
-/// boundaries: extracts the [`WireTag`] the Send operator transmits.
+/// boundaries: extracts the [`WireTag`] the Send operator transmits, and decides
+/// what lineage a remote shard instance ships next to its results.
 pub trait WireProvenance: ProvenanceSystem {
     /// The wire tag of a tuple about to be sent.
     fn wire_tag<T: TupleData>(&self, tuple: &Arc<GTuple<T, Self::Meta>>) -> WireTag;
+
+    /// Splices this system's lineage side-stream into a remote shard instance
+    /// (`I` is the shard's input payload type, i.e. the source schema at the
+    /// origin): `out` is the shard operator's output, `lineage_tx` the lineage
+    /// channel of the shard's return link. Returns the stream to ship on the data
+    /// channel.
+    ///
+    /// The default ships nothing: the sender is dropped, the channel stays idle and
+    /// `out` is shipped as is.
+    fn ship_lineage<I, O, L>(
+        _q: &mut Query<Self>,
+        _name: &str,
+        out: StreamRef<O, Self::Meta>,
+        _lineage_tx: L,
+    ) -> StreamRef<O, Self::Meta>
+    where
+        I: TupleData + WireEncode + WireDecode,
+        O: TupleData + WireEncode + WireDecode,
+        L: FrameSink,
+    {
+        out
+    }
 }
 
 impl WireProvenance for NoProvenance {
@@ -82,6 +107,31 @@ impl WireProvenance for GeneaLog {
             id,
             was_source: kind == OpKind::Source,
         }
+    }
+
+    /// A single-stream unfolder on the shard output; its unfolded stream travels
+    /// as [`UpstreamEvent`](genealog::UpstreamEvent)s keyed by the delivering
+    /// tuple's id, which the origin's multi-stream unfolder joins on
+    /// (Definition 6.4).
+    fn ship_lineage<I, O, L>(
+        q: &mut Query<Self>,
+        name: &str,
+        out: StreamRef<O, GlMeta>,
+        lineage_tx: L,
+    ) -> StreamRef<O, GlMeta>
+    where
+        I: TupleData + WireEncode + WireDecode,
+        O: TupleData + WireEncode + WireDecode,
+        L: FrameSink,
+    {
+        let (to_send, unfolded) = attach_unfolder(q, &format!("{name}.su"), out);
+        let events = q.map_one(
+            &format!("{name}.su.events"),
+            unfolded,
+            |u: &UnfoldedTuple<O>| u.to_event::<I>().to_upstream(),
+        );
+        add_send(q, &format!("{name}.send.prov"), events, lineage_tx);
+        to_send
     }
 }
 

@@ -10,6 +10,10 @@
 //!   close without the end-of-stream marker; both push the receiving query into
 //!   the recovery path. Duplicated frames must be absorbed silently by the
 //!   receiver's sequence numbers.
+//! * [`FaultyTransport`] — a [`ShardTransport`] decorator that puts a
+//!   [`FaultySender`] on the return-link data channel of one shard of a
+//!   distributed shard group, over whatever transport it wraps (simulated links
+//!   or real sockets). The shard-group builder itself knows nothing about faults.
 //! * [`OneShot`] — a fire-once trigger shared between recovery attempts, so an
 //!   injected fault (a panicking closure, a severed link) hits the first attempt
 //!   and lets the rebuilt deployment run clean.
@@ -22,6 +26,9 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use genealog_spe::SpeError;
+
+use crate::deployment::{ShardTransport, ShardWiring};
 use crate::network::FrameSink;
 
 /// Frame-level faults to inject on one link, by frame index (0-based, counted at
@@ -134,6 +141,43 @@ impl<L: FrameSink> FrameSink for FaultySender<L> {
             return false;
         }
         inner.send_frame(frame)
+    }
+}
+
+/// A [`ShardTransport`] decorator injecting frame faults on the remote → origin
+/// data channel of shard `shard`; every other link is `inner`'s, untouched.
+///
+/// A severed channel surfaces at the origin's ingress as a mid-stream close, a
+/// dropped frame as a sequence gap — both fail the originating query into the
+/// recovery path, which is exactly what the fault-injection tests drive. The
+/// faults sit *above* the wrapped transport, so they compose with whatever failure
+/// modes it has itself (a TCP transport can additionally kill sockets underneath
+/// the mux — see `TcpLoopbackTransport::with_return_kill`).
+pub struct FaultyTransport<T> {
+    inner: T,
+    shard: usize,
+    faults: LinkFaults,
+}
+
+impl<T: ShardTransport> FaultyTransport<T> {
+    /// Wraps `inner`, arming `faults` on shard `shard`'s return-link data channel.
+    /// An empty fault plan leaves the channel undecorated.
+    pub fn new(inner: T, shard: usize, faults: LinkFaults) -> Self {
+        FaultyTransport {
+            inner,
+            shard,
+            faults,
+        }
+    }
+}
+
+impl<T: ShardTransport> ShardTransport for FaultyTransport<T> {
+    fn shard_links(&self, shard: usize, back_channels: usize) -> Result<ShardWiring, SpeError> {
+        let mut wiring = self.inner.shard_links(shard, back_channels)?;
+        if shard == self.shard && !self.faults.is_none() {
+            wiring.wrap_data_tx(|tx| Box::new(FaultySender::new(tx, self.faults.clone())));
+        }
+        Ok(wiring)
     }
 }
 

@@ -19,22 +19,24 @@
 //! * [`deployment`] — the three-instance deployments of Figures 7, 9C, 10C and 11C for
 //!   Q1–Q4 under NP, GL and BL, wiring the single-stream unfolders on instances 1–2
 //!   and the multi-stream unfolder on instance 3 — plus the **distributed shard
-//!   group** helpers ([`deployment::remote_shard_group`],
-//!   [`deployment::remote_shard_group_gl`]) that span a key-partitioned operator's
-//!   Partition exchange across SPE instances, with the provenance stitched back
-//!   together by [`deployment::attach_shard_provenance_sink`].
-//! * [`fault`] — controlled failure injection ([`fault::FaultySender`],
-//!   [`fault::FaultPlan`]): dropped, duplicated, delayed and severed frames, plus
-//!   the fire-once triggers the recovery tests use to kill a shard thread on the
-//!   first attempt only.
+//!   group** builder [`deployment::remote_shard_group_over`], which spans a
+//!   key-partitioned operator's Partition exchange across SPE instances for any
+//!   provenance system over any [`deployment::ShardTransport`], with the provenance
+//!   stitched back together by [`deployment::logical_shard_provenance_sink`].
+//! * [`fault`] — controlled failure injection: [`fault::FaultyTransport`] decorates
+//!   a shard transport with dropped, duplicated, delayed and severed frames
+//!   ([`fault::FaultySender`], [`fault::LinkFaults`]), plus [`fault::FaultPlan`] and
+//!   the fire-once triggers the recovery tests use to arm a fault on the first
+//!   attempt only.
 //! * [`tcp`] — a real TCP transport behind the same [`network::FrameSink`] /
 //!   [`network::FrameSource`] traits: length-delimited frames, connect-with-backoff
 //!   and bounded reconnect on broken pipes. Swapping it for the simulated link via
 //!   [`deployment::ShardTransport`] changes no bytes on the wire above the framing
 //!   layer.
 //! * [`node`] — the `spe-node` worker protocol: a process that accepts a serialised
-//!   remote-shard deployment over a socket and hosts the shards of one group,
-//!   shipping results, provenance and metrics back over the multiplexed connection.
+//!   remote-shard deployment over a socket and hosts the shards of one group —
+//!   wired by the same per-instance function as the in-process builder — shipping
+//!   results, provenance and metrics back over the multiplexed connection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,24 +50,23 @@ pub mod tcp;
 pub mod wire;
 
 pub use deployment::{
-    attach_shard_provenance_sink, deploy_distributed_baseline, deploy_distributed_genealog,
-    deploy_distributed_noprov, group_provenance, instances_dot, remote_shard_group,
-    remote_shard_group_gl, remote_shard_group_gl_over, remote_shard_group_gl_with_faults,
-    remote_shard_group_gl_with_faults_over, remote_shard_group_over, DistributedOutcome,
-    GlShardGroup, ProvenanceRecord, RemoteShardGroup, ShardGroupDeployment, ShardLinks,
-    ShardProvenanceCollector, ShardTransport, ShardWiring, SimulatedTransport,
+    deploy_distributed_baseline, deploy_distributed_genealog, deploy_distributed_noprov,
+    group_provenance, instances_dot, logical_shard_provenance_sink, remote_shard_group_gl_over,
+    remote_shard_group_over, DistributedOutcome, GlShardGroup, ProvenanceRecord, RemoteShardGroup,
+    ShardGroupDeployment, ShardLinks, ShardProvenanceCollector, ShardTransport, ShardWiring,
+    SimulatedTransport,
 };
 pub use endpoint::{
     ReceiveOp, SendOp, TupleFrameBuilder, WireFrame, WireProvenance, WireTag, WireTuple,
 };
-pub use fault::{FaultPlan, FaultySender, LinkFaults, OneShot};
+pub use fault::{FaultPlan, FaultySender, FaultyTransport, LinkFaults, OneShot};
 pub use network::{
     FrameSink, FrameSource, LinkStats, MuxReceiver, MuxSender, NetworkConfig, SharedLink,
     SimulatedLink,
 };
 pub use node::{
-    connect_gl_node_group, run_node, run_node_with_state, serve_node_connection,
-    serve_node_connection_with_state, NodeDeployment, NodeReading, NodeStores, ShardOpSpec, ACK,
+    connect_gl_node_group, run_node, serve_node_connection, NodeDeployment, NodeReading,
+    NodeStores, ShardOpSpec, ACK,
 };
 pub use tcp::{
     TcpLink, TcpLoopbackTransport, TcpReceiver, TcpSender, TcpSeverHandle, MAX_FRAME_BYTES,

@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{bounded, unbounded, Receiver, SendTimeoutError, Sender};
@@ -409,20 +409,47 @@ pub struct MuxSender<S: FrameSink + Clone = LinkSender> {
 struct MuxState {
     queues: Vec<VecDeque<Vec<u8>>>,
     closed: bool,
+    /// Whether a receiver currently holds the puller role, i.e. is inside (or about
+    /// to enter) the blocking receive on the link.
+    pulling: bool,
+    /// Receivers parked on [`Mux::changed`].
+    waiters: usize,
+}
+
+/// What the receivers of one [`SharedLink`] share.
+struct Mux<R> {
+    /// Only ever held for a pop, a park or a role change — never across a blocking
+    /// receive — so a channel whose frames have already arrived drains them even
+    /// while a sibling channel's receiver is blocked pulling the link. A std mutex
+    /// because receivers wait on it through `changed`.
+    state: std::sync::Mutex<MuxState>,
+    /// Signalled when the puller parks a frame, closes the link or hands the role
+    /// back: receivers that find their queue empty while a sibling pulls wait here,
+    /// not on a lock the puller holds across its blocking receive.
+    changed: Condvar,
+    /// The link itself. Only the receiver that set `pulling` locks it, so the lock
+    /// is never contended; it exists because a [`FrameSource`] is not `Sync`.
+    link: Mutex<R>,
+    channels: usize,
+    stats: Arc<LinkStats>,
+}
+
+impl<R> Mux<R> {
+    fn state(&self) -> MutexGuard<'_, MuxState> {
+        // Every update leaves the state valid at every step, so a poisoned lock is
+        // safe to recover.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// The receiving half of one channel of a [`SharedLink`].
 ///
-/// Two locks, deliberately: `queues` is only ever held for a pop or a park (never
-/// across a blocking receive), so a channel whose frames have already arrived drains
-/// them even while the sibling channel's receiver is blocked pulling the link; the
-/// separate `puller` lock serialises the pulls themselves, preserving per-channel
-/// FIFO order.
+/// One receiver at a time holds the *puller* role and blocks on the link; it parks
+/// frames addressed to sibling channels in their queues and wakes them. Pulls are
+/// serialised, preserving per-channel FIFO order.
 pub struct MuxReceiver<R: FrameSource = LinkReceiver> {
     channel: usize,
-    queues: Arc<Mutex<MuxState>>,
-    puller: Arc<Mutex<R>>,
-    stats: Arc<LinkStats>,
+    mux: Arc<Mux<R>>,
 }
 
 impl SharedLink {
@@ -461,11 +488,18 @@ impl SharedLink {
         R: FrameSource,
     {
         assert!(channels > 0, "a shared link needs at least one channel");
-        let queues = Arc::new(Mutex::new(MuxState {
-            queues: (0..channels).map(|_| VecDeque::new()).collect(),
-            closed: false,
-        }));
-        let puller = Arc::new(Mutex::new(rx));
+        let mux = Arc::new(Mux {
+            state: std::sync::Mutex::new(MuxState {
+                queues: (0..channels).map(|_| VecDeque::new()).collect(),
+                closed: false,
+                pulling: false,
+                waiters: 0,
+            }),
+            changed: Condvar::new(),
+            link: Mutex::new(rx),
+            channels,
+            stats,
+        });
         let senders = (0..channels)
             .map(|channel| MuxSender {
                 channel: channel as u32,
@@ -475,9 +509,7 @@ impl SharedLink {
         let receivers = (0..channels)
             .map(|channel| MuxReceiver {
                 channel,
-                queues: Arc::clone(&queues),
-                puller: Arc::clone(&puller),
-                stats: Arc::clone(&stats),
+                mux: Arc::clone(&mux),
             })
             .collect();
         (senders, receivers)
@@ -494,80 +526,98 @@ impl<S: FrameSink + Clone> FrameSink for MuxSender<S> {
 }
 
 impl<R: FrameSource> MuxReceiver<R> {
-    /// Pops this channel's next queued frame; `Some(None)` means the link is closed
-    /// and drained, `None` means nothing is queued yet.
-    fn try_pop(&self) -> Option<Option<Vec<u8>>> {
-        let mut state = self.queues.lock();
-        if let Some(frame) = state.queues[self.channel].pop_front() {
-            return Some(Some(frame));
+    /// Pulls the next routable frame off the link and splits it into
+    /// `(channel, payload)`; `None` means the link closed. Called by the puller
+    /// only, without the state lock.
+    fn pull(&self) -> Option<(usize, Vec<u8>)> {
+        loop {
+            let mut framed = self.mux.link.lock().recv_frame()?;
+            let Some(prefix) = framed.get(..4).and_then(|p| <[u8; 4]>::try_from(p).ok()) else {
+                // Runt frame: too short to carry a channel prefix. The payload (if
+                // any) is lost — account for it instead of dropping it silently.
+                self.mux.stats.record_runt();
+                Tracer::global().emit_once(
+                    "link-dropped-frame",
+                    "runt",
+                    format!(
+                        "dropped a {}-byte frame: too short for the 4-byte \
+                         channel prefix (further runts are only counted)",
+                        framed.len()
+                    ),
+                );
+                continue;
+            };
+            let channel = u32::from_le_bytes(prefix) as usize;
+            let channels = self.mux.channels;
+            if channel >= channels {
+                self.mux.stats.record_unroutable();
+                Tracer::global().emit_once(
+                    "link-dropped-frame",
+                    "unroutable",
+                    format!(
+                        "dropped a frame addressed to channel {channel} of a \
+                         {channels}-channel link (further unroutable frames \
+                         are only counted)"
+                    ),
+                );
+                continue;
+            }
+            // Strip the prefix in place: one memmove, no re-allocation on the
+            // per-frame hot path.
+            framed.drain(..4);
+            return Some((channel, framed));
         }
-        if state.closed {
-            return Some(None);
-        }
-        None
     }
 }
 
 impl<R: FrameSource> FrameSource for MuxReceiver<R> {
     fn recv_frame(&self) -> Option<Vec<u8>> {
+        let mux = &*self.mux;
+        let mut state = mux.state();
         loop {
-            if let Some(result) = self.try_pop() {
-                return result;
+            if let Some(frame) = state.queues[self.channel].pop_front() {
+                return Some(frame);
             }
-            // Become the puller. The queues lock is NOT held across the blocking
+            if state.closed {
+                return None;
+            }
+            if state.pulling {
+                // A sibling pulls the link; it signals when it has parked a frame
+                // (possibly ours), closed the link or handed the role back.
+                state.waiters += 1;
+                state = mux.changed.wait(state).unwrap_or_else(|e| e.into_inner());
+                state.waiters -= 1;
+                continue;
+            }
+            // Become the puller. The state lock is NOT held across the blocking
             // receive, so sibling channels keep draining frames that already
             // arrived while this thread waits on the link.
-            let puller = self.puller.lock();
-            // Another puller may have parked (or closed) our frame while this
-            // thread waited for the puller lock.
-            if let Some(result) = self.try_pop() {
-                return result;
-            }
-            match puller.recv_frame() {
-                Some(mut framed) => {
-                    let Some(prefix) = framed.get(..4).and_then(|p| <[u8; 4]>::try_from(p).ok())
-                    else {
-                        // Runt frame: too short to carry a channel prefix. The
-                        // payload (if any) is lost — account for it instead of
-                        // dropping it silently.
-                        self.stats.record_runt();
-                        Tracer::global().emit_once(
-                            "link-dropped-frame",
-                            "runt",
-                            format!(
-                                "dropped a {}-byte frame: too short for the 4-byte \
-                                 channel prefix (further runts are only counted)",
-                                framed.len()
-                            ),
-                        );
-                        continue;
-                    };
-                    let channel = u32::from_le_bytes(prefix) as usize;
-                    // Strip the prefix in place: one memmove, no re-allocation on
-                    // the per-frame hot path.
-                    framed.drain(..4);
-                    let mut state = self.queues.lock();
-                    if channel < state.queues.len() {
-                        state.queues[channel].push_back(framed);
-                    } else {
-                        let channels = state.queues.len();
-                        drop(state);
-                        self.stats.record_unroutable();
-                        Tracer::global().emit_once(
-                            "link-dropped-frame",
-                            "unroutable",
-                            format!(
-                                "dropped a frame addressed to channel {channel} of a \
-                                 {channels}-channel link (further unroutable frames \
-                                 are only counted)"
-                            ),
-                        );
-                    }
-                }
+            state.pulling = true;
+            drop(state);
+            let pulled = self.pull();
+            state = mux.state();
+            state.pulling = false;
+            let mine = match pulled {
                 None => {
-                    self.queues.lock().closed = true;
-                    return None;
+                    state.closed = true;
+                    None
                 }
+                // Our queue was empty when we took the role and only the puller
+                // fills queues, so handing the frame over directly keeps FIFO order.
+                Some((channel, frame)) if channel == self.channel => Some(frame),
+                Some((channel, frame)) => {
+                    state.queues[channel].push_back(frame);
+                    None
+                }
+            };
+            // The explicit hand-off: a sibling whose frame was just parked, or who
+            // must take over the puller role, waits on `changed`, never on a lock
+            // this thread could win again before blocking on the link.
+            if state.waiters > 0 {
+                mux.changed.notify_all();
+            }
+            if mine.is_some() || state.closed {
+                return mine;
             }
         }
     }
@@ -595,21 +645,49 @@ mod tests {
         assert!(rxs[1].recv_frame().is_none());
     }
 
+    /// Spins until `condition` holds; panics past the deadline.
+    fn wait_until(what: &str, condition: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !condition() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn shared_link_sibling_drains_while_puller_blocks() {
-        let (txs, mut rxs, _stats) = SharedLink::new(2, NetworkConfig::unlimited());
-        let rx1 = rxs.pop().expect("two receivers");
-        let rx0 = rxs.pop().expect("two receivers");
-        // Receiver 1 becomes the blocked puller on an empty link.
-        let blocked = std::thread::spawn(move || rx1.recv_frame());
-        std::thread::sleep(Duration::from_millis(20));
-        // A channel-0 frame arriving while receiver 1 holds the puller role must
-        // reach receiver 0 without waiting for any channel-1 traffic.
-        assert!(txs[0].send_frame(vec![42]));
-        assert_eq!(rx0.recv_frame().unwrap(), vec![42]);
-        // Unblock receiver 1 with its own frame.
-        assert!(txs[1].send_frame(vec![7]));
-        assert_eq!(blocked.join().unwrap().unwrap(), vec![7]);
+        // The lost hand-off was a race: many iterations, each with a deadline, so a
+        // regression fails in seconds instead of hanging the suite.
+        for iteration in 0..200 {
+            let (txs, mut rxs, _stats) = SharedLink::new(2, NetworkConfig::unlimited());
+            let rx1 = rxs.pop().expect("two receivers");
+            let rx0 = rxs.pop().expect("two receivers");
+            let mux = Arc::clone(&rx0.mux);
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            // Receiver 1 becomes the blocked puller on an empty link ...
+            let done = done_tx.clone();
+            std::thread::spawn(move || done.send((1, rx1.recv_frame())));
+            wait_until("receiver 1 pulls", || mux.state().pulling);
+            // ... and receiver 0 finds its queue empty behind it.
+            std::thread::spawn(move || done_tx.send((0, rx0.recv_frame())));
+            wait_until("receiver 0 waits", || mux.state().waiters == 1);
+            // A channel-0 frame arriving now is pulled and parked by receiver 1; it
+            // must reach receiver 0 without waiting for any channel-1 traffic.
+            assert!(txs[0].send_frame(vec![42]));
+            let deadline = Duration::from_secs(5);
+            assert_eq!(
+                done_rx.recv_timeout(deadline),
+                Ok((0, Some(vec![42]))),
+                "iteration {iteration}: the parked frame never reached its channel"
+            );
+            // Unblock receiver 1 with its own frame.
+            assert!(txs[1].send_frame(vec![7]));
+            assert_eq!(
+                done_rx.recv_timeout(deadline),
+                Ok((1, Some(vec![7]))),
+                "iteration {iteration}: the puller never got its own frame"
+            );
+        }
     }
 
     #[test]

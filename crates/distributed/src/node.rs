@@ -17,11 +17,11 @@
 //!
 //! With `k` hosted shards the channel layout is, in the client → node
 //! direction, channel `j` = shard `j`'s partitioned sub-stream; in the node →
-//! client direction, channel `j` = shard `j`'s results, channel `k + j` =
-//! shard `j`'s unfolded provenance stream and channel `2k + j` = shard `j`'s
-//! metrics snapshots — the same per-shard triple that
-//! [`remote_shard_group_gl`](crate::deployment::remote_shard_group_gl) wires
-//! in-process.
+//! client direction, the `j`-th run of `RETURN_CHANNELS` channels is shard
+//! `j`'s return link (results, unfolded provenance stream, metrics snapshots) —
+//! the same per-shard channels, split by the same function, that
+//! [`remote_shard_group_over`](crate::deployment::remote_shard_group_over)
+//! wires in-process.
 //!
 //! A node connection that drops mid-deployment severs every hosted shard's
 //! links at once (the accepted socket has nowhere to re-dial), which the
@@ -34,7 +34,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use genealog::{attach_unfolder, GeneaLog, GlMeta, GlWindowPersister, UnfoldedTuple};
+use genealog::{GeneaLog, GlMeta, GlWindowPersister};
 use genealog_metrics::{decode_samples, MetricsRegistry, Tracer};
 use genealog_spe::operator::aggregate::WindowView;
 use genealog_spe::query::{Query, QueryConfig, StreamRef};
@@ -45,8 +45,8 @@ use genealog_store::{DurableBackend, ScopedBackend, StoreOptions};
 use parking_lot::Mutex;
 
 use crate::deployment::{
-    add_receive, add_send, spawn_metrics_shipper, splice_remote_shard, GlShardGroup,
-    RemoteShardGroup, ShardLinks,
+    deploy_shard_instance, GlShardGroup, RemoteShardGroup, ReturnChannels, ShardLinks,
+    RETURN_CHANNELS,
 };
 use crate::network::{FrameSink, FrameSource, LinkStats, SharedLink};
 use crate::tcp::{
@@ -95,14 +95,15 @@ impl ShardOpSpec {
         )
     }
 
-    /// Splices the spec'd operator into a node-side query.
+    /// Splices the spec'd operator, windowed by `spec` (see
+    /// [`ShardOpSpec::window`]), into a node-side query.
     fn build(
         &self,
         q: &mut Query<GeneaLog>,
         name: &str,
         input: StreamRef<NodeReading, GlMeta>,
-    ) -> Result<StreamRef<NodeReading, GlMeta>, SpeError> {
-        let spec = self.window()?;
+        spec: WindowSpec,
+    ) -> StreamRef<NodeReading, GlMeta> {
         let staged = match self {
             ShardOpSpec::SumAggregate { .. } => input,
             ShardOpSpec::FilteredScaledSum { .. } => {
@@ -110,7 +111,7 @@ impl ShardOpSpec {
                 q.map_one("scale", kept, |r: &NodeReading| (r.0, r.1 * 2))
             }
         };
-        Ok(q.aggregate(
+        q.aggregate(
             name,
             staged,
             spec,
@@ -118,7 +119,7 @@ impl ShardOpSpec {
             |w: &WindowView<'_, u32, NodeReading, GlMeta>| {
                 (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
             },
-        ))
+        )
     }
 }
 
@@ -318,37 +319,26 @@ impl NodeStores {
 /// remote instances keyed `{group}[{shard}]`, so `GET /metrics` on the node
 /// shows the live counters of everything it hosts.
 ///
-/// # Errors
-/// Fails on a malformed handshake or socket setup. A shard engine failing
-/// mid-deployment (e.g. its links severed) is *not* an error here: the failure
-/// already propagated to the origin through the closed links, the node stays
-/// up, and the failed shard's report is simply absent from the result.
-pub fn serve_node_connection(
-    stream: TcpStream,
-    registry: &Arc<MetricsRegistry>,
-    network: NetworkConfig,
-) -> io::Result<Vec<QueryReport>> {
-    serve_node_connection_with_state(stream, registry, network, None, &NodeStores::new())
-}
-
-/// [`serve_node_connection`] with a checkpoint-state directory: when the
-/// deployment asks for checkpointing and `state_dir` is set, every hosted
-/// engine commits its window state — provenance included, byte-encoded through
-/// [`GlWindowPersister`] — into a [`DurableBackend`] at
+/// When the deployment asks for checkpointing and `state_dir` is set, every
+/// hosted engine commits its window state — provenance included, byte-encoded
+/// through [`GlWindowPersister`] — into a [`DurableBackend`] at
 /// `state_dir/<group>` (incremental snapshots on), scoped per shard so a
-/// killed-and-restarted node re-joins from **its own disk**. A deployment
-/// carrying a `restore_epoch` restores the hosted engines to that
-/// origin-pinned cut before processing; a fresh deployment wipes the group's
-/// leftover state first.
-///
-/// Without a `state_dir` the engines fall back to per-deployment in-memory
-/// stores (barrier alignment still works; nothing survives the process — the
-/// analyzer's GL014 diagnostic flags this combination at the origin).
+/// killed-and-restarted node re-joins from **its own disk**; the store is
+/// registered on `stores` so the binary's SIGTERM handler can flush its
+/// manifest. A deployment carrying a `restore_epoch` restores the hosted
+/// engines to that origin-pinned cut before processing; a fresh deployment
+/// wipes the group's leftover state first. Without a `state_dir` the engines
+/// fall back to per-deployment in-memory stores (barrier alignment still
+/// works; nothing survives the process — the analyzer's GL014 diagnostic flags
+/// this combination at the origin).
 ///
 /// # Errors
 /// Fails on a malformed handshake, socket setup, or an unopenable store
-/// directory (see [`serve_node_connection`] for what is *not* an error).
-pub fn serve_node_connection_with_state(
+/// directory. A shard engine failing mid-deployment (e.g. its links severed)
+/// is *not* an error here: the failure already propagated to the origin
+/// through the closed links, the node stays up, and the failed shard's report
+/// is simply absent from the result.
+pub fn serve_node_connection(
     stream: TcpStream,
     registry: &Arc<MetricsRegistry>,
     network: NetworkConfig,
@@ -390,6 +380,7 @@ pub fn serve_node_connection_with_state(
         _ => None,
     };
 
+    let window = deployment.op.window().map_err(invalid)?;
     let k = deployment.shards.len();
     let (tx, _tx_stats) = TcpSender::from_stream(stream.try_clone()?, None, network);
     let rx = TcpReceiver::from_stream(stream, None, network);
@@ -397,21 +388,22 @@ pub fn serve_node_connection_with_state(
     recv_stats.export_dropped_frames(registry, &format!("{}.node", deployment.group));
     // Client → node: one receiver per hosted shard (the senders go unused).
     let (_unused_txs, forward_rxs) = SharedLink::over(k, NullSink, rx, Arc::clone(&recv_stats));
-    // Node → client: data, provenance and metrics channels per hosted shard
-    // (the receivers go unused).
-    let (back_txs, _unused_rxs) = SharedLink::over(3 * k, tx, NullSource, recv_stats);
+    // Node → client: one return link's worth of channels per hosted shard (the
+    // receivers go unused). The engines own these senders, so the goodbye
+    // sentinel fires once the last shipper finishes.
+    let (back_txs, _unused_rxs) = SharedLink::over(RETURN_CHANNELS * k, tx, NullSource, recv_stats);
+    let mut back_txs = back_txs.into_iter();
 
     let mut handles = Vec::with_capacity(k);
     let mut shippers = Vec::with_capacity(k);
     let mut mirrors = Vec::with_capacity(k);
-    for (j, forward_rx) in forward_rxs.into_iter().enumerate() {
-        let global = deployment.shards[j];
+    for (&global, forward_rx) in deployment.shards.iter().zip(forward_rxs) {
         let group = deployment.group.as_str();
         let gl = GeneaLog::for_instance(deployment.first_instance + global);
         let config = QueryConfig::default()
             .with_fusion(deployment.fusion)
             .with_metrics(true);
-        let mut q = Query::with_config(gl, config);
+        let q = Query::with_config(gl, config);
         if let Some(interval) = deployment.checkpoint_interval {
             // Each hosted engine gets its own checkpoint store (its barrier
             // alignment is engine-local) over a shard-scoped view of the
@@ -432,36 +424,15 @@ pub fn serve_node_connection_with_state(
                     )),
             );
         }
-        let received: StreamRef<NodeReading, GlMeta> =
-            add_receive(&mut q, &format!("{group}.recv"), forward_rx);
-        let out = deployment
-            .op
-            .build(&mut q, group, received)
-            .map_err(invalid)?;
-        let (to_send, unfolded) = attach_unfolder(&mut q, &format!("{group}.su"), out);
-        add_send(
-            &mut q,
-            &format!("{group}.send"),
-            to_send,
-            back_txs[j].clone(),
-        );
-        let events = q.map_one(
-            &format!("{group}.su.events"),
-            unfolded,
-            |u: &UnfoldedTuple<NodeReading>| u.to_event::<NodeReading>().to_upstream(),
-        );
-        add_send(
-            &mut q,
-            &format!("{group}.send.prov"),
-            events,
-            back_txs[k + j].clone(),
-        );
-        let handle = q.deploy().map_err(runtime)?;
-        shippers.push(spawn_metrics_shipper(
-            handle.registry(),
-            back_txs[2 * k + j].clone(),
-            handle.completion(),
-        ));
+        let (handle, shipper) = deploy_shard_instance(
+            q,
+            group,
+            forward_rx,
+            ReturnChannels::take(&mut back_txs),
+            |q, received| deployment.op.build(q, group, received, window),
+        )
+        .map_err(runtime)?;
+        shippers.extend(shipper);
         // Mirror the engine's registry into the node's own, so the node's
         // control endpoint exposes what it hosts while it runs.
         let completion = handle.completion();
@@ -479,9 +450,6 @@ pub fn serve_node_connection_with_state(
         }));
         handles.push(handle);
     }
-    // The queries own their mux sender clones; dropping ours lets the goodbye
-    // sentinel fire once the last shipper finishes.
-    drop(back_txs);
 
     let mut reports = Vec::with_capacity(k);
     for (j, handle) in handles.into_iter().enumerate() {
@@ -506,7 +474,9 @@ pub fn serve_node_connection_with_state(
 /// Runs a node's accept loop: every connection is served to completion with
 /// [`serve_node_connection`], sequentially. `max_deployments` bounds how many
 /// connections are served before returning (`None` = forever) — the `--once`
-/// flag of the `spe-node` binary.
+/// flag of the `spe-node` binary. Deployments that ask for checkpointing
+/// persist into `state_dir` when one is given, and every opened store is
+/// registered on `stores`.
 ///
 /// # Errors
 /// Fails if the listener breaks. Per-connection handshake errors are traced
@@ -516,36 +486,11 @@ pub fn run_node(
     registry: &Arc<MetricsRegistry>,
     network: NetworkConfig,
     max_deployments: Option<usize>,
-) -> io::Result<()> {
-    run_node_with_state(
-        listener,
-        registry,
-        network,
-        max_deployments,
-        None,
-        &NodeStores::new(),
-    )
-}
-
-/// [`run_node`] with a checkpoint-state directory: deployments that ask for
-/// checkpointing persist into `state_dir` (see
-/// [`serve_node_connection_with_state`]), and every opened store is registered
-/// on `stores` so the binary's SIGTERM handler can flush manifests.
-///
-/// # Errors
-/// Fails if the listener breaks; per-connection errors are traced and skipped.
-pub fn run_node_with_state(
-    listener: TcpListener,
-    registry: &Arc<MetricsRegistry>,
-    network: NetworkConfig,
-    max_deployments: Option<usize>,
     state_dir: Option<&Path>,
     stores: &NodeStores,
 ) -> io::Result<()> {
     for (served, stream) in listener.incoming().enumerate() {
-        match stream
-            .and_then(|s| serve_node_connection_with_state(s, registry, network, state_dir, stores))
-        {
+        match stream.and_then(|s| serve_node_connection(s, registry, network, state_dir, stores)) {
             Ok(_) => {}
             Err(err) => {
                 Tracer::global().emit("node-connection-failed", "spe-node", err.to_string());
@@ -582,9 +527,9 @@ fn client_error(err: impl std::fmt::Display) -> SpeError {
 }
 
 /// Dials the `spe-node` processes of a distributed GeneaLog shard group and
-/// returns the same [`GlShardGroup`] the in-process builders produce: the
-/// placements (in global shard order) for `place`/`sharded_aggregate_placed`,
-/// the group handle for metrics streaming, and the per-shard provenance links
+/// returns the same [`GlShardGroup`] the in-process builder produces: the
+/// placements (in global shard order) for `LogicalStream::place`, the group
+/// handle for metrics streaming, and the per-shard provenance links
 /// for [`logical_shard_provenance_sink`](crate::deployment::logical_shard_provenance_sink).
 ///
 /// `nodes` maps each node address to the global shard indices it hosts; the
@@ -620,11 +565,8 @@ pub fn connect_gl_node_group(
         )));
     }
 
-    let mut placements: Vec<Option<_>> = (0..total).map(|_| None).collect();
-    let mut links: Vec<Option<ShardLinks>> = (0..total).map(|_| None).collect();
-    let mut provenance_links: Vec<Option<Box<dyn FrameSource>>> =
-        (0..total).map(|_| None).collect();
-    let mut metrics_rxs: Vec<Option<Box<dyn FrameSource>>> = (0..total).map(|_| None).collect();
+    // The origin's end of every shard, slotted by global shard index.
+    let mut ends: Vec<Option<_>> = (0..total).map(|_| None).collect();
     for (addr, shards) in nodes {
         let k = shards.len();
         let deployment = NodeDeployment {
@@ -652,59 +594,31 @@ pub fn connect_gl_node_group(
         // Client → node: one sender per hosted shard (the receivers go unused).
         let (forward_txs, _unused_rxs) =
             SharedLink::over(k, tx, NullSource, Arc::clone(&back_stats));
-        // Node → client: data, provenance and metrics per hosted shard (the
-        // senders go unused).
+        // Node → client: one return link's worth of channels per hosted shard
+        // (the senders go unused).
         let (_unused_txs, back_rxs) =
-            SharedLink::over(3 * k, NullSink, rx, Arc::clone(&back_stats));
-        let mut back_rxs = back_rxs.into_iter();
-        let data_rxs: Vec<_> = back_rxs.by_ref().take(k).collect();
-        let prov_rxs: Vec<_> = back_rxs.by_ref().take(k).collect();
-        let m_rxs: Vec<_> = back_rxs.collect();
-        for (((&g, forward_tx), (data_rx, prov_rx)), metrics_rx) in shards
-            .iter()
-            .zip(forward_txs)
-            .zip(data_rxs.into_iter().zip(prov_rxs))
-            .zip(m_rxs)
-        {
-            let g = g as usize;
-            placements[g] = Some(splice_remote_shard::<
-                GeneaLog,
-                NodeReading,
-                NodeReading,
-                _,
-                _,
-            >(&template.group, total, forward_tx, data_rx));
-            links[g] = Some(ShardLinks {
+            SharedLink::over(RETURN_CHANNELS * k, NullSink, rx, Arc::clone(&back_stats));
+        let mut back_rxs = back_rxs
+            .into_iter()
+            .map(|rx| Box::new(rx) as Box<dyn FrameSource>);
+        for (&g, forward_tx) in shards.iter().zip(forward_txs) {
+            let links = ShardLinks {
                 forward: Arc::clone(&forward_stats),
                 back: Arc::clone(&back_stats),
-            });
-            provenance_links[g] = Some(Box::new(prov_rx) as Box<dyn FrameSource>);
-            metrics_rxs[g] = Some(Box::new(metrics_rx) as Box<dyn FrameSource>);
+            };
+            ends[g as usize] = Some((forward_tx, ReturnChannels::take(&mut back_rxs), links));
         }
     }
 
-    Ok(GlShardGroup {
-        placements: placements
-            .into_iter()
-            .map(|p| p.expect("partition checked"))
-            .collect(),
-        group: RemoteShardGroup::from_parts(
-            Vec::new(),
-            links
-                .into_iter()
-                .map(|l| l.expect("partition checked"))
-                .collect(),
-            Vec::new(),
-            metrics_rxs
-                .into_iter()
-                .map(|rx| rx.expect("partition checked"))
-                .collect(),
-        ),
-        provenance_links: provenance_links
-            .into_iter()
-            .map(|rx| rx.expect("partition checked"))
-            .collect(),
-    })
+    let mut group = RemoteShardGroup::default();
+    let placements = ends
+        .into_iter()
+        .map(|end| {
+            let (forward_tx, back, links) = end.expect("partition checked");
+            group.attach_shard(&template.group, total, forward_tx, back, links)
+        })
+        .collect();
+    Ok(GlShardGroup::from((placements, group)))
 }
 
 #[cfg(test)]

@@ -439,44 +439,25 @@ impl ShardTransport for TcpLoopbackTransport {
                 message: format!("{what} socket failed: {err}"),
             }
         };
-        let (forward_tx, forward_rx, forward_stats) =
-            TcpLink::pair(self.network).map_err(sockets("forward"))?;
+        let forward = TcpLink::pair(self.network).map_err(sockets("forward"))?;
         let (back_tx, back_rx, back_stats) =
             TcpLink::pair(self.network).map_err(sockets("return"))?;
-        let mut kill = self
-            .kill_return
-            .filter(|&(victim, _)| victim == shard)
-            .map(|(_, before_frame)| (back_tx.sever_handle(), before_frame));
+        let sever = back_tx.sever_handle();
         let (back_txs, back_rxs) =
             SharedLink::over(back_channels, back_tx, back_rx, Arc::clone(&back_stats));
-        let back_txs = back_txs
-            .into_iter()
-            .enumerate()
-            .map(|(channel, tx)| match (channel, kill.take()) {
-                // Channel 0 is the data stream: count its frames, cut the socket.
-                (0, Some((handle, sever_before))) => Box::new(SocketKiller {
-                    inner: tx,
-                    handle,
+        let mut wiring = ShardWiring::new(forward, (back_txs, back_rxs, back_stats));
+        if let Some((_, sever_before)) = self.kill_return.filter(|&(victim, _)| victim == shard) {
+            // Count the data stream's frames, cut the socket under every channel.
+            wiring.wrap_data_tx(|inner| {
+                Box::new(SocketKiller {
+                    inner,
+                    handle: sever,
                     sever_before,
                     sent: AtomicU64::new(0),
-                }) as Box<dyn FrameSink>,
-                (_, taken) => {
-                    kill = taken;
-                    Box::new(tx) as Box<dyn FrameSink>
-                }
-            })
-            .collect();
-        Ok(ShardWiring {
-            forward_tx: Box::new(forward_tx),
-            forward_rx: Box::new(forward_rx),
-            forward_stats,
-            back_txs,
-            back_rxs: back_rxs
-                .into_iter()
-                .map(|rx| Box::new(rx) as Box<dyn FrameSource>)
-                .collect(),
-            back_stats,
-        })
+                })
+            });
+        }
+        Ok(wiring)
     }
 }
 

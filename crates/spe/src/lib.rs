@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::runtime::{QueryHandle, QueryReport};
     pub use crate::state::{
         run_with_recovery, CheckpointConfig, CheckpointStore, InMemoryBackend, RecoveryConfig,
-        SerializingBackend, Snapshot, StateBackend,
+        Snapshot, StateBackend,
     };
     pub use crate::time::{Duration, Timestamp};
     pub use crate::tuple::{Element, GTuple, TupleData, TupleId};
@@ -92,7 +92,7 @@ pub use query::{Query, QueryConfig, StreamRef};
 pub use runtime::{QueryHandle, QueryReport};
 pub use state::{
     run_with_recovery, CheckpointConfig, CheckpointHandle, CheckpointStore, InMemoryBackend,
-    RecoveryConfig, SerializingBackend, Snapshot, StateBackend,
+    RecoveryConfig, Snapshot, StateBackend,
 };
 pub use time::{Duration, Timestamp};
 pub use tuple::{Element, GTuple, TupleData, TupleId};

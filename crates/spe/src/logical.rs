@@ -9,8 +9,8 @@
 //! time.
 //!
 //! Users therefore write each operator **exactly once** and attach optimizer hints
-//! as annotations, instead of picking between `aggregate` / `sharded_aggregate` /
-//! `sharded_aggregate_placed` variants:
+//! as annotations, instead of picking between single-instance, sharded and
+//! explicitly placed variants of each operator:
 //!
 //! ```rust
 //! use genealog_spe::logical::LogicalPlan;
@@ -43,9 +43,10 @@
 //! * [`LogicalStream::with`] — requested shard count of the producing stateful
 //!   operator ([`Parallelism::shards(n)`](Parallelism::shards)); without it the
 //!   planner uses [`PlannerConfig::parallelism`].
-//! * [`LogicalStream::place`] / [`LogicalStream::place_join`] — explicit per-shard
-//!   placements ([`ShardPlacement::Local`] or [`ShardPlacement::Remote`]); remote
-//!   routes come from the `genealog-distributed` shard-group helpers.
+//! * [`LogicalStream::place`] — explicit per-shard placements of an aggregate
+//!   ([`ShardPlacement::Local`] or [`ShardPlacement::Remote`]); remote routes come
+//!   from the `genealog-distributed` shard-group builder. Join shards always run
+//!   in-process.
 //! * [`LogicalStream::keyed`] — re-establishes the canonical merge key after a
 //!   payload-type-changing map, letting the map stay *inside* an open shard region
 //!   (the annotation equivalent of the deprecated `map_shards`).
@@ -72,7 +73,7 @@ use crate::operator::source::{SourceConfig, SourceGenerator};
 use crate::parallel::{KeyComparator, Parallelism};
 use crate::planner::{merge_cmp, AnalysisMode, Lowered, PlannerConfig};
 use crate::provenance::ProvenanceSystem;
-use crate::query::{JoinShardPlacement, Query, ShardPlacement, StreamRef};
+use crate::query::{Query, ShardPlacement, StreamRef};
 use crate::runtime::QueryHandle;
 use crate::time::Duration;
 use crate::tuple::{GTuple, TupleData};
@@ -383,9 +384,9 @@ impl<P: ProvenanceSystem> LogicalPlan<P> {
             sink(&mut q);
         }
         // Every annotation is *taken* by the lowering rule that honours it
-        // (`.with`/`.place` by aggregate and join, `.keyed` by a map). Whatever is
-        // still attached sat on a node no rule consults — reject it instead of
-        // silently dropping the user's hint.
+        // (`.with` by aggregate and join, `.place` by aggregate, `.keyed` by a map).
+        // Whatever is still attached sat on a node no rule consults — reject it
+        // instead of silently dropping the user's hint.
         {
             let state = self.shared.borrow();
             for node in &state.nodes {
@@ -401,8 +402,9 @@ impl<P: ProvenanceSystem> LogicalPlan<P> {
                 if let Some(annotation) = stray {
                     return Err(SpeError::InvalidQuery(format!(
                         "`.{annotation}(..)` annotation on `{}` ({}) has no effect there: \
-                         `.with`/`.place` apply to the stream returned by an aggregate or \
-                         join, `.keyed` to the map it should keep inside a shard region",
+                         `.with` applies to the stream returned by an aggregate or join, \
+                         `.place` to an aggregate's, `.keyed` to the map it should keep \
+                         inside a shard region",
                         node.name, node.label
                     )));
                 }
@@ -486,38 +488,15 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
         self
     }
 
-    /// Annotates the producing stateful operator with an explicit placement per
-    /// shard (`I` is the operator's *input* payload type). Overrides
-    /// [`LogicalStream::with`].
+    /// Annotates the producing aggregate with an explicit placement per shard (`I`
+    /// is the aggregate's *input* payload type). Overrides [`LogicalStream::with`].
+    /// Attached to any other operator — a join included, whose shards always run
+    /// in-process — the annotation is rejected at [`LogicalPlan::lower`] time.
     ///
     /// # Panics
     /// Panics if `placements` is empty. Lowering panics if `I` does not match the
-    /// operator's input type.
+    /// aggregate's input type.
     pub fn place<I: TupleData>(self, placements: Vec<ShardPlacement<P, I, T>>) -> Self {
-        assert!(!placements.is_empty(), "placements must not be empty");
-        let summary = (
-            placements.len(),
-            placements.iter().filter(|p| p.is_remote()).count(),
-        );
-        {
-            let mut state = self.shared.borrow_mut();
-            let node = &mut state.nodes[self.node];
-            node.placements = Some(Box::new(placements));
-            node.placement_summary = Some(summary);
-        }
-        self
-    }
-
-    /// The join counterpart of [`LogicalStream::place`] (`L`/`R` are the join's
-    /// input payload types).
-    ///
-    /// # Panics
-    /// Panics if `placements` is empty. Lowering panics if `L`/`R` do not match the
-    /// join's input types.
-    pub fn place_join<L: TupleData, R: TupleData>(
-        self,
-        placements: Vec<JoinShardPlacement<P, L, R, T>>,
-    ) -> Self {
         assert!(!placements.is_empty(), "placements must not be empty");
         let summary = (
             placements.len(),
@@ -768,38 +747,25 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
             build: Box::new(move |q| {
                 let left = left_build(q).seal(q);
                 let right = right_build(q).seal(q);
-                let (placements, default) = {
+                let instances = {
                     let mut state = shared.borrow_mut();
                     let config_default = state.config.parallelism;
-                    let node_state = &mut state.nodes[node];
                     // Annotations are taken, not read: whatever is still attached to
                     // a node after lowering was placed where no rule consumes it,
                     // and `lower()` rejects it.
-                    let default = node_state
+                    state.nodes[node]
                         .parallelism
                         .take()
                         .unwrap_or_default()
-                        .resolve(config_default);
-                    (node_state.placements.take(), default)
+                        .resolve(config_default)
                 };
-                let placements: Vec<JoinShardPlacement<P, T, R, O>> = match placements {
-                    Some(any) => *any
-                        .downcast::<Vec<JoinShardPlacement<P, T, R, O>>>()
-                        .unwrap_or_else(|_| {
-                            panic!(
-                                "placement annotation on `{owned}` has the wrong input/output types"
-                            )
-                        }),
-                    None if default <= 1 => {
-                        return Lowered::Stream(q.join(
-                            &owned, left, right, window, left_key, right_key, predicate, combine,
-                        ));
-                    }
-                    None => JoinShardPlacement::all_local(default),
-                };
+                if instances <= 1 {
+                    return Lowered::Stream(q.join(
+                        &owned, left, right, window, left_key, right_key, predicate, combine,
+                    ));
+                }
                 let streams = q.shard_join_streams(
-                    &owned, left, right, window, left_key, right_key, predicate, combine,
-                    placements,
+                    &owned, left, right, window, left_key, right_key, predicate, combine, instances,
                 );
                 Lowered::Shards {
                     group: owned.clone(),

@@ -76,7 +76,7 @@ use crate::operator::join::JoinOp;
 use crate::operator::map::MapStage;
 use crate::operator::{Operator, OperatorStats};
 use crate::provenance::{MetaData, ProvenanceSystem};
-use crate::query::{JoinShardPlacement, NodeKind, Query, ShardGroup, ShardPlacement, StreamRef};
+use crate::query::{NodeKind, Query, ShardGroup, ShardPlacement, StreamRef};
 use crate::time::Duration;
 use crate::tuple::{Element, GTuple, TupleData};
 use crate::window::WindowSpec;
@@ -600,22 +600,15 @@ impl<P: ProvenanceSystem> Query<P> {
     {
         let instances = parallelism.resolve(self.config().parallelism);
         let shards = self.shard_join_streams(
-            name,
-            left,
-            right,
-            window,
-            left_key,
-            right_key,
-            predicate,
-            combine,
-            JoinShardPlacement::all_local(instances),
+            name, left, right, window, left_key, right_key, predicate, combine, instances,
         );
         self.keyed_merge(&format!("{name}.merge"), shards, out_key)
     }
 
-    /// Lowering core of a placed sharded Join (see
-    /// [`Query::shard_aggregate_streams`]): both exchanges and the shard instances,
-    /// without the fan-in.
+    /// Lowering core of a sharded Join (see [`Query::shard_aggregate_streams`]):
+    /// both exchanges and `instances` local shard instances, without the fan-in.
+    /// Join shards always run in this process — no remote route exists for a
+    /// two-input shard.
     #[allow(clippy::too_many_arguments)] // the full join declaration in one place
     pub(crate) fn shard_join_streams<L, R, O, K, LK, RK, PR, CF>(
         &mut self,
@@ -627,7 +620,7 @@ impl<P: ProvenanceSystem> Query<P> {
         right_key: RK,
         predicate: PR,
         combine: CF,
-        placements: Vec<JoinShardPlacement<P, L, R, O>>,
+        instances: usize,
     ) -> Vec<StreamRef<O, P::Meta>>
     where
         L: TupleData,
@@ -639,43 +632,32 @@ impl<P: ProvenanceSystem> Query<P> {
         PR: FnMut(&L, &R) -> bool + Clone + Send + 'static,
         CF: FnMut(&L, &R) -> O + Clone + Send + 'static,
     {
-        assert!(
-            !placements.is_empty(),
-            "a sharded operator needs at least one shard placement"
-        );
-        let instances = placements.len();
+        assert!(instances > 0, "a sharded operator needs at least one shard");
         let lefts = self.partition(&format!("{name}.lx"), left, instances, left_key.clone());
         let rights = self.partition(&format!("{name}.rx"), right, instances, right_key.clone());
         let mut outs = Vec::with_capacity(instances);
-        for (i, ((l, r), placement)) in lefts.into_iter().zip(rights).zip(placements).enumerate() {
-            let mut stream = match placement {
-                JoinShardPlacement::Local => {
-                    let shard_name = format!("{name}[{i}]");
-                    let node = self.add_node(shard_name.clone(), NodeKind::ShardedJoin);
-                    self.set_shard_group(node, name, instances);
-                    let left_rx = self.attach_input(l, node);
-                    let right_rx = self.attach_input(r, node);
-                    let (slot, stream) = self.new_output_stream(node, format!("{shard_name}.out"));
-                    let op = JoinOp::new(
-                        shard_name,
-                        left_rx,
-                        right_rx,
-                        slot,
-                        window,
-                        left_key.clone(),
-                        right_key.clone(),
-                        predicate.clone(),
-                        combine.clone(),
-                        self.provenance().clone(),
-                        self.checkpoint_handle(),
-                    );
-                    self.set_operator(node, Box::new(op));
-                    stream
-                }
-                JoinShardPlacement::Remote(route) => route(self, i, l, r),
-            };
-            // Shard outputs feeding the fan-in are one logical edge, whether the
-            // shard ran in-process or on a remote instance.
+        for (i, (l, r)) in lefts.into_iter().zip(rights).enumerate() {
+            let shard_name = format!("{name}[{i}]");
+            let node = self.add_node(shard_name.clone(), NodeKind::ShardedJoin);
+            self.set_shard_group(node, name, instances);
+            let left_rx = self.attach_input(l, node);
+            let right_rx = self.attach_input(r, node);
+            let (slot, mut stream) = self.new_output_stream(node, format!("{shard_name}.out"));
+            let op = JoinOp::new(
+                shard_name,
+                left_rx,
+                right_rx,
+                slot,
+                window,
+                left_key.clone(),
+                right_key.clone(),
+                predicate.clone(),
+                combine.clone(),
+                self.provenance().clone(),
+                self.checkpoint_handle(),
+            );
+            self.set_operator(node, Box::new(op));
+            // Shard outputs feeding the fan-in are one logical edge.
             stream.capacity_share = instances;
             outs.push(stream);
         }

@@ -13,7 +13,7 @@
 //! * **Placement** — each shard placement is either local (an operator thread of this
 //!   SPE instance) or remote (spliced out through Send/Receive endpoints built by a
 //!   [`ShardPlacement::Remote`](crate::query::ShardPlacement) route, e.g. the
-//!   `remote_shard_group{,_gl}` helpers of the `genealog-distributed` crate).
+//!   `remote_shard_group_over` builder of the `genealog-distributed` crate).
 //! * **Fusion** — [`PlannerConfig::fusion`] is **on by default**: every eligible
 //!   stateless chain collapses into a single-thread fused pipeline, including the
 //!   per-shard chains of an open shard region. (The legacy

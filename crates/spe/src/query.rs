@@ -120,7 +120,7 @@ pub struct ShardGroup {
 /// process (an instrumented Send operator onto a link) and return the stream that
 /// comes back from the remote instance (a Receive operator on the return link). The
 /// `genealog-distributed` crate provides ready-made routes via its shard-group
-/// deployment helpers.
+/// builder.
 pub type RemoteRoute<P, I, O> = Box<
     dyn FnOnce(
         &mut Query<P>,
@@ -129,24 +129,13 @@ pub type RemoteRoute<P, I, O> = Box<
     ) -> StreamRef<O, <P as ProvenanceSystem>::Meta>,
 >;
 
-/// A [`RemoteRoute`] for a two-input (join) shard: the callback receives both
-/// partitioned sub-streams of the shard and returns the stream coming back from the
-/// remote instance.
-pub type RemoteJoinRoute<P, L, R, O> = Box<
-    dyn FnOnce(
-        &mut Query<P>,
-        usize,
-        StreamRef<L, <P as ProvenanceSystem>::Meta>,
-        StreamRef<R, <P as ProvenanceSystem>::Meta>,
-    ) -> StreamRef<O, <P as ProvenanceSystem>::Meta>,
->;
-
 /// Where one shard instance of a key-partitioned operator executes.
 ///
-/// [`Query::sharded_aggregate_placed`](crate::parallel) takes one placement per
-/// shard: `Local` shards run as threads of the originating SPE instance (the
-/// behaviour of [`Query::sharded_aggregate`](crate::parallel)); `Remote` shards are
-/// spliced out to another SPE instance through a [`RemoteRoute`]. The Partition
+/// [`LogicalStream::place`](crate::logical::LogicalStream::place) takes one
+/// placement per shard of a sharded aggregate: `Local` shards run as threads of the
+/// originating SPE instance (the behaviour of
+/// [`Query::sharded_aggregate`](crate::parallel)); `Remote` shards are spliced out
+/// to another SPE instance through a [`RemoteRoute`]. The Partition
 /// exchange, the provenance-safe fan-in and the joint channel budgeting are identical
 /// for both, so local and remote shards can be mixed freely within one group.
 pub enum ShardPlacement<P: ProvenanceSystem, I, O> {
@@ -184,52 +173,6 @@ impl<P: ProvenanceSystem, I, O> std::fmt::Debug for ShardPlacement<P, I, O> {
         match self {
             ShardPlacement::Local => f.write_str("Local"),
             ShardPlacement::Remote(_) => f.write_str("Remote(..)"),
-        }
-    }
-}
-
-/// Where one shard instance of a key-partitioned *join* executes (see
-/// [`ShardPlacement`]; a join shard consumes two partitioned sub-streams).
-pub enum JoinShardPlacement<P: ProvenanceSystem, L, R, O> {
-    /// The shard runs in this process, as its own operator thread.
-    Local,
-    /// The shard runs on another SPE instance reached through the given route.
-    Remote(RemoteJoinRoute<P, L, R, O>),
-}
-
-impl<P: ProvenanceSystem, L, R, O> JoinShardPlacement<P, L, R, O> {
-    /// `instances` local placements, clamped to at least one.
-    pub fn all_local(instances: usize) -> Vec<Self> {
-        (0..instances.max(1))
-            .map(|_| JoinShardPlacement::Local)
-            .collect()
-    }
-
-    /// Wraps a route callback as a remote placement.
-    pub fn remote<F>(route: F) -> Self
-    where
-        F: FnOnce(
-                &mut Query<P>,
-                usize,
-                StreamRef<L, P::Meta>,
-                StreamRef<R, P::Meta>,
-            ) -> StreamRef<O, P::Meta>
-            + 'static,
-    {
-        JoinShardPlacement::Remote(Box::new(route))
-    }
-
-    /// True for remote placements.
-    pub fn is_remote(&self) -> bool {
-        matches!(self, JoinShardPlacement::Remote(_))
-    }
-}
-
-impl<P: ProvenanceSystem, L, R, O> std::fmt::Debug for JoinShardPlacement<P, L, R, O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JoinShardPlacement::Local => f.write_str("Local"),
-            JoinShardPlacement::Remote(_) => f.write_str("Remote(..)"),
         }
     }
 }

@@ -138,7 +138,7 @@ impl QueryReport {
     /// Folds the per-instance reports of a distributed deployment into one report.
     ///
     /// Operators sharing a name across instances are shard instances of the same
-    /// logical operator (the shard-group deployment helpers name every remote
+    /// logical operator (the shard-group builder names every remote
     /// instance's operators identically): their counters are summed and their
     /// `instances` counts added, so a shard group spanning SPE instances reports
     /// exactly like a local shard group — one [`OperatorReport`] with an `instances`

@@ -21,10 +21,10 @@
 //!    to a fault-free run.
 //!
 //! The [`StateBackend`] trait hides where snapshots live: [`InMemoryBackend`] keeps
-//! them as cheap `Arc` clones, [`SerializingBackend`] additionally accounts for the
-//! serialised footprint of byte-encoded snapshots (source offsets, sink prefixes).
-//! Graph-slice snapshots are process-local by design — the `N`/`U` pointers are
-//! reference-counted pointers, not serialisable ids — which matches the paper's
+//! them as cheap `Arc` clones, the log-structured file backend of `genealog-store`
+//! writes byte-encoded snapshots (source offsets, sink prefixes, persisted windows)
+//! to disk. Graph-slice snapshots are process-local by design — the `N`/`U` pointers
+//! are reference-counted pointers, not serialisable ids — which matches the paper's
 //! single-process-per-instance deployment model.
 
 use std::any::Any;
@@ -130,20 +130,19 @@ pub trait StateBackend: fmt::Debug + Send + Sync {
 
     /// Cumulative serialised bytes written since creation. Backends that do not
     /// track writes separately report their current footprint (writes minus
-    /// whatever [`StateBackend::remove_after`] discarded);
-    /// [`SerializingBackend`] overrides this with its true write counter.
+    /// whatever [`StateBackend::remove_after`] discarded).
     fn bytes_written(&self) -> u64 {
         self.serialized_bytes() as u64
     }
 
     /// Notifies the backend that `epoch` is complete across every registered
     /// participant. Durable backends persist this in their manifest so a restarted
-    /// process knows which epochs form a usable cut; the in-memory backends ignore
+    /// process knows which epochs form a usable cut; the in-memory backend ignores
     /// it.
     fn note_complete_epoch(&self, _epoch: u64) {}
 
     /// Whether snapshots survive the death of this process. `false` for the
-    /// in-memory backends; the log-structured file backend (`genealog-store`)
+    /// in-memory backend; the log-structured file backend (`genealog-store`)
     /// overrides this — the analyzer's GL014 diagnostic keys off it.
     fn is_durable(&self) -> bool {
         false
@@ -197,74 +196,6 @@ impl StateBackend for InMemoryBackend {
             .values()
             .map(Snapshot::serialized_len)
             .sum()
-    }
-}
-
-/// A backend that stores byte snapshots as owned serialised copies (simulating a
-/// durable store) and keeps graph-slice snapshots inline.
-///
-/// Byte snapshots are copied on commit and on restore, so a restore never aliases
-/// the committing run's buffers; the backend additionally tracks the cumulative
-/// number of bytes written, which the benchmarks use to report checkpoint overhead.
-/// Inline snapshots (the provenance graph slices) cannot cross a process boundary —
-/// a documented limitation shared with the paper's in-process provenance graph.
-#[derive(Debug, Default)]
-pub struct SerializingBackend {
-    inner: InMemoryBackend,
-    bytes_written: Mutex<u64>,
-}
-
-impl SerializingBackend {
-    /// Creates an empty serialising backend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cumulative number of serialised bytes written since creation (not reduced by
-    /// [`StateBackend::remove_after`]).
-    pub fn bytes_written(&self) -> u64 {
-        *self.bytes_written.lock()
-    }
-}
-
-impl StateBackend for SerializingBackend {
-    fn name(&self) -> &'static str {
-        "serializing"
-    }
-
-    fn put(&self, participant: &str, epoch: u64, snapshot: Snapshot) {
-        let snapshot = match snapshot {
-            // An owned copy stands in for the write to a durable store.
-            Snapshot::Bytes(b) => {
-                *self.bytes_written.lock() += b.len() as u64;
-                Snapshot::Bytes(b.clone())
-            }
-            inline => inline,
-        };
-        self.inner.put(participant, epoch, snapshot);
-    }
-
-    fn get(&self, participant: &str, epoch: u64) -> Option<Snapshot> {
-        self.inner.get(participant, epoch).map(|s| match s {
-            Snapshot::Bytes(b) => Snapshot::Bytes(b.clone()),
-            inline => inline,
-        })
-    }
-
-    fn remove_after(&self, epoch: u64) {
-        self.inner.remove_after(epoch);
-    }
-
-    fn snapshot_count(&self) -> usize {
-        self.inner.snapshot_count()
-    }
-
-    fn serialized_bytes(&self) -> usize {
-        self.inner.serialized_bytes()
-    }
-
-    fn bytes_written(&self) -> u64 {
-        SerializingBackend::bytes_written(self)
     }
 }
 
@@ -487,8 +418,8 @@ pub struct CheckpointConfig {
     pub interval: u64,
     /// The deployment-wide checkpoint store.
     pub store: Arc<CheckpointStore>,
-    /// Retry/backoff policy [`run_with_recovery`] applies when driven through
-    /// this configuration (see [`run_config_with_recovery`]).
+    /// Retry/backoff policy for drivers that hand this configuration's store to
+    /// [`run_with_recovery`].
     pub recovery: RecoveryConfig,
     /// Type-erased window persisters, keyed by the `TypeId` of the concrete
     /// `WindowStoreSnapshot<K, T, M>` they encode. Aggregate operators look
@@ -642,22 +573,6 @@ where
     })
 }
 
-/// [`run_with_recovery`] driven entirely by a [`CheckpointConfig`]: the store
-/// and the retry/backoff policy both come from the configuration, so callers
-/// tune recovery in one place.
-///
-/// # Errors
-/// Same as [`run_with_recovery`].
-pub fn run_config_with_recovery<R, F>(
-    config: &CheckpointConfig,
-    build: F,
-) -> Result<(QueryReport, R), SpeError>
-where
-    F: FnMut(usize) -> Result<(QueryHandle, R), SpeError>,
-{
-    run_with_recovery(&config.store, config.recovery, build)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -722,25 +637,6 @@ mod tests {
         assert_eq!(store.begin_recovery(), None);
         assert_eq!(store.restore_epoch(), None);
         assert!(store.restore_snapshot("src").is_none());
-    }
-
-    #[test]
-    fn serializing_backend_accounts_for_bytes() {
-        let backend = SerializingBackend::new();
-        backend.put("src", 0, Snapshot::u64(1));
-        backend.put("src", 1, Snapshot::u64(2));
-        backend.put("agg", 0, Snapshot::inline(7i64));
-        assert_eq!(backend.bytes_written(), 16);
-        assert_eq!(backend.serialized_bytes(), 16);
-        assert_eq!(backend.snapshot_count(), 3);
-        backend.remove_after(0);
-        assert_eq!(backend.snapshot_count(), 2);
-        // Cumulative write counter is monotone.
-        assert_eq!(backend.bytes_written(), 16);
-        assert_eq!(
-            backend.get("agg", 0).unwrap().downcast::<i64>().map(|v| *v),
-            Some(7)
-        );
     }
 
     #[test]

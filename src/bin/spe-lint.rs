@@ -4,7 +4,7 @@
 //!
 //! * `spe-lint src [ROOT]` — textual source checks over every `.rs` file under
 //!   `ROOT/crates` (default `.`): no direct standard-stream printing outside the
-//!   `quick_bench` harness, `genealog_*` metric naming.
+//!   `crates/bench` figure benches, `genealog_*` metric naming.
 //! * `spe-lint plans [--deny-warnings]` — runs the deploy-time plan analyzer
 //!   over the example-mirror suite (`genealog_repro::plans`) and prints each
 //!   report; error-severity findings fail the run (`-D` semantics), warnings

@@ -6,7 +6,7 @@
 //! becomes the multiplexed data/provenance/metrics link for every shard the
 //! node hosts (see `genealog_distributed::node`). The origin side is
 //! `connect_gl_node_group`, which returns the same shard-group handle the
-//! in-process builders produce.
+//! in-process builder produces.
 //!
 //! ```text
 //! spe-node --listen ADDR [--control ADDR] [--once] [--ready-file PATH]
@@ -39,7 +39,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use genealog_control::ControlPlane;
-use genealog_distributed::{run_node_with_state, NetworkConfig, NodeStores};
+use genealog_distributed::{run_node, NetworkConfig, NodeStores};
 use genealog_metrics::MetricsRegistry;
 
 /// Minimal libc-free POSIX signal binding: `signal(2)` with a plain handler.
@@ -173,7 +173,7 @@ fn run(args: &Args) -> Result<(), String> {
     }
 
     let max = args.once.then_some(1);
-    let result = run_node_with_state(
+    let result = run_node(
         listener,
         &registry,
         NetworkConfig::unlimited(),

@@ -17,7 +17,9 @@ use std::net::{SocketAddr, TcpStream};
 
 use genealog::prelude::*;
 use genealog_control::ControlPlane;
-use genealog_distributed::deployment::{logical_shard_provenance_sink, remote_shard_group_gl};
+use genealog_distributed::deployment::{
+    logical_shard_provenance_sink, remote_shard_group_gl_over, SimulatedTransport,
+};
 use genealog_distributed::NetworkConfig;
 use genealog_spe::operator::aggregate::WindowView;
 use genealog_spe::query::{QueryConfig, ShardPlacement};
@@ -90,11 +92,11 @@ fn oracle() -> Vec<(Reading, BTreeSet<(u64, i64)>)> {
 fn control_endpoint_serves_live_metrics_and_provenance_of_a_spanning_query() {
     // Shards 1 and 2 of the aggregate run on remote SPE instances; shard 0 stays
     // local. The remote instances' registries stream back over the shared links.
-    let shards = remote_shard_group_gl::<Reading, Reading, _>(
+    let shards = remote_shard_group_gl_over::<Reading, Reading, _>(
         "sum",
         2,
         1,
-        NetworkConfig::unlimited(),
+        &SimulatedTransport::new(NetworkConfig::unlimited()),
         QueryConfig::default(),
         move |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, sum_window),
     )

@@ -18,8 +18,8 @@ use proptest::prelude::*;
 
 use genealog::prelude::*;
 use genealog_distributed::deployment::{
-    instances_dot, logical_shard_provenance_sink, remote_shard_group, remote_shard_group_gl_over,
-    ShardTransport, SimulatedTransport,
+    instances_dot, logical_shard_provenance_sink, remote_shard_group_gl_over,
+    remote_shard_group_over, ShardTransport, SimulatedTransport,
 };
 use genealog_distributed::{NetworkConfig, TcpLoopbackTransport};
 use genealog_spe::logical::LogicalPlan;
@@ -296,10 +296,10 @@ fn np_remote_shards_match_plain_aggregate() {
     assert!(!plain.is_empty());
 
     for instances in [1usize, 2, 4] {
-        let (placements, group) = remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
+        let (placements, group) = remote_shard_group_over::<NoProvenance, Reading, Reading, _, _>(
             "sum",
             instances,
-            NetworkConfig::unlimited(),
+            &SimulatedTransport::new(NetworkConfig::unlimited()),
             QueryConfig::default(),
             |_| NoProvenance,
             move |rq, _i, input| rq.aggregate("sum", input, spec, sum_key, agg),
@@ -357,10 +357,10 @@ fn mixed_local_and_remote_shards_are_equivalent() {
     // Shard 1 of 3 runs remotely, shards 0 and 2 stay local. The remote group is
     // built with a single instance whose shard index within the group is 1.
     let (mut remote_placements, group) =
-        remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
+        remote_shard_group_over::<NoProvenance, Reading, Reading, _, _>(
             "sum",
             1,
-            NetworkConfig::unlimited(),
+            &SimulatedTransport::new(NetworkConfig::unlimited()),
             QueryConfig::default(),
             |_| NoProvenance,
             move |rq, _i, input| rq.aggregate("sum", input, spec, sum_key, agg),
@@ -386,10 +386,10 @@ fn remote_shard_edges_share_the_edge_budget() {
     let spec = WindowSpec::tumbling(Duration::from_secs(4)).unwrap();
     let agg = |w: &WindowView<'_, Key, Reading, ()>| (*w.key, w.len() as i64);
     for n in [1usize, 2, 4] {
-        let (placements, group) = remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
+        let (placements, group) = remote_shard_group_over::<NoProvenance, Reading, Reading, _, _>(
             "agg",
             n,
-            NetworkConfig::unlimited(),
+            &SimulatedTransport::new(NetworkConfig::unlimited()),
             config,
             |_| NoProvenance,
             move |rq, _i, input| rq.aggregate("agg", input, spec, sum_key, agg),
@@ -442,10 +442,10 @@ fn remote_shard_edges_share_the_edge_budget() {
 fn distributed_shard_group_reports_fold_into_one_operator() {
     let spec = WindowSpec::tumbling(Duration::from_secs(10)).unwrap();
     let agg = |w: &WindowView<'_, Key, Reading, ()>| (*w.key, w.len() as i64);
-    let (placements, group) = remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
+    let (placements, group) = remote_shard_group_over::<NoProvenance, Reading, Reading, _, _>(
         "agg",
         3,
-        NetworkConfig::unlimited(),
+        &SimulatedTransport::new(NetworkConfig::unlimited()),
         QueryConfig::default(),
         |_| NoProvenance,
         move |rq, _i, input| rq.aggregate("agg", input, spec, sum_key, agg),

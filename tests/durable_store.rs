@@ -10,7 +10,7 @@
 //!   counts.
 //! * **Write amplification.** On an append-heavy windowed workload the
 //!   incremental store must write strictly fewer bytes than the full store —
-//!   the BENCH_PR10 claim, asserted here deterministically.
+//!   the store's write-amplification claim, asserted here deterministically.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};

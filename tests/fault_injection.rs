@@ -24,10 +24,12 @@ use proptest::prelude::*;
 
 use genealog::prelude::*;
 use genealog_distributed::deployment::{
-    logical_shard_provenance_sink, remote_shard_group_gl_with_faults,
-    remote_shard_group_gl_with_faults_over,
+    logical_shard_provenance_sink, remote_shard_group_over, GlShardGroup, ShardTransport,
+    SimulatedTransport,
 };
-use genealog_distributed::{FaultPlan, LinkFaults, NetworkConfig, OneShot, TcpLoopbackTransport};
+use genealog_distributed::{
+    FaultPlan, FaultyTransport, LinkFaults, NetworkConfig, OneShot, TcpLoopbackTransport,
+};
 use genealog_spe::operator::aggregate::WindowView;
 use genealog_spe::parallel::Parallelism;
 use genealog_spe::query::{QueryConfig, ShardPlacement};
@@ -163,22 +165,58 @@ fn run_local(
 }
 
 // ---------------------------------------------------------------------------
-// Scenario B: a remote shard's return link is severed mid-stream
+// Scenarios B and C: a remote shard's return link fails mid-stream
 // ---------------------------------------------------------------------------
 
+/// The shard transport of one recovery attempt. Links — sockets above all — cannot
+/// outlive a failed attempt, so every attempt builds its transport afresh; faults
+/// are armed on the first attempt only, the rebuilt one models the re-established
+/// link and must run clean.
+type TransportForAttempt<'a> = &'a dyn Fn(usize) -> Box<dyn ShardTransport>;
+
+/// **Scenario B.** Links built by `inner` with `fault`'s frame faults (drop, sever,
+/// ...) armed on shard 0's return-link data channel: the origin's ingress observes
+/// a close without the end-of-stream marker (or a sequence gap), fences the store
+/// and fails the query.
+fn with_link_faults<'a, T: ShardTransport + 'static>(
+    inner: impl Fn() -> T + 'a,
+    fault: &'a FaultPlan,
+) -> impl Fn(usize) -> Box<dyn ShardTransport> + 'a {
+    move |attempt| {
+        Box::new(FaultyTransport::new(
+            inner(),
+            0,
+            fault.link_faults_for_attempt(attempt),
+        ))
+    }
+}
+
+/// **Scenario C.** Real loopback sockets under the links. `kill` severs shard 0's
+/// return *socket* — `shutdown(2)` mid-stream, no goodbye sentinel, exactly what a
+/// crashed peer or yanked cable looks like to the origin — before its `kill`-th
+/// data frame. The origin's ingress observes the dropped connection as a
+/// link-severed close (the socket equivalent of `FaultPlan::sever`).
+fn tcp_with_socket_kill(kill: Option<u64>) -> impl Fn(usize) -> Box<dyn ShardTransport> {
+    move |attempt| {
+        let transport = TcpLoopbackTransport::new(NetworkConfig::unlimited());
+        Box::new(match (kill, attempt) {
+            (Some(before_frame), 0) => transport.with_return_kill(0, before_frame),
+            _ => transport,
+        })
+    }
+}
+
 /// Runs the distributed plan — every shard of the aggregate on its own remote SPE
-/// instance — under GeneaLog with a deployment-global checkpoint store shared by
-/// the origin and every remote engine. `fault` (applied to shard 0's return-link
-/// data channel, first attempt only) severs the link mid-stream: the origin's
-/// ingress observes a close without the end-of-stream marker, fences the store and
-/// fails the query; the rebuilt attempt re-establishes fresh links, restores the
-/// remote window state from the shared store and replays.
+/// instance, reached over `transport_for(attempt)` — under GeneaLog with a
+/// deployment-global checkpoint store shared by the origin and every remote engine.
+/// When the transport fails a link mid-stream the attempt fails; the rebuilt
+/// attempt re-establishes fresh links, restores the remote window state from the
+/// shared store and replays.
 fn run_remote(
     reports: &[(Timestamp, Reading)],
     instances: usize,
     fusion: bool,
-    fault: &FaultPlan,
-    network: NetworkConfig,
+    transport_for: TransportForAttempt<'_>,
 ) -> Run {
     let store = CheckpointStore::in_memory();
     // Long-lived provenance systems (origin = instance 0, remotes = 1..=instances):
@@ -192,22 +230,14 @@ fn run_remote(
 
     let (_, (sink, provenance, group)) =
         run_with_recovery(&store, RecoveryConfig::default(), |attempt| {
-            let link_faults = fault.link_faults_for_attempt(attempt);
             let store_remote = Arc::clone(&store);
             let remote_systems = remote_systems.clone();
-            let shards = remote_shard_group_gl_with_faults::<Reading, Reading, _, _, _>(
+            let shards = GlShardGroup::from(remote_shard_group_over::<_, Reading, Reading, _, _>(
                 "sum",
                 instances,
-                move |i| remote_systems[i].clone(),
-                network,
+                &*transport_for(attempt),
                 QueryConfig::default(),
-                move |i| {
-                    if i == 0 {
-                        link_faults.clone()
-                    } else {
-                        LinkFaults::none()
-                    }
-                },
+                move |i| remote_systems[i].clone(),
                 move |rq, i, input| {
                     // Every remote engine joins the deployment-global checkpoint
                     // protocol; shard operators need per-instance participant
@@ -221,7 +251,7 @@ fn run_remote(
                         sum_window,
                     )
                 },
-            )?;
+            )?);
 
             let plan = GlPlan::with_config(
                 origin_system.clone(),
@@ -244,105 +274,6 @@ fn run_remote(
         })
         .expect("recovery must succeed within the attempt budget");
     // The winning attempt's remote engines drain clean.
-    group.wait().expect("winning attempt's remote instances");
-
-    let tuples = canonical_tuples(&sink);
-    let mut lineage: Vec<Lineage> = provenance
-        .records()
-        .iter()
-        .map(|r| {
-            let key = (r.sink_ts.as_millis(), format!("{:?}", r.sink_data));
-            let sources: BTreeSet<SinkTuple> = r
-                .sources
-                .iter()
-                .map(|s| (s.ts.as_millis(), format!("{:?}", s.data)))
-                .collect();
-            (key, sources)
-        })
-        .collect();
-    lineage.sort();
-    let recoveries = store.recoveries();
-    Run {
-        tuples,
-        lineage,
-        recoveries,
-        fault_fired: recoveries > 0,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scenario C: a real TCP socket dies mid-epoch
-// ---------------------------------------------------------------------------
-
-/// [`run_remote`] with real loopback sockets under the links. `kill` severs shard
-/// 0's return *socket* — `shutdown(2)` mid-stream, no goodbye sentinel, exactly
-/// what a crashed peer or yanked cable looks like to the origin — before its
-/// `kill`-th data frame, on the first attempt only. The origin's ingress observes
-/// the dropped connection as a link-severed close (the socket equivalent of
-/// `FaultPlan::sever`), fences the store and fails the attempt; the rebuild dials
-/// fresh sockets, restores from the latest complete epoch and replays.
-fn run_remote_tcp(
-    reports: &[(Timestamp, Reading)],
-    instances: usize,
-    fusion: bool,
-    kill: Option<u64>,
-) -> Run {
-    let store = CheckpointStore::in_memory();
-    let origin_system = GeneaLog::for_instance(0);
-    let remote_systems: Vec<GeneaLog> = (0..instances)
-        .map(|i| GeneaLog::for_instance(1 + i as u32))
-        .collect();
-
-    let (_, (sink, provenance, group)) =
-        run_with_recovery(&store, RecoveryConfig::default(), |attempt| {
-            // Sockets cannot outlive a failed attempt: each rebuild listens and
-            // dials afresh, so the transport is constructed per attempt, armed
-            // only on the first.
-            let mut transport = TcpLoopbackTransport::new(NetworkConfig::unlimited());
-            if let (Some(before_frame), 0) = (kill, attempt) {
-                transport = transport.with_return_kill(0, before_frame);
-            }
-            let store_remote = Arc::clone(&store);
-            let remote_systems = remote_systems.clone();
-            let shards = remote_shard_group_gl_with_faults_over::<Reading, Reading, _, _, _>(
-                "sum",
-                instances,
-                move |i| remote_systems[i].clone(),
-                &transport,
-                QueryConfig::default(),
-                |_| LinkFaults::none(),
-                move |rq, i, input| {
-                    rq.set_checkpoints(CheckpointConfig::new(INTERVAL, Arc::clone(&store_remote)));
-                    rq.aggregate(
-                        &format!("sum[{i}]"),
-                        input,
-                        window_spec(),
-                        sum_key,
-                        sum_window,
-                    )
-                },
-            )?;
-
-            let plan = GlPlan::with_config(
-                origin_system.clone(),
-                PlannerConfig::default()
-                    .with_fusion(fusion)
-                    .with_checkpoints(CheckpointConfig::new(INTERVAL, Arc::clone(&store))),
-            );
-            let sums = plan
-                .source("readings", VecSource::new(reports.to_vec()))
-                .aggregate("sum", window_spec(), sum_key, sum_window, |o: &Reading| o.0)
-                .place(shards.placements);
-            let (out, provenance) = logical_shard_provenance_sink::<Reading, Reading, _>(
-                sums,
-                "prov",
-                shards.provenance_links,
-                Duration::from_hours(24),
-            );
-            let sink = out.collecting_sink("sink");
-            Ok((plan.deploy()?, (sink, provenance, shards.group)))
-        })
-        .expect("recovery must succeed within the attempt budget");
     group.wait().expect("winning attempt's remote instances");
 
     let tuples = canonical_tuples(&sink);
@@ -524,15 +455,16 @@ proptest! {
         sever_at in 1u64..5,
     ) {
         let fault = FaultPlan::with_link_faults(LinkFaults::none().severing_before(sever_at));
+        let healthy = FaultPlan::default();
+        let simulated = || SimulatedTransport::new(NetworkConfig::unlimited());
         for instances in [1usize, 2, 4] {
             for fusion in [true, false] {
                 let clean = run_remote(
-                    &reports, instances, fusion, &FaultPlan::default(),
-                    NetworkConfig::unlimited(),
+                    &reports, instances, fusion, &with_link_faults(simulated, &healthy),
                 );
                 prop_assert_eq!(clean.recoveries, 0);
                 let recovered = run_remote(
-                    &reports, instances, fusion, &fault, NetworkConfig::unlimited(),
+                    &reports, instances, fusion, &with_link_faults(simulated, &fault),
                 );
                 prop_assert_eq!(&clean.tuples, &recovered.tuples);
                 prop_assert_eq!(&clean.lineage, &recovered.lineage);
@@ -555,15 +487,59 @@ fn severed_tcp_socket_mid_epoch_recovers_byte_identically() {
         .map(|i| (Timestamp::from_secs(i), ((i % 3) as Key, i as i64 - 10)))
         .collect();
     for instances in [1usize, 2] {
-        let clean = run_remote_tcp(&reports, instances, true, None);
+        let clean = run_remote(&reports, instances, true, &tcp_with_socket_kill(None));
         assert_eq!(clean.recoveries, 0, "fault-free TCP run must not recover");
-        let recovered = run_remote_tcp(&reports, instances, true, Some(2));
+        let recovered = run_remote(&reports, instances, true, &tcp_with_socket_kill(Some(2)));
         assert!(
             recovered.fault_fired,
             "the socket shutdown must push the run through recovery"
         );
         assert_eq!(clean.tuples, recovered.tuples);
         assert_eq!(clean.lineage, recovered.lineage);
+    }
+}
+
+/// **Frame faults compose over a real socket.** The same decorator that arms link
+/// faults over simulated links wraps the loopback-TCP transport: a data frame of
+/// shard 0 dropped above the socket (a sequence gap at the origin's ingress) and the
+/// data channel severed above it (a mid-stream close while the socket itself stays
+/// up for the sibling channels) must both push the run through recovery and yield
+/// the identical sink bytes and stitched GeneaLog contribution sets as the
+/// fault-free TCP run.
+#[test]
+fn link_faults_over_tcp_recover_byte_identically() {
+    let reports: Vec<(Timestamp, Reading)> = (0..28u64)
+        .map(|i| (Timestamp::from_secs(i), ((i % 3) as Key, i as i64 - 10)))
+        .collect();
+    let sockets = || TcpLoopbackTransport::new(NetworkConfig::unlimited());
+    let healthy = FaultPlan::default();
+    for instances in [1usize, 2] {
+        let clean = run_remote(
+            &reports,
+            instances,
+            true,
+            &with_link_faults(sockets, &healthy),
+        );
+        assert_eq!(clean.recoveries, 0, "fault-free TCP run must not recover");
+        for faults in [
+            LinkFaults::none().dropping([1]),
+            LinkFaults::none().severing_before(2),
+        ] {
+            let fault = FaultPlan::with_link_faults(faults);
+            let recovered = run_remote(
+                &reports,
+                instances,
+                true,
+                &with_link_faults(sockets, &fault),
+            );
+            assert!(
+                recovered.fault_fired,
+                "{:?} must push the run through recovery",
+                fault.link
+            );
+            assert_eq!(clean.tuples, recovered.tuples);
+            assert_eq!(clean.lineage, recovered.lineage);
+        }
     }
 }
 
@@ -585,8 +561,14 @@ fn bounded_links_with_replay_do_not_deadlock() {
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let clean = run_remote(&reports, 2, true, &FaultPlan::default(), bounded);
-        let recovered = run_remote(&reports, 2, true, &fault, bounded);
+        let links = || SimulatedTransport::new(bounded);
+        let clean = run_remote(
+            &reports,
+            2,
+            true,
+            &with_link_faults(links, &FaultPlan::default()),
+        );
+        let recovered = run_remote(&reports, 2, true, &with_link_faults(links, &fault));
         done_tx.send((clean, recovered)).ok();
     });
     let (clean, recovered) = done_rx

@@ -5,7 +5,7 @@
 //!
 //! * shard counts 1, 2 and 4 (annotation `.with(Parallelism::shards(n))`),
 //! * local, remote and mixed shard placements (annotation `.place(..)` fed by the
-//!   `remote_shard_group{,_gl}` helpers),
+//!   `remote_shard_group_over` / `remote_shard_group_gl_over` builders),
 //! * fusion on (the planner default) and off.
 //!
 //! The per-stage counters of fused chains must also survive in reports
@@ -17,7 +17,8 @@ use proptest::prelude::*;
 
 use genealog::prelude::*;
 use genealog_distributed::deployment::{
-    logical_shard_provenance_sink, remote_shard_group, remote_shard_group_gl,
+    logical_shard_provenance_sink, remote_shard_group_gl_over, remote_shard_group_over,
+    SimulatedTransport,
 };
 use genealog_distributed::NetworkConfig;
 use genealog_spe::logical::LogicalPlan;
@@ -190,11 +191,11 @@ fn new_gl_remote(
     reports: &[(Timestamp, Reading)],
     instances: usize,
 ) -> (Vec<SinkTuple>, Vec<Lineage>) {
-    let group = remote_shard_group_gl::<Reading, Reading, _>(
+    let group = remote_shard_group_gl_over::<Reading, Reading, _>(
         "sum",
         instances,
         1, // remote instances use GeneaLog id namespaces 1..=instances
-        NetworkConfig::unlimited(),
+        &SimulatedTransport::new(NetworkConfig::unlimited()),
         QueryConfig::default(),
         move |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, sum_window),
     )
@@ -313,10 +314,10 @@ fn np_remote_and_mixed_placements_equal_local() {
     let reference = legacy_np_plain(&reports);
 
     for instances in [1usize, 2, 4] {
-        let (placements, group) = remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
+        let (placements, group) = remote_shard_group_over::<NoProvenance, Reading, Reading, _, _>(
             "sum",
             instances,
-            NetworkConfig::unlimited(),
+            &SimulatedTransport::new(NetworkConfig::unlimited()),
             QueryConfig::default(),
             |_| NoProvenance,
             move |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, sum_window),
@@ -332,10 +333,10 @@ fn np_remote_and_mixed_placements_equal_local() {
 
     // Shard 1 of 3 remote, 0 and 2 local — mixed groups lower identically too.
     let (mut remote_placements, group) =
-        remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
+        remote_shard_group_over::<NoProvenance, Reading, Reading, _, _>(
             "sum",
             1,
-            NetworkConfig::unlimited(),
+            &SimulatedTransport::new(NetworkConfig::unlimited()),
             QueryConfig::default(),
             |_| NoProvenance,
             move |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, sum_window),

@@ -19,13 +19,18 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use genealog::prelude::*;
-use genealog_distributed::deployment::logical_shard_provenance_sink;
+use genealog_distributed::deployment::{
+    logical_shard_provenance_sink, remote_shard_group_gl_over, GlShardGroup, SimulatedTransport,
+};
 use genealog_distributed::{
-    connect_gl_node_group, run_node, NetworkConfig, NodeDeployment, NodeReading, ShardOpSpec,
+    connect_gl_node_group, run_node, serve_node_connection, NetworkConfig, NodeDeployment,
+    NodeReading, NodeStores, ShardOpSpec,
 };
 use genealog_metrics::MetricsRegistry;
 use genealog_spe::operator::aggregate::WindowView;
 use genealog_spe::parallel::Parallelism;
+use genealog_spe::query::QueryConfig;
+use genealog_spe::runtime::QueryReport;
 use genealog_spe::state::{run_with_recovery, CheckpointConfig, CheckpointStore, RecoveryConfig};
 use genealog_spe::PlannerConfig;
 use genealog_store::{DurableBackend, StoreOptions};
@@ -132,6 +137,8 @@ fn spawn_node() -> Node {
             &node_registry,
             NetworkConfig::unlimited(),
             Some(1),
+            None,
+            &NodeStores::new(),
         )
     });
     Node {
@@ -232,6 +239,97 @@ fn two_nodes_hosting_one_shard_group_match_the_local_oracle() {
             "a node's registry must mirror exactly the shards it hosted"
         );
     }
+}
+
+/// **In-process and node-hosted shards cannot drift.** The same
+/// `ShardOpSpec::SumAggregate` plan deployed once through the in-process builder
+/// and once onto a node (an in-process `serve_node_connection` thread) must yield
+/// equal sink bytes, equal contribution sets and — both go through one
+/// per-instance wiring function — the same set of operator names in the merged
+/// report.
+#[test]
+fn in_process_and_node_hosted_shards_wire_the_same_instances() {
+    /// Drives the origin plan over a deployed 2-shard `sum` group; returns sink
+    /// bytes, stitched lineage and the origin's + the locally hosted reports.
+    fn run_origin(
+        shards: GlShardGroup<Reading, Reading>,
+    ) -> (Vec<SinkTuple>, Vec<Lineage>, Vec<QueryReport>) {
+        let plan = GlPlan::new(GeneaLog::for_instance(0));
+        let sums = plan
+            .source("readings", VecSource::new(readings()))
+            .aggregate("sum", window_spec(), sum_key, sum_window, |o: &Reading| o.0)
+            .place(shards.placements);
+        let (out, provenance) = logical_shard_provenance_sink::<Reading, Reading, _>(
+            sums,
+            "prov",
+            shards.provenance_links,
+            Duration::from_hours(24),
+        );
+        let sink = out.collecting_sink("sink");
+        let mut reports = vec![plan.deploy().unwrap().wait().unwrap()];
+        reports.extend(shards.group.wait().unwrap());
+        let tuples = sink
+            .tuples()
+            .iter()
+            .map(|t| (t.ts.as_millis(), format!("{:?}", t.data)))
+            .collect();
+        (tuples, canonical_lineage(&provenance.records()), reports)
+    }
+    fn operator_names(reports: Vec<QueryReport>) -> BTreeSet<String> {
+        QueryReport::merge_distributed(reports)
+            .operator_stats()
+            .iter()
+            .map(|op| op.stats.name.clone())
+            .collect()
+    }
+
+    // Same engine configuration a node gives its hosted shards.
+    let in_process = remote_shard_group_gl_over::<Reading, Reading, _>(
+        "sum",
+        2,
+        1,
+        &SimulatedTransport::new(NetworkConfig::unlimited()),
+        QueryConfig::default().with_metrics(true),
+        |q, _shard, input| q.aggregate("sum", input, window_spec(), sum_key, sum_window),
+    )
+    .unwrap();
+    let (local_tuples, local_lineage, local_reports) = run_origin(in_process);
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let node = std::thread::spawn(move || {
+        let (stream, _) = listener.accept()?;
+        serve_node_connection(
+            stream,
+            &MetricsRegistry::new(),
+            NetworkConfig::unlimited(),
+            None,
+            &NodeStores::new(),
+        )
+    });
+    let template = NodeDeployment {
+        group: "sum".into(),
+        shards: Vec::new(),
+        total_shards: 2,
+        first_instance: 1,
+        fusion: false,
+        op: ShardOpSpec::SumAggregate {
+            size_ms: 8_000,
+            slide_ms: 4_000,
+        },
+        checkpoint_interval: None,
+        restore_epoch: None,
+    };
+    let hosted =
+        connect_gl_node_group(&template, &[(addr, vec![0, 1])], NetworkConfig::unlimited())
+            .unwrap();
+    let (node_tuples, node_lineage, mut node_reports) = run_origin(hosted);
+    node_reports.extend(node.join().unwrap().unwrap());
+
+    assert!(!local_tuples.is_empty());
+    assert_eq!(local_tuples, node_tuples);
+    assert_eq!(local_lineage, node_lineage);
+    assert_eq!(operator_names(local_reports), operator_names(node_reports));
 }
 
 /// The staged catalogue entry (`FilteredScaledSum`) with node-side fusion on:

@@ -21,7 +21,9 @@ use proptest::prelude::*;
 
 use genealog::prelude::*;
 use genealog_analysis::Severity;
-use genealog_distributed::deployment::{logical_shard_provenance_sink, remote_shard_group_gl};
+use genealog_distributed::deployment::{
+    logical_shard_provenance_sink, remote_shard_group_gl_over, SimulatedTransport,
+};
 use genealog_distributed::NetworkConfig;
 use genealog_metrics::{CountingSubscriber, Tracer};
 use genealog_spe::logical::{LogicalPlan, LogicalStream};
@@ -358,11 +360,11 @@ fn warn_mode_lowering_emits_plan_analysis_traces() {
 
 #[test]
 fn remote_placements_analyze_clean_and_the_facts_record_them() {
-    let shards = remote_shard_group_gl::<Reading, Reading, _>(
+    let shards = remote_shard_group_gl_over::<Reading, Reading, _>(
         "sum",
         2,
         1,
-        NetworkConfig::unlimited(),
+        &SimulatedTransport::new(NetworkConfig::unlimited()),
         QueryConfig::default(),
         move |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, sum_window),
     )
