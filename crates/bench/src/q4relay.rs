@@ -12,7 +12,6 @@
 use genealog_spe::provenance::ProvenanceSystem;
 use genealog_spe::query::{Query, StreamRef};
 
-use genealog_distributed::wire::{WireDecode, WireEncode, WireError, WireReader};
 use genealog_workloads::queries::{q4_stage1, q4_stage2};
 use genealog_workloads::types::{AnomalyAlert, DailyConsumption, MeterReading};
 
@@ -25,32 +24,12 @@ pub enum Q4Relay {
     Midnight(MeterReading),
 }
 
-impl WireEncode for Q4Relay {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Q4Relay::Daily(d) => {
-                0u8.encode(out);
-                d.encode(out);
-            }
-            Q4Relay::Midnight(m) => {
-                1u8.encode(out);
-                m.encode(out);
-            }
-        }
+genealog_spe::impl_codec_struct!(
+    enum Q4Relay {
+        Daily(DailyConsumption) = 0,
+        Midnight(MeterReading) = 1,
     }
-}
-
-impl WireDecode for Q4Relay {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(reader)? {
-            0 => Ok(Q4Relay::Daily(DailyConsumption::decode(reader)?)),
-            1 => Ok(Q4Relay::Midnight(MeterReading::decode(reader)?)),
-            other => Err(WireError {
-                message: format!("unknown Q4Relay tag {other}"),
-            }),
-        }
-    }
-}
+);
 
 /// Stage 1 of the distributed Q4: the original stage 1 followed by the relay union.
 pub fn q4_relay_stage1<P: ProvenanceSystem>(
@@ -91,6 +70,7 @@ pub fn q4_relay_stage2<P: ProvenanceSystem>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genealog_spe::codec::{Decode, Encode};
     use genealog_spe::provenance::NoProvenance;
     use genealog_workloads::queries::build_q4;
     use genealog_workloads::smart_grid::{SmartGridConfig, SmartGridGenerator};

@@ -92,7 +92,8 @@ pub mod prelude {
 pub use meta::{erase, GlMeta, OpKind, ProvNode, ProvRef};
 pub use persist::GlWindowPersister;
 pub use sink::{
-    attach_provenance_sink, logical_provenance_sink, ProvenanceAssignment, ProvenanceCollector,
+    attach_provenance_sink, contribution_document, group_by_sink, logical_provenance_sink,
+    ProvenanceAssignment, ProvenanceCollector,
 };
 pub use system::GeneaLog;
 pub use traversal::{find_provenance, find_provenance_with_stats, TraversalStats};

@@ -19,6 +19,7 @@ use std::any::Any;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use genealog_spe::codec::{CodecError, Decode, Encode, Reader};
 use genealog_spe::tuple::{GTuple, TupleData, TupleId};
 use genealog_spe::Timestamp;
 
@@ -26,19 +27,40 @@ use genealog_spe::Timestamp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Created by a Source: a source tuple, leaf of every contribution graph.
-    Source,
+    Source = 0,
     /// Created by a Map.
-    Map,
+    Map = 1,
     /// Created by a Multiplex.
-    Multiplex,
+    Multiplex = 2,
     /// Created by a Join.
-    Join,
+    Join = 3,
     /// Created by an Aggregate.
-    Aggregate,
+    Aggregate = 4,
     /// Materialised by a Receive operator after crossing a process boundary; the
     /// traversal stops here and inter-process provenance resumes at the sending
     /// instance (§6).
-    Remote,
+    Remote = 5,
+}
+
+/// The discriminant is the kind's one-byte tag on the wire and on disk.
+impl Encode for OpKind {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (*self as u8).encode(out);
+    }
+}
+
+impl Decode for OpKind {
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
+        use OpKind::*;
+        let tag = u8::decode(reader)?;
+        [Source, Map, Multiplex, Join, Aggregate, Remote]
+            .into_iter()
+            .find(|kind| *kind as u8 == tag)
+            .ok_or(CodecError::Tag {
+                what: "OpKind",
+                tag,
+            })
+    }
 }
 
 impl OpKind {

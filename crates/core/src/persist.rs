@@ -15,6 +15,13 @@
 //! the process-local inline snapshot (the analyzer's GL014 diagnostic flags
 //! deployments where that fallback would make recovery lossy).
 //!
+//! The container walk itself — entry loop, occurrence framing, `ts | stimulus |
+//! payload` — is [`genealog_spe::persist`]'s, shared with the provenance-free
+//! persister; this module supplies only the hook that writes an occurrence's
+//! kind, id and terminal `U1`/`U2` behind its payload, every field through the one
+//! value codec ([`genealog_spe::codec`]). So any payload that can be shipped over a
+//! link (`Encode + Decode`) can be buffered durably under GL.
+//!
 //! The `N` chain pointer is deliberately **not** encoded: it is the only
 //! meta-attribute written after tuple creation (when a window closes), and a
 //! buffered occurrence belongs to a window that had not closed at the
@@ -32,46 +39,13 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use genealog_spe::persist::{
-    parse_container, ByteReader, ContainerWriter, PersistCodec, WindowPersister,
-};
+use genealog_spe::codec::{CodecError, Decode, Encode, Reader};
+use genealog_spe::persist::{decode_snapshot, encode_snapshot, WindowPersister};
 use genealog_spe::time::Timestamp;
 use genealog_spe::tuple::{GTuple, TupleData, TupleId};
 use genealog_spe::window::WindowStoreSnapshot;
 
 use crate::meta::{erase, GlMeta, OpKind, ProvRef};
-
-fn kind_tag(kind: OpKind) -> u8 {
-    match kind {
-        OpKind::Source => 0,
-        OpKind::Map => 1,
-        OpKind::Multiplex => 2,
-        OpKind::Join => 3,
-        OpKind::Aggregate => 4,
-        OpKind::Remote => 5,
-    }
-}
-
-fn kind_from_tag(tag: u8) -> Option<OpKind> {
-    Some(match tag {
-        0 => OpKind::Source,
-        1 => OpKind::Map,
-        2 => OpKind::Multiplex,
-        3 => OpKind::Join,
-        4 => OpKind::Aggregate,
-        5 => OpKind::Remote,
-        _ => return None,
-    })
-}
-
-fn encode_id(id: TupleId, out: &mut Vec<u8>) {
-    out.extend_from_slice(&id.origin.to_le_bytes());
-    out.extend_from_slice(&id.seq.to_le_bytes());
-}
-
-fn decode_id(r: &mut ByteReader<'_>) -> Option<TupleId> {
-    Some(TupleId::new(r.u32()?, r.u64()?))
-}
 
 /// Persister for GeneaLog-instrumented window state: occurrences of payload
 /// `T` whose `U1`/`U2` pointers terminate in `SOURCE`/`REMOTE` tuples of
@@ -102,130 +76,77 @@ impl<K, T, U> std::fmt::Debug for GlWindowPersister<K, T, U> {
     }
 }
 
-fn encode_upstream<U: PersistCodec + TupleData>(
+fn encode_upstream<U: Encode + TupleData>(
     upstream: Option<&ProvRef>,
     out: &mut Vec<u8>,
 ) -> Option<()> {
-    match upstream {
-        None => out.push(0),
-        Some(node) => {
-            if !node.kind().is_terminal() {
-                return None; // needs the transitive graph; not byte-encodable
-            }
-            let payload = node.payload::<U>()?;
-            out.push(1);
-            out.push(kind_tag(node.kind()));
-            encode_id(node.id(), out);
-            out.extend_from_slice(&node.ts().as_millis().to_le_bytes());
-            out.extend_from_slice(&node.stimulus().to_le_bytes());
-            payload.encode(out);
-        }
+    let Some(node) = upstream else {
+        false.encode(out);
+        return Some(());
+    };
+    if !node.kind().is_terminal() {
+        return None; // needs the transitive graph; not byte-encodable
     }
+    let payload = node.payload::<U>()?;
+    true.encode(out);
+    node.kind().encode(out);
+    node.id().encode(out);
+    node.ts().encode(out);
+    node.stimulus().encode(out);
+    payload.encode(out);
     Some(())
 }
 
-fn decode_upstream<U: PersistCodec + TupleData>(r: &mut ByteReader<'_>) -> Option<Option<ProvRef>> {
-    match r.u8()? {
-        0 => Some(None),
-        1 => {
-            let kind = kind_from_tag(r.u8()?)?;
-            if !kind.is_terminal() {
-                return None;
-            }
-            let id = decode_id(r)?;
-            let ts = r.u64()?;
-            let stimulus = r.u64()?;
-            let data = U::decode(r)?;
-            let tuple = Arc::new(GTuple::new(
-                Timestamp::from_millis(ts),
-                stimulus,
-                data,
-                GlMeta::leaf(kind, id),
-            ));
-            Some(Some(erase(&tuple)))
-        }
-        _ => None,
+fn decode_upstream<U: Decode + TupleData>(
+    r: &mut Reader<'_>,
+) -> Result<Option<ProvRef>, CodecError> {
+    if !bool::decode(r)? {
+        return Ok(None);
     }
+    let kind = OpKind::decode(r)?;
+    if !kind.is_terminal() {
+        return Err(CodecError::Invalid(
+            "upstream pointer into a non-terminal tuple",
+        ));
+    }
+    let id = TupleId::decode(r)?;
+    let tuple = Arc::new(GTuple::new(
+        Timestamp::decode(r)?,
+        u64::decode(r)?,
+        U::decode(r)?,
+        GlMeta::leaf(kind, id),
+    ));
+    Ok(Some(erase(&tuple)))
 }
 
 impl<K, T, U> WindowPersister<K, T, GlMeta> for GlWindowPersister<K, T, U>
 where
-    K: PersistCodec + Ord + Clone,
-    T: PersistCodec + TupleData,
-    U: PersistCodec + TupleData,
+    K: Encode + Decode + Ord,
+    T: Encode + Decode,
+    U: Encode + Decode + TupleData,
 {
     fn encode(&self, snapshot: &WindowStoreSnapshot<K, T, GlMeta>) -> Option<Vec<u8>> {
-        let mut writer =
-            ContainerWriter::new(snapshot.watermark().as_millis(), snapshot.late_tuples());
-        let mut key_buf = Vec::new();
-        for (start, key, occurrences) in snapshot.entries() {
-            key_buf.clear();
-            key.encode(&mut key_buf);
-            let occ_bytes = occurrences
-                .iter()
-                .map(|t| {
-                    let mut b = Vec::new();
-                    b.extend_from_slice(&t.ts.as_millis().to_le_bytes());
-                    b.extend_from_slice(&t.stimulus.to_le_bytes());
-                    t.data.encode(&mut b);
-                    b.push(kind_tag(t.meta.kind));
-                    encode_id(t.meta.id, &mut b);
-                    encode_upstream::<U>(t.meta.u1.as_ref(), &mut b)?;
-                    encode_upstream::<U>(t.meta.u2.as_ref(), &mut b)?;
-                    Some(b)
-                })
-                .collect::<Option<Vec<_>>>()?;
-            writer.entry(start.as_millis(), &key_buf, &occ_bytes);
-        }
-        Some(writer.finish())
+        encode_snapshot(snapshot, |meta: &GlMeta, out| {
+            meta.kind.encode(out);
+            meta.id.encode(out);
+            encode_upstream::<U>(meta.u1.as_ref(), out)?;
+            encode_upstream::<U>(meta.u2.as_ref(), out)
+        })
     }
 
     fn decode(&self, bytes: &[u8]) -> Option<WindowStoreSnapshot<K, T, GlMeta>> {
-        let container = parse_container(bytes)?;
-        let mut entries = Vec::with_capacity(container.entries.len());
-        for entry in &container.entries {
-            let mut key_reader = ByteReader::new(entry.key);
-            let key = K::decode(&mut key_reader)?;
-            if !key_reader.is_empty() {
-                return None;
+        decode_snapshot(bytes, |r| {
+            let kind = OpKind::decode(r)?;
+            let id = TupleId::decode(r)?;
+            match (decode_upstream::<U>(r)?, decode_upstream::<U>(r)?) {
+                (None, None) => Ok(GlMeta::leaf(kind, id)),
+                (Some(u1), None) => Ok(GlMeta::unary(kind, id, u1)),
+                (Some(u1), Some(u2)) => Ok(GlMeta::binary(kind, id, u1, u2)),
+                // `U2` without `U1` never occurs (§4.1 sets them in order).
+                (None, Some(_)) => Err(CodecError::Invalid("U2 set without U1")),
             }
-            let tuples = entry
-                .occurrences
-                .iter()
-                .map(|occ| {
-                    let mut r = ByteReader::new(occ);
-                    let ts = r.u64()?;
-                    let stimulus = r.u64()?;
-                    let data = T::decode(&mut r)?;
-                    let kind = kind_from_tag(r.u8()?)?;
-                    let id = decode_id(&mut r)?;
-                    let u1 = decode_upstream::<U>(&mut r)?;
-                    let u2 = decode_upstream::<U>(&mut r)?;
-                    if !r.is_empty() {
-                        return None;
-                    }
-                    let meta = match (u1, u2) {
-                        (None, None) => GlMeta::leaf(kind, id),
-                        (Some(u1), None) => GlMeta::unary(kind, id, u1),
-                        (Some(u1), Some(u2)) => GlMeta::binary(kind, id, u1, u2),
-                        // `U2` without `U1` never occurs (§4.1 sets them in order).
-                        (None, Some(_)) => return None,
-                    };
-                    Some(Arc::new(GTuple::new(
-                        Timestamp::from_millis(ts),
-                        stimulus,
-                        data,
-                        meta,
-                    )))
-                })
-                .collect::<Option<Vec<_>>>()?;
-            entries.push((Timestamp::from_millis(entry.start_ms), key, tuples));
-        }
-        Some(WindowStoreSnapshot::from_parts(
-            entries,
-            container.late_tuples,
-            Timestamp::from_millis(container.watermark_ms),
-        ))
+        })
+        .ok()
     }
 }
 

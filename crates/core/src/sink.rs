@@ -8,17 +8,71 @@
 
 use std::collections::HashMap;
 use std::io::Write;
+use std::sync::Arc;
 
 use genealog_control::json;
 use genealog_spe::logical::LogicalStream;
 use genealog_spe::operator::sink::CollectedStream;
 use genealog_spe::query::{Query, StreamRef};
-use genealog_spe::tuple::{TupleData, TupleId};
+use genealog_spe::tuple::{GTuple, TupleData, TupleId};
 use genealog_spe::Timestamp;
 
 use crate::meta::{GlMeta, ProvRef};
 use crate::system::GeneaLog;
 use crate::unfolder::{attach_unfolder, SourceRecord, UnfoldedTuple};
+
+/// Groups per-(sink tuple, source tuple) items into one group per sink tuple, in the
+/// order sink tuples first appear: `open` starts a group from its first item, `add`
+/// folds every item (the first included) into its group.
+pub fn group_by_sink<I, G>(
+    items: impl IntoIterator<Item = I>,
+    sink_id: impl Fn(&I) -> TupleId,
+    open: impl Fn(&I) -> G,
+    mut add: impl FnMut(&mut G, I),
+) -> Vec<G> {
+    let mut groups: Vec<G> = Vec::new();
+    let mut index: HashMap<TupleId, usize> = HashMap::new();
+    for item in items {
+        let at = *index.entry(sink_id(&item)).or_insert_with(|| {
+            groups.push(open(&item));
+            groups.len() - 1
+        });
+        add(&mut groups[at], item);
+    }
+    groups
+}
+
+/// The JSON document the control endpoint's `/provenance/{sink_tuple_id}` route
+/// serves: the sink tuple and its contribution set, each source as
+/// `(id, timestamp, rendered payload)`.
+pub fn contribution_document(
+    sink_id: TupleId,
+    sink_ts: Timestamp,
+    sink_data: &impl std::fmt::Debug,
+    sources: impl ExactSizeIterator<Item = (TupleId, Timestamp, String)>,
+) -> String {
+    json::object([
+        (
+            "sink",
+            json::object([
+                ("id", json::string(&sink_id.to_string())),
+                ("ts_ms", sink_ts.as_millis().to_string()),
+                ("data", json::string(&format!("{sink_data:?}"))),
+            ]),
+        ),
+        ("source_count", sources.len().to_string()),
+        (
+            "sources",
+            json::array(sources.map(|(id, ts, data)| {
+                json::object([
+                    ("id", json::string(&id.to_string())),
+                    ("ts_ms", ts.as_millis().to_string()),
+                    ("data", json::string(&data)),
+                ])
+            })),
+        ),
+    ])
+}
 
 /// The provenance of one sink tuple: the sink tuple's attributes plus every source
 /// tuple that contributed to it.
@@ -43,27 +97,12 @@ impl<T: TupleData> ProvenanceAssignment<T> {
     /// The assignment as the JSON document served by the control endpoint's
     /// `/provenance/{sink_tuple_id}` route.
     pub fn to_json(&self) -> String {
-        json::object([
-            (
-                "sink",
-                json::object([
-                    ("id", json::string(&self.sink_id.to_string())),
-                    ("ts_ms", self.sink_ts.as_millis().to_string()),
-                    ("data", json::string(&format!("{:?}", self.sink_data))),
-                ]),
-            ),
-            ("source_count", self.source_count().to_string()),
-            (
-                "sources",
-                json::array(self.sources.iter().map(|s| {
-                    json::object([
-                        ("id", json::string(&s.id().to_string())),
-                        ("ts_ms", s.ts().as_millis().to_string()),
-                        ("data", json::string(&s.render())),
-                    ])
-                })),
-            ),
-        ])
+        contribution_document(
+            self.sink_id,
+            self.sink_ts,
+            &self.sink_data,
+            self.sources.iter().map(|s| (s.id(), s.ts(), s.render())),
+        )
     }
 
     /// The originating payloads downcast to the source schema `S` (payloads of other
@@ -107,11 +146,11 @@ impl<T: TupleData> ProvenanceCollector<T> {
         self.collected.len()
     }
 
-    /// The assignment of one sink tuple, if its provenance has been collected.
+    /// The assignment of one sink tuple, if its provenance has been collected. One
+    /// request concerns one sink tuple: only its own unfolded tuples are copied and
+    /// grouped, however much has been collected.
     pub fn assignment(&self, sink_id: TupleId) -> Option<ProvenanceAssignment<T>> {
-        self.assignments()
-            .into_iter()
-            .find(|a| a.sink_id == sink_id)
+        Self::group(self.collected.select(|t| t.data.sink_id == sink_id)).pop()
     }
 
     /// Resolves a control-endpoint provenance query: parses `sink_id` (`origin#seq`
@@ -127,25 +166,21 @@ impl<T: TupleData> ProvenanceCollector<T> {
     /// Groups the collected unfolded tuples into one assignment per sink tuple,
     /// preserving the order in which sink tuples were produced.
     pub fn assignments(&self) -> Vec<ProvenanceAssignment<T>> {
-        let mut order: Vec<TupleId> = Vec::new();
-        let mut groups: HashMap<TupleId, ProvenanceAssignment<T>> = HashMap::new();
-        for tuple in self.collected.tuples() {
-            let u = &tuple.data;
-            let entry = groups.entry(u.sink_id).or_insert_with(|| {
-                order.push(u.sink_id);
-                ProvenanceAssignment {
-                    sink_ts: u.sink_ts,
-                    sink_id: u.sink_id,
-                    sink_data: u.sink_data.clone(),
-                    sources: Vec::new(),
-                }
-            });
-            entry.sources.push(u.origin.clone());
-        }
-        order
-            .into_iter()
-            .filter_map(|id| groups.remove(&id))
-            .collect()
+        Self::group(self.collected.tuples())
+    }
+
+    fn group(unfolded: Vec<Arc<GTuple<UnfoldedTuple<T>, GlMeta>>>) -> Vec<ProvenanceAssignment<T>> {
+        group_by_sink(
+            unfolded,
+            |t| t.data.sink_id,
+            |t| ProvenanceAssignment {
+                sink_ts: t.data.sink_ts,
+                sink_id: t.data.sink_id,
+                sink_data: t.data.sink_data.clone(),
+                sources: Vec::new(),
+            },
+            |assignment, t| assignment.sources.push(t.data.origin.clone()),
+        )
     }
 
     /// Rough size, in bytes, of the textual provenance information (used to report the

@@ -34,6 +34,8 @@ pub struct SourceRecord<S> {
     pub data: S,
 }
 
+genealog_spe::impl_codec_struct!(SourceRecord<S> { ts, id, data });
+
 /// One element of an *unfolded stream* (Definition 5.1): the attributes of the
 /// delivering (sink) tuple combined with one of its originating tuples.
 ///
@@ -109,6 +111,16 @@ pub struct UnfoldedEvent<T, S> {
     pub origin_data: Option<S>,
 }
 
+genealog_spe::impl_codec_struct!(UnfoldedEvent<T, S> {
+    sink_ts,
+    sink_id,
+    sink_data,
+    origin_kind,
+    origin_ts,
+    origin_id,
+    origin_data
+});
+
 impl<T: TupleData, S: TupleData> UnfoldedEvent<T, S> {
     /// Drops the delivering payload, keeping only what downstream MU operators need
     /// from an *upstream* unfolded stream.
@@ -150,6 +162,15 @@ pub struct UpstreamEvent<S> {
     /// Payload of the originating tuple.
     pub origin_data: Option<S>,
 }
+
+genealog_spe::impl_codec_struct!(UpstreamEvent<S> {
+    sink_id,
+    sink_ts,
+    origin_kind,
+    origin_ts,
+    origin_id,
+    origin_data
+});
 
 /// Attaches a single-stream unfolder (SU) to `input`.
 ///

@@ -29,7 +29,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use genealog_control::json;
 use genealog_metrics::{decode_samples, MetricsRegistry};
 use genealog_spe::logical::{LogicalPlan, LogicalStream};
 use genealog_spe::operator::sink::{CollectedStream, SinkStats};
@@ -41,13 +40,15 @@ use genealog_spe::tuple::TupleData;
 use genealog_spe::{Duration, SpeError, Timestamp};
 
 use genealog::{
-    attach_multi_unfolder, attach_unfolder, GeneaLog, GlMeta, SourceRecord, UnfoldedEvent,
-    UnfoldedTuple, UpstreamEvent,
+    attach_multi_unfolder, attach_unfolder, contribution_document, group_by_sink, GeneaLog, GlMeta,
+    SourceRecord, UnfoldedEvent, UnfoldedTuple, UpstreamEvent,
 };
 use genealog_baseline::AriadneBaseline;
 
 use crate::endpoint::{ReceiveOp, SendOp, WireProvenance};
-use crate::network::{FrameSink, FrameSource, LinkStats, NetworkConfig, SharedLink, SimulatedLink};
+use crate::network::{
+    FrameSink, FrameSource, LinkSender, LinkStats, NetworkConfig, SharedLink, SimulatedLink,
+};
 use crate::wire::{WireDecode, WireEncode};
 
 /// Adds a Send operator shipping `stream` onto `link` (extension of the query
@@ -165,42 +166,25 @@ where
     D: TupleData,
     S: TupleData,
 {
-    let mut order: Vec<genealog_spe::tuple::TupleId> = Vec::new();
-    let mut groups: std::collections::HashMap<
-        genealog_spe::tuple::TupleId,
-        ProvenanceRecord<D, S>,
-    > = std::collections::HashMap::new();
-    for event in events {
-        let UnfoldedEvent {
-            sink_ts,
-            sink_id,
-            sink_data,
-            origin_ts,
-            origin_id,
-            origin_data,
-            ..
-        } = event;
-        let entry = groups.entry(sink_id).or_insert_with(|| {
-            order.push(sink_id);
-            ProvenanceRecord {
-                sink_id,
-                sink_ts,
-                sink_data,
-                sources: Vec::new(),
+    group_by_sink(
+        events,
+        |e| e.sink_id,
+        |e| ProvenanceRecord {
+            sink_id: e.sink_id,
+            sink_ts: e.sink_ts,
+            sink_data: e.sink_data.clone(),
+            sources: Vec::new(),
+        },
+        |record, e| {
+            if let Some(data) = e.origin_data {
+                record.sources.push(SourceRecord {
+                    ts: e.origin_ts,
+                    id: e.origin_id,
+                    data,
+                });
             }
-        });
-        if let Some(data) = origin_data {
-            entry.sources.push(SourceRecord {
-                ts: origin_ts,
-                id: origin_id,
-                data,
-            });
-        }
-    }
-    order
-        .into_iter()
-        .filter_map(|id| groups.remove(&id))
-        .collect()
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -757,27 +741,15 @@ impl<O: TupleData, S: TupleData> ShardProvenanceCollector<O, S> {
                 .collect(),
         )
         .pop()?;
-        Some(json::object([
-            (
-                "sink",
-                json::object([
-                    ("id", json::string(&record.sink_id.to_string())),
-                    ("ts_ms", record.sink_ts.as_millis().to_string()),
-                    ("data", json::string(&format!("{:?}", record.sink_data))),
-                ]),
-            ),
-            ("source_count", record.sources.len().to_string()),
-            (
-                "sources",
-                json::array(record.sources.iter().map(|s| {
-                    json::object([
-                        ("id", json::string(&s.id.to_string())),
-                        ("ts_ms", s.ts.as_millis().to_string()),
-                        ("data", json::string(&format!("{:?}", s.data))),
-                    ])
-                })),
-            ),
-        ]))
+        Some(contribution_document(
+            record.sink_id,
+            record.sink_ts,
+            &record.sink_data,
+            record
+                .sources
+                .iter()
+                .map(|s| (s.id, s.ts, format!("{:?}", s.data))),
+        ))
     }
 }
 
@@ -878,13 +850,90 @@ pub fn instances_dot(instances: &[(String, String)]) -> String {
     dot
 }
 
+/// Applies stage 1 to instance 1's source stream (see [`deploy_two_stage`]).
+type Stage1<P, S, D1> = Box<dyn FnOnce(LogicalStream<P, S>) -> LogicalStream<P, D1>>;
+
+/// The skeleton the three `deploy_distributed_*` entry points share: instance 1
+/// runs `source → stage 1` and ships the result over the data link, instance 2 runs
+/// `receive → stage 2 → data sink`, an optional provenance instance runs beside
+/// them, all are deployed, then drained in order, and the outcome is assembled.
+/// Each instance's plan is built on the declarative [`LogicalPlan`] builder (the
+/// planner owns fusion and channel budgets per instance); `stage1`/`stage2` remain
+/// physical-layer callbacks, so the workload stage builders plug in unchanged.
+///
+/// What differs per provenance system comes in as closures: `ship` finishes
+/// instance 1 given its source stream, the stage-1 application and the data link's
+/// sender; `tap` splices into instance 2 between stage 2 and the data sink;
+/// `collect` runs once everything drained and yields the provenance records and the
+/// bytes shipped towards the provenance instance.
+#[allow(clippy::too_many_arguments)]
+fn deploy_two_stage<P, G, S, D1, D2>(
+    name: &str,
+    systems: [P; 2],
+    generator: G,
+    source_config: SourceConfig,
+    stage1: impl FnOnce(&mut Query<P>, StreamRef<S, P::Meta>) -> StreamRef<D1, P::Meta> + 'static,
+    stage2: impl FnOnce(&mut Query<P>, StreamRef<D1, P::Meta>) -> StreamRef<D2, P::Meta> + 'static,
+    network: NetworkConfig,
+    ship: impl FnOnce(LogicalStream<P, S>, Stage1<P, S, D1>, LinkSender),
+    tap: impl FnOnce(LogicalStream<P, D2>) -> LogicalStream<P, D2>,
+    provenance_plan: Option<LogicalPlan<NoProvenance>>,
+    collect: impl FnOnce() -> (Vec<ProvenanceRecord<D2, S>>, u64),
+) -> Result<DistributedOutcome<D2, S>, SpeError>
+where
+    P: ProvenanceSystem,
+    G: SourceGenerator<Item = S>,
+    S: TupleData,
+    D1: TupleData + WireDecode,
+    D2: TupleData,
+{
+    let (data_tx, data_rx, data_stats) = SimulatedLink::new(network);
+    let [system1, system2] = systems;
+
+    let plan1 = LogicalPlan::new(system1);
+    let stage1_name = format!("{name}-stage1");
+    ship(
+        plan1.source_with(&format!("{name}-source"), generator, source_config),
+        Box::new(move |source| source.raw(&stage1_name, stage1)),
+        data_tx,
+    );
+
+    let plan2 = LogicalPlan::new(system2);
+    let received: LogicalStream<P, D1> =
+        receive_stream(&plan2, &format!("{name}-i2-receive"), data_rx);
+    let data_sink = tap(received.raw(&format!("{name}-stage2"), stage2))
+        .collecting_sink(&format!("{name}-data-sink"));
+
+    let mut handles = vec![plan1.deploy()?, plan2.deploy()?];
+    if let Some(plan3) = provenance_plan {
+        handles.push(plan3.deploy()?);
+    }
+    let reports = handles
+        .into_iter()
+        .map(QueryHandle::wait)
+        .collect::<Result<Vec<_>, _>>()?;
+
+    let alerts = data_sink
+        .tuples()
+        .iter()
+        .map(|t| (t.ts, t.data.clone()))
+        .collect();
+    let (provenance, provenance_link_bytes) = collect();
+    Ok(DistributedOutcome {
+        reports,
+        alerts,
+        sink_stats: Arc::clone(data_sink.stats()),
+        provenance,
+        data_link_bytes: data_stats.bytes(),
+        provenance_link_bytes,
+    })
+}
+
 /// Deploys a two-stage query over three SPE instances with **GeneaLog** provenance
 /// (the GL rows of Figure 13), blocking until completion.
 ///
-/// Each instance's plan is built on the declarative [`LogicalPlan`] builder (the
-/// planner owns fusion and channel budgets per instance); `stage1`/`stage2` remain
-/// physical-layer callbacks — they receive the lowered [`Query`] and the lowered
-/// input stream — so the existing workload stage builders plug in unchanged.
+/// Instances 1 and 2 each run a single-stream unfolder next to their stage and ship
+/// its unfolded stream to instance 3, whose multi-stream unfolder joins them.
 /// `provenance_window` is the MU join window (the sum of the query's stateful window
 /// sizes, §6.1).
 ///
@@ -908,50 +957,8 @@ where
     F1: FnOnce(&mut Query<GeneaLog>, StreamRef<S, GlMeta>) -> StreamRef<D1, GlMeta> + 'static,
     F2: FnOnce(&mut Query<GeneaLog>, StreamRef<D1, GlMeta>) -> StreamRef<D2, GlMeta> + 'static,
 {
-    let (data_tx, data_rx, data_stats) = SimulatedLink::new(network);
     let (up_tx, up_rx, up_stats) = SimulatedLink::new(network);
     let (derived_tx, derived_rx, derived_stats) = SimulatedLink::new(network);
-
-    // --- Instance 1: Source + stage 1 + SU + Sends -------------------------------
-    let plan1 = LogicalPlan::new(GeneaLog::for_instance(1));
-    let n1 = name.to_string();
-    plan1
-        .source_with(&format!("{name}-source"), generator, source_config)
-        .raw(&format!("{name}-stage1"), move |q, s| stage1(q, s))
-        .raw_sink(&format!("{name}-i1-ship"), move |q, s| {
-            let (data_stream, unfolded1) = attach_unfolder(q, &format!("{n1}-i1"), s);
-            add_send(q, &format!("{n1}-i1-send-data"), data_stream, data_tx);
-            let upstream_events = q.map_one(
-                &format!("{n1}-i1-upstream"),
-                unfolded1,
-                |u: &genealog::UnfoldedTuple<D1>| u.to_event::<S>().to_upstream(),
-            );
-            add_send(q, &format!("{n1}-i1-send-upstream"), upstream_events, up_tx);
-        });
-
-    // --- Instance 2: Receive + stage 2 + data Sink + SU + Send -------------------
-    let plan2 = LogicalPlan::new(GeneaLog::for_instance(2));
-    let n2 = name.to_string();
-    let received: LogicalStream<GeneaLog, D1> =
-        receive_stream(&plan2, &format!("{name}-i2-receive"), data_rx);
-    let data_sink = received
-        .raw(&format!("{name}-stage2"), move |q, s| stage2(q, s))
-        .raw(&format!("{name}-i2-su"), move |q, s| {
-            let (to_sink, unfolded2) = attach_unfolder(q, &format!("{n2}-i2"), s);
-            let derived_events = q.map_one(
-                &format!("{n2}-i2-derived"),
-                unfolded2,
-                |u: &genealog::UnfoldedTuple<D2>| u.to_event::<S>(),
-            );
-            add_send(
-                q,
-                &format!("{n2}-i2-send-derived"),
-                derived_events,
-                derived_tx,
-            );
-            to_sink
-        })
-        .collecting_sink(&format!("{name}-data-sink"));
 
     // --- Instance 3: Receives + MU + provenance Sink ------------------------------
     let plan3 = LogicalPlan::new(NoProvenance);
@@ -966,38 +973,60 @@ where
         })
         .collecting_sink(&format!("{name}-provenance-sink"));
 
-    // --- Run all three instances to completion -----------------------------------
-    let handles = vec![plan1.deploy()?, plan2.deploy()?, plan3.deploy()?];
-    let mut reports = Vec::with_capacity(handles.len());
-    for handle in handles {
-        reports.push(handle.wait()?);
-    }
-
-    let alerts = data_sink
-        .tuples()
-        .iter()
-        .map(|t| (t.ts, t.data.clone()))
-        .collect();
-    let provenance = group_provenance(
-        provenance_sink
-            .tuples()
-            .iter()
-            .map(|t| t.data.clone())
-            .collect(),
-    );
-    Ok(DistributedOutcome {
-        reports,
-        alerts,
-        sink_stats: Arc::clone(data_sink.stats()),
-        provenance,
-        data_link_bytes: data_stats.bytes(),
-        provenance_link_bytes: up_stats.bytes() + derived_stats.bytes(),
-    })
+    let (n1, n2) = (name.to_string(), name.to_string());
+    let (ship_name, su_name) = (format!("{name}-i1-ship"), format!("{name}-i2-su"));
+    deploy_two_stage(
+        name,
+        [GeneaLog::for_instance(1), GeneaLog::for_instance(2)],
+        generator,
+        source_config,
+        stage1,
+        stage2,
+        network,
+        // --- Instance 1: Source + stage 1 + SU + Sends ----------------------------
+        move |source, stage1, data_tx| {
+            stage1(source).raw_sink(&ship_name, move |q, s| {
+                let (data_stream, unfolded1) = attach_unfolder(q, &format!("{n1}-i1"), s);
+                add_send(q, &format!("{n1}-i1-send-data"), data_stream, data_tx);
+                let upstream_events = q.map_one(
+                    &format!("{n1}-i1-upstream"),
+                    unfolded1,
+                    |u: &genealog::UnfoldedTuple<D1>| u.to_event::<S>().to_upstream(),
+                );
+                add_send(q, &format!("{n1}-i1-send-upstream"), upstream_events, up_tx);
+            })
+        },
+        // --- Instance 2: Receive + stage 2 + SU + Send + data Sink ----------------
+        move |results| {
+            results.raw(&su_name, move |q, s| {
+                let (to_sink, unfolded2) = attach_unfolder(q, &format!("{n2}-i2"), s);
+                let derived_events = q.map_one(
+                    &format!("{n2}-i2-derived"),
+                    unfolded2,
+                    |u: &genealog::UnfoldedTuple<D2>| u.to_event::<S>(),
+                );
+                add_send(
+                    q,
+                    &format!("{n2}-i2-send-derived"),
+                    derived_events,
+                    derived_tx,
+                );
+                to_sink
+            })
+        },
+        Some(plan3),
+        move || {
+            let events = provenance_sink.tuples();
+            (
+                group_provenance(events.iter().map(|t| t.data.clone()).collect()),
+                up_stats.bytes() + derived_stats.bytes(),
+            )
+        },
+    )
 }
 
 /// Deploys a two-stage query over two SPE instances with **no provenance**
-/// (the NP rows of Figure 13), blocking until completion. Both instances are built
-/// on the declarative [`LogicalPlan`] builder (see [`deploy_distributed_genealog`]).
+/// (the NP rows of Figure 13), blocking until completion.
 ///
 /// # Errors
 /// Propagates any engine deployment or runtime error.
@@ -1017,40 +1046,20 @@ where
     F1: FnOnce(&mut Query<NoProvenance>, StreamRef<S, ()>) -> StreamRef<D1, ()> + 'static,
     F2: FnOnce(&mut Query<NoProvenance>, StreamRef<D1, ()>) -> StreamRef<D2, ()> + 'static,
 {
-    let (data_tx, data_rx, data_stats) = SimulatedLink::new(network);
-
-    let plan1 = LogicalPlan::new(NoProvenance);
-    let stage1_out = plan1
-        .source_with(&format!("{name}-source"), generator, source_config)
-        .raw(&format!("{name}-stage1"), move |q, s| stage1(q, s));
-    send_stream(stage1_out, &format!("{name}-i1-send-data"), data_tx);
-
-    let plan2 = LogicalPlan::new(NoProvenance);
-    let received: LogicalStream<NoProvenance, D1> =
-        receive_stream(&plan2, &format!("{name}-i2-receive"), data_rx);
-    let data_sink = received
-        .raw(&format!("{name}-stage2"), move |q, s| stage2(q, s))
-        .collecting_sink(&format!("{name}-data-sink"));
-
-    let handles = vec![plan1.deploy()?, plan2.deploy()?];
-    let mut reports = Vec::with_capacity(handles.len());
-    for handle in handles {
-        reports.push(handle.wait()?);
-    }
-
-    let alerts = data_sink
-        .tuples()
-        .iter()
-        .map(|t| (t.ts, t.data.clone()))
-        .collect();
-    Ok(DistributedOutcome {
-        reports,
-        alerts,
-        sink_stats: Arc::clone(data_sink.stats()),
-        provenance: Vec::new(),
-        data_link_bytes: data_stats.bytes(),
-        provenance_link_bytes: 0,
-    })
+    let send_name = format!("{name}-i1-send-data");
+    deploy_two_stage(
+        name,
+        [NoProvenance, NoProvenance],
+        generator,
+        source_config,
+        stage1,
+        stage2,
+        network,
+        move |source, stage1, data_tx| send_stream(stage1(source), &send_name, data_tx),
+        |results| results,
+        None,
+        || (Vec::new(), 0),
+    )
 }
 
 /// Deploys a two-stage query over three SPE instances with the **Ariadne-style
@@ -1089,28 +1098,7 @@ where
         ) -> StreamRef<D2, genealog_baseline::BlMeta>
         + 'static,
 {
-    let (data_tx, data_rx, data_stats) = SimulatedLink::new(network);
     let (source_tx, source_rx, source_stats) = SimulatedLink::new(network);
-
-    let plan1 = LogicalPlan::new(AriadneBaseline::new());
-    let branches = plan1
-        .source_with(&format!("{name}-source"), generator, source_config)
-        .multiplex(&format!("{name}-i1-mux"), 2);
-    let mut branches = branches.into_iter();
-    let to_query = branches.next().expect("two branches");
-    let to_provenance = branches.next().expect("two branches");
-    let stage1_out = to_query.raw(&format!("{name}-stage1"), move |q, s| stage1(q, s));
-    send_stream(stage1_out, &format!("{name}-i1-send-data"), data_tx);
-    // The baseline has to make the raw source stream available wherever provenance is
-    // materialised, so the whole stream crosses the network.
-    send_stream(to_provenance, &format!("{name}-i1-send-sources"), source_tx);
-
-    let plan2 = LogicalPlan::new(AriadneBaseline::new());
-    let received: LogicalStream<AriadneBaseline, D1> =
-        receive_stream(&plan2, &format!("{name}-i2-receive"), data_rx);
-    let data_sink = received
-        .raw(&format!("{name}-stage2"), move |q, s| stage2(q, s))
-        .collecting_sink(&format!("{name}-data-sink"));
 
     // Instance 3: persist the forwarded source stream (the baseline's provenance store).
     let plan3 = LogicalPlan::new(NoProvenance);
@@ -1118,25 +1106,28 @@ where
         receive_stream(&plan3, &format!("{name}-i3-receive-sources"), source_rx);
     let _store = forwarded.collecting_sink(&format!("{name}-source-store"));
 
-    let handles = vec![plan1.deploy()?, plan2.deploy()?, plan3.deploy()?];
-    let mut reports = Vec::with_capacity(handles.len());
-    for handle in handles {
-        reports.push(handle.wait()?);
-    }
-
-    let alerts = data_sink
-        .tuples()
-        .iter()
-        .map(|t| (t.ts, t.data.clone()))
-        .collect();
-    Ok(DistributedOutcome {
-        reports,
-        alerts,
-        sink_stats: Arc::clone(data_sink.stats()),
-        provenance: Vec::new(),
-        data_link_bytes: data_stats.bytes(),
-        provenance_link_bytes: source_stats.bytes(),
-    })
+    let n1 = name.to_string();
+    deploy_two_stage(
+        name,
+        [AriadneBaseline::new(), AriadneBaseline::new()],
+        generator,
+        source_config,
+        stage1,
+        stage2,
+        network,
+        move |source, stage1, data_tx| {
+            let mut branches = source.multiplex(&format!("{n1}-i1-mux"), 2).into_iter();
+            let to_query = branches.next().expect("two branches");
+            let to_provenance = branches.next().expect("two branches");
+            send_stream(stage1(to_query), &format!("{n1}-i1-send-data"), data_tx);
+            // The baseline has to make the raw source stream available wherever
+            // provenance is materialised, so the whole stream crosses the network.
+            send_stream(to_provenance, &format!("{n1}-i1-send-sources"), source_tx);
+        },
+        |results| results,
+        Some(plan3),
+        move || (Vec::new(), source_stats.bytes()),
+    )
 }
 
 #[cfg(test)]

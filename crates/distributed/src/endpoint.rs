@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use genealog_spe::channel::{OutputSlot, StreamReceiver};
 use genealog_spe::error::SpeError;
+use genealog_spe::impl_codec_struct;
 use genealog_spe::metrics::{OpCounters, OpMetrics};
 use genealog_spe::operator::{Operator, OperatorStats};
 use genealog_spe::provenance::{NoProvenance, ProvenanceSystem, RemoteContext};
@@ -146,21 +147,7 @@ impl WireProvenance for AriadneBaseline {
     }
 }
 
-impl WireEncode for WireTag {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.was_source.encode(out);
-    }
-}
-
-impl WireDecode for WireTag {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(WireTag {
-            id: TupleId::decode(reader)?,
-            was_source: bool::decode(reader)?,
-        })
-    }
-}
+impl_codec_struct!(WireTag { id, was_source });
 
 const FRAME_TUPLES: u8 = 0;
 const FRAME_WATERMARK: u8 = 1;
@@ -182,25 +169,12 @@ pub struct WireTuple<T> {
     pub data: T,
 }
 
-impl<T: WireEncode> WireEncode for WireTuple<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ts.encode(out);
-        self.stimulus.encode(out);
-        self.tag.encode(out);
-        self.data.encode(out);
-    }
-}
-
-impl<T: WireDecode> WireDecode for WireTuple<T> {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(WireTuple {
-            ts: Timestamp::decode(reader)?,
-            stimulus: u64::decode(reader)?,
-            tag: WireTag::decode(reader)?,
-            data: T::decode(reader)?,
-        })
-    }
-}
+impl_codec_struct!(WireTuple<T> {
+    ts,
+    stimulus,
+    tag,
+    data
+});
 
 /// One frame of the inter-instance framing: a *run* of consecutive data tuples
 /// (batch-aware framing), a watermark, or the end-of-stream marker.
@@ -244,9 +218,7 @@ impl<T: WireDecode> WireDecode for WireFrame<T> {
             FRAME_WATERMARK => Ok(WireFrame::Watermark(Timestamp::decode(reader)?)),
             FRAME_BARRIER => Ok(WireFrame::Barrier(u64::decode(reader)?)),
             FRAME_END => Ok(WireFrame::End),
-            other => Err(WireError {
-                message: format!("unknown frame tag {other}"),
-            }),
+            tag => Err(WireError::Tag { what: "frame", tag }),
         }
     }
 }

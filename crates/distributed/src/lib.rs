@@ -6,10 +6,14 @@
 //! instances* — independent engine runtimes that share no memory — connected by a
 //! byte-level wire protocol over a simulated network link:
 //!
-//! * [`wire`] — a small hand-written binary codec ([`wire::WireEncode`] /
-//!   [`wire::WireDecode`]); tuples crossing an instance boundary are serialised, so no
-//!   `Arc` (and therefore no GeneaLog pointer) survives the crossing, exactly the
-//!   constraint §6 starts from.
+//! * [`wire`] — tuples crossing an instance boundary are serialised, so no `Arc`
+//!   (and therefore no GeneaLog pointer) survives the crossing, exactly the
+//!   constraint §6 starts from. The bytes are written by the engine's one value
+//!   codec, [`genealog_spe::codec`] — the same `Encode`/`Decode` pair and
+//!   bounds-checked reader behind window-state containers and store records; this
+//!   module re-exports them under the names [`wire::WireEncode`] /
+//!   [`wire::WireDecode`]. A payload type becomes shippable (and durable) with one
+//!   `genealog_spe::impl_codec_struct!` line next to its definition.
 //! * [`network`] — [`network::SimulatedLink`]: a byte pipe with configurable bandwidth
 //!   and propagation latency plus per-link byte/frame counters (used to compare how
 //!   much GL and BL ship over the network).
@@ -71,4 +75,4 @@ pub use node::{
 pub use tcp::{
     TcpLink, TcpLoopbackTransport, TcpReceiver, TcpSender, TcpSeverHandle, MAX_FRAME_BYTES,
 };
-pub use wire::{WireDecode, WireEncode, WireError};
+pub use wire::{WireDecode, WireEncode, WireError, WireReader};

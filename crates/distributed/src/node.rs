@@ -28,7 +28,7 @@
 //! origin's Receive operators surface as a mid-stream close — the
 //! `run_with_recovery` path, exactly like a simulated sever.
 
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::Arc;
@@ -148,7 +148,10 @@ impl WireDecode for ShardOpSpec {
         match tag {
             0 => Ok(ShardOpSpec::SumAggregate { size_ms, slide_ms }),
             1 => Ok(ShardOpSpec::FilteredScaledSum { size_ms, slide_ms }),
-            other => Err(WireError::new(format!("unknown shard op tag {other}"))),
+            tag => Err(WireError::Tag {
+                what: "shard op",
+                tag,
+            }),
         }
     }
 }
@@ -209,23 +212,20 @@ impl WireDecode for NodeDeployment {
             restore_epoch: Option::decode(reader)?,
         };
         if deployment.shards.is_empty() {
-            return Err(WireError::new("a node deployment must host shards"));
+            return Err(WireError::Invalid("a node deployment must host shards"));
         }
         if deployment
             .shards
             .iter()
             .any(|&g| g >= deployment.total_shards)
         {
-            return Err(WireError::new(format!(
-                "shard index out of range for a {}-shard group",
-                deployment.total_shards
-            )));
+            return Err(WireError::Invalid("shard index out of range for the group"));
         }
         if deployment.checkpoint_interval == Some(0) {
-            return Err(WireError::new("checkpoint interval must be positive"));
+            return Err(WireError::Invalid("checkpoint interval must be positive"));
         }
         if deployment.restore_epoch.is_some() && deployment.checkpoint_interval.is_none() {
-            return Err(WireError::new(
+            return Err(WireError::Invalid(
                 "a restore epoch requires checkpointing to be enabled",
             ));
         }
@@ -383,6 +383,7 @@ pub fn serve_node_connection(
     let window = deployment.op.window().map_err(invalid)?;
     let k = deployment.shards.len();
     let (tx, _tx_stats) = TcpSender::from_stream(stream.try_clone()?, None, network);
+    let lingering = stream.try_clone()?;
     let rx = TcpReceiver::from_stream(stream, None, network);
     let recv_stats = Arc::new(LinkStats::default());
     recv_stats.export_dropped_frames(registry, &format!("{}.node", deployment.group));
@@ -468,7 +469,33 @@ pub fn serve_node_connection(
     for mirror in mirrors {
         let _ = mirror.join();
     }
+    drain_until_closed(lingering);
     Ok(reports)
+}
+
+/// Lingering close of a served connection. Every sender is gone by now — the
+/// goodbye is written, the write side shut — but the client's own goodbye may
+/// still sit unread in the socket, and closing a socket with unread input resets
+/// the connection: the reset discards whatever return frames the client has not
+/// read yet, which it then reports as a link closed before its end-of-stream
+/// marker. Reading to the client's end-of-file first makes the close orderly;
+/// the deadline bounds what a client that never closes can cost the node.
+fn drain_until_closed(mut stream: TcpStream) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let mut discard = [0u8; 512];
+    while std::time::Instant::now() < deadline {
+        match stream.read(&mut discard) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(err)
+                if matches!(
+                    err.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) => {}
+            Err(_) => break,
+        }
+    }
 }
 
 /// Runs a node's accept loop: every connection is served to completion with

@@ -1,542 +1,10 @@
-//! A small, hand-written binary wire format.
+//! The wire codec's historical names.
 //!
-//! Tuples crossing an SPE-instance boundary are serialised into length-delimited
-//! frames. The format is deliberately simple (little-endian fixed-width integers,
-//! length-prefixed strings and sequences) — the point of the inter-process experiments
-//! is the *volume* of data shipped per configuration, not codec sophistication, and a
-//! local codec avoids pulling a serialisation framework into the dependency tree.
+//! Tuples crossing an SPE-instance boundary are serialised by the engine's one
+//! value codec, [`genealog_spe::codec`] — the same `Encode`/`Decode` pair and the
+//! same bounds-checked reader that write window-state containers and store
+//! records. This module only keeps the `Wire*` names this crate's callers import.
 
-use std::fmt;
-
-use genealog::OpKind;
-use genealog::{SourceRecord, UnfoldedEvent, UpstreamEvent};
-use genealog_spe::tuple::TupleId;
-use genealog_spe::Timestamp;
-use genealog_workloads::types::{
-    AccidentAlert, AnomalyAlert, BlackoutAlert, DailyConsumption, MeterReading, PositionReport,
-    StoppedCarCount,
+pub use genealog_spe::codec::{
+    CodecError as WireError, Decode as WireDecode, Encode as WireEncode, Reader as WireReader,
 };
-
-/// Error produced when decoding a malformed frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireError {
-    /// Human-readable description of the failure.
-    pub message: String,
-}
-
-impl WireError {
-    pub(crate) fn new(message: impl Into<String>) -> Self {
-        WireError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "wire decode error: {}", self.message)
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// A cursor over a received frame.
-#[derive(Debug)]
-pub struct WireReader<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-}
-
-impl<'a> WireReader<'a> {
-    /// Creates a reader over a frame.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        WireReader { bytes, offset: 0 }
-    }
-
-    /// Number of bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.offset
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::new(format!(
-                "needed {n} bytes, only {} remaining",
-                self.remaining()
-            )));
-        }
-        let slice = &self.bytes[self.offset..self.offset + n];
-        self.offset += n;
-        Ok(slice)
-    }
-}
-
-/// Types that can be written to a wire frame.
-pub trait WireEncode {
-    /// Appends the binary representation of `self` to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
-
-    /// Convenience: encodes into a fresh buffer.
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode(&mut out);
-        out
-    }
-}
-
-/// Types that can be read back from a wire frame.
-pub trait WireDecode: Sized {
-    /// Decodes a value from the reader, advancing it.
-    ///
-    /// # Errors
-    /// Returns [`WireError`] if the frame is truncated or malformed.
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError>;
-
-    /// Convenience: decodes a value from a full frame.
-    ///
-    /// # Errors
-    /// Returns [`WireError`] if the frame is truncated or malformed.
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut reader = WireReader::new(bytes);
-        Self::decode(&mut reader)
-    }
-}
-
-macro_rules! impl_wire_int {
-    ($($ty:ty),*) => {
-        $(
-            impl WireEncode for $ty {
-                fn encode(&self, out: &mut Vec<u8>) {
-                    out.extend_from_slice(&self.to_le_bytes());
-                }
-            }
-            impl WireDecode for $ty {
-                fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-                    let bytes = reader.take(std::mem::size_of::<$ty>())?;
-                    // `take` guarantees the width, but decode paths must never be
-                    // able to panic on wire input: map the conversion instead.
-                    let bytes = bytes
-                        .try_into()
-                        .map_err(|_| WireError::new("integer width mismatch"))?;
-                    Ok(<$ty>::from_le_bytes(bytes))
-                }
-            }
-        )*
-    };
-}
-
-impl_wire_int!(u8, u16, u32, u64, i64);
-
-impl WireEncode for bool {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
-    }
-}
-
-impl WireDecode for bool {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(u8::decode(reader)? != 0)
-    }
-}
-
-impl WireEncode for String {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
-        out.extend_from_slice(self.as_bytes());
-    }
-}
-
-impl WireDecode for String {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = u32::decode(reader)? as usize;
-        let bytes = reader.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::new("invalid utf-8"))
-    }
-}
-
-impl<T: WireEncode> WireEncode for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Some(value) => {
-                true.encode(out);
-                value.encode(out);
-            }
-            None => false.encode(out),
-        }
-    }
-}
-
-impl<T: WireDecode> WireDecode for Option<T> {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        if bool::decode(reader)? {
-            Ok(Some(T::decode(reader)?))
-        } else {
-            Ok(None)
-        }
-    }
-}
-
-impl<T: WireEncode> WireEncode for Vec<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
-        for item in self {
-            item.encode(out);
-        }
-    }
-}
-
-impl<T: WireDecode> WireDecode for Vec<T> {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = u32::decode(reader)? as usize;
-        // Every non-zero-sized element consumes at least one byte on the wire,
-        // so a length prefix past the frame's remaining bytes can only be
-        // corruption: fail fast instead of looping over it (the capacity below
-        // is clamped for the same reason — never trust the prefix alone).
-        if std::mem::size_of::<T>() != 0 && len > reader.remaining() {
-            return Err(WireError::new(format!(
-                "sequence length {len} exceeds the {} bytes remaining",
-                reader.remaining()
-            )));
-        }
-        let mut items = Vec::with_capacity(len.min(1_024));
-        for _ in 0..len {
-            items.push(T::decode(reader)?);
-        }
-        Ok(items)
-    }
-}
-
-impl WireEncode for () {
-    fn encode(&self, _out: &mut Vec<u8>) {}
-}
-
-impl WireDecode for () {
-    fn decode(_reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(())
-    }
-}
-
-macro_rules! impl_wire_tuple {
-    ($(($($name:ident : $idx:tt),+)),+ $(,)?) => {
-        $(
-            impl<$($name: WireEncode),+> WireEncode for ($($name,)+) {
-                fn encode(&self, out: &mut Vec<u8>) {
-                    $(self.$idx.encode(out);)+
-                }
-            }
-            impl<$($name: WireDecode),+> WireDecode for ($($name,)+) {
-                fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-                    Ok(($($name::decode(reader)?,)+))
-                }
-            }
-        )+
-    };
-}
-
-// Keyed payloads such as `(key, value)` readings cross shard-group links directly.
-impl_wire_tuple!((A: 0), (A: 0, B: 1), (A: 0, B: 1, C: 2), (A: 0, B: 1, C: 2, D: 3));
-
-impl WireEncode for Timestamp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.as_millis().encode(out);
-    }
-}
-
-impl WireDecode for Timestamp {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Timestamp::from_millis(u64::decode(reader)?))
-    }
-}
-
-impl WireEncode for TupleId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.origin.encode(out);
-        self.seq.encode(out);
-    }
-}
-
-impl WireDecode for TupleId {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(TupleId::new(u32::decode(reader)?, u64::decode(reader)?))
-    }
-}
-
-impl WireEncode for OpKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            OpKind::Source => 0,
-            OpKind::Map => 1,
-            OpKind::Multiplex => 2,
-            OpKind::Join => 3,
-            OpKind::Aggregate => 4,
-            OpKind::Remote => 5,
-        };
-        tag.encode(out);
-    }
-}
-
-impl WireDecode for OpKind {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(reader)? {
-            0 => Ok(OpKind::Source),
-            1 => Ok(OpKind::Map),
-            2 => Ok(OpKind::Multiplex),
-            3 => Ok(OpKind::Join),
-            4 => Ok(OpKind::Aggregate),
-            5 => Ok(OpKind::Remote),
-            other => Err(WireError::new(format!("unknown OpKind tag {other}"))),
-        }
-    }
-}
-
-macro_rules! impl_wire_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl WireEncode for $ty {
-            fn encode(&self, out: &mut Vec<u8>) {
-                $(self.$field.encode(out);)+
-            }
-        }
-        impl WireDecode for $ty {
-            fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-                Ok(Self {
-                    $($field: WireDecode::decode(reader)?,)+
-                })
-            }
-        }
-    };
-}
-
-impl_wire_struct!(PositionReport { car_id, speed, pos });
-impl_wire_struct!(StoppedCarCount {
-    car_id,
-    count,
-    distinct_pos,
-    last_pos
-});
-impl_wire_struct!(AccidentAlert { pos, stopped_cars });
-impl_wire_struct!(MeterReading {
-    meter_id,
-    consumption,
-    hour_of_day
-});
-impl_wire_struct!(DailyConsumption { meter_id, total });
-impl_wire_struct!(BlackoutAlert { zero_meters });
-impl_wire_struct!(AnomalyAlert {
-    meter_id,
-    consumption_diff
-});
-
-impl<S: WireEncode> WireEncode for SourceRecord<S> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ts.encode(out);
-        self.id.encode(out);
-        self.data.encode(out);
-    }
-}
-
-impl<S: WireDecode> WireDecode for SourceRecord<S> {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(SourceRecord {
-            ts: Timestamp::decode(reader)?,
-            id: TupleId::decode(reader)?,
-            data: S::decode(reader)?,
-        })
-    }
-}
-
-impl<T: WireEncode, S: WireEncode> WireEncode for UnfoldedEvent<T, S> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sink_ts.encode(out);
-        self.sink_id.encode(out);
-        self.sink_data.encode(out);
-        self.origin_kind.encode(out);
-        self.origin_ts.encode(out);
-        self.origin_id.encode(out);
-        self.origin_data.encode(out);
-    }
-}
-
-impl<T: WireDecode, S: WireDecode> WireDecode for UnfoldedEvent<T, S> {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(UnfoldedEvent {
-            sink_ts: Timestamp::decode(reader)?,
-            sink_id: TupleId::decode(reader)?,
-            sink_data: T::decode(reader)?,
-            origin_kind: OpKind::decode(reader)?,
-            origin_ts: Timestamp::decode(reader)?,
-            origin_id: TupleId::decode(reader)?,
-            origin_data: Option::<S>::decode(reader)?,
-        })
-    }
-}
-
-impl<S: WireEncode> WireEncode for UpstreamEvent<S> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sink_id.encode(out);
-        self.sink_ts.encode(out);
-        self.origin_kind.encode(out);
-        self.origin_ts.encode(out);
-        self.origin_id.encode(out);
-        self.origin_data.encode(out);
-    }
-}
-
-impl<S: WireDecode> WireDecode for UpstreamEvent<S> {
-    fn decode(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(UpstreamEvent {
-            sink_id: TupleId::decode(reader)?,
-            sink_ts: Timestamp::decode(reader)?,
-            origin_kind: OpKind::decode(reader)?,
-            origin_ts: Timestamp::decode(reader)?,
-            origin_id: TupleId::decode(reader)?,
-            origin_data: Option::<S>::decode(reader)?,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn round_trip<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(value: T) {
-        let bytes = value.to_bytes();
-        let decoded = T::from_bytes(&bytes).expect("decode");
-        assert_eq!(decoded, value);
-    }
-
-    #[test]
-    fn primitives_round_trip() {
-        round_trip(0u8);
-        round_trip(513u16);
-        round_trip(70_000u32);
-        round_trip(u64::MAX);
-        round_trip(-42i64);
-        round_trip(true);
-        round_trip(false);
-        round_trip("hello ⚡".to_string());
-        round_trip(Option::<u32>::None);
-        round_trip(Some(9u32));
-        round_trip(vec![1u32, 2, 3]);
-        round_trip(Timestamp::from_secs(120));
-        round_trip(TupleId::new(3, 99));
-    }
-
-    #[test]
-    fn op_kinds_round_trip() {
-        for kind in [
-            OpKind::Source,
-            OpKind::Map,
-            OpKind::Multiplex,
-            OpKind::Join,
-            OpKind::Aggregate,
-            OpKind::Remote,
-        ] {
-            round_trip(kind);
-        }
-    }
-
-    #[test]
-    fn workload_schemas_round_trip() {
-        round_trip(PositionReport {
-            car_id: 7,
-            speed: 0,
-            pos: 42,
-        });
-        round_trip(StoppedCarCount {
-            car_id: 7,
-            count: 4,
-            distinct_pos: 1,
-            last_pos: 42,
-        });
-        round_trip(AccidentAlert {
-            pos: 10,
-            stopped_cars: 2,
-        });
-        round_trip(MeterReading {
-            meter_id: 3,
-            consumption: 11,
-            hour_of_day: 0,
-        });
-        round_trip(DailyConsumption {
-            meter_id: 3,
-            total: 264,
-        });
-        round_trip(BlackoutAlert { zero_meters: 8 });
-        round_trip(AnomalyAlert {
-            meter_id: 5,
-            consumption_diff: 11_760,
-        });
-    }
-
-    #[test]
-    fn unfolded_events_round_trip() {
-        round_trip(UnfoldedEvent::<StoppedCarCount, PositionReport> {
-            sink_ts: Timestamp::from_secs(60),
-            sink_id: TupleId::new(1, 2),
-            sink_data: StoppedCarCount {
-                car_id: 1,
-                count: 4,
-                distinct_pos: 1,
-                last_pos: 9,
-            },
-            origin_kind: OpKind::Remote,
-            origin_ts: Timestamp::from_secs(30),
-            origin_id: TupleId::new(0, 5),
-            origin_data: None,
-        });
-        round_trip(UpstreamEvent::<PositionReport> {
-            sink_id: TupleId::new(0, 5),
-            sink_ts: Timestamp::from_secs(30),
-            origin_kind: OpKind::Source,
-            origin_ts: Timestamp::from_secs(1),
-            origin_id: TupleId::new(0, 1),
-            origin_data: Some(PositionReport {
-                car_id: 1,
-                speed: 0,
-                pos: 9,
-            }),
-        });
-        round_trip(SourceRecord::<MeterReading> {
-            ts: Timestamp::from_hours(3),
-            id: TupleId::new(2, 2),
-            data: MeterReading {
-                meter_id: 1,
-                consumption: 10,
-                hour_of_day: 3,
-            },
-        });
-    }
-
-    #[test]
-    fn truncated_frames_are_rejected() {
-        let bytes = TupleId::new(1, 2).to_bytes();
-        assert!(TupleId::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        assert!(u32::from_bytes(&[1, 2]).is_err());
-        let err = OpKind::from_bytes(&[99]).unwrap_err();
-        assert!(err.to_string().contains("unknown OpKind"));
-    }
-
-    #[test]
-    fn corrupt_sequence_lengths_fail_fast() {
-        // A length prefix claiming 4 billion elements in a 4-byte frame must be
-        // rejected on the prefix alone, without looping or allocating for it.
-        let err = Vec::<u64>::from_bytes(&u32::MAX.to_le_bytes()).unwrap_err();
-        assert!(err.to_string().contains("exceeds"), "got: {err}");
-        // A plausible-but-wrong length still errors out on the missing element.
-        let mut buf = Vec::new();
-        2u32.encode(&mut buf);
-        1u8.encode(&mut buf);
-        assert!(Vec::<u8>::from_bytes(&buf).is_err());
-    }
-
-    #[test]
-    fn decoding_consumes_exactly_the_encoded_bytes() {
-        let mut buf = Vec::new();
-        7u32.encode(&mut buf);
-        "x".to_string().encode(&mut buf);
-        let mut reader = WireReader::new(&buf);
-        assert_eq!(u32::decode(&mut reader).unwrap(), 7);
-        assert_eq!(String::decode(&mut reader).unwrap(), "x");
-        assert_eq!(reader.remaining(), 0);
-    }
-}

@@ -331,7 +331,7 @@ impl Operator for FusedOp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::channel::stream_channel;
     use crate::operator::filter::FilterStage;
@@ -340,6 +340,20 @@ mod tests {
 
     fn tuple(ts: u64, v: i64) -> Arc<GTuple<i64, ()>> {
         Arc::new(GTuple::new(Timestamp::from_secs(ts), 0, v, ()))
+    }
+
+    /// Runs one stage to completion the way the query builder deploys an unfused
+    /// stateless operator: as a sealed chain of length one.
+    pub(crate) fn run_stage<I: TupleData, O: TupleData, M: MetaData>(
+        name: &str,
+        rx: StreamReceiver<I, M>,
+        stage: Box<dyn FusedStage<I, O, M>>,
+        output: OutputSlot<O, M>,
+    ) -> OperatorStats {
+        let counters = Arc::new(StageCounters::default());
+        let chain = PendingChain::start(rx, stage, Arc::clone(&counters), output);
+        let op = Box::new(chain).seal(name.into(), counters);
+        Box::new(op).run().unwrap()
     }
 
     /// Builds filter(even) → map(double) as a two-stage chain and runs it.

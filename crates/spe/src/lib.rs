@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod channel;
+pub mod codec;
 pub mod error;
 pub mod fusion;
 pub mod logical;

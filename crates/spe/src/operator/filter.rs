@@ -6,10 +6,8 @@
 
 use std::sync::Arc;
 
-use crate::channel::{ChannelClosed, OutputSlot, StreamReceiver};
-use crate::error::SpeError;
-use crate::fusion::{PendingChain, SealableChain, StageCounters};
-use crate::operator::{FusedStage, Operator, OperatorStats};
+use crate::channel::ChannelClosed;
+use crate::operator::FusedStage;
 use crate::provenance::MetaData;
 use crate::tuple::{GTuple, TupleData};
 
@@ -46,68 +44,13 @@ where
     }
 }
 
-/// The Filter operator runtime.
-pub struct FilterOp<T, F, M> {
-    name: String,
-    input: StreamReceiver<T, M>,
-    output: OutputSlot<T, M>,
-    predicate: F,
-}
-
-impl<T, F, M> FilterOp<T, F, M>
-where
-    T: TupleData,
-    F: FnMut(&T) -> bool + Send + 'static,
-    M: MetaData,
-{
-    /// Creates a Filter operator.
-    pub fn new(
-        name: impl Into<String>,
-        input: StreamReceiver<T, M>,
-        output: OutputSlot<T, M>,
-        predicate: F,
-    ) -> Self {
-        FilterOp {
-            name: name.into(),
-            input,
-            output,
-            predicate,
-        }
-    }
-}
-
-impl<T, F, M> Operator for FilterOp<T, F, M>
-where
-    T: TupleData,
-    F: FnMut(&T) -> bool + Send + 'static,
-    M: MetaData,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(self: Box<Self>) -> Result<OperatorStats, SpeError> {
-        // One source of truth for the operator semantics: run as a chain of one
-        // FilterStage — exactly what the query builder deploys for this operator.
-        let this = *self;
-        let counters = Arc::new(StageCounters::default());
-        let chain = PendingChain::start(
-            this.input,
-            Box::new(FilterStage::new(this.predicate)) as Box<dyn FusedStage<T, T, M>>,
-            Arc::clone(&counters),
-            this.output,
-        );
-        Box::new(Box::new(chain).seal(this.name, counters)).run()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::stream_channel;
+    use crate::channel::{stream_channel, OutputSlot};
+    use crate::fusion::tests::run_stage;
     use crate::time::Timestamp;
     use crate::tuple::Element;
-    use std::sync::Arc;
 
     fn tuple(ts: u64, v: i64) -> Arc<GTuple<i64, ()>> {
         Arc::new(GTuple::new(Timestamp::from_secs(ts), 0, v, ()))
@@ -126,8 +69,8 @@ mod tests {
         in_tx.send(Element::Tuple(dropped)).unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let op = FilterOp::new("even", in_rx, out_slot, |v: &i64| v % 2 == 0);
-        let stats = Box::new(op).run().unwrap();
+        let stage = FilterStage::new(|v: &i64| v % 2 == 0);
+        let stats = run_stage("even", in_rx, Box::new(stage), out_slot);
         assert_eq!(stats.tuples_in, 2);
         assert_eq!(stats.tuples_out, 1);
 
@@ -153,8 +96,8 @@ mod tests {
             .unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let op = FilterOp::new("none", in_rx, out_slot, |_: &i64| false);
-        Box::new(op).run().unwrap();
+        let stage = FilterStage::new(|_: &i64| false);
+        run_stage("none", in_rx, Box::new(stage), out_slot);
         assert!(matches!(out_rx.recv(), Element::Watermark(ts) if ts == Timestamp::from_secs(1)));
         assert!(out_rx.recv().is_end());
     }

@@ -6,17 +6,23 @@
 
 use std::sync::Arc;
 
-use crate::channel::{ChannelClosed, OutputSlot, StreamReceiver};
-use crate::error::SpeError;
-use crate::fusion::{PendingChain, SealableChain, StageCounters};
-use crate::operator::{FusedStage, Operator, OperatorStats};
+use crate::channel::ChannelClosed;
+use crate::operator::FusedStage;
 use crate::provenance::ProvenanceSystem;
 use crate::tuple::{GTuple, TupleData};
 
 /// The Map semantics as a fusable [`FusedStage`]: for every output payload the user
 /// function returns, a new tuple is created with metadata from the provenance
-/// system's `map_meta` hook — exactly the instrumentation point of the standalone
-/// [`MapOp`], so fused and unfused plans produce byte-identical contribution graphs.
+/// system's `map_meta` hook — the same instrumentation point whether the stage runs
+/// alone or fused, so fused and unfused plans produce byte-identical contribution
+/// graphs.
+///
+/// The user function receives the input payload and returns *zero or more* output
+/// payloads; output tuples inherit the input tuple's timestamp and stimulus.
+/// (Returning zero outputs makes Map usable as a filtering projection, but
+/// [`FilterStage`](crate::operator::filter::FilterStage) should be preferred when
+/// tuples are merely forwarded, because Filter does not create new tuples and
+/// therefore adds nothing to the contribution graph.)
 pub struct MapStage<F, P> {
     function: F,
     provenance: P,
@@ -52,7 +58,15 @@ where
     }
 }
 
-/// The meta-aware Map semantics as a fusable [`FusedStage`] (see [`MetaMapOp`]).
+/// The meta-aware Map semantics as a fusable [`FusedStage`]: a Map variant whose
+/// user function receives the *whole input tuple* (payload and provenance metadata)
+/// instead of just the payload.
+///
+/// This is the engine-level facility the paper's §4.1 calls an *instrumented*
+/// operator: it can "access and modify the meta-data used for data provenance and use
+/// such metadata to create tuples". The single-stream unfolder of `genealog` (§5.1) is
+/// built from a Multiplex plus a meta-aware Map applying the `findProvenance`
+/// traversal.
 pub struct MetaMapStage<F, P> {
     function: F,
     provenance: P,
@@ -88,148 +102,15 @@ where
     }
 }
 
-/// The Map operator runtime.
-///
-/// The user function receives the input payload and returns *zero or more* output
-/// payloads; output tuples inherit the input tuple's timestamp and stimulus.
-/// (Returning zero outputs makes Map usable as a filtering projection, but the
-/// dedicated [`FilterOp`](crate::operator::filter::FilterOp) should be preferred when
-/// tuples are merely forwarded, because Filter does not create new tuples and
-/// therefore adds nothing to the contribution graph.)
-pub struct MapOp<I, O, F, P: ProvenanceSystem> {
-    name: String,
-    input: StreamReceiver<I, P::Meta>,
-    output: OutputSlot<O, P::Meta>,
-    function: F,
-    provenance: P,
-}
-
-impl<I, O, F, P> MapOp<I, O, F, P>
-where
-    I: TupleData,
-    O: TupleData,
-    F: FnMut(&I) -> Vec<O> + Send + 'static,
-    P: ProvenanceSystem,
-{
-    /// Creates a Map operator.
-    pub fn new(
-        name: impl Into<String>,
-        input: StreamReceiver<I, P::Meta>,
-        output: OutputSlot<O, P::Meta>,
-        function: F,
-        provenance: P,
-    ) -> Self {
-        MapOp {
-            name: name.into(),
-            input,
-            output,
-            function,
-            provenance,
-        }
-    }
-}
-
-impl<I, O, F, P> Operator for MapOp<I, O, F, P>
-where
-    I: TupleData,
-    O: TupleData,
-    F: FnMut(&I) -> Vec<O> + Send + 'static,
-    P: ProvenanceSystem,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(self: Box<Self>) -> Result<OperatorStats, SpeError> {
-        // One source of truth for the operator semantics: run as a chain of one
-        // MapStage — exactly what the query builder deploys for this operator.
-        let this = *self;
-        let counters = Arc::new(StageCounters::default());
-        let chain = PendingChain::start(
-            this.input,
-            Box::new(MapStage::new(this.function, this.provenance))
-                as Box<dyn FusedStage<I, O, P::Meta>>,
-            Arc::clone(&counters),
-            this.output,
-        );
-        Box::new(Box::new(chain).seal(this.name, counters)).run()
-    }
-}
-
-/// A Map variant whose user function receives the *whole input tuple* (payload and
-/// provenance metadata) instead of just the payload.
-///
-/// This is the engine-level facility the paper's §4.1 calls an *instrumented*
-/// operator: it can "access and modify the meta-data used for data provenance and use
-/// such metadata to create tuples". The single-stream unfolder of `genealog` (§5.1) is
-/// built from a Multiplex plus a `MetaMapOp` applying the `findProvenance` traversal.
-pub struct MetaMapOp<I, O, F, P: ProvenanceSystem> {
-    name: String,
-    input: StreamReceiver<I, P::Meta>,
-    output: OutputSlot<O, P::Meta>,
-    function: F,
-    provenance: P,
-}
-
-impl<I, O, F, P> MetaMapOp<I, O, F, P>
-where
-    I: TupleData,
-    O: TupleData,
-    F: FnMut(&Arc<GTuple<I, P::Meta>>) -> Vec<O> + Send + 'static,
-    P: ProvenanceSystem,
-{
-    /// Creates a meta-aware Map operator.
-    pub fn new(
-        name: impl Into<String>,
-        input: StreamReceiver<I, P::Meta>,
-        output: OutputSlot<O, P::Meta>,
-        function: F,
-        provenance: P,
-    ) -> Self {
-        MetaMapOp {
-            name: name.into(),
-            input,
-            output,
-            function,
-            provenance,
-        }
-    }
-}
-
-impl<I, O, F, P> Operator for MetaMapOp<I, O, F, P>
-where
-    I: TupleData,
-    O: TupleData,
-    F: FnMut(&Arc<GTuple<I, P::Meta>>) -> Vec<O> + Send + 'static,
-    P: ProvenanceSystem,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(self: Box<Self>) -> Result<OperatorStats, SpeError> {
-        // One source of truth for the operator semantics: run as a chain of one
-        // MetaMapStage — exactly what the query builder deploys for this operator.
-        let this = *self;
-        let counters = Arc::new(StageCounters::default());
-        let chain = PendingChain::start(
-            this.input,
-            Box::new(MetaMapStage::new(this.function, this.provenance))
-                as Box<dyn FusedStage<I, O, P::Meta>>,
-            Arc::clone(&counters),
-            this.output,
-        );
-        Box::new(Box::new(chain).seal(this.name, counters)).run()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channel::{stream_channel, OutputSlot};
-    use crate::provenance::NoProvenance;
+    use crate::fusion::tests::run_stage;
+    use crate::provenance::{NoProvenance, ProvenanceSystem, RemoteContext, SourceContext};
     use crate::time::Timestamp;
     use crate::tuple::Element;
+    use crate::tuple::TupleData;
 
     fn tuple(ts: u64, v: i64) -> Arc<GTuple<i64, ()>> {
         Arc::new(GTuple::new(Timestamp::from_secs(ts), 7, v, ()))
@@ -248,14 +129,8 @@ mod tests {
             .unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let op = MapOp::new(
-            "fmt",
-            in_rx,
-            out_slot,
-            |v: &i64| vec![format!("v={}", v * 2)],
-            NoProvenance,
-        );
-        let stats = Box::new(op).run().unwrap();
+        let stage = MapStage::new(|v: &i64| vec![format!("v={}", v * 2)], NoProvenance);
+        let stats = run_stage("fmt", in_rx, Box::new(stage), out_slot);
         assert_eq!(stats.tuples_in, 1);
         assert_eq!(stats.tuples_out, 1);
 
@@ -278,14 +153,8 @@ mod tests {
         in_tx.send(Element::Tuple(tuple(1, 3))).unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let op = MapOp::new(
-            "explode",
-            in_rx,
-            out_slot,
-            |v: &i64| (0..*v).collect::<Vec<_>>(),
-            NoProvenance,
-        );
-        let stats = Box::new(op).run().unwrap();
+        let stage = MapStage::new(|v: &i64| (0..*v).collect::<Vec<_>>(), NoProvenance);
+        let stats = run_stage("explode", in_rx, Box::new(stage), out_slot);
         assert_eq!(stats.tuples_out, 3);
         assert_eq!(out_rx.recv().as_tuple().unwrap().data, 0);
         assert_eq!(out_rx.recv().as_tuple().unwrap().data, 1);
@@ -302,14 +171,11 @@ mod tests {
         in_tx.send(Element::Tuple(tuple(9, 100))).unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let op = MetaMapOp::new(
-            "ts-extract",
-            in_rx,
-            out_slot,
+        let stage = MetaMapStage::new(
             |t: &Arc<GTuple<i64, ()>>| vec![t.ts.as_secs()],
             NoProvenance,
         );
-        let stats = Box::new(op).run().unwrap();
+        let stats = run_stage("ts-extract", in_rx, Box::new(stage), out_slot);
         assert_eq!(stats.tuples_out, 1);
         assert_eq!(out_rx.recv().as_tuple().unwrap().data, 9);
         assert!(out_rx.recv().is_end());
@@ -325,16 +191,72 @@ mod tests {
         in_tx.send(Element::Tuple(tuple(1, 3))).unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let op = MapOp::new(
-            "drop",
-            in_rx,
-            out_slot,
-            |_: &i64| Vec::<i64>::new(),
-            NoProvenance,
-        );
-        let stats = Box::new(op).run().unwrap();
+        let stage = MapStage::new(|_: &i64| Vec::<i64>::new(), NoProvenance);
+        let stats = run_stage("drop", in_rx, Box::new(stage), out_slot);
         assert_eq!(stats.tuples_in, 1);
         assert_eq!(stats.tuples_out, 0);
+        assert!(out_rx.recv().is_end());
+    }
+
+    /// A system whose metadata counts the tuple-creating hops behind a tuple.
+    #[derive(Debug, Clone)]
+    struct Depth;
+
+    impl ProvenanceSystem for Depth {
+        type Meta = u32;
+        fn label(&self) -> &'static str {
+            "depth"
+        }
+        fn source_meta<T: TupleData>(&self, _ctx: &SourceContext, _data: &T) -> u32 {
+            0
+        }
+        fn map_meta<I: TupleData>(&self, input: &Arc<GTuple<I, u32>>) -> u32 {
+            input.meta + 1
+        }
+        fn multiplex_meta<I: TupleData>(&self, input: &Arc<GTuple<I, u32>>) -> u32 {
+            input.meta
+        }
+        fn join_meta<L: TupleData, R: TupleData>(
+            &self,
+            left: &Arc<GTuple<L, u32>>,
+            _right: &Arc<GTuple<R, u32>>,
+        ) -> u32 {
+            left.meta
+        }
+        fn aggregate_meta<I: TupleData>(&self, _window: &[Arc<GTuple<I, u32>>]) -> u32 {
+            0
+        }
+        fn remote_meta(&self, _ctx: &RemoteContext) -> u32 {
+            0
+        }
+        fn detach_meta(&self, meta: &u32) -> u32 {
+            *meta
+        }
+    }
+
+    #[test]
+    fn map_stages_call_the_map_provenance_hook_once_per_output() {
+        let (in_tx, in_rx) = stream_channel(16);
+        let out_slot = OutputSlot::<i64, u32>::new();
+        let (out_tx, mut out_rx) = stream_channel(16);
+        out_slot.connect(out_tx);
+
+        let input = Arc::new(GTuple::new(Timestamp::from_secs(1), 7, 3i64, 4u32));
+        in_tx.send(Element::Tuple(input)).unwrap();
+        in_tx.send(Element::End).unwrap();
+
+        let stage = MapStage::new(|v: &i64| vec![*v, v + 1], Depth);
+        let stats = run_stage("twice", in_rx, Box::new(stage), out_slot);
+        assert_eq!(stats.tuples_out, 2);
+        for expected in [3, 4] {
+            let t = out_rx.recv();
+            let t = t.as_tuple().unwrap();
+            assert_eq!(t.data, expected);
+            assert_eq!(
+                t.meta, 5,
+                "map_meta derives the output's meta from the input"
+            );
+        }
         assert!(out_rx.recv().is_end());
     }
 }

@@ -1,13 +1,17 @@
 //! The standard streaming operators of the paper's §2.
 //!
-//! Stateless operators: [`map::MapOp`], [`filter::FilterOp`], [`multiplex::MultiplexOp`],
-//! [`union::UnionOp`]. Stateful operators: [`aggregate::AggregateOp`], [`join::JoinOp`].
-//! Edges of the query: [`source::SourceOp`] and [`sink::SinkOp`].
+//! Stateless single-input operators are [`FusedStage`]s — [`filter::FilterStage`],
+//! [`map::MapStage`], [`map::MetaMapStage`] — which the query builder runs through a
+//! fused chain ([`crate::fusion`]), of length one when fusion is off. The other
+//! stateless operators are [`multiplex::MultiplexOp`] and [`union::UnionOp`]; the
+//! stateful ones [`aggregate::AggregateOp`] and [`join::JoinOp`]; the edges of the
+//! query [`source::SourceOp`] and [`sink::SinkOp`].
 //!
-//! Every operator implements the [`Operator`] runtime trait: a blocking `run` loop that
-//! consumes input elements, applies the operator semantics, calls the provenance hooks
-//! of the query's [`ProvenanceSystem`](crate::provenance::ProvenanceSystem) whenever a
-//! new tuple is created, and pushes results downstream. The query builder
+//! Everything the runtime spawns implements the [`Operator`] trait: a blocking `run`
+//! loop that consumes input elements, applies the operator semantics, calls the
+//! provenance hooks of the query's
+//! [`ProvenanceSystem`](crate::provenance::ProvenanceSystem) whenever a new tuple is
+//! created, and pushes results downstream. The query builder
 //! ([`crate::query::Query`]) constructs operators and the runtime
 //! ([`crate::runtime`]) runs each one on its own thread.
 

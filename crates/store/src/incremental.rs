@@ -23,7 +23,10 @@
 
 use std::collections::HashMap;
 
-use genealog_spe::persist::{parse_container, ByteReader, ContainerWriter};
+use genealog_spe::codec::{put_bytes, CodecError, Decode, Encode, Reader};
+use genealog_spe::persist::{
+    parse_container, put_occurrences, read_occurrences, Container, ContainerWriter,
+};
 
 /// Leading magic of an incremental window-snapshot delta.
 pub const DELTA_MAGIC: [u8; 4] = *b"GLWD";
@@ -39,61 +42,49 @@ pub fn is_delta(bytes: &[u8]) -> bool {
     bytes.len() > 5 && bytes[..4] == DELTA_MAGIC && bytes[4] == DELTA_VERSION
 }
 
+/// A container's buffers by `(start, key)`.
+fn by_buffer<'a, 'c>(container: &'c Container<'a>) -> HashMap<(u64, &'a [u8]), &'c Vec<&'a [u8]>> {
+    container
+        .entries
+        .iter()
+        .map(|e| ((e.start_ms, e.key), &e.occurrences))
+        .collect()
+}
+
 /// Encodes `next` as a delta against `prev` (the container committed for
 /// `base_epoch`). `None` when either buffer is not a parseable container —
 /// the caller then falls back to a full record.
 pub fn diff(prev: &[u8], base_epoch: u64, next: &[u8]) -> Option<Vec<u8>> {
-    let prev = parse_container(prev)?;
-    let next = parse_container(next)?;
-    let prev_entries: HashMap<(u64, &[u8]), &Vec<&[u8]>> = prev
-        .entries
-        .iter()
-        .map(|e| ((e.start_ms, e.key), &e.occurrences))
-        .collect();
+    let prev = parse_container(prev).ok()?;
+    let next = parse_container(next).ok()?;
+    let prev_entries = by_buffer(&prev);
 
     let mut out = Vec::new();
     out.extend_from_slice(&DELTA_MAGIC);
-    out.push(DELTA_VERSION);
-    out.extend_from_slice(&base_epoch.to_le_bytes());
-    out.extend_from_slice(&next.watermark_ms.to_le_bytes());
-    out.extend_from_slice(&next.late_tuples.to_le_bytes());
-    out.extend_from_slice(&(next.entries.len() as u32).to_le_bytes());
+    DELTA_VERSION.encode(&mut out);
+    base_epoch.encode(&mut out);
+    next.watermark_ms.encode(&mut out);
+    next.late_tuples.encode(&mut out);
+    (next.entries.len() as u32).encode(&mut out);
     for entry in &next.entries {
-        out.extend_from_slice(&entry.start_ms.to_le_bytes());
-        out.extend_from_slice(&(entry.key.len() as u32).to_le_bytes());
-        out.extend_from_slice(entry.key);
-        let base = prev_entries.get(&(entry.start_ms, entry.key));
-        match base {
+        entry.start_ms.encode(&mut out);
+        put_bytes(&mut out, entry.key);
+        match prev_entries.get(&(entry.start_ms, entry.key)) {
             // A surviving buffer whose prefix is byte-equal to the base buffer:
             // ship only what was appended (possibly nothing).
-            Some(base_occs)
-                if base_occs.len() <= entry.occurrences.len()
-                    && base_occs
-                        .iter()
-                        .zip(&entry.occurrences)
-                        .all(|(a, b)| a == b) =>
-            {
+            Some(base_occs) if entry.occurrences.starts_with(base_occs) => {
                 if base_occs.len() == entry.occurrences.len() {
-                    out.push(MODE_UNCHANGED);
+                    MODE_UNCHANGED.encode(&mut out);
                 } else {
-                    out.push(MODE_APPENDED);
-                    out.extend_from_slice(&(base_occs.len() as u32).to_le_bytes());
-                    let added = &entry.occurrences[base_occs.len()..];
-                    out.extend_from_slice(&(added.len() as u32).to_le_bytes());
-                    for occ in added {
-                        out.extend_from_slice(&(occ.len() as u32).to_le_bytes());
-                        out.extend_from_slice(occ);
-                    }
+                    MODE_APPENDED.encode(&mut out);
+                    (base_occs.len() as u32).encode(&mut out);
+                    put_occurrences(&mut out, &entry.occurrences[base_occs.len()..]);
                 }
             }
             // New buffer, or one that mutated in a way appends cannot express.
             _ => {
-                out.push(MODE_FULL);
-                out.extend_from_slice(&(entry.occurrences.len() as u32).to_le_bytes());
-                for occ in &entry.occurrences {
-                    out.extend_from_slice(&(occ.len() as u32).to_le_bytes());
-                    out.extend_from_slice(occ);
-                }
+                MODE_FULL.encode(&mut out);
+                put_occurrences(&mut out, &entry.occurrences);
             }
         }
     }
@@ -105,8 +96,7 @@ pub fn delta_base_epoch(delta: &[u8]) -> Option<u64> {
     if !is_delta(delta) {
         return None;
     }
-    let mut r = ByteReader::new(&delta[5..]);
-    r.u64()
+    u64::from_bytes(&delta[5..]).ok()
 }
 
 /// Applies `delta` to the full container of its base epoch, reconstructing the
@@ -114,61 +104,50 @@ pub fn delta_base_epoch(delta: &[u8]) -> Option<u64> {
 /// given as `next`. `None` on any structural mismatch (wrong base, torn delta,
 /// missing buffers): corruption is rejected, never papered over.
 pub fn apply(base: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
+    reconstruct(base, delta).ok()
+}
+
+fn reconstruct(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, CodecError> {
     if !is_delta(delta) {
-        return None;
+        return Err(CodecError::Invalid("not a GLWD version 1 delta"));
     }
     let base = parse_container(base)?;
-    let base_entries: HashMap<(u64, &[u8]), &Vec<&[u8]>> = base
-        .entries
-        .iter()
-        .map(|e| ((e.start_ms, e.key), &e.occurrences))
-        .collect();
+    let base_entries = by_buffer(&base);
+    let missing = CodecError::Invalid("delta names a buffer its base lacks");
 
-    let mut r = ByteReader::new(&delta[5..]);
-    let _base_epoch = r.u64()?;
-    let watermark_ms = r.u64()?;
-    let late_tuples = r.u64()?;
-    let entry_count = r.u32()? as usize;
-    let mut writer = ContainerWriter::new(watermark_ms, late_tuples);
-    for _ in 0..entry_count {
-        let start_ms = r.u64()?;
-        let key_len = r.u32()? as usize;
-        let key = r.take(key_len)?;
-        match r.u8()? {
+    let mut r = Reader::new(&delta[5..]);
+    let _base_epoch = u64::decode(&mut r)?;
+    let mut writer = ContainerWriter::new(u64::decode(&mut r)?, u64::decode(&mut r)?);
+    // An entry is at least `start_ms | key_len | mode`.
+    for _ in 0..r.count(13)? {
+        let start_ms = u64::decode(&mut r)?;
+        let key = r.bytes()?;
+        match u8::decode(&mut r)? {
             MODE_UNCHANGED => {
-                let occs = base_entries.get(&(start_ms, key))?;
+                let occs = base_entries.get(&(start_ms, key)).ok_or(missing)?;
                 writer.entry(start_ms, key, occs);
             }
             MODE_APPENDED => {
-                let base_count = r.u32()? as usize;
-                let occs = base_entries.get(&(start_ms, key))?;
+                let base_count = u32::decode(&mut r)? as usize;
+                let occs = base_entries.get(&(start_ms, key)).ok_or(missing)?;
                 if occs.len() != base_count {
-                    return None;
+                    return Err(CodecError::Invalid("delta and base disagree on a buffer"));
                 }
-                let added_count = r.u32()? as usize;
                 let mut all: Vec<&[u8]> = occs.to_vec();
-                for _ in 0..added_count {
-                    let len = r.u32()? as usize;
-                    all.push(r.take(len)?);
-                }
+                all.extend(read_occurrences(&mut r)?);
                 writer.entry(start_ms, key, &all);
             }
-            MODE_FULL => {
-                let occ_count = r.u32()? as usize;
-                let mut occs: Vec<&[u8]> = Vec::with_capacity(occ_count.min(1 << 16));
-                for _ in 0..occ_count {
-                    let len = r.u32()? as usize;
-                    occs.push(r.take(len)?);
-                }
-                writer.entry(start_ms, key, &occs);
+            MODE_FULL => writer.entry(start_ms, key, &read_occurrences(&mut r)?),
+            tag => {
+                return Err(CodecError::Tag {
+                    what: "delta entry mode",
+                    tag,
+                })
             }
-            _ => return None,
         }
     }
-    if !r.is_empty() {
-        return None;
-    }
-    Some(writer.finish())
+    r.finish()?;
+    Ok(writer.finish())
 }
 
 #[cfg(test)]

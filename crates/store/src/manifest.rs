@@ -12,7 +12,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use genealog_spe::persist::ByteReader;
+use genealog_spe::codec::{CodecError, Decode, Encode, Reader};
 
 use crate::codec::crc32;
 
@@ -36,48 +36,34 @@ impl Manifest {
     fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::with_capacity(32);
         payload.extend_from_slice(&MAGIC);
-        payload.push(VERSION);
-        payload.extend_from_slice(&self.generation.to_le_bytes());
-        match self.latest_complete {
-            Some(epoch) => {
-                payload.push(1);
-                payload.extend_from_slice(&epoch.to_le_bytes());
-            }
-            None => payload.push(0),
-        }
-        payload.push(u8::from(self.clean_shutdown));
+        VERSION.encode(&mut payload);
+        self.generation.encode(&mut payload);
+        self.latest_complete.encode(&mut payload);
+        self.clean_shutdown.encode(&mut payload);
         let checksum = crc32(&payload);
-        payload.extend_from_slice(&checksum.to_le_bytes());
+        checksum.encode(&mut payload);
         payload
     }
 
     fn decode(bytes: &[u8]) -> Option<Manifest> {
-        if bytes.len() < 4 + 4 {
+        let (payload, checksum) = bytes.split_last_chunk::<4>()?;
+        if crc32(payload) != u32::from_le_bytes(*checksum) {
             return None;
         }
-        let (payload, tail) = bytes.split_at(bytes.len() - 4);
-        if crc32(payload) != u32::from_le_bytes(tail.try_into().ok()?) {
-            return None;
-        }
-        let mut r = ByteReader::new(payload);
-        if r.take(4)? != MAGIC || r.u8()? != VERSION {
-            return None;
-        }
-        let generation = r.u64()?;
-        let latest_complete = match r.u8()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            _ => return None,
+        let parse = || -> Result<Manifest, CodecError> {
+            let mut r = Reader::new(payload);
+            if r.take(4)? != MAGIC || u8::decode(&mut r)? != VERSION {
+                return Err(CodecError::Invalid("not a GLMF version 1 manifest"));
+            }
+            let manifest = Manifest {
+                generation: u64::decode(&mut r)?,
+                latest_complete: Option::decode(&mut r)?,
+                clean_shutdown: bool::decode(&mut r)?,
+            };
+            r.finish()?;
+            Ok(manifest)
         };
-        let clean_shutdown = r.u8()? == 1;
-        if !r.is_empty() {
-            return None;
-        }
-        Some(Manifest {
-            generation,
-            latest_complete,
-            clean_shutdown,
-        })
+        parse().ok()
     }
 
     /// Loads the manifest of `dir`; `None` when missing or corrupt (the caller

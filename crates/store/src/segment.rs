@@ -15,7 +15,7 @@
 //! the torn record is rejected wholesale (no panic, no zero-fill), mirroring
 //! the wire layer's truncation handling.
 
-use genealog_spe::persist::ByteReader;
+use genealog_spe::codec::{put_bytes, CodecError, Decode, Encode, Reader};
 
 use crate::codec::crc32;
 
@@ -48,66 +48,84 @@ pub struct Record {
 const KIND_FULL: u8 = 0;
 const KIND_DELTA: u8 = 1;
 
+/// A record's frame payload (the participant name carries a `u16` length, unlike
+/// the codec's `String`).
+impl Encode for Record {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.participant.len() as u16).encode(out);
+        out.extend_from_slice(self.participant.as_bytes());
+        self.epoch.encode(out);
+        match self.kind {
+            RecordKind::Full => KIND_FULL.encode(out),
+            RecordKind::Delta { base_epoch } => {
+                KIND_DELTA.encode(out);
+                base_epoch.encode(out);
+            }
+        }
+        put_bytes(out, &self.body);
+    }
+}
+
+impl Decode for Record {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let participant_len = usize::from(u16::decode(r)?);
+        let participant = std::str::from_utf8(r.take(participant_len)?)
+            .map_err(|_| CodecError::Invalid("participant name is not utf-8"))?
+            .to_owned();
+        let epoch = u64::decode(r)?;
+        let kind = match u8::decode(r)? {
+            KIND_FULL => RecordKind::Full,
+            KIND_DELTA => RecordKind::Delta {
+                base_epoch: u64::decode(r)?,
+            },
+            tag => {
+                return Err(CodecError::Tag {
+                    what: "record kind",
+                    tag,
+                })
+            }
+        };
+        Ok(Record {
+            participant,
+            epoch,
+            kind,
+            body: r.bytes()?.to_vec(),
+        })
+    }
+}
+
 /// Encodes one record as a CRC-framed segment frame.
 pub fn encode_record(record: &Record) -> Vec<u8> {
     let mut payload = Vec::with_capacity(record.participant.len() + record.body.len() + 32);
-    payload.extend_from_slice(&(record.participant.len() as u16).to_le_bytes());
-    payload.extend_from_slice(record.participant.as_bytes());
-    payload.extend_from_slice(&record.epoch.to_le_bytes());
-    match record.kind {
-        RecordKind::Full => payload.push(KIND_FULL),
-        RecordKind::Delta { base_epoch } => {
-            payload.push(KIND_DELTA);
-            payload.extend_from_slice(&base_epoch.to_le_bytes());
-        }
-    }
-    payload.extend_from_slice(&(record.body.len() as u32).to_le_bytes());
-    payload.extend_from_slice(&record.body);
-
+    record.encode(&mut payload);
     let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    (payload.len() as u32).encode(&mut frame);
+    crc32(&payload).encode(&mut frame);
     frame.extend_from_slice(&payload);
     frame
 }
 
-fn decode_payload(payload: &[u8]) -> Option<Record> {
-    let mut r = ByteReader::new(payload);
-    let participant_len = u16::from_le_bytes(r.take(2)?.try_into().ok()?) as usize;
-    let participant = String::from_utf8(r.take(participant_len)?.to_vec()).ok()?;
-    let epoch = r.u64()?;
-    let kind = match r.u8()? {
-        KIND_FULL => RecordKind::Full,
-        KIND_DELTA => RecordKind::Delta {
-            base_epoch: r.u64()?,
-        },
-        _ => return None,
-    };
-    let body_len = r.u32()? as usize;
-    let body = r.take(body_len)?.to_vec();
-    if !r.is_empty() {
-        return None;
+/// Reads the frame at the front of `bytes`: the record and the frame's length.
+fn read_frame(bytes: &[u8]) -> Result<(Record, usize), CodecError> {
+    let mut frame = Reader::new(bytes);
+    let payload_len = u32::decode(&mut frame)? as usize;
+    let expected_crc = u32::decode(&mut frame)?;
+    let payload = frame.take(payload_len)?;
+    if crc32(payload) != expected_crc {
+        return Err(CodecError::Invalid("segment frame checksum mismatch"));
     }
-    Some(Record {
-        participant,
-        epoch,
-        kind,
-        body,
-    })
+    let mut reader = Reader::new(payload);
+    let record = Record::decode(&mut reader)?;
+    reader.finish()?;
+    Ok((record, 8 + payload_len))
 }
 
 /// Decodes the frame starting at `at`. Returns the record and the offset of
 /// the next frame; `None` when the bytes at `at` are not one intact frame
 /// (torn tail, flipped bits, or end of input).
 pub fn decode_frame(bytes: &[u8], at: usize) -> Option<(Record, usize)> {
-    let header = bytes.get(at..at + 8)?;
-    let payload_len = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
-    let expected_crc = u32::from_le_bytes(header[4..8].try_into().ok()?);
-    let payload = bytes.get(at + 8..at + 8 + payload_len)?;
-    if crc32(payload) != expected_crc {
-        return None;
-    }
-    Some((decode_payload(payload)?, at + 8 + payload_len))
+    let (record, len) = read_frame(bytes.get(at..)?).ok()?;
+    Some((record, at + len))
 }
 
 /// The outcome of scanning one segment's bytes.

@@ -5,6 +5,8 @@
 //! (the timestamp lives on the engine tuple, not in the payload). Intermediate and
 //! alert schemas mirror the figures of §7.
 
+use genealog_spe::impl_codec_struct;
+
 /// A Linear Road position report (`⟨car_id, speed, pos⟩`), emitted every 30 seconds
 /// per car.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,6 +85,28 @@ pub struct AnomalyAlert {
     /// daily total.
     pub consumption_diff: u32,
 }
+
+// One line per schema makes it shippable over a link *and* durable in a window
+// checkpoint (see `genealog_spe::codec`).
+impl_codec_struct!(PositionReport { car_id, speed, pos });
+impl_codec_struct!(StoppedCarCount {
+    car_id,
+    count,
+    distinct_pos,
+    last_pos
+});
+impl_codec_struct!(AccidentAlert { pos, stopped_cars });
+impl_codec_struct!(MeterReading {
+    meter_id,
+    consumption,
+    hour_of_day
+});
+impl_codec_struct!(DailyConsumption { meter_id, total });
+impl_codec_struct!(BlackoutAlert { zero_meters });
+impl_codec_struct!(AnomalyAlert {
+    meter_id,
+    consumption_diff
+});
 
 #[cfg(test)]
 mod tests {

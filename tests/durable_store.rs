@@ -11,6 +11,10 @@
 //! * **Write amplification.** On an append-heavy windowed workload the
 //!   incremental store must write strictly fewer bytes than the full store —
 //!   the store's write-amplification claim, asserted here deterministically.
+//! * **A paper query's GL window state survives the store.** Q1's stopped-car
+//!   aggregate buffers `PositionReport`s under GeneaLog; its checkpoints go to
+//!   disk, the backend is reopened before the restore, and the recovered run's
+//!   sink bytes and contribution sets equal the uninterrupted run's.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -26,6 +30,9 @@ use genealog_spe::query::ShardPlacement;
 use genealog_spe::state::{CheckpointConfig, CheckpointStore, Snapshot, StateBackend};
 use genealog_spe::PlannerConfig;
 use genealog_store::{DurableBackend, StoreOptions};
+use genealog_workloads::linear_road::{LinearRoadConfig, LinearRoadGenerator};
+use genealog_workloads::queries::build_q1;
+use genealog_workloads::types::{PositionReport, StoppedCarCount};
 
 type Key = u32;
 type Reading = (Key, i64);
@@ -277,4 +284,187 @@ fn incremental_mode_writes_strictly_fewer_bytes_on_append_heavy_windows() {
         run.incremental_written,
         run.full_written
     );
+}
+
+/// Byte snapshots live in a [`DurableBackend`] that is dropped and reopened from
+/// its directory when recovery begins — the restarted process — while inline
+/// snapshots (the sink's and the collector's contents) stay in memory, as at an
+/// origin that outlived the worker holding the operator state.
+#[derive(Debug)]
+struct ReopenedOnRecovery {
+    dir: PathBuf,
+    disk: Mutex<Option<Arc<DurableBackend>>>,
+    memory: InMemoryBackend,
+    reopens: AtomicU64,
+}
+
+impl ReopenedOnRecovery {
+    fn disk(&self) -> Arc<DurableBackend> {
+        Arc::clone(self.disk.lock().unwrap().as_ref().expect("store is open"))
+    }
+}
+
+impl StateBackend for ReopenedOnRecovery {
+    fn name(&self) -> &'static str {
+        "reopened-on-recovery"
+    }
+
+    fn put(&self, participant: &str, epoch: u64, snapshot: Snapshot) {
+        match snapshot {
+            Snapshot::Bytes(_) => self.disk().put(participant, epoch, snapshot),
+            Snapshot::Inline(_) => self.memory.put(participant, epoch, snapshot),
+        }
+    }
+
+    fn get(&self, participant: &str, epoch: u64) -> Option<Snapshot> {
+        self.disk()
+            .get(participant, epoch)
+            .or_else(|| self.memory.get(participant, epoch))
+    }
+
+    fn remove_after(&self, epoch: u64) {
+        let mut disk = self.disk.lock().unwrap();
+        let old = disk.take().expect("store is open");
+        old.flush().unwrap();
+        drop(old);
+        let reopened = DurableBackend::open_with(&self.dir, StoreOptions::incremental()).unwrap();
+        reopened.remove_after(epoch);
+        *disk = Some(reopened);
+        self.memory.remove_after(epoch);
+        self.reopens.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn snapshot_count(&self) -> usize {
+        self.disk().snapshot_count() + self.memory.snapshot_count()
+    }
+
+    fn serialized_bytes(&self) -> usize {
+        self.disk().serialized_bytes()
+    }
+
+    fn note_complete_epoch(&self, epoch: u64) {
+        self.disk().note_complete_epoch(epoch);
+    }
+
+    fn is_durable(&self) -> bool {
+        true
+    }
+}
+
+type Alert = (u64, String);
+
+/// One (possibly recovered) Q1 run in canonical form.
+struct Q1Run {
+    tuples: Vec<Alert>,
+    lineage: Vec<(Alert, BTreeSet<Alert>)>,
+    backend: Arc<ReopenedOnRecovery>,
+    recoveries: u64,
+}
+
+/// Runs Q1 under GeneaLog with its aggregate's window state byte-persisted. With
+/// `kill_at_alert`, the alert stream panics once at that alert; recovery reopens
+/// the store and restores from it.
+fn run_q1(kill_at_alert: Option<u64>) -> Q1Run {
+    let dir = temp_dir("q1");
+    let backend = Arc::new(ReopenedOnRecovery {
+        disk: Mutex::new(Some(
+            DurableBackend::open_with(&dir, StoreOptions::incremental()).unwrap(),
+        )),
+        dir,
+        memory: InMemoryBackend::new(),
+        reopens: AtomicU64::new(0),
+    });
+    let store = CheckpointStore::new(Arc::clone(&backend) as Arc<dyn StateBackend>);
+    let system = GeneaLog::new();
+    let alerts_seen = Arc::new(AtomicU64::new(0));
+
+    let (_, (sink, provenance)) = run_with_recovery(&store, RecoveryConfig::default(), |attempt| {
+        let plan = GlPlan::with_config(
+            system.clone(),
+            PlannerConfig::default().with_checkpoints(
+                CheckpointConfig::new(20, Arc::clone(&store))
+                    .with_window_persister::<u32, PositionReport, GlMeta>(Arc::new(
+                        GlWindowPersister::<u32, PositionReport, PositionReport>::new(),
+                    )),
+            ),
+        );
+        let alerts_seen = Arc::clone(&alerts_seen);
+        let alerts = plan
+            .source_with(
+                "lr",
+                LinearRoadGenerator::new(LinearRoadConfig::small()),
+                SourceConfig::default(),
+            )
+            .raw("q1", build_q1)
+            .raw("fault", move |q, alerts| {
+                q.filter("fault", alerts, move |_: &StoppedCarCount| {
+                    let seen = alerts_seen.fetch_add(1, Ordering::SeqCst) + 1;
+                    if attempt == 0 && Some(seen) == kill_at_alert {
+                        panic!("injected failure at alert {seen}");
+                    }
+                    true
+                })
+            });
+        let (out, provenance) = logical_provenance_sink(alerts, "prov");
+        let sink = out.collecting_sink("sink");
+        Ok((plan.deploy()?, (sink, provenance)))
+    })
+    .expect("recovery must succeed within the attempt budget");
+
+    let tuples = sink
+        .tuples()
+        .iter()
+        .map(|t| (t.ts.as_millis(), format!("{:?}", t.data)))
+        .collect();
+    let mut lineage: Vec<(Alert, BTreeSet<Alert>)> = provenance
+        .assignments()
+        .iter()
+        .map(|a| {
+            let sources = a
+                .source_records::<PositionReport>()
+                .iter()
+                .map(|r| (r.ts.as_millis(), format!("{:?}", r.data)))
+                .collect();
+            (
+                (a.sink_ts.as_millis(), format!("{:?}", a.sink_data)),
+                sources,
+            )
+        })
+        .collect();
+    lineage.sort();
+    Q1Run {
+        tuples,
+        lineage,
+        backend,
+        recoveries: store.recoveries(),
+    }
+}
+
+/// **A paper query's GL window state survives the store.** `PositionReport` has one
+/// `impl_codec_struct!` line, which makes Q1's buffered reports — and the `SOURCE`
+/// tuples their provenance pointers end in — durable: the recovered run restores
+/// the aggregate from containers read back from a reopened directory and ends
+/// byte-identical, contribution sets included, to the run that never failed.
+#[test]
+fn q1_gl_window_state_survives_a_reopened_store() {
+    let clean = run_q1(None);
+    assert_eq!(clean.recoveries, 0);
+    assert!(clean.tuples.len() >= 2, "the workload must raise alerts");
+    assert!(clean.lineage.iter().all(|(_, sources)| sources.len() == 4));
+
+    let recovered = run_q1(Some(2));
+    assert_eq!(
+        recovered.recoveries, 1,
+        "the injected failure must trigger one recovery"
+    );
+    assert_eq!(recovered.backend.reopens.load(Ordering::SeqCst), 1);
+    let disk = recovered.backend.disk();
+    let restored = disk.latest_complete_epoch().expect("epochs completed");
+    let state = disk.get("q1-count", restored).expect("aggregate committed");
+    assert!(
+        is_container(state.as_bytes().expect("byte snapshot")),
+        "Q1's window state must be a byte container, not a process-local snapshot"
+    );
+    assert_eq!(recovered.tuples, clean.tuples);
+    assert_eq!(recovered.lineage, clean.lineage);
 }
