@@ -169,6 +169,18 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// Appends whatever `write` produces behind a `u32` length prefix, in place: the
+/// prefix is reserved first and patched once the length is known, so framing a
+/// value costs no buffer of its own. Reads back like [`put_bytes`] output.
+pub fn put_framed<R>(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let result = write(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    result
+}
+
 /// Upper bound on what a decoder reserves up front from a count prefix.
 const MAX_RESERVE: usize = 1_024;
 

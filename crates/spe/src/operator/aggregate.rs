@@ -8,10 +8,13 @@
 
 use std::sync::Arc;
 
+use genealog_metrics::{Counter, Histogram};
+
 use crate::channel::{OutputSlot, StreamReceiver};
 use crate::error::SpeError;
 use crate::metrics::{OpCounters, OpMetrics};
 use crate::operator::{Operator, OperatorStats};
+use crate::persist::WindowPersister;
 use crate::provenance::{detach_tuple, ProvenanceSystem};
 use crate::state::{CheckpointHandle, Snapshot};
 use crate::time::Timestamp;
@@ -43,6 +46,42 @@ impl<K, I, M> WindowView<'_, K, I, M> {
     /// Iterator over the window payloads in timestamp order.
     pub fn payloads(&self) -> impl Iterator<Item = &I> {
         self.tuples.iter().map(|t| &t.data)
+    }
+}
+
+/// The byte codec registered for an aggregate's snapshot type, with the
+/// per-barrier instruments of the byte-snapshot path.
+struct SnapshotEncoder<K, I, M> {
+    persister: Arc<dyn WindowPersister<K, I, M>>,
+    encode_ns: Arc<Histogram>,
+    refused: Arc<Counter>,
+}
+
+impl<K, I, M> SnapshotEncoder<K, I, M> {
+    /// The snapshot as a byte container, or `None` when the persister refuses it
+    /// — counted and traced, because whoever registered a persister believes this
+    /// operator's state durable.
+    fn encode(
+        &self,
+        operator: &str,
+        epoch: u64,
+        snapshot: &WindowStoreSnapshot<K, I, M>,
+    ) -> Option<Vec<u8>> {
+        let started = std::time::Instant::now();
+        let bytes = self.persister.encode(snapshot);
+        self.encode_ns.record(started.elapsed().as_nanos() as u64);
+        if bytes.is_none() {
+            self.refused.inc();
+            genealog_metrics::Tracer::global().emit(
+                "checkpoint-inline-fallback",
+                operator,
+                format!(
+                    "epoch {epoch}: the registered window persister refused the snapshot; \
+                     committed inline, which does not survive this process"
+                ),
+            );
+        }
+        bytes
     }
 }
 
@@ -153,16 +192,23 @@ where
         // The byte codec for this operator's snapshot type, when the deployment
         // registered one: with it, commits become durable byte containers and
         // restores can come out of a store owned by a *previous* process.
-        let persister = checkpoints
+        let encoder = checkpoints
             .as_ref()
-            .and_then(|c| c.window_persister::<K, I, P::Meta>());
+            .and_then(|c| c.window_persister::<K, I, P::Meta>())
+            .map(|persister| SnapshotEncoder {
+                persister,
+                // Registered only where a persister makes the byte-snapshot
+                // path exist.
+                encode_ns: counters.histogram("genealog_checkpoint_snapshot_encode_ns"),
+                refused: counters.counter("genealog_checkpoint_inline_fallbacks_total"),
+            });
         if let Some(ckpt) = &checkpoints {
             ckpt.store.register(&self.name);
             let restored = ckpt.store.restore_snapshot(&self.name).and_then(|s| {
                 s.downcast::<WindowStoreSnapshot<K, I, P::Meta>>()
                     .or_else(|| {
                         let bytes = s.as_bytes()?;
-                        persister.as_ref()?.decode(bytes).map(Arc::new)
+                        encoder.as_ref()?.persister.decode(bytes).map(Arc::new)
                     })
             });
             if let Some(snapshot) = restored {
@@ -200,11 +246,13 @@ where
                             // Prefer the byte container (durable, diffable);
                             // fall back to the process-local inline share when
                             // no persister fits or the state is not encodable.
-                            let committed =
-                                match persister.as_ref().and_then(|p| p.encode(&snapshot)) {
-                                    Some(bytes) => Snapshot::bytes(bytes),
-                                    None => Snapshot::inline(snapshot),
-                                };
+                            let bytes = encoder
+                                .as_ref()
+                                .and_then(|e| e.encode(&self.name, epoch, &snapshot));
+                            let committed = match bytes {
+                                Some(bytes) => Snapshot::bytes(bytes),
+                                None => Snapshot::inline(snapshot),
+                            };
                             ckpt.store.commit(&self.name, epoch, committed);
                         }
                         if out.send_barrier(epoch).is_err() {

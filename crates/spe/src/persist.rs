@@ -32,10 +32,20 @@
 //! [`encode_snapshot`] / [`decode_snapshot`]; the persisters differ only in the
 //! hook that writes an occurrence's metadata behind its payload. Torn, truncated
 //! or trailing bytes decode to a [`CodecError`] — never a panic, never zero-fill.
+//!
+//! The encode runs on the operator's thread at every barrier, so it does each
+//! byte's work once: keys and occurrences are written straight into the
+//! container behind a back-patched length prefix ([`put_framed`]) — no buffer
+//! per occurrence, no buffer per key — and the finished `Vec` is trimmed to
+//! `capacity == len`, because the backend keeps it for as long as the epoch
+//! lives. The number of allocations does not depend on how many occurrences are
+//! buffered (`tests/checkpoint_allocs.rs`). A store that diffs two epochs reads
+//! them back the same way, through [`RawContainer`]: one pass, occurrence
+//! records left framed, nothing collected.
 
 use std::sync::Arc;
 
-use crate::codec::{put_bytes, CodecError, Decode, Encode, Reader};
+use crate::codec::{put_bytes, put_framed, CodecError, Decode, Encode, Reader};
 use crate::time::Timestamp;
 use crate::tuple::GTuple;
 use crate::window::WindowStoreSnapshot;
@@ -47,15 +57,8 @@ pub const CONTAINER_VERSION: u8 = 1;
 /// Fixed container header: magic + version + watermark + late count + entry count.
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 
-/// Appends an occurrence list: `occ_count u32 | (occ_len u32 | occ bytes)*`.
-pub fn put_occurrences<O: AsRef<[u8]>>(out: &mut Vec<u8>, occurrences: &[O]) {
-    (occurrences.len() as u32).encode(out);
-    for occ in occurrences {
-        put_bytes(out, occ.as_ref());
-    }
-}
-
-/// Reads an occurrence list written by [`put_occurrences`], borrowing the records.
+/// Reads an occurrence list — `occ_count u32 | (occ_len u32 | occ bytes)*`, as
+/// [`ContainerWriter::entry_with`] lays it out — borrowing the records.
 ///
 /// # Errors
 /// [`CodecError`] when the list is cut or its count cannot fit the input.
@@ -89,19 +92,46 @@ impl ContainerWriter {
         ContainerWriter { buf, entries: 0 }
     }
 
+    /// Appends one window-instance buffer, written in place: `key` writes the
+    /// encoded group key (framed here), `occurrences` writes `count` occurrence
+    /// records, each behind its own `u32` length ([`put_framed`] / [`put_bytes`]).
+    /// The one place the entry layout is spelled. Returns what `occurrences`
+    /// returned.
+    pub fn entry_with<R>(
+        &mut self,
+        start_ms: u64,
+        key: impl FnOnce(&mut Vec<u8>),
+        count: u32,
+        occurrences: impl FnOnce(&mut Vec<u8>) -> R,
+    ) -> R {
+        self.entries += 1;
+        start_ms.encode(&mut self.buf);
+        put_framed(&mut self.buf, key);
+        count.encode(&mut self.buf);
+        occurrences(&mut self.buf)
+    }
+
     /// Appends one window-instance buffer: its start, encoded key and the
     /// already-encoded occurrence records in buffer order.
     pub fn entry<O: AsRef<[u8]>>(&mut self, start_ms: u64, key: &[u8], occurrences: &[O]) {
-        self.entries += 1;
-        start_ms.encode(&mut self.buf);
-        put_bytes(&mut self.buf, key);
-        put_occurrences(&mut self.buf, occurrences);
+        self.entry_with(
+            start_ms,
+            |b| b.extend_from_slice(key),
+            occurrences.len() as u32,
+            |b| {
+                occurrences
+                    .iter()
+                    .for_each(|occ| put_bytes(b, occ.as_ref()))
+            },
+        );
     }
 
-    /// Seals the container (patches the entry count) and returns its bytes.
+    /// Seals the container (patches the entry count) and returns its bytes,
+    /// trimmed to `capacity == len`: a state backend retains them per epoch.
     pub fn finish(mut self) -> Vec<u8> {
         let count = self.entries.to_le_bytes();
         self.buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&count);
+        self.buf.shrink_to_fit();
         self.buf
     }
 }
@@ -133,31 +163,111 @@ pub fn is_container(bytes: &[u8]) -> bool {
     bytes.len() >= HEADER_LEN && bytes[..4] == CONTAINER_MAGIC && bytes[4] == CONTAINER_VERSION
 }
 
-/// Parses a container.
+/// One window-instance buffer as it lies in a container, its occurrence records
+/// left framed (`count` times `occ_len u32 | occ bytes`): what a diff compares
+/// with one `memcmp` and copies with one `extend_from_slice`.
+#[derive(Debug, Clone, Copy)]
+pub struct RawEntry<'a> {
+    /// Window start, in milliseconds.
+    pub start_ms: u64,
+    /// The encoded group key.
+    pub key: &'a [u8],
+    /// Number of occurrence records.
+    pub count: u32,
+    /// The framed occurrence records, back to back.
+    pub occurrences: &'a [u8],
+}
+
+/// A single-pass, allocation-free read of a container: the header, then the
+/// entries in encoded order. `Clone` is a cursor copy, for looking ahead.
+#[derive(Debug, Clone)]
+pub struct RawContainer<'a> {
+    /// The snapshot's watermark, in milliseconds.
+    pub watermark_ms: u64,
+    /// The snapshot's late-tuple count.
+    pub late_tuples: u64,
+    entries_left: usize,
+    rest: &'a [u8],
+}
+
+impl<'a> RawContainer<'a> {
+    /// Reads the container header.
+    ///
+    /// # Errors
+    /// [`CodecError`] when `bytes` are not a `GLWS` version 1 container or the
+    /// entry count cannot fit them.
+    pub fn open(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        if !is_container(bytes) {
+            return Err(CodecError::Invalid("not a GLWS version 1 container"));
+        }
+        let mut reader = Reader::new(&bytes[5..]);
+        let watermark_ms = u64::decode(&mut reader)?;
+        let late_tuples = u64::decode(&mut reader)?;
+        // An entry is at least `start_ms | key_len | occ_count`.
+        let entries_left = reader.count(16)?;
+        Ok(RawContainer {
+            watermark_ms,
+            late_tuples,
+            entries_left,
+            rest: &bytes[HEADER_LEN..],
+        })
+    }
+
+    /// Number of entries not yet read.
+    pub fn entries_left(&self) -> usize {
+        self.entries_left
+    }
+
+    /// The next entry, or `None` behind the last one.
+    ///
+    /// # Errors
+    /// [`CodecError`] for a torn entry, or for bytes behind the last entry.
+    pub fn next_entry(&mut self) -> Result<Option<RawEntry<'a>>, CodecError> {
+        let mut reader = Reader::new(self.rest);
+        if self.entries_left == 0 {
+            return reader.finish().map(|()| None);
+        }
+        let start_ms = u64::decode(&mut reader)?;
+        let key = reader.bytes()?;
+        let count = reader.count(4)? as u32;
+        let occ_at = self.rest.len() - reader.remaining();
+        for _ in 0..count {
+            reader.bytes()?;
+        }
+        let end = self.rest.len() - reader.remaining();
+        let occurrences = &self.rest[occ_at..end];
+        self.rest = &self.rest[end..];
+        self.entries_left -= 1;
+        Ok(Some(RawEntry {
+            start_ms,
+            key,
+            count,
+            occurrences,
+        }))
+    }
+}
+
+/// Parses a container, splitting every occurrence record out (the decode side;
+/// a diff reads through [`RawContainer`] instead and splits nothing).
 ///
 /// # Errors
 /// [`CodecError`] for anything torn or malformed, trailing bytes included.
 pub fn parse_container(bytes: &[u8]) -> Result<Container<'_>, CodecError> {
-    if !is_container(bytes) {
-        return Err(CodecError::Invalid("not a GLWS version 1 container"));
-    }
-    let mut reader = Reader::new(&bytes[5..]);
-    let watermark_ms = u64::decode(&mut reader)?;
-    let late_tuples = u64::decode(&mut reader)?;
-    // An entry is at least `start_ms | key_len | occ_count`.
-    let entry_count = reader.count(16)?;
-    let mut entries = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
+    let mut raw = RawContainer::open(bytes)?;
+    let mut entries = Vec::with_capacity(raw.entries_left());
+    while let Some(entry) = raw.next_entry()? {
+        let mut records = Reader::new(entry.occurrences);
         entries.push(ContainerEntry {
-            start_ms: u64::decode(&mut reader)?,
-            key: reader.bytes()?,
-            occurrences: read_occurrences(&mut reader)?,
+            start_ms: entry.start_ms,
+            key: entry.key,
+            occurrences: (0..entry.count)
+                .map(|_| records.bytes())
+                .collect::<Result<_, _>>()?,
         });
     }
-    reader.finish()?;
     Ok(Container {
-        watermark_ms,
-        late_tuples,
+        watermark_ms: raw.watermark_ms,
+        late_tuples: raw.late_tuples,
         entries,
     })
 }
@@ -165,27 +275,52 @@ pub fn parse_container(bytes: &[u8]) -> Result<Container<'_>, CodecError> {
 /// The container walk, encode side: one entry per window-instance buffer, each
 /// occurrence `ts | stimulus | payload` followed by whatever `meta` appends for
 /// the occurrence's metadata. `None` as soon as `meta` refuses an occurrence.
+///
+/// Keys and occurrences are written in place behind back-patched length
+/// prefixes; the only allocations are the container's own.
 pub fn encode_snapshot<K: Encode, T: Encode, M>(
     snapshot: &WindowStoreSnapshot<K, T, M>,
     meta: impl Fn(&M, &mut Vec<u8>) -> Option<()>,
 ) -> Option<Vec<u8>> {
     let mut writer = ContainerWriter::new(snapshot.watermark().as_millis(), snapshot.late_tuples());
-    let mut key_buf = Vec::new();
+    let mut sized = false;
     for (start, key, occurrences) in snapshot.entries() {
-        key_buf.clear();
-        key.encode(&mut key_buf);
-        let occ_bytes = occurrences
-            .iter()
-            .map(|t| {
-                let mut b = Vec::new();
-                t.ts.encode(&mut b);
-                t.stimulus.encode(&mut b);
-                t.data.encode(&mut b);
-                meta(&t.meta, &mut b)?;
-                Some(b)
-            })
-            .collect::<Option<Vec<_>>>()?;
-        writer.entry(start.as_millis(), &key_buf, &occ_bytes);
+        let entry_at = writer.buf.len();
+        let count = occurrences.len() as u32;
+        writer.entry_with(
+            start.as_millis(),
+            |b| key.encode(b),
+            count,
+            |buf| {
+                for tuple in occurrences {
+                    let occ_at = buf.len();
+                    put_framed(buf, |b| {
+                        tuple.ts.encode(b);
+                        tuple.stimulus.encode(b);
+                        tuple.data.encode(b);
+                        meta(&tuple.meta, b)
+                    })?;
+                    if !sized {
+                        // Size the container from its first entry head and
+                        // occurrence: exact when keys and occurrences are
+                        // fixed-width, otherwise a guess — ordinary growth covers
+                        // a low one, a high one is address space never written to
+                        // — that `finish` trims either way. Saturating and
+                        // fallible: a guess the allocator refuses is not taken.
+                        sized = true;
+                        let heads = snapshot.entries().count().saturating_mul(occ_at - entry_at);
+                        let records = snapshot
+                            .buffered_tuples()
+                            .saturating_mul(buf.len() - occ_at);
+                        let written = buf.len() - HEADER_LEN;
+                        let _ = buf.try_reserve_exact(
+                            heads.saturating_add(records).saturating_sub(written),
+                        );
+                    }
+                }
+                Some(())
+            },
+        )?;
     }
     Some(writer.finish())
 }
@@ -263,5 +398,128 @@ where
 
     fn decode(&self, bytes: &[u8]) -> Option<WindowStoreSnapshot<K, T, ()>> {
         decode_snapshot(bytes, |_| Ok(())).ok()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::time::Duration;
+    use crate::window::{WindowSpec, WindowStore};
+
+    /// The walk [`encode_snapshot`] replaced — one `Vec` per occurrence, handed
+    /// to the writer as a list — kept as the reference for its bytes.
+    fn encode_by_collecting<K: Encode, T: Encode, M>(
+        snapshot: &WindowStoreSnapshot<K, T, M>,
+        meta: impl Fn(&M, &mut Vec<u8>) -> Option<()>,
+    ) -> Option<Vec<u8>> {
+        let mut writer =
+            ContainerWriter::new(snapshot.watermark().as_millis(), snapshot.late_tuples());
+        for (start, key, occurrences) in snapshot.entries() {
+            let occ_bytes = occurrences
+                .iter()
+                .map(|t| {
+                    let mut b = Vec::new();
+                    t.ts.encode(&mut b);
+                    t.stimulus.encode(&mut b);
+                    t.data.encode(&mut b);
+                    meta(&t.meta, &mut b)?;
+                    Some(b)
+                })
+                .collect::<Option<Vec<_>>>()?;
+            writer.entry(start.as_millis(), &key.to_bytes(), &occ_bytes);
+        }
+        Some(writer.finish())
+    }
+
+    /// Variable-width keys, payloads and metadata: nothing the in-place walk
+    /// sizes its buffer from stays true past the first occurrence.
+    fn ragged_store(n: u64) -> WindowStore<String, Vec<u64>, u64> {
+        let spec = WindowSpec::new(Duration::from_secs(8), Duration::from_secs(4)).unwrap();
+        let mut store = WindowStore::new(spec);
+        for i in 0..n {
+            let key = "k".repeat(1 + (i % 5) as usize);
+            let data = (0..i % 7).collect();
+            store.insert(
+                key,
+                Arc::new(GTuple::new(Timestamp::from_secs(i / 3), i, data, i)),
+            );
+        }
+        store.close_up_to(Timestamp::from_secs(n / 6));
+        store
+    }
+
+    fn ragged_meta(meta: &u64, out: &mut Vec<u8>) -> Option<()> {
+        out.extend(std::iter::repeat_n(0xA5, (*meta % 4) as usize));
+        Some(())
+    }
+
+    #[test]
+    fn in_place_walk_writes_the_bytes_the_collecting_walk_wrote() {
+        for n in [0, 1, 2, 17, 400] {
+            let snapshot = ragged_store(n).snapshot();
+            let bytes = encode_snapshot(&snapshot, ragged_meta).unwrap();
+            assert_eq!(
+                bytes,
+                encode_by_collecting(&snapshot, ragged_meta).unwrap(),
+                "{n} tuples"
+            );
+            assert_eq!(bytes.capacity(), bytes.len(), "{n} tuples");
+        }
+    }
+
+    #[test]
+    fn an_outsized_first_occurrence_only_costs_a_trimmed_guess() {
+        // The sizing extrapolates from the first occurrence; here that guess is
+        // some 400x what the container needs (and must not outlive `finish`).
+        let spec = WindowSpec::new(Duration::from_secs(8), Duration::from_secs(8)).unwrap();
+        let mut store: WindowStore<u8, Vec<u8>, ()> = WindowStore::new(spec);
+        for i in 0..2_000u64 {
+            let data = vec![7; if i == 0 { 64 << 10 } else { 1 }];
+            store.insert(
+                (i % 4) as u8,
+                Arc::new(GTuple::new(Timestamp::from_secs(1), i, data, ())),
+            );
+        }
+        let snapshot = store.snapshot();
+        let plain = |(): &(), _: &mut Vec<u8>| Some(());
+        let bytes = encode_snapshot(&snapshot, plain).unwrap();
+        assert_eq!(bytes, encode_by_collecting(&snapshot, plain).unwrap());
+        assert_eq!(bytes.capacity(), bytes.len());
+        assert!(bytes.len() < 200 << 10, "{} bytes", bytes.len());
+    }
+
+    #[test]
+    fn a_refused_occurrence_refuses_the_snapshot() {
+        let snapshot = ragged_store(40).snapshot();
+        let refuse_one = |meta: &u64, _: &mut Vec<u8>| (*meta != 25).then_some(());
+        assert!(encode_snapshot(&snapshot, refuse_one).is_none());
+        assert!(encode_by_collecting(&snapshot, refuse_one).is_none());
+    }
+
+    #[test]
+    fn raw_and_parsed_reads_agree() {
+        let bytes = encode_snapshot(&ragged_store(60).snapshot(), ragged_meta).unwrap();
+        let parsed = parse_container(&bytes).unwrap();
+        let mut raw = RawContainer::open(&bytes).unwrap();
+        assert_eq!(raw.entries_left(), parsed.entries.len());
+        for entry in &parsed.entries {
+            let got = raw.next_entry().unwrap().unwrap();
+            assert_eq!((got.start_ms, got.key), (entry.start_ms, entry.key));
+            assert_eq!(got.count as usize, entry.occurrences.len());
+            let mut framed = Vec::new();
+            for occ in &entry.occurrences {
+                put_bytes(&mut framed, occ);
+            }
+            assert_eq!(got.occurrences, framed);
+        }
+        assert!(raw.next_entry().unwrap().is_none());
+        for cut in 0..bytes.len() {
+            let torn = RawContainer::open(&bytes[..cut]).and_then(|mut raw| {
+                while raw.next_entry()?.is_some() {}
+                Ok(())
+            });
+            assert!(torn.is_err(), "cut {cut}");
+        }
     }
 }

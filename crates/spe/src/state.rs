@@ -26,6 +26,15 @@
 //! to disk. Graph-slice snapshots are process-local by design — the `N`/`U` pointers
 //! are reference-counted pointers, not serialisable ids — which matches the paper's
 //! single-process-per-instance deployment model.
+//!
+//! The [`CheckpointStore`]'s mutex guards bookkeeping — who registered, who
+//! committed which epoch, the failure fence — and is never held across a backend
+//! call that does I/O: [`CheckpointStore::commit`] checks the fence, runs
+//! [`StateBackend::put`] unlocked, re-checks the fence and only then counts the
+//! commit, so the shards of one barrier write their snapshots side by side. A
+//! backend must therefore accept concurrent `put`s of different participants (both
+//! in this repository do) and keep the epoch pinned by
+//! [`StateBackend::note_complete_epoch`] monotone.
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -111,7 +120,9 @@ pub trait StateBackend: fmt::Debug + Send + Sync {
     /// Short human-readable backend name, used in reports.
     fn name(&self) -> &'static str;
 
-    /// Stores a snapshot.
+    /// Stores a snapshot. Called without the [`CheckpointStore`]'s lock held:
+    /// different participants may be inside `put` at the same time (one
+    /// participant commits its epochs one after another).
     fn put(&self, participant: &str, epoch: u64, snapshot: Snapshot);
 
     /// Retrieves a snapshot.
@@ -138,7 +149,8 @@ pub trait StateBackend: fmt::Debug + Send + Sync {
     /// Notifies the backend that `epoch` is complete across every registered
     /// participant. Durable backends persist this in their manifest so a restarted
     /// process knows which epochs form a usable cut; the in-memory backend ignores
-    /// it.
+    /// it. Called unlocked like `put`: two cuts completing back to back may arrive
+    /// in either order, so a backend keeps the greatest epoch it was told.
     fn note_complete_epoch(&self, _epoch: u64) {}
 
     /// Whether snapshots survive the death of this process. `false` for the
@@ -263,12 +275,26 @@ impl CheckpointStore {
 
     /// Commits `participant`'s snapshot for `epoch`. Discarded while the store is
     /// [fenced](CheckpointStore::fence).
+    ///
+    /// The store-wide mutex guards bookkeeping only. `backend.put` — for a
+    /// durable backend a diff, a checksum, a file append and an fsync — runs
+    /// *outside* it, so participants committing the same barrier overlap their
+    /// I/O instead of queueing behind one another; so does the
+    /// `note_complete_epoch` (manifest flip) of the commit that completes a cut.
+    /// The fence is checked before the `put` and re-checked after it: a commit
+    /// that lost the race to [`fence`](CheckpointStore::fence) is not counted,
+    /// so it can never complete an epoch, and the snapshot it left in the
+    /// backend is an orphan of an incomplete epoch that
+    /// [`begin_recovery`](CheckpointStore::begin_recovery) drops like any other.
     pub fn commit(&self, participant: &str, epoch: u64, snapshot: Snapshot) {
+        if self.state.lock().fenced {
+            return;
+        }
+        self.backend.put(participant, epoch, snapshot);
         let mut state = self.state.lock();
         if state.fenced {
             return;
         }
-        self.backend.put(participant, epoch, snapshot);
         state
             .epoch_started
             .entry(epoch)
@@ -287,8 +313,11 @@ impl CheckpointStore {
             if let Some(started) = state.epoch_started.remove(&epoch) {
                 state.last_commit_latency_ns = Some(started.elapsed().as_nanos() as u64);
             }
+            drop(state);
             // Durable backends flip their manifest here — the commit that
             // completes the cut is the one that makes it recoverable on disk.
+            // Backends keep the pinned epoch monotone, so two cuts completing
+            // back to back may flip in either order.
             self.backend.note_complete_epoch(epoch);
         }
     }
@@ -626,6 +655,124 @@ mod tests {
         store.commit("src", 1, Snapshot::u64(20));
         store.commit("late", 1, Snapshot::bytes(vec![]));
         assert_eq!(store.latest_complete_epoch(), Some(1));
+    }
+
+    /// An in-memory backend that calls `inside_put` from within every `put`,
+    /// before the snapshot is stored: the seam the lock-scope tests block on.
+    struct HookedBackend<F> {
+        inner: InMemoryBackend,
+        inside_put: F,
+    }
+
+    impl<F> fmt::Debug for HookedBackend<F> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("HookedBackend")
+        }
+    }
+
+    impl<F: Fn(&str, u64) + Send + Sync> StateBackend for HookedBackend<F> {
+        fn name(&self) -> &'static str {
+            "hooked"
+        }
+        fn put(&self, participant: &str, epoch: u64, snapshot: Snapshot) {
+            (self.inside_put)(participant, epoch);
+            self.inner.put(participant, epoch, snapshot);
+        }
+        fn get(&self, participant: &str, epoch: u64) -> Option<Snapshot> {
+            self.inner.get(participant, epoch)
+        }
+        fn remove_after(&self, epoch: u64) {
+            self.inner.remove_after(epoch);
+        }
+        fn snapshot_count(&self) -> usize {
+            self.inner.snapshot_count()
+        }
+        fn serialized_bytes(&self) -> usize {
+            self.inner.serialized_bytes()
+        }
+    }
+
+    fn hooked<F: Fn(&str, u64) + Send + Sync + 'static>(inside_put: F) -> Arc<CheckpointStore> {
+        CheckpointStore::new(Arc::new(HookedBackend {
+            inner: InMemoryBackend::new(),
+            inside_put,
+        }))
+    }
+
+    const DEADLINE: std::time::Duration = std::time::Duration::from_secs(5);
+
+    #[test]
+    fn two_participants_are_inside_put_at_the_same_time() {
+        // Each `put` waits (up to the deadline) until the other one is inside
+        // too. With `put` under the store-wide mutex the second commit could
+        // not get there before the first one gave up.
+        let inside = Arc::new((std::sync::Mutex::new(0usize), std::sync::Condvar::new()));
+        let met = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let store = {
+            let (inside, met) = (Arc::clone(&inside), Arc::clone(&met));
+            hooked(move |_, _| {
+                let (count, arrived) = &*inside;
+                let mut count = count.lock().unwrap();
+                *count += 1;
+                arrived.notify_all();
+                let (_count, wait) = arrived
+                    .wait_timeout_while(count, DEADLINE, |count| *count < 2)
+                    .unwrap();
+                if !wait.timed_out() {
+                    met.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                }
+            })
+        };
+        store.register("agg[0]");
+        store.register("agg[1]");
+        std::thread::scope(|scope| {
+            for participant in ["agg[0]", "agg[1]"] {
+                let store = &store;
+                scope.spawn(move || store.commit(participant, 0, Snapshot::u64(1)));
+            }
+        });
+        assert_eq!(
+            met.load(std::sync::atomic::Ordering::SeqCst),
+            2,
+            "both commits must be inside `put` together"
+        );
+        assert_eq!(store.latest_complete_epoch(), Some(0));
+    }
+
+    #[test]
+    fn a_fence_raised_while_a_put_is_in_flight_leaves_that_commit_uncounted() {
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = std::sync::Mutex::new(release_rx);
+        let store = hooked(move |_, epoch| {
+            if epoch == 1 {
+                entered_tx.send(()).unwrap();
+                // Held inside `put` until the test has raised the fence.
+                let _ = release_rx.lock().unwrap().recv_timeout(DEADLINE);
+            }
+        });
+        store.register("agg");
+        store.commit("agg", 0, Snapshot::u64(10));
+        assert_eq!(store.latest_complete_epoch(), Some(0));
+
+        std::thread::scope(|scope| {
+            let committer = scope.spawn(|| store.commit("agg", 1, Snapshot::u64(20)));
+            entered_rx.recv_timeout(DEADLINE).expect("put entered");
+            // The fence does not wait for the put: it is raised while the
+            // snapshot is still on its way into the backend.
+            store.fence();
+            release_tx.send(()).unwrap();
+            committer.join().unwrap();
+        });
+
+        // The commit lost the race: epoch 1 is not counted …
+        assert_eq!(store.latest_complete_epoch(), Some(0));
+        // … though its snapshot did reach the backend, as an orphan …
+        assert_eq!(store.backend().get("agg", 1).unwrap().as_u64(), Some(20));
+        // … which recovery drops with the rest of the incomplete epochs.
+        assert_eq!(store.begin_recovery(), Some(0));
+        assert!(store.backend().get("agg", 1).is_none());
+        assert_eq!(store.restore_snapshot("agg").unwrap().as_u64(), Some(10));
     }
 
     #[test]

@@ -11,6 +11,34 @@
 //!    completes an epoch it calls [`StateBackend::note_complete_epoch`], which
 //!    atomically replaces the manifest pinning that epoch as the recoverable cut.
 //!
+//! A `put` does each byte's work once and holds the store's mutex only for
+//! bookkeeping. The snapshot arrives as an owned `Vec`; it is never cloned: the
+//! record frame is assembled in one buffer ([`write_frame`] — an incremental
+//! delta is streamed straight into it by [`incremental::diff_into`] and
+//! checksummed only once it is known to be smaller than the full body, which is
+//! otherwise copied once; the buffer is sized for the full body up front, so
+//! neither outcome regrows it), and afterwards the same `Arc` serves as the
+//! `index` entry and as the participant's chain base. The diff and the CRC run
+//! **unlocked** against a shared reference to the chain base; the mutex is
+//! taken to look that base up, to append the frame (a page-cache copy — it is
+//! what orders frames in the log) and to publish the snapshot in the index; the
+//! `fdatasync` in between runs unlocked on a shared handle of the segment file.
+//! Concurrent puts of different participants therefore overlap their diff,
+//! checksum and fsync.
+//!
+//! An fsync covers every frame written to *its file* before it was issued, so
+//! within one segment a `put` that has returned is durable together with every
+//! frame in front of it. Across segments the roll keeps that true: the `put`
+//! whose frame fills a segment fsyncs it **under the mutex, before the next
+//! segment exists** (once per `segment_bytes`), so no frame can land — let
+//! alone be acknowledged — in segment N+1 while segment N still has an
+//! unsynced tail. That is the property the torn-tail scan relies on (it stops
+//! at the first torn segment and never looks behind it), and why
+//! [`flush`](DurableBackend::flush) only needs to sync the active segment.
+//! Compaction swaps the whole log out from under the appenders, so it alone is
+//! exclusive: puts hold the `log` gate shared from look-up to publish,
+//! `remove_after` holds it exclusively.
+//!
 //! Opening a directory replays the live-generation segments through the
 //! torn-tail-tolerant [`scan`](crate::segment::scan()): every record before the
 //! first torn or corrupt frame is restored, the tail is rejected, and appends
@@ -35,15 +63,16 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use genealog_metrics::{Histogram, MetricsRegistry};
 use genealog_spe::persist::is_container;
 use genealog_spe::state::{Snapshot, StateBackend};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::incremental;
 use crate::manifest::Manifest;
-use crate::segment::{encode_record, scan, Record, RecordKind};
+use crate::segment::{scan, write_frame, Record, RecordKind, FRAME_OVERHEAD};
 
 /// Tuning knobs of a [`DurableBackend`].
 #[derive(Debug, Clone, Copy)]
@@ -79,20 +108,31 @@ impl StoreOptions {
     }
 }
 
-/// Per-participant incremental diff state: the last committed container.
+/// Per-participant incremental diff state: the last committed container —
+/// the very buffer the index holds for that epoch.
 struct Chain {
     epoch: u64,
-    container: Vec<u8>,
+    container: Arc<Vec<u8>>,
     since_rebase: u64,
+}
+
+/// Full snapshot bytes by `(participant, epoch)`.
+type Index = HashMap<(String, u64), Arc<Vec<u8>>>;
+
+/// The latency histograms `put` records into once a registry asked for them.
+struct PutHistograms {
+    put: Arc<Histogram>,
+    fsync: Arc<Histogram>,
 }
 
 struct Inner {
     manifest: Manifest,
-    active: File,
+    /// Shared so a `put` can fsync the file it appended to after unlocking.
+    active: Arc<File>,
     active_id: u64,
     active_len: u64,
     /// (participant, epoch) -> full snapshot bytes (deltas are reconstructed).
-    index: HashMap<(String, u64), Vec<u8>>,
+    index: Index,
     /// Volatile side map for process-local inline snapshots.
     inline: HashMap<(String, u64), Snapshot>,
     chains: HashMap<String, Chain>,
@@ -106,13 +146,16 @@ struct Inner {
 pub struct DurableBackend {
     dir: PathBuf,
     options: StoreOptions,
+    /// Held shared by every `put` from its chain look-up to its index insert,
+    /// exclusively by compaction, which replaces the log they append to.
+    log: RwLock<()>,
     inner: Mutex<Inner>,
     bytes_written: AtomicU64,
     records: AtomicU64,
     compactions: AtomicU64,
     segments: AtomicU64,
     fsyncs: AtomicU64,
-    fsync_hist: Mutex<Option<Arc<Histogram>>>,
+    histograms: Mutex<Option<PutHistograms>>,
 }
 
 impl fmt::Debug for DurableBackend {
@@ -204,10 +247,12 @@ impl DurableBackend {
         // Appends go to a fresh segment — a damaged tail is never extended.
         let active_id = live.last().map_or(0, |(id, _)| id + 1);
         let active_path = dir.join(segment_name(manifest.generation, active_id));
-        let active = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&active_path)?;
+        let active = Arc::new(
+            OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&active_path)?,
+        );
         sync_dir(&dir)?;
         manifest.clean_shutdown = false;
         manifest.store(&dir)?;
@@ -216,6 +261,7 @@ impl DurableBackend {
         Ok(Arc::new(DurableBackend {
             dir,
             options,
+            log: RwLock::new(()),
             inner: Mutex::new(Inner {
                 manifest,
                 active,
@@ -232,7 +278,7 @@ impl DurableBackend {
             compactions: AtomicU64::new(0),
             segments: AtomicU64::new(segments),
             fsyncs: AtomicU64::new(0),
-            fsync_hist: Mutex::new(None),
+            histograms: Mutex::new(None),
         }))
     }
 
@@ -307,8 +353,10 @@ impl DurableBackend {
     }
 
     /// Registers the store's `genealog_checkpoint_store_*` metrics on a
-    /// registry: bytes written, segment/record/compaction counters and the
-    /// fsync latency histogram `put` records into from then on.
+    /// registry: bytes written, segment/record/compaction counters and the two
+    /// latency histograms `put` records into from then on — one sample per
+    /// byte-snapshot `put` (`_put_ns`, look-up to publish) and per `fdatasync`
+    /// inside it (`_fsync_ns`).
     pub fn publish_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
         let me = Arc::clone(self);
         registry.counter_fn(
@@ -334,36 +382,75 @@ impl DurableBackend {
             &[],
             Arc::new(move || me.records.load(Ordering::Relaxed)),
         );
-        *self.fsync_hist.lock() =
-            Some(registry.histogram("genealog_checkpoint_store_fsync_ns", &[]));
+        *self.histograms.lock() = Some(PutHistograms {
+            put: registry.histogram("genealog_checkpoint_store_put_ns", &[]),
+            fsync: registry.histogram("genealog_checkpoint_store_fsync_ns", &[]),
+        });
     }
 
-    fn append(&self, inner: &mut Inner, frame: &[u8]) -> io::Result<()> {
-        inner.active.write_all(frame)?;
-        let started = std::time::Instant::now();
-        inner.active.sync_data()?;
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        if let Some(hist) = self.fsync_hist.lock().as_ref() {
-            hist.record(elapsed_ns);
+    /// The participant's last committed container as `(epoch, since_rebase,
+    /// bytes)`, when `epoch` may be stored as a delta against it: the chain is
+    /// older than `epoch` and not yet due for a full rebase.
+    fn diff_base(&self, participant: &str, epoch: u64) -> Option<(u64, u64, Arc<Vec<u8>>)> {
+        let inner = self.inner.lock();
+        let chain = inner.chains.get(participant)?;
+        (epoch > chain.epoch && chain.since_rebase + 1 < self.options.rebase_interval).then(|| {
+            (
+                chain.epoch,
+                chain.since_rebase,
+                Arc::clone(&chain.container),
+            )
+        })
+    }
+
+    /// Appends one frame to the log and makes it durable. The mutex covers the
+    /// write; the `fdatasync` runs on a shared handle after unlocking, so it
+    /// overlaps other puts' work — except for the frame that fills its segment,
+    /// which [`roll`](Self::roll) fsyncs before anything can follow it.
+    fn append(&self, frame: &[u8]) -> io::Result<()> {
+        let unsynced = {
+            let mut inner = self.inner.lock();
+            (&*inner.active).write_all(frame)?;
+            inner.active_len += frame.len() as u64;
+            if inner.active_len >= self.options.segment_bytes {
+                self.roll(&mut inner)?;
+                None
+            } else {
+                Some(Arc::clone(&inner.active))
+            }
+        };
+        if let Some(file) = unsynced {
+            self.sync(&file)?;
         }
-        inner.active_len += frame.len() as u64;
         self.bytes_written
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
         self.records.fetch_add(1, Ordering::Relaxed);
-        if inner.active_len >= self.options.segment_bytes {
-            self.roll(inner)?;
+        Ok(())
+    }
+
+    /// One counted, timed `fdatasync` of a segment file.
+    fn sync(&self, file: &File) -> io::Result<()> {
+        let started = Instant::now();
+        file.sync_data()?;
+        let elapsed_ns = started.elapsed().as_nanos() as u64;
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        if let Some(histograms) = self.histograms.lock().as_ref() {
+            histograms.fsync.record(elapsed_ns);
         }
         Ok(())
     }
 
+    /// Makes the active segment durable, then directs further appends to a
+    /// fresh one. Called under the mutex: every earlier segment is on disk
+    /// before a frame can be written to the next, so a torn tail can only ever
+    /// be the tail of the *last* segment that holds acknowledged frames.
     fn roll(&self, inner: &mut Inner) -> io::Result<()> {
-        inner.active.sync_data()?;
+        self.sync(&inner.active)?;
         inner.active_id += 1;
         let path = self
             .dir
             .join(segment_name(inner.manifest.generation, inner.active_id));
-        inner.active = OpenOptions::new().create(true).append(true).open(&path)?;
+        inner.active = Arc::new(OpenOptions::new().create(true).append(true).open(&path)?);
         sync_dir(&self.dir)?;
         inner.active_len = 0;
         self.segments.fetch_add(1, Ordering::Relaxed);
@@ -376,17 +463,8 @@ impl DurableBackend {
     /// full rebases.
     fn compact(&self, inner: &mut Inner) -> io::Result<()> {
         let generation = inner.manifest.generation + 1;
-        let mut live: Vec<Record> = inner
-            .index
-            .iter()
-            .map(|((participant, epoch), body)| Record {
-                participant: participant.clone(),
-                epoch: *epoch,
-                kind: RecordKind::Full,
-                body: body.clone(),
-            })
-            .collect();
-        live.sort_by(|a, b| (&a.participant, a.epoch).cmp(&(&b.participant, b.epoch)));
+        let mut live: Vec<_> = inner.index.iter().collect();
+        live.sort_by_key(|(key, _)| *key);
 
         let mut id = 0u64;
         let mut len = 0u64;
@@ -394,8 +472,13 @@ impl DurableBackend {
             .create(true)
             .append(true)
             .open(self.dir.join(segment_name(generation, id)))?;
-        for record in &live {
-            let frame = encode_record(record);
+        let mut frame = Vec::new();
+        for ((participant, epoch), body) in live {
+            frame.clear();
+            write_frame(&mut frame, participant, *epoch, RecordKind::Full, |b| {
+                b.extend_from_slice(body);
+                true
+            });
             file.write_all(&frame)?;
             len += frame.len() as u64;
             self.bytes_written
@@ -432,16 +515,18 @@ impl DurableBackend {
 
         // Fresh active segment after the compacted ones.
         inner.active_id = id + 1;
-        inner.active = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join(segment_name(generation, inner.active_id)))?;
+        inner.active = Arc::new(
+            OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.dir.join(segment_name(generation, inner.active_id)))?,
+        );
         sync_dir(&self.dir)?;
         inner.active_len = 0;
 
         // Chains restart from the newest surviving container per participant.
         inner.chains.clear();
-        let mut newest: HashMap<&String, (u64, &Vec<u8>)> = HashMap::new();
+        let mut newest: HashMap<&String, (u64, &Arc<Vec<u8>>)> = HashMap::new();
         for ((participant, epoch), body) in &inner.index {
             if !is_container(body) {
                 continue;
@@ -460,7 +545,7 @@ impl DurableBackend {
                     participant.clone(),
                     Chain {
                         epoch,
-                        container: body.clone(),
+                        container: Arc::clone(body),
                         since_rebase: 0,
                     },
                 )
@@ -477,24 +562,21 @@ impl DurableBackend {
 /// Replays one scanned record into the index and chains. `false` means the
 /// record is inconsistent (a delta without its base) — the scan stops there,
 /// exactly like a torn tail.
-fn replay(
-    record: Record,
-    index: &mut HashMap<(String, u64), Vec<u8>>,
-    chains: &mut HashMap<String, Chain>,
-) -> bool {
+fn replay(record: Record, index: &mut Index, chains: &mut HashMap<String, Chain>) -> bool {
     match record.kind {
         RecordKind::Full => {
-            if is_container(&record.body) {
+            let body = Arc::new(record.body);
+            if is_container(&body) {
                 chains.insert(
                     record.participant.clone(),
                     Chain {
                         epoch: record.epoch,
-                        container: record.body.clone(),
+                        container: Arc::clone(&body),
                         since_rebase: 0,
                     },
                 );
             }
-            index.insert((record.participant, record.epoch), record.body);
+            index.insert((record.participant, record.epoch), body);
             true
         }
         RecordKind::Delta { base_epoch } => {
@@ -507,8 +589,9 @@ fn replay(
             let Some(full) = incremental::apply(&chain.container, &record.body) else {
                 return false;
             };
+            let full = Arc::new(full);
             chain.epoch = record.epoch;
-            chain.container = full.clone();
+            chain.container = Arc::clone(&full);
             chain.since_rebase += 1;
             index.insert((record.participant, record.epoch), full);
             true
@@ -531,36 +614,39 @@ impl StateBackend for DurableBackend {
                     .insert((participant.to_string(), epoch), inline);
             }
             Snapshot::Bytes(bytes) => {
-                let mut inner = self.inner.lock();
-                let mut kind = RecordKind::Full;
-                let mut body = bytes.clone();
+                let started = Instant::now();
+                let _appending = self.log.read();
+                let container = is_container(&bytes);
+                // The chain base to diff against, shared out of the lock.
+                let base = if self.options.incremental && container {
+                    self.diff_base(participant, epoch)
+                } else {
+                    None
+                };
+
+                // One buffer for the whole frame; a full body is the most it holds.
+                let mut frame =
+                    Vec::with_capacity(FRAME_OVERHEAD + participant.len() + bytes.len());
                 let mut since_rebase = 0;
-                if self.options.incremental && is_container(&bytes) {
-                    if let Some(chain) = inner.chains.get(participant) {
-                        if epoch > chain.epoch
-                            && chain.since_rebase + 1 < self.options.rebase_interval
-                        {
-                            if let Some(delta) =
-                                incremental::diff(&chain.container, chain.epoch, &bytes)
-                            {
-                                if delta.len() < bytes.len() {
-                                    kind = RecordKind::Delta {
-                                        base_epoch: chain.epoch,
-                                    };
-                                    body = delta;
-                                    since_rebase = chain.since_rebase + 1;
-                                }
-                            }
-                        }
+                if let Some((base_epoch, chained, base)) = base {
+                    // A delta that is no smaller than the body (or no delta at
+                    // all) is withdrawn before it is checksummed.
+                    let kind = RecordKind::Delta { base_epoch };
+                    if write_frame(&mut frame, participant, epoch, kind, |body| {
+                        let at = body.len();
+                        incremental::diff_into(&base, base_epoch, &bytes, body).is_ok()
+                            && body.len() - at < bytes.len()
+                    }) {
+                        since_rebase = chained + 1;
                     }
                 }
-                let frame = encode_record(&Record {
-                    participant: participant.to_string(),
-                    epoch,
-                    kind,
-                    body,
-                });
-                if let Err(err) = self.append(&mut inner, &frame) {
+                if frame.is_empty() {
+                    write_frame(&mut frame, participant, epoch, RecordKind::Full, |body| {
+                        body.extend_from_slice(&bytes);
+                        true
+                    });
+                }
+                if let Err(err) = self.append(&frame) {
                     // A lost checkpoint write must not pass silently: failing
                     // the operator thread routes through the normal fence +
                     // recovery path instead of pretending the epoch persisted.
@@ -569,17 +655,25 @@ impl StateBackend for DurableBackend {
                         self.dir.display()
                     );
                 }
-                if is_container(&bytes) {
+
+                // Durable: publish. Index entry and chain base share the buffer.
+                let bytes = Arc::new(bytes);
+                let mut inner = self.inner.lock();
+                if container {
                     inner.chains.insert(
                         participant.to_string(),
                         Chain {
                             epoch,
-                            container: bytes.clone(),
+                            container: Arc::clone(&bytes),
                             since_rebase,
                         },
                     );
                 }
                 inner.index.insert((participant.to_string(), epoch), bytes);
+                drop(inner);
+                if let Some(histograms) = self.histograms.lock().as_ref() {
+                    histograms.put.record(started.elapsed().as_nanos() as u64);
+                }
             }
         }
     }
@@ -588,12 +682,13 @@ impl StateBackend for DurableBackend {
         let inner = self.inner.lock();
         let key = (participant.to_string(), epoch);
         if let Some(bytes) = inner.index.get(&key) {
-            return Some(Snapshot::Bytes(bytes.clone()));
+            return Some(Snapshot::Bytes(Vec::clone(bytes)));
         }
         inner.inline.get(&key).cloned()
     }
 
     fn remove_after(&self, epoch: u64) {
+        let _compacting = self.log.write();
         let mut inner = self.inner.lock();
         inner.inline.retain(|(_, e), _| *e <= epoch);
         inner.index.retain(|(_, e), _| *e <= epoch);
@@ -616,7 +711,7 @@ impl StateBackend for DurableBackend {
     }
 
     fn serialized_bytes(&self) -> usize {
-        self.inner.lock().index.values().map(Vec::len).sum()
+        self.inner.lock().index.values().map(|b| b.len()).sum()
     }
 
     fn bytes_written(&self) -> u64 {

@@ -10,11 +10,13 @@
 //!   snapshot records, scanned with torn-tail tolerance;
 //! * [`manifest`] — the atomically-replaced commit point pinning the segment
 //!   generation and the latest complete epoch;
-//! * [`incremental`] — cross-epoch `GLWS` container diffs with periodic full
-//!   rebase, reconstructed byte-identical to full snapshots;
+//! * [`incremental`] — cross-epoch `GLWS` container diffs (a streaming lock-step
+//!   walk of the two containers) with periodic full rebase, reconstructed
+//!   byte-identical to full snapshots;
 //! * [`backend`] — [`DurableBackend`] tying it together (write → fsync →
-//!   manifest flip; compaction on `remove_after`), plus [`ScopedBackend`] for
-//!   multi-engine nodes sharing one directory.
+//!   manifest flip, the mutex held for bookkeeping and the append only;
+//!   compaction on `remove_after`), plus [`ScopedBackend`] for multi-engine
+//!   nodes sharing one directory.
 //!
 //! ```text
 //! state-dir/

@@ -8,14 +8,19 @@
 //!          [base_epoch u64 when kind = delta] | body_len u32 | body
 //! ```
 //!
-//! All integers little-endian. A crash can tear at most the **tail** of the
-//! active segment: frames are appended and fsynced in order, so every frame
-//! before the torn one is intact. [`scan`] decodes frames until the first
+//! All integers little-endian. A frame is assembled once, in place
+//! ([`write_frame`]): head reserved, body written behind the payload head by the
+//! caller, length and checksum patched in — or the frame withdrawn, if the
+//! caller rejects the body it wrote. A crash can tear at most the **tail** of
+//! the last segment: frames are appended in order, an fsync covers every frame
+//! written to its file before it, and a segment is fsynced before its successor
+//! is created, so every frame in front of one whose `put` returned is intact.
+//! [`scan`] decodes frames until the first
 //! length/CRC/structure failure and reports how many clean bytes it consumed —
 //! the torn record is rejected wholesale (no panic, no zero-fill), mirroring
 //! the wire layer's truncation handling.
 
-use genealog_spe::codec::{put_bytes, CodecError, Decode, Encode, Reader};
+use genealog_spe::codec::{put_framed, CodecError, Decode, Encode, Reader};
 
 use crate::codec::crc32;
 
@@ -48,21 +53,40 @@ pub struct Record {
 const KIND_FULL: u8 = 0;
 const KIND_DELTA: u8 = 1;
 
-/// A record's frame payload (the participant name carries a `u16` length, unlike
-/// the codec's `String`).
+/// Bytes in front of a frame's payload: `payload_len u32 | crc32 u32`.
+const FRAME_HEAD: usize = 8;
+
+/// A frame never adds more than this to the participant name and the body it
+/// carries (frame head, name length, epoch, kind, base epoch, body length).
+pub(crate) const FRAME_OVERHEAD: usize = FRAME_HEAD + 2 + 8 + 1 + 8 + 4;
+
+/// Appends a record's frame payload, the body written in place by `body` (the
+/// participant name carries a `u16` length, unlike the codec's `String`).
+fn put_payload<R>(
+    out: &mut Vec<u8>,
+    participant: &str,
+    epoch: u64,
+    kind: RecordKind,
+    body: impl FnOnce(&mut Vec<u8>) -> R,
+) -> R {
+    (participant.len() as u16).encode(out);
+    out.extend_from_slice(participant.as_bytes());
+    epoch.encode(out);
+    match kind {
+        RecordKind::Full => KIND_FULL.encode(out),
+        RecordKind::Delta { base_epoch } => {
+            KIND_DELTA.encode(out);
+            base_epoch.encode(out);
+        }
+    }
+    put_framed(out, body)
+}
+
 impl Encode for Record {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.participant.len() as u16).encode(out);
-        out.extend_from_slice(self.participant.as_bytes());
-        self.epoch.encode(out);
-        match self.kind {
-            RecordKind::Full => KIND_FULL.encode(out),
-            RecordKind::Delta { base_epoch } => {
-                KIND_DELTA.encode(out);
-                base_epoch.encode(out);
-            }
-        }
-        put_bytes(out, &self.body);
+        put_payload(out, &self.participant, self.epoch, self.kind, |b| {
+            b.extend_from_slice(&self.body);
+        });
     }
 }
 
@@ -94,14 +118,48 @@ impl Decode for Record {
     }
 }
 
+/// Appends one CRC-framed record to `out`, assembled in place: the frame head
+/// is reserved, `body` writes the record body straight behind the payload head
+/// (a snapshot copied once, or a delta streamed by
+/// [`incremental::diff_into`](crate::incremental::diff_into)), then length and
+/// checksum are patched in. `body` returns whether to keep what it wrote: a
+/// rejected frame is withdrawn — `out` truncated back to where the frame began,
+/// no checksum paid for — and `false` is returned.
+pub fn write_frame(
+    out: &mut Vec<u8>,
+    participant: &str,
+    epoch: u64,
+    kind: RecordKind,
+    body: impl FnOnce(&mut Vec<u8>) -> bool,
+) -> bool {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_HEAD]);
+    if !put_payload(out, participant, epoch, kind, body) {
+        out.truncate(at);
+        return false;
+    }
+    let payload = at + FRAME_HEAD;
+    let len = (out.len() - payload) as u32;
+    let crc = crc32(&out[payload..]);
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    out[at + 4..payload].copy_from_slice(&crc.to_le_bytes());
+    true
+}
+
 /// Encodes one record as a CRC-framed segment frame.
 pub fn encode_record(record: &Record) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(record.participant.len() + record.body.len() + 32);
-    record.encode(&mut payload);
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    (payload.len() as u32).encode(&mut frame);
-    crc32(&payload).encode(&mut frame);
-    frame.extend_from_slice(&payload);
+    let mut frame =
+        Vec::with_capacity(FRAME_OVERHEAD + record.participant.len() + record.body.len());
+    write_frame(
+        &mut frame,
+        &record.participant,
+        record.epoch,
+        record.kind,
+        |b| {
+            b.extend_from_slice(&record.body);
+            true
+        },
+    );
     frame
 }
 
@@ -187,6 +245,19 @@ mod tests {
         assert!(!outcome.torn);
         assert_eq!(outcome.clean_bytes, log.len());
         assert_eq!(outcome.records, records);
+    }
+
+    #[test]
+    fn a_rejected_frame_is_withdrawn_whole() {
+        let mut log = encode_record(&sample(5));
+        let kept = log.clone();
+        let rejected = write_frame(&mut log, "agg[0]", 6, RecordKind::Full, |b| {
+            b.extend_from_slice(&[9; 300]);
+            false
+        });
+        assert!(!rejected);
+        assert_eq!(log, kept);
+        assert_eq!(scan(&log).records, vec![sample(5)]);
     }
 
     #[test]

@@ -327,3 +327,102 @@ fn control_endpoint_serves_live_metrics_and_provenance_of_a_spanning_query() {
 
     server.shutdown();
 }
+
+/// A checkpointed local query over a durable store, served on `/metrics` after
+/// it ran: the sharded `sum` aggregate sits behind `stages` Map operators.
+fn durable_run_exposition(tag: &str, stages: usize) -> String {
+    use genealog::GlWindowPersister;
+    use genealog_spe::state::{CheckpointConfig, CheckpointStore, StateBackend};
+    use genealog_spe::PlannerConfig;
+    use genealog_store::{DurableBackend, StoreOptions};
+
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("control-plane-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let backend = DurableBackend::open_with(&dir, StoreOptions::incremental()).unwrap();
+    let store =
+        CheckpointStore::new(std::sync::Arc::clone(&backend) as std::sync::Arc<dyn StateBackend>);
+    let checkpoints =
+        CheckpointConfig::new(3, store).with_window_persister::<Key, Reading, GlMeta>(
+            std::sync::Arc::new(GlWindowPersister::<Key, Reading, Reading>::new()),
+        );
+
+    let plan = GlPlan::with_config(
+        GeneaLog::new(),
+        PlannerConfig::default().with_checkpoints(checkpoints),
+    );
+    let mut stream = plan.source("readings", VecSource::new(readings()));
+    for stage in 0..stages {
+        stream = stream.map_one(&format!("stage{stage}"), |r: &Reading| (r.0, r.1 + 1));
+    }
+    let sums = stream
+        .aggregate("sum", window_spec(), sum_key, sum_window, |o: &Reading| o.0)
+        .with(Parallelism::shards(2));
+    let (out, _provenance) = logical_provenance_sink(sums, "prov");
+    let _sink = out.collecting_sink("sink");
+
+    let query = plan.analyze().unwrap().query;
+    let registry = query.registry();
+    backend.publish_metrics(&registry);
+    let server = ControlPlane::new(std::sync::Arc::clone(&registry))
+        .serve()
+        .unwrap();
+    query.deploy().unwrap().wait().unwrap();
+    let (status, exposition) = http_get(server.addr(), "/metrics");
+    assert_eq!(status, 200);
+    let _ = std::fs::remove_dir_all(&dir);
+    exposition
+}
+
+/// The barrier path's instruments — one sample per barrier, never per tuple —
+/// are on `/metrics`: how long the window-snapshot encode took per operator and
+/// how long the durable `put` took next to its fsync. And a registered persister
+/// that *refuses* a snapshot (the aggregate buffers tuples whose provenance
+/// pointers end in a non-terminal Map tuple) is visible as a count and a trace
+/// event instead of quietly committing process-local state into a durable store.
+#[test]
+fn checkpoint_instruments_and_inline_fallbacks_are_on_the_exposition() {
+    let sum = r#"operator="sum""#;
+    let fallbacks = "genealog_checkpoint_inline_fallbacks_total";
+
+    // One Map in front: occurrences point at SOURCE terminals, every snapshot
+    // encodes, 12 readings at interval 3 make 4 barriers for each of 2 shards.
+    let healthy = durable_run_exposition("healthy", 1);
+    assert_eq!(
+        metric_value(
+            &healthy,
+            "genealog_checkpoint_snapshot_encode_ns_count",
+            sum
+        ),
+        Some(8),
+        "{healthy}"
+    );
+    assert_eq!(metric_value(&healthy, fallbacks, sum), Some(0));
+    let line = |name: &str| {
+        healthy
+            .lines()
+            .find_map(|l| l.strip_prefix(name))
+            .and_then(|v| v.trim().parse::<u64>().ok())
+    };
+    let puts = line("genealog_checkpoint_store_put_ns_count ").expect("put histogram");
+    assert_eq!(
+        Some(puts),
+        line("genealog_checkpoint_store_fsync_ns_count "),
+        "one fsync per byte-snapshot put"
+    );
+    assert!(puts >= 8, "the aggregate's 8 containers at least: {puts}");
+
+    // Two Maps in front: the pointers end in a non-terminal tuple.
+    let refused = genealog_metrics::CountingSubscriber::new("checkpoint-inline-fallback", "sum[0]");
+    genealog_metrics::Tracer::global().subscribe(refused.clone());
+    let lossy = durable_run_exposition("lossy", 2);
+    assert_eq!(metric_value(&lossy, fallbacks, sum), Some(8), "{lossy}");
+    assert_eq!(refused.hits(), 4, "one event per barrier of shard 0");
+    let event = genealog_metrics::Tracer::global()
+        .recent()
+        .into_iter()
+        .rev()
+        .find(|e| e.kind == "checkpoint-inline-fallback")
+        .unwrap();
+    assert!(event.message.starts_with("epoch "), "{}", event.message);
+}
