@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{bounded, unbounded, Receiver, SendTimeoutError, Sender};
 use genealog_metrics::{MetricsRegistry, Tracer};
+use genealog_spe::queue::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 /// Bandwidth and propagation latency of a simulated link.
@@ -319,10 +319,9 @@ impl LinkSender {
             deliver_at,
         };
         if self.config.send_queue_frames != 0 && self.config.send_timeout > Duration::ZERO {
-            match self.tx.send_timeout(frame, self.config.send_timeout) {
-                Ok(()) => true,
-                Err(SendTimeoutError::Timeout(_)) | Err(SendTimeoutError::Disconnected(_)) => false,
-            }
+            self.tx
+                .send_timeout(frame, self.config.send_timeout)
+                .is_ok()
         } else {
             self.tx.send(frame).is_ok()
         }

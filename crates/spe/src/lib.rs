@@ -55,6 +55,7 @@ pub mod persist;
 pub mod planner;
 pub mod provenance;
 pub mod query;
+pub mod queue;
 pub mod runtime;
 pub mod state;
 pub mod time;

@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::channel::{Batch, StreamReceiver};
+use crate::channel::{wait_any, Batch, Ready, StreamReceiver};
 use crate::time::Timestamp;
 use crate::tuple::{Element, GTuple};
 
@@ -201,9 +201,9 @@ impl<T, M> DeterministicMerge<T, M> {
             // Receive more input. Blocking on one *specific* input can deadlock when
             // that input is quiet while another input's channel fills up and
             // back-pressures a shared upstream operator (e.g. a Multiplex feeding both
-            // branches), so instead select over every input that has not yet ended and
-            // fold whatever arrives first. The release decision above stays purely
-            // timestamp-based, so determinism is unaffected by arrival order.
+            // branches), so instead wait on every live input and fold whatever arrives
+            // first. The release decision above stays purely timestamp-based, so
+            // determinism is unaffected by arrival order.
             if !self.pump_any() {
                 return MergedElement::End;
             }
@@ -215,45 +215,33 @@ impl<T, M> DeterministicMerge<T, M> {
         self.frontier()
     }
 
-    /// Blocks until any non-ended input delivers an element and folds it in.
-    /// Returns `false` when every input has already ended.
+    /// Blocks until any live input delivers a batch and folds it in. Returns `false`
+    /// when no input is live.
     fn pump_any(&mut self) -> bool {
-        // Drain partially consumed batches buffered inside a receiver before
-        // selecting on the raw channels: elements held there (handed over by an
-        // earlier per-element `recv`) would otherwise be invisible to the select.
-        // Inputs blocked on a barrier are excluded entirely: consuming their
-        // post-barrier elements before the cut is aligned would mix epochs. The
-        // barrier is always the last element of the batch that carries it, so an
-        // at-barrier input never holds unconsumed pre-barrier elements.
-        for input in &mut self.inputs {
-            if !input.ended && input.at_barrier.is_none() && input.rx.has_pending() {
-                let batch = input.rx.recv_batch();
-                input.fold_batch(batch);
-                return true;
-            }
-        }
-        let live: Vec<usize> = self
+        // Inputs blocked on a barrier are not live: consuming their post-barrier
+        // elements before the cut is aligned would mix epochs. The barrier is always
+        // the last element of the batch that carries it, so an at-barrier input never
+        // holds unconsumed pre-barrier elements.
+        let live = |input: &MergeInput<T, M>| !input.ended && input.at_barrier.is_none();
+        let waitable: Vec<&dyn Ready> = self
             .inputs
             .iter()
-            .enumerate()
-            .filter(|(_, input)| !input.ended && input.at_barrier.is_none())
-            .map(|(i, _)| i)
+            .filter(|input| live(input))
+            .map(|input| &input.rx as &dyn Ready)
             .collect();
-        if live.is_empty() {
+        if waitable.is_empty() {
             return false;
         }
-        let input_idx = {
-            let mut select = crossbeam_channel::Select::new();
-            for &i in &live {
-                select.recv(self.inputs[i].rx.inner());
-            }
-            live[select.select().index()]
-        };
-        // Complete the receive through the StreamReceiver (not the raw channel) so
-        // its element accounting stays correct; the operation is ready, so this does
-        // not block, and a disconnect folds in as an End batch.
-        let batch = self.inputs[input_idx].rx.recv_batch();
-        self.inputs[input_idx].fold_batch(batch);
+        let ready = wait_any(&waitable);
+        let input = self
+            .inputs
+            .iter_mut()
+            .filter(|input| live(input))
+            .nth(ready)
+            .expect("index into the live inputs");
+        // The receive does not block; a vanished producer folds in as an End batch.
+        let batch = input.rx.recv_batch();
+        input.fold_batch(batch);
         true
     }
 }
@@ -401,8 +389,7 @@ mod tests {
     #[test]
     fn merge_drains_partially_consumed_batches() {
         // A receiver whose batch was partially consumed through recv() still hands
-        // its locally buffered elements to the merge (pump_any drains pending
-        // before selecting on the raw channels).
+        // its locally buffered elements to the merge (they make the input ready).
         let (tx1, mut rx1) = stream_channel::<i64, ()>(16);
         let (tx2, rx2) = stream_channel::<i64, ()>(16);
         let mut batch = crate::channel::Batch::new();
@@ -421,8 +408,8 @@ mod tests {
     }
 
     #[test]
-    fn select_path_receives_keep_element_accounting_accurate() {
-        // Batches received through the select path must decrement the channel's
+    fn wait_any_receives_keep_element_accounting_accurate() {
+        // Batches received after a multi-input wait must decrement the channel's
         // element counter exactly like direct receives: after a full drain the
         // receivers must report empty.
         let (tx1, rx1) = stream_channel::<i64, ()>(16);

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use genealog_metrics::{Counter, Gauge};
 
-use crate::channel::{OutputSlot, StreamReceiver};
+use crate::channel::{wait_any, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
 use crate::metrics::{OpCounters, OpMetrics};
 use crate::operator::{Operator, OperatorStats};
@@ -454,7 +454,7 @@ where
                 // Receive more input. Blocking on one specific side can deadlock when
                 // that side is quiet while the other side's channel fills up and
                 // back-pressures a shared upstream (e.g. the Multiplex of Q4 feeding
-                // both Join branches), so select over whichever live side delivers
+                // both Join branches), so wait for whichever live side delivers
                 // first. The release decision above stays timestamp-based, keeping the
                 // output deterministic regardless of arrival order.
                 // A side blocked on a barrier is never pumped: consuming its
@@ -464,31 +464,10 @@ where
                 match (left_pumpable, right_pumpable) {
                     (true, false) => self.left.pump(),
                     (false, true) => self.right.pump(),
-                    (true, true) => {
-                        // Drain partially consumed batches before selecting on the
-                        // raw channels, so locally buffered elements are never
-                        // overlooked while both channels are idle.
-                        if self.left.rx.has_pending() {
-                            self.left.pump();
-                        } else if self.right.rx.has_pending() {
-                            self.right.pump();
-                        } else {
-                            let take_left = {
-                                let mut select = crossbeam_channel::Select::new();
-                                let left_idx = select.recv(self.left.rx.inner());
-                                let _right_idx = select.recv(self.right.rx.inner());
-                                select.select().index() == left_idx
-                            };
-                            // Complete the ready receive through the StreamReceiver
-                            // (pump -> recv_batch) so its element accounting stays
-                            // correct; a disconnect folds in as an End batch.
-                            if take_left {
-                                self.left.pump();
-                            } else {
-                                self.right.pump();
-                            }
-                        }
-                    }
+                    (true, true) => match wait_any(&[&self.left.rx, &self.right.rx]) {
+                        0 => self.left.pump(),
+                        _ => self.right.pump(),
+                    },
                     // Unreachable while the query runs: both sides blocked/ended is
                     // handled by the alignment and end branches above.
                     (false, false) => {}

@@ -231,8 +231,10 @@ impl<T, M> StreamRef<T, M> {
 #[derive(Debug, Clone, Copy)]
 pub struct QueryConfig {
     /// Capacity (in elements) of the bounded channels between operators. The builder
-    /// converts it to a batch bound (`max(1, channel_capacity / batch_size)`), so the
-    /// element-level buffer budget per edge is independent of the batch size.
+    /// converts it to a batch bound with [`batch_budget`](crate::channel::batch_budget)
+    /// (`max(1, ceil(channel_capacity / batch_size))`: rounded up, so never below the
+    /// configured elements), so the element-level buffer budget per edge is independent
+    /// of the batch size.
     pub channel_capacity: usize,
     /// Default batching configuration of operator outputs. Individual operators can
     /// override it via [`Query::set_batch_config`] before they are added.

@@ -1,4 +1,4 @@
-//! The allocation budget of a window-snapshot encode.
+//! Allocation budgets: a window-snapshot encode and a channel hop.
 //!
 //! Every barrier encodes the whole window store on the operator's thread, so
 //! what an encode allocates is paid per epoch per shard. The container walk
@@ -7,6 +7,9 @@
 //! state backend keeps it for as long as the epoch lives — must not carry
 //! unused capacity. A count, not a timing: it repeats exactly.
 //!
+//! A channel hop pays one heap buffer per batch — the number batch-buffer recycling
+//! will have to move, pinned here before it moves.
+//!
 //! This binary installs the counting allocator, so it holds exactly one test
 //! (tests of one binary run on parallel threads and would count each other).
 
@@ -14,9 +17,10 @@ use std::sync::Arc;
 
 use genealog::{erase, GlMeta, GlWindowPersister, OpKind};
 use genealog_metrics::TrackingAllocator;
+use genealog_spe::channel::{batch_budget, stream_channel, Batch};
 use genealog_spe::persist::{is_container, PlainWindowPersister, WindowPersister};
 use genealog_spe::time::{Duration, Timestamp};
-use genealog_spe::tuple::{GTuple, TupleId};
+use genealog_spe::tuple::{Element, GTuple, TupleId};
 use genealog_spe::window::{WindowSpec, WindowStore, WindowStoreSnapshot};
 
 #[global_allocator]
@@ -96,12 +100,57 @@ fn check<M>(
     }
 }
 
+/// Allocations made moving `batches` full batches of the default size through a
+/// `stream_channel` sized as the planner sizes its edges. One thread fills the
+/// channel and drains it, round after round, so the count repeats exactly.
+fn hop_allocations(batches: usize) -> usize {
+    const BATCH: usize = 32;
+    let capacity = batch_budget(1024, BATCH);
+    assert_eq!(batches % capacity, 0);
+    let (tx, mut rx) = stream_channel::<Reading, ()>(capacity);
+    let payload: Vec<_> = (0..BATCH as u64)
+        .map(|i| Arc::new(GTuple::new(Timestamp::from_millis(i), i, (0, 0), ())))
+        .collect();
+    let before = ALLOC.allocation_count();
+    for _ in 0..batches / capacity {
+        for _ in 0..capacity {
+            let mut run = Batch::with_capacity(BATCH);
+            run.extend(payload.iter().cloned().map(Element::Tuple));
+            tx.send_batch(run).expect("receiver alive");
+        }
+        for _ in 0..capacity {
+            assert_eq!(rx.recv_batch().into_iter().count(), BATCH);
+        }
+    }
+    ALLOC.allocation_count() - before
+}
+
+fn check_channel_hop() {
+    // The queue's ring growing to the channel's capacity, once.
+    const CONSTANT: usize = 8;
+    let (few, many) = (hop_allocations(320), hop_allocations(3_200));
+    assert!(few <= 320 + CONSTANT, "{few} allocations for 320 batches");
+    assert_eq!(
+        many - few,
+        3_200 - 320,
+        "one buffer per batch, nothing else"
+    );
+
+    let element = Element::<Reading, ()>::Watermark(Timestamp::from_millis(1));
+    let before = ALLOC.allocation_count();
+    let singleton = Batch::singleton(element);
+    assert_eq!(ALLOC.allocation_count() - before, 1, "a singleton batch");
+    drop(singleton);
+}
+
 #[test]
-fn encoding_allocates_independently_of_the_occurrence_count() {
+fn allocation_budgets_hold() {
+    // Encoding allocates independently of the occurrence count.
     check("plain", &PlainWindowPersister, |_| ());
     check(
         "genealog",
         &GlWindowPersister::<u32, Reading, Reading>::new(),
         gl_meta,
     );
+    check_channel_hop();
 }
