@@ -707,11 +707,6 @@ pub struct ShardProvenanceCollector<O, S> {
 }
 
 impl<O: TupleData, S: TupleData> ShardProvenanceCollector<O, S> {
-    /// Number of unfolded events collected (one per sink-tuple/source-tuple pair).
-    pub fn event_count(&self) -> usize {
-        self.collected.len()
-    }
-
     /// The per-sink-tuple provenance, in sink order.
     pub fn records(&self) -> Vec<ProvenanceRecord<O, S>> {
         group_provenance(

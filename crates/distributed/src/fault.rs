@@ -5,7 +5,7 @@
 //! controlled failure modes the fault-injection tests drive:
 //!
 //! * [`LinkFaults`] + [`FaultySender`] — a [`FrameSink`] decorator that drops,
-//!   duplicates, delays or severs frames at chosen positions in the stream. A
+//!   duplicates or severs frames at chosen positions in the stream. A
 //!   dropped frame surfaces downstream as a sequence gap, a severed link as a
 //!   close without the end-of-stream marker; both push the receiving query into
 //!   the recovery path. Duplicated frames must be absorbed silently by the
@@ -22,7 +22,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -39,10 +38,6 @@ pub struct LinkFaults {
     pub drop_frames: Vec<u64>,
     /// Frames to deliver twice.
     pub duplicate_frames: Vec<u64>,
-    /// Frames to delay by [`LinkFaults::delay`] before delivery.
-    pub delay_frames: Vec<u64>,
-    /// How long a delayed frame is held back.
-    pub delay: Duration,
     /// Sever the link just before this frame would be sent: the underlying
     /// sender is dropped, so the receiver sees the link close mid-stream.
     pub sever_before: Option<u64>,
@@ -66,13 +61,6 @@ impl LinkFaults {
         self
     }
 
-    /// Returns the faults with the given frame indices delayed by `delay`.
-    pub fn delaying(mut self, frames: impl IntoIterator<Item = u64>, delay: Duration) -> Self {
-        self.delay_frames.extend(frames);
-        self.delay = delay;
-        self
-    }
-
     /// Returns the faults with the link severed just before frame `frame`.
     pub fn severing_before(mut self, frame: u64) -> Self {
         self.sever_before = Some(frame);
@@ -83,7 +71,6 @@ impl LinkFaults {
     pub fn is_none(&self) -> bool {
         self.drop_frames.is_empty()
             && self.duplicate_frames.is_empty()
-            && self.delay_frames.is_empty()
             && self.sever_before.is_none()
     }
 }
@@ -129,9 +116,6 @@ impl<L: FrameSink> FrameSink for FaultySender<L> {
             // Lost on the wire. Report success: a real sender does not know the
             // frame vanished; the receiver's sequence numbers flag the gap.
             return true;
-        }
-        if self.faults.delay_frames.contains(&index) {
-            std::thread::sleep(self.faults.delay);
         }
         let guard = self.inner.lock();
         let Some(inner) = guard.as_ref() else {

@@ -7,7 +7,9 @@
 //! instrumentation is the [`ProvenanceSystem::join_meta`] hook.
 //!
 //! The two inputs are processed in global timestamp order (left side wins ties), so
-//! the sequence of output tuples is deterministic regardless of thread scheduling.
+//! the sequence of output tuples is deterministic regardless of thread scheduling: the
+//! Join is a fan-in like any other, and [`crate::merge`] holds the protocol — release
+//! order, barrier alignment, the watermark it purges by, end of stream, waiting.
 //!
 //! # Keyed windows
 //!
@@ -35,100 +37,39 @@ use std::sync::Arc;
 
 use genealog_metrics::{Counter, Gauge};
 
-use crate::channel::{wait_any, OutputSlot, StreamReceiver};
+use crate::channel::{ChannelClosed, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
+use crate::merge::{step, FanInput, Step};
 use crate::metrics::{OpCounters, OpMetrics};
 use crate::operator::{Operator, OperatorStats};
 use crate::provenance::{detach_tuple, ProvenanceSystem};
 use crate::state::{CheckpointHandle, Snapshot};
 use crate::time::{Duration, Timestamp};
-use crate::tuple::{Element, GTuple, TupleData};
+use crate::tuple::{GTuple, TupleData};
 
 /// Everything a Join persists at an epoch barrier: both sides' retained time windows
-/// and the watermark already emitted downstream. Pending buffers are provably empty
-/// at alignment (any pending head is releasable once the other side is blocked on
-/// the barrier), so they need no snapshot.
+/// and the watermark already emitted downstream. Nothing is pending on either input
+/// at an aligned cut, so the inputs need no snapshot.
 struct JoinSnapshot<L, R, M> {
     left_window: Vec<Arc<GTuple<L, M>>>,
     right_window: Vec<Arc<GTuple<R, M>>>,
     emitted_watermark: Timestamp,
 }
 
+/// What one side of the Join retains for the other side's probes.
 struct JoinSide<T, K, M> {
-    rx: StreamReceiver<T, M>,
-    /// Elements received but not yet processed (kept in arrival = timestamp order).
-    pending: VecDeque<Arc<GTuple<T, M>>>,
-    /// Already-processed tuples retained for matching against the other side, in
-    /// timestamp order: what purge walks and what a checkpoint snapshots.
+    /// Already-processed tuples in timestamp order: what purge walks and what a
+    /// checkpoint snapshots.
     window: VecDeque<Arc<GTuple<T, M>>>,
     /// The same tuples by join key, each bucket in `window` order: what a probe walks.
     index: HashMap<K, VecDeque<Arc<GTuple<T, M>>>>,
-    promised: Timestamp,
-    /// Epoch barrier this side has reached (checkpoint alignment): the side is not
-    /// pumped again until the other side reaches the same barrier.
-    at_barrier: Option<u64>,
-    ended: bool,
 }
 
 impl<T, K: Hash + Eq, M> JoinSide<T, K, M> {
-    fn new(rx: StreamReceiver<T, M>) -> Self {
+    fn new() -> Self {
         JoinSide {
-            rx,
-            pending: VecDeque::new(),
             window: VecDeque::new(),
             index: HashMap::new(),
-            promised: Timestamp::MIN,
-            at_barrier: None,
-            ended: false,
-        }
-    }
-
-    /// The oldest timestamp this side may still hand over to the join, now or after
-    /// a barrier it is held at. It bounds what can still be matched and emitted, so
-    /// purge and the output watermark follow the lesser of the two sides' bounds.
-    fn progress_bound(&self) -> Timestamp {
-        if let Some(front) = self.pending.front() {
-            front.ts
-        } else if self.ended {
-            Timestamp::MAX
-        } else {
-            self.promised
-        }
-    }
-
-    /// What the other side's head is held back by. A side blocked on a barrier
-    /// delivers nothing until the cut is aligned, so it must not hold back the
-    /// release of the other side's buffered pre-barrier tuples — though what it
-    /// delivers after the cut may be as old as its [`Self::progress_bound`].
-    fn lower_bound(&self) -> Timestamp {
-        if self.pending.is_empty() && self.at_barrier.is_some() {
-            Timestamp::MAX
-        } else {
-            self.progress_bound()
-        }
-    }
-
-    fn fold(&mut self, element: Element<T, M>) {
-        match element {
-            Element::Tuple(t) => {
-                if t.ts > self.promised {
-                    self.promised = t.ts;
-                }
-                self.pending.push_back(t);
-            }
-            Element::Watermark(ts) => {
-                if ts > self.promised {
-                    self.promised = ts;
-                }
-            }
-            Element::Barrier(epoch) => self.at_barrier = Some(epoch),
-            Element::End => self.ended = true,
-        }
-    }
-
-    fn pump(&mut self) {
-        for element in self.rx.recv_batch() {
-            self.fold(element);
         }
     }
 
@@ -223,6 +164,7 @@ impl Drop for JoinInstruments {
 /// The Join operator runtime.
 pub struct JoinOp<L, R, O, K, LK, RK, PR, CF, P: ProvenanceSystem> {
     name: String,
+    inputs: (FanInput<L, P::Meta>, FanInput<R, P::Meta>),
     left: JoinSide<L, K, P::Meta>,
     right: JoinSide<R, K, P::Meta>,
     output: OutputSlot<O, P::Meta>,
@@ -274,8 +216,9 @@ where
         assert!(!window.is_zero(), "Join window size must be positive");
         JoinOp {
             name: name.into(),
-            left: JoinSide::new(left),
-            right: JoinSide::new(right),
+            inputs: (FanInput::new(left), FanInput::new(right)),
+            left: JoinSide::new(),
+            right: JoinSide::new(),
             output,
             window,
             left_key,
@@ -344,80 +287,45 @@ where
             }
         }
         loop {
-            let left_lb = self.left.lower_bound();
-            let right_lb = self.right.lower_bound();
-
-            // Can we process the left head? Only if the right side cannot still deliver
-            // an earlier tuple (ties go to the left side).
-            let left_ready = self.left.pending.front().is_some_and(|t| t.ts <= right_lb);
-            let right_ready = self.right.pending.front().is_some_and(|t| t.ts < left_lb);
-
-            if left_ready {
-                let tuple = self.left.pending.pop_front().expect("checked non-empty");
-                counters.inc_in();
-                let key = (self.left_key)(&tuple.data);
-                for candidate in self.right.candidates(&key) {
-                    instruments.unpublished_candidates += 1;
-                    if tuple.ts.distance(candidate.ts) <= self.window
-                        && (self.predicate)(&tuple.data, &candidate.data)
-                    {
-                        let data = (self.combine)(&tuple.data, &candidate.data);
-                        let meta = self.provenance.join_meta(&tuple, candidate);
-                        let output = Arc::new(GTuple::new(
-                            tuple.ts.max(candidate.ts),
-                            tuple.stimulus.max(candidate.stimulus),
-                            data,
-                            meta,
-                        ));
-                        if out.send_tuple(output).is_err() {
-                            return Ok(counters.stats(&self.name));
+            match step(&mut self.inputs, &mut self.emitted_watermark) {
+                Step::Release(side) => {
+                    counters.inc_in();
+                    let mut pair = |l: &Arc<GTuple<L, _>>, r: &Arc<GTuple<R, _>>| {
+                        instruments.unpublished_candidates += 1;
+                        if l.ts.distance(r.ts) <= self.window && (self.predicate)(&l.data, &r.data)
+                        {
+                            let data = (self.combine)(&l.data, &r.data);
+                            let meta = self.provenance.join_meta(l, r);
+                            let stimulus = l.stimulus.max(r.stimulus);
+                            let output = GTuple::new(l.ts.max(r.ts), stimulus, data, meta);
+                            out.send_tuple(Arc::new(output))?;
+                            counters.inc_out();
                         }
-                        counters.inc_out();
+                        Ok::<(), ChannelClosed>(())
+                    };
+                    // Probe the other side's bucket, then retain (ties went to the left).
+                    let sent = if side == 0 {
+                        let tuple = self.inputs.0.pop();
+                        let key = (self.left_key)(&tuple.data);
+                        let sent = self
+                            .right
+                            .candidates(&key)
+                            .try_for_each(|r| pair(&tuple, r));
+                        self.left.retain(key, tuple);
+                        sent
+                    } else {
+                        let tuple = self.inputs.1.pop();
+                        let key = (self.right_key)(&tuple.data);
+                        let sent = self.left.candidates(&key).try_for_each(|l| pair(l, &tuple));
+                        self.right.retain(key, tuple);
+                        sent
+                    };
+                    if sent.is_err() {
+                        return Ok(counters.stats(&self.name));
                     }
                 }
-                self.left.retain(key, tuple);
-            } else if right_ready {
-                let tuple = self.right.pending.pop_front().expect("checked non-empty");
-                counters.inc_in();
-                let key = (self.right_key)(&tuple.data);
-                for candidate in self.left.candidates(&key) {
-                    instruments.unpublished_candidates += 1;
-                    if tuple.ts.distance(candidate.ts) <= self.window
-                        && (self.predicate)(&candidate.data, &tuple.data)
-                    {
-                        let data = (self.combine)(&candidate.data, &tuple.data);
-                        let meta = self.provenance.join_meta(candidate, &tuple);
-                        let output = Arc::new(GTuple::new(
-                            tuple.ts.max(candidate.ts),
-                            tuple.stimulus.max(candidate.stimulus),
-                            data,
-                            meta,
-                        ));
-                        if out.send_tuple(output).is_err() {
-                            return Ok(counters.stats(&self.name));
-                        }
-                        counters.inc_out();
-                    }
-                }
-                self.right.retain(key, tuple);
-            } else {
-                // Barrier alignment comes first: with both sides at the cut there is
-                // nothing to wait for. Reaching this branch with a side blocked or
-                // ended means its pending buffer is empty (a pending head would be
-                // releasable against a MAX bound), so the windows are the only state
-                // crossing the cut.
-                let left_blocked = self.left.at_barrier.is_some();
-                let right_blocked = self.right.at_barrier.is_some();
-                let left_at_cut = left_blocked || self.left.ended;
-                let right_at_cut = right_blocked || self.right.ended;
-                if (left_blocked || right_blocked) && left_at_cut && right_at_cut {
-                    let epoch = self
-                        .left
-                        .at_barrier
-                        .into_iter()
-                        .chain(self.right.at_barrier)
-                        .max()
-                        .expect("at least one side is at a barrier");
+                // The windows are the only state crossing the cut.
+                Step::Barrier(epoch) => {
                     if let Some(ckpt) = &checkpoints {
                         let snapshot = JoinSnapshot {
                             left_window: self.left.window.iter().cloned().collect(),
@@ -427,50 +335,24 @@ where
                         ckpt.store
                             .commit(&self.name, epoch, Snapshot::inline(snapshot));
                     }
-                    self.left.at_barrier = None;
-                    self.right.at_barrier = None;
                     if out.send_barrier(epoch).is_err() {
                         return Ok(counters.stats(&self.name));
                     }
-                    continue;
                 }
-                // No head is releasable: either everything has ended, or we must wait
-                // for more elements from the side currently holding us back.
-                let frontier = self.left.progress_bound().min(self.right.progress_bound());
-                if frontier == Timestamp::MAX {
-                    let _ = out.send_watermark(Timestamp::MAX);
-                    let _ = out.send_end();
-                    return Ok(counters.stats(&self.name));
-                }
-                self.left.purge(frontier, self.window, &mut self.left_key);
-                self.right.purge(frontier, self.window, &mut self.right_key);
-                instruments.publish([self.left.window.len(), self.right.window.len()]);
-                if frontier > self.emitted_watermark && frontier > Timestamp::MIN {
-                    self.emitted_watermark = frontier;
+                // Neither side can still hand over a tuple older than the frontier, so
+                // nothing retained more than a window before it can still be matched.
+                Step::Watermark(frontier) => {
+                    self.left.purge(frontier, self.window, &mut self.left_key);
+                    self.right.purge(frontier, self.window, &mut self.right_key);
+                    instruments.publish([self.left.window.len(), self.right.window.len()]);
                     if out.send_watermark(frontier).is_err() {
                         return Ok(counters.stats(&self.name));
                     }
                 }
-                // Receive more input. Blocking on one specific side can deadlock when
-                // that side is quiet while the other side's channel fills up and
-                // back-pressures a shared upstream (e.g. the Multiplex of Q4 feeding
-                // both Join branches), so wait for whichever live side delivers
-                // first. The release decision above stays timestamp-based, keeping the
-                // output deterministic regardless of arrival order.
-                // A side blocked on a barrier is never pumped: consuming its
-                // post-barrier elements before the cut is aligned would mix epochs.
-                let left_pumpable = !self.left.ended && self.left.at_barrier.is_none();
-                let right_pumpable = !self.right.ended && self.right.at_barrier.is_none();
-                match (left_pumpable, right_pumpable) {
-                    (true, false) => self.left.pump(),
-                    (false, true) => self.right.pump(),
-                    (true, true) => match wait_any(&[&self.left.rx, &self.right.rx]) {
-                        0 => self.left.pump(),
-                        _ => self.right.pump(),
-                    },
-                    // Unreachable while the query runs: both sides blocked/ended is
-                    // handled by the alignment and end branches above.
-                    (false, false) => {}
+                Step::End => {
+                    let _ = out.send_watermark(Timestamp::MAX);
+                    let _ = out.send_end();
+                    return Ok(counters.stats(&self.name));
                 }
             }
         }
@@ -482,6 +364,7 @@ mod tests {
     use super::*;
     use crate::channel::stream_channel;
     use crate::provenance::NoProvenance;
+    use crate::tuple::Element;
 
     fn tup<T: TupleData>(ts: u64, data: T) -> Arc<GTuple<T, ()>> {
         Arc::new(GTuple::new(Timestamp::from_secs(ts), ts, data, ()))

@@ -479,11 +479,6 @@ impl<P: ProvenanceSystem> Query<P> {
         self.current_batch = batch;
     }
 
-    /// Handle that, when set to `true`, asks every Source to stop injecting tuples.
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
     // ------------------------------------------------------------------
     // Extension API: used by the unfolder operators of `genealog` and the
     // Send/Receive endpoints of `genealog-distributed` to register custom

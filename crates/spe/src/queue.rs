@@ -279,14 +279,17 @@ impl<T> Ready for Receiver<T> {
 ///
 /// # Panics
 /// Panics if `inputs` is empty.
-pub(crate) fn wait_any(inputs: &[&dyn Ready]) -> usize {
-    assert!(!inputs.is_empty(), "wait_any needs at least one input");
-    let poll = || inputs.iter().position(|input| input.is_ready());
+pub(crate) fn wait_any<'a>(inputs: impl Iterator<Item = &'a dyn Ready> + Clone) -> usize {
+    assert!(
+        inputs.clone().next().is_some(),
+        "wait_any needs at least one input"
+    );
+    let poll = || inputs.clone().position(|input| input.is_ready());
     if let Some(index) = poll() {
         return index;
     }
     let waker = Arc::new(Waker::default());
-    for input in inputs {
+    for input in inputs.clone() {
         input.watch(&waker);
     }
     let index = loop {
@@ -409,7 +412,7 @@ mod tests {
         let (_tx1, rx1) = bounded::<i32>(4);
         let (tx2, rx2) = bounded::<&str>(4);
         tx2.send("ready").unwrap();
-        assert_eq!(wait_any(&[&rx1, &rx2]), 1);
+        assert_eq!(wait_any([&rx1 as &dyn Ready, &rx2].into_iter()), 1);
         assert_eq!(rx2.recv(), Ok("ready"));
     }
 
@@ -418,7 +421,7 @@ mod tests {
         let (tx1, rx1) = bounded::<i32>(4);
         let (_tx2, rx2) = bounded::<&str>(4);
         thread::scope(|scope| {
-            let waiter = scope.spawn(|| wait_any(&[&rx1, &rx2]));
+            let waiter = scope.spawn(|| wait_any([&rx1 as &dyn Ready, &rx2].into_iter()));
             wait_until("the waiter watches both inputs", || {
                 watchers(&rx1.shared) + watchers(&rx2.shared) == 2
             });
@@ -433,7 +436,7 @@ mod tests {
     fn wait_any_observes_disconnect() {
         let (tx, rx) = bounded::<i32>(1);
         thread::scope(|scope| {
-            let waiter = scope.spawn(|| wait_any(&[&rx]));
+            let waiter = scope.spawn(|| wait_any([&rx as &dyn Ready].into_iter()));
             wait_until("the waiter watches the input", || watchers(&rx.shared) == 1);
             drop(tx);
             assert_eq!(waiter.join().unwrap(), 0);
@@ -457,7 +460,7 @@ mod tests {
             let waiter_start = Arc::clone(&start);
             let waiter = thread::spawn(move || {
                 waiter_start.wait();
-                let index = wait_any(&[&int_rx, &text_rx]);
+                let index = wait_any([&int_rx as &dyn Ready, &text_rx].into_iter());
                 let received = match index {
                     0 => int_rx.recv().map(|n| n.to_string()),
                     _ => text_rx.recv(),

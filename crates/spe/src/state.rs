@@ -338,11 +338,6 @@ impl CheckpointStore {
         self.state.lock().fenced = true;
     }
 
-    /// Whether the failure fence is currently raised.
-    pub fn is_fenced(&self) -> bool {
-        self.state.lock().fenced
-    }
-
     /// The greatest epoch every registered participant has committed, if any.
     pub fn latest_complete_epoch(&self) -> Option<u64> {
         let state = self.state.lock();
@@ -447,9 +442,6 @@ pub struct CheckpointConfig {
     pub interval: u64,
     /// The deployment-wide checkpoint store.
     pub store: Arc<CheckpointStore>,
-    /// Retry/backoff policy for drivers that hand this configuration's store to
-    /// [`run_with_recovery`].
-    pub recovery: RecoveryConfig,
     /// Type-erased window persisters, keyed by the `TypeId` of the concrete
     /// `WindowStoreSnapshot<K, T, M>` they encode. Aggregate operators look
     /// their persister up here at barrier-commit time; with none registered
@@ -462,7 +454,6 @@ impl fmt::Debug for CheckpointConfig {
         f.debug_struct("CheckpointConfig")
             .field("interval", &self.interval)
             .field("store", &self.store)
-            .field("recovery", &self.recovery)
             .field("persisters", &self.persisters.len())
             .finish()
     }
@@ -474,16 +465,8 @@ impl CheckpointConfig {
         CheckpointConfig {
             interval: interval.max(1),
             store,
-            recovery: RecoveryConfig::default(),
             persisters: HashMap::new(),
         }
-    }
-
-    /// Overrides the retry/backoff policy used when this configuration drives
-    /// [`run_with_recovery`].
-    pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
-        self.recovery = recovery;
-        self
     }
 
     /// Registers the byte codec for window snapshots of the concrete

@@ -3,7 +3,7 @@
 //! 100 Mbps link, exactly like the paper's Figure 7, and inspect the provenance
 //! assembled at the third instance.
 //!
-//! Run with `cargo run -p genealog-bench --example distributed_provenance`.
+//! Run with `cargo run --release --example distributed_provenance`.
 
 use genealog_distributed::{deploy_distributed_genealog, NetworkConfig};
 use genealog_spe::operator::source::SourceConfig;

@@ -1,7 +1,7 @@
 //! Vehicular monitoring on the Linear Road workload: detect broken-down cars (Q1) and
 //! accidents (Q2) and show, for every alert, the position reports that prove it.
 //!
-//! Run with `cargo run -p genealog-bench --example linear_road_accidents`.
+//! Run with `cargo run --release --example linear_road_accidents`.
 
 use genealog::prelude::*;
 use genealog_workloads::linear_road::{LinearRoadConfig, LinearRoadGenerator};

@@ -3,7 +3,7 @@
 //! enable GeneaLog provenance, and trace every alert back to the exact source
 //! readings that caused it.
 //!
-//! Run with `cargo run -p genealog-bench --example quickstart`.
+//! Run with `cargo run --release --example quickstart`.
 
 use genealog::prelude::*;
 

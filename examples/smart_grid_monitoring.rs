@@ -1,7 +1,7 @@
 //! Smart-grid monitoring: detect day-long blackouts (Q3) and anomalous meters (Q4) and
 //! trace every alert back to the hourly readings that caused it.
 //!
-//! Run with `cargo run -p genealog-bench --example smart_grid_monitoring`.
+//! Run with `cargo run --release --example smart_grid_monitoring`.
 
 use genealog::prelude::*;
 use genealog_workloads::queries::{build_q3, build_q4};
