@@ -5,7 +5,7 @@
 //! - **no-direct-print** — engine crates must not write to the standard streams
 //!   directly; runtime events go through the `Tracer` ring buffer (queryable,
 //!   bounded, test-observable) instead of interleaving with benchmark output.
-//!   `crates/bench` (the criterion figure benches, whose job *is* terminal output)
+//!   `crates/bench` (the figure benches, whose job *is* terminal output)
 //!   is exempt, and a line carrying a `spe-lint: allow` comment is skipped.
 //! - **metric-naming** — every metric registered on a `MetricsRegistry` must
 //!   use the `genealog_*` prefix so dashboards can scope a scrape to this

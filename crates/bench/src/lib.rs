@@ -1,8 +1,7 @@
 //! # genealog-bench — harness support for the evaluation benchmarks
 //!
 //! The benchmark binaries (`benches/fig12_intra.rs`, `benches/fig13_inter.rs`,
-//! `benches/fig14_traversal.rs`, `benches/micro.rs`) reproduce the figures of the
-//! paper's §7. This library hosts the shared harness code: single-process run
+//! `benches/fig14_traversal.rs`) reproduce the figures of the paper's §7. This library hosts the shared harness code: single-process run
 //! functions for the NP/GL/BL configurations of each query, the instrumented
 //! (traversal-timed) provenance unfolder, the memory-sampling loop and the
 //! `Q4Relay` wrapper that lets Q4's two intermediate streams share one

@@ -114,6 +114,10 @@ pub trait ProvNode: Send + Sync + fmt::Debug + 'static {
     fn u2_ref(&self) -> Option<&ProvRef>;
     /// Borrowed view of `N` (see [`ProvNode::u1_ref`]).
     fn next_ref(&self) -> Option<&ProvRef>;
+    /// Detaches and returns `N`, leaving it unset. Needs exclusive access, so only
+    /// the last owner of a tuple can call it: [`GlMeta`]'s `Drop` does, to take a
+    /// chain apart link by link instead of recursing down it.
+    fn take_next(&mut self) -> Option<ProvRef>;
     /// The tuple payload, type-erased (downcast with the `ProvNode` payload helpers).
     fn payload_any(&self) -> &(dyn Any + Send + Sync);
     /// Debug rendering of the payload, used when writing provenance to disk or logs.
@@ -261,6 +265,24 @@ impl GlMeta {
     }
 }
 
+/// Releases the `N` chain iteratively.
+///
+/// The default drop glue frees `N`'s target, whose own glue frees *its* `N`, and so
+/// on: one stack frame per tuple of an aggregate window. The last holder of a large
+/// window (a sink dropping an output tuple, a purge) would overflow its thread's
+/// stack — a process abort, past any `catch_unwind`. Instead, walk the chain: while
+/// the successor has no other owner, take over *its* successor before letting it go,
+/// so every node is freed with `N` already empty. The walk stops at the first node
+/// somebody else still references; that owner keeps the rest alive.
+impl Drop for GlMeta {
+    fn drop(&mut self) {
+        let mut next = self.next.cell.take();
+        while let Some(mut node) = next {
+            next = Arc::get_mut(&mut node).and_then(|last_owner| last_owner.take_next());
+        }
+    }
+}
+
 impl fmt::Debug for GlMeta {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GlMeta")
@@ -312,6 +334,10 @@ impl<T: TupleData> ProvNode for GTuple<T, GlMeta> {
 
     fn next_ref(&self) -> Option<&ProvRef> {
         self.meta.next.get_ref()
+    }
+
+    fn take_next(&mut self) -> Option<ProvRef> {
+        self.meta.next.cell.take()
     }
 
     fn payload_any(&self) -> &(dyn Any + Send + Sync) {

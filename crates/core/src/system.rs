@@ -230,6 +230,32 @@ mod tests {
         assert!(!window[3].meta.next.is_set());
     }
 
+    /// The last holder of a closed window owns, through `U2` and the `N` chain, one
+    /// tuple per window element; letting it go must not recurse once per element.
+    /// A million-tuple one-key window, released on a default-sized thread like the
+    /// ones the runtime gives its operators.
+    #[test]
+    fn dropping_the_last_holder_of_a_large_window_does_not_overflow_the_stack() {
+        let gl = GeneaLog::new();
+        let window: Vec<_> = (0..1_000_000u64)
+            .map(|i| source_tuple(&gl, i, i as i64))
+            .collect();
+        let meta = gl.aggregate_meta(&window);
+        let first = Arc::downgrade(&window[0]);
+        let output = Arc::new(GTuple::new(Timestamp::from_secs(0), 0, 0i64, meta));
+        drop(window);
+        assert!(
+            first.upgrade().is_some(),
+            "the output keeps its window alive"
+        );
+        std::thread::Builder::new()
+            .spawn(move || drop(output))
+            .expect("spawns")
+            .join()
+            .expect("the drop returns");
+        assert!(first.upgrade().is_none(), "and releases it when it goes");
+    }
+
     #[test]
     fn single_tuple_window_has_u1_equal_u2() {
         let gl = GeneaLog::new();

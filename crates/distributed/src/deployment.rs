@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use genealog_metrics::{decode_samples, MetricsRegistry};
+use genealog_metrics::{MetricsRegistry, Sample};
 use genealog_spe::logical::{LogicalPlan, LogicalStream};
 use genealog_spe::operator::sink::{CollectedStream, SinkStats};
 use genealog_spe::operator::source::{SourceConfig, SourceGenerator};
@@ -399,13 +399,13 @@ fn spawn_metrics_shipper<L: FrameSink>(
     let stop_in_thread = Arc::clone(&stop);
     let thread = std::thread::spawn(move || {
         while !stop_in_thread.load(Ordering::Relaxed) && !engine.is_finished() {
-            if !link.send_frame(registry.encode_snapshot()) {
+            if !link.send_frame(registry.local_samples().to_bytes()) {
                 return;
             }
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
         // Final snapshot, then drop the sender so the physical link can close.
-        let _ = link.send_frame(registry.encode_snapshot());
+        let _ = link.send_frame(registry.local_samples().to_bytes());
     });
     MetricsShipper { stop, thread }
 }
@@ -515,7 +515,7 @@ impl RemoteShardGroup {
             let key = format!("{name}[{i}]");
             self.pumps.push(std::thread::spawn(move || {
                 while let Some(frame) = rx.recv_frame() {
-                    if let Some(samples) = decode_samples(&frame) {
+                    if let Ok(samples) = Vec::<Sample>::from_bytes(&frame) {
                         registry.install_remote(&key, samples);
                     }
                 }

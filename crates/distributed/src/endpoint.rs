@@ -23,8 +23,8 @@ use std::sync::Arc;
 use genealog_spe::channel::{OutputSlot, StreamReceiver};
 use genealog_spe::error::SpeError;
 use genealog_spe::impl_codec_struct;
-use genealog_spe::metrics::{OpCounters, OpMetrics};
-use genealog_spe::operator::{Operator, OperatorStats};
+use genealog_spe::metrics::OpCounters;
+use genealog_spe::operator::Operator;
 use genealog_spe::provenance::{NoProvenance, ProvenanceSystem, RemoteContext};
 use genealog_spe::query::{Query, StreamRef};
 use genealog_spe::state::CheckpointHandle;
@@ -311,7 +311,6 @@ pub struct SendOp<T, P: ProvenanceSystem, L = LinkSender> {
     input: StreamReceiver<T, P::Meta>,
     link: L,
     provenance: P,
-    metrics: OpMetrics,
 }
 
 impl<T, P, L> SendOp<T, P, L>
@@ -332,7 +331,6 @@ where
             input,
             link,
             provenance,
-            metrics: OpMetrics::deferred(),
         }
     }
 }
@@ -347,12 +345,7 @@ where
         &self.name
     }
 
-    fn set_metrics(&mut self, metrics: OpMetrics) {
-        self.metrics = metrics;
-    }
-
-    fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
-        let counters = self.metrics.handles(&self.name);
+    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
         let mut frame = TupleFrameBuilder::new();
         let mut seq = 0u64;
         // Ships the pending run; tuples count as "out" only once their frame
@@ -398,33 +391,33 @@ where
                         // The pending run precedes the watermark on the wire, like
                         // the in-process flush policy.
                         if !flush(&mut frame, &self.link, &mut seq, &counters) {
-                            return Ok(counters.stats(&self.name));
+                            return Ok(());
                         }
                         if !ship(&self.link, &mut seq, encode_watermark_frame(ts)) {
-                            return Ok(counters.stats(&self.name));
+                            return Ok(());
                         }
                     }
                     Element::Barrier(epoch) => {
                         // Like a watermark: the pre-barrier run must cross the wire
                         // before the cut does.
                         if !flush(&mut frame, &self.link, &mut seq, &counters) {
-                            return Ok(counters.stats(&self.name));
+                            return Ok(());
                         }
                         if !ship(&self.link, &mut seq, encode_barrier_frame(epoch)) {
-                            return Ok(counters.stats(&self.name));
+                            return Ok(());
                         }
                     }
                     Element::End => {
                         let _ = flush(&mut frame, &self.link, &mut seq, &counters);
                         let _ = ship(&self.link, &mut seq, encode_end_frame());
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
             }
             // Flush at the batch boundary: one upstream batch becomes (at most) one
             // frame, so wire framing tracks the transport's batch size.
             if !flush(&mut frame, &self.link, &mut seq, &counters) {
-                return Ok(counters.stats(&self.name));
+                return Ok(());
             }
         }
     }
@@ -438,7 +431,6 @@ pub struct ReceiveOp<T, P: ProvenanceSystem, L = LinkReceiver> {
     output: OutputSlot<T, P::Meta>,
     provenance: P,
     checkpoints: Option<CheckpointHandle>,
-    metrics: OpMetrics,
 }
 
 impl<T, P, L> ReceiveOp<T, P, L>
@@ -460,7 +452,6 @@ where
             output,
             provenance,
             checkpoints: None,
-            metrics: OpMetrics::deferred(),
         }
     }
 
@@ -488,13 +479,8 @@ where
         &self.name
     }
 
-    fn set_metrics(&mut self, metrics: OpMetrics) {
-        self.metrics = metrics;
-    }
-
-    fn run(self: Box<Self>) -> Result<OperatorStats, SpeError> {
+    fn run(self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
         let mut out = self.output.open();
-        let counters = self.metrics.handles(&self.name);
         // Raised while `out` is still held, so the fence strictly precedes the
         // synthesized end-of-stream downstream peers see once this thread exits.
         let fail = |message: String| {
@@ -553,19 +539,19 @@ where
                         });
                         let tuple = Arc::new(GTuple::new(ts, stimulus, data, meta));
                         if out.send_tuple(tuple).is_err() {
-                            return Ok(counters.stats(&self.name));
+                            return Ok(());
                         }
                         counters.inc_out();
                     }
                 }
                 WireFrame::Watermark(ts) => {
                     if out.send_watermark(ts).is_err() {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
                 WireFrame::Barrier(epoch) => {
                     if out.send_barrier(epoch).is_err() {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
                 WireFrame::End => {
@@ -581,7 +567,7 @@ where
             return Err(fail("link closed before the end-of-stream marker".into()));
         }
         let _ = out.send_end();
-        Ok(counters.stats(&self.name))
+        Ok(())
     }
 }
 
@@ -627,8 +613,9 @@ mod tests {
             .unwrap();
         in_tx.send(Element::End).unwrap();
         let send = SendOp::new("send", in_rx, link_tx, gl_sender);
-        let send_stats = Box::new(send).run().unwrap();
-        assert_eq!(send_stats.tuples_out, 2);
+        let send_stats = OpCounters::detached("send");
+        Box::new(send).run(send_stats.clone()).unwrap();
+        assert_eq!(send_stats.tuples_out(), 2);
         assert!(stats.bytes() > 0);
 
         // Receiving side.
@@ -636,8 +623,9 @@ mod tests {
         let (out_tx, mut out_rx) = stream_channel(16);
         slot.connect(out_tx);
         let receive = ReceiveOp::new("receive", link_rx, slot, gl_receiver);
-        let recv_stats = Box::new(receive).run().unwrap();
-        assert_eq!(recv_stats.tuples_out, 2);
+        let recv_stats = OpCounters::detached("receive");
+        Box::new(receive).run(recv_stats.clone()).unwrap();
+        assert_eq!(recv_stats.tuples_out(), 2);
 
         // First tuple was a source tuple: it stays SOURCE across the boundary.
         let first = out_rx.recv();
@@ -662,8 +650,9 @@ mod tests {
         let (out_tx, mut out_rx) = stream_channel(4);
         slot.connect(out_tx);
         let receive = ReceiveOp::new("receive", link_rx, slot, NoProvenance);
-        let stats = Box::new(receive).run().unwrap();
-        assert_eq!(stats.tuples_in, 0);
+        let stats = OpCounters::detached("receive");
+        Box::new(receive).run(stats.clone()).unwrap();
+        assert_eq!(stats.tuples_in(), 0);
         assert!(out_rx.recv().is_end());
     }
 
@@ -675,7 +664,9 @@ mod tests {
         let (out_tx, _out_rx) = stream_channel(4);
         slot.connect(out_tx);
         let receive = ReceiveOp::new("receive", link_rx, slot, NoProvenance);
-        let err = Box::new(receive).run().unwrap_err();
+        let err = Box::new(receive)
+            .run(OpCounters::detached("receive"))
+            .unwrap_err();
         assert!(matches!(err, SpeError::Runtime { .. }));
     }
 

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use genealog::{GeneaLog, GlMeta, GlWindowPersister};
-use genealog_metrics::{decode_samples, MetricsRegistry, Tracer};
+use genealog_metrics::{MetricsRegistry, Tracer};
 use genealog_spe::operator::aggregate::WindowView;
 use genealog_spe::query::{Query, QueryConfig, StreamRef};
 use genealog_spe::runtime::QueryReport;
@@ -441,9 +441,7 @@ pub fn serve_node_connection(
         let node_registry = Arc::clone(registry);
         let key = format!("{group}[{global}]");
         mirrors.push(std::thread::spawn(move || loop {
-            if let Some(samples) = decode_samples(&engine_registry.encode_snapshot()) {
-                node_registry.install_remote(&key, samples);
-            }
+            node_registry.install_remote(&key, engine_registry.local_samples());
             if completion.is_finished() {
                 break;
             }

@@ -17,8 +17,8 @@
 //!
 //! * [`registry`] — the lock-free, shard-aware [`MetricsRegistry`] of counters,
 //!   gauges and log-scale latency histograms that operators publish into while a
-//!   query runs, with Prometheus text exposition and a wire codec for folding
-//!   remote SPE instances into one surface.
+//!   query runs, with Prometheus text exposition and the fold of remote SPE
+//!   instances' samples into one surface.
 //! * [`trace`] — the ring-buffer event [`Tracer`] with pluggable subscribers that
 //!   replaces ad-hoc `eprintln!` warnings.
 
@@ -37,8 +37,7 @@ pub mod trace;
 pub use alloc::TrackingAllocator;
 pub use recorder::{LatencyRecorder, MemorySampler, ThroughputRecorder, TraversalRecorder};
 pub use registry::{
-    decode_samples, encode_samples, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
-    Sample, SampleValue,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Sample, SampleValue,
 };
 pub use report::{FigureTable, MetricCell, RunMeasurement};
 pub use stats::Summary;

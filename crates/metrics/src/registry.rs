@@ -12,11 +12,13 @@
 //! every shard instance of a logical operator increments one shared counter, so the
 //! registry needs no fold step when shards report.
 //!
-//! Remote SPE instances ship encoded snapshots over the wire
-//! ([`MetricsRegistry::encode_snapshot`] / [`MetricsRegistry::install_remote`]);
-//! the receiving registry folds the latest snapshot of every remote instance into
-//! its own samples, so a query spanning instances reads as one surface. Installing
-//! a newer snapshot *replaces* the instance's previous one (set-latest semantics),
+//! Remote SPE instances ship what they publish themselves
+//! ([`MetricsRegistry::local_samples`], framed by the engine's one value codec,
+//! `genealog_spe::codec` — this crate sits below it and has no byte format of its
+//! own) and the origin installs it with [`MetricsRegistry::install_remote`]; the
+//! receiving registry folds the latest snapshot of every remote instance into its
+//! own samples, so a query spanning instances reads as one surface. Installing a
+//! newer snapshot *replaces* the instance's previous one (set-latest semantics),
 //! making delivery idempotent under retries.
 
 use std::collections::BTreeMap;
@@ -173,6 +175,20 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Reassembles a snapshot from its parts (what a decoder read off the wire).
+    pub fn from_parts(buckets: Vec<u64>, count: u64, sum: u64) -> Self {
+        HistogramSnapshot {
+            buckets,
+            count,
+            sum,
+        }
+    }
+
+    /// Observations per power-of-two bucket (bucket `i` holds values of bit-length `i`).
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
+    }
+
     /// Number of observations in the snapshot.
     pub fn count(&self) -> u64 {
         self.count
@@ -410,8 +426,7 @@ impl MetricsRegistry {
         self.remotes.lock().insert(instance.to_string(), samples);
     }
 
-    /// Samples only the instruments registered locally (what
-    /// [`MetricsRegistry::encode_snapshot`] ships): no collectors, no remotes.
+    /// Samples only the instruments registered locally: no collectors, no remotes.
     fn local_instrument_samples(&self) -> Vec<Sample> {
         let mut out = Vec::new();
         for ((name, labels), c) in self.counters.lock().iter() {
@@ -458,9 +473,10 @@ impl MetricsRegistry {
     }
 
     /// Everything this instance publishes itself: local instruments plus collector
-    /// closures, but no remote snapshots. This is what [`Self::encode_snapshot`]
-    /// ships, so chained installs can never double-fold a third instance.
-    fn local_samples(&self) -> Vec<Sample> {
+    /// closures, but no remote snapshots. This is what an instance ships to another
+    /// instance's [`MetricsRegistry::install_remote`], so chained installs can never
+    /// double-fold a third instance.
+    pub fn local_samples(&self) -> Vec<Sample> {
         let mut out = self.local_instrument_samples();
         out.extend(self.collector_samples());
         out
@@ -541,14 +557,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Encodes everything this instance publishes (local instruments plus
-    /// collector readings, no remotes) as a wire snapshot (little-endian framing,
-    /// no external codec) for shipping to another instance's
-    /// [`MetricsRegistry::install_remote`].
-    pub fn encode_snapshot(&self) -> Vec<u8> {
-        encode_samples(&self.local_samples())
-    }
 }
 
 fn render_labels(labels: &Labels, quantile: Option<&str>) -> String {
@@ -563,116 +571,6 @@ fn render_labels(labels: &Labels, quantile: Option<&str>) -> String {
         parts.push(format!("quantile=\"{q}\""));
     }
     format!("{{{}}}", parts.join(","))
-}
-
-// --- wire snapshot codec ----------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
-    let v = u64::from_le_bytes(bytes.get(*at..*at + 8)?.try_into().ok()?);
-    *at += 8;
-    Some(v)
-}
-
-fn get_u32(bytes: &[u8], at: &mut usize) -> Option<u32> {
-    let v = u32::from_le_bytes(bytes.get(*at..*at + 4)?.try_into().ok()?);
-    *at += 4;
-    Some(v)
-}
-
-fn get_str(bytes: &[u8], at: &mut usize) -> Option<String> {
-    let len = get_u32(bytes, at)? as usize;
-    let s = std::str::from_utf8(bytes.get(*at..*at + len)?)
-        .ok()?
-        .to_string();
-    *at += len;
-    Some(s)
-}
-
-/// Encodes a sample list in the registry's wire snapshot format.
-pub fn encode_samples(samples: &[Sample]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(samples.len() as u32).to_le_bytes());
-    for sample in samples {
-        put_str(&mut out, &sample.name);
-        out.extend_from_slice(&(sample.labels.len() as u32).to_le_bytes());
-        for (k, v) in &sample.labels {
-            put_str(&mut out, k);
-            put_str(&mut out, v);
-        }
-        match &sample.value {
-            SampleValue::Counter(v) => {
-                out.push(0);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            SampleValue::Gauge(v) => {
-                out.push(1);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            SampleValue::Histogram(h) => {
-                out.push(2);
-                out.extend_from_slice(&(h.buckets.len() as u32).to_le_bytes());
-                for b in &h.buckets {
-                    out.extend_from_slice(&b.to_le_bytes());
-                }
-                out.extend_from_slice(&h.count.to_le_bytes());
-                out.extend_from_slice(&h.sum.to_le_bytes());
-            }
-        }
-    }
-    out
-}
-
-/// Decodes a wire snapshot produced by [`encode_samples`] /
-/// [`MetricsRegistry::encode_snapshot`]. Returns `None` on malformed input.
-pub fn decode_samples(bytes: &[u8]) -> Option<Vec<Sample>> {
-    let mut at = 0usize;
-    let count = get_u32(bytes, &mut at)? as usize;
-    let mut samples = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        let name = get_str(bytes, &mut at)?;
-        let label_count = get_u32(bytes, &mut at)? as usize;
-        let mut labels = Vec::with_capacity(label_count.min(16));
-        for _ in 0..label_count {
-            let k = get_str(bytes, &mut at)?;
-            let v = get_str(bytes, &mut at)?;
-            labels.push((k, v));
-        }
-        let kind = *bytes.get(at)?;
-        at += 1;
-        let value = match kind {
-            0 => SampleValue::Counter(get_u64(bytes, &mut at)?),
-            1 => SampleValue::Gauge(get_u64(bytes, &mut at)?),
-            2 => {
-                let bucket_count = get_u32(bytes, &mut at)? as usize;
-                if bucket_count > 1024 {
-                    return None;
-                }
-                let mut buckets = Vec::with_capacity(bucket_count);
-                for _ in 0..bucket_count {
-                    buckets.push(get_u64(bytes, &mut at)?);
-                }
-                let count = get_u64(bytes, &mut at)?;
-                let sum = get_u64(bytes, &mut at)?;
-                SampleValue::Histogram(HistogramSnapshot {
-                    buckets,
-                    count,
-                    sum,
-                })
-            }
-            _ => return None,
-        };
-        samples.push(Sample {
-            name,
-            labels,
-            value,
-        });
-    }
-    Some(samples)
 }
 
 #[cfg(test)]
@@ -758,17 +656,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_over_the_wire_and_folds_remotes() {
+    fn local_samples_install_as_a_remote_and_fold() {
         let remote = MetricsRegistry::new();
         remote.counter("ops_total", &[("operator", "agg")]).add(10);
         remote.histogram("lat_ns", &[]).record(64);
-        let bytes = remote.encode_snapshot();
+        // A third instance installed at the remote is not part of what it ships.
+        remote.install_remote("elsewhere", remote.local_samples());
+        let shipped = remote.local_samples();
+        assert_eq!(shipped.len(), 2);
 
         let origin = MetricsRegistry::new();
         origin.counter("ops_total", &[("operator", "agg")]).add(5);
-        origin.install_remote("shard0", decode_samples(&bytes).expect("decodes"));
+        origin.install_remote("shard0", shipped.clone());
         // Installing a newer snapshot replaces the older one (idempotent delivery).
-        origin.install_remote("shard0", decode_samples(&bytes).expect("decodes"));
+        origin.install_remote("shard0", shipped);
 
         let snap = origin.snapshot();
         let counter = snap.iter().find(|s| s.name == "ops_total").unwrap();
@@ -778,7 +679,6 @@ mod tests {
             SampleValue::Histogram(h) => assert_eq!(h.count(), 1),
             other => panic!("expected histogram, got {other:?}"),
         }
-        assert!(decode_samples(&bytes[..3]).is_none(), "truncated input");
     }
 
     #[test]

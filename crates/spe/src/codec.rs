@@ -9,10 +9,11 @@
 //! in declaration order. Equal values encode to equal bytes.
 //!
 //! Where impls live (the orphan rule decides): primitives, `String`, `Option`,
-//! `Vec`, tuples, [`Timestamp`] and [`TupleId`] here; `OpKind` and the
-//! provenance records in `genealog`; a payload struct next to its definition —
-//! one [`impl_codec_struct!`](crate::impl_codec_struct) line makes a type both
-//! shippable over a link and durable in a checkpoint.
+//! `Vec`, tuples, [`Timestamp`], [`TupleId`] and the metrics samples a remote
+//! instance ships to its origin (`genealog-metrics` sits below this crate) here;
+//! `OpKind` and the provenance records in `genealog`; a payload struct next to
+//! its definition — one [`impl_codec_struct!`](crate::impl_codec_struct) line
+//! makes a type both shippable over a link and durable in a checkpoint.
 //!
 //! Decoding never trusts its input: every read is bounds-checked, a count prefix
 //! is checked against the bytes that remain before anything is reserved for it,
@@ -20,6 +21,8 @@
 //! no zero-fill.
 
 use std::fmt;
+
+use genealog_metrics::{HistogramSnapshot, Sample, SampleValue};
 
 use crate::time::Timestamp;
 use crate::tuple::TupleId;
@@ -405,3 +408,48 @@ impl Decode for Timestamp {
 }
 
 impl_codec_struct!(TupleId { origin, seq });
+
+// The metrics frame a remote shard or `spe-node` ships to the origin is a
+// `Vec<Sample>`: what `MetricsRegistry::local_samples` returns, installed on the
+// other side with `MetricsRegistry::install_remote`.
+impl_codec_struct!(Sample {
+    name,
+    labels,
+    value
+});
+impl_codec_struct!(
+    enum SampleValue {
+        Counter(u64) = 0,
+        Gauge(u64) = 1,
+        Histogram(HistogramSnapshot) = 2,
+    }
+);
+
+/// More buckets than any histogram this engine builds (65): a frame claiming more
+/// is not one of ours.
+const MAX_HISTOGRAM_BUCKETS: usize = 1_024;
+
+impl Encode for HistogramSnapshot {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.buckets().len() as u32).encode(out);
+        for bucket in self.buckets() {
+            bucket.encode(out);
+        }
+        self.count().encode(out);
+        self.sum().encode(out);
+    }
+}
+
+impl Decode for HistogramSnapshot {
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let buckets = Vec::<u64>::decode(reader)?;
+        if buckets.len() > MAX_HISTOGRAM_BUCKETS {
+            return Err(CodecError::Invalid("histogram with more than 1024 buckets"));
+        }
+        Ok(HistogramSnapshot::from_parts(
+            buckets,
+            u64::decode(reader)?,
+            u64::decode(reader)?,
+        ))
+    }
+}

@@ -39,82 +39,42 @@
 //! Contribution sets are therefore byte-identical fused vs unfused (pinned by
 //! `tests/fusion.rs`).
 //!
+//! # Accounting
+//!
+//! A chain holds no counters. [`Query::deploy`](crate::query::Query::deploy) mints
+//! one ledger row per stage ([`crate::metrics`]) and the chain thread receives them
+//! through [`Operator::run`]; each layer of the composition resolves its own row
+//! once, before the first tuple. A hand-off between two stages is one event —
+//! the upstream stage's `tuples_out` and the downstream stage's `tuples_in` are
+//! counted together — and the tail's `tuples_out` is counted after a successful
+//! channel send, so adjacent rows can never disagree even when a closed downstream
+//! aborts processing midway.
+//!
 //! [`FusedStage`]: crate::operator::FusedStage
 //! [`ProvenanceSystem`]: crate::provenance::ProvenanceSystem
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::channel::{ChannelClosed, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
-use crate::operator::{FusedStage, Operator, OperatorStats};
+use crate::metrics::{OpCounters, StageRow};
+use crate::operator::{FusedStage, Operator};
 use crate::provenance::MetaData;
 use crate::query::{NodeId, ShardGroup};
 use crate::time::Timestamp;
 use crate::tuple::{Element, GTuple, TupleData};
-
-/// Per-stage tuple counters, shared between the running stage closures and the final
-/// report so a fused chain can still account for each original operator.
-///
-/// A chain runs on a single thread; the atomics exist only to make the counters
-/// shareable (`Sync`) between the chain and the runtime's reporting path, so relaxed
-/// ordering is sufficient.
-#[derive(Debug, Default)]
-pub struct StageCounters {
-    tuples_in: AtomicU64,
-    tuples_out: AtomicU64,
-}
-
-impl StageCounters {
-    pub(crate) fn add_in(&self) {
-        self.tuples_in.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_out(&self) {
-        self.tuples_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of input tuples the stage has processed.
-    pub fn tuples_in(&self) -> u64 {
-        self.tuples_in.load(Ordering::Relaxed)
-    }
-
-    /// Number of output tuples the stage has emitted.
-    pub fn tuples_out(&self) -> u64 {
-        self.tuples_out.load(Ordering::Relaxed)
-    }
-}
-
-/// Reporting handle of one original operator folded into a fused chain: its logical
-/// name plus the live counters of its stage.
-#[derive(Debug, Clone)]
-pub struct StageInfo {
-    /// Logical operator name used in reports (the shard-group name for grouped
-    /// stages, the node name otherwise).
-    pub name: String,
-    /// The stage's tuple counters.
-    pub counters: Arc<StageCounters>,
-}
-
-impl StageInfo {
-    /// Snapshot of the stage counters as an [`OperatorStats`] record.
-    pub fn snapshot(&self) -> OperatorStats {
-        let mut stats = OperatorStats::new(self.name.clone());
-        stats.tuples_in = self.counters.tuples_in();
-        stats.tuples_out = self.counters.tuples_out();
-        stats
-    }
-}
 
 /// Runs a sealed chain to completion: pulls elements from the captured head
 /// receiver, passes tuples through the composed stages into the tuple sink, forwards
 /// watermarks to the watermark sink and epoch barriers to the barrier sink, and
 /// returns on end-of-stream or channel close. Stateless stages hold no state across
 /// a barrier, so forwarding it through the chain boundary is the entire checkpoint
-/// protocol for fused chains.
+/// protocol for fused chains. The first argument is the ledger rows of the stages
+/// composed so far, head first: the last one is this layer's own.
 type ChainDriver<T, M> = Box<
     dyn FnOnce(
+            &[StageRow],
             &mut dyn FnMut(Arc<GTuple<T, M>>) -> Result<(), ChannelClosed>,
             &mut dyn FnMut(Timestamp) -> Result<(), ChannelClosed>,
             &mut dyn FnMut(u64) -> Result<(), ChannelClosed>,
@@ -127,12 +87,6 @@ type ChainDriver<T, M> = Box<
 /// slot of its tail stage; everything between is plain function composition.
 pub(crate) struct PendingChain<T: TupleData, M: MetaData> {
     driver: ChainDriver<T, M>,
-    /// Counters of the current tail stage. Its `tuples_out` is incremented at the
-    /// chain's downstream boundary — at hand-off to the next stage when the chain is
-    /// extended, after a successful channel send when it is sealed — so adjacent
-    /// stage counters can never disagree about a hand-off, even when a closed
-    /// downstream channel aborts processing midway.
-    counters: Arc<StageCounters>,
     output: OutputSlot<T, M>,
 }
 
@@ -142,38 +96,38 @@ impl<T: TupleData, M: MetaData> PendingChain<T, M> {
     pub(crate) fn start<I: TupleData>(
         mut rx: StreamReceiver<I, M>,
         mut stage: Box<dyn FusedStage<I, T, M>>,
-        counters: Arc<StageCounters>,
         output: OutputSlot<T, M>,
     ) -> Self {
-        let stage_counters = Arc::clone(&counters);
-        let driver: ChainDriver<T, M> = Box::new(move |emit, wm, barrier| loop {
-            for element in rx.recv_batch() {
-                match element {
-                    Element::Tuple(tuple) => {
-                        stage_counters.add_in();
-                        if stage.process(tuple, &mut *emit).is_err() {
-                            return;
+        let driver: ChainDriver<T, M> = Box::new(move |rows, emit, wm, barrier| {
+            let [head] = rows else {
+                panic!("a fused chain needs one ledger row per stage")
+            };
+            let tuples_in = &*head.tuples_in;
+            loop {
+                for element in rx.recv_batch() {
+                    match element {
+                        Element::Tuple(tuple) => {
+                            tuples_in.inc();
+                            if stage.process(tuple, &mut *emit).is_err() {
+                                return;
+                            }
                         }
-                    }
-                    Element::Watermark(ts) => {
-                        if wm(ts).is_err() {
-                            return;
+                        Element::Watermark(ts) => {
+                            if wm(ts).is_err() {
+                                return;
+                            }
                         }
-                    }
-                    Element::Barrier(epoch) => {
-                        if barrier(epoch).is_err() {
-                            return;
+                        Element::Barrier(epoch) => {
+                            if barrier(epoch).is_err() {
+                                return;
+                            }
                         }
+                        Element::End => return,
                     }
-                    Element::End => return,
                 }
             }
         });
-        PendingChain {
-            driver,
-            counters,
-            output,
-        }
+        PendingChain { driver, output }
     }
 
     /// Extends the chain with one more stage. The old tail's output slot is dropped —
@@ -182,30 +136,31 @@ impl<T: TupleData, M: MetaData> PendingChain<T, M> {
     pub(crate) fn then<O: TupleData>(
         self,
         mut stage: Box<dyn FusedStage<T, O, M>>,
-        counters: Arc<StageCounters>,
         output: OutputSlot<O, M>,
     ) -> PendingChain<O, M> {
         let inner = self.driver;
-        let prev = self.counters;
-        let stage_counters = Arc::clone(&counters);
-        let driver: ChainDriver<O, M> = Box::new(move |emit, wm, barrier| {
+        let driver: ChainDriver<O, M> = Box::new(move |rows, emit, wm, barrier| {
+            let [upstream @ .., mine] = rows else {
+                panic!("a fused chain needs one ledger row per stage")
+            };
+            let [.., prev] = upstream else {
+                panic!("a fused chain needs one ledger row per stage")
+            };
+            let (prev_out, tuples_in) = (&*prev.tuples_out, &*mine.tuples_in);
             inner(
+                upstream,
                 &mut |tuple| {
                     // The previous stage's output and this stage's input are the
                     // same hand-off event: count both sides together.
-                    prev.add_out();
-                    stage_counters.add_in();
+                    prev_out.inc();
+                    tuples_in.inc();
                     stage.process(tuple, &mut *emit)
                 },
                 wm,
                 barrier,
             )
         });
-        PendingChain {
-            driver,
-            counters,
-            output,
-        }
+        PendingChain { driver, output }
     }
 }
 
@@ -217,9 +172,8 @@ pub(crate) trait SealableChain: Send {
     /// Recovers the typed chain for a downcast at an extension site.
     fn into_any(self: Box<Self>) -> Box<dyn Any + Send>;
 
-    /// Seals the chain into the operator that runs all stages on one thread. The
-    /// tail stage's counters are the chain's own; only the head's are passed in.
-    fn seal(self: Box<Self>, name: String, head: Arc<StageCounters>) -> FusedOp;
+    /// Seals the chain into the operator that runs all stages on one thread.
+    fn seal(self: Box<Self>, name: String) -> FusedOp;
 }
 
 impl<T: TupleData, M: MetaData> SealableChain for PendingChain<T, M> {
@@ -227,26 +181,25 @@ impl<T: TupleData, M: MetaData> SealableChain for PendingChain<T, M> {
         self
     }
 
-    fn seal(self: Box<Self>, name: String, head: Arc<StageCounters>) -> FusedOp {
+    fn seal(self: Box<Self>, name: String) -> FusedOp {
         let driver = self.driver;
         let output = self.output;
-        let tail = self.counters;
-        let sink_tail = Arc::clone(&tail);
         FusedOp {
             name,
-            head,
-            tail,
-            body: Box::new(move || {
+            body: Box::new(move |counters| {
+                let rows = counters.stages();
+                let tail_out = &*rows[rows.len() - 1].tuples_out;
                 // Both sinks write to the same handle; the chain calls them strictly
                 // sequentially on one thread, so the RefCell never contends.
                 let out = std::cell::RefCell::new(output.open());
                 driver(
+                    rows,
                     &mut |t| {
                         out.borrow_mut().send_tuple(t)?;
                         // Counted only after a successful send: a tuple dropped by
                         // a closed downstream is not part of the chain's output,
                         // matching the standalone operators' accounting.
-                        sink_tail.add_out();
+                        tail_out.inc();
                         Ok(())
                     },
                     &mut |ts| out.borrow_mut().send_watermark(ts),
@@ -258,14 +211,15 @@ impl<T: TupleData, M: MetaData> SealableChain for PendingChain<T, M> {
     }
 }
 
-/// A fused chain node collected by the query builder: the member nodes, the per-stage
-/// reporting handles, the chain's shard group (when all stages belong to shard groups
-/// of the same width) and the type-erased pending composition.
+/// A fused chain node collected by the query builder: the member nodes, the logical
+/// name of each stage, the chain's shard group (when all stages belong to shard
+/// groups of the same width) and the type-erased pending composition.
 pub(crate) struct ChainEntry {
     /// Node ids of the fused stages, in stage order.
     pub(crate) nodes: Vec<NodeId>,
-    /// Reporting handle of each stage, in stage order.
-    pub(crate) stages: Vec<StageInfo>,
+    /// Logical name of each stage (the shard-group name for grouped stages, the
+    /// node name otherwise), in stage order: the tags of the chain's ledger rows.
+    pub(crate) stages: Vec<String>,
     /// Shard group of the whole chain (`None` for ungrouped chains). Grouped chains
     /// carry the member group names joined with `+`, identical across sibling shard
     /// chains, so the runtime folds the per-shard fused threads into one report.
@@ -297,16 +251,11 @@ impl ChainEntry {
     }
 }
 
-/// The fused operator: every stage of one stateless chain running on one thread.
-///
-/// Its own [`OperatorStats`] report the chain boundary (head input count, tail output
-/// count); the per-stage counters of the original operators are reported through the
-/// [`StageInfo`]s the runtime received at spawn time.
+/// The fused operator: every stage of one stateless chain running on one thread,
+/// counting into one ledger row per stage.
 pub struct FusedOp {
     name: String,
-    head: Arc<StageCounters>,
-    tail: Arc<StageCounters>,
-    body: Box<dyn FnOnce() + Send>,
+    body: Box<dyn FnOnce(OpCounters) + Send>,
 }
 
 impl std::fmt::Debug for FusedOp {
@@ -320,13 +269,9 @@ impl Operator for FusedOp {
         &self.name
     }
 
-    fn run(self: Box<Self>) -> Result<OperatorStats, SpeError> {
-        let this = *self;
-        (this.body)();
-        let mut stats = OperatorStats::new(this.name);
-        stats.tuples_in = this.head.tuples_in();
-        stats.tuples_out = this.tail.tuples_out();
-        Ok(stats)
+    fn run(self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
+        (self.body)(counters);
+        Ok(())
     }
 }
 
@@ -336,7 +281,10 @@ pub(crate) mod tests {
     use crate::channel::stream_channel;
     use crate::operator::filter::FilterStage;
     use crate::operator::map::MapStage;
+    use crate::operator::tests::run_bare;
+    use crate::operator::OperatorStats;
     use crate::provenance::NoProvenance;
+    use genealog_metrics::MetricsRegistry;
 
     fn tuple(ts: u64, v: i64) -> Arc<GTuple<i64, ()>> {
         Arc::new(GTuple::new(Timestamp::from_secs(ts), 0, v, ()))
@@ -350,10 +298,8 @@ pub(crate) mod tests {
         stage: Box<dyn FusedStage<I, O, M>>,
         output: OutputSlot<O, M>,
     ) -> OperatorStats {
-        let counters = Arc::new(StageCounters::default());
-        let chain = PendingChain::start(rx, stage, Arc::clone(&counters), output);
-        let op = Box::new(chain).seal(name.into(), counters);
-        Box::new(op).run().unwrap()
+        let chain = PendingChain::start(rx, stage, output);
+        run_bare(Box::new(chain).seal(name.into()))
     }
 
     /// Builds filter(even) → map(double) as a two-stage chain and runs it.
@@ -372,28 +318,28 @@ pub(crate) mod tests {
             .unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let filter_counters = Arc::new(StageCounters::default());
-        let map_counters = Arc::new(StageCounters::default());
         let chain = PendingChain::start(
             in_rx,
             Box::new(FilterStage::new(|v: &i64| v % 2 == 0)),
-            Arc::clone(&filter_counters),
             OutputSlot::new(),
         );
         let chain = chain.then(
             Box::new(MapStage::new(|v: &i64| vec![v * 2], NoProvenance)),
-            Arc::clone(&map_counters),
             out_slot,
         );
-        let op = Box::new(chain).seal("evens+double".into(), Arc::clone(&filter_counters));
-        let stats = Box::new(op).run().unwrap();
-        assert_eq!(stats.name, "evens+double");
-        assert_eq!(stats.tuples_in, 6, "chain input = head stage input");
-        assert_eq!(stats.tuples_out, 3, "chain output = tail stage output");
-        assert_eq!(filter_counters.tuples_in(), 6);
-        assert_eq!(filter_counters.tuples_out(), 3);
-        assert_eq!(map_counters.tuples_in(), 3);
-        assert_eq!(map_counters.tuples_out(), 3);
+        let op = Box::new(chain).seal("evens+double".into());
+        assert_eq!(op.name(), "evens+double");
+        let stats = OpCounters::mint(&MetricsRegistry::disabled(), ["evens", "double"]);
+        Box::new(op).run(stats.clone()).unwrap();
+        assert_eq!(stats.tuples_in(), 6, "chain input = head stage input");
+        assert_eq!(stats.tuples_out(), 3, "chain output = tail stage output");
+        let [filter_counters, map_counters] = stats.stages() else {
+            panic!("one row per stage")
+        };
+        assert_eq!(filter_counters.tuples_in.get(), 6);
+        assert_eq!(filter_counters.tuples_out.get(), 3);
+        assert_eq!(map_counters.tuples_in.get(), 3);
+        assert_eq!(map_counters.tuples_out.get(), 3);
 
         let mut values = Vec::new();
         let mut watermarks = 0;
@@ -421,15 +367,9 @@ pub(crate) mod tests {
         in_tx.send(Element::Tuple(tuple(1, 2))).unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let counters = Arc::new(StageCounters::default());
-        let chain = PendingChain::start(
-            in_rx,
-            Box::new(FilterStage::new(|_: &i64| true)),
-            Arc::clone(&counters),
-            out_slot,
-        );
-        let op = Box::new(chain).seal("f".into(), Arc::clone(&counters));
-        let stats = Box::new(op).run().unwrap();
+        let chain =
+            PendingChain::start(in_rx, Box::new(FilterStage::new(|_: &i64| true)), out_slot);
+        let stats = run_bare(Box::new(chain).seal("f".into()));
         assert_eq!(stats.tuples_in, 1);
         assert_eq!(stats.tuples_out, 0, "failed send is not counted");
     }
@@ -439,11 +379,9 @@ pub(crate) mod tests {
     #[test]
     fn chain_group_rules() {
         let (_, rx) = stream_channel::<i64, ()>(1);
-        let counters = Arc::new(StageCounters::default());
         let chain = PendingChain::<i64, ()>::start(
             rx,
             Box::new(FilterStage::new(|_: &i64| true)),
-            counters,
             OutputSlot::new(),
         );
         let mut entry = ChainEntry {

@@ -1,168 +1,143 @@
-//! Per-operator bindings into the live [`MetricsRegistry`].
+//! The operator ledger: every tuple counter of a query, kept once.
 //!
-//! Every [`Query`](crate::query::Query) owns one registry. When a node is added
-//! the query mints a deferred [`OpMetrics`] cell for it; at
-//! [`deploy`](crate::query::Query::deploy) time the cell is bound to the node's
-//! *logical* name (the shard-group name for sharded operators, so all shard
-//! instances of one logical operator share a label) and the query registers
-//! summing collectors over the physical counters. Operators receive the cell
-//! through [`Operator::set_metrics`](crate::operator::Operator::set_metrics) and
-//! publish through [`OpCounters`] — two private atomic counters on the hot path,
-//! no locks, no registry lookups per tuple.
+//! Each physical stage of a deployed query — a plain operator, or one stage of a
+//! fused chain ([`crate::fusion`]) — has one ledger row: a `(tuples_in,
+//! tuples_out)` pair of [`Counter`]s tagged with the stage's *logical* name (the
+//! shard-group name for sharded operators, so all shard instances of one logical
+//! operator share a label).
+//!
+//! * **Who mints.** [`Query::deploy`](crate::query::Query::deploy): one
+//!   [`OpCounters`] per operator thread, holding one row for a plain operator and
+//!   `n` for a fused chain of `n` stages — a plain operator is a chain of one for
+//!   accounting exactly as it is for execution.
+//! * **Who increments.** The thread, through the handle
+//!   [`Operator::run`](crate::operator::Operator::run) receives: a relaxed atomic
+//!   add per tuple, no locks, no registry lookups. An output is counted at the
+//!   stage's downstream boundary — a chain's tail (and every plain operator)
+//!   counts `tuples_out` only after a successful send, so a tuple dropped by a
+//!   closed downstream is in nobody's output.
+//! * **Who reads.** The runtime alone. While the query runs, the summing
+//!   collectors `genealog_operator_tuples_{in,out}_total{operator=<logical name>}`
+//!   registered at deploy time over the rows sharing a name; after the threads are
+//!   joined, [`QueryHandle::wait`](crate::runtime::QueryHandle::wait), which turns
+//!   the rows into the [`QueryReport`](crate::runtime::QueryReport). Both views
+//!   read the same atomics, so a scrape and a report can never disagree.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use genealog_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 
-/// The bound state of an [`OpMetrics`] cell.
-struct Bound {
-    /// Logical operator name used as the `operator` label.
-    name: String,
-    registry: Arc<MetricsRegistry>,
-    /// Private (not registry-keyed) counters: each physical operator instance
-    /// gets its own pair, and the query registers a collector summing the pairs
-    /// of all instances sharing a logical name.
-    tuples_in: Arc<Counter>,
-    tuples_out: Arc<Counter>,
+/// One ledger row: the tuple counters of one physical stage under its logical name.
+#[derive(Debug, Clone)]
+pub(crate) struct StageRow {
+    /// The stage's logical name (the `operator` label of its collectors).
+    pub(crate) name: String,
+    pub(crate) tuples_in: Arc<Counter>,
+    pub(crate) tuples_out: Arc<Counter>,
 }
 
-/// A late-bound handle an operator publishes metrics through.
-///
-/// Created deferred (unbound) when the node is added to the query and bound at
-/// deploy time; an operator run outside a deployed query (as unit tests do by
-/// calling [`Operator::run`](crate::operator::Operator::run) directly) binds
-/// itself lazily to a detached disabled registry, so counting always works.
-#[derive(Clone)]
-pub struct OpMetrics {
-    inner: Arc<OnceLock<Bound>>,
-}
-
-impl std::fmt::Debug for OpMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.inner.get() {
-            Some(bound) => write!(f, "OpMetrics({})", bound.name),
-            None => write!(f, "OpMetrics(deferred)"),
-        }
-    }
-}
-
-impl Default for OpMetrics {
-    fn default() -> Self {
-        Self::deferred()
-    }
-}
-
-impl OpMetrics {
-    /// Creates an unbound cell.
-    pub fn deferred() -> Self {
-        OpMetrics {
-            inner: Arc::new(OnceLock::new()),
-        }
-    }
-
-    /// Binds the cell to a logical name and registry. Idempotent: the first
-    /// bind wins, which also makes the lazy self-bind in [`Self::handles`]
-    /// safe.
-    pub(crate) fn bind(&self, name: &str, registry: &Arc<MetricsRegistry>) {
-        let _ = self.inner.set(Bound {
-            name: name.to_string(),
-            registry: Arc::clone(registry),
-            tuples_in: Arc::new(Counter::default()),
-            tuples_out: Arc::new(Counter::default()),
-        });
-    }
-
-    /// The physical counter pair, if the cell is bound. Used by the query to
-    /// register summing collectors at deploy time.
-    pub(crate) fn counter_pair(&self) -> Option<(Arc<Counter>, Arc<Counter>)> {
-        self.inner
-            .get()
-            .map(|b| (Arc::clone(&b.tuples_in), Arc::clone(&b.tuples_out)))
-    }
-
-    /// The hot-path publishing handle. Binds lazily (to `fallback_name` and a
-    /// detached disabled registry) when the operator runs outside a deployed
-    /// query.
-    pub fn handles(&self, fallback_name: &str) -> OpCounters {
-        let bound = self.inner.get_or_init(|| Bound {
-            name: fallback_name.to_string(),
-            registry: MetricsRegistry::disabled(),
-            tuples_in: Arc::new(Counter::default()),
-            tuples_out: Arc::new(Counter::default()),
-        });
-        OpCounters {
-            name: bound.name.clone(),
-            registry: Arc::clone(&bound.registry),
-            tuples_in: Arc::clone(&bound.tuples_in),
-            tuples_out: Arc::clone(&bound.tuples_out),
-        }
-    }
-}
-
-/// The per-instance publishing handle held for the duration of a run: two
-/// atomic counters plus access to registry gauges/histograms labelled with the
-/// operator's logical name.
+/// The ledger rows of one operator thread plus access to registry gauges, counters
+/// and histograms labelled with the operator's logical name. Clones share the rows:
+/// the runtime keeps one to read what the thread counted.
+#[derive(Debug, Clone)]
 pub struct OpCounters {
-    name: String,
     registry: Arc<MetricsRegistry>,
-    tuples_in: Arc<Counter>,
-    tuples_out: Arc<Counter>,
+    /// In stage order; never empty.
+    stages: Vec<StageRow>,
 }
 
 impl OpCounters {
+    /// Mints the rows of one operator thread, one per logical stage name.
+    ///
+    /// # Panics
+    /// Panics if `stage_names` is empty: a thread runs at least one stage.
+    pub(crate) fn mint<'a>(
+        registry: &Arc<MetricsRegistry>,
+        stage_names: impl IntoIterator<Item = &'a str>,
+    ) -> Self {
+        let stages: Vec<StageRow> = stage_names
+            .into_iter()
+            .map(|name| StageRow {
+                name: name.to_string(),
+                tuples_in: Arc::default(),
+                tuples_out: Arc::default(),
+            })
+            .collect();
+        assert!(!stages.is_empty(), "an operator thread has a stage");
+        OpCounters {
+            registry: Arc::clone(registry),
+            stages,
+        }
+    }
+
+    /// A single row bound to no query, for running an operator bare (as unit tests
+    /// do by calling [`Operator::run`](crate::operator::Operator::run) directly):
+    /// the counters count, gauges and histograms are inert.
+    pub fn detached(name: &str) -> Self {
+        Self::mint(&MetricsRegistry::disabled(), [name])
+    }
+
+    /// The stage whose input is the thread's input.
+    #[inline]
+    fn head(&self) -> &StageRow {
+        &self.stages[0]
+    }
+
+    /// The stage whose output is the thread's output (the head again, for a plain
+    /// operator).
+    #[inline]
+    fn tail(&self) -> &StageRow {
+        &self.stages[self.stages.len() - 1]
+    }
+
     /// The logical operator name (shard-group name for sharded operators).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.head().name
+    }
+
+    /// The rows in stage order.
+    pub(crate) fn stages(&self) -> &[StageRow] {
+        &self.stages
     }
 
     /// Counts one input tuple.
     #[inline]
     pub fn inc_in(&self) {
-        self.tuples_in.inc();
+        self.head().tuples_in.inc();
     }
 
     /// Counts `n` input tuples.
     #[inline]
     pub fn add_in(&self, n: u64) {
-        self.tuples_in.add(n);
+        self.head().tuples_in.add(n);
     }
 
     /// Counts one output tuple.
     #[inline]
     pub fn inc_out(&self) {
-        self.tuples_out.inc();
+        self.tail().tuples_out.inc();
     }
 
     /// Counts `n` output tuples.
     #[inline]
     pub fn add_out(&self, n: u64) {
-        self.tuples_out.add(n);
+        self.tail().tuples_out.add(n);
     }
 
-    /// Input tuples counted so far by this instance.
+    /// Input tuples counted so far (by the head stage, for a chain).
     pub fn tuples_in(&self) -> u64 {
-        self.tuples_in.get()
+        self.head().tuples_in.get()
     }
 
-    /// Output tuples counted so far by this instance.
+    /// Output tuples counted so far (by the tail stage, for a chain).
     pub fn tuples_out(&self) -> u64 {
-        self.tuples_out.get()
-    }
-
-    /// Snapshot of this instance's counts as the end-of-run
-    /// [`OperatorStats`](crate::operator::OperatorStats), under the operator's
-    /// physical name.
-    pub fn stats(&self, physical_name: &str) -> crate::operator::OperatorStats {
-        let mut stats = crate::operator::OperatorStats::new(physical_name.to_string());
-        stats.tuples_in = self.tuples_in();
-        stats.tuples_out = self.tuples_out();
-        stats
+        self.tail().tuples_out.get()
     }
 
     /// A registry gauge named `metric`, labelled `operator=<logical name>` plus
     /// `extra`. Inert (set is a no-op) when metrics are disabled.
     pub fn gauge(&self, metric: &'static str, extra: &[(&str, &str)]) -> Arc<Gauge> {
-        let mut labels = vec![("operator", self.name.as_str())];
+        let mut labels = vec![("operator", self.name())];
         labels.extend_from_slice(extra);
         self.registry.gauge(metric, &labels)
     }
@@ -171,13 +146,14 @@ impl OpCounters {
     /// counts beyond the tuples in/out every operator has. Shard instances of one
     /// logical operator get the same counter, so it reads their sum.
     pub fn counter(&self, metric: &'static str) -> Arc<Counter> {
-        self.registry.counter(metric, &[("operator", &self.name)])
+        self.registry.counter(metric, &[("operator", self.name())])
     }
 
     /// A registry histogram named `metric`, labelled `operator=<logical
     /// name>`. Inert when metrics are disabled.
     pub fn histogram(&self, metric: &'static str) -> Arc<Histogram> {
-        self.registry.histogram(metric, &[("operator", &self.name)])
+        self.registry
+            .histogram(metric, &[("operator", self.name())])
     }
 }
 
@@ -186,32 +162,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deferred_cell_binds_lazily_with_fallback_name() {
-        let cell = OpMetrics::deferred();
-        let counters = cell.handles("solo");
+    fn detached_row_counts_and_its_gauges_are_inert() {
+        let counters = OpCounters::detached("solo");
+        let probe = counters.clone();
         counters.inc_in();
         counters.add_out(3);
-        assert_eq!(counters.name(), "solo");
-        let stats = counters.stats("solo");
-        assert_eq!(stats.tuples_in, 1);
-        assert_eq!(stats.tuples_out, 3);
-        // The gauge from a lazily-bound (disabled) registry is inert.
+        assert_eq!(probe.name(), "solo");
+        assert_eq!(probe.tuples_in(), 1);
+        assert_eq!(probe.tuples_out(), 3);
         let g = counters.gauge("genealog_source_replay_offset", &[]);
         g.set(42);
         assert_eq!(g.get(), 0);
     }
 
     #[test]
-    fn bound_cell_shares_counters_across_clones() {
-        let registry = MetricsRegistry::new();
-        let cell = OpMetrics::deferred();
-        cell.bind("agg", &registry);
-        // A later lazy bind must not replace the deploy-time bind.
-        let counters = cell.clone().handles("wrong-name");
-        assert_eq!(counters.name(), "agg");
+    fn a_chain_counts_in_at_its_head_and_out_at_its_tail() {
+        let counters = OpCounters::mint(&MetricsRegistry::new(), ["keep", "scale"]);
         counters.add_in(5);
-        let (tin, tout) = cell.counter_pair().expect("bound");
-        assert_eq!(tin.get(), 5);
-        assert_eq!(tout.get(), 0);
+        counters.add_out(2);
+        let [keep, scale] = counters.stages() else {
+            panic!("two rows")
+        };
+        assert_eq!((keep.name.as_str(), keep.tuples_in.get()), ("keep", 5));
+        assert_eq!((scale.name.as_str(), scale.tuples_out.get()), ("scale", 2));
+        assert_eq!((keep.tuples_out.get(), scale.tuples_in.get()), (0, 0));
+        assert_eq!(counters.name(), "keep", "instruments carry the head's name");
     }
 }

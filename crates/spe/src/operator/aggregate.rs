@@ -12,8 +12,8 @@ use genealog_metrics::{Counter, Histogram};
 
 use crate::channel::{OutputSlot, StreamReceiver};
 use crate::error::SpeError;
-use crate::metrics::{OpCounters, OpMetrics};
-use crate::operator::{Operator, OperatorStats};
+use crate::metrics::OpCounters;
+use crate::operator::Operator;
 use crate::persist::WindowPersister;
 use crate::provenance::{detach_tuple, ProvenanceSystem};
 use crate::state::{CheckpointHandle, Snapshot};
@@ -95,7 +95,6 @@ pub struct AggregateOp<I, O, K, KF, AF, P: ProvenanceSystem> {
     agg_fn: AF,
     provenance: P,
     checkpoints: CheckpointHandle,
-    metrics: OpMetrics,
 }
 
 impl<I, O, K, KF, AF, P> AggregateOp<I, O, K, KF, AF, P>
@@ -130,7 +129,6 @@ where
             agg_fn,
             provenance,
             checkpoints,
-            metrics: OpMetrics::deferred(),
         }
     }
 
@@ -180,13 +178,8 @@ where
         &self.name
     }
 
-    fn set_metrics(&mut self, metrics: OpMetrics) {
-        self.metrics = metrics;
-    }
-
-    fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
+    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
         let mut out = self.output.open();
-        let counters = self.metrics.handles(&self.name);
         let window_size = self.store.spec().size;
         let checkpoints = self.checkpoints.get().cloned();
         // The byte codec for this operator's snapshot type, when the deployment
@@ -231,13 +224,13 @@ where
                     Element::Watermark(ts) => {
                         let closed = self.store.close_up_to(ts);
                         if !self.emit_closed(closed, &mut out, &counters) {
-                            return Ok(counters.stats(&self.name));
+                            return Ok(());
                         }
                         // Future outputs carry the start of a not-yet-closed window,
                         // which is strictly greater than ts - WS.
                         let downstream_wm = ts.saturating_sub(window_size);
                         if out.send_watermark(downstream_wm).is_err() {
-                            return Ok(counters.stats(&self.name));
+                            return Ok(());
                         }
                     }
                     Element::Barrier(epoch) => {
@@ -256,7 +249,7 @@ where
                             ckpt.store.commit(&self.name, epoch, committed);
                         }
                         if out.send_barrier(epoch).is_err() {
-                            return Ok(counters.stats(&self.name));
+                            return Ok(());
                         }
                     }
                     Element::End => {
@@ -264,7 +257,7 @@ where
                         let _ = self.emit_closed(closed, &mut out, &counters);
                         let _ = out.send_watermark(Timestamp::MAX);
                         let _ = out.send_end();
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
             }
@@ -276,6 +269,7 @@ where
 mod tests {
     use super::*;
     use crate::channel::stream_channel;
+    use crate::operator::tests::run_bare;
     use crate::provenance::NoProvenance;
     use crate::time::Duration;
 
@@ -306,7 +300,7 @@ mod tests {
             NoProvenance,
             Default::default(),
         );
-        Box::new(op).run().unwrap();
+        run_bare(op);
 
         let mut outputs = Vec::new();
         loop {
@@ -383,7 +377,7 @@ mod tests {
             NoProvenance,
             Default::default(),
         );
-        Box::new(op).run().unwrap();
+        run_bare(op);
         let out = out_rx.recv();
         let out = out.as_tuple().unwrap();
         assert_eq!(

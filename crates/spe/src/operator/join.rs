@@ -40,8 +40,8 @@ use genealog_metrics::{Counter, Gauge};
 use crate::channel::{ChannelClosed, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
 use crate::merge::{step, FanInput, Step};
-use crate::metrics::{OpCounters, OpMetrics};
-use crate::operator::{Operator, OperatorStats};
+use crate::metrics::OpCounters;
+use crate::operator::Operator;
 use crate::provenance::{detach_tuple, ProvenanceSystem};
 use crate::state::{CheckpointHandle, Snapshot};
 use crate::time::{Duration, Timestamp};
@@ -176,7 +176,6 @@ pub struct JoinOp<L, R, O, K, LK, RK, PR, CF, P: ProvenanceSystem> {
     provenance: P,
     emitted_watermark: Timestamp,
     checkpoints: CheckpointHandle,
-    metrics: OpMetrics,
 }
 
 impl<L, R, O, K, LK, RK, PR, CF, P> JoinOp<L, R, O, K, LK, RK, PR, CF, P>
@@ -228,7 +227,6 @@ where
             provenance,
             emitted_watermark: Timestamp::MIN,
             checkpoints,
-            metrics: OpMetrics::deferred(),
         }
     }
 }
@@ -249,13 +247,8 @@ where
         &self.name
     }
 
-    fn set_metrics(&mut self, metrics: OpMetrics) {
-        self.metrics = metrics;
-    }
-
-    fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
+    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
         let mut out = self.output.open();
-        let counters = self.metrics.handles(&self.name);
         let mut instruments = JoinInstruments::new(&counters);
         let checkpoints = self.checkpoints.get().cloned();
         if let Some(ckpt) = &checkpoints {
@@ -321,7 +314,7 @@ where
                         sent
                     };
                     if sent.is_err() {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
                 // The windows are the only state crossing the cut.
@@ -336,7 +329,7 @@ where
                             .commit(&self.name, epoch, Snapshot::inline(snapshot));
                     }
                     if out.send_barrier(epoch).is_err() {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
                 // Neither side can still hand over a tuple older than the frontier, so
@@ -346,13 +339,13 @@ where
                     self.right.purge(frontier, self.window, &mut self.right_key);
                     instruments.publish([self.left.window.len(), self.right.window.len()]);
                     if out.send_watermark(frontier).is_err() {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
                 Step::End => {
                     let _ = out.send_watermark(Timestamp::MAX);
                     let _ = out.send_end();
-                    return Ok(counters.stats(&self.name));
+                    return Ok(());
                 }
             }
         }
@@ -363,6 +356,7 @@ where
 mod tests {
     use super::*;
     use crate::channel::stream_channel;
+    use crate::operator::tests::run_bare;
     use crate::provenance::NoProvenance;
     use crate::tuple::Element;
 
@@ -412,7 +406,7 @@ mod tests {
             NoProvenance,
             checkpoints,
         );
-        Box::new(op).run().unwrap();
+        run_bare(op);
         let mut outputs = Vec::new();
         loop {
             match orx.recv() {
@@ -511,7 +505,7 @@ mod tests {
             NoProvenance,
             Default::default(),
         );
-        let stats = Box::new(op).run().unwrap();
+        let stats = run_bare(op);
         assert_eq!((stats.tuples_in, stats.tuples_out), (2, 0));
     }
 
@@ -635,7 +629,7 @@ mod tests {
             NoProvenance,
             Default::default(),
         );
-        Box::new(op).run().unwrap();
+        run_bare(op);
         let mut tuples = Vec::new();
         let mut barriers = Vec::new();
         loop {

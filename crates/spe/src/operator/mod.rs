@@ -14,6 +14,10 @@
 //! created, and pushes results downstream. The query builder
 //! ([`crate::query::Query`]) constructs operators and the runtime
 //! ([`crate::runtime`]) runs each one on its own thread.
+//!
+//! An operator holds no counters of its own: `run` receives the thread's rows of
+//! the operator ledger ([`crate::metrics`]) from the runtime, increments them, and
+//! returns `()`. What the operator counted is the runtime's to read and report.
 
 pub mod aggregate;
 pub mod filter;
@@ -29,10 +33,11 @@ use std::time::Instant;
 
 use crate::channel::ChannelClosed;
 use crate::error::SpeError;
+use crate::metrics::OpCounters;
 use crate::provenance::MetaData;
 use crate::tuple::{GTuple, TupleData};
 
-/// Statistics reported by an operator when its `run` loop terminates.
+/// Tuple counts of one operator, as the runtime reports them after the run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OperatorStats {
     /// Operator name (unique within a query).
@@ -96,19 +101,15 @@ pub trait Operator: Send {
     /// The operator's name (unique within its query).
     fn name(&self) -> &str;
 
-    /// Runs the operator to completion.
+    /// Runs the operator to completion, counting the tuples it consumes and
+    /// produces into `counters` — its rows of the operator ledger
+    /// ([`crate::metrics`]). The operator only increments; the runtime, which
+    /// minted the rows and keeps a clone, reads them.
     ///
     /// # Errors
     /// Returns [`SpeError::Runtime`] if the operator fails irrecoverably; downstream
     /// shutdown (a closed output channel) is treated as a graceful stop, not an error.
-    fn run(self: Box<Self>) -> Result<OperatorStats, SpeError>;
-
-    /// Hands the operator its [`OpMetrics`](crate::metrics::OpMetrics) cell so
-    /// its counts surface in the query's live registry. Called by the query
-    /// between [`set_operator`](crate::query::Query::set_operator) and deploy;
-    /// the default ignores the cell (the operator then only reports through the
-    /// [`OperatorStats`] it returns from [`run`](Operator::run)).
-    fn set_metrics(&mut self, _metrics: crate::metrics::OpMetrics) {}
+    fn run(self: Box<Self>, counters: OpCounters) -> Result<(), SpeError>;
 }
 
 /// Process-wide monotonic clock anchor used for stimulus/latency measurement.
@@ -126,8 +127,23 @@ pub fn now_nanos() -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Runs an operator outside a query, on this thread, and reads back what it
+    /// counted into a detached ledger row — the way the runtime reads a deployed one.
+    pub(crate) fn run_bare(op: impl Operator + 'static) -> OperatorStats {
+        let counters = OpCounters::detached(op.name());
+        let name = counters.name().to_string();
+        Box::new(op)
+            .run(counters.clone())
+            .expect("operator runs to the end");
+        OperatorStats {
+            name,
+            tuples_in: counters.tuples_in(),
+            tuples_out: counters.tuples_out(),
+        }
+    }
 
     #[test]
     fn now_nanos_is_monotonic() {

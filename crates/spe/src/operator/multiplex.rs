@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use crate::channel::{OutputSlot, StreamReceiver};
 use crate::error::SpeError;
-use crate::metrics::OpMetrics;
-use crate::operator::{Operator, OperatorStats};
+use crate::metrics::OpCounters;
+use crate::operator::Operator;
 use crate::provenance::ProvenanceSystem;
 use crate::tuple::{Element, GTuple, TupleData};
 
@@ -19,7 +19,6 @@ pub struct MultiplexOp<T, P: ProvenanceSystem> {
     input: StreamReceiver<T, P::Meta>,
     outputs: Vec<OutputSlot<T, P::Meta>>,
     provenance: P,
-    metrics: OpMetrics,
 }
 
 impl<T, P> MultiplexOp<T, P>
@@ -46,7 +45,6 @@ where
             input,
             outputs,
             provenance,
-            metrics: OpMetrics::deferred(),
         }
     }
 }
@@ -60,13 +58,8 @@ where
         &self.name
     }
 
-    fn set_metrics(&mut self, metrics: OpMetrics) {
-        self.metrics = metrics;
-    }
-
-    fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
+    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
         let mut outs: Vec<_> = self.outputs.iter().map(OutputSlot::open).collect();
-        let counters = self.metrics.handles(&self.name);
         let mut live: Vec<bool> = vec![true; outs.len()];
         loop {
             for element in self.input.recv_batch() {
@@ -91,7 +84,7 @@ where
                             }
                         }
                         if live.iter().all(|a| !*a) {
-                            return Ok(counters.stats(&self.name));
+                            return Ok(());
                         }
                     }
                     Element::Watermark(ts) => {
@@ -114,7 +107,7 @@ where
                         for out in &mut outs {
                             let _ = out.send_end();
                         }
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
             }
@@ -126,6 +119,7 @@ where
 mod tests {
     use super::*;
     use crate::channel::stream_channel;
+    use crate::operator::tests::run_bare;
     use crate::provenance::NoProvenance;
     use crate::time::Timestamp;
 
@@ -151,7 +145,7 @@ mod tests {
         in_tx.send(Element::End).unwrap();
 
         let op = MultiplexOp::new("mux", in_rx, slots, NoProvenance);
-        let stats = Box::new(op).run().unwrap();
+        let stats = run_bare(op);
         assert_eq!(stats.tuples_in, 1);
         assert_eq!(stats.tuples_out, 3);
 
@@ -175,9 +169,7 @@ mod tests {
         let input = tuple(1, 7);
         in_tx.send(Element::Tuple(Arc::clone(&input))).unwrap();
         in_tx.send(Element::End).unwrap();
-        Box::new(MultiplexOp::new("mux", in_rx, slots, NoProvenance))
-            .run()
-            .unwrap();
+        run_bare(MultiplexOp::new("mux", in_rx, slots, NoProvenance));
 
         let a = rx0.recv();
         let a = a.as_tuple().unwrap();
@@ -211,9 +203,7 @@ mod tests {
         in_tx.send(Element::Tuple(tuple(1, 5))).unwrap();
         in_tx.send(Element::Tuple(tuple(2, 6))).unwrap();
         in_tx.send(Element::End).unwrap();
-        let stats = Box::new(MultiplexOp::new("mux", in_rx, slots, NoProvenance))
-            .run()
-            .unwrap();
+        let stats = run_bare(MultiplexOp::new("mux", in_rx, slots, NoProvenance));
         // Output to the dead consumer fails silently; the live one receives both tuples.
         assert_eq!(rx1.recv().as_tuple().unwrap().data, 5);
         assert_eq!(rx1.recv().as_tuple().unwrap().data, 6);

@@ -12,8 +12,8 @@ use parking_lot::Mutex;
 
 use crate::channel::StreamReceiver;
 use crate::error::SpeError;
-use crate::metrics::OpMetrics;
-use crate::operator::{now_nanos, Operator, OperatorStats};
+use crate::metrics::OpCounters;
+use crate::operator::{now_nanos, Operator};
 use crate::provenance::MetaData;
 use crate::state::{CheckpointHandle, Snapshot};
 use crate::tuple::{Element, GTuple, TupleData};
@@ -148,7 +148,6 @@ pub struct SinkOp<T, M, F> {
     /// checkpointable state (the output prefix committed at each epoch barrier).
     collected: Option<CollectedStream<T, M>>,
     checkpoints: CheckpointHandle,
-    metrics: OpMetrics,
 }
 
 impl<T, M, F> SinkOp<T, M, F>
@@ -178,7 +177,6 @@ where
             stats,
             collected,
             checkpoints,
-            metrics: OpMetrics::deferred(),
         }
     }
 }
@@ -193,12 +191,7 @@ where
         &self.name
     }
 
-    fn set_metrics(&mut self, metrics: OpMetrics) {
-        self.metrics = metrics;
-    }
-
-    fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
-        let counters = self.metrics.handles(&self.name);
+    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
         // The live latency histogram (p50/p95/p99 of stimulus-to-sink time).
         let latency_histogram = counters.histogram("genealog_sink_latency_ns");
         let checkpoints = self.checkpoints.get().cloned();
@@ -233,7 +226,7 @@ where
                             ckpt.store.commit(&self.name, epoch, snapshot);
                         }
                     }
-                    Element::End => return Ok(counters.stats(&self.name)),
+                    Element::End => return Ok(()),
                 }
             }
         }
@@ -244,6 +237,7 @@ where
 mod tests {
     use super::*;
     use crate::channel::stream_channel;
+    use crate::operator::tests::run_bare;
     use crate::time::Timestamp;
 
     #[test]
@@ -272,7 +266,7 @@ mod tests {
             None,
             Default::default(),
         );
-        let op_stats = Box::new(op).run().unwrap();
+        let op_stats = run_bare(op);
         assert_eq!(op_stats.tuples_in, 1);
         assert_eq!(stats.tuple_count(), 1);
         assert_eq!(stats.latencies_ns().len(), 1);

@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use crate::channel::OutputSlot;
 use crate::error::SpeError;
-use crate::metrics::OpMetrics;
-use crate::operator::{now_nanos, Operator, OperatorStats};
+use crate::metrics::OpCounters;
+use crate::operator::{now_nanos, Operator};
 use crate::provenance::{ProvenanceSystem, SourceContext};
 use crate::state::{CheckpointHandle, Snapshot};
 use crate::time::Timestamp;
@@ -118,7 +118,6 @@ pub struct SourceOp<G: SourceGenerator, P: ProvenanceSystem> {
     provenance: P,
     stop: Arc<AtomicBool>,
     checkpoints: CheckpointHandle,
-    metrics: OpMetrics,
 }
 
 impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
@@ -146,7 +145,6 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
             provenance,
             stop,
             checkpoints,
-            metrics: OpMetrics::deferred(),
         }
     }
 }
@@ -156,13 +154,8 @@ impl<G: SourceGenerator, P: ProvenanceSystem> Operator for SourceOp<G, P> {
         &self.name
     }
 
-    fn set_metrics(&mut self, metrics: OpMetrics) {
-        self.metrics = metrics;
-    }
-
-    fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
+    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
         let mut out = self.output.open();
-        let counters = self.metrics.handles(&self.name);
         // Live load-shedding signals: how far the source has replayed and which
         // barrier epoch it last committed.
         let replay_offset = counters.gauge("genealog_source_replay_offset", &[]);
@@ -224,7 +217,7 @@ impl<G: SourceGenerator, P: ProvenanceSystem> Operator for SourceOp<G, P> {
             let tuple = Arc::new(GTuple::new(ts, now_nanos(), data, meta));
             if out.send_tuple(tuple).is_err() {
                 // Downstream shut down: stop injecting.
-                return Ok(counters.stats(&self.name));
+                return Ok(());
             }
             seq += 1;
             counters.inc_out();
@@ -246,7 +239,7 @@ impl<G: SourceGenerator, P: ProvenanceSystem> Operator for SourceOp<G, P> {
         }
         let _ = out.send_watermark(Timestamp::MAX);
         let _ = out.send_end();
-        Ok(counters.stats(&self.name))
+        Ok(())
     }
 }
 
@@ -254,6 +247,7 @@ impl<G: SourceGenerator, P: ProvenanceSystem> Operator for SourceOp<G, P> {
 mod tests {
     use super::*;
     use crate::channel::stream_channel;
+    use crate::operator::tests::run_bare;
     use crate::provenance::NoProvenance;
     use crate::tuple::Element;
 
@@ -292,7 +286,7 @@ mod tests {
             Arc::new(AtomicBool::new(false)),
             Default::default(),
         );
-        let stats = Box::new(op).run().unwrap();
+        let stats = run_bare(op);
         assert_eq!(stats.tuples_out, 3);
 
         let mut tuples = 0;
@@ -326,7 +320,7 @@ mod tests {
             stop,
             Default::default(),
         );
-        let stats = Box::new(op).run().unwrap();
+        let stats = run_bare(op);
         assert_eq!(stats.tuples_out, 0);
         // Still closes the stream.
         loop {
@@ -356,7 +350,7 @@ mod tests {
             Default::default(),
         );
         let start = std::time::Instant::now();
-        Box::new(op).run().unwrap();
+        run_bare(op);
         // 20 tuples at 1000 t/s should take at least ~19 ms.
         assert!(start.elapsed() >= std::time::Duration::from_millis(15));
     }

@@ -7,8 +7,8 @@
 use crate::channel::{OutputSlot, StreamReceiver};
 use crate::error::SpeError;
 use crate::merge::{DeterministicMerge, MergedElement};
-use crate::metrics::OpMetrics;
-use crate::operator::{Operator, OperatorStats};
+use crate::metrics::OpCounters;
+use crate::operator::Operator;
 use crate::provenance::MetaData;
 use crate::tuple::TupleData;
 
@@ -17,7 +17,6 @@ pub struct UnionOp<T, M> {
     name: String,
     inputs: Vec<StreamReceiver<T, M>>,
     output: OutputSlot<T, M>,
-    metrics: OpMetrics,
 }
 
 impl<T, M> UnionOp<T, M>
@@ -39,7 +38,6 @@ where
             name: name.into(),
             inputs,
             output,
-            metrics: OpMetrics::deferred(),
         }
     }
 }
@@ -53,26 +51,21 @@ where
         &self.name
     }
 
-    fn set_metrics(&mut self, metrics: OpMetrics) {
-        self.metrics = metrics;
-    }
-
-    fn run(self: Box<Self>) -> Result<OperatorStats, SpeError> {
+    fn run(self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
         let mut out = self.output.open();
-        let counters = self.metrics.handles(&self.name);
         let mut merge = DeterministicMerge::new(self.inputs);
         loop {
             match merge.next() {
                 MergedElement::Tuple(tuple, _) => {
                     counters.inc_in();
                     if out.send_tuple(tuple).is_err() {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                     counters.inc_out();
                 }
                 MergedElement::Watermark(ts) => {
                     if out.send_watermark(ts).is_err() {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
                 MergedElement::Barrier(epoch) => {
@@ -80,12 +73,12 @@ where
                     // so Union holds no state across the barrier: forwarding it is
                     // the entire checkpoint protocol for this operator.
                     if out.send_barrier(epoch).is_err() {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
                 MergedElement::End => {
                     let _ = out.send_end();
-                    return Ok(counters.stats(&self.name));
+                    return Ok(());
                 }
             }
         }
@@ -96,6 +89,7 @@ where
 mod tests {
     use super::*;
     use crate::channel::stream_channel;
+    use crate::operator::tests::run_bare;
     use crate::time::Timestamp;
     use crate::tuple::{Element, GTuple};
     use std::sync::Arc;
@@ -124,7 +118,7 @@ mod tests {
         tx2.send(Element::End).unwrap();
 
         let op = UnionOp::new("union", vec![rx1, rx2], out_slot);
-        let stats = Box::new(op).run().unwrap();
+        let stats = run_bare(op);
         assert_eq!(stats.tuples_out, 2);
 
         let first = out_rx.recv();

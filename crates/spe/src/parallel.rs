@@ -69,12 +69,12 @@ use std::sync::Arc;
 use crate::channel::{OutputHandle, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
 use crate::merge::{DeterministicMerge, MergedElement};
-use crate::metrics::{OpCounters, OpMetrics};
+use crate::metrics::OpCounters;
 use crate::operator::aggregate::{AggregateOp, WindowView};
 use crate::operator::filter::FilterStage;
 use crate::operator::join::JoinOp;
 use crate::operator::map::MapStage;
-use crate::operator::{Operator, OperatorStats};
+use crate::operator::Operator;
 use crate::provenance::{MetaData, ProvenanceSystem};
 use crate::query::{NodeKind, Query, ShardGroup, ShardPlacement, StreamRef};
 use crate::time::Duration;
@@ -144,7 +144,6 @@ pub struct PartitionOp<T, M> {
     input: StreamReceiver<T, M>,
     outputs: Vec<OutputSlot<T, M>>,
     shard_fn: Box<dyn FnMut(&T) -> usize + Send>,
-    metrics: OpMetrics,
 }
 
 impl<T, M> PartitionOp<T, M>
@@ -174,7 +173,6 @@ where
             input,
             outputs,
             shard_fn,
-            metrics: OpMetrics::deferred(),
         }
     }
 }
@@ -188,13 +186,8 @@ where
         &self.name
     }
 
-    fn set_metrics(&mut self, metrics: OpMetrics) {
-        self.metrics = metrics;
-    }
-
-    fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
+    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
         let mut outs: Vec<_> = self.outputs.iter().map(OutputSlot::open).collect();
-        let counters = self.metrics.handles(&self.name);
         let last = outs.len() - 1;
         loop {
             for element in self.input.recv_batch() {
@@ -205,14 +198,14 @@ where
                         // A closed shard means the query is shutting down; losing a
                         // key range would corrupt results, so stop the whole exchange.
                         if outs[shard].send_tuple(tuple).is_err() {
-                            return Ok(counters.stats(&self.name));
+                            return Ok(());
                         }
                         counters.inc_out();
                     }
                     Element::Watermark(ts) => {
                         for out in &mut outs {
                             if out.send_watermark(ts).is_err() {
-                                return Ok(counters.stats(&self.name));
+                                return Ok(());
                             }
                         }
                     }
@@ -222,7 +215,7 @@ where
                         // snapshot a consistent global cut.
                         for out in &mut outs {
                             if out.send_barrier(epoch).is_err() {
-                                return Ok(counters.stats(&self.name));
+                                return Ok(());
                             }
                         }
                     }
@@ -230,7 +223,7 @@ where
                         for out in &mut outs {
                             let _ = out.send_end();
                         }
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
             }
@@ -260,7 +253,6 @@ pub struct KeyedMergeOp<T, M> {
     inputs: Vec<StreamReceiver<T, M>>,
     output: OutputSlot<T, M>,
     cmp: KeyComparator<T>,
-    metrics: OpMetrics,
 }
 
 impl<T, M> KeyedMergeOp<T, M>
@@ -285,7 +277,6 @@ where
             inputs,
             output,
             cmp,
-            metrics: OpMetrics::deferred(),
         }
     }
 
@@ -317,13 +308,8 @@ where
         &self.name
     }
 
-    fn set_metrics(&mut self, metrics: OpMetrics) {
-        self.metrics = metrics;
-    }
-
-    fn run(self: Box<Self>) -> Result<OperatorStats, SpeError> {
+    fn run(self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
         let mut out = self.output.open();
-        let counters = self.metrics.handles(&self.name);
         let mut merge = DeterministicMerge::new(self.inputs);
         let mut cmp = self.cmp;
         // The run of equal-timestamp tuples currently being collected. It is released
@@ -337,7 +323,7 @@ where
                     if run.first().is_some_and(|head| head.ts != tuple.ts)
                         && !Self::flush_run(&mut run, &mut *cmp, &mut out, &counters)
                     {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                     run.push(tuple);
                 }
@@ -348,10 +334,10 @@ where
                     if run.first().is_some_and(|head| ts > head.ts)
                         && !Self::flush_run(&mut run, &mut *cmp, &mut out, &counters)
                     {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                     if out.send_watermark(ts).is_err() {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
                 MergedElement::Barrier(epoch) => {
@@ -360,16 +346,16 @@ where
                     // barrier on every shard channel), so the held run is complete:
                     // flush it and the fan-in crosses the barrier stateless.
                     if !Self::flush_run(&mut run, &mut *cmp, &mut out, &counters) {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                     if out.send_barrier(epoch).is_err() {
-                        return Ok(counters.stats(&self.name));
+                        return Ok(());
                     }
                 }
                 MergedElement::End => {
                     let _ = Self::flush_run(&mut run, &mut *cmp, &mut out, &counters);
                     let _ = out.send_end();
-                    return Ok(counters.stats(&self.name));
+                    return Ok(());
                 }
             }
         }
@@ -748,6 +734,7 @@ mod tests {
     use super::*;
     use crate::channel::stream_channel;
     use crate::operator::source::VecSource;
+    use crate::operator::tests::run_bare;
     use crate::provenance::NoProvenance;
     use crate::time::Timestamp;
 
@@ -805,7 +792,7 @@ mod tests {
             slots,
             Box::new(|t: &(u32, i64)| shard_of(&t.0, 3)),
         );
-        let stats = Box::new(op).run().unwrap();
+        let stats = run_bare(op);
         assert_eq!(stats.tuples_in, 12);
         assert_eq!(stats.tuples_out, 12);
 
@@ -863,7 +850,7 @@ mod tests {
             out_slot,
             Box::new(|a: &(u32, i64), b: &(u32, i64)| a.0.cmp(&b.0)),
         );
-        let stats = Box::new(op).run().unwrap();
+        let stats = run_bare(op);
         assert_eq!(stats.tuples_in, 4);
         assert_eq!(stats.tuples_out, 4);
 
@@ -902,7 +889,7 @@ mod tests {
             out_slot,
             Box::new(|a: &(u32, i64), b: &(u32, i64)| a.0.cmp(&b.0)),
         );
-        Box::new(op).run().unwrap();
+        run_bare(op);
 
         let mut seen: Vec<(bool, u64)> = Vec::new();
         loop {

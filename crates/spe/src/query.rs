@@ -20,8 +20,8 @@ use genealog_metrics::MetricsRegistry;
 
 use crate::channel::{stream_channel, BatchConfig, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
-use crate::fusion::{ChainEntry, PendingChain, StageCounters, StageInfo};
-use crate::metrics::OpMetrics;
+use crate::fusion::{ChainEntry, PendingChain};
+use crate::metrics::OpCounters;
 use crate::operator::aggregate::{AggregateOp, WindowView};
 use crate::operator::filter::FilterStage;
 use crate::operator::join::JoinOp;
@@ -335,9 +335,6 @@ pub struct Query<P: ProvenanceSystem> {
     /// The live metrics registry of the query (disabled when
     /// [`QueryConfig::metrics`] is off).
     registry: Arc<MetricsRegistry>,
-    /// Per-node metrics cells, aligned with `nodes`. Handed to operators when they
-    /// are installed and bound to logical names at deploy time.
-    node_metrics: Vec<OpMetrics>,
 }
 
 impl<P: ProvenanceSystem> Query<P> {
@@ -367,7 +364,6 @@ impl<P: ProvenanceSystem> Query<P> {
             } else {
                 MetricsRegistry::disabled()
             },
-            node_metrics: Vec::new(),
         }
     }
 
@@ -495,7 +491,6 @@ impl<P: ProvenanceSystem> Query<P> {
             shard_group: None,
             operator: None,
         });
-        self.node_metrics.push(OpMetrics::deferred());
         id
     }
 
@@ -574,14 +569,13 @@ impl<P: ProvenanceSystem> Query<P> {
     ///
     /// # Panics
     /// Panics if the node already has an operator.
-    pub fn set_operator(&mut self, node: NodeId, mut operator: Box<dyn Operator>) {
+    pub fn set_operator(&mut self, node: NodeId, operator: Box<dyn Operator>) {
         let info = &mut self.nodes[node];
         assert!(
             info.operator.is_none(),
             "operator already installed for node `{}`",
             info.name
         );
-        operator.set_metrics(self.node_metrics[node].clone());
         info.operator = Some(operator);
     }
 
@@ -620,13 +614,9 @@ impl<P: ProvenanceSystem> Query<P> {
     {
         let node = self.add_node(name, kind);
         self.nodes[node].shard_group = group.clone();
-        let counters = Arc::new(StageCounters::default());
-        let info = StageInfo {
-            name: group
-                .as_ref()
-                .map_or_else(|| name.to_string(), |g| g.name.clone()),
-            counters: Arc::clone(&counters),
-        };
+        let logical = group
+            .as_ref()
+            .map_or_else(|| name.to_string(), |g| g.name.clone());
         // A stateless stage keeps its input's shard membership: its output stream
         // inherits the capacity share, so per-shard stage pipelines stay jointly
         // budgeted all the way to the fan-in.
@@ -654,10 +644,9 @@ impl<P: ProvenanceSystem> Query<P> {
                 .into_any()
                 .downcast::<PendingChain<I, P::Meta>>()
                 .expect("fused chain tail type mismatch");
-            entry.pending =
-                Box::new(chain.then(Box::new(stage), Arc::clone(&counters), slot.clone()));
+            entry.pending = Box::new(chain.then(Box::new(stage), slot.clone()));
             entry.nodes.push(node);
-            entry.stages.push(info);
+            entry.stages.push(logical);
             entry.merge_group(group);
             self.fused_tails.insert(node, entry);
         } else {
@@ -665,14 +654,13 @@ impl<P: ProvenanceSystem> Query<P> {
             let chain = PendingChain::start(
                 rx,
                 Box::new(stage) as Box<dyn FusedStage<I, O, P::Meta>>,
-                Arc::clone(&counters),
                 slot.clone(),
             );
             self.fused_tails.insert(
                 node,
                 ChainEntry {
                     nodes: vec![node],
-                    stages: vec![info],
+                    stages: vec![logical],
                     group,
                     pending: Box::new(chain),
                 },
@@ -1166,7 +1154,8 @@ impl<P: ProvenanceSystem> Query<P> {
     /// a chain of one stage becomes an ordinary single-operator thread; a chain of
     /// two or more stages becomes one [`FusedOp`](crate::fusion::FusedOp) thread
     /// whose report still names the original operators (see
-    /// [`OperatorReport::stages`](crate::runtime::OperatorReport)).
+    /// [`OperatorReport::stages`](crate::runtime::OperatorReport)). Every thread
+    /// is handed its rows of the operator ledger ([`crate::metrics`]), minted here.
     ///
     /// # Errors
     /// Returns [`SpeError::UnconnectedStream`] if an output stream has no consumer and
@@ -1187,28 +1176,25 @@ impl<P: ProvenanceSystem> Query<P> {
             members.extend(entry.nodes.iter().copied());
             chains.insert(entry.nodes[0], entry);
         }
-        self.register_collectors(&chains, &members);
+        // Mint the operator ledger (see [`crate::metrics`]): one row per physical
+        // stage under its logical name — n for a fused chain, one for anything else.
         let mut specs = Vec::with_capacity(self.nodes.len());
-        for (id, node) in self.nodes.into_iter().enumerate() {
+        for (id, node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
             if let Some(entry) = chains.remove(&id) {
                 let single = entry.nodes.len() == 1;
-                let head = Arc::clone(&entry.stages.first().expect("chain stage").counters);
                 let name = if single {
                     node.name.clone()
                 } else {
-                    entry
-                        .stages
-                        .iter()
-                        .map(|s| s.name.as_str())
-                        .collect::<Vec<_>>()
-                        .join("+")
+                    entry.stages.join("+")
                 };
-                let op = entry.pending.seal(name, head);
                 specs.push(OperatorSpec {
                     kind: if single { node.kind } else { NodeKind::Fused },
-                    group: entry.group,
-                    stages: if single { Vec::new() } else { entry.stages },
-                    op: Box::new(op),
+                    grouped: entry.group.is_some(),
+                    counters: OpCounters::mint(
+                        &self.registry,
+                        entry.stages.iter().map(String::as_str),
+                    ),
+                    op: Box::new(entry.pending.seal(name)),
                 });
             } else if members.contains(&id) {
                 // Folded into the chain sealed at its head node.
@@ -1220,10 +1206,11 @@ impl<P: ProvenanceSystem> Query<P> {
                         node.name
                     ))
                 })?;
+                let logical = node.shard_group.as_ref().map_or(&node.name, |g| &g.name);
                 specs.push(OperatorSpec {
                     kind: node.kind,
-                    group: node.shard_group,
-                    stages: Vec::new(),
+                    grouped: node.shard_group.is_some(),
+                    counters: OpCounters::mint(&self.registry, [logical.as_str()]),
                     op,
                 });
             }
@@ -1231,6 +1218,7 @@ impl<P: ProvenanceSystem> Query<P> {
         if specs.is_empty() {
             return Err(SpeError::InvalidQuery("query has no operators".into()));
         }
+        self.register_collectors(&specs);
         Ok(Runtime::spawn(
             specs,
             self.stop,
@@ -1239,71 +1227,31 @@ impl<P: ProvenanceSystem> Query<P> {
         ))
     }
 
-    /// Binds every operator's metrics cell to its logical name and registers the
-    /// registry collectors: per-logical-operator tuple counters (summed over shard
-    /// instances and fused-stage counters sharing the name) and the checkpoint-path
-    /// gauges.
-    fn register_collectors(&self, chains: &HashMap<NodeId, ChainEntry>, members: &HashSet<NodeId>) {
-        use std::collections::BTreeMap;
-
-        use genealog_metrics::Counter;
-
-        // Physical counter pairs of thread-per-operator nodes, grouped by logical
-        // name (the shard-group name folds N instances into one label).
-        type CounterPair = (Arc<Counter>, Arc<Counter>);
-        let mut op_groups: BTreeMap<String, Vec<CounterPair>> = BTreeMap::new();
-        for (id, node) in self.nodes.iter().enumerate() {
-            if node.operator.is_none() || members.contains(&id) {
-                // Fused-chain members report through their stage counters below.
-                continue;
-            }
-            let logical = node
-                .shard_group
-                .as_ref()
-                .map_or(node.name.as_str(), |g| g.name.as_str());
-            let cell = &self.node_metrics[id];
-            cell.bind(logical, &self.registry);
-            if let Some(pair) = cell.counter_pair() {
-                op_groups.entry(logical.to_string()).or_default().push(pair);
-            }
-        }
+    /// Registers the registry collectors: per-logical-operator tuple counters (the
+    /// sum over every ledger row carrying the name — shard instances, fused stages)
+    /// and the checkpoint-path gauges.
+    fn register_collectors(&self, specs: &[OperatorSpec]) {
         if !self.registry.is_enabled() {
             return;
         }
-        // Stage counters of fused chains (including single-stage "chains", i.e.
-        // plain Filter/Map operators), grouped the same way — StageInfo::name is
-        // already the logical name.
-        let mut stage_groups: BTreeMap<String, Vec<Arc<StageCounters>>> = BTreeMap::new();
-        for entry in chains.values() {
-            for info in &entry.stages {
-                stage_groups
-                    .entry(info.name.clone())
-                    .or_default()
-                    .push(Arc::clone(&info.counters));
-            }
+        type Column = Vec<Arc<genealog_metrics::Counter>>;
+        let mut by_name: std::collections::BTreeMap<&str, (Column, Column)> = Default::default();
+        for row in specs.iter().flat_map(|spec| spec.counters.stages()) {
+            let (tuples_in, tuples_out) = by_name.entry(row.name.as_str()).or_default();
+            tuples_in.push(Arc::clone(&row.tuples_in));
+            tuples_out.push(Arc::clone(&row.tuples_out));
         }
-        let names: std::collections::BTreeSet<&String> =
-            op_groups.keys().chain(stage_groups.keys()).collect();
-        for name in names {
-            let pairs = op_groups.get(name).cloned().unwrap_or_default();
-            let stages = stage_groups.get(name).cloned().unwrap_or_default();
-            let (in_pairs, in_stages) = (pairs.clone(), stages.clone());
-            self.registry.counter_fn(
-                "genealog_operator_tuples_in_total",
-                &[("operator", name)],
-                Arc::new(move || {
-                    in_pairs.iter().map(|(i, _)| i.get()).sum::<u64>()
-                        + in_stages.iter().map(|c| c.tuples_in()).sum::<u64>()
-                }),
-            );
-            self.registry.counter_fn(
-                "genealog_operator_tuples_out_total",
-                &[("operator", name)],
-                Arc::new(move || {
-                    pairs.iter().map(|(_, o)| o.get()).sum::<u64>()
-                        + stages.iter().map(|c| c.tuples_out()).sum::<u64>()
-                }),
-            );
+        for (name, (tuples_in, tuples_out)) in by_name {
+            for (metric, column) in [
+                ("genealog_operator_tuples_in_total", tuples_in),
+                ("genealog_operator_tuples_out_total", tuples_out),
+            ] {
+                self.registry.counter_fn(
+                    metric,
+                    &[("operator", name)],
+                    Arc::new(move || column.iter().map(|c| c.get()).sum()),
+                );
+            }
         }
         if let Some(config) = self.checkpoints.get() {
             let store = Arc::clone(&config.store);

@@ -2,8 +2,9 @@
 //!
 //! Each operator of a deployed query runs on its own OS thread (the model of the
 //! paper's SPE instances: threads sharing a process, communicating through queues).
-//! [`QueryHandle`] joins the threads and aggregates their statistics into a
-//! [`QueryReport`].
+//! The runtime owns the operator ledger ([`crate::metrics`]): it hands each thread
+//! its rows, keeps a clone, and — once [`QueryHandle::wait`] has joined the thread —
+//! is the only place that turns rows into [`OperatorStats`] and a [`QueryReport`].
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -13,9 +14,9 @@ use std::time::Instant;
 use genealog_metrics::{HistogramSnapshot, MetricsRegistry, Tracer};
 
 use crate::error::SpeError;
-use crate::fusion::StageInfo;
+use crate::metrics::OpCounters;
 use crate::operator::{Operator, OperatorStats};
-use crate::query::{NodeKind, ShardGroup};
+use crate::query::NodeKind;
 
 /// Statistics of one operator after query completion, tagged with its role.
 ///
@@ -41,6 +42,77 @@ pub struct OperatorReport {
     /// query's metrics registry when the run finishes. `None` for non-sink
     /// operators and for queries run with metrics disabled.
     pub latency: Option<HistogramSnapshot>,
+}
+
+impl OperatorReport {
+    /// What one joined operator thread counted: the thread's boundary (head stage
+    /// in, tail stage out) under its stage names joined with `+`, and, for a fused
+    /// chain, one record per stage.
+    fn of_thread(kind: NodeKind, counters: &OpCounters) -> Self {
+        let rows = counters.stages();
+        let names: Vec<&str> = rows.iter().map(|row| row.name.as_str()).collect();
+        OperatorReport {
+            kind,
+            instances: 1,
+            stats: OperatorStats {
+                name: names.join("+"),
+                tuples_in: counters.tuples_in(),
+                tuples_out: counters.tuples_out(),
+            },
+            stages: match rows {
+                [_] => Vec::new(),
+                _ => rows
+                    .iter()
+                    .map(|row| OperatorStats {
+                        name: row.name.clone(),
+                        tuples_in: row.tuples_in.get(),
+                        tuples_out: row.tuples_out.get(),
+                    })
+                    .collect(),
+            },
+            latency: None,
+        }
+    }
+
+    /// Folds another instance of the same logical operator into this report — a
+    /// sibling shard thread of a local group, or the same-named operator of another
+    /// SPE instance: counters sum, instance counts add (the threads actually folded
+    /// in, not a group's declared width), latency histograms merge. Instances of one
+    /// logical operator have identical stage structure, so per-stage counters fold
+    /// positionally; an empty shape adopts the other's, and on genuinely different
+    /// shapes the first wins rather than mis-attributing counts.
+    fn absorb(&mut self, other: OperatorReport) {
+        self.stats.absorb(&other.stats);
+        self.instances += other.instances;
+        match (&mut self.latency, other.latency) {
+            (Some(merged), Some(latency)) => merged.merge(&latency),
+            (slot @ None, Some(latency)) => *slot = Some(latency),
+            _ => {}
+        }
+        if self.stages.len() == other.stages.len() {
+            for (merged, stage) in self.stages.iter_mut().zip(&other.stages) {
+                merged.absorb(stage);
+            }
+        } else if self.stages.is_empty() {
+            self.stages = other.stages;
+        }
+    }
+}
+
+/// Adds `report` to `operators`, folded into the report `index` already holds
+/// under its name if there is one.
+fn fold_report(
+    operators: &mut Vec<OperatorReport>,
+    index: &mut std::collections::HashMap<String, usize>,
+    report: OperatorReport,
+) {
+    match index.get(&report.stats.name) {
+        Some(&i) => operators[i].absorb(report),
+        None => {
+            index.insert(report.stats.name.clone(), operators.len());
+            operators.push(report);
+        }
+    }
 }
 
 /// Aggregated result of a completed query run.
@@ -152,31 +224,7 @@ impl QueryReport {
         for report in reports {
             wall_time = wall_time.max(report.wall_time);
             for op in report.operators {
-                match index.get(&op.stats.name) {
-                    Some(&i) => {
-                        operators[i].stats.absorb(&op.stats);
-                        operators[i].instances += op.instances;
-                        match (&mut operators[i].latency, op.latency) {
-                            (Some(merged), Some(latency)) => merged.merge(&latency),
-                            (slot @ None, Some(latency)) => *slot = Some(latency),
-                            _ => {}
-                        }
-                        // Same-named operators across instances have identical stage
-                        // structure (if any); fold per-stage counters positionally.
-                        let existing = &mut operators[i].stages;
-                        if existing.len() == op.stages.len() {
-                            for (merged, stage) in existing.iter_mut().zip(&op.stages) {
-                                merged.absorb(stage);
-                            }
-                        } else if existing.is_empty() {
-                            *existing = op.stages;
-                        }
-                    }
-                    None => {
-                        index.insert(op.stats.name.clone(), operators.len());
-                        operators.push(op);
-                    }
-                }
+                fold_report(&mut operators, &mut index, op);
             }
         }
         QueryReport {
@@ -197,25 +245,27 @@ impl QueryReport {
     }
 }
 
-/// What the runtime spawns for one physical operator: the boxed run loop plus the
-/// reporting metadata (node kind, shard group, and — for fused chains — the stage
-/// handles naming the original operators).
+/// What the runtime spawns for one physical operator: the boxed run loop, its
+/// ledger rows, and the reporting metadata.
 pub(crate) struct OperatorSpec {
     pub(crate) kind: NodeKind,
-    pub(crate) group: Option<ShardGroup>,
-    pub(crate) stages: Vec<StageInfo>,
+    /// Whether the thread is one shard instance of a group. Its rows are then tagged
+    /// with the group name and [`QueryHandle::wait`] folds it with its siblings.
+    pub(crate) grouped: bool,
+    pub(crate) counters: OpCounters,
     pub(crate) op: Box<dyn Operator>,
 }
 
-/// A joinable operator thread, tagged with its node kind, name, shard group and
-/// fused-stage reporting handles.
-type OperatorThread = (
-    NodeKind,
-    String,
-    Option<ShardGroup>,
-    Vec<StageInfo>,
-    JoinHandle<Result<OperatorStats, SpeError>>,
-);
+/// A joinable operator thread with the runtime's clone of its ledger rows.
+#[derive(Debug)]
+struct OperatorThread {
+    kind: NodeKind,
+    /// The operator's physical name, for the panic report.
+    name: String,
+    grouped: bool,
+    counters: OpCounters,
+    handle: JoinHandle<Result<(), SpeError>>,
+}
 
 /// A running query: one thread per operator.
 #[derive(Debug)]
@@ -286,52 +336,15 @@ impl QueryHandle {
         let mut group_index: std::collections::HashMap<String, usize> =
             std::collections::HashMap::new();
         let mut first_error: Option<SpeError> = None;
-        for (kind, name, group, stages, handle) in self.threads {
-            match handle.join() {
-                Ok(Ok(stats)) => {
-                    // The thread has finished, so the fused-stage counters are final.
-                    let stage_stats: Vec<OperatorStats> =
-                        stages.iter().map(StageInfo::snapshot).collect();
-                    match group {
-                        Some(group) => match group_index.get(&group.name) {
-                            Some(&idx) => {
-                                operators[idx].stats.absorb(&stats);
-                                // Count the threads actually folded in, not the group's
-                                // declared width: single-node groups (the partition and
-                                // fan-in of an exchange carry a group for DOT labelling)
-                                // report instances = 1.
-                                operators[idx].instances += 1;
-                                // Sibling shard chains have identical stage structure;
-                                // fold their per-stage counters positionally.
-                                let existing = &mut operators[idx].stages;
-                                if existing.len() == stage_stats.len() {
-                                    for (merged, stage) in existing.iter_mut().zip(&stage_stats) {
-                                        merged.absorb(stage);
-                                    }
-                                } else if existing.is_empty() {
-                                    *existing = stage_stats;
-                                }
-                            }
-                            None => {
-                                group_index.insert(group.name.clone(), operators.len());
-                                let mut merged = OperatorStats::new(group.name);
-                                merged.absorb(&stats);
-                                operators.push(OperatorReport {
-                                    kind,
-                                    instances: 1,
-                                    stats: merged,
-                                    stages: stage_stats,
-                                    latency: None,
-                                });
-                            }
-                        },
-                        None => operators.push(OperatorReport {
-                            kind,
-                            instances: 1,
-                            stats,
-                            stages: stage_stats,
-                            latency: None,
-                        }),
+        for thread in self.threads {
+            match thread.handle.join() {
+                Ok(Ok(())) => {
+                    // The thread has finished, so its rows are final.
+                    let report = OperatorReport::of_thread(thread.kind, &thread.counters);
+                    if thread.grouped {
+                        fold_report(&mut operators, &mut group_index, report);
+                    } else {
+                        operators.push(report);
                     }
                 }
                 Ok(Err(err)) => {
@@ -341,7 +354,9 @@ impl QueryHandle {
                 }
                 Err(_) => {
                     if first_error.is_none() {
-                        first_error = Some(SpeError::OperatorPanicked { operator: name });
+                        first_error = Some(SpeError::OperatorPanicked {
+                            operator: thread.name,
+                        });
                     }
                 }
             }
@@ -380,8 +395,8 @@ impl Runtime {
             .map(|spec| {
                 let OperatorSpec {
                     kind,
-                    group,
-                    stages,
+                    grouped,
+                    counters,
                     op,
                 } = spec;
                 let name = op.name().to_string();
@@ -390,6 +405,9 @@ impl Runtime {
                 let checkpoints = Arc::clone(&checkpoints);
                 let running = Arc::clone(&running);
                 let panic_name = name.clone();
+                // The per-stage entry of the ledger: the thread increments its
+                // clone, `wait` reads this one after the join.
+                let rows = counters.clone();
                 let handle = std::thread::Builder::new()
                     .name(thread_name)
                     .spawn(move || {
@@ -402,7 +420,7 @@ impl Runtime {
                         // endpoints, so peers drain out naturally: downstream sees
                         // end-of-stream, upstream sees a closed channel.
                         let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            move || op.run(),
+                            move || op.run(rows),
                         )) {
                             Ok(result) => {
                                 Tracer::global().emit(
@@ -438,7 +456,13 @@ impl Runtime {
                         result
                     })
                     .expect("failed to spawn operator thread");
-                (kind, name, group, stages, handle)
+                OperatorThread {
+                    kind,
+                    name,
+                    grouped,
+                    counters,
+                    handle,
+                }
             })
             .collect();
         QueryHandle {

@@ -2,7 +2,8 @@
 //!
 //! Every `Encode`/`Decode` impl in the workspace — primitives, engine ids, the
 //! provenance records, the Q1–Q4 schemas, the wire frames, the node deployment,
-//! the store's segment record — goes through the same three checks: it
+//! the store's segment record, the metrics frame a remote instance ships to its
+//! origin — goes through the same three checks: it
 //! round-trips, **every** strict prefix of its bytes is a typed `CodecError`, and
 //! every single-bit flip decodes to a value or a typed error (never a panic,
 //! never a reservation sized by a corrupt count). The byte containers built on
@@ -27,6 +28,7 @@ use genealog_bench::q4relay::Q4Relay;
 use genealog_distributed::{
     NodeDeployment, ShardOpSpec, TupleFrameBuilder, WireFrame, WireProvenance, WireTag, WireTuple,
 };
+use genealog_metrics::{Histogram, HistogramSnapshot, Sample, SampleValue};
 use genealog_spe::codec::{CodecError, Decode, Encode, Reader};
 use genealog_spe::persist::{
     is_container, parse_container, ContainerWriter, PlainWindowPersister, WindowPersister,
@@ -282,6 +284,67 @@ fn segment_records() {
 // ---------------------------------------------------------------------------
 // Corrupt counts, trailing bytes
 // ---------------------------------------------------------------------------
+
+/// One sample of each kind, as a remote shard or `spe-node` ships them to the origin.
+fn metric_samples() -> Vec<Sample> {
+    let latency = Histogram::default();
+    for v in [0u64, 5, 1500] {
+        latency.record(v);
+    }
+    let sample = |name: &str, labels: &[(&str, &str)], value| Sample {
+        name: name.into(),
+        labels: labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect(),
+        value,
+    };
+    vec![
+        sample(
+            "genealog_operator_tuples_in_total",
+            &[("operator", "sum")],
+            SampleValue::Counter(36),
+        ),
+        sample(
+            "genealog_source_barrier_epoch",
+            &[("operator", "src"), ("shard", "1")],
+            SampleValue::Gauge(3),
+        ),
+        sample(
+            "genealog_sink_latency_ns",
+            &[],
+            SampleValue::Histogram(latency.snapshot()),
+        ),
+    ]
+}
+
+#[test]
+fn metrics_frames() {
+    check(metric_samples());
+    check(Vec::<Sample>::new());
+    // Lying lengths fail on the prefix alone: the sample count, and the bucket
+    // count of a histogram (behind the count, the name, no labels and the tag).
+    let histogram = metric_samples().split_off(2);
+    let frame = histogram.to_bytes();
+    let bucket_count_at = 4 + (4 + histogram[0].name.len()) + 4 + 1;
+    for at in [0, bucket_count_at] {
+        let mut lying = frame.clone();
+        lying[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = Vec::<Sample>::from_bytes(&lying).unwrap_err();
+        assert!(matches!(err, CodecError::Length { .. }), "at {at}: {err:?}");
+    }
+    // A bucket count the bytes do back, but that no histogram of ours has.
+    let oversized = HistogramSnapshot::from_parts(vec![0; 1025], 0, 0).to_bytes();
+    assert!(matches!(
+        HistogramSnapshot::from_bytes(&oversized),
+        Err(CodecError::Invalid(_))
+    ));
+    let largest = HistogramSnapshot::from_parts(vec![0; 1024], 0, 0);
+    assert_eq!(
+        HistogramSnapshot::from_bytes(&largest.to_bytes()),
+        Ok(largest)
+    );
+}
 
 #[test]
 fn corrupt_sequence_lengths_fail_on_the_prefix_alone() {
@@ -744,6 +807,29 @@ const GOLDEN_SEGMENT: &str = concat!(
     "88130000000000006900000000000000010000000300000000000000",
 );
 
+/// Produced by `genealog_metrics::encode_samples` — the byte reader and writer the
+/// metrics crate carried before its frames moved onto this codec — at the commit
+/// before the move.
+const GOLDEN_METRICS_FRAME: &str = concat!(
+    "030000002100000067656e65616c6f675f6f70657261746f725f7475706c65735f696e5f746f74616c010000",
+    "00080000006f70657261746f720300000073756d0024000000000000001d00000067656e65616c6f675f736f",
+    "757263655f626172726965725f65706f636802000000080000006f70657261746f7203000000737263050000",
+    "00736861726401000000310103000000000000001800000067656e65616c6f675f73696e6b5f6c6174656e63",
+    "795f6e7300000000024100000001000000000000000000000000000000000000000000000001000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000001000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000300000000000000e105000000000000",
+);
+
 #[test]
 fn golden_wire_frame_under_genealog() {
     let frame = gl_frame();
@@ -778,4 +864,11 @@ fn golden_delta_and_segment_record() {
         body: delta,
     });
     assert_eq!(hex(&frame), GOLDEN_SEGMENT);
+}
+
+#[test]
+fn golden_metrics_frame() {
+    let frame = metric_samples().to_bytes();
+    assert_eq!(hex(&frame), GOLDEN_METRICS_FRAME);
+    assert_eq!(Vec::<Sample>::from_bytes(&frame), Ok(metric_samples()));
 }

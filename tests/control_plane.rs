@@ -426,3 +426,98 @@ fn checkpoint_instruments_and_inline_fallbacks_are_on_the_exposition() {
         .unwrap();
     assert!(event.message.starts_with("epoch "), "{}", event.message);
 }
+
+/// Every `(logical name, tuples in, tuples out)` of a report: an operator's own
+/// row, or — for a fused chain — one row per stage instead of the chain's.
+fn report_rows(report: &QueryReport) -> std::collections::BTreeMap<String, (u64, u64)> {
+    let mut rows = std::collections::BTreeMap::new();
+    for op in report.operator_stats() {
+        let stats = match op.stages.is_empty() {
+            true => std::slice::from_ref(&op.stats),
+            false => op.stages.as_slice(),
+        };
+        for s in stats {
+            let clash = rows.insert(s.name.clone(), (s.tuples_in, s.tuples_out));
+            assert_eq!(clash, None, "`{}` reported twice", s.name);
+        }
+    }
+    rows
+}
+
+/// The two views of the operator ledger — the live scrape and the end-of-run
+/// report — read the same counters, whichever way the plan was cut into threads:
+/// `source → filter → map → 3-shard aggregate → per-shard filter → sink` has a
+/// fusable pre-exchange chain and a shard region whose stages run once per shard,
+/// so one logical name is summed over fused stages, over shard instances, or both.
+#[test]
+fn scrape_and_report_agree_per_logical_name_fused_and_sharded() {
+    use genealog_spe::PlannerConfig;
+
+    let run = |fusion: bool| {
+        let plan = GlPlan::with_config(
+            GeneaLog::new(),
+            PlannerConfig::default().with_fusion(fusion),
+        );
+        let sink = plan
+            .source("readings", VecSource::new(readings()))
+            .filter("keep", |r: &Reading| r.1 % 4 != 0)
+            .map_one("scale", |r: &Reading| (r.0, r.1 * 10))
+            .aggregate("sum", window_spec(), sum_key, sum_window, sum_key)
+            .with(Parallelism::shards(3))
+            .filter("busy", |r: &Reading| r.1 > 100)
+            .collecting_sink("sink");
+        let query = plan.lower().unwrap();
+        let server = ControlPlane::new(query.registry()).serve().unwrap();
+        let report = query.deploy().unwrap().wait().unwrap();
+        let (status, exposition) = http_get(server.addr(), "/metrics");
+        assert_eq!(status, 200);
+        server.shutdown();
+
+        let rows = report_rows(&report);
+        for (name, (tuples_in, tuples_out)) in &rows {
+            let label = format!(r#"operator="{name}""#);
+            let scraped = |metric| metric_value(&exposition, metric, &label);
+            assert_eq!(
+                scraped("genealog_operator_tuples_in_total"),
+                Some(*tuples_in),
+                "fusion {fusion}: `{name}` in"
+            );
+            assert_eq!(
+                scraped("genealog_operator_tuples_out_total"),
+                Some(*tuples_out),
+                "fusion {fusion}: `{name}` out"
+            );
+        }
+        let series = exposition
+            .lines()
+            .filter(|l| l.starts_with("genealog_operator_tuples_in_total{"))
+            .count();
+        assert_eq!(series, rows.len(), "no series without a report row");
+        (rows, report, sink.len())
+    };
+
+    let (fused, fused_report, fused_sunk) = run(true);
+    let (unfused, unfused_report, unfused_sunk) = run(false);
+    assert_eq!(fused, unfused, "fusion moves no count");
+    assert_eq!(fused_sunk, unfused_sunk);
+
+    // What the shape was: 12 readings, 9 kept, 6 window sums, the busy ones sunk.
+    assert_eq!(fused["readings"], (0, 12));
+    assert_eq!(fused["keep"], (12, 9));
+    assert_eq!(fused["scale"], (9, 9));
+    assert_eq!(fused["sum"], (9, 6));
+    assert_eq!(fused["busy"].0, 6);
+    assert_eq!(fused["sink"], (fused["busy"].1, 0));
+    assert_eq!(fused_sunk as u64, fused["busy"].1);
+    assert!((1..6).contains(&fused_sunk), "the shard filter drops some");
+    // And how it was cut: fused, keep and scale are stages of one thread; the
+    // per-shard filter is three threads under one name either way.
+    assert_eq!(fused_report.operator("keep+scale").unwrap().stages.len(), 2);
+    assert!(fused_report.fused_stage("keep").is_some());
+    assert!(unfused_report.operator("keep").unwrap().stages.is_empty());
+    assert!(unfused_report.fused_stage("keep").is_none());
+    for report in [&fused_report, &unfused_report] {
+        assert_eq!(report.operator("sum").unwrap().instances, 3);
+        assert_eq!(report.operator("busy").unwrap().instances, 3);
+    }
+}

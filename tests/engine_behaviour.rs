@@ -9,6 +9,7 @@ use proptest::prelude::*;
 
 use genealog::prelude::*;
 use genealog_spe::channel::{stream_channel, OutputSlot};
+use genealog_spe::metrics::OpCounters;
 use genealog_spe::operator::join::JoinOp;
 use genealog_spe::operator::source::{RateLimit, SourceConfig};
 use genealog_spe::operator::Operator;
@@ -389,7 +390,7 @@ where
         NoProvenance,
         Default::default(),
     );
-    let running = std::thread::spawn(move || Box::new(op).run());
+    let running = std::thread::spawn(move || Box::new(op).run(OpCounters::detached("join")));
     let mut out = Vec::new();
     loop {
         match orx.recv() {

@@ -17,6 +17,7 @@ use proptest::prelude::*;
 
 use genealog_spe::channel::{stream_channel, Batch, OutputSlot, StreamReceiver, StreamSender};
 use genealog_spe::merge::{DeterministicMerge, MergedElement};
+use genealog_spe::metrics::OpCounters;
 use genealog_spe::operator::join::JoinOp;
 use genealog_spe::operator::Operator;
 use genealog_spe::provenance::NoProvenance;
@@ -245,7 +246,11 @@ proptest! {
                 checkpoints,
             );
             thread::scope(|scope| {
-                scope.spawn(|| Box::new(join).run().expect("join runs to the end"));
+                scope.spawn(|| {
+                    Box::new(join)
+                        .run(OpCounters::detached("join"))
+                        .expect("join runs to the end")
+                });
                 let mut seen = Vec::new();
                 loop {
                     seen.push(match out_rx.recv() {
