@@ -1,27 +1,31 @@
-//! Physical-plan operator fusion: stateless chains collapsed into one thread.
+//! Physical-plan operator fusion: a Source or a stateless chain collapsed into one
+//! thread.
 //!
 //! The thread-per-operator runtime pays one bounded channel — a lock, a wake-up and a
 //! cache-line hand-off per batch — on **every** edge of the query graph, even between
 //! operators that do nothing but forward or cheaply transform tuples. Batching (PR 1)
 //! amortises that cost; fusion eliminates it: a contiguous chain of stateless
-//! single-input/single-output operators (`filter → map → map …`) is collapsed into a
-//! single [`FusedOp`] that runs every stage in one call stack on one thread, with no
-//! intermediate channels, batches or back-pressure points. This is the classic
-//! operator-chaining pass of production SPEs (Flink's chaining, Arcon's physical plan
-//! collapse) applied to this engine's typed query builder.
+//! single-input/single-output operators (`filter → map → map …`), headed by the
+//! Source that feeds it when there is one, is collapsed into a single [`FusedOp`]
+//! that runs every stage in one call stack on one thread, with no intermediate
+//! channels, batches or back-pressure points. A tuple a fused filter drops is
+//! created, tested and freed on one thread. This is the classic operator-chaining
+//! pass of production SPEs (Flink's chaining, Arcon's physical plan collapse) applied
+//! to this engine's typed query builder.
 //!
 //! # How a chain is built
 //!
-//! The query builder keeps, per stateless node, a `PendingChain`: a composition of
-//! [`FusedStage`]s rooted at the channel coming out of the nearest *unfusable*
-//! upstream operator (a Source, a stateful operator, a Multiplex/Union, a shuffle
-//! exchange or a shard merge). Adding another stateless operator on the chain's tail
-//! stream extends the composition instead of allocating a channel; anything else —
-//! attaching a stateful consumer, a sink, or deploying — seals the chain at its
-//! current tail. Because [`StreamRef`](crate::query::StreamRef)s are consumed by
-//! value, a chain tail has exactly one consumer by construction, so fusion never has
-//! to reason about fan-out (fan-out is an explicit Multiplex, which is a fusion
-//! boundary).
+//! The query builder keeps, per Source and per stateless node, a `PendingChain`: a
+//! composition of [`FusedStage`]s rooted at a Source's loop or at the channel
+//! coming out of the nearest *unfusable* upstream operator (a stateful operator, a
+//! Multiplex/Union, a shuffle exchange or a shard merge). Adding another stateless
+//! operator on the chain's tail stream extends the composition instead of
+//! allocating a channel; anything else — attaching a stateful consumer, a sink, or
+//! deploying — seals the chain at its current tail. A Source with nothing fusable
+//! behind it, like any stage with fusion off, is a sealed chain of one. Because
+//! [`StreamRef`](crate::query::StreamRef)s are consumed by value, a chain tail has
+//! exactly one consumer by construction, so fusion never has to reason about fan-out
+//! (fan-out is an explicit Multiplex, which is a fusion boundary).
 //!
 //! Fusion composes with sharding: the per-shard streams of a
 //! [`partition`](crate::query::Query::partition) are ordinary streams, so the
@@ -48,7 +52,8 @@
 //! the upstream stage's `tuples_out` and the downstream stage's `tuples_in` are
 //! counted together — and the tail's `tuples_out` is counted after a successful
 //! channel send, so adjacent rows can never disagree even when a closed downstream
-//! aborts processing midway.
+//! aborts processing midway. A Source head has no input and counts only through
+//! these hand-offs: its row (stage 0) reads what it injected wherever it runs.
 //!
 //! [`FusedStage`]: crate::operator::FusedStage
 //! [`ProvenanceSystem`]: crate::provenance::ProvenanceSystem
@@ -58,39 +63,68 @@ use std::sync::Arc;
 
 use crate::channel::{ChannelClosed, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
-use crate::metrics::{OpCounters, StageRow};
+use crate::metrics::OpCounters;
+use crate::operator::source::{SourceGenerator, SourceOp};
 use crate::operator::{FusedStage, Operator};
-use crate::provenance::MetaData;
+use crate::provenance::{MetaData, ProvenanceSystem};
 use crate::query::{NodeId, ShardGroup};
 use crate::time::Timestamp;
 use crate::tuple::{Element, GTuple, TupleData};
 
-/// Runs a sealed chain to completion: pulls elements from the captured head
-/// receiver, passes tuples through the composed stages into the tuple sink, forwards
-/// watermarks to the watermark sink and epoch barriers to the barrier sink, and
-/// returns on end-of-stream or channel close. Stateless stages hold no state across
-/// a barrier, so forwarding it through the chain boundary is the entire checkpoint
-/// protocol for fused chains. The first argument is the ledger rows of the stages
-/// composed so far, head first: the last one is this layer's own.
+/// Runs a sealed chain to completion: produces elements at the head — a Source's
+/// loop, or the captured receiver of the channel entering the head stage — passes
+/// tuples through the composed stages into the tuple sink, forwards watermarks to
+/// the watermark sink and epoch barriers to the barrier sink, and returns at the end
+/// of the stream or on channel close. Stateless stages hold no state across a
+/// barrier, so forwarding it through the chain boundary is the entire checkpoint
+/// protocol for fused chains; a Source head commits its replay offset before it
+/// emits the barrier, as it does unfused. The first argument is the chain thread's
+/// ledger rows, one per stage, head first; a Source head also takes its gauges
+/// from it.
 type ChainDriver<T, M> = Box<
     dyn FnOnce(
-            &[StageRow],
-            &mut dyn FnMut(Arc<GTuple<T, M>>) -> Result<(), ChannelClosed>,
+            &OpCounters,
+            &mut Emit<'_, T, M>,
             &mut dyn FnMut(Timestamp) -> Result<(), ChannelClosed>,
             &mut dyn FnMut(u64) -> Result<(), ChannelClosed>,
         ) + Send,
 >;
 
+/// The tuple sink a chain layer hands its output to: the next stage, or at the
+/// tail the chain's output channel.
+pub(crate) type Emit<'a, T, M> = dyn FnMut(Arc<GTuple<T, M>>) -> Result<(), ChannelClosed> + 'a;
+
 /// A fused chain under construction, typed by its current tail output `T`.
 ///
-/// The chain owns the receiver of the channel entering its head stage and the output
-/// slot of its tail stage; everything between is plain function composition.
+/// The chain owns its head — a Source, or the receiver of the channel entering its
+/// head stage — and the output slot of its tail stage; everything between is plain
+/// function composition.
 pub(crate) struct PendingChain<T: TupleData, M: MetaData> {
     driver: ChainDriver<T, M>,
+    /// Stages composed so far: the ledger row of the next stage is at this index.
+    stages: usize,
     output: OutputSlot<T, M>,
 }
 
 impl<T: TupleData, M: MetaData> PendingChain<T, M> {
+    /// Starts a chain at a Source, whose loop drives every stage later fused behind
+    /// it; it writes to `output` until extended.
+    pub(crate) fn source<G, P>(source: SourceOp<G, P>, output: OutputSlot<T, M>) -> Self
+    where
+        G: SourceGenerator<Item = T>,
+        P: ProvenanceSystem<Meta = M>,
+    {
+        let driver: ChainDriver<T, M> = Box::new(move |counters, emit, wm, barrier| {
+            // A closed downstream ends the source the way it ends any chain.
+            let _ = source.run(counters, emit, wm, barrier);
+        });
+        PendingChain {
+            driver,
+            stages: 1,
+            output,
+        }
+    }
+
     /// Starts a chain at `stage`, pulling input from `rx` (the channel from the
     /// nearest unfusable upstream operator) and writing to `output` until extended.
     pub(crate) fn start<I: TupleData>(
@@ -98,11 +132,8 @@ impl<T: TupleData, M: MetaData> PendingChain<T, M> {
         mut stage: Box<dyn FusedStage<I, T, M>>,
         output: OutputSlot<T, M>,
     ) -> Self {
-        let driver: ChainDriver<T, M> = Box::new(move |rows, emit, wm, barrier| {
-            let [head] = rows else {
-                panic!("a fused chain needs one ledger row per stage")
-            };
-            let tuples_in = &*head.tuples_in;
+        let driver: ChainDriver<T, M> = Box::new(move |counters, emit, wm, barrier| {
+            let tuples_in = &*counters.stages()[0].tuples_in;
             loop {
                 for element in rx.recv_batch() {
                     match element {
@@ -127,7 +158,11 @@ impl<T: TupleData, M: MetaData> PendingChain<T, M> {
                 }
             }
         });
-        PendingChain { driver, output }
+        PendingChain {
+            driver,
+            stages: 1,
+            output,
+        }
     }
 
     /// Extends the chain with one more stage. The old tail's output slot is dropped —
@@ -138,17 +173,12 @@ impl<T: TupleData, M: MetaData> PendingChain<T, M> {
         mut stage: Box<dyn FusedStage<T, O, M>>,
         output: OutputSlot<O, M>,
     ) -> PendingChain<O, M> {
-        let inner = self.driver;
-        let driver: ChainDriver<O, M> = Box::new(move |rows, emit, wm, barrier| {
-            let [upstream @ .., mine] = rows else {
-                panic!("a fused chain needs one ledger row per stage")
-            };
-            let [.., prev] = upstream else {
-                panic!("a fused chain needs one ledger row per stage")
-            };
-            let (prev_out, tuples_in) = (&*prev.tuples_out, &*mine.tuples_in);
+        let (inner, mine) = (self.driver, self.stages);
+        let driver: ChainDriver<O, M> = Box::new(move |counters, emit, wm, barrier| {
+            let rows = counters.stages();
+            let (prev_out, tuples_in) = (&*rows[mine - 1].tuples_out, &*rows[mine].tuples_in);
             inner(
-                upstream,
+                counters,
                 &mut |tuple| {
                     // The previous stage's output and this stage's input are the
                     // same hand-off event: count both sides together.
@@ -160,7 +190,11 @@ impl<T: TupleData, M: MetaData> PendingChain<T, M> {
                 barrier,
             )
         });
-        PendingChain { driver, output }
+        PendingChain {
+            driver,
+            stages: mine + 1,
+            output,
+        }
     }
 }
 
@@ -193,7 +227,7 @@ impl<T: TupleData, M: MetaData> SealableChain for PendingChain<T, M> {
                 // sequentially on one thread, so the RefCell never contends.
                 let out = std::cell::RefCell::new(output.open());
                 driver(
-                    rows,
+                    &counters,
                     &mut |t| {
                         out.borrow_mut().send_tuple(t)?;
                         // Counted only after a successful send: a tuple dropped by
@@ -251,7 +285,8 @@ impl ChainEntry {
     }
 }
 
-/// The fused operator: every stage of one stateless chain running on one thread,
+/// The fused operator: every stage of one chain — its head (a Source or a stateless
+/// stage) and the stateless stages fused behind it — running on one thread,
 /// counting into one ledger row per stage.
 pub struct FusedOp {
     name: String,

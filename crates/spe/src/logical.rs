@@ -1024,9 +1024,11 @@ mod tests {
         let report = plan.deploy().unwrap().wait().unwrap();
         let values: Vec<i64> = out.tuples().iter().map(|t| t.data).collect();
         assert_eq!(values, vec![0, 4, 8, 12, 16]);
-        // Fusion is on by default: filter+map collapse into one physical operator
-        // whose report still names the original stages.
-        let chain = report.operator("evens+double").expect("fused chain");
+        // Fusion is on by default: the source and filter+map behind it collapse into
+        // one physical operator whose report still names the original stages.
+        let chain = report
+            .operator("numbers+evens+double")
+            .expect("fused chain");
         assert_eq!(chain.kind, NodeKind::Fused);
         assert_eq!(report.fused_stage("evens").unwrap().tuples_out, 5);
         assert_eq!(report.fused_stage("double").unwrap().tuples_in, 5);

@@ -2,14 +2,17 @@
 //!
 //! Stateless single-input operators are [`FusedStage`]s — [`filter::FilterStage`],
 //! [`map::MapStage`], [`map::MetaMapStage`] — which the query builder runs through a
-//! fused chain ([`crate::fusion`]), of length one when fusion is off. The other
-//! stateless operators are [`multiplex::MultiplexOp`] and [`union::UnionOp`]; the
-//! stateful ones [`aggregate::AggregateOp`] and [`join::JoinOp`]; the edges of the
-//! query [`source::SourceOp`] and [`sink::SinkOp`].
+//! fused chain ([`crate::fusion`]), of length one when fusion is off. A Source
+//! ([`source`]) is the head of a chain: its loop drives the stateless stages fused
+//! behind it on its own thread. The other stateless operators are
+//! [`multiplex::MultiplexOp`] and [`union::UnionOp`]; the stateful ones
+//! [`aggregate::AggregateOp`] and [`join::JoinOp`]; the query's exit
+//! [`sink::SinkOp`].
 //!
-//! Everything the runtime spawns implements the [`Operator`] trait: a blocking `run`
-//! loop that consumes input elements, applies the operator semantics, calls the
-//! provenance hooks of the query's
+//! Everything the runtime spawns implements the [`Operator`] trait — a sealed chain
+//! as [`FusedOp`](crate::fusion::FusedOp), every other operator itself: a blocking
+//! `run` loop that consumes (or, at a Source, generates) input elements, applies the
+//! operator semantics, calls the provenance hooks of the query's
 //! [`ProvenanceSystem`](crate::provenance::ProvenanceSystem) whenever a new tuple is
 //! created, and pushes results downstream. The query builder
 //! ([`crate::query::Query`]) constructs operators and the runtime

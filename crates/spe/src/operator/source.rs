@@ -5,14 +5,21 @@
 //! the current wall-clock *stimulus*, asks the provenance system for the `SOURCE`
 //! metadata (§4.1) and forwards the tuple followed by a watermark, so downstream
 //! stateful operators can make deterministic progress.
+//!
+//! A Source is not an [`Operator`](crate::operator::Operator) of its own: its loop
+//! heads a fused chain ([`crate::fusion`]) and hands every tuple, watermark and
+//! barrier to the chain's sinks. The stateless stages the builder fuses behind it
+//! run on the source's thread, so a tuple a filter drops never crosses a channel;
+//! with nothing fusable behind it (or fusion off) the Source is a chain of one whose
+//! sinks are its output channel.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::channel::OutputSlot;
-use crate::error::SpeError;
+use crate::channel::ChannelClosed;
+use crate::fusion::Emit;
 use crate::metrics::OpCounters;
-use crate::operator::{now_nanos, Operator};
+use crate::operator::now_nanos;
 use crate::provenance::{ProvenanceSystem, SourceContext};
 use crate::state::{CheckpointHandle, Snapshot};
 use crate::time::Timestamp;
@@ -107,31 +114,28 @@ impl Default for SourceConfig {
     }
 }
 
-/// The Source operator runtime.
+/// The Source loop: the head of the fused chain that runs on the source's thread.
 #[derive(Debug)]
-pub struct SourceOp<G: SourceGenerator, P: ProvenanceSystem> {
+pub(crate) struct SourceOp<G: SourceGenerator, P: ProvenanceSystem> {
     name: String,
     source_id: u32,
     generator: G,
     config: SourceConfig,
-    output: OutputSlot<G::Item, P::Meta>,
     provenance: P,
     stop: Arc<AtomicBool>,
     checkpoints: CheckpointHandle,
 }
 
 impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
-    /// Creates a Source operator. When `checkpoints` is filled before the query is
-    /// deployed, the Source injects an epoch barrier every
+    /// Creates a Source. When `checkpoints` is filled before the query is deployed,
+    /// the Source injects an epoch barrier every
     /// [`interval`](crate::state::CheckpointConfig::interval) tuples and commits its
     /// replay offset for that epoch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         source_id: u32,
         generator: G,
         config: SourceConfig,
-        output: OutputSlot<G::Item, P::Meta>,
         provenance: P,
         stop: Arc<AtomicBool>,
         checkpoints: CheckpointHandle,
@@ -141,21 +145,28 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
             source_id,
             generator,
             config,
-            output,
             provenance,
             stop,
             checkpoints,
         }
     }
-}
 
-impl<G: SourceGenerator, P: ProvenanceSystem> Operator for SourceOp<G, P> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
-        let mut out = self.output.open();
+    /// Runs the source to the end of its generator (or the stop flag), handing each
+    /// tuple to `emit`, watermarks to `wm` and epoch barriers to `barrier` — the
+    /// sinks of the chain it heads. The source counts nothing itself: the chain
+    /// counts its `tuples_out` at the hand-off, and its gauges carry the head
+    /// stage's name, which is the source's.
+    ///
+    /// # Errors
+    /// Returns [`ChannelClosed`] as soon as a sink reports that the downstream
+    /// consumer has gone away: the source stops injecting.
+    pub(crate) fn run(
+        mut self,
+        counters: &OpCounters,
+        emit: &mut Emit<'_, G::Item, P::Meta>,
+        wm: &mut dyn FnMut(Timestamp) -> Result<(), ChannelClosed>,
+        barrier: &mut dyn FnMut(u64) -> Result<(), ChannelClosed>,
+    ) -> Result<(), ChannelClosed> {
         // Live load-shedding signals: how far the source has replayed and which
         // barrier epoch it last committed.
         let replay_offset = counters.gauge("genealog_source_replay_offset", &[]);
@@ -214,16 +225,11 @@ impl<G: SourceGenerator, P: ProvenanceSystem> Operator for SourceOp<G, P> {
                 ts,
             };
             let meta = self.provenance.source_meta(&ctx, &data);
-            let tuple = Arc::new(GTuple::new(ts, now_nanos(), data, meta));
-            if out.send_tuple(tuple).is_err() {
-                // Downstream shut down: stop injecting.
-                return Ok(());
-            }
+            emit(Arc::new(GTuple::new(ts, now_nanos(), data, meta)))?;
             seq += 1;
-            counters.inc_out();
             replay_offset.set(seq);
             if self.config.watermark_every > 0 && seq.is_multiple_of(self.config.watermark_every) {
-                let _ = out.send_watermark(ts);
+                wm(ts)?;
             }
             if let Some(ckpt) = &checkpoints {
                 if seq.is_multiple_of(ckpt.interval) {
@@ -233,21 +239,21 @@ impl<G: SourceGenerator, P: ProvenanceSystem> Operator for SourceOp<G, P> {
                     let epoch = seq / ckpt.interval;
                     ckpt.store.commit(&self.name, epoch, Snapshot::u64(seq));
                     barrier_epoch.set(epoch);
-                    let _ = out.send_barrier(epoch);
+                    barrier(epoch)?;
                 }
             }
         }
-        let _ = out.send_watermark(Timestamp::MAX);
-        let _ = out.send_end();
-        Ok(())
+        wm(Timestamp::MAX)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::stream_channel;
+    use crate::channel::{stream_channel, OutputSlot, StreamReceiver};
+    use crate::fusion::{PendingChain, SealableChain};
     use crate::operator::tests::run_bare;
+    use crate::operator::OperatorStats;
     use crate::provenance::NoProvenance;
     use crate::tuple::Element;
 
@@ -271,22 +277,36 @@ mod tests {
         ]);
     }
 
-    #[test]
-    fn source_op_emits_tuples_watermarks_and_end() {
+    /// Runs a source the way a query deploys one with nothing fusable behind it: a
+    /// sealed chain of one whose sinks write into a channel.
+    fn run_source(
+        generator: VecSource<i64>,
+        config: SourceConfig,
+        stop: bool,
+    ) -> (OperatorStats, StreamReceiver<i64, ()>) {
         let slot = OutputSlot::<i64, ()>::new();
-        let (tx, mut rx) = stream_channel(64);
+        let (tx, rx) = stream_channel(1024);
         slot.connect(tx);
         let op = SourceOp::new(
             "src",
             0,
-            VecSource::with_period(vec![1i64, 2, 3], 500),
-            SourceConfig::default(),
-            slot,
+            generator,
+            config,
             NoProvenance,
-            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(stop)),
             Default::default(),
         );
-        let stats = run_bare(op);
+        let chain = PendingChain::source(op, slot);
+        (run_bare(Box::new(chain).seal("src".into())), rx)
+    }
+
+    #[test]
+    fn source_op_emits_tuples_watermarks_and_end() {
+        let (stats, mut rx) = run_source(
+            VecSource::with_period(vec![1i64, 2, 3], 500),
+            SourceConfig::default(),
+            false,
+        );
         assert_eq!(stats.tuples_out, 3);
 
         let mut tuples = 0;
@@ -306,21 +326,11 @@ mod tests {
 
     #[test]
     fn source_op_respects_stop_flag() {
-        let slot = OutputSlot::<i64, ()>::new();
-        let (tx, mut rx) = stream_channel(1024);
-        slot.connect(tx);
-        let stop = Arc::new(AtomicBool::new(true));
-        let op = SourceOp::new(
-            "src",
-            0,
+        let (stats, mut rx) = run_source(
             VecSource::with_period((0..100i64).collect(), 1),
             SourceConfig::default(),
-            slot,
-            NoProvenance,
-            stop,
-            Default::default(),
+            true,
         );
-        let stats = run_bare(op);
         assert_eq!(stats.tuples_out, 0);
         // Still closes the stream.
         loop {
@@ -333,24 +343,15 @@ mod tests {
 
     #[test]
     fn rate_limited_source_takes_at_least_expected_time() {
-        let slot = OutputSlot::<i64, ()>::new();
-        let (tx, _rx) = stream_channel(1024);
-        slot.connect(tx);
-        let op = SourceOp::new(
-            "src",
-            0,
+        let start = std::time::Instant::now();
+        run_source(
             VecSource::with_period((0..20i64).collect(), 1),
             SourceConfig {
                 rate: RateLimit::TuplesPerSecond(1_000),
                 watermark_every: 1,
             },
-            slot,
-            NoProvenance,
-            Arc::new(AtomicBool::new(false)),
-            Default::default(),
+            false,
         );
-        let start = std::time::Instant::now();
-        run_bare(op);
         // 20 tuples at 1000 t/s should take at least ~19 ms.
         assert!(start.elapsed() >= std::time::Duration::from_millis(15));
     }

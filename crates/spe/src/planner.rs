@@ -15,10 +15,12 @@
 //!   [`ShardPlacement::Remote`](crate::query::ShardPlacement) route, e.g. the
 //!   `remote_shard_group_over` builder of the `genealog-distributed` crate).
 //! * **Fusion** — [`PlannerConfig::fusion`] is **on by default**: every eligible
-//!   stateless chain collapses into a single-thread fused pipeline, including the
-//!   per-shard chains of an open shard region. (The legacy
-//!   [`QueryConfig::fusion`](crate::query::QueryConfig) stays opt-in so existing
-//!   physical-layer callers keep their report shapes.)
+//!   stateless chain collapses into a single-thread fused pipeline — headed by the
+//!   Source that feeds it, if any — including the per-shard chains of an open shard
+//!   region. Fusing changes thread counts and report shapes, never counts: every
+//!   stage keeps its own ledger row. ([`QueryConfig::fusion`](crate::query::QueryConfig)
+//!   stays off by default, which keeps the one-report-per-operator shape that
+//!   physical-layer callers look operators up by.)
 //! * **Shard regions** — between a sharded stateful operator and its fan-in the plan
 //!   is an *open shard region* (`Lowered::Shards`): stateless operators lower to
 //!   per-shard stages inside the region (the planner-owned successor of the
@@ -42,9 +44,9 @@ use crate::tuple::TupleData;
 /// Configuration of the planner pass (see [`crate::logical`]).
 ///
 /// Mirrors [`QueryConfig`] with one deliberate difference: **fusion is on by
-/// default**. Fused chains report per-stage counters through
-/// [`OperatorReport::stages`](crate::runtime::OperatorReport), so nothing is lost by
-/// fusing; turn it off only to compare thread-per-operator execution.
+/// default**. Every fused stage keeps its own ledger row — in `/metrics` and in
+/// [`OperatorReport::stages`](crate::runtime::OperatorReport) — so nothing is lost
+/// by fusing; turn it off only to compare thread-per-operator execution.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Capacity (in elements) of the bounded channels between physical operators.

@@ -69,8 +69,8 @@ pub enum NodeKind {
     ShardedJoin,
     /// The provenance-safe fan-in reunifying shard outputs into one ordered stream.
     ShardMerge,
-    /// A fused chain of stateless operators running on one thread (see
-    /// [`crate::fusion`]).
+    /// A fused chain running on one thread: a Source or a stateless operator and
+    /// the stateless operators fused behind it (see [`crate::fusion`]).
     Fused,
     /// An operator provided by an extension crate (unfolders, Send/Receive, ...).
     Custom(&'static str),
@@ -244,10 +244,16 @@ pub struct QueryConfig {
     /// override it with [`Parallelism::instances`](crate::parallel::Parallelism::instances).
     pub parallelism: usize,
     /// Whether the physical-plan fusion pass collapses contiguous chains of
-    /// stateless single-input/single-output operators (filter → map → map …) into
-    /// single-thread fused pipelines with no intermediate channels (see
-    /// [`crate::fusion`]). Off by default: fused plans produce the same results and
-    /// provenance but report fused chains as one operator, so fusion is opt-in.
+    /// stateless single-input/single-output operators (filter → map → map …), and
+    /// the Source feeding one, into single-thread fused pipelines with no
+    /// intermediate channels (see [`crate::fusion`]). Fused plans produce the same
+    /// results and provenance, and every stage keeps its own ledger row, so
+    /// `/metrics` reads the same either way. What changes is the report's shape: a
+    /// fused chain is one [`OperatorReport`](crate::runtime::OperatorReport) named
+    /// `stage+stage…`, its stages listed in `stages`. Off by default here, so
+    /// physical-layer callers that look operators up by name keep the shape they
+    /// were written against; the planner
+    /// ([`PlannerConfig::fusion`](crate::planner::PlannerConfig)) fuses by default.
     pub fusion: bool,
     /// Whether the query publishes into a live [`MetricsRegistry`] (per-operator
     /// tuple counters, queue-depth gauges, back-pressure stall counters, sink
@@ -591,10 +597,11 @@ impl<P: ProvenanceSystem> Query<P> {
     /// [`FusedStage`]. This is the single construction path for Filter and Map:
     ///
     /// * if fusion is enabled and `input` is the tail stream of a pending fused
-    ///   chain with a compatible shard group, the stage *extends* that chain — no
-    ///   channel is allocated between the two stages;
+    ///   chain with a compatible shard group — a Source's, or another stateless
+    ///   stage's — the stage *extends* that chain: no channel is allocated between
+    ///   the two stages, and the stage runs on the chain head's thread;
     /// * otherwise the stage starts a new chain of length one, pulling from a
-    ///   regular channel out of the (unfusable) producer.
+    ///   regular channel out of the producer.
     ///
     /// Either way the node is sealed into a runnable [`FusedOp`](crate::fusion::FusedOp)
     /// at deployment time, so fused and unfused plans execute identical per-tuple
@@ -692,17 +699,26 @@ impl<P: ProvenanceSystem> Query<P> {
         let node = self.add_node(name, NodeKind::Source);
         let source_id = self.next_origin_id();
         let (slot, stream) = self.new_output_stream(node, format!("{name}.out"));
-        let op = SourceOp::new(
+        let source = SourceOp::new(
             name,
             source_id,
             generator,
             config,
-            slot,
             self.provenance.clone(),
             Arc::clone(&self.stop),
             Arc::clone(&self.checkpoints),
         );
-        self.set_operator(node, Box::new(op));
+        // The source heads a chain: stateless stages added on its stream run on its
+        // thread (see `add_fused_stage`).
+        self.fused_tails.insert(
+            node,
+            ChainEntry {
+                nodes: vec![node],
+                stages: vec![name.to_string()],
+                group: None,
+                pending: Box::new(PendingChain::source(source, slot)),
+            },
+        );
         stream
     }
 
@@ -1053,8 +1069,9 @@ impl<P: ProvenanceSystem> Query<P> {
     ///
     /// Shard-group members carry their shard count on the label (`×N`) and exchange
     /// edges (out of a Partition, into a ShardMerge) are drawn dashed. A fused chain
-    /// of two or more stateless stages renders as a single boxed node listing the
-    /// stage names; its channel-free internal edges are not drawn. Node names are
+    /// of two or more stages — a Source with the stateless stages behind it, or
+    /// stateless stages alone — renders as a single boxed node listing the stage
+    /// names; its channel-free internal edges are not drawn. Node names are
     /// escaped, so user-supplied names containing quotes or backslashes cannot break
     /// the DOT output.
     pub fn to_dot(&self) -> String {
@@ -1150,10 +1167,12 @@ impl<P: ProvenanceSystem> Query<P> {
     /// Validates the query, runs the physical-plan fusion pass and spawns one thread
     /// per physical operator.
     ///
-    /// The fusion pass seals every pending stateless chain collected by the builder:
-    /// a chain of one stage becomes an ordinary single-operator thread; a chain of
-    /// two or more stages becomes one [`FusedOp`](crate::fusion::FusedOp) thread
-    /// whose report still names the original operators (see
+    /// The fusion pass seals every pending chain collected by the builder — one per
+    /// Source and per stateless stage not fused into another: a chain of one stage
+    /// becomes an ordinary single-operator thread reporting under the stage's kind;
+    /// a chain of two or more stages becomes one
+    /// [`FusedOp`](crate::fusion::FusedOp) thread whose report still names the
+    /// original operators (see
     /// [`OperatorReport::stages`](crate::runtime::OperatorReport)). Every thread
     /// is handed its rows of the operator ledger ([`crate::metrics`]), minted here.
     ///
@@ -1181,14 +1200,13 @@ impl<P: ProvenanceSystem> Query<P> {
         let mut specs = Vec::with_capacity(self.nodes.len());
         for (id, node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
             if let Some(entry) = chains.remove(&id) {
-                let single = entry.nodes.len() == 1;
-                let name = if single {
+                let name = if entry.nodes.len() == 1 {
                     node.name.clone()
                 } else {
                     entry.stages.join("+")
                 };
                 specs.push(OperatorSpec {
-                    kind: if single { node.kind } else { NodeKind::Fused },
+                    head: node.kind,
                     grouped: entry.group.is_some(),
                     counters: OpCounters::mint(
                         &self.registry,
@@ -1208,7 +1226,7 @@ impl<P: ProvenanceSystem> Query<P> {
                 })?;
                 let logical = node.shard_group.as_ref().map_or(&node.name, |g| &g.name);
                 specs.push(OperatorSpec {
-                    kind: node.kind,
+                    head: node.kind,
                     grouped: node.shard_group.is_some(),
                     counters: OpCounters::mint(&self.registry, [logical.as_str()]),
                     op,
@@ -1449,18 +1467,25 @@ mod tests {
             "fusion must not change results"
         );
 
-        // Unfused: 4 threads/reports. Fused: filter+map collapse into one.
+        // Unfused: 4 threads/reports. Fused: source+filter+map collapse into one.
         assert_eq!(unfused_report.operator_stats().len(), 4);
-        assert_eq!(fused_report.operator_stats().len(), 3);
-        let chain = fused_report.operator("evens+double").expect("chain report");
+        assert_eq!(fused_report.operator_stats().len(), 2);
+        let chain = fused_report
+            .operator("numbers+evens+double")
+            .expect("chain report");
         assert_eq!(chain.kind, NodeKind::Fused);
-        assert_eq!(chain.stats.tuples_in, 10, "chain input = head stage input");
+        assert_eq!(
+            chain.stats.tuples_in, 0,
+            "chain input = head stage input, and a source has none"
+        );
         assert_eq!(
             chain.stats.tuples_out, 5,
             "chain output = tail stage output"
         );
         // The chain report still names the original operators, with their counters.
-        assert_eq!(chain.stages.len(), 2);
+        assert_eq!(chain.stages.len(), 3);
+        assert_eq!(fused_report.fused_stage("numbers").unwrap().tuples_out, 10);
+        assert_eq!(fused_report.source_tuples(), 10);
         let evens = fused_report.fused_stage("evens").expect("filter stage");
         assert_eq!(evens.tuples_in, 10);
         assert_eq!(evens.tuples_out, 5);
@@ -1508,14 +1533,17 @@ mod tests {
         let doubled = q.map_one("double", flt, |x| x * 2);
         let _ = q.collecting_sink("sink", doubled);
         let dot = q.to_dot();
-        // One boxed node lists both stage names; the member nodes are not drawn.
-        assert!(dot.contains("shape=box label=\"evens \u{2192} double\\n(fused)\""));
+        // One boxed node lists every stage name, the source first; the member nodes
+        // are not drawn.
+        assert!(dot
+            .contains("n0 [shape=box label=\"numbers \u{2192} evens \u{2192} double\\n(fused)\""));
+        assert!(!dot.contains("(source)"));
         assert!(!dot.contains("(filter)"));
         assert!(!dot.contains("(map)"));
-        // Edges route through the chain box (head node id 1): source -> chain -> sink.
-        assert!(dot.contains("n0 -> n1;\n"));
-        assert!(dot.contains("n1 -> n3;\n"));
-        // The channel-free internal edge is not drawn.
+        // Edges route through the chain box (head node id 0): chain -> sink.
+        assert!(dot.contains("n0 -> n3;\n"));
+        // The channel-free internal edges are not drawn.
+        assert!(!dot.contains("n0 -> n1"));
         assert!(!dot.contains("n1 -> n2"));
     }
 

@@ -29,6 +29,9 @@ use crate::query::NodeKind;
 pub struct OperatorReport {
     /// The operator's role in the query graph.
     pub kind: NodeKind,
+    /// The role of the thread's first stage: `kind` itself for a plain operator, the
+    /// head operator's kind for a fused chain (a Source, for a chain it heads).
+    pub head: NodeKind,
     /// Number of parallel shard instances folded into this report (1 for ordinary
     /// operators).
     pub instances: usize,
@@ -47,29 +50,34 @@ pub struct OperatorReport {
 impl OperatorReport {
     /// What one joined operator thread counted: the thread's boundary (head stage
     /// in, tail stage out) under its stage names joined with `+`, and, for a fused
-    /// chain, one record per stage.
-    fn of_thread(kind: NodeKind, counters: &OpCounters) -> Self {
+    /// chain, one record per stage. `head` is the kind of the thread's first stage;
+    /// a thread of more than one stage is a `Fused` chain.
+    fn of_thread(head: NodeKind, counters: &OpCounters) -> Self {
         let rows = counters.stages();
         let names: Vec<&str> = rows.iter().map(|row| row.name.as_str()).collect();
-        OperatorReport {
-            kind,
-            instances: 1,
-            stats: OperatorStats {
-                name: names.join("+"),
-                tuples_in: counters.tuples_in(),
-                tuples_out: counters.tuples_out(),
-            },
-            stages: match rows {
-                [_] => Vec::new(),
-                _ => rows
-                    .iter()
+        let (kind, stages) = match rows {
+            [_] => (head, Vec::new()),
+            _ => (
+                NodeKind::Fused,
+                rows.iter()
                     .map(|row| OperatorStats {
                         name: row.name.clone(),
                         tuples_in: row.tuples_in.get(),
                         tuples_out: row.tuples_out.get(),
                     })
                     .collect(),
+            ),
+        };
+        OperatorReport {
+            kind,
+            head,
+            instances: 1,
+            stats: OperatorStats {
+                name: names.join("+"),
+                tuples_in: counters.tuples_in(),
+                tuples_out: counters.tuples_out(),
             },
+            stages,
             latency: None,
         }
     }
@@ -133,12 +141,17 @@ impl QueryReport {
         self.wall_time
     }
 
-    /// Total number of tuples injected by all Sources.
+    /// Total number of tuples injected by all Sources: each Source's own ledger row,
+    /// whether it runs alone or heads a fused chain.
     pub fn source_tuples(&self) -> u64 {
         self.operators
             .iter()
-            .filter(|o| o.kind == NodeKind::Source)
-            .map(|o| o.stats.tuples_out)
+            .filter(|o| o.head == NodeKind::Source)
+            .map(|o| {
+                o.stages
+                    .first()
+                    .map_or(o.stats.tuples_out, |s| s.tuples_out)
+            })
             .sum()
     }
 
@@ -248,7 +261,8 @@ impl QueryReport {
 /// What the runtime spawns for one physical operator: the boxed run loop, its
 /// ledger rows, and the reporting metadata.
 pub(crate) struct OperatorSpec {
-    pub(crate) kind: NodeKind,
+    /// The kind of the thread's first stage (see [`OperatorReport::head`]).
+    pub(crate) head: NodeKind,
     /// Whether the thread is one shard instance of a group. Its rows are then tagged
     /// with the group name and [`QueryHandle::wait`] folds it with its siblings.
     pub(crate) grouped: bool,
@@ -259,7 +273,7 @@ pub(crate) struct OperatorSpec {
 /// A joinable operator thread with the runtime's clone of its ledger rows.
 #[derive(Debug)]
 struct OperatorThread {
-    kind: NodeKind,
+    head: NodeKind,
     /// The operator's physical name, for the panic report.
     name: String,
     grouped: bool,
@@ -340,7 +354,7 @@ impl QueryHandle {
             match thread.handle.join() {
                 Ok(Ok(())) => {
                     // The thread has finished, so its rows are final.
-                    let report = OperatorReport::of_thread(thread.kind, &thread.counters);
+                    let report = OperatorReport::of_thread(thread.head, &thread.counters);
                     if thread.grouped {
                         fold_report(&mut operators, &mut group_index, report);
                     } else {
@@ -394,7 +408,7 @@ impl Runtime {
             .into_iter()
             .map(|spec| {
                 let OperatorSpec {
-                    kind,
+                    head,
                     grouped,
                     counters,
                     op,
@@ -457,7 +471,7 @@ impl Runtime {
                     })
                     .expect("failed to spawn operator thread");
                 OperatorThread {
-                    kind,
+                    head,
                     name,
                     grouped,
                     counters,
@@ -489,6 +503,7 @@ mod tests {
         stats.tuples_out = tuples_out;
         OperatorReport {
             kind: NodeKind::Aggregate,
+            head: NodeKind::Aggregate,
             instances: 1,
             stats,
             stages: stages
@@ -614,7 +629,7 @@ mod tests {
         let rendered = report.render_operators();
         // The chain row names the fused thread; the indented rows keep the
         // original operators' counters visible.
-        assert!(rendered.contains("evens+double"));
+        assert!(rendered.contains("numbers+evens+double"));
         assert!(rendered.contains("\u{21b3} evens"));
         assert!(rendered.contains("\u{21b3} double"));
         assert!(rendered.contains("(fused)"));

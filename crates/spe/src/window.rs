@@ -58,25 +58,24 @@ impl WindowSpec {
         Self::new(size, size)
     }
 
-    /// The window starts a tuple with timestamp `ts` belongs to, in increasing order.
-    pub fn window_starts(&self, ts: Timestamp) -> Vec<Timestamp> {
-        let mut starts =
-            Vec::with_capacity((self.size.as_millis() / self.advance.as_millis()) as usize + 1);
-        let mut start = ts.align_down(self.advance);
-        loop {
-            // Window [start, start + size) contains ts.
-            if start + self.size > ts {
-                starts.push(start);
-            } else {
-                break;
-            }
-            if start == Timestamp::MIN {
-                break;
-            }
-            start = start.saturating_sub(self.advance);
-        }
-        starts.reverse();
-        starts
+    /// The window starts a tuple with timestamp `ts` belongs to, in increasing order:
+    /// every multiple of the advance in `(ts - size, ts]`. Computed, not collected,
+    /// so assigning a tuple to its windows allocates nothing.
+    pub fn window_starts(&self, ts: Timestamp) -> impl Iterator<Item = Timestamp> {
+        let (ts, size, advance) = (
+            ts.as_millis(),
+            self.size.as_millis(),
+            self.advance.as_millis(),
+        );
+        // The earliest window [start, start + size) still containing ts: the first
+        // aligned start past ts - size, or the origin.
+        let first = ts
+            .checked_sub(size)
+            .map_or(0, |gap| (gap / advance + 1) * advance);
+        let last = ts - ts % advance;
+        (first..=last)
+            .step_by(advance as usize)
+            .map(Timestamp::from_millis)
     }
 
     /// Number of windows a single tuple participates in.
@@ -334,17 +333,18 @@ mod tests {
         // WS = 120s, WA = 30s, as in query Q1.
         let spec = WindowSpec::new(Duration::from_secs(120), Duration::from_secs(30)).unwrap();
         assert_eq!(spec.windows_per_tuple(), 4);
+        let starts = |ts| spec.window_starts(ts).collect::<Vec<_>>();
         // Tuple at 08:00:01 (simplified to 1s from origin): windows starting at 0 only
         // (earlier starts would be negative).
-        assert_eq!(spec.window_starts(secs(1)), vec![secs(0)]);
+        assert_eq!(starts(secs(1)), vec![secs(0)]);
         // Tuple at 121s: windows starting at 30, 60, 90, 120.
         assert_eq!(
-            spec.window_starts(secs(121)),
+            starts(secs(121)),
             vec![secs(30), secs(60), secs(90), secs(120)]
         );
         // Tuple exactly on a window boundary belongs to the window starting there.
         assert_eq!(
-            spec.window_starts(secs(120)),
+            starts(secs(120)),
             vec![secs(30), secs(60), secs(90), secs(120)]
         );
     }
@@ -352,9 +352,25 @@ mod tests {
     #[test]
     fn tumbling_window_assigns_each_tuple_once() {
         let spec = WindowSpec::tumbling(Duration::from_secs(30)).unwrap();
-        assert_eq!(spec.window_starts(secs(29)), vec![secs(0)]);
-        assert_eq!(spec.window_starts(secs(30)), vec![secs(30)]);
+        let starts = |ts| spec.window_starts(ts).collect::<Vec<_>>();
+        assert_eq!(starts(secs(29)), vec![secs(0)]);
+        assert_eq!(starts(secs(30)), vec![secs(30)]);
         assert_eq!(spec.windows_per_tuple(), 1);
+    }
+
+    /// A size that is not a multiple of the advance: starts in `(ts - size, ts]`.
+    #[test]
+    fn window_starts_with_a_ragged_size() {
+        let spec = WindowSpec::new(Duration::from_millis(100), Duration::from_millis(30)).unwrap();
+        let starts = |ms| {
+            spec.window_starts(Timestamp::from_millis(ms))
+                .map(Timestamp::as_millis)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(starts(0), vec![0]);
+        assert_eq!(starts(99), vec![0, 30, 60, 90]);
+        assert_eq!(starts(100), vec![30, 60, 90]);
+        assert_eq!(starts(130), vec![60, 90, 120]);
     }
 
     #[test]

@@ -510,9 +510,16 @@ fn scrape_and_report_agree_per_logical_name_fused_and_sharded() {
     assert_eq!(fused["sink"], (fused["busy"].1, 0));
     assert_eq!(fused_sunk as u64, fused["busy"].1);
     assert!((1..6).contains(&fused_sunk), "the shard filter drops some");
-    // And how it was cut: fused, keep and scale are stages of one thread; the
-    // per-shard filter is three threads under one name either way.
-    assert_eq!(fused_report.operator("keep+scale").unwrap().stages.len(), 2);
+    // And how it was cut: fused, readings, keep and scale are stages of one thread;
+    // the per-shard filter is three threads under one name either way.
+    assert_eq!(
+        fused_report
+            .operator("readings+keep+scale")
+            .unwrap()
+            .stages
+            .len(),
+        3
+    );
     assert!(fused_report.fused_stage("keep").is_some());
     assert!(unfused_report.operator("keep").unwrap().stages.is_empty());
     assert!(unfused_report.fused_stage("keep").is_none());

@@ -378,10 +378,13 @@ fn default_fusion_keeps_per_stage_counters() {
     let q = plan.lower().unwrap();
     let report = q.deploy().unwrap().wait().unwrap();
 
-    // Pre-exchange chain: keep+scale fused into one thread, stages preserved.
-    let chain = report.operator("keep+scale").expect("pre-exchange chain");
+    // Pre-exchange chain: keep+scale fused behind the source into one thread,
+    // stages preserved.
+    let chain = report
+        .operator("readings+keep+scale")
+        .expect("pre-exchange chain");
     assert_eq!(chain.kind, NodeKind::Fused);
-    assert_eq!(chain.stages.len(), 2);
+    assert_eq!(chain.stages.len(), 3);
     let keep_stage = report.fused_stage("keep").expect("keep stage");
     assert_eq!(keep_stage.tuples_in, 120);
     assert!(keep_stage.tuples_out < 120);

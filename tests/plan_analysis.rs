@@ -271,7 +271,11 @@ fn gl031_compares_operator_threads_against_host_cpus() {
     let analyzed = plan.analyze().unwrap();
 
     let mut facts = analyzed.facts;
-    assert!(facts.threads >= 2, "source/aggregate/sink cannot fuse");
+    assert!(
+        facts.threads >= 2,
+        "a source heads a chain of stateless stages only: the aggregate and the sink \
+         each run their own thread"
+    );
     facts.host_cpus = 1;
     let report = genealog_analysis::analyze(&facts);
     let d = report.with_code("GL031").next().expect("GL031 fires");
@@ -283,6 +287,43 @@ fn gl031_compares_operator_threads_against_host_cpus() {
         !report.has_code("GL031"),
         "enough CPUs silences the warning"
     );
+}
+
+/// An `lr_q1`-shaped plan (`source → filter → aggregate → filter → sink`): with
+/// fusion on, the first filter runs on the source's thread, so the facts count one
+/// thread fewer, mark the source→filter edge channel-free, and the DOT export draws
+/// the source inside the chain box.
+#[test]
+fn a_source_heads_its_chain_in_the_facts_and_the_dot_export() {
+    let lower = |fusion: bool| {
+        let plan =
+            LogicalPlan::with_config(NoProvenance, PlannerConfig::default().with_fusion(fusion));
+        let _sink = plan
+            .source("reports", VecSource::new(reports(16)))
+            .filter("q1-speed0", keep)
+            .aggregate("q1-count", window_spec(), sum_key, sum_window, sum_key)
+            .filter("q1-alert", busy)
+            .collecting_sink("sink");
+        plan.lower().unwrap()
+    };
+    let (fused, unfused) = (lower(true), lower(false));
+    let (on, off) = (fused.plan_facts(), unfused.plan_facts());
+    assert_eq!(on.threads + 1, off.threads);
+    let source_edge = |facts: &genealog_analysis::PlanFacts| {
+        let edge = facts
+            .edges
+            .iter()
+            .find(|e| facts.node_name(e.from) == "reports")
+            .expect("the source has an outgoing edge");
+        assert_eq!(facts.node_name(edge.to), "q1-speed0");
+        edge.fused
+    };
+    assert!(source_edge(&on), "fused: no channel behind the source");
+    assert!(!source_edge(&off));
+    assert!(fused
+        .to_dot()
+        .contains("[shape=box label=\"reports \u{2192} q1-speed0\\n(fused)\"]"));
+    assert!(!unfused.to_dot().contains("(fused)"));
 }
 
 #[test]

@@ -129,7 +129,7 @@ proptest! {
         let size = Duration::from_millis(advance.as_millis() * size_steps);
         let spec = WindowSpec::new(size, advance).unwrap();
         let ts = Timestamp::from_millis(ts);
-        let starts = spec.window_starts(ts);
+        let starts: Vec<Timestamp> = spec.window_starts(ts).collect();
         prop_assert!(!starts.is_empty());
         // Every reported window contains the tuple; windows are aligned to the advance.
         for start in &starts {
