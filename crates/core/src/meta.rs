@@ -13,7 +13,15 @@
 //! host process' garbage collector; here they are `Arc` references
 //! ([`ProvRef`] = `Arc<dyn ProvNode>`), which gives the same property: a tuple stays
 //! alive exactly as long as something downstream still references it, and is reclaimed
-//! the moment nothing does (challenge C2).
+//! once nothing does (challenge C2).
+//!
+//! *Which thread* reclaims it is the engine's choice. When a sink is the last holder
+//! of a tuple with upstream pointers ([`GeneaLog`](crate::GeneaLog)'s
+//! `owns_graph`), it hands the tuple to the query's running Sources, and one of them
+//! drops the whole graph — a closed window's source and map tuples — on its own
+//! thread, which allocated those nodes. With no Source running (a query headed by a
+//! Receive, or a window that closes at the end of the stream) the sink drops it in
+//! place.
 
 use std::any::Any;
 use std::fmt;
@@ -274,6 +282,12 @@ impl GlMeta {
 /// the successor has no other owner, take over *its* successor before letting it go,
 /// so every node is freed with `N` already empty. The walk stops at the first node
 /// somebody else still references; that owner keeps the rest alive.
+///
+/// For a closed window this runs on a Source's thread while one is running: the
+/// sink that holds the window's output last retires it to the Source, which
+/// allocated the window's tuples, so the frees stay in that thread's allocator
+/// arena instead of contending for its lock from the sink. Otherwise it runs
+/// wherever the last holder lets go.
 impl Drop for GlMeta {
     fn drop(&mut self) {
         let mut next = self.next.cell.take();
@@ -447,8 +461,16 @@ mod tests {
     #[test]
     fn gl_meta_is_fixed_size() {
         // The metadata footprint must not depend on the number of contributing source
-        // tuples (challenge C1). Two pointers + option id/kind + next cell.
-        let size = std::mem::size_of::<GlMeta>();
-        assert!(size <= 96, "GlMeta unexpectedly large: {size} bytes");
+        // tuples (challenge C1). Pinned exactly, as the baseline a node-layout change
+        // is measured against:
+        //   id   `TupleId` (u32 origin + u64 seq, 4 padding)          16
+        //   u1   `Option<Arc<dyn ProvNode>>` (fat pointer, niche)       16
+        //   u2   the same                                               16
+        //   next `OnceLock<Arc<dyn ProvNode>>` (u32 state + 4 padding)  24
+        //   kind `OpKind` (one byte, padded to the 8-byte alignment)     8
+        assert_eq!(std::mem::size_of::<GlMeta>(), 80);
+        // A chain-node tuple: ts 8 + stimulus 8 + payload `(u32, i64)` 16 + meta 80.
+        // Its `Arc` allocation adds the two 8-byte reference counts: 128 bytes.
+        assert_eq!(std::mem::size_of::<GTuple<(u32, i64), GlMeta>>(), 112);
     }
 }

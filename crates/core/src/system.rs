@@ -135,6 +135,12 @@ impl ProvenanceSystem for GeneaLog {
     fn detach_meta(&self, meta: &GlMeta) -> GlMeta {
         meta.detach()
     }
+
+    /// A tuple with an upstream pointer is the root of a contribution graph; a
+    /// source or remote leaf has nothing behind it.
+    fn owns_graph(meta: &GlMeta) -> bool {
+        meta.u1.is_some() || meta.u2.is_some()
+    }
 }
 
 #[cfg(test)]
@@ -173,6 +179,10 @@ mod tests {
         assert!(t.meta.u1.is_none());
         assert!(t.meta.u2.is_none());
         assert!(!t.meta.next.is_set());
+        assert!(
+            !GeneaLog::owns_graph(&t.meta),
+            "a leaf has nothing behind it"
+        );
     }
 
     #[test]
@@ -183,6 +193,7 @@ mod tests {
         assert_eq!(map_meta.kind, OpKind::Map);
         assert_eq!(map_meta.u1.as_ref().unwrap().id(), input.meta.id);
         assert!(map_meta.u2.is_none());
+        assert!(GeneaLog::owns_graph(&map_meta));
         let mux_meta = gl.multiplex_meta(&input);
         assert_eq!(mux_meta.kind, OpKind::Multiplex);
         assert_eq!(mux_meta.u1.as_ref().unwrap().id(), input.meta.id);

@@ -56,6 +56,7 @@ pub mod planner;
 pub mod provenance;
 pub mod query;
 pub mod queue;
+pub(crate) mod reclaim;
 pub mod runtime;
 pub mod state;
 pub mod time;

@@ -4,6 +4,11 @@
 //! used by the evaluation (time between the *stimulus* of the latest contributing
 //! source tuple and the production of the sink tuple) and optionally collect tuples
 //! in memory for inspection by tests and examples.
+//!
+//! A sink tuple the sink is the last holder of, and whose metadata holds a
+//! provenance graph ([`ProvenanceSystem::owns_graph`]), is not dropped here: once
+//! the callback returns it goes to the query's reclaimer, and a running Source
+//! frees the graph on the thread that allocated it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,7 +19,8 @@ use crate::channel::StreamReceiver;
 use crate::error::SpeError;
 use crate::metrics::OpCounters;
 use crate::operator::{now_nanos, Operator};
-use crate::provenance::MetaData;
+use crate::provenance::ProvenanceSystem;
+use crate::reclaim::Reclaimer;
 use crate::state::{CheckpointHandle, Snapshot};
 use crate::tuple::{Element, GTuple, TupleData};
 
@@ -139,36 +145,39 @@ impl<T, M> CollectedStream<T, M> {
 }
 
 /// The Sink operator runtime.
-pub struct SinkOp<T, M, F> {
+pub struct SinkOp<T, P: ProvenanceSystem, F> {
     name: String,
-    input: StreamReceiver<T, M>,
+    input: StreamReceiver<T, P::Meta>,
     callback: F,
     stats: Arc<SinkStats>,
     /// The collection backing a collecting sink, if any: it doubles as the sink's
     /// checkpointable state (the output prefix committed at each epoch barrier).
-    collected: Option<CollectedStream<T, M>>,
+    collected: Option<CollectedStream<T, P::Meta>>,
     checkpoints: CheckpointHandle,
+    reclaimer: Arc<Reclaimer>,
 }
 
-impl<T, M, F> SinkOp<T, M, F>
+impl<T, P, F> SinkOp<T, P, F>
 where
     T: TupleData,
-    M: MetaData,
-    F: FnMut(&Arc<GTuple<T, M>>) + Send + 'static,
+    P: ProvenanceSystem,
+    F: FnMut(&Arc<GTuple<T, P::Meta>>) + Send + 'static,
 {
     /// Creates a Sink operator invoking `callback` for every sink tuple.
     ///
     /// `collected` names the collection the callback feeds, if any; it becomes the
     /// sink's checkpointable state. Sinks without collection state still participate
     /// in checkpoints (committing an empty snapshot) so that a complete epoch
-    /// guarantees the barrier reached every query output.
-    pub fn new(
+    /// guarantees the barrier reached every query output. A tuple whose graph the
+    /// sink is the last holder of goes to `reclaimer` once the callback returns.
+    pub(crate) fn new(
         name: impl Into<String>,
-        input: StreamReceiver<T, M>,
+        input: StreamReceiver<T, P::Meta>,
         callback: F,
         stats: Arc<SinkStats>,
-        collected: Option<CollectedStream<T, M>>,
+        collected: Option<CollectedStream<T, P::Meta>>,
         checkpoints: CheckpointHandle,
+        reclaimer: Arc<Reclaimer>,
     ) -> Self {
         SinkOp {
             name: name.into(),
@@ -177,15 +186,16 @@ where
             stats,
             collected,
             checkpoints,
+            reclaimer,
         }
     }
 }
 
-impl<T, M, F> Operator for SinkOp<T, M, F>
+impl<T, P, F> Operator for SinkOp<T, P, F>
 where
     T: TupleData,
-    M: MetaData,
-    F: FnMut(&Arc<GTuple<T, M>>) + Send + 'static,
+    P: ProvenanceSystem,
+    F: FnMut(&Arc<GTuple<T, P::Meta>>) + Send + 'static,
 {
     fn name(&self) -> &str {
         &self.name
@@ -200,7 +210,7 @@ where
             if let Some(snapshot) = ckpt.store.restore_snapshot(&self.name) {
                 if let (Some(collected), Some(prefix)) = (
                     &self.collected,
-                    snapshot.downcast::<Vec<Arc<GTuple<T, M>>>>(),
+                    snapshot.downcast::<Vec<Arc<GTuple<T, P::Meta>>>>(),
                 ) {
                     collected.restore(prefix.as_ref().clone());
                 }
@@ -215,6 +225,11 @@ where
                         self.stats.record(latency);
                         latency_histogram.record(latency);
                         (self.callback)(&tuple);
+                        // The last holder of a graph frees it on a Source's thread,
+                        // which allocated it; anything else just drops a reference.
+                        if P::owns_graph(&tuple.meta) && Arc::strong_count(&tuple) == 1 {
+                            self.reclaimer.retire(tuple);
+                        }
                     }
                     Element::Watermark(_) => {}
                     Element::Barrier(epoch) => {
@@ -238,6 +253,7 @@ mod tests {
     use super::*;
     use crate::channel::stream_channel;
     use crate::operator::tests::run_bare;
+    use crate::provenance::NoProvenance;
     use crate::time::Timestamp;
 
     #[test]
@@ -258,13 +274,14 @@ mod tests {
             .unwrap();
         tx.send(Element::End).unwrap();
 
-        let op = SinkOp::new(
+        let op = SinkOp::<_, NoProvenance, _>::new(
             "sink",
             rx,
             move |t: &Arc<GTuple<i64, ()>>| collected_in_cb.lock().push(t.data),
             Arc::clone(&stats),
             None,
             Default::default(),
+            Reclaimer::new(),
         );
         let op_stats = run_bare(op);
         assert_eq!(op_stats.tuples_in, 1);

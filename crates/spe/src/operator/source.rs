@@ -12,6 +12,10 @@
 //! run on the source's thread, so a tuple a filter drops never crosses a channel;
 //! with nothing fusable behind it (or fusion off) the Source is a chain of one whose
 //! sinks are its output channel.
+//!
+//! The thread that allocates a query's source tuples also frees the provenance
+//! graphs built from them: while its loop runs, a Source drains the query's
+//! reclaimer between tuples (see the `reclaim` module).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -21,6 +25,7 @@ use crate::fusion::Emit;
 use crate::metrics::OpCounters;
 use crate::operator::now_nanos;
 use crate::provenance::{ProvenanceSystem, SourceContext};
+use crate::reclaim::Reclaimer;
 use crate::state::{CheckpointHandle, Snapshot};
 use crate::time::Timestamp;
 use crate::tuple::{GTuple, TupleData};
@@ -124,13 +129,16 @@ pub(crate) struct SourceOp<G: SourceGenerator, P: ProvenanceSystem> {
     provenance: P,
     stop: Arc<AtomicBool>,
     checkpoints: CheckpointHandle,
+    reclaimer: Arc<Reclaimer>,
 }
 
 impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
     /// Creates a Source. When `checkpoints` is filled before the query is deployed,
     /// the Source injects an epoch barrier every
     /// [`interval`](crate::state::CheckpointConfig::interval) tuples and commits its
-    /// replay offset for that epoch.
+    /// replay offset for that epoch. While its loop runs it frees the provenance
+    /// graphs the query's sinks retire into `reclaimer`.
+    #[allow(clippy::too_many_arguments)] // one handle per query-wide service
     pub(crate) fn new(
         name: impl Into<String>,
         source_id: u32,
@@ -139,6 +147,7 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
         provenance: P,
         stop: Arc<AtomicBool>,
         checkpoints: CheckpointHandle,
+        reclaimer: Arc<Reclaimer>,
     ) -> Self {
         SourceOp {
             name: name.into(),
@@ -148,6 +157,7 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
             provenance,
             stop,
             checkpoints,
+            reclaimer,
         }
     }
 
@@ -155,7 +165,8 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
     /// tuple to `emit`, watermarks to `wm` and epoch barriers to `barrier` — the
     /// sinks of the chain it heads. The source counts nothing itself: the chain
     /// counts its `tuples_out` at the hand-off, and its gauges carry the head
-    /// stage's name, which is the source's.
+    /// stage's name, which is the source's. Between two tuples it drops the graphs
+    /// the sinks retired (one relaxed load when there are none).
     ///
     /// # Errors
     /// Returns [`ChannelClosed`] as soon as a sink reports that the downstream
@@ -198,11 +209,14 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
         }
         let start = std::time::Instant::now();
         let base_seq = seq;
+        // Leaves when dropped: on every return, `?` included, and while unwinding.
+        let mut drainer = self.reclaimer.enter();
 
         while let Some((ts, data)) = self.generator.next_tuple() {
             if self.stop.load(Ordering::Relaxed) {
                 break;
             }
+            drainer.drain();
             debug_assert!(
                 ts >= last_ts,
                 "source generator produced out-of-order tuples"
@@ -295,6 +309,7 @@ mod tests {
             NoProvenance,
             Arc::new(AtomicBool::new(stop)),
             Default::default(),
+            Reclaimer::new(),
         );
         let chain = PendingChain::source(op, slot);
         (run_bare(Box::new(chain).seal("src".into())), rx)

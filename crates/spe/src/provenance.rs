@@ -108,6 +108,16 @@ pub trait ProvenanceSystem: Clone + Send + Sync + 'static {
     /// (kind, id, `U1`/`U2` back-pointers into the already-frozen part of the
     /// provenance graph) are cloned as-is.
     fn detach_meta(&self, meta: &Self::Meta) -> Self::Meta;
+
+    /// Whether a tuple carrying `meta` holds upstream tuples alive through it — a
+    /// contribution graph that its last holder frees. A sink that is the last holder
+    /// of such a tuple hands it to a running Source to drop on the thread that
+    /// allocated the graph (the engine's `reclaim` module); a tuple without one is
+    /// dropped where it is. No graph by default.
+    #[inline]
+    fn owns_graph(_meta: &Self::Meta) -> bool {
+        false
+    }
 }
 
 /// Clones a buffered tuple for a checkpoint restore: same timestamp, stimulus and

@@ -32,6 +32,7 @@ use crate::operator::source::{SourceConfig, SourceGenerator, SourceOp};
 use crate::operator::union::UnionOp;
 use crate::operator::{FusedStage, Operator};
 use crate::provenance::ProvenanceSystem;
+use crate::reclaim::Reclaimer;
 use crate::runtime::{OperatorSpec, QueryHandle, Runtime};
 use crate::state::{CheckpointConfig, CheckpointHandle};
 use crate::time::Duration;
@@ -333,6 +334,9 @@ pub struct Query<P: ProvenanceSystem> {
     /// Checks run at deployment time to detect dangling output streams.
     slot_checks: Vec<(String, Box<dyn Fn() -> bool + Send>)>,
     stop: Arc<AtomicBool>,
+    /// Where sinks retire the provenance graphs they free, for the running Sources
+    /// to drop on their own threads (see [`crate::reclaim`]).
+    reclaimer: Arc<Reclaimer>,
     next_origin: u32,
     /// Checkpoint configuration shared with every checkpoint-aware operator. The
     /// cell is handed to operators at construction time and read when they start
@@ -363,6 +367,7 @@ impl<P: ProvenanceSystem> Query<P> {
             fused_tails: HashMap::new(),
             slot_checks: Vec::new(),
             stop: Arc::new(AtomicBool::new(false)),
+            reclaimer: Reclaimer::new(),
             next_origin: 0,
             checkpoints: Arc::new(OnceLock::new()),
             registry: if config.metrics {
@@ -707,6 +712,7 @@ impl<P: ProvenanceSystem> Query<P> {
             self.provenance.clone(),
             Arc::clone(&self.stop),
             Arc::clone(&self.checkpoints),
+            Arc::clone(&self.reclaimer),
         );
         // The source heads a chain: stateless stages added on its stream run on its
         // thread (see `add_fused_stage`).
@@ -980,13 +986,14 @@ impl<P: ProvenanceSystem> Query<P> {
     {
         let node = self.add_node(name, NodeKind::Sink);
         let rx = self.attach_input(input, node);
-        let op = SinkOp::new(
+        let op = SinkOp::<T, P, F>::new(
             name,
             rx,
             callback,
             stats,
             collected,
             Arc::clone(&self.checkpoints),
+            Arc::clone(&self.reclaimer),
         );
         self.set_operator(node, Box::new(op));
     }
@@ -1246,12 +1253,26 @@ impl<P: ProvenanceSystem> Query<P> {
     }
 
     /// Registers the registry collectors: per-logical-operator tuple counters (the
-    /// sum over every ledger row carrying the name — shard instances, fused stages)
-    /// and the checkpoint-path gauges.
+    /// sum over every ledger row carrying the name — shard instances, fused stages),
+    /// the reclaimer's hand-off readings and the checkpoint-path gauges.
     fn register_collectors(&self, specs: &[OperatorSpec]) {
         if !self.registry.is_enabled() {
             return;
         }
+        // How much dead provenance the sinks have handed to the Sources, and how
+        // much is waiting for one right now. Read under the reclaimer's lock at
+        // scrape time; nothing is counted per tuple.
+        let (retired, pending) = (Arc::clone(&self.reclaimer), Arc::clone(&self.reclaimer));
+        self.registry.counter_fn(
+            "genealog_reclaim_retired_total",
+            &[],
+            Arc::new(move || retired.retired_total()),
+        );
+        self.registry.gauge_fn(
+            "genealog_reclaim_pending",
+            &[],
+            Arc::new(move || pending.pending()),
+        );
         type Column = Vec<Arc<genealog_metrics::Counter>>;
         let mut by_name: std::collections::BTreeMap<&str, (Column, Column)> = Default::default();
         for row in specs.iter().flat_map(|spec| spec.counters.stages()) {
