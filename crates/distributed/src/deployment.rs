@@ -45,7 +45,7 @@ use genealog::{
 };
 use genealog_baseline::AriadneBaseline;
 
-use crate::endpoint::{ReceiveOp, SendOp, WireProvenance};
+use crate::endpoint::{ReceiveOp, SendTail, WireProvenance};
 use crate::network::{
     FrameSink, FrameSource, LinkSender, LinkStats, NetworkConfig, SharedLink, SimulatedLink,
 };
@@ -65,9 +65,8 @@ where
     L: FrameSink,
 {
     let node = q.add_node(name, NodeKind::Custom("send"));
-    let rx = q.attach_input(stream, node);
-    let op = SendOp::new(name, rx, link, q.provenance().clone());
-    q.set_operator(node, Box::new(op));
+    let send = SendTail::open(link, q.provenance().clone());
+    q.set_tail(node, stream, send);
     node
 }
 
@@ -574,7 +573,7 @@ pub type ShardGroupDeployment<P, I, O> = (Vec<ShardPlacement<P, I, O>>, RemoteSh
 /// provenance system and transport.
 ///
 /// For each of the `instances` shards this spawns a dedicated SPE instance running
-/// `ReceiveOp → (the plan built by `build`) → SendOp`, connected to the origin by the
+/// `Receive → (the plan built by `build`) → Send`, connected to the origin by the
 /// forward and return links `transport` builds ([`SimulatedTransport`] for
 /// in-process links, `TcpLoopbackTransport` for real sockets, either wrapped in a
 /// fault decorator by the recovery tests). The returned placements splice each shard

@@ -6,11 +6,12 @@
 //! hook — the received tuple is tagged `REMOTE` unless it was a source tuple at the
 //! sending side, exactly as the paper's instrumented Send prescribes (§4.1).
 //!
-//! The framing is **batch-aware**: Send drains its input in batches (the engine's
-//! batched transport, PR 1) and packs each run of consecutive data tuples into one
-//! [`WireFrame::Tuples`] frame, so the per-frame overhead of the link (channel send,
-//! simulated store-and-forward, per-frame latency) is amortised over the batch, just
-//! as the in-process channels amortise their synchronisation cost. Watermarks and the
+//! Send is the tail of its chain ([`Tail`]). The framing is **batch-aware**: the
+//! chain's pump marks the end of every upstream batch, and Send packs each run of
+//! consecutive data tuples into one [`WireFrame::Tuples`] frame, so the per-frame
+//! overhead of the link (channel send, simulated store-and-forward, per-frame
+//! latency) is amortised over the batch, just as the in-process channels amortise
+//! their synchronisation cost. Watermarks and the
 //! end-of-stream marker flush the pending run and travel as frames of their own,
 //! preserving the engine's ordering semantics across the wire.
 //!
@@ -20,22 +21,23 @@
 
 use std::sync::Arc;
 
-use genealog_spe::channel::{OutputSlot, StreamReceiver};
+use genealog_spe::channel::{ChannelClosed, OutputSlot};
 use genealog_spe::error::SpeError;
+use genealog_spe::fusion::Tail;
 use genealog_spe::impl_codec_struct;
 use genealog_spe::metrics::OpCounters;
 use genealog_spe::operator::Operator;
 use genealog_spe::provenance::{NoProvenance, ProvenanceSystem, RemoteContext};
 use genealog_spe::query::{Query, StreamRef};
 use genealog_spe::state::CheckpointHandle;
-use genealog_spe::tuple::{Element, GTuple, TupleData, TupleId};
+use genealog_spe::tuple::{GTuple, TupleData, TupleId};
 use genealog_spe::Timestamp;
 
 use genealog::{attach_unfolder, GeneaLog, GlMeta, OpKind, UnfoldedTuple};
 use genealog_baseline::{AriadneBaseline, BlMeta};
 
 use crate::deployment::add_send;
-use crate::network::{FrameSink, FrameSource, LinkReceiver, LinkSender};
+use crate::network::{FrameSink, FrameSource, LinkReceiver};
 use crate::wire::{WireDecode, WireEncode, WireError, WireReader};
 
 /// The provenance-dependent information a Send operator attaches to each frame: the
@@ -276,18 +278,6 @@ impl TupleFrameBuilder {
     }
 }
 
-fn encode_watermark_frame(ts: Timestamp) -> Vec<u8> {
-    WireFrame::<()>::Watermark(ts).to_bytes()
-}
-
-fn encode_barrier_frame(epoch: u64) -> Vec<u8> {
-    WireFrame::<()>::Barrier(epoch).to_bytes()
-}
-
-fn encode_end_frame() -> Vec<u8> {
-    WireFrame::<()>::End.to_bytes()
-}
-
 /// Prefixes `frame` with its per-link sequence number.
 ///
 /// Every frame a Send operator ships carries a monotonically increasing `u64`,
@@ -301,130 +291,100 @@ fn with_seq(seq: u64, frame: Vec<u8>) -> Vec<u8> {
     framed
 }
 
-/// The Send operator: serialises a stream onto a link towards another SPE instance.
+/// The Send operator, the tail of its chain: serialises a stream onto a link
+/// towards another SPE instance.
 ///
 /// Generic over the frame transport `L`, so the stream can own its link
-/// ([`LinkSender`]) or share a multiplexed one
-/// ([`MuxSender`](crate::network::MuxSender)).
-pub struct SendOp<T, P: ProvenanceSystem, L = LinkSender> {
-    name: String,
-    input: StreamReceiver<T, P::Meta>,
+/// ([`LinkSender`](crate::network::LinkSender)) or share a multiplexed one
+/// ([`MuxSender`](crate::network::MuxSender)). A link that refuses a frame is
+/// dead: the chain stops.
+pub(crate) struct SendTail<P, L> {
     link: L,
     provenance: P,
+    row: OpCounters,
+    /// The run of tuples not yet shipped.
+    frame: TupleFrameBuilder,
+    /// Sequence number of the next frame.
+    seq: u64,
 }
 
-impl<T, P, L> SendOp<T, P, L>
-where
-    T: TupleData + WireEncode,
-    P: WireProvenance,
-    L: FrameSink,
-{
-    /// Creates a Send operator writing to `link`.
-    pub fn new(
-        name: impl Into<String>,
-        input: StreamReceiver<T, P::Meta>,
+impl<P: WireProvenance, L: FrameSink> SendTail<P, L> {
+    /// Configures a Send writing to `link`; the returned closure builds it on its
+    /// chain's thread.
+    pub(crate) fn open(
         link: L,
         provenance: P,
-    ) -> Self {
-        SendOp {
-            name: name.into(),
-            input,
+    ) -> impl FnOnce(&str, OpCounters) -> Self + Send + 'static {
+        move |_, row| SendTail {
             link,
             provenance,
+            row,
+            frame: TupleFrameBuilder::new(),
+            seq: 0,
         }
+    }
+
+    /// Ships one control or data frame under the next sequence number.
+    fn ship(&mut self, frame: Vec<u8>) -> Result<(), ChannelClosed> {
+        if !self.link.send_frame(with_seq(self.seq, frame)) {
+            return Err(ChannelClosed);
+        }
+        self.seq += 1;
+        Ok(())
+    }
+
+    /// Ships the pending run; its tuples count as "out" only once their frame
+    /// actually made it onto the link.
+    fn flush(&mut self) -> Result<(), ChannelClosed> {
+        let run_len = u64::from(self.frame.len());
+        if let Some(pending) = self.frame.take() {
+            self.ship(pending)?;
+            self.row.add_out(run_len);
+        }
+        Ok(())
+    }
+
+    /// Ships a control frame, behind the pending run: a watermark or barrier is
+    /// never reordered ahead of the tuples that preceded it.
+    fn ship_after_run(&mut self, control: WireFrame<()>) -> Result<(), ChannelClosed> {
+        self.flush()?;
+        self.ship(control.to_bytes())
     }
 }
 
-impl<T, P, L> Operator for SendOp<T, P, L>
+impl<T, P, L> Tail<T, P::Meta> for SendTail<P, L>
 where
     T: TupleData + WireEncode,
     P: WireProvenance,
     L: FrameSink,
 {
-    fn name(&self) -> &str {
-        &self.name
+    fn tuple(&mut self, tuple: Arc<GTuple<T, P::Meta>>) -> Result<(), ChannelClosed> {
+        let tag = self.provenance.wire_tag(&tuple);
+        self.frame.push(tuple.ts, tuple.stimulus, tag, &tuple.data);
+        Ok(())
     }
 
-    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
-        let mut frame = TupleFrameBuilder::new();
-        let mut seq = 0u64;
-        // Ships the pending run; tuples count as "out" only once their frame
-        // actually made it onto the link. Returns false when the link is down.
-        fn flush<L: FrameSink>(
-            frame: &mut TupleFrameBuilder,
-            link: &L,
-            seq: &mut u64,
-            counters: &OpCounters,
-        ) -> bool {
-            let run_len = u64::from(frame.len());
-            match frame.take() {
-                Some(pending) => {
-                    if ship(link, seq, pending) {
-                        counters.add_out(run_len);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                None => true,
-            }
-        }
-        // Ships one control or data frame under the next sequence number.
-        fn ship<L: FrameSink>(link: &L, seq: &mut u64, frame: Vec<u8>) -> bool {
-            if link.send_frame(with_seq(*seq, frame)) {
-                *seq += 1;
-                true
-            } else {
-                false
-            }
-        }
-        loop {
-            let batch = self.input.recv_batch();
-            for element in batch {
-                match element {
-                    Element::Tuple(tuple) => {
-                        counters.inc_in();
-                        let tag = self.provenance.wire_tag(&tuple);
-                        frame.push(tuple.ts, tuple.stimulus, tag, &tuple.data);
-                    }
-                    Element::Watermark(ts) => {
-                        // The pending run precedes the watermark on the wire, like
-                        // the in-process flush policy.
-                        if !flush(&mut frame, &self.link, &mut seq, &counters) {
-                            return Ok(());
-                        }
-                        if !ship(&self.link, &mut seq, encode_watermark_frame(ts)) {
-                            return Ok(());
-                        }
-                    }
-                    Element::Barrier(epoch) => {
-                        // Like a watermark: the pre-barrier run must cross the wire
-                        // before the cut does.
-                        if !flush(&mut frame, &self.link, &mut seq, &counters) {
-                            return Ok(());
-                        }
-                        if !ship(&self.link, &mut seq, encode_barrier_frame(epoch)) {
-                            return Ok(());
-                        }
-                    }
-                    Element::End => {
-                        let _ = flush(&mut frame, &self.link, &mut seq, &counters);
-                        let _ = ship(&self.link, &mut seq, encode_end_frame());
-                        return Ok(());
-                    }
-                }
-            }
-            // Flush at the batch boundary: one upstream batch becomes (at most) one
-            // frame, so wire framing tracks the transport's batch size.
-            if !flush(&mut frame, &self.link, &mut seq, &counters) {
-                return Ok(());
-            }
-        }
+    fn watermark(&mut self, ts: Timestamp) -> Result<(), ChannelClosed> {
+        self.ship_after_run(WireFrame::Watermark(ts))
+    }
+
+    fn barrier(&mut self, epoch: u64) -> Result<(), ChannelClosed> {
+        self.ship_after_run(WireFrame::Barrier(epoch))
+    }
+
+    /// One upstream batch becomes (at most) one frame, so wire framing tracks the
+    /// transport's batch size.
+    fn batch_end(&mut self) -> Result<(), ChannelClosed> {
+        self.flush()
+    }
+
+    fn end(&mut self) {
+        let _ = self.ship_after_run(WireFrame::End);
     }
 }
 
 /// The Receive operator: materialises a stream arriving from another SPE instance
-/// (generic over the frame transport `L`, see [`SendOp`]).
+/// (generic over the frame transport `L`, like Send).
 pub struct ReceiveOp<T, P: ProvenanceSystem, L = LinkReceiver> {
     name: String,
     link: L,
@@ -574,9 +534,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultySender, LinkFaults};
     use crate::network::{NetworkConfig, SimulatedLink};
     use genealog_spe::channel::stream_channel;
+    use genealog_spe::fusion::FusedOp;
     use genealog_spe::provenance::SourceContext;
+    use genealog_spe::tuple::Element;
 
     fn gl_source_tuple(gl: &GeneaLog, ts: u64, v: u32) -> Arc<GTuple<u32, GlMeta>> {
         let ctx = SourceContext {
@@ -612,9 +575,10 @@ mod tests {
             .send(Element::Watermark(Timestamp::from_secs(2)))
             .unwrap();
         in_tx.send(Element::End).unwrap();
-        let send = SendOp::new("send", in_rx, link_tx, gl_sender);
+        let send = FusedOp::tail("send", in_rx, SendTail::open(link_tx, gl_sender));
         let send_stats = OpCounters::detached("send");
         Box::new(send).run(send_stats.clone()).unwrap();
+        assert_eq!(send_stats.tuples_in(), 2);
         assert_eq!(send_stats.tuples_out(), 2);
         assert!(stats.bytes() > 0);
 
@@ -640,6 +604,37 @@ mod tests {
         assert_eq!(second.meta.id, derived_id);
         assert!(matches!(out_rx.recv(), Element::Watermark(_)));
         assert!(out_rx.recv().is_end());
+    }
+
+    /// The closed-downstream contract of the Send tail: a link that dies after two
+    /// frames stops the chain with the upstream sender still open. Only the tuples
+    /// of the frame the link accepted count as out, and the input receiver is
+    /// dropped, so the upstream sender sees the close.
+    #[test]
+    fn send_stops_when_its_link_dies() {
+        let (link_tx, _link_rx, _stats) = SimulatedLink::new(NetworkConfig::unlimited());
+        let link = FaultySender::new(link_tx, LinkFaults::none().severing_before(2));
+        let (in_tx, in_rx) = stream_channel::<u32, ()>(16);
+        // One batch each: frame 0 carries tuple 1, frame 1 the watermark, and the
+        // link dies under frame 2, tuple 2's.
+        let tuple = |v: u32| Arc::new(GTuple::new(Timestamp::from_secs(v.into()), 0, v, ()));
+        in_tx.send(Element::Tuple(tuple(1))).unwrap();
+        in_tx
+            .send(Element::Watermark(Timestamp::from_secs(1)))
+            .unwrap();
+        in_tx.send(Element::Tuple(tuple(2))).unwrap();
+        let send = FusedOp::tail("send", in_rx, SendTail::open(link, NoProvenance));
+        let counters = OpCounters::detached("send");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let probe = counters.clone();
+        std::thread::spawn(move || done_tx.send(Box::new(send).run(probe)));
+        let ran = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the chain returns by itself");
+        assert!(ran.is_ok(), "a dead link is a graceful stop");
+        assert_eq!(counters.tuples_in(), 2);
+        assert_eq!(counters.tuples_out(), 1, "only the accepted frame counts");
+        assert_eq!(in_tx.send(Element::End), Err(ChannelClosed));
     }
 
     #[test]

@@ -1,67 +1,63 @@
-//! Physical-plan operator fusion: a Source or a stateless chain collapsed into one
-//! thread.
+//! Chains: every single-input operator runs as *head → stateless stages → one
+//! tail*, on one thread.
 //!
-//! The thread-per-operator runtime pays one bounded channel — a lock, a wake-up and a
-//! cache-line hand-off per batch — on **every** edge of the query graph, even between
-//! operators that do nothing but forward or cheaply transform tuples. Batching (PR 1)
-//! amortises that cost; fusion eliminates it: a contiguous chain of stateless
-//! single-input/single-output operators (`filter → map → map …`), headed by the
-//! Source that feeds it when there is one, is collapsed into a single [`FusedOp`]
-//! that runs every stage in one call stack on one thread, with no intermediate
-//! channels, batches or back-pressure points. A tuple a fused filter drops is
-//! created, tested and freed on one thread. This is the classic operator-chaining
-//! pass of production SPEs (Flink's chaining, Arcon's physical plan collapse) applied
-//! to this engine's typed query builder.
+//! * The **head** produces elements: a Source's loop, or the *pump* — the one loop
+//!   that drives a single-input operator from its input channel.
+//! * The stateless [`FusedStage`]s (`filter → map → …`) run behind it in one call
+//!   stack, with no channel, batch or back-pressure point between them: a tuple a
+//!   fused filter drops is created, tested and freed on one thread. This is the
+//!   operator chaining of production SPEs (Flink's chaining, Arcon's physical plan
+//!   collapse).
+//! * The [`Tail`] receives every element leaving the last stage and owns the
+//!   chain's outputs. The *channel tail* writes the chain's output stream;
+//!   Aggregate, Sink, Multiplex, Partition and Send are tails of their own, built
+//!   through [`Query::set_tail`]. A tail commits its state at a barrier, flushes at
+//!   the end of the input, and stops the chain once every output it owns has
+//!   closed; the chain's input receiver is then dropped, so the upstream producer
+//!   sees the close in turn.
 //!
 //! # How a chain is built
 //!
-//! The query builder keeps, per Source and per stateless node, a `PendingChain`: a
-//! composition of [`FusedStage`]s rooted at a Source's loop or at the channel
-//! coming out of the nearest *unfusable* upstream operator (a stateful operator, a
-//! Multiplex/Union, a shuffle exchange or a shard merge). Adding another stateless
-//! operator on the chain's tail stream extends the composition instead of
-//! allocating a channel; anything else — attaching a stateful consumer, a sink, or
-//! deploying — seals the chain at its current tail. A Source with nothing fusable
-//! behind it, like any stage with fusion off, is a sealed chain of one. Because
-//! [`StreamRef`](crate::query::StreamRef)s are consumed by value, a chain tail has
-//! exactly one consumer by construction, so fusion never has to reason about fan-out
-//! (fan-out is an explicit Multiplex, which is a fusion boundary).
-//!
-//! Fusion composes with sharding: the per-shard streams of a
-//! [`partition`](crate::query::Query::partition) are ordinary streams, so the
-//! per-shard stateless stages the planner lowers into an open shard region fuse
-//! *within* each shard — never across the exchange or the merge fan-in, which
-//! are multi-stream operators and therefore natural boundaries.
+//! The query builder keeps, per Source and per stateless node, a `PendingChain`
+//! rooted at a Source or at a channel. Adding a stateless operator on the chain's
+//! output stream extends the composition instead of allocating a channel; anything
+//! else seals the chain with the channel tail. With fusion off every stage is a
+//! chain of one. A tail other than the channel tail always starts a chain of its
+//! own, pumped from its own input channel, so it keeps a thread of its own. Stream
+//! handles are consumed by value, so a chain's output has one consumer by
+//! construction; fan-out is an explicit Multiplex. Within a shard region the
+//! per-shard stages fuse per shard, never across the exchange or the fan-in.
 //!
 //! # Why fusion is provenance-transparent
 //!
-//! GeneaLog's instrumentation lives in the [`ProvenanceSystem`] hooks, and the fused
-//! stages call exactly the hooks the standalone operators call, on exactly the same
-//! `Arc`s, in exactly the same order: Filter forwards the input `Arc` untouched and
-//! Map calls `map_meta(&input)` once per output tuple. The only thing fusion removes
-//! is the transport between stages — which never touched metadata in the first place.
-//! Contribution sets are therefore byte-identical fused vs unfused (pinned by
-//! `tests/fusion.rs`).
+//! Fused stages call exactly the [`ProvenanceSystem`] hooks the standalone
+//! operators call, on the same `Arc`s in the same order: Filter forwards the input
+//! `Arc` untouched and Map calls `map_meta(&input)` once per output tuple. Fusion
+//! removes only the transport between stages, which never touched metadata, so
+//! contribution sets are byte-identical fused vs unfused (`tests/fusion.rs`).
 //!
 //! # Accounting
 //!
 //! A chain holds no counters. [`Query::deploy`](crate::query::Query::deploy) mints
-//! one ledger row per stage ([`crate::metrics`]) and the chain thread receives them
-//! through [`Operator::run`]; each layer of the composition resolves its own row
-//! once, before the first tuple. A hand-off between two stages is one event —
-//! the upstream stage's `tuples_out` and the downstream stage's `tuples_in` are
-//! counted together — and the tail's `tuples_out` is counted after a successful
-//! channel send, so adjacent rows can never disagree even when a closed downstream
-//! aborts processing midway. A Source head has no input and counts only through
-//! these hand-offs: its row (stage 0) reads what it injected wherever it runs.
+//! one ledger row per stage ([`crate::metrics`]), which the chain thread receives
+//! through [`Operator::run`] and each part resolves once, before the first tuple.
+//! The pump counts the head row's `tuples_in`. A hand-off between two stages is one
+//! event — the upstream `tuples_out` and the downstream `tuples_in` count together —
+//! and the tail counts the last row's `tuples_out` only for sends its outputs
+//! accepted, so adjacent rows never disagree, even when a closed downstream stops
+//! the chain midway. A Source head has no input: its row (stage 0) counts what it
+//! injected.
 //!
 //! [`FusedStage`]: crate::operator::FusedStage
 //! [`ProvenanceSystem`]: crate::provenance::ProvenanceSystem
+//! [`Query::set_tail`]: crate::query::Query::set_tail
 
 use std::any::Any;
 use std::sync::Arc;
 
-use crate::channel::{ChannelClosed, OutputSlot, StreamReceiver};
+use genealog_metrics::Counter;
+
+use crate::channel::{ChannelClosed, OutputHandle, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
 use crate::metrics::OpCounters;
 use crate::operator::source::{SourceGenerator, SourceOp};
@@ -71,177 +67,228 @@ use crate::query::{NodeId, ShardGroup};
 use crate::time::Timestamp;
 use crate::tuple::{Element, GTuple, TupleData};
 
-/// Runs a sealed chain to completion: produces elements at the head — a Source's
-/// loop, or the captured receiver of the channel entering the head stage — passes
-/// tuples through the composed stages into the tuple sink, forwards watermarks to
-/// the watermark sink and epoch barriers to the barrier sink, and returns at the end
-/// of the stream or on channel close. Stateless stages hold no state across a
-/// barrier, so forwarding it through the chain boundary is the entire checkpoint
-/// protocol for fused chains; a Source head commits its replay offset before it
-/// emits the barrier, as it does unfused. The first argument is the chain thread's
-/// ledger rows, one per stage, head first; a Source head also takes its gauges
-/// from it.
-type ChainDriver<T, M> = Box<
-    dyn FnOnce(
-            &OpCounters,
-            &mut Emit<'_, T, M>,
-            &mut dyn FnMut(Timestamp) -> Result<(), ChannelClosed>,
-            &mut dyn FnMut(u64) -> Result<(), ChannelClosed>,
-        ) + Send,
->;
-
-/// The tuple sink a chain layer hands its output to: the next stage, or at the
-/// tail the chain's output channel.
-pub(crate) type Emit<'a, T, M> = dyn FnMut(Arc<GTuple<T, M>>) -> Result<(), ChannelClosed> + 'a;
-
-/// A fused chain under construction, typed by its current tail output `T`.
+/// The last operator of a chain. It is built on the chain's thread before the
+/// first element, from its ledger row (see [`Query::set_tail`]), and counts that
+/// row's `tuples_out` for the sends its outputs accepted. A hook returns
+/// [`ChannelClosed`] once every output the tail owns has closed: the chain then
+/// stops without calling [`end`](Tail::end).
 ///
-/// The chain owns its head — a Source, or the receiver of the channel entering its
-/// head stage — and the output slot of its tail stage; everything between is plain
-/// function composition.
-pub(crate) struct PendingChain<T: TupleData, M: MetaData> {
+/// [`Query::set_tail`]: crate::query::Query::set_tail
+pub trait Tail<T, M> {
+    /// Takes one tuple.
+    fn tuple(&mut self, tuple: Arc<GTuple<T, M>>) -> Result<(), ChannelClosed>;
+
+    /// Takes a watermark.
+    fn watermark(&mut self, ts: Timestamp) -> Result<(), ChannelClosed>;
+
+    /// Takes an epoch barrier: a stateful tail commits its snapshot for `epoch`
+    /// before it forwards the barrier.
+    fn barrier(&mut self, epoch: u64) -> Result<(), ChannelClosed>;
+
+    /// Marks the end of one upstream batch. Only a tail that frames its output by
+    /// batch (Send) acts on it.
+    fn batch_end(&mut self) -> Result<(), ChannelClosed> {
+        Ok(())
+    }
+
+    /// The input has ended: flush what the tail holds and close its outputs.
+    fn end(&mut self);
+}
+
+/// The single-input pump: hands every element arriving on `rx` to `next` (the
+/// chain's first stage, or its tail), counting each tuple into `tuples_in`, and
+/// marks the end of every upstream batch. Returns `Ok` at the end of the input and
+/// [`ChannelClosed`] as soon as `next` reports that the chain's outputs have
+/// closed; either way `rx` is dropped, so the upstream producer sees the close.
+fn pump<T, M, N: Tail<T, M> + ?Sized>(
+    mut rx: StreamReceiver<T, M>,
+    tuples_in: &Counter,
+    next: &mut N,
+) -> Result<(), ChannelClosed> {
+    loop {
+        for element in rx.recv_batch() {
+            match element {
+                Element::Tuple(tuple) => {
+                    tuples_in.inc();
+                    next.tuple(tuple)?;
+                }
+                Element::Watermark(ts) => next.watermark(ts)?,
+                Element::Barrier(epoch) => next.barrier(epoch)?,
+                Element::End => return Ok(()),
+            }
+        }
+        next.batch_end()?;
+    }
+}
+
+/// One stateless stage in front of the rest of its chain. Stateless stages hold
+/// no state across a barrier, so forwarding every non-tuple element is the entire
+/// checkpoint protocol for them.
+struct Staged<'a, I, O, M> {
+    stage: &'a mut dyn FusedStage<I, O, M>,
+    /// The previous stage's `tuples_out` and this stage's `tuples_in`, counted
+    /// together as one hand-off event; `None` when the pump feeds this stage and
+    /// has counted its input.
+    handoff: Option<(&'a Counter, &'a Counter)>,
+    next: &'a mut dyn Tail<O, M>,
+}
+
+impl<I: TupleData, O: TupleData, M: MetaData> Tail<I, M> for Staged<'_, I, O, M> {
+    fn tuple(&mut self, tuple: Arc<GTuple<I, M>>) -> Result<(), ChannelClosed> {
+        if let Some((prev_out, tuples_in)) = self.handoff {
+            prev_out.inc();
+            tuples_in.inc();
+        }
+        self.stage.process(tuple, self.next)
+    }
+
+    fn watermark(&mut self, ts: Timestamp) -> Result<(), ChannelClosed> {
+        self.next.watermark(ts)
+    }
+
+    fn barrier(&mut self, epoch: u64) -> Result<(), ChannelClosed> {
+        self.next.barrier(epoch)
+    }
+
+    fn batch_end(&mut self) -> Result<(), ChannelClosed> {
+        self.next.batch_end()
+    }
+
+    fn end(&mut self) {
+        self.next.end();
+    }
+}
+
+/// The channel tail: writes the chain's output stream.
+struct ChannelTail<T, M> {
+    out: OutputHandle<T, M>,
+    /// The last stage's `tuples_out`.
+    tuples_out: Arc<Counter>,
+}
+
+impl<T, M> Tail<T, M> for ChannelTail<T, M> {
+    fn tuple(&mut self, tuple: Arc<GTuple<T, M>>) -> Result<(), ChannelClosed> {
+        self.out.send_tuple(tuple)?;
+        // Counted only after a successful send: a tuple dropped by a closed
+        // downstream is not part of the chain's output.
+        self.tuples_out.inc();
+        Ok(())
+    }
+
+    fn watermark(&mut self, ts: Timestamp) -> Result<(), ChannelClosed> {
+        self.out.send_watermark(ts)
+    }
+
+    fn barrier(&mut self, epoch: u64) -> Result<(), ChannelClosed> {
+        self.out.send_barrier(epoch)
+    }
+
+    fn end(&mut self) {
+        let _ = self.out.send_end();
+    }
+}
+
+/// Runs a chain's head — a Source's loop, or the pump over the channel entering the
+/// chain — through the composed stages into the tail it is given; `Ok` means the
+/// input ended. The first argument is the chain thread's ledger rows, one per
+/// stage, head first; a Source head also takes its gauges from it.
+type ChainDriver<T, M> =
+    Box<dyn FnOnce(&OpCounters, &mut dyn Tail<T, M>) -> Result<(), ChannelClosed> + Send>;
+
+/// A chain under construction — its head and the stages composed so far — typed by
+/// what its last stage emits.
+pub(crate) struct PendingChain<T, M> {
     driver: ChainDriver<T, M>,
     /// Stages composed so far: the ledger row of the next stage is at this index.
     stages: usize,
-    output: OutputSlot<T, M>,
 }
 
 impl<T: TupleData, M: MetaData> PendingChain<T, M> {
-    /// Starts a chain at a Source, whose loop drives every stage later fused behind
-    /// it; it writes to `output` until extended.
-    pub(crate) fn source<G, P>(source: SourceOp<G, P>, output: OutputSlot<T, M>) -> Self
+    /// Starts a chain at a Source, whose loop drives every stage later fused
+    /// behind it.
+    pub(crate) fn source<G, P>(source: SourceOp<G, P>) -> Self
     where
         G: SourceGenerator<Item = T>,
         P: ProvenanceSystem<Meta = M>,
     {
-        let driver: ChainDriver<T, M> = Box::new(move |counters, emit, wm, barrier| {
-            // A closed downstream ends the source the way it ends any chain.
-            let _ = source.run(counters, emit, wm, barrier);
-        });
         PendingChain {
-            driver,
+            driver: Box::new(move |counters, next| source.run(counters, next)),
             stages: 1,
-            output,
         }
     }
 
-    /// Starts a chain at `stage`, pulling input from `rx` (the channel from the
-    /// nearest unfusable upstream operator) and writing to `output` until extended.
-    pub(crate) fn start<I: TupleData>(
-        mut rx: StreamReceiver<I, M>,
-        mut stage: Box<dyn FusedStage<I, T, M>>,
-        output: OutputSlot<T, M>,
-    ) -> Self {
-        let driver: ChainDriver<T, M> = Box::new(move |counters, emit, wm, barrier| {
-            let tuples_in = &*counters.stages()[0].tuples_in;
-            loop {
-                for element in rx.recv_batch() {
-                    match element {
-                        Element::Tuple(tuple) => {
-                            tuples_in.inc();
-                            if stage.process(tuple, &mut *emit).is_err() {
-                                return;
-                            }
-                        }
-                        Element::Watermark(ts) => {
-                            if wm(ts).is_err() {
-                                return;
-                            }
-                        }
-                        Element::Barrier(epoch) => {
-                            if barrier(epoch).is_err() {
-                                return;
-                            }
-                        }
-                        Element::End => return,
-                    }
-                }
-            }
-        });
-        PendingChain {
-            driver,
-            stages: 1,
-            output,
-        }
+    /// Starts a chain pumped from `rx`: the channel out of the nearest upstream
+    /// operator that is not a stateless stage.
+    pub(crate) fn pumped(rx: StreamReceiver<T, M>) -> Self {
+        let driver: ChainDriver<T, M> =
+            Box::new(move |counters, next| pump(rx, &counters.stages()[0].tuples_in, next));
+        PendingChain { driver, stages: 0 }
     }
 
-    /// Extends the chain with one more stage. The old tail's output slot is dropped —
-    /// the caller has already marked it as bypassed — and `output` becomes the new
-    /// downstream boundary.
+    /// Extends the chain with one more stage.
     pub(crate) fn then<O: TupleData>(
         self,
         mut stage: Box<dyn FusedStage<T, O, M>>,
-        output: OutputSlot<O, M>,
     ) -> PendingChain<O, M> {
         let (inner, mine) = (self.driver, self.stages);
-        let driver: ChainDriver<O, M> = Box::new(move |counters, emit, wm, barrier| {
+        let driver: ChainDriver<O, M> = Box::new(move |counters, next| {
             let rows = counters.stages();
-            let (prev_out, tuples_in) = (&*rows[mine - 1].tuples_out, &*rows[mine].tuples_in);
+            let tuples_in = &*rows[mine].tuples_in;
+            // The pump counts the input of a pumped chain's first stage.
+            let handoff = mine
+                .checked_sub(1)
+                .map(|prev| (&*rows[prev].tuples_out, tuples_in));
+            let stage = &mut *stage;
             inner(
                 counters,
-                &mut |tuple| {
-                    // The previous stage's output and this stage's input are the
-                    // same hand-off event: count both sides together.
-                    prev_out.inc();
-                    tuples_in.inc();
-                    stage.process(tuple, &mut *emit)
+                &mut Staged {
+                    stage,
+                    handoff,
+                    next,
                 },
-                wm,
-                barrier,
             )
         });
         PendingChain {
             driver,
             stages: mine + 1,
-            output,
         }
+    }
+
+    /// Seals the chain with the tail `open` builds on the chain's thread.
+    pub(crate) fn seal<X: Tail<T, M>>(
+        self,
+        name: String,
+        open: impl FnOnce(&str, OpCounters) -> X + Send + 'static,
+    ) -> FusedOp {
+        let driver = self.driver;
+        let driver = move |counters: &OpCounters, tail: &mut X| driver(counters, tail);
+        FusedOp::sealed::<T, M, X>(name, driver, open)
     }
 }
 
-/// Type-erased handle to a [`PendingChain`], stored per chain tail in the query
-/// builder. `into_any` recovers the typed chain for extension (the extending call
-/// site knows the tail's output type statically from its `StreamRef`); `seal` turns
-/// the chain into a runnable operator at deployment time.
+/// A chain open for extension, stored per chain in the query builder with the
+/// output slot of its last stage: `into_any` recovers the typed chain at an
+/// extension site (which knows the output type from its `StreamRef`), `seal` ends
+/// it with the channel tail on that slot at deployment time.
 pub(crate) trait SealableChain: Send {
-    /// Recovers the typed chain for a downcast at an extension site.
+    /// Recovers the typed chain and slot for a downcast at an extension site.
     fn into_any(self: Box<Self>) -> Box<dyn Any + Send>;
 
-    /// Seals the chain into the operator that runs all stages on one thread.
+    /// Seals the chain with the channel tail.
     fn seal(self: Box<Self>, name: String) -> FusedOp;
 }
 
-impl<T: TupleData, M: MetaData> SealableChain for PendingChain<T, M> {
+impl<T: TupleData, M: MetaData> SealableChain for (PendingChain<T, M>, OutputSlot<T, M>) {
     fn into_any(self: Box<Self>) -> Box<dyn Any + Send> {
         self
     }
 
     fn seal(self: Box<Self>, name: String) -> FusedOp {
-        let driver = self.driver;
-        let output = self.output;
-        FusedOp {
-            name,
-            body: Box::new(move |counters| {
-                let rows = counters.stages();
-                let tail_out = &*rows[rows.len() - 1].tuples_out;
-                // Both sinks write to the same handle; the chain calls them strictly
-                // sequentially on one thread, so the RefCell never contends.
-                let out = std::cell::RefCell::new(output.open());
-                driver(
-                    &counters,
-                    &mut |t| {
-                        out.borrow_mut().send_tuple(t)?;
-                        // Counted only after a successful send: a tuple dropped by
-                        // a closed downstream is not part of the chain's output,
-                        // matching the standalone operators' accounting.
-                        tail_out.inc();
-                        Ok(())
-                    },
-                    &mut |ts| out.borrow_mut().send_watermark(ts),
-                    &mut |epoch| out.borrow_mut().send_barrier(epoch),
-                );
-                let _ = out.into_inner().send_end();
-            }),
-        }
+        let (chain, output) = *self;
+        chain.seal(name, move |_, row| ChannelTail {
+            out: output.open(),
+            tuples_out: Arc::clone(&row.stages()[0].tuples_out),
+        })
     }
 }
 
@@ -258,7 +305,8 @@ pub(crate) struct ChainEntry {
     /// carry the member group names joined with `+`, identical across sibling shard
     /// chains, so the runtime folds the per-shard fused threads into one report.
     pub(crate) group: Option<ShardGroup>,
-    /// The composable chain, downcast at extension sites, sealed at deployment.
+    /// The open chain with its last stage's output slot, downcast at extension
+    /// sites, sealed at deployment.
     pub(crate) pending: Box<dyn SealableChain>,
 }
 
@@ -285,12 +333,54 @@ impl ChainEntry {
     }
 }
 
-/// The fused operator: every stage of one chain — its head (a Source or a stateless
-/// stage) and the stateless stages fused behind it — running on one thread,
-/// counting into one ledger row per stage.
+/// A sealed chain: its head, the stateless stages fused behind it and its tail,
+/// running on one thread and counting into one ledger row per stage.
 pub struct FusedOp {
     name: String,
     body: Box<dyn FnOnce(OpCounters) + Send>,
+}
+
+impl FusedOp {
+    /// A chain that is only a tail: the pump hands every element arriving on `rx`
+    /// to the tail `open` builds on the chain's thread, from the chain's name and
+    /// its one ledger row (see [`Query::set_tail`](crate::query::Query::set_tail)).
+    /// To run a tail outside a query, run this chain with
+    /// [`OpCounters::detached`] and read the clone you kept.
+    pub fn tail<T: TupleData, M: MetaData, X: Tail<T, M>>(
+        name: impl Into<String>,
+        rx: StreamReceiver<T, M>,
+        open: impl FnOnce(&str, OpCounters) -> X + Send + 'static,
+    ) -> FusedOp {
+        // Monomorphised over the tail, like a standalone operator's loop: no `dyn`
+        // call per element.
+        let driver = move |counters: &OpCounters, tail: &mut X| {
+            pump(rx, &counters.stages()[0].tuples_in, tail)
+        };
+        Self::sealed::<T, M, X>(name.into(), driver, open)
+    }
+
+    /// A runnable chain: on the chain's thread, `open` builds the tail from the
+    /// chain's name and its last ledger row, `driver` runs the head through the
+    /// stages into it, and the tail ends once the input has ended.
+    fn sealed<T, M, X>(
+        name: String,
+        driver: impl FnOnce(&OpCounters, &mut X) -> Result<(), ChannelClosed> + Send + 'static,
+        open: impl FnOnce(&str, OpCounters) -> X + Send + 'static,
+    ) -> FusedOp
+    where
+        X: Tail<T, M>,
+    {
+        let tail_name = name.clone();
+        FusedOp {
+            name,
+            body: Box::new(move |counters| {
+                let mut tail = open(&tail_name, counters.tail_row());
+                if driver(&counters, &mut tail).is_ok() {
+                    tail.end();
+                }
+            }),
+        }
+    }
 }
 
 impl std::fmt::Debug for FusedOp {
@@ -314,11 +404,16 @@ impl Operator for FusedOp {
 pub(crate) mod tests {
     use super::*;
     use crate::channel::stream_channel;
+    use crate::operator::aggregate::{AggregateTail, WindowView};
     use crate::operator::filter::FilterStage;
     use crate::operator::map::MapStage;
+    use crate::operator::multiplex::MultiplexTail;
     use crate::operator::tests::run_bare;
     use crate::operator::OperatorStats;
+    use crate::parallel::PartitionTail;
     use crate::provenance::NoProvenance;
+    use crate::time::Duration;
+    use crate::window::WindowSpec;
     use genealog_metrics::MetricsRegistry;
 
     fn tuple(ts: u64, v: i64) -> Arc<GTuple<i64, ()>> {
@@ -333,8 +428,127 @@ pub(crate) mod tests {
         stage: Box<dyn FusedStage<I, O, M>>,
         output: OutputSlot<O, M>,
     ) -> OperatorStats {
-        let chain = PendingChain::start(rx, stage, output);
-        run_bare(Box::new(chain).seal(name.into()))
+        let chain = PendingChain::pumped(rx).then(stage);
+        run_bare(Box::new((chain, output)).seal(name.into()))
+    }
+
+    /// The closed-downstream contract every tail keeps. The chain `build` makes is
+    /// fed `input` while the upstream sender stays open, with outputs that close: it
+    /// must return `Ok` by itself, count as output only the `accepted` sends, and
+    /// have dropped its input receiver, so the upstream sender gets `ChannelClosed`.
+    pub(crate) fn assert_stops_when_outputs_close<T: TupleData, M: MetaData>(
+        input: Vec<Element<T, M>>,
+        build: impl FnOnce(StreamReceiver<T, M>) -> FusedOp,
+        accepted: u64,
+    ) {
+        let (tx, rx) = stream_channel(input.len() + 1);
+        for element in input {
+            tx.send(element).unwrap();
+        }
+        let op = build(rx);
+        let counters = OpCounters::detached(op.name());
+        let probe = counters.clone();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done_tx.send(Box::new(op).run(counters)));
+        let ran = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the chain returns by itself");
+        assert!(ran.is_ok(), "a closed downstream is a graceful stop");
+        assert_eq!(probe.tuples_out(), accepted, "only accepted sends count");
+        assert_eq!(
+            tx.send(Element::End),
+            Err(ChannelClosed),
+            "the input receiver is dropped"
+        );
+    }
+
+    /// An output slot wired to a channel whose receiver is gone.
+    fn closed_output() -> OutputSlot<i64, ()> {
+        let slot = OutputSlot::new();
+        slot.connect(stream_channel(1).0);
+        slot
+    }
+
+    #[test]
+    fn every_tail_stops_when_its_outputs_close() {
+        let tuples = |n: u64| {
+            (0..n)
+                .map(|i| Element::Tuple(tuple(i, i as i64)))
+                .collect::<Vec<_>>()
+        };
+
+        // The channel tail, behind a stage.
+        let slot = closed_output();
+        assert_stops_when_outputs_close(
+            tuples(3),
+            |rx| {
+                let chain =
+                    PendingChain::pumped(rx).then(Box::new(FilterStage::new(|_: &i64| true)));
+                Box::new((chain, slot)).seal("f".into())
+            },
+            0,
+        );
+
+        // An Aggregate whose watermark closes a window nobody receives.
+        let slot = closed_output();
+        let mut input = tuples(3);
+        input.push(Element::Watermark(Timestamp::from_secs(100)));
+        assert_stops_when_outputs_close(
+            input,
+            |rx| {
+                let aggregate = AggregateTail::open(
+                    slot,
+                    WindowSpec::tumbling(Duration::from_secs(10)).unwrap(),
+                    |_: &i64| 0u8,
+                    |w: &WindowView<'_, u8, i64, ()>| w.len() as i64,
+                    NoProvenance,
+                    Default::default(),
+                );
+                FusedOp::tail("count", rx, aggregate)
+            },
+            0,
+        );
+
+        // A Multiplex whose outputs have all closed.
+        let slots = [closed_output(), closed_output()];
+        assert_stops_when_outputs_close(
+            tuples(2),
+            |rx| FusedOp::tail("mux", rx, MultiplexTail::open(slots.into(), NoProvenance)),
+            0,
+        );
+
+        // A Partition stops at the first tuple routed to its closed shard 0, having
+        // delivered the ones before it to shard 1.
+        let live = OutputSlot::new();
+        let (tx, _live_rx) = stream_channel(64);
+        live.connect(tx);
+        let slots = [closed_output(), live];
+        assert_stops_when_outputs_close(
+            vec![1, 3, 4, 5]
+                .into_iter()
+                .map(|v| Element::Tuple(tuple(0, v)))
+                .collect(),
+            |rx| {
+                let partition = PartitionTail::open(slots.into(), |v: &i64| (v % 2) as usize);
+                FusedOp::tail("part", rx, partition)
+            },
+            2,
+        );
+    }
+
+    /// A run of watermarks alone — no tuple — ends a Multiplex whose outputs have
+    /// all closed: it does not hold its upstream open until the end of the stream.
+    #[test]
+    fn multiplex_stops_on_watermarks_once_every_output_closed() {
+        let slots = [closed_output(), closed_output()];
+        let watermarks = (1..4)
+            .map(|s| Element::Watermark(Timestamp::from_secs(s)))
+            .collect();
+        assert_stops_when_outputs_close(
+            watermarks,
+            |rx| FusedOp::tail("mux", rx, MultiplexTail::open(slots.into(), NoProvenance)),
+            0,
+        );
     }
 
     /// Builds filter(even) → map(double) as a two-stage chain and runs it.
@@ -353,16 +567,10 @@ pub(crate) mod tests {
             .unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let chain = PendingChain::start(
-            in_rx,
-            Box::new(FilterStage::new(|v: &i64| v % 2 == 0)),
-            OutputSlot::new(),
-        );
-        let chain = chain.then(
-            Box::new(MapStage::new(|v: &i64| vec![v * 2], NoProvenance)),
-            out_slot,
-        );
-        let op = Box::new(chain).seal("evens+double".into());
+        let chain = PendingChain::pumped(in_rx)
+            .then(Box::new(FilterStage::new(|v: &i64| v % 2 == 0)))
+            .then(Box::new(MapStage::new(|v: &i64| vec![v * 2], NoProvenance)));
+        let op = Box::new((chain, out_slot)).seal("evens+double".into());
         assert_eq!(op.name(), "evens+double");
         let stats = OpCounters::mint(&MetricsRegistry::disabled(), ["evens", "double"]);
         Box::new(op).run(stats.clone()).unwrap();
@@ -390,35 +598,12 @@ pub(crate) mod tests {
         assert_eq!(watermarks, 1, "watermarks pass straight through the chain");
     }
 
-    /// A closed downstream channel stops the chain gracefully mid-stream.
-    #[test]
-    fn chain_stops_when_downstream_closes() {
-        let (in_tx, in_rx) = stream_channel::<i64, ()>(16);
-        let out_slot = OutputSlot::<i64, ()>::new();
-        let (out_tx, out_rx) = stream_channel::<i64, ()>(16);
-        out_slot.connect(out_tx);
-        drop(out_rx);
-
-        in_tx.send(Element::Tuple(tuple(1, 2))).unwrap();
-        in_tx.send(Element::End).unwrap();
-
-        let chain =
-            PendingChain::start(in_rx, Box::new(FilterStage::new(|_: &i64| true)), out_slot);
-        let stats = run_bare(Box::new(chain).seal("f".into()));
-        assert_eq!(stats.tuples_in, 1);
-        assert_eq!(stats.tuples_out, 0, "failed send is not counted");
-    }
-
     /// Group compatibility: ungrouped fuses with ungrouped, equal widths fuse, and
     /// the merged group joins the member names.
     #[test]
     fn chain_group_rules() {
         let (_, rx) = stream_channel::<i64, ()>(1);
-        let chain = PendingChain::<i64, ()>::start(
-            rx,
-            Box::new(FilterStage::new(|_: &i64| true)),
-            OutputSlot::new(),
-        );
+        let chain = PendingChain::<i64, ()>::pumped(rx);
         let mut entry = ChainEntry {
             nodes: vec![0],
             stages: Vec::new(),
@@ -426,7 +611,7 @@ pub(crate) mod tests {
                 name: "pre".into(),
                 instances: 2,
             }),
-            pending: Box::new(chain),
+            pending: Box::new((chain, OutputSlot::new())),
         };
         let same_width = ShardGroup {
             name: "post".into(),

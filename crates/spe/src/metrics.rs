@@ -12,10 +12,11 @@
 //!   accounting exactly as it is for execution.
 //! * **Who increments.** The thread, through the handle
 //!   [`Operator::run`](crate::operator::Operator::run) receives: a relaxed atomic
-//!   add per tuple, no locks, no registry lookups. An output is counted at the
-//!   stage's downstream boundary — a chain's tail (and every plain operator)
-//!   counts `tuples_out` only after a successful send, so a tuple dropped by a
-//!   closed downstream is in nobody's output.
+//!   add per tuple, no locks, no registry lookups. A chain's pump counts its head
+//!   row's `tuples_in`; an output is counted at the stage's downstream boundary —
+//!   a chain's tail (and every multi-stream operator) counts `tuples_out` only
+//!   after a successful send, so a tuple dropped by a closed downstream is in
+//!   nobody's output.
 //! * **Who reads.** The runtime alone. While the query runs, the summing
 //!   collectors `genealog_operator_tuples_{in,out}_total{operator=<logical name>}`
 //!   registered at deploy time over the rows sharing a name; after the threads are
@@ -98,6 +99,15 @@ impl OpCounters {
     /// The rows in stage order.
     pub(crate) fn stages(&self) -> &[StageRow] {
         &self.stages
+    }
+
+    /// The last row alone: the handle a chain's tail counts into, whose
+    /// instruments carry the tail stage's name.
+    pub(crate) fn tail_row(&self) -> OpCounters {
+        OpCounters {
+            registry: Arc::clone(&self.registry),
+            stages: vec![self.tail().clone()],
+        }
     }
 
     /// Counts one input tuple.

@@ -10,15 +10,14 @@ use std::sync::Arc;
 
 use genealog_metrics::{Counter, Histogram};
 
-use crate::channel::{OutputSlot, StreamReceiver};
-use crate::error::SpeError;
+use crate::channel::{ChannelClosed, OutputHandle, OutputSlot};
+use crate::fusion::Tail;
 use crate::metrics::OpCounters;
-use crate::operator::Operator;
 use crate::persist::WindowPersister;
 use crate::provenance::{detach_tuple, ProvenanceSystem};
-use crate::state::{CheckpointHandle, Snapshot};
+use crate::state::{CheckpointHandle, Participant, Snapshot};
 use crate::time::Timestamp;
-use crate::tuple::{Element, GTuple, TupleData};
+use crate::tuple::{GTuple, TupleData};
 use crate::window::{ClosedWindow, WindowSpec, WindowStore, WindowStoreSnapshot};
 
 /// The view of a closed window handed to the aggregation function.
@@ -85,59 +84,93 @@ impl<K, I, M> SnapshotEncoder<K, I, M> {
     }
 }
 
-/// The Aggregate operator runtime.
-pub struct AggregateOp<I, O, K, KF, AF, P: ProvenanceSystem> {
-    name: String,
-    input: StreamReceiver<I, P::Meta>,
-    output: OutputSlot<O, P::Meta>,
+/// The Aggregate operator: the tail of its chain.
+pub(crate) struct AggregateTail<I, O, K, KF, AF, P: ProvenanceSystem> {
+    out: OutputHandle<O, P::Meta>,
+    row: OpCounters,
     store: WindowStore<K, I, P::Meta>,
     key_fn: KF,
     agg_fn: AF,
     provenance: P,
-    checkpoints: CheckpointHandle,
+    /// The operator's checkpoint seat, when the deployment checkpoints.
+    checkpoint: Option<Participant>,
+    /// The byte codec registered for the operator's snapshot type, if any.
+    encoder: Option<SnapshotEncoder<K, I, P::Meta>>,
 }
 
-impl<I, O, K, KF, AF, P> AggregateOp<I, O, K, KF, AF, P>
+impl<I, O, K, KF, AF, P> AggregateTail<I, O, K, KF, AF, P>
 where
     I: TupleData,
     O: TupleData,
     K: Ord + Clone + Send + Sync + 'static,
-    KF: FnMut(&I) -> K + Send + 'static,
-    AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O + Send + 'static,
+    KF: FnMut(&I) -> K,
+    AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O,
     P: ProvenanceSystem,
 {
-    /// Creates an Aggregate operator. When `checkpoints` is filled before the query
-    /// is deployed, the operator snapshots its window store — the buffered tuples
-    /// with their live provenance pointers — on every epoch barrier.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        name: impl Into<String>,
-        input: StreamReceiver<I, P::Meta>,
+    /// Configures an Aggregate. The returned closure builds it on its chain's thread
+    /// (see [`Query::set_tail`](crate::query::Query::set_tail)). When `checkpoints`
+    /// is filled, the operator takes its checkpoint seat there, restores the window
+    /// store committed for it, and snapshots the store — the buffered tuples with
+    /// their live provenance pointers — on every epoch barrier.
+    pub(crate) fn open(
         output: OutputSlot<O, P::Meta>,
         spec: WindowSpec,
         key_fn: KF,
         agg_fn: AF,
         provenance: P,
         checkpoints: CheckpointHandle,
-    ) -> Self {
-        AggregateOp {
-            name: name.into(),
-            input,
-            output,
-            store: WindowStore::new(spec),
-            key_fn,
-            agg_fn,
-            provenance,
-            checkpoints,
+    ) -> impl FnOnce(&str, OpCounters) -> Self + Send + 'static
+    where
+        KF: Send + 'static,
+        AF: Send + 'static,
+    {
+        move |name, row| {
+            let (checkpoint, restored) = Participant::join(&checkpoints, name).unzip();
+            // With a byte codec for this operator's snapshot type, commits become
+            // durable byte containers and restores can come out of a store owned
+            // by a *previous* process.
+            let encoder = checkpoint
+                .as_ref()
+                .and_then(|seat| seat.config.window_persister::<K, I, P::Meta>())
+                .map(|persister| SnapshotEncoder {
+                    persister,
+                    encode_ns: row.histogram("genealog_checkpoint_snapshot_encode_ns"),
+                    refused: row.counter("genealog_checkpoint_inline_fallbacks_total"),
+                });
+            let restored = restored.flatten().and_then(|s| {
+                s.downcast::<WindowStoreSnapshot<K, I, P::Meta>>()
+                    .or_else(|| {
+                        encoder
+                            .as_ref()?
+                            .persister
+                            .decode(s.as_bytes()?)
+                            .map(Arc::new)
+                    })
+            });
+            let mut store = WindowStore::new(spec);
+            if let Some(snapshot) = restored {
+                // Re-materialise the open windows through detached clones so the
+                // restored slice of the provenance graph has fresh `N` cells for
+                // this run's window-close chains to claim.
+                store.restore(&snapshot, &mut |t| detach_tuple(&provenance, t));
+            }
+            AggregateTail {
+                out: output.open(),
+                row,
+                store,
+                key_fn,
+                agg_fn,
+                provenance,
+                checkpoint,
+                encoder,
+            }
         }
     }
 
     fn emit_closed(
         &mut self,
         closed: Vec<ClosedWindow<K, I, P::Meta>>,
-        out: &mut crate::channel::OutputHandle<O, P::Meta>,
-        counters: &OpCounters,
-    ) -> bool {
+    ) -> Result<(), ChannelClosed> {
         for window in closed {
             if window.tuples.is_empty() {
                 continue;
@@ -156,112 +189,63 @@ where
                 .max()
                 .unwrap_or_default();
             let tuple = Arc::new(GTuple::new(window.start, stimulus, data, meta));
-            if out.send_tuple(tuple).is_err() {
-                return false;
-            }
-            counters.inc_out();
+            self.out.send_tuple(tuple)?;
+            self.row.inc_out();
         }
-        true
+        Ok(())
     }
 }
 
-impl<I, O, K, KF, AF, P> Operator for AggregateOp<I, O, K, KF, AF, P>
+impl<I, O, K, KF, AF, P> Tail<I, P::Meta> for AggregateTail<I, O, K, KF, AF, P>
 where
     I: TupleData,
     O: TupleData,
     K: Ord + Clone + Send + Sync + 'static,
-    KF: FnMut(&I) -> K + Send + 'static,
-    AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O + Send + 'static,
+    KF: FnMut(&I) -> K,
+    AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O,
     P: ProvenanceSystem,
 {
-    fn name(&self) -> &str {
-        &self.name
+    fn tuple(&mut self, tuple: Arc<GTuple<I, P::Meta>>) -> Result<(), ChannelClosed> {
+        let key = (self.key_fn)(&tuple.data);
+        self.store.insert(key, tuple);
+        Ok(())
     }
 
-    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
-        let mut out = self.output.open();
-        let window_size = self.store.spec().size;
-        let checkpoints = self.checkpoints.get().cloned();
-        // The byte codec for this operator's snapshot type, when the deployment
-        // registered one: with it, commits become durable byte containers and
-        // restores can come out of a store owned by a *previous* process.
-        let encoder = checkpoints
-            .as_ref()
-            .and_then(|c| c.window_persister::<K, I, P::Meta>())
-            .map(|persister| SnapshotEncoder {
-                persister,
-                // Registered only where a persister makes the byte-snapshot
-                // path exist.
-                encode_ns: counters.histogram("genealog_checkpoint_snapshot_encode_ns"),
-                refused: counters.counter("genealog_checkpoint_inline_fallbacks_total"),
-            });
-        if let Some(ckpt) = &checkpoints {
-            ckpt.store.register(&self.name);
-            let restored = ckpt.store.restore_snapshot(&self.name).and_then(|s| {
-                s.downcast::<WindowStoreSnapshot<K, I, P::Meta>>()
-                    .or_else(|| {
-                        let bytes = s.as_bytes()?;
-                        encoder.as_ref()?.persister.decode(bytes).map(Arc::new)
-                    })
-            });
-            if let Some(snapshot) = restored {
-                // Re-materialise the open windows through detached clones so the
-                // restored slice of the provenance graph has fresh `N` cells for
-                // this run's window-close chains to claim.
-                let provenance = self.provenance.clone();
-                self.store
-                    .restore(&snapshot, &mut |t| detach_tuple(&provenance, t));
-            }
+    fn watermark(&mut self, ts: Timestamp) -> Result<(), ChannelClosed> {
+        let closed = self.store.close_up_to(ts);
+        self.emit_closed(closed)?;
+        // Future outputs carry the start of a not-yet-closed window, which is
+        // strictly greater than ts - WS.
+        let downstream_wm = ts.saturating_sub(self.store.spec().size);
+        self.out.send_watermark(downstream_wm)
+    }
+
+    fn barrier(&mut self, epoch: u64) -> Result<(), ChannelClosed> {
+        if let Some(seat) = &self.checkpoint {
+            let snapshot = self.store.snapshot();
+            // Prefer the byte container (durable, diffable); fall back to the
+            // process-local inline share when no persister fits or the state is
+            // not encodable.
+            let bytes = self
+                .encoder
+                .as_ref()
+                .and_then(|e| e.encode(&seat.name, epoch, &snapshot));
+            seat.commit(
+                epoch,
+                match bytes {
+                    Some(bytes) => Snapshot::bytes(bytes),
+                    None => Snapshot::inline(snapshot),
+                },
+            );
         }
-        loop {
-            for element in self.input.recv_batch() {
-                match element {
-                    Element::Tuple(tuple) => {
-                        counters.inc_in();
-                        let key = (self.key_fn)(&tuple.data);
-                        self.store.insert(key, tuple);
-                    }
-                    Element::Watermark(ts) => {
-                        let closed = self.store.close_up_to(ts);
-                        if !self.emit_closed(closed, &mut out, &counters) {
-                            return Ok(());
-                        }
-                        // Future outputs carry the start of a not-yet-closed window,
-                        // which is strictly greater than ts - WS.
-                        let downstream_wm = ts.saturating_sub(window_size);
-                        if out.send_watermark(downstream_wm).is_err() {
-                            return Ok(());
-                        }
-                    }
-                    Element::Barrier(epoch) => {
-                        if let Some(ckpt) = &checkpoints {
-                            let snapshot = self.store.snapshot();
-                            // Prefer the byte container (durable, diffable);
-                            // fall back to the process-local inline share when
-                            // no persister fits or the state is not encodable.
-                            let bytes = encoder
-                                .as_ref()
-                                .and_then(|e| e.encode(&self.name, epoch, &snapshot));
-                            let committed = match bytes {
-                                Some(bytes) => Snapshot::bytes(bytes),
-                                None => Snapshot::inline(snapshot),
-                            };
-                            ckpt.store.commit(&self.name, epoch, committed);
-                        }
-                        if out.send_barrier(epoch).is_err() {
-                            return Ok(());
-                        }
-                    }
-                    Element::End => {
-                        let closed = self.store.close_all();
-                        let _ = self.emit_closed(closed, &mut out, &counters);
-                        let _ = out.send_watermark(Timestamp::MAX);
-                        let _ = out.send_end();
-                        return Ok(());
-                    }
-                }
-            }
-        }
+        self.out.send_barrier(epoch)
+    }
+
+    fn end(&mut self) {
+        let closed = self.store.close_all();
+        let _ = self.emit_closed(closed);
+        let _ = self.out.send_watermark(Timestamp::MAX);
+        let _ = self.out.send_end();
     }
 }
 
@@ -269,9 +253,11 @@ where
 mod tests {
     use super::*;
     use crate::channel::stream_channel;
+    use crate::fusion::FusedOp;
     use crate::operator::tests::run_bare;
     use crate::provenance::NoProvenance;
     use crate::time::Duration;
+    use crate::tuple::Element;
 
     fn tuple(ts: u64, car: u32, speed: u32) -> Arc<GTuple<(u32, u32), ()>> {
         Arc::new(GTuple::new(Timestamp::from_secs(ts), ts, (car, speed), ()))
@@ -290,9 +276,7 @@ mod tests {
         in_tx.send(Element::End).unwrap();
 
         let spec = WindowSpec::new(Duration::from_secs(120), Duration::from_secs(30)).unwrap();
-        let op = AggregateOp::new(
-            "count",
-            in_rx,
+        let aggregate = AggregateTail::open(
             out_slot,
             spec,
             |t: &(u32, u32)| t.0,
@@ -300,7 +284,7 @@ mod tests {
             NoProvenance,
             Default::default(),
         );
-        run_bare(op);
+        run_bare(FusedOp::tail("count", in_rx, aggregate));
 
         let mut outputs = Vec::new();
         loop {
@@ -367,9 +351,7 @@ mod tests {
         in_tx.send(Element::Tuple(tuple(20, 1, 0))).unwrap();
         in_tx.send(Element::End).unwrap();
         let spec = WindowSpec::tumbling(Duration::from_secs(30)).unwrap();
-        let op = AggregateOp::new(
-            "count",
-            in_rx,
+        let aggregate = AggregateTail::open(
             out_slot,
             spec,
             |t: &(u32, u32)| t.0,
@@ -377,7 +359,7 @@ mod tests {
             NoProvenance,
             Default::default(),
         );
-        run_bare(op);
+        run_bare(FusedOp::tail("count", in_rx, aggregate));
         let out = out_rx.recv();
         let out = out.as_tuple().unwrap();
         assert_eq!(

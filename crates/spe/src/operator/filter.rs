@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use crate::channel::ChannelClosed;
+use crate::fusion::Tail;
 use crate::operator::FusedStage;
 use crate::provenance::MetaData;
 use crate::tuple::{GTuple, TupleData};
@@ -34,10 +35,10 @@ where
     fn process(
         &mut self,
         tuple: Arc<GTuple<T, M>>,
-        emit: &mut dyn FnMut(Arc<GTuple<T, M>>) -> Result<(), ChannelClosed>,
+        next: &mut dyn Tail<T, M>,
     ) -> Result<(), ChannelClosed> {
         if (self.predicate)(&tuple.data) {
-            emit(tuple)
+            next.tuple(tuple)
         } else {
             Ok(())
         }

@@ -43,7 +43,7 @@ use crate::merge::{step, FanInput, Step};
 use crate::metrics::OpCounters;
 use crate::operator::Operator;
 use crate::provenance::{detach_tuple, ProvenanceSystem};
-use crate::state::{CheckpointHandle, Snapshot};
+use crate::state::{CheckpointHandle, Participant, Snapshot};
 use crate::time::{Duration, Timestamp};
 use crate::tuple::{GTuple, TupleData};
 
@@ -250,14 +250,9 @@ where
     fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
         let mut out = self.output.open();
         let mut instruments = JoinInstruments::new(&counters);
-        let checkpoints = self.checkpoints.get().cloned();
-        if let Some(ckpt) = &checkpoints {
-            ckpt.store.register(&self.name);
-            if let Some(snapshot) = ckpt
-                .store
-                .restore_snapshot(&self.name)
-                .and_then(|s| s.downcast::<JoinSnapshot<L, R, P::Meta>>())
-            {
+        let checkpoint = Participant::join(&self.checkpoints, &self.name);
+        if let Some((_, Some(restored))) = &checkpoint {
+            if let Some(snapshot) = restored.downcast::<JoinSnapshot<L, R, P::Meta>>() {
                 // Re-stitch the provenance graph slice: every restored window tuple
                 // gets a fresh, unset N-cell so recovered chains link only among
                 // recovered tuples (see `ProvenanceSystem::detach_meta`).
@@ -319,14 +314,13 @@ where
                 }
                 // The windows are the only state crossing the cut.
                 Step::Barrier(epoch) => {
-                    if let Some(ckpt) = &checkpoints {
+                    if let Some((seat, _)) = &checkpoint {
                         let snapshot = JoinSnapshot {
                             left_window: self.left.window.iter().cloned().collect(),
                             right_window: self.right.window.iter().cloned().collect(),
                             emitted_watermark: self.emitted_watermark,
                         };
-                        ckpt.store
-                            .commit(&self.name, epoch, Snapshot::inline(snapshot));
+                        seat.commit(epoch, Snapshot::inline(snapshot));
                     }
                     if out.send_barrier(epoch).is_err() {
                         return Ok(());

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use crate::channel::ChannelClosed;
+use crate::fusion::Tail;
 use crate::operator::FusedStage;
 use crate::provenance::ProvenanceSystem;
 use crate::tuple::{GTuple, TupleData};
@@ -48,11 +49,11 @@ where
     fn process(
         &mut self,
         tuple: Arc<GTuple<I, P::Meta>>,
-        emit: &mut dyn FnMut(Arc<GTuple<O, P::Meta>>) -> Result<(), ChannelClosed>,
+        next: &mut dyn Tail<O, P::Meta>,
     ) -> Result<(), ChannelClosed> {
         for data in (self.function)(&tuple.data) {
             let meta = self.provenance.map_meta(&tuple);
-            emit(Arc::new(GTuple::new(tuple.ts, tuple.stimulus, data, meta)))?;
+            next.tuple(Arc::new(GTuple::new(tuple.ts, tuple.stimulus, data, meta)))?;
         }
         Ok(())
     }
@@ -92,11 +93,11 @@ where
     fn process(
         &mut self,
         tuple: Arc<GTuple<I, P::Meta>>,
-        emit: &mut dyn FnMut(Arc<GTuple<O, P::Meta>>) -> Result<(), ChannelClosed>,
+        next: &mut dyn Tail<O, P::Meta>,
     ) -> Result<(), ChannelClosed> {
         for data in (self.function)(&tuple) {
             let meta = self.provenance.map_meta(&tuple);
-            emit(Arc::new(GTuple::new(tuple.ts, tuple.stimulus, data, meta)))?;
+            next.tuple(Arc::new(GTuple::new(tuple.ts, tuple.stimulus, data, meta)))?;
         }
         Ok(())
     }

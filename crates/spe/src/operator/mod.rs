@@ -1,22 +1,23 @@
 //! The standard streaming operators of the paper's §2.
 //!
-//! Stateless single-input operators are [`FusedStage`]s — [`filter::FilterStage`],
-//! [`map::MapStage`], [`map::MetaMapStage`] — which the query builder runs through a
-//! fused chain ([`crate::fusion`]), of length one when fusion is off. A Source
-//! ([`source`]) is the head of a chain: its loop drives the stateless stages fused
-//! behind it on its own thread. The other stateless operators are
-//! [`multiplex::MultiplexOp`] and [`union::UnionOp`]; the stateful ones
-//! [`aggregate::AggregateOp`] and [`join::JoinOp`]; the query's exit
-//! [`sink::SinkOp`].
+//! Every single-input operator runs in a chain ([`crate::fusion`]): *head →
+//! stateless stages → one tail*, on one thread.
 //!
-//! Everything the runtime spawns implements the [`Operator`] trait — a sealed chain
-//! as [`FusedOp`](crate::fusion::FusedOp), every other operator itself: a blocking
-//! `run` loop that consumes (or, at a Source, generates) input elements, applies the
-//! operator semantics, calls the provenance hooks of the query's
-//! [`ProvenanceSystem`](crate::provenance::ProvenanceSystem) whenever a new tuple is
-//! created, and pushes results downstream. The query builder
-//! ([`crate::query::Query`]) constructs operators and the runtime
-//! ([`crate::runtime`]) runs each one on its own thread.
+//! * A Source ([`source`]) is a head: its loop drives what follows it.
+//! * The stateless operators are [`FusedStage`]s — [`filter::FilterStage`],
+//!   [`map::MapStage`], [`map::MetaMapStage`] — composed behind the head, one
+//!   stage per chain when fusion is off.
+//! * Aggregate ([`aggregate`]), Sink ([`sink`]), Multiplex ([`multiplex`]) and the
+//!   shuffle exchange ([`crate::parallel`]) are [`Tail`]s: each ends a chain, owns
+//!   its outputs and is built on the chain's thread from its ledger row.
+//!
+//! Everything the runtime spawns implements the [`Operator`] trait: a sealed chain
+//! as [`FusedOp`](crate::fusion::FusedOp), and the multi-stream operators —
+//! [`union::UnionOp`], [`join::JoinOp`] and the shard merge — themselves, each a
+//! blocking `run` loop over its fan-in. The query builder ([`crate::query::Query`])
+//! constructs operators and the runtime ([`crate::runtime`]) runs each one on its
+//! own thread. Wherever an operator creates a tuple it calls the matching hook of
+//! the query's [`ProvenanceSystem`](crate::provenance::ProvenanceSystem).
 //!
 //! An operator holds no counters of its own: `run` receives the thread's rows of
 //! the operator ledger ([`crate::metrics`]) from the runtime, increments them, and
@@ -36,6 +37,7 @@ use std::time::Instant;
 
 use crate::channel::ChannelClosed;
 use crate::error::SpeError;
+use crate::fusion::Tail;
 use crate::metrics::OpCounters;
 use crate::provenance::MetaData;
 use crate::tuple::{GTuple, TupleData};
@@ -73,33 +75,34 @@ impl OperatorStats {
 ///
 /// The stateless operators (Filter, Map and the meta-aware Map) are expressed as
 /// stages: a stage receives one input tuple and hands zero or more output tuples to
-/// `emit`. When fusion is enabled ([`QueryConfig::fusion`](crate::query::QueryConfig))
-/// the query builder chains consecutive stages so that a tuple flows through all of
-/// them in a single call stack — no intermediate channel, batch buffer or thread
-/// hand-off. When fusion is disabled every stage still runs through the same driver,
-/// just as a chain of length one, so fused and unfused plans execute identical
-/// per-tuple code.
+/// the rest of its chain. When fusion is enabled
+/// ([`QueryConfig::fusion`](crate::query::QueryConfig)) the query builder chains
+/// consecutive stages so that a tuple flows through all of them in a single call
+/// stack — no intermediate channel, batch buffer or thread hand-off. When fusion is
+/// disabled every stage still runs through the same pump, just as a chain of length
+/// one, so fused and unfused plans execute identical per-tuple code.
 ///
-/// Stages never see watermarks or the end-of-stream marker: every stateless operator
-/// forwards them unchanged, so the chain driver short-circuits them straight to the
-/// chain output. This is also what makes fusion provenance-transparent — a stage
+/// Stages never see watermarks, barriers or the end-of-stream marker: every
+/// stateless operator forwards them unchanged, so the chain passes them straight on
+/// to its tail. This is also what makes fusion provenance-transparent — a stage
 /// either forwards the input `Arc` (Filter) or calls the exact provenance hook the
 /// standalone operator would call (Map), so GeneaLog metadata is byte-identical
 /// whether or not the plan is fused.
 pub trait FusedStage<I: TupleData, O: TupleData, M: MetaData>: Send + 'static {
-    /// Processes one input tuple, handing each output tuple to `emit`.
+    /// Processes one input tuple, handing each output tuple to `next.tuple`.
     ///
     /// # Errors
-    /// Propagates [`ChannelClosed`] from `emit` so the chain can shut down
+    /// Propagates [`ChannelClosed`] from `next` so the chain can shut down
     /// gracefully when the downstream consumer has gone away.
     fn process(
         &mut self,
         tuple: Arc<GTuple<I, M>>,
-        emit: &mut dyn FnMut(Arc<GTuple<O, M>>) -> Result<(), ChannelClosed>,
+        next: &mut dyn Tail<O, M>,
     ) -> Result<(), ChannelClosed>;
 }
 
-/// Runtime behaviour of an operator: a blocking loop that runs until its inputs end.
+/// Runtime behaviour of what the runtime spawns — a sealed chain or a multi-stream
+/// operator: a blocking loop that runs until its inputs end.
 pub trait Operator: Send {
     /// The operator's name (unique within its query).
     fn name(&self) -> &str;

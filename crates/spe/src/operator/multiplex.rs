@@ -6,111 +6,86 @@
 
 use std::sync::Arc;
 
-use crate::channel::{OutputSlot, StreamReceiver};
-use crate::error::SpeError;
+use crate::channel::{ChannelClosed, OutputHandle, OutputSlot};
+use crate::fusion::Tail;
 use crate::metrics::OpCounters;
-use crate::operator::Operator;
 use crate::provenance::ProvenanceSystem;
-use crate::tuple::{Element, GTuple, TupleData};
+use crate::time::Timestamp;
+use crate::tuple::{GTuple, TupleData};
 
-/// The Multiplex operator runtime.
-pub struct MultiplexOp<T, P: ProvenanceSystem> {
-    name: String,
-    input: StreamReceiver<T, P::Meta>,
-    outputs: Vec<OutputSlot<T, P::Meta>>,
+/// The Multiplex operator: the tail of its chain.
+pub(crate) struct MultiplexTail<T, P: ProvenanceSystem> {
+    /// One handle per output stream; `None` once that output has closed.
+    outs: Vec<Option<OutputHandle<T, P::Meta>>>,
+    row: OpCounters,
     provenance: P,
 }
 
-impl<T, P> MultiplexOp<T, P>
-where
-    T: TupleData,
-    P: ProvenanceSystem,
-{
-    /// Creates a Multiplex operator with one slot per output stream.
+impl<T: TupleData, P: ProvenanceSystem> MultiplexTail<T, P> {
+    /// Configures a Multiplex over one output slot per stream; the returned closure
+    /// builds it on its chain's thread.
     ///
     /// # Panics
     /// Panics if `outputs` is empty.
-    pub fn new(
-        name: impl Into<String>,
-        input: StreamReceiver<T, P::Meta>,
+    pub(crate) fn open(
         outputs: Vec<OutputSlot<T, P::Meta>>,
         provenance: P,
-    ) -> Self {
+    ) -> impl FnOnce(&str, OpCounters) -> Self + Send + 'static {
         assert!(
             !outputs.is_empty(),
             "Multiplex requires at least one output"
         );
-        MultiplexOp {
-            name: name.into(),
-            input,
-            outputs,
+        move |_, row| MultiplexTail {
+            outs: outputs.iter().map(|slot| Some(slot.open())).collect(),
+            row,
             provenance,
         }
     }
 }
 
-impl<T, P> Operator for MultiplexOp<T, P>
-where
-    T: TupleData,
-    P: ProvenanceSystem,
-{
-    fn name(&self) -> &str {
-        &self.name
+/// Hands one element to every output still open; an output whose send fails stays
+/// closed. Fails once every output has closed, whatever the element.
+fn broadcast<T, M>(
+    outs: &mut [Option<OutputHandle<T, M>>],
+    mut send: impl FnMut(&mut OutputHandle<T, M>) -> Result<(), ChannelClosed>,
+) -> Result<(), ChannelClosed> {
+    for out in outs.iter_mut() {
+        if out.as_mut().is_some_and(|handle| send(handle).is_err()) {
+            *out = None;
+        }
+    }
+    if outs.iter().any(Option::is_some) {
+        Ok(())
+    } else {
+        Err(ChannelClosed)
+    }
+}
+
+impl<T: TupleData, P: ProvenanceSystem> Tail<T, P::Meta> for MultiplexTail<T, P> {
+    fn tuple(&mut self, tuple: Arc<GTuple<T, P::Meta>>) -> Result<(), ChannelClosed> {
+        let (provenance, row) = (&self.provenance, &self.row);
+        broadcast(&mut self.outs, |out| {
+            let meta = provenance.multiplex_meta(&tuple);
+            let copy = GTuple::new(tuple.ts, tuple.stimulus, tuple.data.clone(), meta);
+            out.send_tuple(Arc::new(copy))?;
+            row.inc_out();
+            Ok(())
+        })
     }
 
-    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
-        let mut outs: Vec<_> = self.outputs.iter().map(OutputSlot::open).collect();
-        let mut live: Vec<bool> = vec![true; outs.len()];
-        loop {
-            for element in self.input.recv_batch() {
-                match element {
-                    Element::Tuple(tuple) => {
-                        counters.inc_in();
-                        for (out, alive) in outs.iter_mut().zip(live.iter_mut()) {
-                            if !*alive {
-                                continue;
-                            }
-                            let meta = self.provenance.multiplex_meta(&tuple);
-                            let copy = Arc::new(GTuple::new(
-                                tuple.ts,
-                                tuple.stimulus,
-                                tuple.data.clone(),
-                                meta,
-                            ));
-                            if out.send_tuple(copy).is_err() {
-                                *alive = false;
-                            } else {
-                                counters.inc_out();
-                            }
-                        }
-                        if live.iter().all(|a| !*a) {
-                            return Ok(());
-                        }
-                    }
-                    Element::Watermark(ts) => {
-                        for (out, alive) in outs.iter_mut().zip(live.iter_mut()) {
-                            if *alive && out.send_watermark(ts).is_err() {
-                                *alive = false;
-                            }
-                        }
-                    }
-                    Element::Barrier(epoch) => {
-                        // Like watermarks, barriers are broadcast so every branch of
-                        // the fan-out observes the cut at the same stream position.
-                        for (out, alive) in outs.iter_mut().zip(live.iter_mut()) {
-                            if *alive && out.send_barrier(epoch).is_err() {
-                                *alive = false;
-                            }
-                        }
-                    }
-                    Element::End => {
-                        for out in &mut outs {
-                            let _ = out.send_end();
-                        }
-                        return Ok(());
-                    }
-                }
-            }
+    fn watermark(&mut self, ts: Timestamp) -> Result<(), ChannelClosed> {
+        broadcast(&mut self.outs, |out| out.send_watermark(ts))
+    }
+
+    fn barrier(&mut self, epoch: u64) -> Result<(), ChannelClosed> {
+        // Like watermarks, barriers are broadcast so every branch of the fan-out
+        // observes the cut at the same stream position.
+        broadcast(&mut self.outs, |out| out.send_barrier(epoch))
+    }
+
+    fn end(&mut self) {
+        for out in self.outs.iter_mut().flatten() {
+            let _ = out.send_end();
         }
     }
 }
@@ -118,10 +93,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::stream_channel;
+    use crate::channel::{stream_channel, StreamReceiver};
+    use crate::fusion::FusedOp;
     use crate::operator::tests::run_bare;
+    use crate::operator::OperatorStats;
     use crate::provenance::NoProvenance;
-    use crate::time::Timestamp;
+    use crate::tuple::Element;
+
+    fn run_mux(rx: StreamReceiver<i64, ()>, slots: Vec<OutputSlot<i64, ()>>) -> OperatorStats {
+        run_bare(FusedOp::tail(
+            "mux",
+            rx,
+            MultiplexTail::open(slots, NoProvenance),
+        ))
+    }
 
     fn tuple(ts: u64, v: i64) -> Arc<GTuple<i64, ()>> {
         Arc::new(GTuple::new(Timestamp::from_secs(ts), 0, v, ()))
@@ -144,8 +129,7 @@ mod tests {
             .unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let op = MultiplexOp::new("mux", in_rx, slots, NoProvenance);
-        let stats = run_bare(op);
+        let stats = run_mux(in_rx, slots);
         assert_eq!(stats.tuples_in, 1);
         assert_eq!(stats.tuples_out, 3);
 
@@ -169,7 +153,7 @@ mod tests {
         let input = tuple(1, 7);
         in_tx.send(Element::Tuple(Arc::clone(&input))).unwrap();
         in_tx.send(Element::End).unwrap();
-        run_bare(MultiplexOp::new("mux", in_rx, slots, NoProvenance));
+        run_mux(in_rx, slots);
 
         let a = rx0.recv();
         let a = a.as_tuple().unwrap();
@@ -186,8 +170,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one output")]
     fn multiplex_requires_outputs() {
-        let (_tx, rx) = stream_channel::<i64, ()>(1);
-        let _ = MultiplexOp::new("mux", rx, Vec::new(), NoProvenance);
+        let _ = MultiplexTail::<i64, _>::open(Vec::new(), NoProvenance);
     }
 
     #[test]
@@ -203,11 +186,12 @@ mod tests {
         in_tx.send(Element::Tuple(tuple(1, 5))).unwrap();
         in_tx.send(Element::Tuple(tuple(2, 6))).unwrap();
         in_tx.send(Element::End).unwrap();
-        let stats = run_bare(MultiplexOp::new("mux", in_rx, slots, NoProvenance));
-        // Output to the dead consumer fails silently; the live one receives both tuples.
+        let stats = run_mux(in_rx, slots);
+        // Output to the dead consumer fails silently; the live one receives both
+        // tuples, and only its copies count.
         assert_eq!(rx1.recv().as_tuple().unwrap().data, 5);
         assert_eq!(rx1.recv().as_tuple().unwrap().data, 6);
         assert!(rx1.recv().is_end());
-        assert!(stats.tuples_out >= 2);
+        assert_eq!(stats.tuples_out, 2);
     }
 }

@@ -15,14 +15,17 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::channel::StreamReceiver;
-use crate::error::SpeError;
+use genealog_metrics::Histogram;
+
+use crate::channel::ChannelClosed;
+use crate::fusion::Tail;
 use crate::metrics::OpCounters;
-use crate::operator::{now_nanos, Operator};
+use crate::operator::now_nanos;
 use crate::provenance::ProvenanceSystem;
 use crate::reclaim::Reclaimer;
-use crate::state::{CheckpointHandle, Snapshot};
-use crate::tuple::{Element, GTuple, TupleData};
+use crate::state::{CheckpointHandle, Participant, Snapshot};
+use crate::time::Timestamp;
+use crate::tuple::{GTuple, TupleData};
 
 /// Shared, thread-safe statistics of a Sink operator.
 #[derive(Debug, Default)]
@@ -144,117 +147,110 @@ impl<T, M> CollectedStream<T, M> {
     }
 }
 
-/// The Sink operator runtime.
-pub struct SinkOp<T, P: ProvenanceSystem, F> {
-    name: String,
-    input: StreamReceiver<T, P::Meta>,
+/// The Sink operator: the tail of its chain.
+pub(crate) struct SinkTail<T, P: ProvenanceSystem, F> {
     callback: F,
     stats: Arc<SinkStats>,
+    /// The live latency histogram (p50/p95/p99 of stimulus-to-sink time).
+    latency: Arc<Histogram>,
     /// The collection backing a collecting sink, if any: it doubles as the sink's
     /// checkpointable state (the output prefix committed at each epoch barrier).
     collected: Option<CollectedStream<T, P::Meta>>,
-    checkpoints: CheckpointHandle,
+    checkpoint: Option<Participant>,
     reclaimer: Arc<Reclaimer>,
 }
 
-impl<T, P, F> SinkOp<T, P, F>
+impl<T, P, F> SinkTail<T, P, F>
 where
     T: TupleData,
     P: ProvenanceSystem,
-    F: FnMut(&Arc<GTuple<T, P::Meta>>) + Send + 'static,
+    F: FnMut(&Arc<GTuple<T, P::Meta>>),
 {
-    /// Creates a Sink operator invoking `callback` for every sink tuple.
+    /// Configures a Sink invoking `callback` for every sink tuple; the returned
+    /// closure builds it on its chain's thread (see
+    /// [`Query::set_tail`](crate::query::Query::set_tail)).
     ///
     /// `collected` names the collection the callback feeds, if any; it becomes the
-    /// sink's checkpointable state. Sinks without collection state still participate
-    /// in checkpoints (committing an empty snapshot) so that a complete epoch
-    /// guarantees the barrier reached every query output. A tuple whose graph the
-    /// sink is the last holder of goes to `reclaimer` once the callback returns.
-    pub(crate) fn new(
-        name: impl Into<String>,
-        input: StreamReceiver<T, P::Meta>,
+    /// sink's checkpointable state, restored there when `checkpoints` is filled.
+    /// Sinks without collection state still participate in checkpoints (committing
+    /// an empty snapshot) so that a complete epoch guarantees the barrier reached
+    /// every query output. A tuple whose graph the sink is the last holder of goes
+    /// to `reclaimer` once the callback returns.
+    pub(crate) fn open(
         callback: F,
         stats: Arc<SinkStats>,
         collected: Option<CollectedStream<T, P::Meta>>,
         checkpoints: CheckpointHandle,
         reclaimer: Arc<Reclaimer>,
-    ) -> Self {
-        SinkOp {
-            name: name.into(),
-            input,
-            callback,
-            stats,
-            collected,
-            checkpoints,
-            reclaimer,
+    ) -> impl FnOnce(&str, OpCounters) -> Self + Send + 'static
+    where
+        F: Send + 'static,
+    {
+        move |name, row| {
+            let (checkpoint, restored) = Participant::join(&checkpoints, name).unzip();
+            let prefix = restored
+                .flatten()
+                .and_then(|s| s.downcast::<Vec<Arc<GTuple<T, P::Meta>>>>());
+            if let (Some(collected), Some(prefix)) = (&collected, prefix) {
+                collected.restore(prefix.as_ref().clone());
+            }
+            SinkTail {
+                callback,
+                stats,
+                latency: row.histogram("genealog_sink_latency_ns"),
+                collected,
+                checkpoint,
+                reclaimer,
+            }
         }
     }
 }
 
-impl<T, P, F> Operator for SinkOp<T, P, F>
+impl<T, P, F> Tail<T, P::Meta> for SinkTail<T, P, F>
 where
     T: TupleData,
     P: ProvenanceSystem,
-    F: FnMut(&Arc<GTuple<T, P::Meta>>) + Send + 'static,
+    F: FnMut(&Arc<GTuple<T, P::Meta>>),
 {
-    fn name(&self) -> &str {
-        &self.name
+    fn tuple(&mut self, tuple: Arc<GTuple<T, P::Meta>>) -> Result<(), ChannelClosed> {
+        let latency = now_nanos().saturating_sub(tuple.stimulus);
+        self.stats.record(latency);
+        self.latency.record(latency);
+        (self.callback)(&tuple);
+        // The last holder of a graph frees it on a Source's thread, which
+        // allocated it; anything else just drops a reference.
+        if P::owns_graph(&tuple.meta) && Arc::strong_count(&tuple) == 1 {
+            self.reclaimer.retire(tuple);
+        }
+        Ok(())
     }
 
-    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
-        // The live latency histogram (p50/p95/p99 of stimulus-to-sink time).
-        let latency_histogram = counters.histogram("genealog_sink_latency_ns");
-        let checkpoints = self.checkpoints.get().cloned();
-        if let Some(ckpt) = &checkpoints {
-            ckpt.store.register(&self.name);
-            if let Some(snapshot) = ckpt.store.restore_snapshot(&self.name) {
-                if let (Some(collected), Some(prefix)) = (
-                    &self.collected,
-                    snapshot.downcast::<Vec<Arc<GTuple<T, P::Meta>>>>(),
-                ) {
-                    collected.restore(prefix.as_ref().clone());
-                }
-            }
-        }
-        loop {
-            for element in self.input.recv_batch() {
-                match element {
-                    Element::Tuple(tuple) => {
-                        counters.inc_in();
-                        let latency = now_nanos().saturating_sub(tuple.stimulus);
-                        self.stats.record(latency);
-                        latency_histogram.record(latency);
-                        (self.callback)(&tuple);
-                        // The last holder of a graph frees it on a Source's thread,
-                        // which allocated it; anything else just drops a reference.
-                        if P::owns_graph(&tuple.meta) && Arc::strong_count(&tuple) == 1 {
-                            self.reclaimer.retire(tuple);
-                        }
-                    }
-                    Element::Watermark(_) => {}
-                    Element::Barrier(epoch) => {
-                        if let Some(ckpt) = &checkpoints {
-                            let snapshot = match &self.collected {
-                                Some(c) => Snapshot::inline(c.tuples()),
-                                None => Snapshot::bytes(Vec::new()),
-                            };
-                            ckpt.store.commit(&self.name, epoch, snapshot);
-                        }
-                    }
-                    Element::End => return Ok(()),
-                }
-            }
-        }
+    fn watermark(&mut self, _: Timestamp) -> Result<(), ChannelClosed> {
+        Ok(())
     }
+
+    fn barrier(&mut self, epoch: u64) -> Result<(), ChannelClosed> {
+        if let Some(seat) = &self.checkpoint {
+            let snapshot = match &self.collected {
+                Some(c) => Snapshot::inline(c.tuples()),
+                None => Snapshot::bytes(Vec::new()),
+            };
+            seat.commit(epoch, snapshot);
+        }
+        Ok(())
+    }
+
+    fn end(&mut self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channel::stream_channel;
+    use crate::fusion::FusedOp;
     use crate::operator::tests::run_bare;
     use crate::provenance::NoProvenance;
-    use crate::time::Timestamp;
+    use crate::tuple::Element;
 
     #[test]
     fn sink_invokes_callback_and_records_latency() {
@@ -274,15 +270,14 @@ mod tests {
             .unwrap();
         tx.send(Element::End).unwrap();
 
-        let op = SinkOp::<_, NoProvenance, _>::new(
-            "sink",
-            rx,
+        let sink = SinkTail::<_, NoProvenance, _>::open(
             move |t: &Arc<GTuple<i64, ()>>| collected_in_cb.lock().push(t.data),
             Arc::clone(&stats),
             None,
             Default::default(),
             Reclaimer::new(),
         );
+        let op = FusedOp::tail("sink", rx, sink);
         let op_stats = run_bare(op);
         assert_eq!(op_stats.tuples_in, 1);
         assert_eq!(stats.tuple_count(), 1);

@@ -7,11 +7,11 @@
 //! stateful operators can make deterministic progress.
 //!
 //! A Source is not an [`Operator`](crate::operator::Operator) of its own: its loop
-//! heads a fused chain ([`crate::fusion`]) and hands every tuple, watermark and
-//! barrier to the chain's sinks. The stateless stages the builder fuses behind it
-//! run on the source's thread, so a tuple a filter drops never crosses a channel;
-//! with nothing fusable behind it (or fusion off) the Source is a chain of one whose
-//! sinks are its output channel.
+//! heads a chain ([`crate::fusion`]) and hands every tuple, watermark and barrier to
+//! what follows it. The stateless stages the builder fuses behind it run on the
+//! source's thread, so a tuple a filter drops never crosses a channel; with nothing
+//! fusable behind it (or fusion off) the Source is a chain of one whose tail is its
+//! output channel.
 //!
 //! The thread that allocates a query's source tuples also frees the provenance
 //! graphs built from them: while its loop runs, a Source drains the query's
@@ -21,12 +21,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::channel::ChannelClosed;
-use crate::fusion::Emit;
+use crate::fusion::Tail;
 use crate::metrics::OpCounters;
 use crate::operator::now_nanos;
 use crate::provenance::{ProvenanceSystem, SourceContext};
 use crate::reclaim::Reclaimer;
-use crate::state::{CheckpointHandle, Snapshot};
+use crate::state::{CheckpointHandle, Participant, Snapshot};
 use crate::time::Timestamp;
 use crate::tuple::{GTuple, TupleData};
 
@@ -162,21 +162,19 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
     }
 
     /// Runs the source to the end of its generator (or the stop flag), handing each
-    /// tuple to `emit`, watermarks to `wm` and epoch barriers to `barrier` — the
-    /// sinks of the chain it heads. The source counts nothing itself: the chain
-    /// counts its `tuples_out` at the hand-off, and its gauges carry the head
-    /// stage's name, which is the source's. Between two tuples it drops the graphs
-    /// the sinks retired (one relaxed load when there are none).
+    /// tuple, watermark and epoch barrier to `next` — the rest of the chain it
+    /// heads. The source counts nothing itself: the chain counts its `tuples_out` at
+    /// the hand-off, and its gauges carry the head stage's name, which is the
+    /// source's. Between two tuples it drops the graphs the sinks retired (one
+    /// relaxed load when there are none).
     ///
     /// # Errors
-    /// Returns [`ChannelClosed`] as soon as a sink reports that the downstream
+    /// Returns [`ChannelClosed`] as soon as `next` reports that the downstream
     /// consumer has gone away: the source stops injecting.
     pub(crate) fn run(
         mut self,
         counters: &OpCounters,
-        emit: &mut Emit<'_, G::Item, P::Meta>,
-        wm: &mut dyn FnMut(Timestamp) -> Result<(), ChannelClosed>,
-        barrier: &mut dyn FnMut(u64) -> Result<(), ChannelClosed>,
+        next: &mut dyn Tail<G::Item, P::Meta>,
     ) -> Result<(), ChannelClosed> {
         // Live load-shedding signals: how far the source has replayed and which
         // barrier epoch it last committed.
@@ -185,27 +183,20 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
         let mut seq: u64 = 0;
         let mut last_ts = Timestamp::MIN;
 
-        let checkpoints = self.checkpoints.get().cloned();
-        if let Some(ckpt) = &checkpoints {
-            ckpt.store.register(&self.name);
-            if let Some(offset) = ckpt
-                .store
-                .restore_snapshot(&self.name)
-                .and_then(|s| s.as_u64())
-            {
-                // Fast-forward to the committed replay offset: the generator is
-                // deterministic, so discarding the first `offset` tuples reproduces
-                // exactly the prefix the checkpoint already covers. Resuming with
-                // `seq = offset` keeps the watermark and barrier cadence identical
-                // to a run that never failed.
-                while seq < offset {
-                    if self.generator.next_tuple().is_none() {
-                        break;
-                    }
-                    seq += 1;
+        let checkpoint = Participant::join(&self.checkpoints, &self.name);
+        if let Some(offset) = checkpoint.as_ref().and_then(|(_, s)| s.as_ref()?.as_u64()) {
+            // Fast-forward to the committed replay offset: the generator is
+            // deterministic, so discarding the first `offset` tuples reproduces
+            // exactly the prefix the checkpoint already covers. Resuming with
+            // `seq = offset` keeps the watermark and barrier cadence identical to
+            // a run that never failed.
+            while seq < offset {
+                if self.generator.next_tuple().is_none() {
+                    break;
                 }
-                replay_offset.set(seq);
+                seq += 1;
             }
+            replay_offset.set(seq);
         }
         let start = std::time::Instant::now();
         let base_seq = seq;
@@ -239,25 +230,25 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
                 ts,
             };
             let meta = self.provenance.source_meta(&ctx, &data);
-            emit(Arc::new(GTuple::new(ts, now_nanos(), data, meta)))?;
+            next.tuple(Arc::new(GTuple::new(ts, now_nanos(), data, meta)))?;
             seq += 1;
             replay_offset.set(seq);
             if self.config.watermark_every > 0 && seq.is_multiple_of(self.config.watermark_every) {
-                wm(ts)?;
+                next.watermark(ts)?;
             }
-            if let Some(ckpt) = &checkpoints {
-                if seq.is_multiple_of(ckpt.interval) {
+            if let Some((seat, _)) = &checkpoint {
+                if seq.is_multiple_of(seat.config.interval) {
                     // The epoch's replay offset is committed *before* the barrier is
                     // emitted, so a barrier seen downstream always has its source
                     // offset on record.
-                    let epoch = seq / ckpt.interval;
-                    ckpt.store.commit(&self.name, epoch, Snapshot::u64(seq));
+                    let epoch = seq / seat.config.interval;
+                    seat.commit(epoch, Snapshot::u64(seq));
                     barrier_epoch.set(epoch);
-                    barrier(epoch)?;
+                    next.barrier(epoch)?;
                 }
             }
         }
-        wm(Timestamp::MAX)
+        next.watermark(Timestamp::MAX)
     }
 }
 
@@ -292,7 +283,7 @@ mod tests {
     }
 
     /// Runs a source the way a query deploys one with nothing fusable behind it: a
-    /// sealed chain of one whose sinks write into a channel.
+    /// sealed chain of one whose tail writes into a channel.
     fn run_source(
         generator: VecSource<i64>,
         config: SourceConfig,
@@ -311,7 +302,7 @@ mod tests {
             Default::default(),
             Reclaimer::new(),
         );
-        let chain = PendingChain::source(op, slot);
+        let chain = (PendingChain::source(op), slot);
         (run_bare(Box::new(chain).seal("src".into())), rx)
     }
 

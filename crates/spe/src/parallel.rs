@@ -3,7 +3,7 @@
 //!
 //! The paper's evaluation runs each query as a single chain of operator threads, which
 //! caps throughput at one core per operator. This module adds the next scaling axis:
-//! a keyed stream is split by a **shuffle exchange** ([`PartitionOp`], a deterministic
+//! a keyed stream is split by a **shuffle exchange** (`PartitionTail`, a deterministic
 //! hash partitioner writing to one stream channel per shard), each shard runs its own
 //! instance of a stateful operator (Aggregate or Join) with private windows and state,
 //! and the shard outputs are reunified by a **canonicalising fan-in**
@@ -66,19 +66,20 @@ use std::cmp::Ordering as CmpOrdering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use crate::channel::{OutputHandle, OutputSlot, StreamReceiver};
+use crate::channel::{ChannelClosed, OutputHandle, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
+use crate::fusion::Tail;
 use crate::merge::{DeterministicMerge, MergedElement};
 use crate::metrics::OpCounters;
-use crate::operator::aggregate::{AggregateOp, WindowView};
+use crate::operator::aggregate::{AggregateTail, WindowView};
 use crate::operator::filter::FilterStage;
 use crate::operator::join::JoinOp;
 use crate::operator::map::MapStage;
 use crate::operator::Operator;
 use crate::provenance::{MetaData, ProvenanceSystem};
 use crate::query::{NodeKind, Query, ShardGroup, ShardPlacement, StreamRef};
-use crate::time::Duration;
-use crate::tuple::{Element, GTuple, TupleData};
+use crate::time::{Duration, Timestamp};
+use crate::tuple::{GTuple, TupleData};
 use crate::window::WindowSpec;
 
 /// Boxed key comparator ordering the payloads of an equal-timestamp run.
@@ -132,101 +133,73 @@ pub fn shard_of<K: Hash + ?Sized>(key: &K, shards: usize) -> usize {
     (hasher.finish() % shards.max(1) as u64) as usize
 }
 
-/// The shuffle-exchange operator: routes each tuple to the shard owning its key.
+/// The shuffle-exchange operator, the tail of its chain: routes each tuple to the
+/// shard owning its key.
 ///
 /// Partition is a *forwarding* operator (no provenance instrumentation, Definition 3.1
 /// type (i)): it moves the input `Arc` to exactly one output, so shard-local operators
 /// see the very tuples — and the very metadata — the single-instance plan would see.
 /// Watermarks and the end-of-stream marker are broadcast to every shard, which keeps
 /// each shard's window-closing schedule identical to the unsharded operator's.
-pub struct PartitionOp<T, M> {
-    name: String,
-    input: StreamReceiver<T, M>,
-    outputs: Vec<OutputSlot<T, M>>,
-    shard_fn: Box<dyn FnMut(&T) -> usize + Send>,
+pub(crate) struct PartitionTail<T, M, F> {
+    outs: Vec<OutputHandle<T, M>>,
+    row: OpCounters,
+    /// The shard of a payload: an index below the number of outputs
+    /// (out-of-range indices are clamped to the last shard).
+    shard_fn: F,
 }
 
-impl<T, M> PartitionOp<T, M>
-where
-    T: TupleData,
-    M: MetaData,
-{
-    /// Creates a Partition operator.
-    ///
-    /// `shard_fn` must return an index below `outputs.len()` (out-of-range indices
-    /// are clamped to the last shard).
-    ///
-    /// # Panics
-    /// Panics if `outputs` is empty.
-    pub fn new(
-        name: impl Into<String>,
-        input: StreamReceiver<T, M>,
+impl<T, M, F> PartitionTail<T, M, F> {
+    /// Configures a Partition over one output slot per shard; the returned closure
+    /// builds it on its chain's thread.
+    pub(crate) fn open(
         outputs: Vec<OutputSlot<T, M>>,
-        shard_fn: Box<dyn FnMut(&T) -> usize + Send>,
-    ) -> Self {
-        assert!(
-            !outputs.is_empty(),
-            "Partition requires at least one output"
-        );
-        PartitionOp {
-            name: name.into(),
-            input,
-            outputs,
+        shard_fn: F,
+    ) -> impl FnOnce(&str, OpCounters) -> Self + Send + 'static
+    where
+        T: TupleData,
+        M: MetaData,
+        F: Send + 'static,
+    {
+        move |_, row| PartitionTail {
+            outs: outputs.iter().map(OutputSlot::open).collect(),
+            row,
             shard_fn,
         }
     }
 }
 
-impl<T, M> Operator for PartitionOp<T, M>
+impl<T, M, F> Tail<T, M> for PartitionTail<T, M, F>
 where
-    T: TupleData,
-    M: MetaData,
+    F: FnMut(&T) -> usize,
 {
-    fn name(&self) -> &str {
-        &self.name
+    fn tuple(&mut self, tuple: Arc<GTuple<T, M>>) -> Result<(), ChannelClosed> {
+        let shard = (self.shard_fn)(&tuple.data).min(self.outs.len() - 1);
+        // A closed shard means the query is shutting down; losing a key range
+        // would corrupt results, so stop the whole exchange.
+        self.outs[shard].send_tuple(tuple)?;
+        self.row.inc_out();
+        Ok(())
     }
 
-    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
-        let mut outs: Vec<_> = self.outputs.iter().map(OutputSlot::open).collect();
-        let last = outs.len() - 1;
-        loop {
-            for element in self.input.recv_batch() {
-                match element {
-                    Element::Tuple(tuple) => {
-                        counters.inc_in();
-                        let shard = (self.shard_fn)(&tuple.data).min(last);
-                        // A closed shard means the query is shutting down; losing a
-                        // key range would corrupt results, so stop the whole exchange.
-                        if outs[shard].send_tuple(tuple).is_err() {
-                            return Ok(());
-                        }
-                        counters.inc_out();
-                    }
-                    Element::Watermark(ts) => {
-                        for out in &mut outs {
-                            if out.send_watermark(ts).is_err() {
-                                return Ok(());
-                            }
-                        }
-                    }
-                    Element::Barrier(epoch) => {
-                        // Broadcast like watermarks: every shard observes the cut at
-                        // the same position in its key range, so the shard instances
-                        // snapshot a consistent global cut.
-                        for out in &mut outs {
-                            if out.send_barrier(epoch).is_err() {
-                                return Ok(());
-                            }
-                        }
-                    }
-                    Element::End => {
-                        for out in &mut outs {
-                            let _ = out.send_end();
-                        }
-                        return Ok(());
-                    }
-                }
-            }
+    fn watermark(&mut self, ts: Timestamp) -> Result<(), ChannelClosed> {
+        self.outs
+            .iter_mut()
+            .try_for_each(|out| out.send_watermark(ts))
+    }
+
+    fn barrier(&mut self, epoch: u64) -> Result<(), ChannelClosed> {
+        // Broadcast like watermarks: every shard observes the cut at the same
+        // position in its key range, so the shard instances snapshot a consistent
+        // global cut.
+        self.outs
+            .iter_mut()
+            .try_for_each(|out| out.send_barrier(epoch))
+    }
+
+    fn end(&mut self) {
+        for out in &mut self.outs {
+            let _ = out.send_end();
         }
     }
 }
@@ -386,7 +359,6 @@ impl<P: ProvenanceSystem> Query<P> {
         assert!(shards > 0, "Partition requires at least one shard");
         let node = self.add_node(name, NodeKind::Partition);
         self.set_shard_group(node, name, shards);
-        let rx = self.attach_input(input, node);
         let mut slots = Vec::with_capacity(shards);
         let mut streams = Vec::with_capacity(shards);
         for i in 0..shards {
@@ -397,9 +369,8 @@ impl<P: ProvenanceSystem> Query<P> {
             slots.push(slot);
             streams.push(stream);
         }
-        let shard_fn = Box::new(move |data: &T| shard_of(&key_fn(data), shards));
-        let op = PartitionOp::new(name, rx, slots, shard_fn);
-        self.set_operator(node, Box::new(op));
+        let shard_fn = move |data: &T| shard_of(&key_fn(data), shards);
+        self.set_tail(node, input, PartitionTail::open(slots, shard_fn));
         streams
     }
 
@@ -526,19 +497,13 @@ impl<P: ProvenanceSystem> Query<P> {
                     let shard_name = format!("{name}[{i}]");
                     let node = self.add_node(shard_name.clone(), NodeKind::ShardedAggregate);
                     self.set_shard_group(node, name, instances);
-                    let rx = self.attach_input(shard, node);
                     let (slot, stream) = self.new_output_stream(node, format!("{shard_name}.out"));
-                    let op = AggregateOp::new(
-                        shard_name,
-                        rx,
-                        slot,
-                        spec,
-                        key_fn.clone(),
-                        agg_fn.clone(),
-                        self.provenance().clone(),
-                        self.checkpoint_handle(),
-                    );
-                    self.set_operator(node, Box::new(op));
+                    let (key_fn, agg_fn) = (key_fn.clone(), agg_fn.clone());
+                    let (provenance, checkpoints) =
+                        (self.provenance().clone(), self.checkpoint_handle());
+                    let aggregate =
+                        AggregateTail::open(slot, spec, key_fn, agg_fn, provenance, checkpoints);
+                    self.set_tail(node, shard, aggregate);
                     stream
                 }
                 ShardPlacement::Remote(route) => route(self, i, shard),
@@ -733,10 +698,11 @@ impl<P: ProvenanceSystem> Query<P> {
 mod tests {
     use super::*;
     use crate::channel::stream_channel;
+    use crate::fusion::FusedOp;
     use crate::operator::source::VecSource;
     use crate::operator::tests::run_bare;
     use crate::provenance::NoProvenance;
-    use crate::time::Timestamp;
+    use crate::tuple::Element;
 
     fn tuple(ts: u64, key: u32, v: i64) -> Arc<GTuple<(u32, i64), ()>> {
         Arc::new(GTuple::new(Timestamp::from_secs(ts), 0, (key, v), ()))
@@ -786,13 +752,8 @@ mod tests {
             .unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let op = PartitionOp::new(
-            "part",
-            in_rx,
-            slots,
-            Box::new(|t: &(u32, i64)| shard_of(&t.0, 3)),
-        );
-        let stats = run_bare(op);
+        let partition = PartitionTail::open(slots, |t: &(u32, i64)| shard_of(&t.0, 3));
+        let stats = run_bare(FusedOp::tail("part", in_rx, partition));
         assert_eq!(stats.tuples_in, 12);
         assert_eq!(stats.tuples_out, 12);
 

@@ -20,14 +20,14 @@ use genealog_metrics::MetricsRegistry;
 
 use crate::channel::{stream_channel, BatchConfig, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
-use crate::fusion::{ChainEntry, PendingChain};
+use crate::fusion::{ChainEntry, FusedOp, PendingChain, Tail};
 use crate::metrics::OpCounters;
-use crate::operator::aggregate::{AggregateOp, WindowView};
+use crate::operator::aggregate::{AggregateTail, WindowView};
 use crate::operator::filter::FilterStage;
 use crate::operator::join::JoinOp;
 use crate::operator::map::{MapStage, MetaMapStage};
-use crate::operator::multiplex::MultiplexOp;
-use crate::operator::sink::{CollectedStream, SinkOp, SinkStats};
+use crate::operator::multiplex::MultiplexTail;
+use crate::operator::sink::{CollectedStream, SinkStats, SinkTail};
 use crate::operator::source::{SourceConfig, SourceGenerator, SourceOp};
 use crate::operator::union::UnionOp;
 use crate::operator::{FusedStage, Operator};
@@ -590,6 +590,25 @@ impl<P: ProvenanceSystem> Query<P> {
         info.operator = Some(operator);
     }
 
+    /// Installs a node's operator as the [`Tail`] of a chain fed by `input`: the one
+    /// construction path of every single-input operator that is not a stateless
+    /// stage (Aggregate, Sink, Multiplex, Partition, Send). `open` builds the tail
+    /// on the chain's thread, from the node's name and the tail's ledger row. The
+    /// tail starts a chain of its own, pumped from its own input channel.
+    pub fn set_tail<T, X>(
+        &mut self,
+        node: NodeId,
+        input: StreamRef<T, P::Meta>,
+        open: impl FnOnce(&str, OpCounters) -> X + Send + 'static,
+    ) where
+        T: TupleData,
+        X: Tail<T, P::Meta>,
+    {
+        let rx = self.attach_input(input, node);
+        let chain = FusedOp::tail(self.nodes[node].name.clone(), rx, open);
+        self.set_operator(node, Box::new(chain));
+    }
+
     /// Allocates a fresh origin id (used by Sources and Receive operators to build the
     /// unique tuple ids of §6).
     pub fn next_origin_id(&mut self) -> u32 {
@@ -608,7 +627,7 @@ impl<P: ProvenanceSystem> Query<P> {
     /// * otherwise the stage starts a new chain of length one, pulling from a
     ///   regular channel out of the producer.
     ///
-    /// Either way the node is sealed into a runnable [`FusedOp`](crate::fusion::FusedOp)
+    /// Either way the node is sealed into a runnable [`FusedOp`]
     /// at deployment time, so fused and unfused plans execute identical per-tuple
     /// code and differ only in how many threads and channels carry it.
     pub(crate) fn add_fused_stage<I, O, S>(
@@ -651,30 +670,26 @@ impl<P: ProvenanceSystem> Query<P> {
             self.edges.push((input.producer, node));
             self.edge_budgets.push(0);
             self.edge_channels.push(None);
-            let chain = entry
+            let (chain, _bypassed) = *entry
                 .pending
                 .into_any()
-                .downcast::<PendingChain<I, P::Meta>>()
+                .downcast::<(PendingChain<I, P::Meta>, OutputSlot<I, P::Meta>)>()
                 .expect("fused chain tail type mismatch");
-            entry.pending = Box::new(chain.then(Box::new(stage), slot.clone()));
+            entry.pending = Box::new((chain.then(Box::new(stage)), slot));
             entry.nodes.push(node);
             entry.stages.push(logical);
             entry.merge_group(group);
             self.fused_tails.insert(node, entry);
         } else {
             let rx = self.attach_input(input, node);
-            let chain = PendingChain::start(
-                rx,
-                Box::new(stage) as Box<dyn FusedStage<I, O, P::Meta>>,
-                slot.clone(),
-            );
+            let chain = PendingChain::pumped(rx).then(Box::new(stage));
             self.fused_tails.insert(
                 node,
                 ChainEntry {
                     nodes: vec![node],
                     stages: vec![logical],
                     group,
-                    pending: Box::new(chain),
+                    pending: Box::new((chain, slot)),
                 },
             );
         }
@@ -722,7 +737,7 @@ impl<P: ProvenanceSystem> Query<P> {
                 nodes: vec![node],
                 stages: vec![name.to_string()],
                 group: None,
-                pending: Box::new(PendingChain::source(source, slot)),
+                pending: Box::new((PendingChain::source(source), slot)),
             },
         );
         stream
@@ -821,16 +836,11 @@ impl<P: ProvenanceSystem> Query<P> {
     {
         assert!(outputs > 0, "Multiplex requires at least one output");
         let node = self.add_node(name, NodeKind::Multiplex);
-        let rx = self.attach_input(input, node);
-        let mut slots = Vec::with_capacity(outputs);
-        let mut streams = Vec::with_capacity(outputs);
-        for i in 0..outputs {
-            let (slot, stream) = self.new_output_stream(node, format!("{name}.out{i}"));
-            slots.push(slot);
-            streams.push(stream);
-        }
-        let op = MultiplexOp::new(name, rx, slots, self.provenance.clone());
-        self.set_operator(node, Box::new(op));
+        let (slots, streams): (Vec<_>, Vec<_>) = (0..outputs)
+            .map(|i| self.new_output_stream(node, format!("{name}.out{i}")))
+            .unzip();
+        let multiplex = MultiplexTail::open(slots, self.provenance.clone());
+        self.set_tail(node, input, multiplex);
         streams
     }
 
@@ -872,19 +882,10 @@ impl<P: ProvenanceSystem> Query<P> {
         AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O + Send + 'static,
     {
         let node = self.add_node(name, NodeKind::Aggregate);
-        let rx = self.attach_input(input, node);
         let (slot, stream) = self.new_output_stream(node, format!("{name}.out"));
-        let op = AggregateOp::new(
-            name,
-            rx,
-            slot,
-            spec,
-            key_fn,
-            agg_fn,
-            self.provenance.clone(),
-            Arc::clone(&self.checkpoints),
-        );
-        self.set_operator(node, Box::new(op));
+        let (provenance, checkpoints) = (self.provenance.clone(), self.checkpoint_handle());
+        let aggregate = AggregateTail::open(slot, spec, key_fn, agg_fn, provenance, checkpoints);
+        self.set_tail(node, input, aggregate);
         stream
     }
 
@@ -985,17 +986,9 @@ impl<P: ProvenanceSystem> Query<P> {
         F: FnMut(&Arc<crate::tuple::GTuple<T, P::Meta>>) + Send + 'static,
     {
         let node = self.add_node(name, NodeKind::Sink);
-        let rx = self.attach_input(input, node);
-        let op = SinkOp::<T, P, F>::new(
-            name,
-            rx,
-            callback,
-            stats,
-            collected,
-            Arc::clone(&self.checkpoints),
-            Arc::clone(&self.reclaimer),
-        );
-        self.set_operator(node, Box::new(op));
+        let (checkpoints, reclaimer) = (self.checkpoint_handle(), Arc::clone(&self.reclaimer));
+        let sink = SinkTail::<T, P, F>::open(callback, stats, collected, checkpoints, reclaimer);
+        self.set_tail(node, input, sink);
     }
 
     /// Adds a Sink collecting every sink tuple in memory (convenient for tests,
@@ -1178,7 +1171,7 @@ impl<P: ProvenanceSystem> Query<P> {
     /// Source and per stateless stage not fused into another: a chain of one stage
     /// becomes an ordinary single-operator thread reporting under the stage's kind;
     /// a chain of two or more stages becomes one
-    /// [`FusedOp`](crate::fusion::FusedOp) thread whose report still names the
+    /// [`FusedOp`] thread whose report still names the
     /// original operators (see
     /// [`OperatorReport::stages`](crate::runtime::OperatorReport)). Every thread
     /// is handed its rows of the operator ledger ([`crate::metrics`]), minted here.

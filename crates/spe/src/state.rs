@@ -514,6 +514,34 @@ impl CheckpointConfig {
 /// is what lets remote build closures install the shared store on the remote query.
 pub type CheckpointHandle = Arc<OnceLock<CheckpointConfig>>;
 
+/// An operator's seat in its deployment's checkpoints, taken once on the
+/// operator's thread before its first element.
+pub(crate) struct Participant {
+    /// The participant's name in the store.
+    pub(crate) name: String,
+    pub(crate) config: CheckpointConfig,
+}
+
+impl Participant {
+    /// Registers `name` with the checkpoint store when `checkpoints` is filled, and
+    /// returns the seat with the snapshot the store restores for it.
+    pub(crate) fn join(
+        checkpoints: &CheckpointHandle,
+        name: &str,
+    ) -> Option<(Self, Option<Snapshot>)> {
+        let config = checkpoints.get()?.clone();
+        config.store.register(name);
+        let restored = config.store.restore_snapshot(name);
+        let name = name.to_string();
+        Some((Participant { name, config }, restored))
+    }
+
+    /// Commits the participant's snapshot for `epoch`.
+    pub(crate) fn commit(&self, epoch: u64, snapshot: Snapshot) {
+        self.config.store.commit(&self.name, epoch, snapshot);
+    }
+}
+
 /// Retry/backoff policy of [`run_with_recovery`].
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryConfig {

@@ -196,9 +196,17 @@ fn with_link_faults<'a, T: ShardTransport + 'static>(
 /// crashed peer or yanked cable looks like to the origin — before its `kill`-th
 /// data frame. The origin's ingress observes the dropped connection as a
 /// link-severed close (the socket equivalent of `FaultPlan::sever`).
+///
+/// A killed peer never dials back, so the receiver would wait out its whole
+/// re-accept window before reporting the close: 6.35 s under
+/// `NetworkConfig::unlimited()`. One 10 ms backoff plus a 100 ms connect timeout
+/// shrinks that to 110 ms; loopback connects take well under a millisecond.
 fn tcp_with_socket_kill(kill: Option<u64>) -> impl Fn(usize) -> Box<dyn ShardTransport> {
+    let config = NetworkConfig::unlimited()
+        .with_connect_timeout(std::time::Duration::from_millis(100))
+        .with_reconnects(1, std::time::Duration::from_millis(10));
     move |attempt| {
-        let transport = TcpLoopbackTransport::new(NetworkConfig::unlimited());
+        let transport = TcpLoopbackTransport::new(config);
         Box::new(match (kill, attempt) {
             (Some(before_frame), 0) => transport.with_return_kill(0, before_frame),
             _ => transport,
