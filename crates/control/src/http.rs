@@ -55,20 +55,23 @@ pub(crate) fn parse_request_line(line: &str) -> Option<Request> {
     })
 }
 
-/// Decodes `%XX` escapes (and `+` as space) in a URL path component.
+/// Decodes `%XX` escapes (and `+` as space) in a URL path component. An escape is
+/// exactly two ASCII hex digits; anything else after a `%` passes through as is.
 pub(crate) fn percent_decode(s: &str) -> String {
+    fn hex(digit: u8) -> Option<u8> {
+        char::from(digit).to_digit(16).map(|d| d as u8)
+    }
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                    std::str::from_utf8(h)
-                        .ok()
-                        .and_then(|h| u8::from_str_radix(h, 16).ok())
-                });
-                match hex {
+                let escaped = match bytes.get(i + 1..i + 3) {
+                    Some(&[high, low]) => hex(high).zip(hex(low)).map(|(h, l)| h << 4 | l),
+                    _ => None,
+                };
+                match escaped {
                     Some(b) => {
                         out.push(b);
                         i += 3;
@@ -154,6 +157,52 @@ mod tests {
         assert_eq!(percent_decode("a+b"), "a b");
         assert_eq!(percent_decode("100%"), "100%", "trailing % passes through");
         assert_eq!(percent_decode("%zz"), "%zz", "bad hex passes through");
+        assert_eq!(percent_decode("%+1"), "% 1", "a sign is not a hex digit");
+        assert_eq!(percent_decode("%-1x"), "%-1x");
+        assert_eq!(percent_decode("%4a%4A"), "JJ", "either case");
+        assert_eq!(percent_decode("%e2%82%ac"), "\u{20ac}", "multi-byte UTF-8");
+    }
+
+    /// The hostile-input treatment the byte decoders get: every truncation and
+    /// every single-bit flip of a valid request head reads as `None` or a
+    /// `Request`, and never panics; a head longer than the bound is refused.
+    #[test]
+    fn hostile_request_heads_never_panic() {
+        let valid = b"GET /provenance/0-7%23x?full=1 HTTP/1.1\r\nHost: spe\r\n\r\n";
+        let expected = read_request(&mut &valid[..]).expect("the valid head parses");
+        assert_eq!(expected.path, "/provenance/0-7#x");
+        for len in 0..valid.len() {
+            assert!(
+                read_request(&mut &valid[..len]).is_none(),
+                "a head cut at {len} bytes has no terminating blank line"
+            );
+        }
+        for byte in 0..valid.len() {
+            for bit in 0..8 {
+                let mut flipped = valid.to_vec();
+                flipped[byte] ^= 1 << bit;
+                let _ = read_request(&mut &flipped[..]);
+                if let Ok(text) = std::str::from_utf8(&flipped) {
+                    if let Some(line) = text.lines().next() {
+                        let _ = parse_request_line(line);
+                    }
+                    let _ = percent_decode(text);
+                }
+            }
+        }
+
+        let mut long = b"GET /".to_vec();
+        long.resize(MAX_HEAD_BYTES, b'a');
+        long.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+        assert!(read_request(&mut &long[..]).is_none(), "an oversized head");
+        let mut fits = b"GET /".to_vec();
+        fits.resize(MAX_HEAD_BYTES - 13, b'a');
+        fits.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+        assert_eq!(fits.len(), MAX_HEAD_BYTES);
+        assert!(
+            read_request(&mut &fits[..]).is_some(),
+            "a head at the bound"
+        );
     }
 
     #[test]

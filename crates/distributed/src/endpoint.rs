@@ -7,8 +7,9 @@
 //! sending side, exactly as the paper's instrumented Send prescribes (§4.1).
 //!
 //! Send is the tail of its chain ([`Tail`]). The framing is **batch-aware**: the
-//! chain's pump marks the end of every upstream batch, and Send packs each run of
-//! consecutive data tuples into one [`WireFrame::Tuples`] frame, so the per-frame
+//! chain's head — the pump, or a Source — marks the end of every upstream batch,
+//! and Send packs each run of consecutive data tuples into one
+//! [`WireFrame::Tuples`] frame, so the per-frame
 //! overhead of the link (channel send, simulated store-and-forward, per-frame
 //! latency) is amortised over the batch, just as the in-process channels amortise
 //! their synchronisation cost. Watermarks and the

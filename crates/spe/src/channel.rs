@@ -252,6 +252,9 @@ pub struct StreamReceiver<T, M> {
     pending: VecDeque<Element<T, M>>,
     /// Elements currently queued in the channel (shared with the senders).
     queued_elements: Arc<AtomicUsize>,
+    /// Optional receiver-park counter, incremented whenever a receive found the
+    /// channel empty and had to block.
+    parks: Option<Arc<genealog_metrics::Counter>>,
 }
 
 /// Creates a bounded stream channel with the given capacity (in batches).
@@ -273,6 +276,7 @@ pub fn stream_channel<T, M>(capacity: usize) -> (StreamSender<T, M>, StreamRecei
             rx,
             pending: VecDeque::new(),
             queued_elements,
+            parks: None,
         },
     )
 }
@@ -349,7 +353,7 @@ impl<T, M> StreamReceiver<T, M> {
             if let Some(element) = self.pending.pop_front() {
                 return element;
             }
-            match self.rx.recv() {
+            match self.rx.recv_counting(self.parks.as_deref()) {
                 Ok(batch) => {
                     self.queued_elements
                         .fetch_sub(batch.len(), Ordering::Relaxed);
@@ -370,7 +374,7 @@ impl<T, M> StreamReceiver<T, M> {
             batch.extend(self.pending.drain(..));
             return batch;
         }
-        match self.rx.recv() {
+        match self.rx.recv_counting(self.parks.as_deref()) {
             Ok(batch) => {
                 self.queued_elements
                     .fetch_sub(batch.len(), Ordering::Relaxed);
@@ -378,6 +382,13 @@ impl<T, M> StreamReceiver<T, M> {
             }
             Err(_) => Batch::end(),
         }
+    }
+
+    /// Attaches a receiver-park counter: every receive that found the channel empty
+    /// and had to block bumps it once. Called by the query builder when the owning
+    /// query has metrics enabled.
+    pub fn set_park_counter(&mut self, counter: Arc<genealog_metrics::Counter>) {
+        self.parks = Some(counter);
     }
 
     /// Shared element-depth cell of the channel, for wiring queue-depth gauges.

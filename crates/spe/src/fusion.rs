@@ -1,52 +1,61 @@
-//! Chains: every single-input operator runs as *head → stateless stages → one
-//! tail*, on one thread.
+//! Chains: every single-input operator runs as *head → stages → one tail*, on one
+//! thread.
 //!
 //! * The **head** produces elements: a Source's loop, or the *pump* — the one loop
 //!   that drives a single-input operator from its input channel.
-//! * The stateless [`FusedStage`]s (`filter → map → …`) run behind it in one call
-//!   stack, with no channel, batch or back-pressure point between them: a tuple a
-//!   fused filter drops is created, tested and freed on one thread. This is the
-//!   operator chaining of production SPEs (Flink's chaining, Arcon's physical plan
-//!   collapse).
+//! * The [`FusedStage`]s run behind it in one call stack, with no channel, batch or
+//!   back-pressure point between them: a tuple a fused filter drops is created,
+//!   tested and freed on one thread. A stage may hold state: the Aggregate is a
+//!   stage that closes its windows into the rest of the chain at a watermark,
+//!   commits its snapshot before it forwards a barrier and flushes at the end. This
+//!   is the operator chaining of production SPEs (Flink chains every forward edge,
+//!   stateful or not; Arcon collapses its physical plan the same way).
 //! * The [`Tail`] receives every element leaving the last stage and owns the
-//!   chain's outputs. The *channel tail* writes the chain's output stream;
-//!   Aggregate, Sink, Multiplex, Partition and Send are tails of their own, built
-//!   through [`Query::set_tail`]. A tail commits its state at a barrier, flushes at
-//!   the end of the input, and stops the chain once every output it owns has
-//!   closed; the chain's input receiver is then dropped, so the upstream producer
-//!   sees the close in turn.
+//!   chain's outputs. The *channel tail* writes the chain's output stream; Sink,
+//!   Multiplex, Partition and Send are tails of their own, installed through
+//!   [`Query::set_tail`]. A tail commits its state at a barrier, flushes at the end
+//!   of the input, and stops the chain once every output it owns has closed; the
+//!   chain's input receiver is then dropped, so the upstream producer sees the close
+//!   in turn.
+//!
+//! Every part is built on the chain's thread before the first element, from its own
+//! node name (the name it checkpoints under) and its own ledger row (the name its
+//! instruments carry).
 //!
 //! # How a chain is built
 //!
-//! The query builder keeps, per Source and per stateless node, a `PendingChain`
-//! rooted at a Source or at a channel. Adding a stateless operator on the chain's
-//! output stream extends the composition instead of allocating a channel; anything
-//! else seals the chain with the channel tail. With fusion off every stage is a
-//! chain of one. A tail other than the channel tail always starts a chain of its
-//! own, pumped from its own input channel, so it keeps a thread of its own. Stream
-//! handles are consumed by value, so a chain's output has one consumer by
-//! construction; fan-out is an explicit Multiplex. Within a shard region the
-//! per-shard stages fuse per shard, never across the exchange or the fan-in.
+//! The query builder keeps, per open chain, a `PendingChain` rooted at a Source or at
+//! a channel. Adding a single-input, single-output operator — Filter, Map or
+//! Aggregate — on the chain's output stream extends the composition instead of
+//! allocating a channel; a tail added there seals it. A chain that is still open at
+//! deployment is sealed with the channel tail. With fusion off every operator is a
+//! chain of one. A chain breaks only at a fan-in (Union, Join, the shard merge,
+//! Receive), which is not a chain part, and at the output channels of a tail that
+//! owns several (Multiplex, Partition). Stream handles are consumed by value, so a
+//! chain's output has one consumer by construction. Within a shard region the
+//! per-shard stages fuse per shard — behind a sharded aggregate, say — never across
+//! the exchange or the fan-in.
 //!
 //! # Why fusion is provenance-transparent
 //!
 //! Fused stages call exactly the [`ProvenanceSystem`] hooks the standalone
 //! operators call, on the same `Arc`s in the same order: Filter forwards the input
-//! `Arc` untouched and Map calls `map_meta(&input)` once per output tuple. Fusion
-//! removes only the transport between stages, which never touched metadata, so
-//! contribution sets are byte-identical fused vs unfused (`tests/fusion.rs`).
+//! `Arc` untouched, Map calls `map_meta(&input)` once per output tuple and the
+//! Aggregate calls `aggregate_meta` once per closed window. Fusion removes only the
+//! transport between stages, which never touched metadata, so contribution sets are
+//! byte-identical fused vs unfused (`tests/fusion.rs`).
 //!
 //! # Accounting
 //!
 //! A chain holds no counters. [`Query::deploy`](crate::query::Query::deploy) mints
 //! one ledger row per stage ([`crate::metrics`]), which the chain thread receives
 //! through [`Operator::run`] and each part resolves once, before the first tuple.
-//! The pump counts the head row's `tuples_in`. A hand-off between two stages is one
+//! The pump counts the head row's `tuples_in`. A hand-off between two parts is one
 //! event — the upstream `tuples_out` and the downstream `tuples_in` count together —
-//! and the tail counts the last row's `tuples_out` only for sends its outputs
-//! accepted, so adjacent rows never disagree, even when a closed downstream stops
-//! the chain midway. A Source head has no input: its row (stage 0) counts what it
-//! injected.
+//! and a tail counts its row's `tuples_out` only for sends its outputs accepted (the
+//! channel tail, which has no row of its own, counts the last stage's), so adjacent
+//! rows never disagree, even when a closed downstream stops the chain midway. A
+//! Source head has no input: its row (stage 0) counts what it injected.
 //!
 //! [`FusedStage`]: crate::operator::FusedStage
 //! [`ProvenanceSystem`]: crate::provenance::ProvenanceSystem
@@ -67,11 +76,12 @@ use crate::query::{NodeId, ShardGroup};
 use crate::time::Timestamp;
 use crate::tuple::{Element, GTuple, TupleData};
 
-/// The last operator of a chain. It is built on the chain's thread before the
-/// first element, from its ledger row (see [`Query::set_tail`]), and counts that
-/// row's `tuples_out` for the sends its outputs accepted. A hook returns
-/// [`ChannelClosed`] once every output the tail owns has closed: the chain then
-/// stops without calling [`end`](Tail::end).
+/// Where the elements leaving a chain's head go: the next stage, or the tail. A
+/// tail is built on the chain's thread before the first element, from its node name
+/// and ledger row (see [`Query::set_tail`]), and counts that row's `tuples_out` for
+/// the sends its outputs accepted. A hook returns [`ChannelClosed`] once every output
+/// the tail owns has closed: the chain then stops without calling
+/// [`end`](Tail::end).
 ///
 /// [`Query::set_tail`]: crate::query::Query::set_tail
 pub trait Tail<T, M> {
@@ -97,9 +107,10 @@ pub trait Tail<T, M> {
 
 /// The single-input pump: hands every element arriving on `rx` to `next` (the
 /// chain's first stage, or its tail), counting each tuple into `tuples_in`, and
-/// marks the end of every upstream batch. Returns `Ok` at the end of the input and
-/// [`ChannelClosed`] as soon as `next` reports that the chain's outputs have
-/// closed; either way `rx` is dropped, so the upstream producer sees the close.
+/// marks the end of every upstream batch. Returns `Ok` once it has handed on the end
+/// of the input and [`ChannelClosed`] as soon as `next` reports that the chain's
+/// outputs have closed; either way `rx` is dropped, so the upstream producer sees
+/// the close.
 fn pump<T, M, N: Tail<T, M> + ?Sized>(
     mut rx: StreamReceiver<T, M>,
     tuples_in: &Counter,
@@ -114,40 +125,61 @@ fn pump<T, M, N: Tail<T, M> + ?Sized>(
                 }
                 Element::Watermark(ts) => next.watermark(ts)?,
                 Element::Barrier(epoch) => next.barrier(epoch)?,
-                Element::End => return Ok(()),
+                Element::End => {
+                    next.end();
+                    return Ok(());
+                }
             }
         }
         next.batch_end()?;
     }
 }
 
-/// One stateless stage in front of the rest of its chain. Stateless stages hold
-/// no state across a barrier, so forwarding every non-tuple element is the entire
-/// checkpoint protocol for them.
-struct Staged<'a, I, O, M> {
-    stage: &'a mut dyn FusedStage<I, O, M>,
-    /// The previous stage's `tuples_out` and this stage's `tuples_in`, counted
-    /// together as one hand-off event; `None` when the pump feeds this stage and
-    /// has counted its input.
-    handoff: Option<(&'a Counter, &'a Counter)>,
+/// The previous part's `tuples_out` and this part's `tuples_in`, counted together as
+/// one hand-off event; `None` when the pump feeds this part and has counted its
+/// input.
+type Handoff<'a> = Option<(&'a Counter, &'a Counter)>;
+
+/// The hand-off into the part whose row is at `mine`.
+fn handoff(counters: &OpCounters, mine: usize) -> Handoff<'_> {
+    let rows = counters.stages();
+    // The pump counts the input of a pumped chain's first part.
+    mine.checked_sub(1)
+        .map(|prev| (&*rows[prev].tuples_out, &*rows[mine].tuples_in))
+}
+
+fn count(handoff: Handoff<'_>) {
+    if let Some((prev_out, tuples_in)) = handoff {
+        prev_out.inc();
+        tuples_in.inc();
+    }
+}
+
+/// One stage in front of the rest of its chain.
+struct Staged<'a, S, O, M> {
+    stage: S,
+    handoff: Handoff<'a>,
     next: &'a mut dyn Tail<O, M>,
 }
 
-impl<I: TupleData, O: TupleData, M: MetaData> Tail<I, M> for Staged<'_, I, O, M> {
+impl<I, O, M, S> Tail<I, M> for Staged<'_, S, O, M>
+where
+    I: TupleData,
+    O: TupleData,
+    M: MetaData,
+    S: FusedStage<I, O, M>,
+{
     fn tuple(&mut self, tuple: Arc<GTuple<I, M>>) -> Result<(), ChannelClosed> {
-        if let Some((prev_out, tuples_in)) = self.handoff {
-            prev_out.inc();
-            tuples_in.inc();
-        }
+        count(self.handoff);
         self.stage.process(tuple, self.next)
     }
 
     fn watermark(&mut self, ts: Timestamp) -> Result<(), ChannelClosed> {
-        self.next.watermark(ts)
+        self.stage.watermark(ts, self.next)
     }
 
     fn barrier(&mut self, epoch: u64) -> Result<(), ChannelClosed> {
-        self.next.barrier(epoch)
+        self.stage.barrier(epoch, self.next)
     }
 
     fn batch_end(&mut self) -> Result<(), ChannelClosed> {
@@ -155,7 +187,36 @@ impl<I: TupleData, O: TupleData, M: MetaData> Tail<I, M> for Staged<'_, I, O, M>
     }
 
     fn end(&mut self) {
-        self.next.end();
+        self.stage.end(self.next);
+    }
+}
+
+/// A tail behind the chain's last stage, counting the hand-off into its row.
+struct HandedOff<'a, X> {
+    tail: &'a mut X,
+    handoff: Handoff<'a>,
+}
+
+impl<T, M, X: Tail<T, M>> Tail<T, M> for HandedOff<'_, X> {
+    fn tuple(&mut self, tuple: Arc<GTuple<T, M>>) -> Result<(), ChannelClosed> {
+        count(self.handoff);
+        self.tail.tuple(tuple)
+    }
+
+    fn watermark(&mut self, ts: Timestamp) -> Result<(), ChannelClosed> {
+        self.tail.watermark(ts)
+    }
+
+    fn barrier(&mut self, epoch: u64) -> Result<(), ChannelClosed> {
+        self.tail.barrier(epoch)
+    }
+
+    fn batch_end(&mut self) -> Result<(), ChannelClosed> {
+        self.tail.batch_end()
+    }
+
+    fn end(&mut self) {
+        self.tail.end();
     }
 }
 
@@ -190,8 +251,9 @@ impl<T, M> Tail<T, M> for ChannelTail<T, M> {
 
 /// Runs a chain's head — a Source's loop, or the pump over the channel entering the
 /// chain — through the composed stages into the tail it is given; `Ok` means the
-/// input ended. The first argument is the chain thread's ledger rows, one per
-/// stage, head first; a Source head also takes its gauges from it.
+/// end of the input has reached the tail. The first argument is the chain thread's
+/// ledger rows, one per part, head first; a Source head also takes its gauges from
+/// it.
 type ChainDriver<T, M> =
     Box<dyn FnOnce(&OpCounters, &mut dyn Tail<T, M>) -> Result<(), ChannelClosed> + Send>;
 
@@ -199,12 +261,12 @@ type ChainDriver<T, M> =
 /// what its last stage emits.
 pub(crate) struct PendingChain<T, M> {
     driver: ChainDriver<T, M>,
-    /// Stages composed so far: the ledger row of the next stage is at this index.
+    /// Parts composed so far: the ledger row of the next part is at this index.
     stages: usize,
 }
 
 impl<T: TupleData, M: MetaData> PendingChain<T, M> {
-    /// Starts a chain at a Source, whose loop drives every stage later fused
+    /// Starts a chain at a Source, whose loop drives every part later fused
     /// behind it.
     pub(crate) fn source<G, P>(source: SourceOp<G, P>) -> Self
     where
@@ -218,27 +280,24 @@ impl<T: TupleData, M: MetaData> PendingChain<T, M> {
     }
 
     /// Starts a chain pumped from `rx`: the channel out of the nearest upstream
-    /// operator that is not a stateless stage.
+    /// operator that does not chain.
     pub(crate) fn pumped(rx: StreamReceiver<T, M>) -> Self {
         let driver: ChainDriver<T, M> =
             Box::new(move |counters, next| pump(rx, &counters.stages()[0].tuples_in, next));
         PendingChain { driver, stages: 0 }
     }
 
-    /// Extends the chain with one more stage.
-    pub(crate) fn then<O: TupleData>(
+    /// Extends the chain with the stage `open` builds on the chain's thread from the
+    /// stage's node name and ledger row.
+    pub(crate) fn then<O: TupleData, S: FusedStage<T, O, M>>(
         self,
-        mut stage: Box<dyn FusedStage<T, O, M>>,
+        name: &str,
+        open: impl FnOnce(&str, OpCounters) -> S + Send + 'static,
     ) -> PendingChain<O, M> {
-        let (inner, mine) = (self.driver, self.stages);
+        let (inner, mine, name) = (self.driver, self.stages, name.to_string());
         let driver: ChainDriver<O, M> = Box::new(move |counters, next| {
-            let rows = counters.stages();
-            let tuples_in = &*rows[mine].tuples_in;
-            // The pump counts the input of a pumped chain's first stage.
-            let handoff = mine
-                .checked_sub(1)
-                .map(|prev| (&*rows[prev].tuples_out, tuples_in));
-            let stage = &mut *stage;
+            let stage = open(&name, counters.row(mine));
+            let handoff = handoff(counters, mine);
             inner(
                 counters,
                 &mut Staged {
@@ -254,15 +313,20 @@ impl<T: TupleData, M: MetaData> PendingChain<T, M> {
         }
     }
 
-    /// Seals the chain with the tail `open` builds on the chain's thread.
+    /// Seals the chain with the tail `open` builds on the chain's thread from the
+    /// tail's node name and ledger row, the chain's last.
     pub(crate) fn seal<X: Tail<T, M>>(
         self,
         name: String,
+        tail: &str,
         open: impl FnOnce(&str, OpCounters) -> X + Send + 'static,
     ) -> FusedOp {
-        let driver = self.driver;
-        let driver = move |counters: &OpCounters, tail: &mut X| driver(counters, tail);
-        FusedOp::sealed::<T, M, X>(name, driver, open)
+        let (driver, mine) = (self.driver, self.stages);
+        let driver = move |counters: &OpCounters, tail: &mut X| {
+            let handoff = handoff(counters, mine);
+            driver(counters, &mut HandedOff { tail, handoff })
+        };
+        FusedOp::sealed::<T, M, X>(name, tail.to_string(), driver, open)
     }
 }
 
@@ -274,7 +338,7 @@ pub(crate) trait SealableChain: Send {
     /// Recovers the typed chain and slot for a downcast at an extension site.
     fn into_any(self: Box<Self>) -> Box<dyn Any + Send>;
 
-    /// Seals the chain with the channel tail.
+    /// Seals the chain; an open chain ends in the channel tail.
     fn seal(self: Box<Self>, name: String) -> FusedOp;
 }
 
@@ -285,10 +349,26 @@ impl<T: TupleData, M: MetaData> SealableChain for (PendingChain<T, M>, OutputSlo
 
     fn seal(self: Box<Self>, name: String) -> FusedOp {
         let (chain, output) = *self;
-        chain.seal(name, move |_, row| ChannelTail {
+        let driver = chain.driver;
+        let driver =
+            move |counters: &OpCounters, tail: &mut ChannelTail<T, M>| driver(counters, tail);
+        FusedOp::sealed::<T, M, _>(name, String::new(), driver, move |_, row| ChannelTail {
             out: output.open(),
             tuples_out: Arc::clone(&row.stages()[0].tuples_out),
         })
+    }
+}
+
+/// A chain a tail has sealed: only its name is still to come.
+pub(crate) struct Sealed(pub(crate) Box<dyn FnOnce(String) -> FusedOp + Send>);
+
+impl SealableChain for Sealed {
+    fn into_any(self: Box<Self>) -> Box<dyn Any + Send> {
+        self
+    }
+
+    fn seal(self: Box<Self>, name: String) -> FusedOp {
+        (self.0)(name)
     }
 }
 
@@ -305,15 +385,16 @@ pub(crate) struct ChainEntry {
     /// carry the member group names joined with `+`, identical across sibling shard
     /// chains, so the runtime folds the per-shard fused threads into one report.
     pub(crate) group: Option<ShardGroup>,
-    /// The open chain with its last stage's output slot, downcast at extension
-    /// sites, sealed at deployment.
-    pub(crate) pending: Box<dyn SealableChain>,
+    /// The chain, downcast at extension sites while it is open (and taken out
+    /// meanwhile), sealed at deployment.
+    pub(crate) pending: Option<Box<dyn SealableChain>>,
 }
 
 impl ChainEntry {
-    /// Whether a stage with the given shard group may extend this chain: both must
-    /// be ungrouped, or both grouped with the same shard width (fusing across
-    /// different widths would fuse across an exchange, which is never allowed).
+    /// Whether a part whose input side has the given shard group may extend this
+    /// chain: both must be ungrouped, or both grouped with the same shard width
+    /// (fusing across different widths would fuse across an exchange, which is
+    /// never allowed).
     pub(crate) fn accepts(&self, group: Option<&ShardGroup>) -> bool {
         self.group.as_ref().map(|g| g.instances) == group.map(|g| g.instances)
     }
@@ -333,8 +414,8 @@ impl ChainEntry {
     }
 }
 
-/// A sealed chain: its head, the stateless stages fused behind it and its tail,
-/// running on one thread and counting into one ledger row per stage.
+/// A sealed chain: its head, the stages fused behind it and its tail, running on
+/// one thread and counting into one ledger row per part.
 pub struct FusedOp {
     name: String,
     body: Box<dyn FnOnce(OpCounters) + Send>,
@@ -356,28 +437,29 @@ impl FusedOp {
         let driver = move |counters: &OpCounters, tail: &mut X| {
             pump(rx, &counters.stages()[0].tuples_in, tail)
         };
-        Self::sealed::<T, M, X>(name.into(), driver, open)
+        let name = name.into();
+        Self::sealed::<T, M, X>(name.clone(), name, driver, open)
     }
 
     /// A runnable chain: on the chain's thread, `open` builds the tail from the
-    /// chain's name and its last ledger row, `driver` runs the head through the
-    /// stages into it, and the tail ends once the input has ended.
+    /// tail's node name and the chain's last ledger row, then `driver` runs the head
+    /// through the stages into it until the input ends or the outputs close.
     fn sealed<T, M, X>(
         name: String,
+        tail: String,
         driver: impl FnOnce(&OpCounters, &mut X) -> Result<(), ChannelClosed> + Send + 'static,
         open: impl FnOnce(&str, OpCounters) -> X + Send + 'static,
     ) -> FusedOp
     where
         X: Tail<T, M>,
     {
-        let tail_name = name.clone();
         FusedOp {
             name,
             body: Box::new(move |counters| {
-                let mut tail = open(&tail_name, counters.tail_row());
-                if driver(&counters, &mut tail).is_ok() {
-                    tail.end();
-                }
+                let mut opened = open(&tail, counters.tail_row());
+                // Either way the chain is done: the end of the input has reached
+                // the tail, or its outputs have closed.
+                let _ = driver(&counters, &mut opened);
             }),
         }
     }
@@ -404,7 +486,7 @@ impl Operator for FusedOp {
 pub(crate) mod tests {
     use super::*;
     use crate::channel::stream_channel;
-    use crate::operator::aggregate::{AggregateTail, WindowView};
+    use crate::operator::aggregate::{AggregateStage, WindowView};
     use crate::operator::filter::FilterStage;
     use crate::operator::map::MapStage;
     use crate::operator::multiplex::MultiplexTail;
@@ -421,14 +503,14 @@ pub(crate) mod tests {
     }
 
     /// Runs one stage to completion the way the query builder deploys an unfused
-    /// stateless operator: as a sealed chain of length one.
-    pub(crate) fn run_stage<I: TupleData, O: TupleData, M: MetaData>(
+    /// one: as a chain of length one, sealed with the channel tail.
+    pub(crate) fn run_stage<I: TupleData, O: TupleData, M: MetaData, S: FusedStage<I, O, M>>(
         name: &str,
         rx: StreamReceiver<I, M>,
-        stage: Box<dyn FusedStage<I, O, M>>,
+        open: impl FnOnce(&str, OpCounters) -> S + Send + 'static,
         output: OutputSlot<O, M>,
     ) -> OperatorStats {
-        let chain = PendingChain::pumped(rx).then(stage);
+        let chain = PendingChain::pumped(rx).then(name, open);
         run_bare(Box::new((chain, output)).seal(name.into()))
     }
 
@@ -483,7 +565,7 @@ pub(crate) mod tests {
             tuples(3),
             |rx| {
                 let chain =
-                    PendingChain::pumped(rx).then(Box::new(FilterStage::new(|_: &i64| true)));
+                    PendingChain::pumped(rx).then("f", |_, _| FilterStage::new(|_: &i64| true));
                 Box::new((chain, slot)).seal("f".into())
             },
             0,
@@ -496,15 +578,15 @@ pub(crate) mod tests {
         assert_stops_when_outputs_close(
             input,
             |rx| {
-                let aggregate = AggregateTail::open(
-                    slot,
+                let aggregate = AggregateStage::open(
                     WindowSpec::tumbling(Duration::from_secs(10)).unwrap(),
                     |_: &i64| 0u8,
                     |w: &WindowView<'_, u8, i64, ()>| w.len() as i64,
                     NoProvenance,
                     Default::default(),
                 );
-                FusedOp::tail("count", rx, aggregate)
+                let chain = PendingChain::pumped(rx).then("count", aggregate);
+                Box::new((chain, slot)).seal("count".into())
             },
             0,
         );
@@ -568,8 +650,10 @@ pub(crate) mod tests {
         in_tx.send(Element::End).unwrap();
 
         let chain = PendingChain::pumped(in_rx)
-            .then(Box::new(FilterStage::new(|v: &i64| v % 2 == 0)))
-            .then(Box::new(MapStage::new(|v: &i64| vec![v * 2], NoProvenance)));
+            .then("evens", |_, _| FilterStage::new(|v: &i64| v % 2 == 0))
+            .then("double", |_, _| {
+                MapStage::new(|v: &i64| vec![v * 2], NoProvenance)
+            });
         let op = Box::new((chain, out_slot)).seal("evens+double".into());
         assert_eq!(op.name(), "evens+double");
         let stats = OpCounters::mint(&MetricsRegistry::disabled(), ["evens", "double"]);
@@ -611,7 +695,7 @@ pub(crate) mod tests {
                 name: "pre".into(),
                 instances: 2,
             }),
-            pending: Box::new((chain, OutputSlot::new())),
+            pending: Some(Box::new((chain, OutputSlot::new()))),
         };
         let same_width = ShardGroup {
             name: "post".into(),

@@ -1024,10 +1024,11 @@ mod tests {
         let report = plan.deploy().unwrap().wait().unwrap();
         let values: Vec<i64> = out.tuples().iter().map(|t| t.data).collect();
         assert_eq!(values, vec![0, 4, 8, 12, 16]);
-        // Fusion is on by default: the source and filter+map behind it collapse into
-        // one physical operator whose report still names the original stages.
+        // Fusion is on by default: the source, the filter+map behind it and the sink
+        // that seals them collapse into one physical operator whose report still
+        // names the original stages.
         let chain = report
-            .operator("numbers+evens+double")
+            .operator("numbers+evens+double+sink")
             .expect("fused chain");
         assert_eq!(chain.kind, NodeKind::Fused);
         assert_eq!(report.fused_stage("evens").unwrap().tuples_out, 5);
@@ -1147,8 +1148,10 @@ mod tests {
         let report = q.deploy().unwrap().wait().unwrap();
         assert!(!out.is_empty());
         assert!(out.tuples().iter().all(|t| t.data.1 >= 10));
-        // The per-shard stateless stages fused into one chain per shard.
-        let chain = report.operator("busy+scale").expect("fused shard chain");
+        // The per-shard stages fused onto the shard aggregate, one chain per shard.
+        let chain = report
+            .operator("count+busy+scale")
+            .expect("fused shard chain");
         assert_eq!(chain.instances, 4);
     }
 

@@ -101,13 +101,18 @@ impl OpCounters {
         &self.stages
     }
 
-    /// The last row alone: the handle a chain's tail counts into, whose
-    /// instruments carry the tail stage's name.
-    pub(crate) fn tail_row(&self) -> OpCounters {
+    /// Row `i` alone: the handle one part of a chain builds its instruments from,
+    /// which carry that part's name.
+    pub(crate) fn row(&self, i: usize) -> OpCounters {
         OpCounters {
             registry: Arc::clone(&self.registry),
-            stages: vec![self.tail().clone()],
+            stages: vec![self.stages[i].clone()],
         }
+    }
+
+    /// The last row alone: the handle a chain's tail counts into.
+    pub(crate) fn tail_row(&self) -> OpCounters {
+        self.row(self.stages.len() - 1)
     }
 
     /// Counts one input tuple.

@@ -10,9 +10,10 @@ use std::sync::Arc;
 
 use genealog_metrics::{Counter, Histogram};
 
-use crate::channel::{ChannelClosed, OutputHandle, OutputSlot};
+use crate::channel::ChannelClosed;
 use crate::fusion::Tail;
 use crate::metrics::OpCounters;
+use crate::operator::FusedStage;
 use crate::persist::WindowPersister;
 use crate::provenance::{detach_tuple, ProvenanceSystem};
 use crate::state::{CheckpointHandle, Participant, Snapshot};
@@ -84,10 +85,10 @@ impl<K, I, M> SnapshotEncoder<K, I, M> {
     }
 }
 
-/// The Aggregate operator: the tail of its chain.
-pub(crate) struct AggregateTail<I, O, K, KF, AF, P: ProvenanceSystem> {
-    out: OutputHandle<O, P::Meta>,
-    row: OpCounters,
+/// The Aggregate operator: a stateful stage of its chain. It closes its windows
+/// into the rest of the chain at a watermark, commits its window store before it
+/// forwards a barrier, and flushes every open window at the end of the input.
+pub(crate) struct AggregateStage<I, K, KF, AF, P: ProvenanceSystem> {
     store: WindowStore<K, I, P::Meta>,
     key_fn: KF,
     agg_fn: AF,
@@ -98,22 +99,19 @@ pub(crate) struct AggregateTail<I, O, K, KF, AF, P: ProvenanceSystem> {
     encoder: Option<SnapshotEncoder<K, I, P::Meta>>,
 }
 
-impl<I, O, K, KF, AF, P> AggregateTail<I, O, K, KF, AF, P>
+impl<I, K, KF, AF, P> AggregateStage<I, K, KF, AF, P>
 where
     I: TupleData,
-    O: TupleData,
     K: Ord + Clone + Send + Sync + 'static,
     KF: FnMut(&I) -> K,
-    AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O,
     P: ProvenanceSystem,
 {
     /// Configures an Aggregate. The returned closure builds it on its chain's thread
-    /// (see [`Query::set_tail`](crate::query::Query::set_tail)). When `checkpoints`
-    /// is filled, the operator takes its checkpoint seat there, restores the window
-    /// store committed for it, and snapshots the store — the buffered tuples with
-    /// their live provenance pointers — on every epoch barrier.
+    /// from its node name and ledger row. When `checkpoints` is filled, the operator
+    /// takes its checkpoint seat under its node name, restores the window store
+    /// committed for it, and snapshots the store — the buffered tuples with their
+    /// live provenance pointers — on every epoch barrier.
     pub(crate) fn open(
-        output: OutputSlot<O, P::Meta>,
         spec: WindowSpec,
         key_fn: KF,
         agg_fn: AF,
@@ -154,9 +152,7 @@ where
                 // this run's window-close chains to claim.
                 store.restore(&snapshot, &mut |t| detach_tuple(&provenance, t));
             }
-            AggregateTail {
-                out: output.open(),
-                row,
+            AggregateStage {
                 store,
                 key_fn,
                 agg_fn,
@@ -167,10 +163,14 @@ where
         }
     }
 
-    fn emit_closed(
+    fn emit_closed<O>(
         &mut self,
         closed: Vec<ClosedWindow<K, I, P::Meta>>,
-    ) -> Result<(), ChannelClosed> {
+        next: &mut dyn Tail<O, P::Meta>,
+    ) -> Result<(), ChannelClosed>
+    where
+        AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O,
+    {
         for window in closed {
             if window.tuples.is_empty() {
                 continue;
@@ -188,39 +188,48 @@ where
                 .map(|t| t.stimulus)
                 .max()
                 .unwrap_or_default();
-            let tuple = Arc::new(GTuple::new(window.start, stimulus, data, meta));
-            self.out.send_tuple(tuple)?;
-            self.row.inc_out();
+            next.tuple(Arc::new(GTuple::new(window.start, stimulus, data, meta)))?;
         }
         Ok(())
     }
 }
 
-impl<I, O, K, KF, AF, P> Tail<I, P::Meta> for AggregateTail<I, O, K, KF, AF, P>
+impl<I, O, K, KF, AF, P> FusedStage<I, O, P::Meta> for AggregateStage<I, K, KF, AF, P>
 where
     I: TupleData,
     O: TupleData,
     K: Ord + Clone + Send + Sync + 'static,
-    KF: FnMut(&I) -> K,
-    AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O,
+    KF: FnMut(&I) -> K + Send + 'static,
+    AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O + Send + 'static,
     P: ProvenanceSystem,
 {
-    fn tuple(&mut self, tuple: Arc<GTuple<I, P::Meta>>) -> Result<(), ChannelClosed> {
+    fn process(
+        &mut self,
+        tuple: Arc<GTuple<I, P::Meta>>,
+        _: &mut dyn Tail<O, P::Meta>,
+    ) -> Result<(), ChannelClosed> {
         let key = (self.key_fn)(&tuple.data);
         self.store.insert(key, tuple);
         Ok(())
     }
 
-    fn watermark(&mut self, ts: Timestamp) -> Result<(), ChannelClosed> {
+    fn watermark(
+        &mut self,
+        ts: Timestamp,
+        next: &mut dyn Tail<O, P::Meta>,
+    ) -> Result<(), ChannelClosed> {
         let closed = self.store.close_up_to(ts);
-        self.emit_closed(closed)?;
+        self.emit_closed(closed, next)?;
         // Future outputs carry the start of a not-yet-closed window, which is
         // strictly greater than ts - WS.
-        let downstream_wm = ts.saturating_sub(self.store.spec().size);
-        self.out.send_watermark(downstream_wm)
+        next.watermark(ts.saturating_sub(self.store.spec().size))
     }
 
-    fn barrier(&mut self, epoch: u64) -> Result<(), ChannelClosed> {
+    fn barrier(
+        &mut self,
+        epoch: u64,
+        next: &mut dyn Tail<O, P::Meta>,
+    ) -> Result<(), ChannelClosed> {
         if let Some(seat) = &self.checkpoint {
             let snapshot = self.store.snapshot();
             // Prefer the byte container (durable, diffable); fall back to the
@@ -238,23 +247,22 @@ where
                 },
             );
         }
-        self.out.send_barrier(epoch)
+        next.barrier(epoch)
     }
 
-    fn end(&mut self) {
+    fn end(&mut self, next: &mut dyn Tail<O, P::Meta>) {
         let closed = self.store.close_all();
-        let _ = self.emit_closed(closed);
-        let _ = self.out.send_watermark(Timestamp::MAX);
-        let _ = self.out.send_end();
+        let _ = self.emit_closed(closed, next);
+        let _ = next.watermark(Timestamp::MAX);
+        next.end();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::stream_channel;
-    use crate::fusion::FusedOp;
-    use crate::operator::tests::run_bare;
+    use crate::channel::{stream_channel, OutputSlot};
+    use crate::fusion::tests::run_stage;
     use crate::provenance::NoProvenance;
     use crate::time::Duration;
     use crate::tuple::Element;
@@ -276,15 +284,14 @@ mod tests {
         in_tx.send(Element::End).unwrap();
 
         let spec = WindowSpec::new(Duration::from_secs(120), Duration::from_secs(30)).unwrap();
-        let aggregate = AggregateTail::open(
-            out_slot,
+        let aggregate = AggregateStage::open(
             spec,
             |t: &(u32, u32)| t.0,
             |w: &WindowView<'_, u32, (u32, u32), ()>| (*w.key, w.len()),
             NoProvenance,
             Default::default(),
         );
-        run_bare(FusedOp::tail("count", in_rx, aggregate));
+        run_stage("count", in_rx, aggregate, out_slot);
 
         let mut outputs = Vec::new();
         loop {
@@ -351,15 +358,14 @@ mod tests {
         in_tx.send(Element::Tuple(tuple(20, 1, 0))).unwrap();
         in_tx.send(Element::End).unwrap();
         let spec = WindowSpec::tumbling(Duration::from_secs(30)).unwrap();
-        let aggregate = AggregateTail::open(
-            out_slot,
+        let aggregate = AggregateStage::open(
             spec,
             |t: &(u32, u32)| t.0,
             |w: &WindowView<'_, u32, (u32, u32), ()>| w.len(),
             NoProvenance,
             Default::default(),
         );
-        run_bare(FusedOp::tail("count", in_rx, aggregate));
+        run_stage("count", in_rx, aggregate, out_slot);
         let out = out_rx.recv();
         let out = out.as_tuple().unwrap();
         assert_eq!(

@@ -71,7 +71,7 @@ mod tests {
         in_tx.send(Element::End).unwrap();
 
         let stage = FilterStage::new(|v: &i64| v % 2 == 0);
-        let stats = run_stage("even", in_rx, Box::new(stage), out_slot);
+        let stats = run_stage("even", in_rx, |_, _| stage, out_slot);
         assert_eq!(stats.tuples_in, 2);
         assert_eq!(stats.tuples_out, 1);
 
@@ -98,7 +98,7 @@ mod tests {
         in_tx.send(Element::End).unwrap();
 
         let stage = FilterStage::new(|_: &i64| false);
-        run_stage("none", in_rx, Box::new(stage), out_slot);
+        run_stage("none", in_rx, |_, _| stage, out_slot);
         assert!(matches!(out_rx.recv(), Element::Watermark(ts) if ts == Timestamp::from_secs(1)));
         assert!(out_rx.recv().is_end());
     }

@@ -131,7 +131,7 @@ mod tests {
         in_tx.send(Element::End).unwrap();
 
         let stage = MapStage::new(|v: &i64| vec![format!("v={}", v * 2)], NoProvenance);
-        let stats = run_stage("fmt", in_rx, Box::new(stage), out_slot);
+        let stats = run_stage("fmt", in_rx, |_, _| stage, out_slot);
         assert_eq!(stats.tuples_in, 1);
         assert_eq!(stats.tuples_out, 1);
 
@@ -155,7 +155,7 @@ mod tests {
         in_tx.send(Element::End).unwrap();
 
         let stage = MapStage::new(|v: &i64| (0..*v).collect::<Vec<_>>(), NoProvenance);
-        let stats = run_stage("explode", in_rx, Box::new(stage), out_slot);
+        let stats = run_stage("explode", in_rx, |_, _| stage, out_slot);
         assert_eq!(stats.tuples_out, 3);
         assert_eq!(out_rx.recv().as_tuple().unwrap().data, 0);
         assert_eq!(out_rx.recv().as_tuple().unwrap().data, 1);
@@ -176,7 +176,7 @@ mod tests {
             |t: &Arc<GTuple<i64, ()>>| vec![t.ts.as_secs()],
             NoProvenance,
         );
-        let stats = run_stage("ts-extract", in_rx, Box::new(stage), out_slot);
+        let stats = run_stage("ts-extract", in_rx, |_, _| stage, out_slot);
         assert_eq!(stats.tuples_out, 1);
         assert_eq!(out_rx.recv().as_tuple().unwrap().data, 9);
         assert!(out_rx.recv().is_end());
@@ -193,7 +193,7 @@ mod tests {
         in_tx.send(Element::End).unwrap();
 
         let stage = MapStage::new(|_: &i64| Vec::<i64>::new(), NoProvenance);
-        let stats = run_stage("drop", in_rx, Box::new(stage), out_slot);
+        let stats = run_stage("drop", in_rx, |_, _| stage, out_slot);
         assert_eq!(stats.tuples_in, 1);
         assert_eq!(stats.tuples_out, 0);
         assert!(out_rx.recv().is_end());
@@ -247,7 +247,7 @@ mod tests {
         in_tx.send(Element::End).unwrap();
 
         let stage = MapStage::new(|v: &i64| vec![*v, v + 1], Depth);
-        let stats = run_stage("twice", in_rx, Box::new(stage), out_slot);
+        let stats = run_stage("twice", in_rx, |_, _| stage, out_slot);
         assert_eq!(stats.tuples_out, 2);
         for expected in [3, 4] {
             let t = out_rx.recv();

@@ -1,15 +1,16 @@
 //! The standard streaming operators of the paper's §2.
 //!
 //! Every single-input operator runs in a chain ([`crate::fusion`]): *head →
-//! stateless stages → one tail*, on one thread.
+//! stages → one tail*, on one thread.
 //!
 //! * A Source ([`source`]) is a head: its loop drives what follows it.
-//! * The stateless operators are [`FusedStage`]s — [`filter::FilterStage`],
-//!   [`map::MapStage`], [`map::MetaMapStage`] — composed behind the head, one
-//!   stage per chain when fusion is off.
-//! * Aggregate ([`aggregate`]), Sink ([`sink`]), Multiplex ([`multiplex`]) and the
-//!   shuffle exchange ([`crate::parallel`]) are [`Tail`]s: each ends a chain, owns
-//!   its outputs and is built on the chain's thread from its ledger row.
+//! * Filter, Map and Aggregate are [`FusedStage`]s — [`filter::FilterStage`],
+//!   [`map::MapStage`], [`map::MetaMapStage`] and the stateful
+//!   [`aggregate`] stage — composed behind the head, one stage per chain when
+//!   fusion is off.
+//! * Sink ([`sink`]), Multiplex ([`multiplex`]) and the shuffle exchange
+//!   ([`crate::parallel`]) are [`Tail`]s: each seals the chain feeding it, owns its
+//!   outputs and is built on the chain's thread from its node name and ledger row.
 //!
 //! Everything the runtime spawns implements the [`Operator`] trait: a sealed chain
 //! as [`FusedOp`](crate::fusion::FusedOp), and the multi-stream operators —
@@ -40,6 +41,7 @@ use crate::error::SpeError;
 use crate::fusion::Tail;
 use crate::metrics::OpCounters;
 use crate::provenance::MetaData;
+use crate::time::Timestamp;
 use crate::tuple::{GTuple, TupleData};
 
 /// Tuple counts of one operator, as the runtime reports them after the run.
@@ -70,24 +72,25 @@ impl OperatorStats {
     }
 }
 
-/// A stateless, single-input/single-output processing step that the physical-plan
-/// fusion pass ([`crate::fusion`]) can compose with adjacent steps into one thread.
+/// A single-input/single-output processing step that the physical-plan fusion pass
+/// ([`crate::fusion`]) composes with the parts around it into one thread.
 ///
-/// The stateless operators (Filter, Map and the meta-aware Map) are expressed as
-/// stages: a stage receives one input tuple and hands zero or more output tuples to
-/// the rest of its chain. When fusion is enabled
+/// Filter, Map and the meta-aware Map are stateless stages; the Aggregate is a
+/// stage that holds its windows. A stage receives one input tuple and hands zero or
+/// more output tuples to the rest of its chain. When fusion is enabled
 /// ([`QueryConfig::fusion`](crate::query::QueryConfig)) the query builder chains
 /// consecutive stages so that a tuple flows through all of them in a single call
 /// stack — no intermediate channel, batch buffer or thread hand-off. When fusion is
 /// disabled every stage still runs through the same pump, just as a chain of length
 /// one, so fused and unfused plans execute identical per-tuple code.
 ///
-/// Stages never see watermarks, barriers or the end-of-stream marker: every
-/// stateless operator forwards them unchanged, so the chain passes them straight on
-/// to its tail. This is also what makes fusion provenance-transparent — a stage
-/// either forwards the input `Arc` (Filter) or calls the exact provenance hook the
-/// standalone operator would call (Map), so GeneaLog metadata is byte-identical
-/// whether or not the plan is fused.
+/// The non-tuple elements reach a stage through hooks that forward by default,
+/// which is the entire checkpoint protocol of a stateless stage. A stateful stage
+/// overrides them: it closes what a watermark completes, commits its snapshot before
+/// it forwards a barrier, and flushes at the end. Fusion is provenance-transparent
+/// because a stage either forwards the input `Arc` (Filter) or calls the exact
+/// provenance hook the standalone operator would call (Map, Aggregate), so GeneaLog
+/// metadata is byte-identical whether or not the plan is fused.
 pub trait FusedStage<I: TupleData, O: TupleData, M: MetaData>: Send + 'static {
     /// Processes one input tuple, handing each output tuple to `next.tuple`.
     ///
@@ -99,6 +102,27 @@ pub trait FusedStage<I: TupleData, O: TupleData, M: MetaData>: Send + 'static {
         tuple: Arc<GTuple<I, M>>,
         next: &mut dyn Tail<O, M>,
     ) -> Result<(), ChannelClosed>;
+
+    /// Takes a watermark; forwards it by default.
+    ///
+    /// # Errors
+    /// Propagates [`ChannelClosed`] from `next`.
+    fn watermark(&mut self, ts: Timestamp, next: &mut dyn Tail<O, M>) -> Result<(), ChannelClosed> {
+        next.watermark(ts)
+    }
+
+    /// Takes an epoch barrier; forwards it by default.
+    ///
+    /// # Errors
+    /// Propagates [`ChannelClosed`] from `next`.
+    fn barrier(&mut self, epoch: u64, next: &mut dyn Tail<O, M>) -> Result<(), ChannelClosed> {
+        next.barrier(epoch)
+    }
+
+    /// The input has ended; ends the rest of the chain by default.
+    fn end(&mut self, next: &mut dyn Tail<O, M>) {
+        next.end();
+    }
 }
 
 /// Runtime behaviour of what the runtime spawns — a sealed chain or a multi-stream

@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::channel::ChannelClosed;
+use crate::channel::{BatchConfig, ChannelClosed};
 use crate::fusion::Tail;
 use crate::metrics::OpCounters;
 use crate::operator::now_nanos;
@@ -126,6 +126,9 @@ pub(crate) struct SourceOp<G: SourceGenerator, P: ProvenanceSystem> {
     source_id: u32,
     generator: G,
     config: SourceConfig,
+    /// Tuples per batch of the source's output stream: the head marks a batch end
+    /// after each run of this many tuples, as the pump does behind a channel.
+    batch: BatchConfig,
     provenance: P,
     stop: Arc<AtomicBool>,
     checkpoints: CheckpointHandle,
@@ -144,6 +147,7 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
         source_id: u32,
         generator: G,
         config: SourceConfig,
+        batch: BatchConfig,
         provenance: P,
         stop: Arc<AtomicBool>,
         checkpoints: CheckpointHandle,
@@ -154,6 +158,7 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
             source_id,
             generator,
             config,
+            batch,
             provenance,
             stop,
             checkpoints,
@@ -163,10 +168,13 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
 
     /// Runs the source to the end of its generator (or the stop flag), handing each
     /// tuple, watermark and epoch barrier to `next` — the rest of the chain it
-    /// heads. The source counts nothing itself: the chain counts its `tuples_out` at
-    /// the hand-off, and its gauges carry the head stage's name, which is the
-    /// source's. Between two tuples it drops the graphs the sinks retired (one
-    /// relaxed load when there are none).
+    /// heads — and then the end of the stream. It marks a batch end wherever its
+    /// output channel would have flushed a full batch, so a tail that frames by
+    /// batch (Send) frames the same behind a Source as behind the pump. The source
+    /// counts nothing itself: the chain counts its `tuples_out` at the hand-off, and
+    /// its gauges carry the head stage's name, which is the source's. Between two
+    /// tuples it drops the graphs the sinks retired (one relaxed load when there
+    /// are none).
     ///
     /// # Errors
     /// Returns [`ChannelClosed`] as soon as `next` reports that the downstream
@@ -200,6 +208,9 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
         }
         let start = std::time::Instant::now();
         let base_seq = seq;
+        // Tuples since the last flush of the batch the output channel would hold:
+        // a full batch, a watermark and a barrier each flush it.
+        let mut run = 0;
         // Leaves when dropped: on every return, `?` included, and while unwinding.
         let mut drainer = self.reclaimer.enter();
 
@@ -233,8 +244,14 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
             next.tuple(Arc::new(GTuple::new(ts, now_nanos(), data, meta)))?;
             seq += 1;
             replay_offset.set(seq);
+            run += 1;
+            if run == self.batch.size {
+                next.batch_end()?;
+                run = 0;
+            }
             if self.config.watermark_every > 0 && seq.is_multiple_of(self.config.watermark_every) {
                 next.watermark(ts)?;
+                run = 0;
             }
             if let Some((seat, _)) = &checkpoint {
                 if seq.is_multiple_of(seat.config.interval) {
@@ -245,10 +262,13 @@ impl<G: SourceGenerator, P: ProvenanceSystem> SourceOp<G, P> {
                     seat.commit(epoch, Snapshot::u64(seq));
                     barrier_epoch.set(epoch);
                     next.barrier(epoch)?;
+                    run = 0;
                 }
             }
         }
-        next.watermark(Timestamp::MAX)
+        next.watermark(Timestamp::MAX)?;
+        next.end();
+        Ok(())
     }
 }
 
@@ -297,6 +317,7 @@ mod tests {
             0,
             generator,
             config,
+            BatchConfig::default(),
             NoProvenance,
             Arc::new(AtomicBool::new(stop)),
             Default::default(),

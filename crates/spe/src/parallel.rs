@@ -71,7 +71,7 @@ use crate::error::SpeError;
 use crate::fusion::Tail;
 use crate::merge::{DeterministicMerge, MergedElement};
 use crate::metrics::OpCounters;
-use crate::operator::aggregate::{AggregateTail, WindowView};
+use crate::operator::aggregate::{AggregateStage, WindowView};
 use crate::operator::filter::FilterStage;
 use crate::operator::join::JoinOp;
 use crate::operator::map::MapStage;
@@ -494,17 +494,23 @@ impl<P: ProvenanceSystem> Query<P> {
         for (i, (shard, placement)) in shards.into_iter().zip(placements).enumerate() {
             let mut stream = match placement {
                 ShardPlacement::Local => {
-                    let shard_name = format!("{name}[{i}]");
-                    let node = self.add_node(shard_name.clone(), NodeKind::ShardedAggregate);
-                    self.set_shard_group(node, name, instances);
-                    let (slot, stream) = self.new_output_stream(node, format!("{shard_name}.out"));
                     let (key_fn, agg_fn) = (key_fn.clone(), agg_fn.clone());
                     let (provenance, checkpoints) =
                         (self.provenance().clone(), self.checkpoint_handle());
                     let aggregate =
-                        AggregateTail::open(slot, spec, key_fn, agg_fn, provenance, checkpoints);
-                    self.set_tail(node, shard, aggregate);
-                    stream
+                        AggregateStage::open(spec, key_fn, agg_fn, provenance, checkpoints);
+                    let group = ShardGroup {
+                        name: name.to_string(),
+                        instances,
+                    };
+                    // The shard's chain stays open: per-shard stages chain onto it.
+                    self.add_fused_stage(
+                        &format!("{name}[{i}]"),
+                        NodeKind::ShardedAggregate,
+                        Some(group),
+                        shard,
+                        aggregate,
+                    )
                 }
                 ShardPlacement::Remote(route) => route(self, i, shard),
             };
@@ -643,6 +649,7 @@ impl<P: ProvenanceSystem> Query<P> {
             .into_iter()
             .enumerate()
             .map(|(i, shard)| {
+                let stage = FilterStage::new(predicate.clone());
                 self.add_fused_stage(
                     &format!("{name}[{i}]"),
                     NodeKind::Filter,
@@ -651,7 +658,7 @@ impl<P: ProvenanceSystem> Query<P> {
                         instances,
                     }),
                     shard,
-                    FilterStage::new(predicate.clone()),
+                    move |_, _| stage,
                 )
             })
             .collect()
@@ -679,6 +686,7 @@ impl<P: ProvenanceSystem> Query<P> {
             .into_iter()
             .enumerate()
             .map(|(i, shard)| {
+                let stage = MapStage::new(function.clone(), provenance.clone());
                 self.add_fused_stage(
                     &format!("{name}[{i}]"),
                     NodeKind::Map,
@@ -687,7 +695,7 @@ impl<P: ProvenanceSystem> Query<P> {
                         instances,
                     }),
                     shard,
-                    MapStage::new(function.clone(), provenance.clone()),
+                    move |_, _| stage,
                 )
             })
             .collect()
@@ -1066,10 +1074,11 @@ mod tests {
         assert!(!fused.is_empty());
         assert_eq!(fused, unfused, "shard-local fusion must not change results");
         // Unfused: src, part, 4 keep, 4 scale, merge, sink = 12 threads but the
-        // shard groups fold to 6 reports; fused: the 4 keep+scale chains fold into
-        // one grouped chain report.
+        // shard groups fold to 6 reports; fused: the exchange seals the source's
+        // chain, and the 4 keep+scale chains fold into one grouped chain report.
         assert_eq!(unfused_report.operator_stats().len(), 6);
-        assert_eq!(fused_report.operator_stats().len(), 5);
+        assert_eq!(fused_report.operator_stats().len(), 4);
+        assert!(fused_report.operator("src+part").is_some());
         let chain = fused_report.operator("keep+scale").expect("fused chain");
         assert_eq!(chain.kind, NodeKind::Fused);
         assert_eq!(chain.instances, 4, "one fused thread per shard");

@@ -20,9 +20,9 @@ use genealog_metrics::MetricsRegistry;
 
 use crate::channel::{stream_channel, BatchConfig, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
-use crate::fusion::{ChainEntry, FusedOp, PendingChain, Tail};
+use crate::fusion::{ChainEntry, FusedOp, PendingChain, Sealed, Tail};
 use crate::metrics::OpCounters;
-use crate::operator::aggregate::{AggregateTail, WindowView};
+use crate::operator::aggregate::{AggregateStage, WindowView};
 use crate::operator::filter::FilterStage;
 use crate::operator::join::JoinOp;
 use crate::operator::map::{MapStage, MetaMapStage};
@@ -70,8 +70,9 @@ pub enum NodeKind {
     ShardedJoin,
     /// The provenance-safe fan-in reunifying shard outputs into one ordered stream.
     ShardMerge,
-    /// A fused chain running on one thread: a Source or a stateless operator and
-    /// the stateless operators fused behind it (see [`crate::fusion`]).
+    /// A fused chain running on one thread: a Source or a single-input operator
+    /// with the stages fused behind it and the tail that seals it (see
+    /// [`crate::fusion`]).
     Fused,
     /// An operator provided by an extension crate (unfolders, Send/Receive, ...).
     Custom(&'static str),
@@ -244,16 +245,16 @@ pub struct QueryConfig {
     /// [`Parallelism::default()`](crate::parallel::Parallelism). Individual operators
     /// override it with [`Parallelism::instances`](crate::parallel::Parallelism::instances).
     pub parallelism: usize,
-    /// Whether the physical-plan fusion pass collapses contiguous chains of
-    /// stateless single-input/single-output operators (filter → map → map …), and
-    /// the Source feeding one, into single-thread fused pipelines with no
-    /// intermediate channels (see [`crate::fusion`]). Fused plans produce the same
-    /// results and provenance, and every stage keeps its own ledger row, so
-    /// `/metrics` reads the same either way. What changes is the report's shape: a
-    /// fused chain is one [`OperatorReport`](crate::runtime::OperatorReport) named
-    /// `stage+stage…`, its stages listed in `stages`. Off by default here, so
-    /// physical-layer callers that look operators up by name keep the shape they
-    /// were written against; the planner
+    /// Whether the physical-plan fusion pass runs every forward edge between
+    /// single-input operators on one thread: a Source or a pumped operator, the
+    /// Filter, Map and Aggregate stages behind it, and the Sink, Multiplex,
+    /// Partition or Send that seals it, with no intermediate channel (see
+    /// [`crate::fusion`]). With fusion off every operator is a chain of one. Fused
+    /// plans produce the same results and provenance, and every stage keeps its own
+    /// ledger row, so `/metrics` reads the same either way. What changes is the
+    /// report's shape: a fused chain is one
+    /// [`OperatorReport`](crate::runtime::OperatorReport) named `stage+stage…`, its
+    /// stages listed in `stages`. The planner
     /// ([`PlannerConfig::fusion`](crate::planner::PlannerConfig)) fuses by default.
     pub fusion: bool,
     /// Whether the query publishes into a live [`MetricsRegistry`] (per-operator
@@ -329,8 +330,11 @@ pub struct Query<P: ProvenanceSystem> {
     /// Number of provenance collectors attached to this query (see
     /// [`Query::note_provenance_collector`]).
     provenance_collectors: usize,
-    /// Pending fused chains, keyed by the node id of each chain's current tail.
-    fused_tails: HashMap<NodeId, ChainEntry>,
+    /// Chains still open for extension, keyed by the node id of each chain's last
+    /// stage.
+    open_chains: HashMap<NodeId, ChainEntry>,
+    /// Chains a tail has sealed.
+    sealed_chains: Vec<ChainEntry>,
     /// Checks run at deployment time to detect dangling output streams.
     slot_checks: Vec<(String, Box<dyn Fn() -> bool + Send>)>,
     stop: Arc<AtomicBool>,
@@ -364,7 +368,8 @@ impl<P: ProvenanceSystem> Query<P> {
             edge_budgets: Vec::new(),
             edge_channels: Vec::new(),
             provenance_collectors: 0,
-            fused_tails: HashMap::new(),
+            open_chains: HashMap::new(),
+            sealed_chains: Vec::new(),
             slot_checks: Vec::new(),
             stop: Arc::new(AtomicBool::new(false)),
             reclaimer: Reclaimer::new(),
@@ -423,8 +428,7 @@ impl<P: ProvenanceSystem> Query<P> {
     /// [`LogicalFacts`]: genealog_analysis::LogicalFacts
     pub fn plan_facts(&self) -> genealog_analysis::PlanFacts {
         let fused_away: usize = self
-            .fused_tails
-            .values()
+            .chains()
             .map(|entry| entry.nodes.len().saturating_sub(1))
             .sum();
         let nodes = self
@@ -532,7 +536,7 @@ impl<P: ProvenanceSystem> Query<P> {
         let share = stream.capacity_share.max(1);
         let capacity = self.config.channel_capacity.div_ceil(share);
         let batches = crate::channel::batch_budget(capacity, batch_size);
-        let (mut tx, rx) = stream_channel(batches);
+        let (mut tx, mut rx) = stream_channel(batches);
         if self.registry.is_enabled() {
             // One edge key per physical channel: the producing stream's label is
             // unique per output port, the consumer name disambiguates fan-ins.
@@ -541,6 +545,10 @@ impl<P: ProvenanceSystem> Query<P> {
                 "genealog_channel_backpressure_stalls_total",
                 &[("edge", &edge)],
             ));
+            rx.set_park_counter(
+                self.registry
+                    .counter("genealog_channel_receiver_parks_total", &[("edge", &edge)]),
+            );
             let depth = rx.depth_handle();
             self.registry.gauge_fn(
                 "genealog_channel_queue_depth",
@@ -591,10 +599,12 @@ impl<P: ProvenanceSystem> Query<P> {
     }
 
     /// Installs a node's operator as the [`Tail`] of a chain fed by `input`: the one
-    /// construction path of every single-input operator that is not a stateless
-    /// stage (Aggregate, Sink, Multiplex, Partition, Send). `open` builds the tail
-    /// on the chain's thread, from the node's name and the tail's ledger row. The
-    /// tail starts a chain of its own, pumped from its own input channel.
+    /// construction path of every single-input operator that ends a chain (Sink,
+    /// Multiplex, Partition, Send). `open` builds the tail on the chain's thread,
+    /// from the node's name and the tail's ledger row. With fusion on, a tail seals
+    /// the open chain `input` leaves — a Source's, or one ending in a stage — and
+    /// runs on that chain's thread; otherwise it starts a chain of its own, pumped
+    /// from its own input channel.
     pub fn set_tail<T, X>(
         &mut self,
         node: NodeId,
@@ -604,9 +614,72 @@ impl<P: ProvenanceSystem> Query<P> {
         T: TupleData,
         X: Tail<T, P::Meta>,
     {
-        let rx = self.attach_input(input, node);
-        let chain = FusedOp::tail(self.nodes[node].name.clone(), rx, open);
-        self.set_operator(node, Box::new(chain));
+        let name = self.nodes[node].name.clone();
+        // A Partition's shard group describes its outputs: its input is one stream.
+        let group = match self.nodes[node].kind {
+            NodeKind::Partition => None,
+            _ => self.nodes[node].shard_group.clone(),
+        };
+        match self.take_open_chain(&input, node, group.as_ref()) {
+            Some((mut entry, chain)) => {
+                entry.nodes.push(node);
+                entry.stages.push(self.logical_name(node));
+                entry.merge_group(group);
+                entry.pending = Some(Box::new(Sealed(Box::new(move |chain_name| {
+                    chain.seal(chain_name, &name, open)
+                }))));
+                self.sealed_chains.push(entry);
+            }
+            None => {
+                let rx = self.attach_input(input, node);
+                self.set_operator(node, Box::new(FusedOp::tail(name, rx, open)));
+            }
+        }
+    }
+
+    /// The open chain `input` leaves, when fusion is on and a part whose input side
+    /// carries `group` may extend it: taken out of the open chains with its typed
+    /// composition, and the edge to `consumer` recorded as channel-free.
+    fn take_open_chain<T: TupleData>(
+        &mut self,
+        input: &StreamRef<T, P::Meta>,
+        consumer: NodeId,
+        group: Option<&ShardGroup>,
+    ) -> Option<(ChainEntry, PendingChain<T, P::Meta>)> {
+        let extends = self
+            .open_chains
+            .get(&input.producer)
+            .is_some_and(|entry| entry.accepts(group));
+        if !self.config.fusion || !extends {
+            return None;
+        }
+        let mut entry = self.open_chains.remove(&input.producer)?;
+        let (chain, _bypassed) = *entry
+            .pending
+            .take()?
+            .into_any()
+            .downcast::<(PendingChain<T, P::Meta>, OutputSlot<T, P::Meta>)>()
+            .expect("open chain type mismatch");
+        // Bypass the chain's output slot: the parts are connected by direct calls,
+        // not a channel. The discard mark satisfies deploy validation.
+        input.slot.mark_discard();
+        self.edges.push((input.producer, consumer));
+        self.edge_budgets.push(0);
+        self.edge_channels.push(None);
+        Some((entry, chain))
+    }
+
+    /// The name a node's ledger row carries: its shard group's, or its own.
+    fn logical_name(&self, node: NodeId) -> String {
+        let info = &self.nodes[node];
+        info.shard_group
+            .as_ref()
+            .map_or_else(|| info.name.clone(), |g| g.name.clone())
+    }
+
+    /// Every chain collected so far, open or sealed by a tail.
+    fn chains(&self) -> impl Iterator<Item = &ChainEntry> {
+        self.open_chains.values().chain(&self.sealed_chains)
     }
 
     /// Allocates a fresh origin id (used by Sources and Receive operators to build the
@@ -617,26 +690,29 @@ impl<P: ProvenanceSystem> Query<P> {
         id
     }
 
-    /// Registers a stateless single-input/single-output operator expressed as a
-    /// [`FusedStage`]. This is the single construction path for Filter and Map:
+    /// Registers a single-input/single-output operator expressed as a
+    /// [`FusedStage`] that `open` builds on the chain's thread from the node's name
+    /// and ledger row. This is the single construction path for Filter, Map and
+    /// Aggregate:
     ///
-    /// * if fusion is enabled and `input` is the tail stream of a pending fused
-    ///   chain with a compatible shard group — a Source's, or another stateless
-    ///   stage's — the stage *extends* that chain: no channel is allocated between
-    ///   the two stages, and the stage runs on the chain head's thread;
-    /// * otherwise the stage starts a new chain of length one, pulling from a
-    ///   regular channel out of the producer.
+    /// * if fusion is enabled and `input` leaves an open chain with a compatible
+    ///   shard group — a Source's, or one ending in another stage — the stage
+    ///   *extends* that chain: no channel is allocated between the two, and the
+    ///   stage runs on the chain head's thread;
+    /// * otherwise the stage starts a new chain, pulling from a regular channel out
+    ///   of the producer.
     ///
-    /// Either way the node is sealed into a runnable [`FusedOp`]
-    /// at deployment time, so fused and unfused plans execute identical per-tuple
-    /// code and differ only in how many threads and channels carry it.
+    /// Either way the chain stays open: a later stage extends it, a tail seals it
+    /// ([`Query::set_tail`]), or deployment seals it with its output channel. Fused
+    /// and unfused plans execute identical per-tuple code and differ only in how
+    /// many threads and channels carry it.
     pub(crate) fn add_fused_stage<I, O, S>(
         &mut self,
         name: &str,
         kind: NodeKind,
         group: Option<ShardGroup>,
         input: StreamRef<I, P::Meta>,
-        stage: S,
+        open: impl FnOnce(&str, OpCounters) -> S + Send + 'static,
     ) -> StreamRef<O, P::Meta>
     where
         I: TupleData,
@@ -645,54 +721,32 @@ impl<P: ProvenanceSystem> Query<P> {
     {
         let node = self.add_node(name, kind);
         self.nodes[node].shard_group = group.clone();
-        let logical = group
-            .as_ref()
-            .map_or_else(|| name.to_string(), |g| g.name.clone());
-        // A stateless stage keeps its input's shard membership: its output stream
-        // inherits the capacity share, so per-shard stage pipelines stay jointly
-        // budgeted all the way to the fan-in.
+        let logical = self.logical_name(node);
+        // A stage keeps its input's shard membership: its output stream inherits
+        // the capacity share, so per-shard pipelines stay jointly budgeted all the
+        // way to the fan-in.
         let share = input.capacity_share;
-        let extend = self.config.fusion
-            && self
-                .fused_tails
-                .get(&input.producer)
-                .is_some_and(|entry| entry.accepts(group.as_ref()));
         let (slot, mut stream) = self.new_output_stream(node, format!("{name}.out"));
         stream.capacity_share = share;
-        if extend {
-            let mut entry = self
-                .fused_tails
-                .remove(&input.producer)
-                .expect("chain tail");
-            // Bypass the old tail's output slot: the stages are connected by direct
-            // calls, not a channel. The discard mark satisfies deploy validation.
-            input.slot.mark_discard();
-            self.edges.push((input.producer, node));
-            self.edge_budgets.push(0);
-            self.edge_channels.push(None);
-            let (chain, _bypassed) = *entry
-                .pending
-                .into_any()
-                .downcast::<(PendingChain<I, P::Meta>, OutputSlot<I, P::Meta>)>()
-                .expect("fused chain tail type mismatch");
-            entry.pending = Box::new((chain.then(Box::new(stage)), slot));
-            entry.nodes.push(node);
-            entry.stages.push(logical);
-            entry.merge_group(group);
-            self.fused_tails.insert(node, entry);
-        } else {
-            let rx = self.attach_input(input, node);
-            let chain = PendingChain::pumped(rx).then(Box::new(stage));
-            self.fused_tails.insert(
-                node,
+        let entry = match self.take_open_chain(&input, node, group.as_ref()) {
+            Some((mut entry, chain)) => {
+                entry.nodes.push(node);
+                entry.stages.push(logical);
+                entry.merge_group(group);
+                entry.pending = Some(Box::new((chain.then(name, open), slot)));
+                entry
+            }
+            None => {
+                let rx = self.attach_input(input, node);
                 ChainEntry {
                     nodes: vec![node],
                     stages: vec![logical],
                     group,
-                    pending: Box::new((chain, slot)),
-                },
-            );
-        }
+                    pending: Some(Box::new((PendingChain::pumped(rx).then(name, open), slot))),
+                }
+            }
+        };
+        self.open_chains.insert(node, entry);
         stream
     }
 
@@ -724,20 +778,21 @@ impl<P: ProvenanceSystem> Query<P> {
             source_id,
             generator,
             config,
+            self.current_batch,
             self.provenance.clone(),
             Arc::clone(&self.stop),
             Arc::clone(&self.checkpoints),
             Arc::clone(&self.reclaimer),
         );
-        // The source heads a chain: stateless stages added on its stream run on its
-        // thread (see `add_fused_stage`).
-        self.fused_tails.insert(
+        // The source heads a chain: the stages and the tail added on its stream run
+        // on its thread (see `add_fused_stage` and `set_tail`).
+        self.open_chains.insert(
             node,
             ChainEntry {
                 nodes: vec![node],
                 stages: vec![name.to_string()],
                 group: None,
-                pending: Box::new((PendingChain::source(source), slot)),
+                pending: Some(Box::new((PendingChain::source(source), slot))),
             },
         );
         stream
@@ -756,13 +811,9 @@ impl<P: ProvenanceSystem> Query<P> {
         F: FnMut(&I) -> Vec<O> + Send + 'static,
     {
         let provenance = self.provenance.clone();
-        self.add_fused_stage(
-            name,
-            NodeKind::Map,
-            None,
-            input,
-            MapStage::new(function, provenance),
-        )
+        self.add_fused_stage(name, NodeKind::Map, None, input, move |_, _| {
+            MapStage::new(function, provenance)
+        })
     }
 
     /// Adds a meta-aware Map whose function receives the whole input tuple (payload
@@ -780,13 +831,9 @@ impl<P: ProvenanceSystem> Query<P> {
         F: FnMut(&Arc<crate::tuple::GTuple<I, P::Meta>>) -> Vec<O> + Send + 'static,
     {
         let provenance = self.provenance.clone();
-        self.add_fused_stage(
-            name,
-            NodeKind::Map,
-            None,
-            input,
-            MetaMapStage::new(function, provenance),
-        )
+        self.add_fused_stage(name, NodeKind::Map, None, input, move |_, _| {
+            MetaMapStage::new(function, provenance)
+        })
     }
 
     /// Adds a Map producing exactly one output payload per input payload.
@@ -815,13 +862,9 @@ impl<P: ProvenanceSystem> Query<P> {
         T: TupleData,
         F: FnMut(&T) -> bool + Send + 'static,
     {
-        self.add_fused_stage(
-            name,
-            NodeKind::Filter,
-            None,
-            input,
-            FilterStage::new(predicate),
-        )
+        self.add_fused_stage(name, NodeKind::Filter, None, input, move |_, _| {
+            FilterStage::new(predicate)
+        })
     }
 
     /// Adds a Multiplex copying every input tuple to `outputs` output streams.
@@ -881,12 +924,9 @@ impl<P: ProvenanceSystem> Query<P> {
         KF: FnMut(&I) -> K + Send + 'static,
         AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O + Send + 'static,
     {
-        let node = self.add_node(name, NodeKind::Aggregate);
-        let (slot, stream) = self.new_output_stream(node, format!("{name}.out"));
         let (provenance, checkpoints) = (self.provenance.clone(), self.checkpoint_handle());
-        let aggregate = AggregateTail::open(slot, spec, key_fn, agg_fn, provenance, checkpoints);
-        self.set_tail(node, input, aggregate);
-        stream
+        let aggregate = AggregateStage::open(spec, key_fn, agg_fn, provenance, checkpoints);
+        self.add_fused_stage(name, NodeKind::Aggregate, None, input, aggregate)
     }
 
     /// Adds a Join of two streams within the time window `window`: pairs with equal
@@ -1099,11 +1139,7 @@ impl<P: ProvenanceSystem> Query<P> {
         // Members of a multi-stage fused chain all render through the chain's head.
         // Chains are rendered in head-node order so the output is deterministic.
         let mut chain_head: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut chains: Vec<&ChainEntry> = self
-            .fused_tails
-            .values()
-            .filter(|e| e.nodes.len() > 1)
-            .collect();
+        let mut chains: Vec<&ChainEntry> = self.chains().filter(|e| e.nodes.len() > 1).collect();
         chains.sort_by_key(|e| e.nodes[0]);
         for entry in chains {
             let head = entry.nodes[0];
@@ -1167,12 +1203,11 @@ impl<P: ProvenanceSystem> Query<P> {
     /// Validates the query, runs the physical-plan fusion pass and spawns one thread
     /// per physical operator.
     ///
-    /// The fusion pass seals every pending chain collected by the builder — one per
-    /// Source and per stateless stage not fused into another: a chain of one stage
-    /// becomes an ordinary single-operator thread reporting under the stage's kind;
-    /// a chain of two or more stages becomes one
-    /// [`FusedOp`] thread whose report still names the
-    /// original operators (see
+    /// The fusion pass seals every chain collected by the builder — those a tail
+    /// sealed, and each still-open one with its output channel: a chain of one part
+    /// becomes an ordinary single-operator thread reporting under the part's kind;
+    /// a chain of two or more parts becomes one [`FusedOp`] thread whose report
+    /// still names the original operators (see
     /// [`OperatorReport::stages`](crate::runtime::OperatorReport)). Every thread
     /// is handed its rows of the operator ledger ([`crate::metrics`]), minted here.
     ///
@@ -1191,10 +1226,17 @@ impl<P: ProvenanceSystem> Query<P> {
         // come out in node-creation order, and remember every fused member.
         let mut chains: HashMap<NodeId, ChainEntry> = HashMap::new();
         let mut members: HashSet<NodeId> = HashSet::new();
-        for (_, entry) in self.fused_tails.drain() {
+        let sealed = std::mem::take(&mut self.sealed_chains);
+        for entry in self
+            .open_chains
+            .drain()
+            .map(|(_, entry)| entry)
+            .chain(sealed)
+        {
             members.extend(entry.nodes.iter().copied());
             chains.insert(entry.nodes[0], entry);
         }
+        let kinds: Vec<NodeKind> = self.nodes.iter().map(|node| node.kind).collect();
         // Mint the operator ledger (see [`crate::metrics`]): one row per physical
         // stage under its logical name — n for a fused chain, one for anything else.
         let mut specs = Vec::with_capacity(self.nodes.len());
@@ -1205,14 +1247,16 @@ impl<P: ProvenanceSystem> Query<P> {
                 } else {
                     entry.stages.join("+")
                 };
+                let pending = entry.pending.expect("every collected chain is complete");
                 specs.push(OperatorSpec {
                     head: node.kind,
+                    tail: kinds[entry.nodes[entry.nodes.len() - 1]],
                     grouped: entry.group.is_some(),
                     counters: OpCounters::mint(
                         &self.registry,
                         entry.stages.iter().map(String::as_str),
                     ),
-                    op: Box::new(entry.pending.seal(name)),
+                    op: Box::new(pending.seal(name)),
                 });
             } else if members.contains(&id) {
                 // Folded into the chain sealed at its head node.
@@ -1227,6 +1271,7 @@ impl<P: ProvenanceSystem> Query<P> {
                 let logical = node.shard_group.as_ref().map_or(&node.name, |g| &g.name);
                 specs.push(OperatorSpec {
                     head: node.kind,
+                    tail: node.kind,
                     grouped: node.shard_group.is_some(),
                     counters: OpCounters::mint(&self.registry, [logical.as_str()]),
                     op,
@@ -1481,23 +1526,25 @@ mod tests {
             "fusion must not change results"
         );
 
-        // Unfused: 4 threads/reports. Fused: source+filter+map collapse into one.
+        // Unfused: 4 threads/reports. Fused: source+filter+map+sink collapse into one.
         assert_eq!(unfused_report.operator_stats().len(), 4);
-        assert_eq!(fused_report.operator_stats().len(), 2);
+        assert_eq!(fused_report.operator_stats().len(), 1);
         let chain = fused_report
-            .operator("numbers+evens+double")
+            .operator("numbers+evens+double+sink")
             .expect("chain report");
         assert_eq!(chain.kind, NodeKind::Fused);
+        assert_eq!((chain.head, chain.tail), (NodeKind::Source, NodeKind::Sink));
         assert_eq!(
             chain.stats.tuples_in, 0,
             "chain input = head stage input, and a source has none"
         );
         assert_eq!(
-            chain.stats.tuples_out, 5,
-            "chain output = tail stage output"
+            chain.stats.tuples_out, 0,
+            "chain output = tail stage output, and a sink has none"
         );
         // The chain report still names the original operators, with their counters.
-        assert_eq!(chain.stages.len(), 3);
+        assert_eq!(chain.stages.len(), 4);
+        assert_eq!(fused_report.sink_tuples(), 5);
         assert_eq!(fused_report.fused_stage("numbers").unwrap().tuples_out, 10);
         assert_eq!(fused_report.source_tuples(), 10);
         let evens = fused_report.fused_stage("evens").expect("filter stage");
@@ -1512,10 +1559,60 @@ mod tests {
         assert_eq!(plain.stats.tuples_out, 5);
     }
 
+    /// `source → filter → aggregate → filter → sink` chains through the aggregate's
+    /// state: fused, it is one thread whose stages count exactly what the five
+    /// unfused threads count, and it produces the same stream.
+    #[test]
+    fn fusion_chains_through_the_aggregate_into_the_sink() {
+        let run = |fusion: bool| {
+            let mut q =
+                Query::with_config(NoProvenance, QueryConfig::default().with_fusion(fusion));
+            let items: Vec<(u32, i64)> = (0..40).map(|i| (i % 4, i as i64)).collect();
+            let src = q.source("src", VecSource::with_period(items, 1_000));
+            let kept = q.filter("keep", src, |r: &(u32, i64)| r.1 % 5 != 0);
+            let sums = q.aggregate(
+                "sum",
+                kept,
+                WindowSpec::tumbling(Duration::from_secs(10)).unwrap(),
+                |r: &(u32, i64)| r.0,
+                |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.payloads().map(|p| p.1).sum()),
+            );
+            let big = q.filter("big", sums, |r: &(u32, i64)| r.1 > 40);
+            let out = q.collecting_sink("sink", big);
+            let report = q.deploy().unwrap().wait().unwrap();
+            let values: Vec<(u64, (u32, i64))> = out
+                .tuples()
+                .iter()
+                .map(|t| (t.ts.as_secs(), t.data))
+                .collect();
+            (report, values)
+        };
+        let (unfused, unfused_values) = run(false);
+        let (fused, fused_values) = run(true);
+        assert!(!fused_values.is_empty());
+        assert_eq!(fused_values, unfused_values);
+        assert_eq!(unfused.operator_stats().len(), 5);
+        assert_eq!(fused.operator_stats().len(), 1);
+        let chain = fused.operator("src+keep+sum+big+sink").expect("one chain");
+        assert_eq!((chain.head, chain.tail), (NodeKind::Source, NodeKind::Sink));
+        for stage in &chain.stages {
+            let alone = &unfused.operator(&stage.name).unwrap().stats;
+            assert_eq!(
+                (stage.tuples_in, stage.tuples_out),
+                (alone.tuples_in, alone.tuples_out),
+                "{}",
+                stage.name
+            );
+        }
+        assert_eq!(fused.sink_tuples(), fused_values.len() as u64);
+        assert_eq!(fused.sink_tuples(), unfused.sink_tuples());
+    }
+
     #[test]
     fn fusion_stops_at_multi_stream_boundaries() {
-        // multiplex (fan-out) and union (fan-in) are never fused; the stateless
-        // stages on each branch fuse among themselves only.
+        // The multiplex seals the source's chain and its outputs are channels; the
+        // union (fan-in) never chains; the stages on each branch fuse among
+        // themselves only.
         let mut q = Query::with_config(NoProvenance, QueryConfig::default().with_fusion(true));
         let src = q.source("numbers", VecSource::with_period((0..20i64).collect(), 500));
         let branches = q.multiplex("mux", src, 2);
@@ -1529,8 +1626,9 @@ mod tests {
         let mut values: Vec<i64> = out.tuples().iter().map(|t| t.data).collect();
         values.sort_unstable();
         assert_eq!(values, vec![15, 16, 17, 18, 19, 100, 101, 102, 103, 104]);
-        // source, mux, fused(small+small2), large, union, sink = 6 physical ops.
-        assert_eq!(report.operator_stats().len(), 6);
+        // fused(source+mux), fused(small+small2), large, union, sink = 5 physical ops.
+        assert_eq!(report.operator_stats().len(), 5);
+        assert!(report.operator("numbers+mux").is_some());
         assert!(report.operator("small+small2").is_some());
         assert!(
             report.operator("large").is_some(),
@@ -1547,16 +1645,17 @@ mod tests {
         let doubled = q.map_one("double", flt, |x| x * 2);
         let _ = q.collecting_sink("sink", doubled);
         let dot = q.to_dot();
-        // One boxed node lists every stage name, the source first; the member nodes
-        // are not drawn.
-        assert!(dot
-            .contains("n0 [shape=box label=\"numbers \u{2192} evens \u{2192} double\\n(fused)\""));
+        // One boxed node lists every stage name, the source first and the sink that
+        // seals the chain last; the member nodes are not drawn.
+        assert!(dot.contains(
+            "n0 [shape=box label=\"numbers \u{2192} evens \u{2192} double \u{2192} sink\\n(fused)\""
+        ));
         assert!(!dot.contains("(source)"));
         assert!(!dot.contains("(filter)"));
         assert!(!dot.contains("(map)"));
-        // Edges route through the chain box (head node id 0): chain -> sink.
-        assert!(dot.contains("n0 -> n3;\n"));
+        assert!(!dot.contains("(sink)"));
         // The channel-free internal edges are not drawn.
+        assert!(!dot.contains("n0 -> n3"));
         assert!(!dot.contains("n0 -> n1"));
         assert!(!dot.contains("n1 -> n2"));
     }

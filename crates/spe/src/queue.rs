@@ -15,6 +15,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, MutexGuard};
 use std::time::{Duration, Instant};
 
+use genealog_metrics::Counter;
 use parking_lot::Mutex;
 
 /// The other side of the queue is gone: every sender (for a receive on a drained
@@ -205,8 +206,15 @@ impl<T> Receiver<T> {
     /// # Errors
     /// [`Disconnected`] if the queue is empty and every sender is gone.
     pub fn recv(&self) -> Result<T, Disconnected> {
+        self.recv_counting(None)
+    }
+
+    /// [`Receiver::recv`], bumping `parks` once if the queue was empty and the
+    /// receiver had to block.
+    pub(crate) fn recv_counting(&self, parks: Option<&Counter>) -> Result<T, Disconnected> {
         let shared = &*self.shared;
         let mut core = shared.core.lock();
+        let mut parked = false;
         loop {
             if let Some(item) = core.items.pop_front() {
                 if core.waiting_senders > 0 {
@@ -217,6 +225,10 @@ impl<T> Receiver<T> {
             if core.senders == 0 {
                 return Err(Disconnected);
             }
+            if let (false, Some(parks)) = (parked, parks) {
+                parks.inc();
+            }
+            parked = true;
             core.waiting_receivers += 1;
             core = wait(&shared.not_empty, core);
             core.waiting_receivers -= 1;

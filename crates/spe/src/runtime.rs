@@ -32,6 +32,9 @@ pub struct OperatorReport {
     /// The role of the thread's first stage: `kind` itself for a plain operator, the
     /// head operator's kind for a fused chain (a Source, for a chain it heads).
     pub head: NodeKind,
+    /// The role of the thread's last stage: `kind` itself for a plain operator, the
+    /// kind of the operator that ends a fused chain (a Sink, for a chain it seals).
+    pub tail: NodeKind,
     /// Number of parallel shard instances folded into this report (1 for ordinary
     /// operators).
     pub instances: usize,
@@ -50,9 +53,9 @@ pub struct OperatorReport {
 impl OperatorReport {
     /// What one joined operator thread counted: the thread's boundary (head stage
     /// in, tail stage out) under its stage names joined with `+`, and, for a fused
-    /// chain, one record per stage. `head` is the kind of the thread's first stage;
-    /// a thread of more than one stage is a `Fused` chain.
-    fn of_thread(head: NodeKind, counters: &OpCounters) -> Self {
+    /// chain, one record per stage. `head` and `tail` are the kinds of the thread's
+    /// first and last stage; a thread of more than one stage is a `Fused` chain.
+    fn of_thread(head: NodeKind, tail: NodeKind, counters: &OpCounters) -> Self {
         let rows = counters.stages();
         let names: Vec<&str> = rows.iter().map(|row| row.name.as_str()).collect();
         let (kind, stages) = match rows {
@@ -71,6 +74,7 @@ impl OperatorReport {
         OperatorReport {
             kind,
             head,
+            tail,
             instances: 1,
             stats: OperatorStats {
                 name: names.join("+"),
@@ -155,12 +159,13 @@ impl QueryReport {
             .sum()
     }
 
-    /// Total number of tuples received by all Sinks.
+    /// Total number of tuples received by all Sinks: each Sink's own ledger row,
+    /// whether it runs alone or seals a fused chain.
     pub fn sink_tuples(&self) -> u64 {
         self.operators
             .iter()
-            .filter(|o| o.kind == NodeKind::Sink)
-            .map(|o| o.stats.tuples_in)
+            .filter(|o| o.tail == NodeKind::Sink)
+            .map(|o| o.stages.last().map_or(o.stats.tuples_in, |s| s.tuples_in))
             .sum()
     }
 
@@ -263,6 +268,8 @@ impl QueryReport {
 pub(crate) struct OperatorSpec {
     /// The kind of the thread's first stage (see [`OperatorReport::head`]).
     pub(crate) head: NodeKind,
+    /// The kind of the thread's last stage (see [`OperatorReport::tail`]).
+    pub(crate) tail: NodeKind,
     /// Whether the thread is one shard instance of a group. Its rows are then tagged
     /// with the group name and [`QueryHandle::wait`] folds it with its siblings.
     pub(crate) grouped: bool,
@@ -274,6 +281,7 @@ pub(crate) struct OperatorSpec {
 #[derive(Debug)]
 struct OperatorThread {
     head: NodeKind,
+    tail: NodeKind,
     /// The operator's physical name, for the panic report.
     name: String,
     grouped: bool,
@@ -354,7 +362,8 @@ impl QueryHandle {
             match thread.handle.join() {
                 Ok(Ok(())) => {
                     // The thread has finished, so its rows are final.
-                    let report = OperatorReport::of_thread(thread.head, &thread.counters);
+                    let report =
+                        OperatorReport::of_thread(thread.head, thread.tail, &thread.counters);
                     if thread.grouped {
                         fold_report(&mut operators, &mut group_index, report);
                     } else {
@@ -379,10 +388,12 @@ impl QueryHandle {
             return Err(err);
         }
         // The threads are joined, so the registry's sink-latency histograms are
-        // final: attach each operator's snapshot (sinks only, in practice).
+        // final: attach each operator's snapshot (sinks only, in practice), which
+        // carries the name of the thread's last stage.
         for op in &mut operators {
+            let last = op.stages.last().map_or(&op.stats.name, |s| &s.name);
             op.latency = registry
-                .histogram_snapshot("genealog_sink_latency_ns", &[("operator", &op.stats.name)])
+                .histogram_snapshot("genealog_sink_latency_ns", &[("operator", last)])
                 .filter(|snapshot| !snapshot.is_empty());
         }
         Ok(QueryReport {
@@ -409,6 +420,7 @@ impl Runtime {
             .map(|spec| {
                 let OperatorSpec {
                     head,
+                    tail,
                     grouped,
                     counters,
                     op,
@@ -472,6 +484,7 @@ impl Runtime {
                     .expect("failed to spawn operator thread");
                 OperatorThread {
                     head,
+                    tail,
                     name,
                     grouped,
                     counters,
@@ -504,6 +517,7 @@ mod tests {
         OperatorReport {
             kind: NodeKind::Aggregate,
             head: NodeKind::Aggregate,
+            tail: NodeKind::Aggregate,
             instances: 1,
             stats,
             stages: stages

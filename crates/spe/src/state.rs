@@ -420,6 +420,13 @@ impl CheckpointStore {
         self.backend.get(participant, epoch)
     }
 
+    /// The participants registered by the current (or last) run, sorted.
+    pub fn participants(&self) -> Vec<String> {
+        let mut names: Vec<String> = self.state.lock().participants.iter().cloned().collect();
+        names.sort();
+        names
+    }
+
     /// Number of recoveries performed so far.
     pub fn recoveries(&self) -> u64 {
         self.state.lock().recoveries

@@ -25,7 +25,7 @@ fn main() {
     // Total load per meter over tumbling 4-hour windows; the shard count is an
     // annotation, not a different method. The `spike` filter after the aggregate
     // stays *inside* the shard region: the planner runs it per shard, ahead of the
-    // canonical fan-in, and fuses it there.
+    // canonical fan-in, on each shard's thread behind its aggregate (`load+spike`).
     let plan = GlPlan::new(GeneaLog::new());
     let spikes = plan
         .source("meters", VecSource::new(readings))
@@ -49,7 +49,7 @@ fn main() {
         "{} readings -> {} spike alerts ({} shard instances reported as one operator)",
         report.source_tuples(),
         sink.len(),
-        report.operator("load").map_or(0, |o| o.instances),
+        report.operator("load+spike").map_or(0, |o| o.instances),
     );
     for assignment in provenance.assignments().iter().take(5) {
         let (meter, total) = assignment.sink_data;

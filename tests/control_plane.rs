@@ -224,14 +224,16 @@ fn control_endpoint_serves_live_metrics_and_provenance_of_a_spanning_query() {
             "{endpoint} counter must agree with the folded report"
         );
     }
-    let source_report = merged.operator("readings").expect("source report");
+    // The source heads the chain the exchange seals; its own row is stage 0.
+    assert!(merged.operator("readings+sum.exchange").is_some());
+    let source_stage = merged.fused_stage("readings").expect("source stage");
     assert_eq!(
         metric_value(
             &exposition,
             "genealog_operator_tuples_out_total",
             r#"operator="readings""#
         ),
-        Some(source_report.stats.tuples_out)
+        Some(source_stage.tuples_out)
     );
     assert_eq!(
         metric_value(
@@ -493,13 +495,36 @@ fn scrape_and_report_agree_per_logical_name_fused_and_sharded() {
             .filter(|l| l.starts_with("genealog_operator_tuples_in_total{"))
             .count();
         assert_eq!(series, rows.len(), "no series without a report row");
-        (rows, report, sink.len())
+
+        // Every channel carries a receiver-park counter next to its stall
+        // counter: where the remaining hops are, and how often their consumer
+        // slept on an empty queue.
+        let edges = |metric: &str| -> BTreeSet<String> {
+            exposition
+                .lines()
+                .filter_map(|l| l.strip_prefix(metric)?.strip_prefix("{edge=\""))
+                .filter_map(|l| Some(l.split_once("\"}")?.0.to_string()))
+                .collect()
+        };
+        let parked = edges("genealog_channel_receiver_parks_total");
+        assert_eq!(
+            parked,
+            edges("genealog_channel_backpressure_stalls_total"),
+            "fusion {fusion}: one park counter per channel"
+        );
+        (rows, report, sink.len(), parked)
     };
 
-    let (fused, fused_report, fused_sunk) = run(true);
-    let (unfused, unfused_report, unfused_sunk) = run(false);
+    let (fused, fused_report, fused_sunk, fused_edges) = run(true);
+    let (unfused, unfused_report, unfused_sunk, unfused_edges) = run(false);
     assert_eq!(fused, unfused, "fusion moves no count");
     assert_eq!(fused_sunk, unfused_sunk);
+    // Fused, the hops left are the exchange's three, the three into the merge and
+    // the merge's into the sink; unfused adds one per operator boundary.
+    assert_eq!(fused_edges.len(), 7, "{fused_edges:?}");
+    assert!(fused_edges.contains("sum.exchange.shard0->sum[0]"));
+    assert!(fused_edges.is_subset(&unfused_edges));
+    assert!(unfused_edges.contains("readings.out->keep"));
 
     // What the shape was: 12 readings, 9 kept, 6 window sums, the busy ones sunk.
     assert_eq!(fused["readings"], (0, 12));
@@ -510,21 +535,22 @@ fn scrape_and_report_agree_per_logical_name_fused_and_sharded() {
     assert_eq!(fused["sink"], (fused["busy"].1, 0));
     assert_eq!(fused_sunk as u64, fused["busy"].1);
     assert!((1..6).contains(&fused_sunk), "the shard filter drops some");
-    // And how it was cut: fused, readings, keep and scale are stages of one thread;
-    // the per-shard filter is three threads under one name either way.
+    // And how it was cut: fused, readings, keep, scale and the exchange are stages
+    // of one thread, and each shard's aggregate runs the per-shard filter on its
+    // thread; unfused, every operator is its own thread, the shards three under one
+    // name.
     assert_eq!(
         fused_report
-            .operator("readings+keep+scale")
+            .operator("readings+keep+scale+sum.exchange")
             .unwrap()
             .stages
             .len(),
-        3
+        4
     );
     assert!(fused_report.fused_stage("keep").is_some());
+    assert_eq!(fused_report.operator("sum+busy").unwrap().instances, 3);
     assert!(unfused_report.operator("keep").unwrap().stages.is_empty());
     assert!(unfused_report.fused_stage("keep").is_none());
-    for report in [&fused_report, &unfused_report] {
-        assert_eq!(report.operator("sum").unwrap().instances, 3);
-        assert_eq!(report.operator("busy").unwrap().instances, 3);
-    }
+    assert_eq!(unfused_report.operator("sum").unwrap().instances, 3);
+    assert_eq!(unfused_report.operator("busy").unwrap().instances, 3);
 }

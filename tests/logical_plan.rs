@@ -378,13 +378,13 @@ fn default_fusion_keeps_per_stage_counters() {
     let q = plan.lower().unwrap();
     let report = q.deploy().unwrap().wait().unwrap();
 
-    // Pre-exchange chain: keep+scale fused behind the source into one thread,
-    // stages preserved.
+    // Pre-exchange chain: keep+scale fused behind the source, sealed by the
+    // exchange, into one thread, stages preserved.
     let chain = report
-        .operator("readings+keep+scale")
+        .operator("readings+keep+scale+sum.exchange")
         .expect("pre-exchange chain");
     assert_eq!(chain.kind, NodeKind::Fused);
-    assert_eq!(chain.stages.len(), 3);
+    assert_eq!(chain.stages.len(), 4);
     let keep_stage = report.fused_stage("keep").expect("keep stage");
     assert_eq!(keep_stage.tuples_in, 120);
     assert!(keep_stage.tuples_out < 120);
@@ -393,11 +393,14 @@ fn default_fusion_keeps_per_stage_counters() {
         keep_stage.tuples_out
     );
 
-    // Post-aggregate shard region: busy+final fused per shard, one grouped report.
-    let shard_chain = report.operator("busy+final").expect("shard-region chain");
+    // Shard region: busy+final fused per shard behind the shard's aggregate, one
+    // grouped report.
+    let shard_chain = report
+        .operator("sum+busy+final")
+        .expect("shard-region chain");
     assert_eq!(shard_chain.kind, NodeKind::Fused);
     assert_eq!(shard_chain.instances, 4);
-    assert_eq!(shard_chain.stages.len(), 2);
+    assert_eq!(shard_chain.stages.len(), 3);
     assert_eq!(
         report.fused_stage("busy").unwrap().tuples_out,
         report.fused_stage("final").unwrap().tuples_in
@@ -463,8 +466,9 @@ fn logical_and_physical_dot_show_the_lowering() {
 
     let q = plan.lower().unwrap();
     let physical_dot = q.to_dot();
-    assert!(physical_dot.contains("sum.exchange\\n(partition \u{d7}4)"));
     assert!(physical_dot.contains("sum.merge\\n(shard-merge \u{d7}4)"));
-    // The fused keep+scale chain renders as one box in the physical view.
-    assert!(physical_dot.contains("keep \u{2192} scale"));
+    // The fused source chain renders as one box in the physical view, sealed by
+    // the exchange, whose shard edges are dashed.
+    assert!(physical_dot.contains("[style=dashed]"));
+    assert!(physical_dot.contains("keep \u{2192} scale \u{2192} sum.exchange\\n(fused)"));
 }

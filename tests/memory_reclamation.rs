@@ -244,6 +244,30 @@ fn window_graphs_retired_to_the_source_do_not_outlive_the_query() {
     }
 }
 
+/// Fused, `readings → scale → sum → out` is one chain on the source's thread: the
+/// sink's callback runs there too. Whether a window closes at a watermark, at the
+/// final watermark or in the aggregate's end-of-stream flush, its graph is dead by
+/// `wait()` and nothing is left waiting for a Source.
+#[test]
+fn a_chain_through_the_aggregate_frees_every_graph_on_one_thread() {
+    for window in [Duration::from_secs(1), Duration::from_hours(1)] {
+        let mut q = GlQuery::with_config(GeneaLog::new(), QueryConfig::default().with_fusion(true));
+        let readings = Readings {
+            len: 2_000,
+            ..Default::default()
+        };
+        let readings = q.source("readings", readings);
+        let origins = map_aggregate_sink(&mut q, readings, window, || {});
+        let registry = q.registry();
+        let report = q.deploy().unwrap().wait().unwrap();
+        assert_eq!(report.operator_stats().len(), 1, "{window:?}: one thread");
+        assert!(report.operator("readings+scale+sum+out").is_some());
+        assert_eq!(origins.lock().unwrap().len(), 2_000, "{window:?}");
+        assert_eq!(sample(&registry, PENDING), 0, "{window:?}");
+        assert!(all_dead(&origins), "{window:?}: a graph survived wait()");
+    }
+}
+
 #[test]
 fn a_union_keeps_draining_after_its_short_source_ends() {
     let mut q = GlQuery::new(GeneaLog::new());

@@ -267,14 +267,15 @@ fn gl031_compares_operator_threads_against_host_cpus() {
     let _sink = plan
         .source("readings", VecSource::new(reports(16)))
         .aggregate("sum", window_spec(), sum_key, sum_window, sum_key)
+        .with(Parallelism::shards(2))
         .collecting_sink("sink");
     let analyzed = plan.analyze().unwrap();
 
     let mut facts = analyzed.facts;
-    assert!(
-        facts.threads >= 2,
-        "a source heads a chain of stateless stages only: the aggregate and the sink \
-         each run their own thread"
+    assert_eq!(
+        facts.threads, 5,
+        "the source's chain sealed by the exchange, two shards, the merge, and the sink \
+         behind the merge (a fan-in does not chain)"
     );
     facts.host_cpus = 1;
     let report = genealog_analysis::analyze(&facts);
@@ -290,9 +291,9 @@ fn gl031_compares_operator_threads_against_host_cpus() {
 }
 
 /// An `lr_q1`-shaped plan (`source → filter → aggregate → filter → sink`): with
-/// fusion on, the first filter runs on the source's thread, so the facts count one
-/// thread fewer, mark the source→filter edge channel-free, and the DOT export draws
-/// the source inside the chain box.
+/// fusion on, the whole plan runs on the source's thread, so the facts count one
+/// thread instead of five, mark the source→filter edge channel-free, and the DOT
+/// export draws every operator inside the chain box.
 #[test]
 fn a_source_heads_its_chain_in_the_facts_and_the_dot_export() {
     let lower = |fusion: bool| {
@@ -308,7 +309,7 @@ fn a_source_heads_its_chain_in_the_facts_and_the_dot_export() {
     };
     let (fused, unfused) = (lower(true), lower(false));
     let (on, off) = (fused.plan_facts(), unfused.plan_facts());
-    assert_eq!(on.threads + 1, off.threads);
+    assert_eq!((on.threads, off.threads), (1, 5));
     let source_edge = |facts: &genealog_analysis::PlanFacts| {
         let edge = facts
             .edges
@@ -320,9 +321,10 @@ fn a_source_heads_its_chain_in_the_facts_and_the_dot_export() {
     };
     assert!(source_edge(&on), "fused: no channel behind the source");
     assert!(!source_edge(&off));
-    assert!(fused
-        .to_dot()
-        .contains("[shape=box label=\"reports \u{2192} q1-speed0\\n(fused)\"]"));
+    assert!(fused.to_dot().contains(
+        "[shape=box label=\"reports \u{2192} q1-speed0 \u{2192} q1-count \u{2192} q1-alert \
+         \u{2192} sink\\n(fused)\"]"
+    ));
     assert!(!unfused.to_dot().contains("(fused)"));
 }
 
@@ -380,11 +382,13 @@ fn warn_mode_lowering_emits_plan_analysis_traces() {
     let trace = CountingSubscriber::new("plan-analysis", "GL001:feed->drain");
     Tracer::global().subscribe(trace.clone());
 
+    // Unfused, so the source feeds the sink through a channel for GL001 to size.
     let plan = LogicalPlan::with_config(
         NoProvenance,
         PlannerConfig::default()
             .with_channel_capacity(9)
-            .with_batch_size(40),
+            .with_batch_size(40)
+            .with_fusion(false),
     );
     let _sink = plan
         .source("feed", VecSource::new(reports(4)))

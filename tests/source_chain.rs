@@ -1,14 +1,18 @@
-//! A Source heads the fused chain behind it: with fusion on, the stateless stages
-//! added on a source's stream run on the source's thread, with no channel between
-//! them. These tests pin what must not move when they do — the source's own ledger
-//! row and gauges, the stop flag, and the checkpoint path (replay offset, barrier
-//! cadence, recovered sink bytes and GeneaLog contribution sets).
+//! A Source heads the fused chain behind it: with fusion on, the stages added on a
+//! source's stream, stateful ones included, and the tail that seals them run on
+//! the source's thread, with no channel between them. These tests pin what must not
+//! move when they do — the source's own ledger row and gauges, the stop flag, the
+//! batch framing of a Send behind it, and the checkpoint path (replay offset,
+//! barrier cadence, participants, recovered sink bytes and GeneaLog contribution
+//! sets).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use genealog::prelude::*;
+use genealog_distributed::deployment::add_send;
+use genealog_distributed::{FrameSource, NetworkConfig, SimulatedLink, WireDecode, WireFrame};
 use genealog_spe::query::NodeKind;
 use genealog_spe::state::{run_with_recovery, CheckpointConfig, CheckpointStore, RecoveryConfig};
 
@@ -52,11 +56,12 @@ fn source_tuples_counts_the_source_stage_fused_or_not() {
             );
             if fusion {
                 let chain = report
-                    .operator("numbers+evens+double")
+                    .operator("numbers+evens+double+sink")
                     .expect("the source heads the chain");
                 assert_eq!(chain.kind, NodeKind::Fused, "{case}");
                 assert_eq!(chain.head, NodeKind::Source, "{case}");
-                assert_eq!(report.operator_stats().len(), 2, "{case}: chain and sink");
+                assert_eq!(chain.tail, NodeKind::Sink, "{case}");
+                assert_eq!(report.operator_stats().len(), 1, "{case}: one chain");
                 assert_eq!(
                     report.fused_stage("numbers").unwrap().tuples_out,
                     GENERATED,
@@ -99,16 +104,61 @@ fn stop_flag_terminates_a_rate_limited_source_headed_chain_early() {
     assert!(handle.is_stopping());
     let report = handle.wait().unwrap();
     assert!(
-        report.operator("slow+evens").is_some(),
-        "the filter runs on the source's thread"
+        report.operator("slow+evens+sink").is_some(),
+        "the filter and the sink run on the source's thread"
     );
     assert!(report.source_tuples() < 1_000_000);
+}
+
+/// A Source marks a batch end wherever its output channel would flush a full batch,
+/// so a Send behind it frames the same on the source's thread as behind a channel —
+/// even when the stream's only watermark comes at its end.
+#[test]
+fn a_send_behind_a_source_frames_by_batch_fused_or_not() {
+    let runs = |fusion: bool| {
+        let mut q = Query::with_config(NoProvenance, QueryConfig::default().with_fusion(fusion));
+        let batch = q.batch_config().size;
+        let src = q.source_with(
+            "numbers",
+            VecSource::with_period((0..1_000i64).collect(), 1),
+            SourceConfig {
+                watermark_every: 0,
+                ..SourceConfig::default()
+            },
+        );
+        let (link, frames, _stats) = SimulatedLink::new(NetworkConfig::unlimited());
+        add_send(&mut q, "send", src, link);
+        let report = q.deploy().unwrap().wait().unwrap();
+        assert_eq!(report.operator_stats().len(), if fusion { 1 } else { 2 });
+        let mut runs = Vec::new();
+        while let Some(framed) = frames.recv_frame() {
+            match WireFrame::<i64>::from_bytes(&framed[8..]).unwrap() {
+                WireFrame::Tuples(run) => {
+                    assert!(run.len() <= batch, "fusion {fusion}: a frame over a batch");
+                    runs.push(run.len());
+                }
+                WireFrame::End => break,
+                WireFrame::Watermark(_) | WireFrame::Barrier(_) => {}
+            }
+        }
+        runs
+    };
+    let unfused = runs(false);
+    assert_eq!(unfused.iter().sum::<usize>(), 1_000);
+    assert_eq!(
+        unfused.len(),
+        1_000usize.div_ceil(32),
+        "one frame per batch"
+    );
+    assert_eq!(runs(true), unfused);
 }
 
 type Reading = (u32, i64);
 /// `(ts_millis, debug-rendered payload)`: the byte-level identity of a tuple.
 type Row = (u64, String);
 type Lineage = (Row, BTreeSet<Row>);
+/// Reads a sink tuple's contribution set under `P`.
+type LineageOf<P> = fn(&Arc<GTuple<Reading, <P as ProvenanceSystem>::Meta>>) -> BTreeSet<Row>;
 
 /// Tuples per epoch: every run spans a dozen barriers.
 const INTERVAL: u64 = 5;
@@ -117,6 +167,10 @@ fn readings() -> Vec<(Timestamp, Reading)> {
     (0..60u64)
         .map(|i| (Timestamp::from_millis(i * 700), ((i % 3) as u32, i as i64)))
         .collect()
+}
+
+fn row(ts: Timestamp, data: &Reading) -> Row {
+    (ts.as_millis(), format!("{data:?}"))
 }
 
 /// One checkpointed run, in canonical form, with what the source committed.
@@ -128,14 +182,25 @@ struct Checkpointed {
     /// The epoch the last recovery restored, with the offset the source resumed at.
     restored: Option<(u64, Option<u64>)>,
     recoveries: u64,
+    /// The checkpoint participants of the last run.
+    participants: Vec<String>,
+    /// Operator threads of the last run.
+    threads: usize,
 }
 
-/// `readings → keep (filter) → sum (aggregate) → provenance sink → sink` under
-/// GeneaLog, checkpointed every `INTERVAL` source tuples. With `kill_at_close`, the
-/// window function panics once, at that window close, and the run recovers from the
-/// latest complete epoch. The source is paced, so the stages behind the aggregate
-/// have committed the early epochs by the time it dies.
-fn run_checkpointed(fusion: bool, kill_at_close: Option<u64>) -> Checkpointed {
+/// `readings → keep (filter) → sum (aggregate) → even (filter) → sink` under
+/// `system`, checkpointed every `INTERVAL` source tuples; with fusion on, the whole
+/// plan is one chain on the source's thread. `lineage` reads a sink tuple's
+/// contribution set. With `kill_at_close`, the window function panics once, at
+/// that window close, and the run recovers from the latest complete epoch. The
+/// source is paced, so the stages behind the aggregate have committed the early
+/// epochs by the time it dies.
+fn run_checkpointed<P: ProvenanceSystem>(
+    system: P,
+    fusion: bool,
+    kill_at_close: Option<u64>,
+    lineage: LineageOf<P>,
+) -> Checkpointed {
     let paced = SourceConfig {
         rate: RateLimit::TuplesPerSecond(4_000),
         ..SourceConfig::default()
@@ -144,52 +209,42 @@ fn run_checkpointed(fusion: bool, kill_at_close: Option<u64>) -> Checkpointed {
     let armed = Arc::new(AtomicBool::new(kill_at_close.is_some()));
     let closes = Arc::new(AtomicU64::new(0));
     // One system for every attempt, so a rebuilt engine keeps allocating fresh ids.
-    let system = GeneaLog::new();
-    let (_, (sink, provenance)) =
-        run_with_recovery(&store, RecoveryConfig::default(), |_attempt| {
-            let plan = GlPlan::with_config(
-                system.clone(),
-                PlannerConfig::default()
-                    .with_fusion(fusion)
-                    .with_checkpoints(CheckpointConfig::new(INTERVAL, Arc::clone(&store))),
-            );
-            let (armed, closes) = (Arc::clone(&armed), Arc::clone(&closes));
-            let sums = plan
-                .source_with("readings", VecSource::new(readings()), paced)
-                .filter("keep", |r: &Reading| r.1 % 3 != 0)
-                .aggregate(
-                    "sum",
-                    WindowSpec::new(Duration::from_secs(8), Duration::from_secs(4)).unwrap(),
-                    |r: &Reading| r.0,
-                    move |w: &WindowView<'_, u32, Reading, GlMeta>| {
-                        let close = closes.fetch_add(1, Ordering::SeqCst) + 1;
-                        if kill_at_close.is_some_and(|k| close >= k)
-                            && armed.swap(false, Ordering::SeqCst)
-                        {
-                            panic!("injected aggregate failure");
-                        }
-                        (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
-                    },
-                    |o: &Reading| o.0,
-                );
-            let (out, provenance) = logical_provenance_sink(sums, "prov");
-            let sink = out.collecting_sink("sink");
-            Ok((plan.deploy()?, (sink, provenance)))
-        })
-        .expect("recovery must succeed within the attempt budget");
+    let (report, sink) = run_with_recovery(&store, RecoveryConfig::default(), |_attempt| {
+        let plan = LogicalPlan::with_config(
+            system.clone(),
+            PlannerConfig::default()
+                .with_fusion(fusion)
+                .with_checkpoints(CheckpointConfig::new(INTERVAL, Arc::clone(&store))),
+        );
+        let (armed, closes) = (Arc::clone(&armed), Arc::clone(&closes));
+        let sink = plan
+            .source_with("readings", VecSource::new(readings()), paced)
+            .filter("keep", |r: &Reading| r.1 % 3 != 0)
+            .aggregate(
+                "sum",
+                WindowSpec::new(Duration::from_secs(8), Duration::from_secs(4)).unwrap(),
+                |r: &Reading| r.0,
+                move |w: &WindowView<'_, u32, Reading, P::Meta>| {
+                    let close = closes.fetch_add(1, Ordering::SeqCst) + 1;
+                    if kill_at_close.is_some_and(|k| close >= k)
+                        && armed.swap(false, Ordering::SeqCst)
+                    {
+                        panic!("injected aggregate failure");
+                    }
+                    (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
+                },
+                |o: &Reading| o.0,
+            )
+            .filter("even", |r: &Reading| r.1 % 2 == 0)
+            .collecting_sink("sink");
+        Ok((plan.deploy()?, sink))
+    })
+    .expect("recovery must succeed within the attempt budget");
 
-    let row = |ts: Timestamp, data: &Reading| (ts.as_millis(), format!("{data:?}"));
-    let mut lineage: Vec<Lineage> = provenance
-        .assignments()
+    let tuples = sink.tuples();
+    let mut lineage: Vec<Lineage> = tuples
         .iter()
-        .map(|a| {
-            let sources = a
-                .source_records::<Reading>()
-                .iter()
-                .map(|r| row(r.ts, &r.data))
-                .collect();
-            (row(a.sink_ts, &a.sink_data), sources)
-        })
+        .map(|t| (row(t.ts, &t.data), lineage(t)))
         .collect();
     lineage.sort();
     let committed = |epoch| {
@@ -199,7 +254,7 @@ fn run_checkpointed(fusion: bool, kill_at_close: Option<u64>) -> Checkpointed {
             .and_then(|s| s.as_u64())
     };
     Checkpointed {
-        tuples: sink.tuples().iter().map(|t| row(t.ts, &t.data)).collect(),
+        tuples: tuples.iter().map(|t| row(t.ts, &t.data)).collect(),
         lineage,
         offsets: (1..)
             .map_while(|epoch| committed(epoch).map(|offset| (epoch, offset)))
@@ -211,18 +266,38 @@ fn run_checkpointed(fusion: bool, kill_at_close: Option<u64>) -> Checkpointed {
             )
         }),
         recoveries: store.recoveries(),
+        participants: store.participants(),
+        threads: report.operator_stats().len(),
     }
 }
 
-/// Checkpointing through a source-headed chain: fused, the source commits the same
-/// replay offset at the same barriers as unfused, a run killed mid-stream restores
-/// the source at its committed offset, and sink bytes and contribution sets equal
-/// the fault-free unfused run's.
+/// A GeneaLog sink tuple's contribution set, read off its provenance graph.
+fn gl_lineage(t: &Arc<GTuple<Reading, GlMeta>>) -> BTreeSet<Row> {
+    find_provenance(&genealog::erase(t))
+        .iter()
+        .filter_map(|s| s.payload::<Reading>().map(|data| row(s.ts(), data)))
+        .collect()
+}
+
+/// Checkpointing through a chain that holds state: fused, the source, the filters,
+/// the aggregate and the sink run on the source's thread; the source commits the
+/// same replay offset at the same barriers as unfused, the store lists the same
+/// participants, a run killed at a window close restores the source at its
+/// committed offset, and sink bytes and contribution sets equal the fault-free
+/// unfused run's, under NP and GL.
 #[test]
 fn checkpointed_source_headed_chain_recovers_like_the_unfused_plan() {
-    let reference = run_checkpointed(false, None);
+    check_recovery(NoProvenance, |_| BTreeSet::new());
+    check_recovery(GeneaLog::new(), gl_lineage);
+}
+
+fn check_recovery<P: ProvenanceSystem>(system: P, lineage: LineageOf<P>) {
+    let label = system.label();
+    let reference = run_checkpointed(system.clone(), false, None, lineage);
     assert_eq!(reference.recoveries, 0);
     assert!(!reference.tuples.is_empty());
+    assert_eq!(reference.threads, 5, "{label}: one thread per operator");
+    assert_eq!(reference.participants, ["readings", "sink", "sum"]);
     let cadence: Vec<(u64, u64)> = (1..=readings().len() as u64 / INTERVAL)
         .map(|epoch| (epoch, epoch * INTERVAL))
         .collect();
@@ -233,18 +308,22 @@ fn checkpointed_source_headed_chain_recovers_like_the_unfused_plan() {
 
     let mut replayed = 0;
     for fusion in [false, true] {
-        let clean = run_checkpointed(fusion, None);
-        assert_eq!(clean.offsets, cadence, "fusion {fusion}");
-        assert_eq!(clean.tuples, reference.tuples, "fusion {fusion}");
-        assert_eq!(clean.lineage, reference.lineage, "fusion {fusion}");
+        let clean = run_checkpointed(system.clone(), fusion, None, lineage);
+        let case = format!("{label}, fusion {fusion}");
+        assert_eq!(clean.threads, if fusion { 1 } else { 5 }, "{case}");
+        assert_eq!(clean.participants, reference.participants, "{case}");
+        assert_eq!(clean.offsets, cadence, "{case}");
+        assert_eq!(clean.tuples, reference.tuples, "{case}");
+        assert_eq!(clean.lineage, reference.lineage, "{case}");
         for kill_at_close in [2, 9] {
-            let case = format!("fusion {fusion}, kill at close {kill_at_close}");
-            let recovered = run_checkpointed(fusion, Some(kill_at_close));
+            let case = format!("{case}, kill at close {kill_at_close}");
+            let recovered = run_checkpointed(system.clone(), fusion, Some(kill_at_close), lineage);
             assert_eq!(recovered.recoveries, 1, "{case}");
             if let Some((epoch, offset)) = recovered.restored {
                 assert_eq!(offset, Some(epoch * INTERVAL), "{case}: replay offset");
                 replayed += 1;
             }
+            assert_eq!(recovered.participants, reference.participants, "{case}");
             assert_eq!(recovered.offsets, cadence, "{case}");
             assert_eq!(recovered.tuples, reference.tuples, "{case}");
             assert_eq!(recovered.lineage, reference.lineage, "{case}");
@@ -252,5 +331,8 @@ fn checkpointed_source_headed_chain_recovers_like_the_unfused_plan() {
     }
     // The ninth close comes seven barriers (and ~9 ms of pacing) into the stream:
     // those runs resume from a complete epoch rather than from scratch.
-    assert!(replayed > 0, "some recovery must resume mid-stream");
+    assert!(
+        replayed > 0,
+        "{label}: some recovery must resume mid-stream"
+    );
 }
