@@ -1332,7 +1332,8 @@ impl<P: ProvenanceSystem> Query<P> {
         }
         if let Some(config) = self.checkpoints.get() {
             let store = Arc::clone(&config.store);
-            let (bytes, written, epoch, latency) = (
+            let (bytes, written, epoch, latency, retained) = (
+                Arc::clone(&store),
                 Arc::clone(&store),
                 Arc::clone(&store),
                 Arc::clone(&store),
@@ -1357,6 +1358,11 @@ impl<P: ProvenanceSystem> Query<P> {
                 "genealog_checkpoint_epoch_commit_latency_ns",
                 &[],
                 Arc::new(move || latency.last_epoch_commit_latency_ns().unwrap_or(0)),
+            );
+            self.registry.gauge_fn(
+                "genealog_checkpoint_retained_snapshots",
+                &[],
+                Arc::new(move || retained.backend().snapshot_count() as u64),
             );
         }
     }

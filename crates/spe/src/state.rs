@@ -19,6 +19,17 @@
 //!    sources from their committed offsets; because the engine is deterministic, the
 //!    recovered run's sink output and stitched contribution sets are byte-identical
 //!    to a fault-free run.
+//! 4. A complete epoch *subsumes* every older one (the checkpoint subsumption rule of
+//!    Flink): no recovery can restore from a cut below the latest complete one, so
+//!    the commit that completes epoch `e` drops every commit record of an older
+//!    epoch, and [`StateBackend::note_complete_epoch`] lets the backend drop every
+//!    older snapshot. Checkpoint state therefore stays bounded by the retained cut
+//!    plus the epochs in flight, however long the query runs. Retirement is safe
+//!    across recovery only because the next attempt cannot complete an epoch before
+//!    every participant of the restored cut is back: recovery seeds the participant
+//!    registry with the cut's committers instead of clearing it, so a restarted
+//!    Source that races ahead and commits `r + 1` alone completes nothing, and the
+//!    restore snapshots stay until every participant has read its own.
 //!
 //! The [`StateBackend`] trait hides where snapshots live: [`InMemoryBackend`] keeps
 //! them as cheap `Arc` clones, the log-structured file backend of `genealog-store`
@@ -141,16 +152,20 @@ pub trait StateBackend: fmt::Debug + Send + Sync {
 
     /// Cumulative serialised bytes written since creation. Backends that do not
     /// track writes separately report their current footprint (writes minus
-    /// whatever [`StateBackend::remove_after`] discarded).
+    /// whatever [`StateBackend::remove_after`] and
+    /// [`StateBackend::note_complete_epoch`] discarded).
     fn bytes_written(&self) -> u64 {
         self.serialized_bytes() as u64
     }
 
     /// Notifies the backend that `epoch` is complete across every registered
-    /// participant. Durable backends persist this in their manifest so a restarted
-    /// process knows which epochs form a usable cut; the in-memory backend ignores
-    /// it. Called unlocked like `put`: two cuts completing back to back may arrive
-    /// in either order, so a backend keeps the greatest epoch it was told.
+    /// participant: no recovery will ever read a snapshot of an older epoch again,
+    /// so the backend may drop every one of them, and both backends here do.
+    /// Durable backends also persist the epoch in their manifest so a restarted
+    /// process knows which epochs form a usable cut. Called unlocked like `put`:
+    /// two cuts completing back to back may arrive in either order, so a backend
+    /// keeps the greatest epoch it was told, and retiring below the smaller cut
+    /// after the greater one must drop nothing the greater one kept.
     fn note_complete_epoch(&self, _epoch: u64) {}
 
     /// Whether snapshots survive the death of this process. `false` for the
@@ -209,6 +224,10 @@ impl StateBackend for InMemoryBackend {
             .map(Snapshot::serialized_len)
             .sum()
     }
+
+    fn note_complete_epoch(&self, epoch: u64) {
+        self.snapshots.lock().retain(|(_, e), _| *e >= epoch);
+    }
 }
 
 #[derive(Debug, Default)]
@@ -224,12 +243,23 @@ struct StoreState {
     /// Failure fence: once raised, commits are discarded until the next
     /// [`CheckpointStore::begin_recovery`]. See [`CheckpointStore::fence`].
     fenced: bool,
-    /// When the first commit of each not-yet-complete epoch arrived, for the
-    /// commit-latency gauge.
+    /// When the first commit of each not-yet-complete epoch of the current run
+    /// arrived, for the commit-latency gauge.
     epoch_started: HashMap<u64, std::time::Instant>,
     /// Wall-clock nanoseconds between the first and the completing commit of the
     /// most recently completed epoch.
     last_commit_latency_ns: Option<u64>,
+}
+
+impl StoreState {
+    /// The greatest epoch every registered participant has committed, if any.
+    fn latest_complete_epoch(&self) -> Option<u64> {
+        self.commits
+            .iter()
+            .rev()
+            .find(|(_, committed)| self.participants.is_subset(committed))
+            .map(|(&epoch, _)| epoch)
+    }
 }
 
 /// Coordinates epoch completeness across every participant of a deployment.
@@ -280,7 +310,9 @@ impl CheckpointStore {
     /// durable backend a diff, a checksum, a file append and an fsync — runs
     /// *outside* it, so participants committing the same barrier overlap their
     /// I/O instead of queueing behind one another; so does the
-    /// `note_complete_epoch` (manifest flip) of the commit that completes a cut.
+    /// `note_complete_epoch` (manifest flip, retirement of the older snapshots)
+    /// of the commit that completes a cut, which drops the older commit records
+    /// under the lock first.
     /// The fence is checked before the `put` and re-checked after it: a commit
     /// that lost the race to [`fence`](CheckpointStore::fence) is not counted,
     /// so it can never complete an epoch, and the snapshot it left in the
@@ -313,11 +345,15 @@ impl CheckpointStore {
             if let Some(started) = state.epoch_started.remove(&epoch) {
                 state.last_commit_latency_ns = Some(started.elapsed().as_nanos() as u64);
             }
+            // The complete cut subsumes every older one.
+            state.commits.retain(|&e, _| e >= epoch);
+            state.epoch_started.retain(|&e, _| e > epoch);
             drop(state);
             // Durable backends flip their manifest here — the commit that
-            // completes the cut is the one that makes it recoverable on disk.
+            // completes the cut is the one that makes it recoverable on disk —
+            // and every backend drops the snapshots the cut made dead.
             // Backends keep the pinned epoch monotone, so two cuts completing
-            // back to back may flip in either order.
+            // back to back may flip (and retire) in either order.
             self.backend.note_complete_epoch(epoch);
         }
     }
@@ -340,35 +376,19 @@ impl CheckpointStore {
 
     /// The greatest epoch every registered participant has committed, if any.
     pub fn latest_complete_epoch(&self) -> Option<u64> {
-        let state = self.state.lock();
-        state
-            .commits
-            .iter()
-            .rev()
-            .find(|(_, committed)| state.participants.is_subset(committed))
-            .map(|(&epoch, _)| epoch)
+        self.state.lock().latest_complete_epoch()
     }
 
     /// Declares the previous run failed: pins the restore point to the latest
     /// complete epoch, discards every commit after it (incomplete epochs may contain
-    /// snapshots influenced by the failure) and clears the participant registry for
-    /// the next attempt. Returns the restore epoch, or `None` when no epoch ever
-    /// completed (the next run starts from scratch).
+    /// snapshots influenced by the failure) and seeds the participant registry of
+    /// the next attempt with the restored cut's committers. Returns the restore
+    /// epoch, or `None` when no epoch ever completed (the next run starts from
+    /// scratch).
     pub fn begin_recovery(&self) -> Option<u64> {
-        let restore = self.latest_complete_epoch();
         let mut state = self.state.lock();
-        state.restore_epoch = restore;
-        if let Some(epoch) = restore {
-            state.commits.retain(|&e, _| e <= epoch);
-            self.backend.remove_after(epoch);
-        } else {
-            // No complete epoch: the next run starts from scratch and re-commits
-            // every epoch, overwriting whatever the failed run left behind.
-            state.commits.clear();
-        }
-        state.participants.clear();
-        state.fenced = false;
-        state.recoveries += 1;
+        let restore = state.latest_complete_epoch();
+        self.pin_restore_point(&mut state, restore);
         drop(state);
         genealog_metrics::Tracer::global().emit(
             "recovery-begin",
@@ -382,8 +402,9 @@ impl CheckpointStore {
     }
 
     /// Adopts an externally-dictated restore point: pins `epoch` as the restore
-    /// epoch, discards every commit and snapshot strictly after it, clears the
-    /// participant registry and the failure fence, and counts a recovery.
+    /// epoch, discards every commit and snapshot strictly after it, seeds the
+    /// participant registry like [`begin_recovery`](CheckpointStore::begin_recovery),
+    /// clears the failure fence, and counts a recovery.
     ///
     /// Unlike [`begin_recovery`](CheckpointStore::begin_recovery) the epoch is
     /// *not* derived from local commits: in a multi-process deployment the origin
@@ -392,20 +413,41 @@ impl CheckpointStore {
     /// `--state-dir` — adopts it here. A worker may hold commits *beyond* the
     /// origin's cut (it committed epoch `e` durably, then died before the origin
     /// completed `e`); those are exactly the snapshots `remove_after` discards.
+    /// The origin's cut may also lie *below* an epoch the worker completed
+    /// locally, which is why a worker's backend never retires snapshots.
     pub fn restore_to(&self, epoch: u64) {
         let mut state = self.state.lock();
-        state.restore_epoch = Some(epoch);
-        state.commits.retain(|&e, _| e <= epoch);
-        self.backend.remove_after(epoch);
-        state.participants.clear();
-        state.fenced = false;
-        state.recoveries += 1;
+        self.pin_restore_point(&mut state, Some(epoch));
         drop(state);
         genealog_metrics::Tracer::global().emit(
             "recovery-restore-to",
             self.backend.name(),
             format!("adopting origin-pinned restore epoch {epoch}"),
         );
+    }
+
+    /// Sets up the next attempt to restore from `restore` (from scratch when
+    /// `None`): every commit record, start time and snapshot of a later epoch is
+    /// dropped, and the participants are the restored cut's committers — so the
+    /// next attempt completes no epoch, and retires no restore snapshot, before
+    /// each of them has rejoined and read its own.
+    fn pin_restore_point(&self, state: &mut StoreState, restore: Option<u64>) {
+        state.restore_epoch = restore;
+        state
+            .commits
+            .retain(|&e, _| restore.is_some_and(|r| e <= r));
+        // A start time of the restore epoch or later belongs to the failed run.
+        state
+            .epoch_started
+            .retain(|&e, _| restore.is_some_and(|r| e < r));
+        state.participants = restore
+            .and_then(|r| state.commits.get(&r).cloned())
+            .unwrap_or_default();
+        if let Some(epoch) = restore {
+            self.backend.remove_after(epoch);
+        }
+        state.fenced = false;
+        state.recoveries += 1;
     }
 
     /// The epoch the current run restores from (`None` outside recovery).
@@ -658,8 +700,10 @@ mod tests {
         let store = CheckpointStore::in_memory();
         store.register("src");
         store.commit("src", 0, Snapshot::u64(10));
-        store.commit("src", 1, Snapshot::u64(20));
+        // `late` joins before `src` commits epoch 1, so epoch 1 cannot
+        // complete (and retire epoch 0) without it.
         store.register("late");
+        store.commit("src", 1, Snapshot::u64(20));
         store.commit("late", 0, Snapshot::bytes(vec![]));
         assert_eq!(store.begin_recovery(), Some(0));
         assert_eq!(store.restore_epoch(), Some(0));
@@ -673,6 +717,117 @@ mod tests {
         store.commit("src", 1, Snapshot::u64(20));
         store.commit("late", 1, Snapshot::bytes(vec![]));
         assert_eq!(store.latest_complete_epoch(), Some(1));
+    }
+
+    #[test]
+    fn a_cut_overtaken_by_a_later_complete_cut_is_gone() {
+        let store = CheckpointStore::in_memory();
+        store.register("src");
+        store.commit("src", 0, Snapshot::u64(10));
+        // Epoch 1 completes while `src` is the only participant: epoch 0 is dead.
+        store.commit("src", 1, Snapshot::u64(20));
+        assert!(store.backend().get("src", 0).is_none());
+        store.register("late");
+        store.commit("late", 0, Snapshot::bytes(vec![]));
+        // Epoch 1 lacks `late` and epoch 0 lacks `src`: no cut is complete, so
+        // recovery starts from scratch.
+        assert_eq!(store.begin_recovery(), None);
+        assert!(store.restore_snapshot("src").is_none());
+        assert!(store.participants().is_empty());
+    }
+
+    #[test]
+    fn a_complete_epoch_retires_every_older_commit_snapshot_and_start_time() {
+        let store = CheckpointStore::in_memory();
+        store.register("src");
+        store.register("sink");
+        for epoch in 0..50u64 {
+            store.commit("src", epoch, Snapshot::u64(epoch));
+            assert!(store.backend().snapshot_count() <= 3, "epoch {epoch}");
+            store.commit("sink", epoch, Snapshot::bytes(vec![]));
+            assert_eq!(store.backend().snapshot_count(), 2, "epoch {epoch}");
+        }
+        assert_eq!(store.latest_complete_epoch(), Some(49));
+        // A participant that joined after the cut re-opens an epoch the cut
+        // subsumed; the next complete cut drops its record and start time too.
+        store.register("late");
+        store.commit("late", 3, Snapshot::bytes(vec![]));
+        for participant in ["src", "sink", "late"] {
+            store.commit(participant, 50, Snapshot::u64(50));
+        }
+        let state = store.state.lock();
+        assert_eq!(state.commits.keys().copied().collect::<Vec<_>>(), [50]);
+        assert!(state.epoch_started.is_empty());
+        drop(state);
+        assert_eq!(store.backend().snapshot_count(), 3);
+    }
+
+    #[test]
+    fn out_of_order_completions_retire_below_the_greater_cut_only() {
+        let backend = InMemoryBackend::new();
+        for epoch in 3..=6 {
+            backend.put("agg", epoch, Snapshot::u64(epoch));
+        }
+        // Two cuts completing back to back: the greater one arrives first.
+        backend.note_complete_epoch(5);
+        backend.note_complete_epoch(4);
+        assert!(backend.get("agg", 4).is_none());
+        assert_eq!(backend.get("agg", 5).unwrap().as_u64(), Some(5));
+        assert_eq!(backend.get("agg", 6).unwrap().as_u64(), Some(6));
+        assert_eq!(backend.snapshot_count(), 2);
+    }
+
+    #[test]
+    fn a_source_racing_ahead_after_recovery_completes_nothing_alone() {
+        let store = CheckpointStore::in_memory();
+        store.register("src");
+        store.register("sink");
+        for epoch in 0..2u64 {
+            store.commit("src", epoch, Snapshot::u64(epoch * 10));
+            store.commit("sink", epoch, Snapshot::u64(epoch));
+        }
+        store.commit("src", 2, Snapshot::u64(20));
+        assert_eq!(store.begin_recovery(), Some(1));
+        // The next attempt waits for everyone who committed the restored cut.
+        assert_eq!(store.participants(), ["sink", "src"]);
+        // The restarted source rejoins and runs two epochs ahead of the sink …
+        store.register("src");
+        assert_eq!(store.restore_snapshot("src").unwrap().as_u64(), Some(10));
+        store.commit("src", 2, Snapshot::u64(20));
+        store.commit("src", 3, Snapshot::u64(30));
+        // … without completing either, so the sink's restore snapshot survives.
+        assert_eq!(store.latest_complete_epoch(), Some(1));
+        store.register("sink");
+        assert_eq!(store.restore_snapshot("sink").unwrap().as_u64(), Some(1));
+        store.commit("sink", 2, Snapshot::u64(2));
+        assert_eq!(store.latest_complete_epoch(), Some(2));
+        assert!(store.backend().get("sink", 1).is_none());
+    }
+
+    #[test]
+    fn commit_latency_after_recovery_excludes_the_failed_attempt() {
+        const BACKOFF: std::time::Duration = std::time::Duration::from_millis(50);
+        let store = CheckpointStore::in_memory();
+        store.register("src");
+        store.register("sink");
+        store.commit("src", 0, Snapshot::u64(0));
+        store.commit("sink", 0, Snapshot::u64(0));
+        // Epoch 1 starts, then the attempt fails before the sink commits it.
+        store.commit("src", 1, Snapshot::u64(10));
+        assert_eq!(store.begin_recovery(), Some(0));
+        assert!(store.state.lock().epoch_started.is_empty());
+        std::thread::sleep(BACKOFF);
+        store.register("src");
+        store.register("sink");
+        store.commit("src", 1, Snapshot::u64(10));
+        store.commit("sink", 1, Snapshot::u64(1));
+        let latency = store
+            .last_epoch_commit_latency_ns()
+            .expect("epoch 1 completed");
+        assert!(
+            latency < BACKOFF.as_nanos() as u64,
+            "the re-committed epoch's latency ({latency} ns) must not include the backoff"
+        );
     }
 
     /// An in-memory backend that calls `inside_put` from within every `put`,

@@ -11,6 +11,16 @@
 //!    completes an epoch it calls [`StateBackend::note_complete_epoch`], which
 //!    atomically replaces the manifest pinning that epoch as the recoverable cut.
 //!
+//! The same call retires the snapshots the cut subsumed: the `index` and the
+//! inline side map keep only the retained cut and the epochs after it, so the
+//! store's memory stays bounded however long the query runs. Only memory is
+//! reclaimed — the disk still gains every epoch's records (one segment per
+//! epoch once a container outgrows `segment_bytes`) until a compaction rewrites
+//! what the index holds, and reopening a directory replays every record of its
+//! live generation. A [`ScopedBackend`] pins the manifest but never retires:
+//! its engine's completions are local, and the origin may still restore its
+//! workers to an older cut.
+//!
 //! A `put` does each byte's work once and holds the store's mutex only for
 //! bookkeeping. The snapshot arrives as an owned `Vec`; it is never cloned: the
 //! record frame is assembled in one buffer ([`write_frame`] — an incremental
@@ -457,6 +467,20 @@ impl DurableBackend {
         Ok(())
     }
 
+    /// Pins `epoch` in the manifest as the recoverable cut, unless a later one
+    /// is pinned already.
+    fn pin(&self, inner: &mut Inner, epoch: u64) {
+        if inner.manifest.latest_complete.is_none_or(|l| epoch > l) {
+            inner.manifest.latest_complete = Some(epoch);
+            if let Err(err) = inner.manifest.store(&self.dir) {
+                panic!(
+                    "checkpoint manifest flip failed in {}: {err}",
+                    self.dir.display()
+                );
+            }
+        }
+    }
+
     /// Rewrites the live snapshots as full records into a new segment
     /// generation, flips the manifest (the commit point) and deletes the old
     /// generation. Incremental chains reset: the new generation starts from
@@ -720,15 +744,11 @@ impl StateBackend for DurableBackend {
 
     fn note_complete_epoch(&self, epoch: u64) {
         let mut inner = self.inner.lock();
-        if inner.manifest.latest_complete.is_none_or(|l| epoch > l) {
-            inner.manifest.latest_complete = Some(epoch);
-            if let Err(err) = inner.manifest.store(&self.dir) {
-                panic!(
-                    "checkpoint manifest flip failed in {}: {err}",
-                    self.dir.display()
-                );
-            }
-        }
+        self.pin(&mut inner, epoch);
+        // The chains are the participants' latest containers, never older
+        // than a cut they all committed: only the index and side map shrink.
+        inner.index.retain(|(_, e), _| *e >= epoch);
+        inner.inline.retain(|(_, e), _| *e >= epoch);
     }
 
     fn is_durable(&self) -> bool {
@@ -791,8 +811,12 @@ impl StateBackend for ScopedBackend {
         self.inner.bytes_written()
     }
 
+    /// Pins the manifest only. The epoch is complete for this engine alone,
+    /// and the origin may restore an older cut (see
+    /// [`CheckpointStore::restore_to`](genealog_spe::state::CheckpointStore::restore_to)),
+    /// so nothing is retired.
     fn note_complete_epoch(&self, epoch: u64) {
-        self.inner.note_complete_epoch(epoch);
+        self.inner.pin(&mut self.inner.inner.lock(), epoch);
     }
 
     fn is_durable(&self) -> bool {

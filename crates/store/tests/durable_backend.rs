@@ -12,9 +12,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use genealog_spe::persist::ContainerWriter;
-use genealog_spe::state::{Snapshot, StateBackend};
+use genealog_spe::state::{CheckpointStore, Snapshot, StateBackend};
 use genealog_store::segment::{encode_record, Record, RecordKind};
-use genealog_store::{DurableBackend, StoreOptions};
+use genealog_store::{DurableBackend, ScopedBackend, StoreOptions};
 
 static DIRS: AtomicU64 = AtomicU64::new(0);
 
@@ -87,31 +87,87 @@ fn flush_marks_a_clean_shutdown() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The cut only ever moves below a pinned epoch on a worker, whose engine
+/// completes epochs locally through a [`ScopedBackend`] (which pins without
+/// retiring) and then adopts an older cut from the origin.
 #[test]
 fn remove_after_compacts_and_clamps_the_cut() {
     let dir = temp_dir("compact");
-    let backend = DurableBackend::open(&dir).unwrap();
+    let shared = DurableBackend::open(&dir).unwrap();
+    let backend = ScopedBackend::new(Arc::clone(&shared), "shard0");
     for epoch in 0..6u64 {
         backend.put("src", epoch, Snapshot::u64(epoch * 10));
         backend.put("agg", epoch, Snapshot::bytes(vec![epoch as u8; 64]));
         backend.note_complete_epoch(epoch);
     }
-    assert_eq!(backend.latest_complete_epoch(), Some(5));
+    assert_eq!(shared.latest_complete_epoch(), Some(5));
     backend.remove_after(2);
-    assert_eq!(backend.compactions(), 1);
+    assert_eq!(shared.compactions(), 1);
     assert_eq!(backend.snapshot_count(), 6);
-    assert_eq!(backend.latest_complete_epoch(), Some(2));
+    assert_eq!(shared.latest_complete_epoch(), Some(2));
     assert!(backend.get("src", 3).is_none());
     assert_eq!(backend.get("src", 2).unwrap().as_u64(), Some(20));
-    drop(backend);
+    drop((backend, shared));
     // The compacted generation is what a restarted process sees.
-    let backend = DurableBackend::open(&dir).unwrap();
+    let shared = DurableBackend::open(&dir).unwrap();
+    let backend = ScopedBackend::new(Arc::clone(&shared), "shard0");
     assert_eq!(backend.snapshot_count(), 6);
     assert_eq!(
         backend.get("agg", 1).unwrap().as_bytes(),
         Some(&[1u8; 64][..])
     );
-    assert_eq!(backend.latest_complete_epoch(), Some(2));
+    assert_eq!(shared.latest_complete_epoch(), Some(2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A completed epoch retires every older snapshot from memory; the disk keeps
+/// every record, so a reopened directory still reads them back. Two cuts that
+/// complete back to back may be announced in either order.
+#[test]
+fn a_complete_epoch_retires_older_snapshots_from_memory_only() {
+    let dir = temp_dir("retire");
+    {
+        let backend = DurableBackend::open(&dir).unwrap();
+        for epoch in 0..6u64 {
+            backend.put("src", epoch, Snapshot::u64(epoch * 10));
+            backend.put("agg", epoch, Snapshot::inline(epoch));
+        }
+        backend.note_complete_epoch(4);
+        backend.note_complete_epoch(3);
+        assert_eq!(backend.latest_complete_epoch(), Some(4));
+        assert!(backend.get("src", 3).is_none());
+        assert!(backend.get("agg", 3).is_none());
+        assert_eq!(backend.get("src", 4).unwrap().as_u64(), Some(40));
+        assert!(backend.get("agg", 5).is_some());
+        assert_eq!(backend.snapshot_count(), 4);
+    }
+    let backend = DurableBackend::open(&dir).unwrap();
+    assert_eq!(backend.latest_complete_epoch(), Some(4));
+    assert_eq!(backend.get("src", 0).unwrap().as_u64(), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker's engine completes epochs 1–5 on its own, then the origin pins the
+/// deployment-global cut at 2: the scoped store must still serve epoch 2.
+#[test]
+fn a_scoped_engine_restores_an_origin_cut_below_its_own_completions() {
+    let dir = temp_dir("scoped-restore");
+    let shared = DurableBackend::open(&dir).unwrap();
+    let store = CheckpointStore::new(ScopedBackend::new(Arc::clone(&shared), "shard1"));
+    store.register("sum");
+    store.register("send");
+    for epoch in 1..=5u64 {
+        store.commit("sum", epoch, Snapshot::u64(epoch * 100));
+        store.commit("send", epoch, Snapshot::u64(epoch));
+    }
+    assert_eq!(store.latest_complete_epoch(), Some(5));
+    assert_eq!(shared.latest_complete_epoch(), Some(5));
+
+    store.restore_to(2);
+    assert_eq!(store.restore_snapshot("sum").unwrap().as_u64(), Some(200));
+    assert_eq!(store.restore_snapshot("send").unwrap().as_u64(), Some(2));
+    assert_eq!(shared.latest_complete_epoch(), Some(2));
+    assert!(store.backend().get("sum", 3).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -363,8 +419,8 @@ fn incremental_chains_survive_reopen_and_truncation_of_the_tail() {
 fn scoped_backends_keep_same_named_participants_distinct() {
     let dir = temp_dir("scoped");
     let shared = DurableBackend::open(&dir).unwrap();
-    let shard0 = genealog_store::ScopedBackend::new(Arc::clone(&shared), "shard0");
-    let shard1 = genealog_store::ScopedBackend::new(Arc::clone(&shared), "shard1");
+    let shard0 = ScopedBackend::new(Arc::clone(&shared), "shard0");
+    let shard1 = ScopedBackend::new(Arc::clone(&shared), "shard1");
     shard0.put("sum", 0, Snapshot::u64(100));
     shard1.put("sum", 0, Snapshot::u64(200));
     assert_eq!(shard0.get("sum", 0).unwrap().as_u64(), Some(100));
@@ -372,7 +428,7 @@ fn scoped_backends_keep_same_named_participants_distinct() {
     drop((shard0, shard1));
     drop(shared);
     let shared = DurableBackend::open(&dir).unwrap();
-    let shard1 = genealog_store::ScopedBackend::new(shared, "shard1");
+    let shard1 = ScopedBackend::new(shared, "shard1");
     assert_eq!(shard1.get("sum", 0).unwrap().as_u64(), Some(200));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -429,6 +429,56 @@ fn checkpoint_instruments_and_inline_fallbacks_are_on_the_exposition() {
     assert!(event.message.starts_with("epoch "), "{}", event.message);
 }
 
+/// A completed epoch retires every older snapshot, and the live plane shows it:
+/// a checkpointed run of fifty epochs through a two-shard aggregate, scraped
+/// once it ends, reports no more retained snapshots than two epochs' worth per
+/// participant.
+#[test]
+fn retained_snapshots_stay_bounded_over_many_epochs() {
+    use genealog_spe::state::{CheckpointConfig, CheckpointStore};
+    use genealog_spe::PlannerConfig;
+
+    let store = CheckpointStore::in_memory();
+    let plan = GlPlan::with_config(
+        GeneaLog::new(),
+        PlannerConfig::default()
+            .with_checkpoints(CheckpointConfig::new(4, std::sync::Arc::clone(&store))),
+    );
+    let readings: Vec<(Timestamp, Reading)> = (0..200u64)
+        .map(|t| (Timestamp::from_secs(t * 10), ((t % 3) as Key, t as i64)))
+        .collect();
+    let sums = plan
+        .source("readings", VecSource::new(readings))
+        .aggregate("sum", window_spec(), sum_key, sum_window, sum_key)
+        .with(Parallelism::shards(2));
+    let (out, _provenance) = logical_provenance_sink(sums, "prov");
+    let _sink = out.collecting_sink("sink");
+    let query = plan.lower().unwrap();
+    let server = ControlPlane::new(query.registry()).serve().unwrap();
+    query.deploy().unwrap().wait().unwrap();
+    let (status, exposition) = http_get(server.addr(), "/metrics");
+    server.shutdown();
+    assert_eq!(status, 200);
+
+    let gauge = |name: &str| {
+        exposition
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .and_then(|v| v.parse::<u64>().ok())
+    };
+    assert_eq!(
+        gauge("genealog_checkpoint_latest_complete_epoch"),
+        Some(51),
+        "fifty barriers, all complete: {exposition}"
+    );
+    let participants = store.participants().len() as u64;
+    let retained = gauge("genealog_checkpoint_retained_snapshots").expect("retained gauge");
+    assert!(
+        retained > 0 && retained <= 2 * participants,
+        "{retained} snapshots retained for {participants} participants"
+    );
+}
+
 /// Every `(logical name, tuples in, tuples out)` of a report: an operator's own
 /// row, or — for a fused chain — one row per stage instead of the chain's.
 fn report_rows(report: &QueryReport) -> std::collections::BTreeMap<String, (u64, u64)> {

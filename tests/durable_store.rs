@@ -15,8 +15,11 @@
 //!   aggregate buffers `PositionReport`s under GeneaLog; its checkpoints go to
 //!   disk, the backend is reopened before the restore, and the recovered run's
 //!   sink bytes and contribution sets equal the uninterrupted run's.
+//! * **Checkpoint state is bounded.** A complete epoch retires every older
+//!   snapshot, so a run of fifty epochs never holds more than two epochs per
+//!   participant, in the in-memory backend and in the durable one's index.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -467,4 +470,137 @@ fn q1_gl_window_state_survives_a_reopened_store() {
     );
     assert_eq!(recovered.tuples, clean.tuples);
     assert_eq!(recovered.lineage, clean.lineage);
+}
+
+/// Forwards to `inner` and, after every `put` and every completed cut, probes
+/// which recorded `(participant, epoch)` snapshots `inner` still serves: the
+/// most epochs any one participant held at once, and the most snapshots the
+/// backend held.
+#[derive(Debug)]
+struct RetentionProbe {
+    inner: Arc<dyn StateBackend>,
+    keys: Mutex<BTreeSet<(String, u64)>>,
+    peak_epochs_per_participant: AtomicU64,
+    peak_snapshots: AtomicU64,
+}
+
+impl RetentionProbe {
+    fn new(inner: Arc<dyn StateBackend>) -> Arc<Self> {
+        Arc::new(RetentionProbe {
+            inner,
+            keys: Mutex::new(BTreeSet::new()),
+            peak_epochs_per_participant: AtomicU64::new(0),
+            peak_snapshots: AtomicU64::new(0),
+        })
+    }
+
+    fn probe(&self) {
+        let keys = self.keys.lock().unwrap();
+        let mut epochs: BTreeMap<&str, u64> = BTreeMap::new();
+        for (participant, epoch) in keys.iter() {
+            if self.inner.get(participant, *epoch).is_some() {
+                *epochs.entry(participant).or_default() += 1;
+            }
+        }
+        let most = epochs.values().copied().max().unwrap_or(0);
+        self.peak_epochs_per_participant
+            .fetch_max(most, Ordering::SeqCst);
+        self.peak_snapshots
+            .fetch_max(self.inner.snapshot_count() as u64, Ordering::SeqCst);
+    }
+}
+
+impl StateBackend for RetentionProbe {
+    fn name(&self) -> &'static str {
+        "retention-probe"
+    }
+
+    fn put(&self, participant: &str, epoch: u64, snapshot: Snapshot) {
+        self.keys
+            .lock()
+            .unwrap()
+            .insert((participant.to_string(), epoch));
+        self.inner.put(participant, epoch, snapshot);
+        self.probe();
+    }
+
+    fn get(&self, participant: &str, epoch: u64) -> Option<Snapshot> {
+        self.inner.get(participant, epoch)
+    }
+
+    fn remove_after(&self, epoch: u64) {
+        self.inner.remove_after(epoch);
+    }
+
+    fn snapshot_count(&self) -> usize {
+        self.inner.snapshot_count()
+    }
+
+    fn serialized_bytes(&self) -> usize {
+        self.inner.serialized_bytes()
+    }
+
+    fn note_complete_epoch(&self, epoch: u64) {
+        self.inner.note_complete_epoch(epoch);
+        self.probe();
+    }
+
+    fn is_durable(&self) -> bool {
+        self.inner.is_durable()
+    }
+}
+
+/// **Checkpoint state is bounded.** A GL run of 250 readings checkpointed every
+/// `INTERVAL` tuples spans fifty epochs. The plan is one fused chain, so every
+/// participant commits epoch `e` before any commits `e + 1`: whatever the
+/// backend, at most the retained cut and the epoch in flight are held — two
+/// epochs per participant — and once the run is over, the last cut alone.
+#[test]
+fn a_long_checkpointed_run_retains_at_most_two_epochs_per_participant() {
+    let window = WindowSpec::new(Duration::from_secs(8), Duration::from_secs(4)).unwrap();
+    let reports: Vec<(Timestamp, Reading)> = (0..250u64)
+        .map(|i| (Timestamp::from_secs(i), ((i % 4) as u32, i as i64)))
+        .collect();
+    let durable = DurableBackend::open_with(temp_dir("retention"), StoreOptions::incremental());
+    let backends: [(&str, Arc<dyn StateBackend>); 2] = [
+        ("in-memory", Arc::new(InMemoryBackend::new())),
+        ("durable", durable.unwrap()),
+    ];
+    for (label, backend) in backends {
+        let probe = RetentionProbe::new(backend);
+        let store = CheckpointStore::new(Arc::clone(&probe) as Arc<dyn StateBackend>);
+        let plan =
+            GlPlan::with_config(
+                GeneaLog::new(),
+                PlannerConfig::default().with_checkpoints(
+                    CheckpointConfig::new(INTERVAL, Arc::clone(&store))
+                        .with_window_persister::<Key, Reading, GlMeta>(Arc::new(
+                            GlWindowPersister::<Key, Reading, Reading>::new(),
+                        )),
+                ),
+            );
+        let sink = plan
+            .source("readings", VecSource::new(reports.clone()))
+            .aggregate("sum", window, sum_key, sum_window, |o: &Reading| o.0)
+            .collecting_sink("sink");
+        let report = plan.deploy().unwrap().wait().unwrap();
+        assert_eq!(report.operator_stats().len(), 1, "{label}: one chain");
+        assert!(!sink.tuples().is_empty(), "{label}");
+
+        let participants = store.participants();
+        assert_eq!(participants, ["readings", "sink", "sum"], "{label}");
+        assert_eq!(store.latest_complete_epoch(), Some(50), "{label}");
+        let peak = probe.peak_epochs_per_participant.load(Ordering::SeqCst);
+        assert!(peak <= 2, "{label}: a participant held {peak} epochs");
+        let peak = probe.peak_snapshots.load(Ordering::SeqCst);
+        assert!(
+            peak <= 2 * participants.len() as u64,
+            "{label}: the backend held {peak} snapshots"
+        );
+        assert_eq!(
+            probe.snapshot_count(),
+            participants.len(),
+            "{label}: the last cut alone"
+        );
+    }
 }

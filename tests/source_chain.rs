@@ -6,15 +6,17 @@
 //! barrier cadence, participants, recovered sink bytes and GeneaLog contribution
 //! sets).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use genealog::prelude::*;
 use genealog_distributed::deployment::add_send;
 use genealog_distributed::{FrameSource, NetworkConfig, SimulatedLink, WireDecode, WireFrame};
 use genealog_spe::query::NodeKind;
-use genealog_spe::state::{run_with_recovery, CheckpointConfig, CheckpointStore, RecoveryConfig};
+use genealog_spe::state::{
+    run_with_recovery, CheckpointConfig, CheckpointStore, RecoveryConfig, Snapshot, StateBackend,
+};
 
 const GENERATED: u64 = 1_000;
 
@@ -173,6 +175,58 @@ fn row(ts: Timestamp, data: &Reading) -> Row {
     (ts.as_millis(), format!("{data:?}"))
 }
 
+/// An in-memory backend that records, as the run goes, every replay offset the
+/// `readings` source commits and every one it is served back. A complete epoch
+/// retires the older snapshots, so after the run the store itself holds only the
+/// last cut.
+#[derive(Debug, Default)]
+struct SourceOffsets {
+    inner: InMemoryBackend,
+    /// epoch -> the offset last committed for it (a replayed epoch re-commits).
+    committed: Mutex<BTreeMap<u64, u64>>,
+    /// `(epoch, offset)` of the last snapshot the source was restored from.
+    served: Mutex<Option<(u64, Option<u64>)>>,
+}
+
+impl StateBackend for SourceOffsets {
+    fn name(&self) -> &'static str {
+        "source-offsets"
+    }
+
+    fn put(&self, participant: &str, epoch: u64, snapshot: Snapshot) {
+        if participant == "readings" {
+            let offset = snapshot.as_u64().expect("a source commits its offset");
+            self.committed.lock().unwrap().insert(epoch, offset);
+        }
+        self.inner.put(participant, epoch, snapshot);
+    }
+
+    fn get(&self, participant: &str, epoch: u64) -> Option<Snapshot> {
+        let snapshot = self.inner.get(participant, epoch);
+        if participant == "readings" {
+            let offset = snapshot.as_ref().and_then(Snapshot::as_u64);
+            *self.served.lock().unwrap() = Some((epoch, offset));
+        }
+        snapshot
+    }
+
+    fn remove_after(&self, epoch: u64) {
+        self.inner.remove_after(epoch);
+    }
+
+    fn snapshot_count(&self) -> usize {
+        self.inner.snapshot_count()
+    }
+
+    fn serialized_bytes(&self) -> usize {
+        self.inner.serialized_bytes()
+    }
+
+    fn note_complete_epoch(&self, epoch: u64) {
+        self.inner.note_complete_epoch(epoch);
+    }
+}
+
 /// One checkpointed run, in canonical form, with what the source committed.
 struct Checkpointed {
     tuples: Vec<Row>,
@@ -205,7 +259,8 @@ fn run_checkpointed<P: ProvenanceSystem>(
         rate: RateLimit::TuplesPerSecond(4_000),
         ..SourceConfig::default()
     };
-    let store = CheckpointStore::in_memory();
+    let offsets = Arc::new(SourceOffsets::default());
+    let store = CheckpointStore::new(Arc::clone(&offsets) as Arc<dyn StateBackend>);
     let armed = Arc::new(AtomicBool::new(kill_at_close.is_some()));
     let closes = Arc::new(AtomicU64::new(0));
     // One system for every attempt, so a rebuilt engine keeps allocating fresh ids.
@@ -247,23 +302,17 @@ fn run_checkpointed<P: ProvenanceSystem>(
         .map(|t| (row(t.ts, &t.data), lineage(t)))
         .collect();
     lineage.sort();
-    let committed = |epoch| {
-        store
-            .backend()
-            .get("readings", epoch)
-            .and_then(|s| s.as_u64())
-    };
+    let committed = offsets.committed.lock().unwrap();
+    let served = *offsets.served.lock().unwrap();
     Checkpointed {
         tuples: tuples.iter().map(|t| row(t.ts, &t.data)).collect(),
         lineage,
         offsets: (1..)
-            .map_while(|epoch| committed(epoch).map(|offset| (epoch, offset)))
+            .map_while(|epoch| committed.get(&epoch).map(|&offset| (epoch, offset)))
             .collect(),
         restored: store.restore_epoch().map(|epoch| {
-            (
-                epoch,
-                store.restore_snapshot("readings").and_then(|s| s.as_u64()),
-            )
+            let offset = served.filter(|&(at, _)| at == epoch).and_then(|(_, o)| o);
+            (epoch, offset)
         }),
         recoveries: store.recoveries(),
         participants: store.participants(),
