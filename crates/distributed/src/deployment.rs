@@ -45,7 +45,7 @@ use genealog::{
 };
 use genealog_baseline::AriadneBaseline;
 
-use crate::endpoint::{ReceiveOp, SendTail, WireProvenance};
+use crate::endpoint::{ReceiveHead, SendTail, WireProvenance};
 use crate::network::{
     FrameSink, FrameSource, LinkSender, LinkStats, NetworkConfig, SharedLink, SimulatedLink,
 };
@@ -70,7 +70,8 @@ where
     node
 }
 
-/// Adds a Receive operator materialising the stream arriving on `link`.
+/// Adds a Receive operator materialising the stream arriving on `link`: the head of
+/// a chain, which the stages and the tail added on the returned stream extend.
 pub fn add_receive<T, P, L>(q: &mut Query<P>, name: &str, link: L) -> StreamRef<T, P::Meta>
 where
     T: TupleData + WireDecode,
@@ -78,11 +79,13 @@ where
     L: FrameSource,
 {
     let node = q.add_node(name, NodeKind::Custom("receive"));
-    let (slot, stream) = q.new_output_stream(node, format!("{name}.out"));
-    let op = ReceiveOp::new(name, link, slot, q.provenance().clone())
-        .with_checkpoints(q.checkpoint_handle());
-    q.set_operator(node, Box::new(op));
-    stream
+    let receive = ReceiveHead {
+        name: name.to_string(),
+        link,
+        provenance: q.provenance().clone(),
+        checkpoints: q.checkpoint_handle(),
+    };
+    q.add_head(node, move |row, next| receive.run(row, next))
 }
 
 /// Terminates a [`LogicalStream`] with a Send endpoint shipping it onto `link`

@@ -6,8 +6,9 @@
 //! hook — the received tuple is tagged `REMOTE` unless it was a source tuple at the
 //! sending side, exactly as the paper's instrumented Send prescribes (§4.1).
 //!
-//! Send is the tail of its chain ([`Tail`]). The framing is **batch-aware**: the
-//! chain's head — the pump, or a Source — marks the end of every upstream batch,
+//! Send is the tail of its chain ([`Tail`]) and Receive the head of one
+//! ([`PendingChain::head`]). The framing is **batch-aware**: the chain's head — the
+//! pump, a Source or a Receive — marks the end of every upstream batch,
 //! and Send packs each run of consecutive data tuples into one
 //! [`WireFrame::Tuples`] frame, so the per-frame
 //! overhead of the link (channel send, simulated store-and-forward, per-frame
@@ -19,15 +20,16 @@
 //! Both operators are generic over the frame transport ([`FrameSink`] /
 //! [`FrameSource`]), so a stream can have a link of its own or share a multiplexed
 //! one ([`SharedLink`](crate::network::SharedLink)).
+//!
+//! [`PendingChain::head`]: genealog_spe::fusion::PendingChain::head
 
 use std::sync::Arc;
 
-use genealog_spe::channel::{ChannelClosed, OutputSlot};
+use genealog_spe::channel::ChannelClosed;
 use genealog_spe::error::SpeError;
 use genealog_spe::fusion::Tail;
 use genealog_spe::impl_codec_struct;
 use genealog_spe::metrics::OpCounters;
-use genealog_spe::operator::Operator;
 use genealog_spe::provenance::{NoProvenance, ProvenanceSystem, RemoteContext};
 use genealog_spe::query::{Query, StreamRef};
 use genealog_spe::state::CheckpointHandle;
@@ -38,7 +40,7 @@ use genealog::{attach_unfolder, GeneaLog, GlMeta, OpKind, UnfoldedTuple};
 use genealog_baseline::{AriadneBaseline, BlMeta};
 
 use crate::deployment::add_send;
-use crate::network::{FrameSink, FrameSource, LinkReceiver};
+use crate::network::{FrameSink, FrameSource};
 use crate::wire::{WireDecode, WireEncode, WireError, WireReader};
 
 /// The provenance-dependent information a Send operator attaches to each frame: the
@@ -384,78 +386,70 @@ where
     }
 }
 
-/// The Receive operator: materialises a stream arriving from another SPE instance
-/// (generic over the frame transport `L`, like Send).
-pub struct ReceiveOp<T, P: ProvenanceSystem, L = LinkReceiver> {
-    name: String,
-    link: L,
-    output: OutputSlot<T, P::Meta>,
-    provenance: P,
-    checkpoints: Option<CheckpointHandle>,
+/// The Receive operator, the head of its chain: materialises a stream arriving from
+/// another SPE instance (generic over the frame transport `L`, like Send).
+pub(crate) struct ReceiveHead<P, L> {
+    /// The Receive's node name, which a broken link's error carries.
+    pub(crate) name: String,
+    pub(crate) link: L,
+    pub(crate) provenance: P,
+    /// The deployment's checkpoints, fenced when the link breaks.
+    pub(crate) checkpoints: CheckpointHandle,
 }
 
-impl<T, P, L> ReceiveOp<T, P, L>
-where
-    T: TupleData + WireDecode,
-    P: ProvenanceSystem,
-    L: FrameSource,
-{
-    /// Creates a Receive operator reading from `link`.
-    pub fn new(
-        name: impl Into<String>,
-        link: L,
-        output: OutputSlot<T, P::Meta>,
-        provenance: P,
-    ) -> Self {
-        ReceiveOp {
-            name: name.into(),
-            link,
-            output,
-            provenance,
-            checkpoints: None,
+/// Why a Receive's frame loop stopped before the end of its stream.
+enum Stop {
+    /// The chain's outputs closed: a graceful stop.
+    Closed,
+    /// The link broke: the stream can no longer be trusted.
+    Broken(String),
+}
+
+impl From<ChannelClosed> for Stop {
+    fn from(_: ChannelClosed) -> Self {
+        Stop::Closed
+    }
+}
+
+impl<P: ProvenanceSystem, L: FrameSource> ReceiveHead<P, L> {
+    /// Hands every element arriving on the link to the rest of the chain, counting
+    /// each received tuple into the head's ledger `row`.
+    ///
+    /// # Errors
+    /// A runt, undecodable or out-of-sequence frame, or a link that closes
+    /// mid-stream, fails the chain with [`SpeError::Runtime`] naming the Receive, so
+    /// that recovery replays the stream from the last checkpoint. The deployment's
+    /// checkpoint store is fenced first, while the chain still holds its outputs:
+    /// the fence then strictly precedes the end-of-stream a downstream fan-in
+    /// synthesizes once they are dropped, so the fan-in cannot drop this input from
+    /// barrier alignment and let a partial epoch complete (the upstream instance
+    /// behind the severed link keeps committing, unaware).
+    pub(crate) fn run<T: TupleData + WireDecode>(
+        self,
+        row: OpCounters,
+        next: &mut dyn Tail<T, P::Meta>,
+    ) -> Result<(), SpeError> {
+        match self.frames(&row, next) {
+            Ok(()) | Err(Stop::Closed) => Ok(()),
+            Err(Stop::Broken(message)) => {
+                if let Some(config) = self.checkpoints.get() {
+                    config.store.fence();
+                }
+                Err(SpeError::Runtime {
+                    operator: self.name,
+                    message,
+                })
+            }
         }
     }
 
-    /// Makes the operator fence the deployment's checkpoint store before failing on
-    /// a broken link.
-    ///
-    /// The fence must be raised *while this operator still holds its output
-    /// channel*: only then does it strictly precede the synthesized end-of-stream
-    /// the downstream fan-in would otherwise use to drop this input from barrier
-    /// alignment, which in turn could let a partial epoch reach completeness (the
-    /// upstream instance behind the severed link keeps committing, unaware).
-    pub fn with_checkpoints(mut self, checkpoints: CheckpointHandle) -> Self {
-        self.checkpoints = Some(checkpoints);
-        self
-    }
-}
-
-impl<T, P, L> Operator for ReceiveOp<T, P, L>
-where
-    T: TupleData + WireDecode,
-    P: ProvenanceSystem,
-    L: FrameSource,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
-        let mut out = self.output.open();
-        // Raised while `out` is still held, so the fence strictly precedes the
-        // synthesized end-of-stream downstream peers see once this thread exits.
-        let fail = |message: String| {
-            if let Some(config) = self.checkpoints.as_ref().and_then(|h| h.get()) {
-                config.store.fence();
-            }
-            SpeError::Runtime {
-                operator: self.name.clone(),
-                message,
-            }
-        };
+    fn frames<T: TupleData + WireDecode>(
+        &self,
+        row: &OpCounters,
+        next: &mut dyn Tail<T, P::Meta>,
+    ) -> Result<(), Stop> {
         let mut expected_seq = 0u64;
-        let mut ended = false;
-        'frames: while let Some(framed) = self.link.recv_frame() {
+        while let Some(framed) = self.link.recv_frame() {
             // Wire input must never be able to panic this thread: a frame too
             // short for its sequence prefix is a decode error like any other.
             let Some(seq) = framed
@@ -463,9 +457,9 @@ where
                 .and_then(|prefix| <[u8; 8]>::try_from(prefix).ok())
                 .map(u64::from_le_bytes)
             else {
-                return Err(fail(format!(
-                    "runt frame of {} bytes (no sequence number)",
-                    framed.len()
+                let length = framed.len();
+                return Err(Stop::Broken(format!(
+                    "runt frame of {length} bytes (no sequence number)"
                 )));
             };
             if seq < expected_seq {
@@ -474,19 +468,18 @@ where
                 continue;
             }
             if seq > expected_seq {
-                // A lost frame. The stream can no longer be trusted: fail the query
-                // so the recovery path replays it from the last checkpoint.
-                return Err(fail(format!(
+                // A lost frame. The stream can no longer be trusted.
+                return Err(Stop::Broken(format!(
                     "sequence gap on the link: expected frame {expected_seq}, got {seq}"
                 )));
             }
             expected_seq += 1;
-            let decoded =
-                WireFrame::<T>::from_bytes(&framed[8..]).map_err(|err| fail(err.to_string()))?;
-            match decoded {
+            let frame = WireFrame::<T>::from_bytes(&framed[8..])
+                .map_err(|err| Stop::Broken(err.to_string()))?;
+            match frame {
                 WireFrame::Tuples(run) => {
                     for wire_tuple in run {
-                        counters.inc_in();
+                        row.inc_in();
                         let WireTuple {
                             ts,
                             stimulus,
@@ -498,36 +491,27 @@ where
                             ts,
                             was_source: tag.was_source,
                         });
-                        let tuple = Arc::new(GTuple::new(ts, stimulus, data, meta));
-                        if out.send_tuple(tuple).is_err() {
-                            return Ok(());
-                        }
-                        counters.inc_out();
+                        next.tuple(Arc::new(GTuple::new(ts, stimulus, data, meta)))?;
                     }
+                    // One frame is one upstream batch.
+                    next.batch_end()?;
                 }
-                WireFrame::Watermark(ts) => {
-                    if out.send_watermark(ts).is_err() {
-                        return Ok(());
-                    }
-                }
-                WireFrame::Barrier(epoch) => {
-                    if out.send_barrier(epoch).is_err() {
-                        return Ok(());
-                    }
-                }
+                WireFrame::Watermark(ts) => next.watermark(ts)?,
+                WireFrame::Barrier(epoch) => next.barrier(epoch)?,
                 WireFrame::End => {
-                    ended = true;
-                    break 'frames;
+                    next.end();
+                    return Ok(());
                 }
             }
         }
-        if !ended && expected_seq > 0 {
+        if expected_seq > 0 {
             // The link died mid-stream (severed connection, crashed sender). A
-            // stream that started but never delivered its end marker is incomplete:
-            // fail the query so recovery can rebuild and replay it.
-            return Err(fail("link closed before the end-of-stream marker".into()));
+            // stream that started but never delivered its end marker is incomplete.
+            return Err(Stop::Broken(
+                "link closed before the end-of-stream marker".into(),
+            ));
         }
-        let _ = out.send_end();
+        next.end();
         Ok(())
     }
 }
@@ -536,11 +520,42 @@ where
 mod tests {
     use super::*;
     use crate::fault::{FaultySender, LinkFaults};
-    use crate::network::{NetworkConfig, SimulatedLink};
-    use genealog_spe::channel::stream_channel;
-    use genealog_spe::fusion::FusedOp;
+    use crate::network::{LinkReceiver, NetworkConfig, SimulatedLink};
+    use genealog_spe::channel::{stream_channel, OutputSlot};
+    use genealog_spe::fusion::{FusedOp, PendingChain};
+    use genealog_spe::operator::map::MapStage;
     use genealog_spe::provenance::SourceContext;
+    use genealog_spe::state::{CheckpointConfig, CheckpointStore};
     use genealog_spe::tuple::Element;
+
+    /// A Receive head over `link`, named `receive`.
+    fn receive_head<P: ProvenanceSystem>(
+        link: LinkReceiver,
+        provenance: P,
+        checkpoints: CheckpointHandle,
+    ) -> PendingChain<u32, P::Meta> {
+        let head = ReceiveHead {
+            name: "receive".into(),
+            link,
+            provenance,
+            checkpoints,
+        };
+        PendingChain::head(move |row, next| head.run(row, next))
+    }
+
+    /// A Receive alone in its chain, writing `output`.
+    fn receive<P: ProvenanceSystem>(
+        link: LinkReceiver,
+        output: OutputSlot<u32, P::Meta>,
+        provenance: P,
+    ) -> FusedOp {
+        receive_head(link, provenance, CheckpointHandle::default()).into_channel("receive", output)
+    }
+
+    /// One frame under sequence number `seq`.
+    fn framed(seq: u64, frame: WireFrame<u32>) -> Vec<u8> {
+        with_seq(seq, frame.to_bytes())
+    }
 
     fn gl_source_tuple(gl: &GeneaLog, ts: u64, v: u32) -> Arc<GTuple<u32, GlMeta>> {
         let ctx = SourceContext {
@@ -578,7 +593,7 @@ mod tests {
         in_tx.send(Element::End).unwrap();
         let send = FusedOp::tail("send", in_rx, SendTail::open(link_tx, gl_sender));
         let send_stats = OpCounters::detached("send");
-        Box::new(send).run(send_stats.clone()).unwrap();
+        send.run(send_stats.clone()).unwrap();
         assert_eq!(send_stats.tuples_in(), 2);
         assert_eq!(send_stats.tuples_out(), 2);
         assert!(stats.bytes() > 0);
@@ -587,9 +602,10 @@ mod tests {
         let slot = OutputSlot::<u32, GlMeta>::new();
         let (out_tx, mut out_rx) = stream_channel(16);
         slot.connect(out_tx);
-        let receive = ReceiveOp::new("receive", link_rx, slot, gl_receiver);
         let recv_stats = OpCounters::detached("receive");
-        Box::new(receive).run(recv_stats.clone()).unwrap();
+        receive(link_rx, slot, gl_receiver)
+            .run(recv_stats.clone())
+            .unwrap();
         assert_eq!(recv_stats.tuples_out(), 2);
 
         // First tuple was a source tuple: it stays SOURCE across the boundary.
@@ -628,7 +644,7 @@ mod tests {
         let counters = OpCounters::detached("send");
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let probe = counters.clone();
-        std::thread::spawn(move || done_tx.send(Box::new(send).run(probe)));
+        std::thread::spawn(move || done_tx.send(send.run(probe)));
         let ran = done_rx
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("the chain returns by itself");
@@ -645,9 +661,10 @@ mod tests {
         let slot = OutputSlot::<u32, ()>::new();
         let (out_tx, mut out_rx) = stream_channel(4);
         slot.connect(out_tx);
-        let receive = ReceiveOp::new("receive", link_rx, slot, NoProvenance);
         let stats = OpCounters::detached("receive");
-        Box::new(receive).run(stats.clone()).unwrap();
+        receive(link_rx, slot, NoProvenance)
+            .run(stats.clone())
+            .unwrap();
         assert_eq!(stats.tuples_in(), 0);
         assert!(out_rx.recv().is_end());
     }
@@ -659,11 +676,81 @@ mod tests {
         let slot = OutputSlot::<u32, ()>::new();
         let (out_tx, _out_rx) = stream_channel(4);
         slot.connect(out_tx);
-        let receive = ReceiveOp::new("receive", link_rx, slot, NoProvenance);
-        let err = Box::new(receive)
+        let err = receive(link_rx, slot, NoProvenance)
             .run(OpCounters::detached("receive"))
             .unwrap_err();
         assert!(matches!(err, SpeError::Runtime { .. }));
+    }
+
+    /// The Receive head no longer owns the output its chain writes, so the fence
+    /// ordering is the chain's: a Receive that fails behind a fused stage must have
+    /// fenced the store by the time the consumer of the chain's channel tail sees
+    /// the stream close. A commit made at that moment — what a downstream fan-in
+    /// aligning a barrier without the dead input would do — must not count. Once
+    /// for a sequence gap, once for a link that closes after frame 0 with no End.
+    #[test]
+    fn a_failing_receive_fences_the_store_before_its_chain_closes_the_output() {
+        let tuples = |values: &[u32]| {
+            let wire = |&v: &u32| WireTuple {
+                ts: Timestamp::from_secs(v.into()),
+                stimulus: 0,
+                tag: WireTag::default(),
+                data: v,
+            };
+            WireFrame::Tuples(values.iter().map(wire).collect())
+        };
+        let gap = vec![framed(0, tuples(&[1, 2])), framed(2, tuples(&[3]))];
+        let no_end = vec![framed(0, tuples(&[1, 2]))];
+        for (case, frames) in [("sequence gap", gap), ("no end marker", no_end)] {
+            let (link_tx, link_rx, _stats) = SimulatedLink::new(NetworkConfig::unlimited());
+            for frame in frames {
+                assert!(link_tx.send(frame));
+            }
+            drop(link_tx);
+            let store = CheckpointStore::in_memory();
+            // The consumer's own seat: the only participant, so its commit would
+            // complete the epoch unless the store is fenced.
+            store.register("consumer");
+            let checkpoints = CheckpointHandle::default();
+            let config = CheckpointConfig::new(1, Arc::clone(&store));
+            checkpoints.set(config).expect("fresh handle");
+
+            let output = OutputSlot::<u32, ()>::new();
+            let (out_tx, mut out_rx) = stream_channel(16);
+            output.connect(out_tx);
+            let chain = receive_head(link_rx, NoProvenance, checkpoints)
+                .then("plus-one", |_, _| {
+                    MapStage::new(|v: &u32| vec![v + 1], NoProvenance)
+                })
+                .into_channel("receive+plus-one", output);
+            let counters = OpCounters::detached_chain(&["receive", "plus-one"]);
+            let running = std::thread::spawn(move || chain.run(counters));
+
+            let mut received = Vec::new();
+            loop {
+                match out_rx.recv() {
+                    Element::Tuple(t) => received.push(t.data),
+                    Element::Watermark(_) | Element::Barrier(_) => {}
+                    Element::End => break,
+                }
+            }
+            store.commit("consumer", 1, genealog_spe::state::Snapshot::u64(0));
+            assert_eq!(
+                store.latest_complete_epoch(),
+                None,
+                "{case}: a commit made once the stream closed completed an epoch"
+            );
+            assert_eq!(received, [2, 3], "{case}: frame 0 went through the stage");
+            match running
+                .join()
+                .expect("the chain returns an error, not a panic")
+            {
+                Err(SpeError::Runtime { operator, .. }) => {
+                    assert_eq!(operator, "receive", "{case}")
+                }
+                other => panic!("{case}: expected a runtime error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use deployment::{
     ShardGroupDeployment, ShardLinks, ShardProvenanceCollector, ShardTransport, ShardWiring,
     SimulatedTransport,
 };
-pub use endpoint::{ReceiveOp, TupleFrameBuilder, WireFrame, WireProvenance, WireTag, WireTuple};
+pub use endpoint::{TupleFrameBuilder, WireFrame, WireProvenance, WireTag, WireTuple};
 pub use fault::{FaultPlan, FaultySender, FaultyTransport, LinkFaults, OneShot};
 pub use network::{
     FrameSink, FrameSource, LinkStats, MuxReceiver, MuxSender, NetworkConfig, SharedLink,

@@ -19,7 +19,11 @@
 //! With `BatchConfig::size == 1` every element travels alone and the transport is
 //! behaviourally identical to the original per-element design. Back-pressure is
 //! retained: the channel is bounded in *batches*, so a fast producer still blocks when
-//! the consumer falls behind.
+//! the consumer falls behind — except that a lone watermark sent to a full channel
+//! whose last queued batch is a lone watermark advances that one instead of taking a
+//! slot of its own. A consumer busy behind a fused chain (a sink behind a fan-in,
+//! say) would otherwise block a producer that only announces progress, and with it
+//! everything upstream, once a few watermarks fill its channel.
 //!
 //! Every stream produced by an operator is consumed by **exactly one** downstream
 //! operator (fan-out is expressed with the Multiplex operator, exactly as in the
@@ -291,14 +295,32 @@ impl<T, M> StreamSender<T, M> {
         self.send_batch(Batch::singleton(element))
     }
 
-    /// Sends a whole batch, blocking while the channel is full. Empty batches are
-    /// dropped without a channel operation.
+    /// Sends a whole batch, blocking while the channel is full (a lone watermark
+    /// instead advances a lone watermark queued last, see the module docs). Empty
+    /// batches are dropped without a channel operation.
     ///
     /// # Errors
     /// Returns [`ChannelClosed`] if the consumer has been dropped.
     pub fn send_batch(&self, batch: Batch<T, M>) -> Result<(), ChannelClosed> {
         if batch.is_empty() {
             return Ok(());
+        }
+        if let [Element::Watermark(ts)] = batch.elements.as_slice() {
+            // A consumer that is behind learns the later watermark without first
+            // reading the earlier one, which tells it nothing the later one does
+            // not. Nothing else folds, so no tuple or barrier moves.
+            let folded = self
+                .tx
+                .fold_if_full(|last| match last.elements.as_mut_slice() {
+                    [Element::Watermark(queued)] => {
+                        *queued = (*queued).max(*ts);
+                        true
+                    }
+                    _ => false,
+                });
+            if folded {
+                return Ok(());
+            }
         }
         let elements = batch.len();
         self.queued_elements.fetch_add(elements, Ordering::Relaxed);
@@ -961,6 +983,35 @@ mod tests {
                 assert!(!over, "capacity {capacity} batch {batch} fits");
             }
         }
+    }
+
+    /// A full channel folds a lone watermark into the lone watermark queued last
+    /// instead of blocking; behind a tuple, a watermark waits for room as before.
+    #[test]
+    fn a_full_channel_folds_lone_watermarks_and_nothing_else() {
+        let wm = |secs| Element::Watermark(Timestamp::from_secs(secs));
+        let (tx, mut rx) = stream_channel::<i64, ()>(1);
+        tx.send(wm(1)).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let tx2 = tx.clone();
+        std::thread::spawn(move || done_tx.send(tx2.send(wm(2))));
+        let sent = done_rx.recv_timeout(std::time::Duration::from_secs(5));
+        sent.expect("the second watermark folds instead of blocking")
+            .unwrap();
+        assert_eq!(rx.len(), 1, "the second watermark took no slot");
+        assert!(matches!(rx.recv(), Element::Watermark(ts) if ts == Timestamp::from_secs(2)));
+
+        tx.send(Element::Tuple(tuple(3, 3))).unwrap();
+        let tx2 = tx.clone();
+        let blocked = std::thread::spawn(move || tx2.send(wm(4)));
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        assert!(
+            !blocked.is_finished(),
+            "a watermark never folds into a tuple"
+        );
+        assert_eq!(rx.recv().as_tuple().unwrap().data, 3);
+        blocked.join().unwrap().unwrap();
+        assert!(matches!(rx.recv(), Element::Watermark(ts) if ts == Timestamp::from_secs(4)));
     }
 
     #[test]

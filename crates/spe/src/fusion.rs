@@ -1,8 +1,10 @@
-//! Chains: every single-input operator runs as *head → stages → one tail*, on one
-//! thread.
+//! Chains: every operator runs as a part of *head → stages → one tail*, on one
+//! thread, and a chain is the only thing the runtime spawns.
 //!
-//! * The **head** produces elements: a Source's loop, or the *pump* — the one loop
-//!   that drives a single-input operator from its input channel.
+//! * The **head** produces elements: a Source's loop; the *pump*, the one loop that
+//!   drives a single-input operator from its input channel; a *fan-in* (Union, Join,
+//!   the shard merge: the one loop of [`crate::merge`] with the operator's rule); or
+//!   an extension crate's own, such as the Receive of a stream arriving over a link.
 //! * The [`FusedStage`]s run behind it in one call stack, with no channel, batch or
 //!   back-pressure point between them: a tuple a fused filter drops is created,
 //!   tested and freed on one thread. A stage may hold state: the Aggregate is a
@@ -29,12 +31,12 @@
 //! Aggregate — on the chain's output stream extends the composition instead of
 //! allocating a channel; a tail added there seals it. A chain that is still open at
 //! deployment is sealed with the channel tail. With fusion off every operator is a
-//! chain of one. A chain breaks only at a fan-in (Union, Join, the shard merge,
-//! Receive), which is not a chain part, and at the output channels of a tail that
-//! owns several (Multiplex, Partition). Stream handles are consumed by value, so a
-//! chain's output has one consumer by construction. Within a shard region the
-//! per-shard stages fuse per shard — behind a sharded aggregate, say — never across
-//! the exchange or the fan-in.
+//! chain of one. A chain breaks only at the input channels of a fan-in, which heads
+//! the next chain, and at the output channels of a tail that owns several
+//! (Multiplex, Partition). Stream handles are consumed by value, so a chain's output
+//! has one consumer by construction. Within a shard region the per-shard stages fuse
+//! per shard — behind a sharded aggregate or join, say — never across the exchange;
+//! the shard merge heads the chain behind the region.
 //!
 //! # Why fusion is provenance-transparent
 //!
@@ -49,13 +51,15 @@
 //!
 //! A chain holds no counters. [`Query::deploy`](crate::query::Query::deploy) mints
 //! one ledger row per stage ([`crate::metrics`]), which the chain thread receives
-//! through [`Operator::run`] and each part resolves once, before the first tuple.
+//! through [`FusedOp::run`] and each part resolves once, before the first tuple.
 //! The pump counts the head row's `tuples_in`. A hand-off between two parts is one
 //! event — the upstream `tuples_out` and the downstream `tuples_in` count together —
 //! and a tail counts its row's `tuples_out` only for sends its outputs accepted (the
 //! channel tail, which has no row of its own, counts the last stage's), so adjacent
 //! rows never disagree, even when a closed downstream stops the chain midway. A
-//! Source head has no input: its row (stage 0) counts what it injected.
+//! Source, fan-in or Receive head is the chain's first part: its row (stage 0)
+//! counts the tuples it takes in — a Source none, a fan-in each one it releases —
+//! and the hand-off out of it counts what it emits.
 //!
 //! [`FusedStage`]: crate::operator::FusedStage
 //! [`ProvenanceSystem`]: crate::provenance::ProvenanceSystem
@@ -68,9 +72,10 @@ use genealog_metrics::Counter;
 
 use crate::channel::{ChannelClosed, OutputHandle, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
+use crate::merge::{FanIn, FanInputs};
 use crate::metrics::OpCounters;
 use crate::operator::source::{SourceGenerator, SourceOp};
-use crate::operator::{FusedStage, Operator};
+use crate::operator::FusedStage;
 use crate::provenance::{MetaData, ProvenanceSystem};
 use crate::query::{NodeId, ShardGroup};
 use crate::time::Timestamp;
@@ -249,17 +254,22 @@ impl<T, M> Tail<T, M> for ChannelTail<T, M> {
     }
 }
 
-/// Runs a chain's head — a Source's loop, or the pump over the channel entering the
-/// chain — through the composed stages into the tail it is given; `Ok` means the
-/// end of the input has reached the tail. The first argument is the chain thread's
-/// ledger rows, one per part, head first; a Source head also takes its gauges from
-/// it.
+/// Runs a chain's head through the composed stages into the tail it is given. `Ok`
+/// means the chain is done — the end of the input has reached the tail, or the
+/// chain's outputs have closed — and an error that the head failed. The first
+/// argument is the chain thread's ledger rows, one per part, head first.
 type ChainDriver<T, M> =
-    Box<dyn FnOnce(&OpCounters, &mut dyn Tail<T, M>) -> Result<(), ChannelClosed> + Send>;
+    Box<dyn FnOnce(&OpCounters, &mut dyn Tail<T, M>) -> Result<(), SpeError> + Send>;
+
+/// A head that stopped without failing: the end of its input reached the tail, or
+/// the chain's outputs closed. Either way the chain is done.
+fn done(_: Result<(), ChannelClosed>) -> Result<(), SpeError> {
+    Ok(())
+}
 
 /// A chain under construction — its head and the stages composed so far — typed by
 /// what its last stage emits.
-pub(crate) struct PendingChain<T, M> {
+pub struct PendingChain<T, M> {
     driver: ChainDriver<T, M>,
     /// Parts composed so far: the ledger row of the next part is at this index.
     stages: usize,
@@ -274,7 +284,7 @@ impl<T: TupleData, M: MetaData> PendingChain<T, M> {
         P: ProvenanceSystem<Meta = M>,
     {
         PendingChain {
-            driver: Box::new(move |counters, next| source.run(counters, next)),
+            driver: Box::new(move |counters, next| done(source.run(counters, next))),
             stages: 1,
         }
     }
@@ -283,13 +293,46 @@ impl<T: TupleData, M: MetaData> PendingChain<T, M> {
     /// operator that does not chain.
     pub(crate) fn pumped(rx: StreamReceiver<T, M>) -> Self {
         let driver: ChainDriver<T, M> =
-            Box::new(move |counters, next| pump(rx, &counters.stages()[0].tuples_in, next));
+            Box::new(move |counters, next| done(pump(rx, &counters.stages()[0].tuples_in, next)));
         PendingChain { driver, stages: 0 }
+    }
+
+    /// Starts a chain at a fan-in over `inputs`, whose rule `open` builds on the
+    /// chain's thread from the fan-in's node name and ledger row.
+    pub(crate) fn fan_in<I, R>(
+        name: &str,
+        mut inputs: I,
+        open: impl FnOnce(&str, OpCounters) -> R + Send + 'static,
+    ) -> Self
+    where
+        I: FanInputs + Send + 'static,
+        R: FanIn<I, T, M>,
+    {
+        let name = name.to_string();
+        let driver: ChainDriver<T, M> = Box::new(move |counters, next| {
+            let mut rule = open(&name, counters.row(0));
+            let tuples_in = &counters.stages()[0].tuples_in;
+            done(crate::merge::drive(&mut inputs, &mut rule, tuples_in, next))
+        });
+        PendingChain { driver, stages: 1 }
+    }
+
+    /// Starts a chain at a head of the caller's own: `head` hands what it produces to
+    /// the rest of the chain, counting what it takes in into its ledger row, and
+    /// returns `Ok` once its input has ended or the chain's outputs have closed. An
+    /// error fails the chain; the chain's outputs close only after `head` returns.
+    pub fn head(
+        head: impl FnOnce(OpCounters, &mut dyn Tail<T, M>) -> Result<(), SpeError> + Send + 'static,
+    ) -> Self {
+        PendingChain {
+            driver: Box::new(move |counters, next| head(counters.row(0), next)),
+            stages: 1,
+        }
     }
 
     /// Extends the chain with the stage `open` builds on the chain's thread from the
     /// stage's node name and ledger row.
-    pub(crate) fn then<O: TupleData, S: FusedStage<T, O, M>>(
+    pub fn then<O: TupleData, S: FusedStage<T, O, M>>(
         self,
         name: &str,
         open: impl FnOnce(&str, OpCounters) -> S + Send + 'static,
@@ -328,6 +371,20 @@ impl<T: TupleData, M: MetaData> PendingChain<T, M> {
         };
         FusedOp::sealed::<T, M, X>(name, tail.to_string(), driver, open)
     }
+
+    /// Seals the chain, named `name`, with the channel tail: its output stream is
+    /// written to `output`.
+    pub fn into_channel(self, name: impl Into<String>, output: OutputSlot<T, M>) -> FusedOp {
+        let driver = self.driver;
+        let driver =
+            move |counters: &OpCounters, tail: &mut ChannelTail<T, M>| driver(counters, tail);
+        FusedOp::sealed::<T, M, _>(name.into(), String::new(), driver, move |_, row| {
+            ChannelTail {
+                out: output.open(),
+                tuples_out: Arc::clone(&row.stages()[0].tuples_out),
+            }
+        })
+    }
 }
 
 /// A chain open for extension, stored per chain in the query builder with the
@@ -349,13 +406,7 @@ impl<T: TupleData, M: MetaData> SealableChain for (PendingChain<T, M>, OutputSlo
 
     fn seal(self: Box<Self>, name: String) -> FusedOp {
         let (chain, output) = *self;
-        let driver = chain.driver;
-        let driver =
-            move |counters: &OpCounters, tail: &mut ChannelTail<T, M>| driver(counters, tail);
-        FusedOp::sealed::<T, M, _>(name, String::new(), driver, move |_, row| ChannelTail {
-            out: output.open(),
-            tuples_out: Arc::clone(&row.stages()[0].tuples_out),
-        })
+        chain.into_channel(name, output)
     }
 }
 
@@ -372,15 +423,13 @@ impl SealableChain for Sealed {
     }
 }
 
-/// A fused chain node collected by the query builder: the member nodes, the logical
-/// name of each stage, the chain's shard group (when all stages belong to shard
-/// groups of the same width) and the type-erased pending composition.
+/// A chain collected by the query builder: its member nodes, its shard group (when
+/// all its parts belong to shard groups of the same width) and the type-erased
+/// pending composition.
 pub(crate) struct ChainEntry {
-    /// Node ids of the fused stages, in stage order.
+    /// Node ids of the chain's parts, head first: deployment tags the chain's
+    /// ledger rows with their logical names.
     pub(crate) nodes: Vec<NodeId>,
-    /// Logical name of each stage (the shard-group name for grouped stages, the
-    /// node name otherwise), in stage order: the tags of the chain's ledger rows.
-    pub(crate) stages: Vec<String>,
     /// Shard group of the whole chain (`None` for ungrouped chains). Grouped chains
     /// carry the member group names joined with `+`, identical across sibling shard
     /// chains, so the runtime folds the per-shard fused threads into one report.
@@ -415,10 +464,11 @@ impl ChainEntry {
 }
 
 /// A sealed chain: its head, the stages fused behind it and its tail, running on
-/// one thread and counting into one ledger row per part.
+/// one thread (the runtime spawns nothing else) and counting into one ledger row
+/// per part.
 pub struct FusedOp {
     name: String,
-    body: Box<dyn FnOnce(OpCounters) + Send>,
+    body: Box<dyn FnOnce(OpCounters) -> Result<(), SpeError> + Send>,
 }
 
 impl FusedOp {
@@ -432,22 +482,19 @@ impl FusedOp {
         rx: StreamReceiver<T, M>,
         open: impl FnOnce(&str, OpCounters) -> X + Send + 'static,
     ) -> FusedOp {
-        // Monomorphised over the tail, like a standalone operator's loop: no `dyn`
-        // call per element.
-        let driver = move |counters: &OpCounters, tail: &mut X| {
-            pump(rx, &counters.stages()[0].tuples_in, tail)
-        };
         let name = name.into();
-        Self::sealed::<T, M, X>(name.clone(), name, driver, open)
+        PendingChain::pumped(rx).seal(name.clone(), &name, open)
     }
 
     /// A runnable chain: on the chain's thread, `open` builds the tail from the
     /// tail's node name and the chain's last ledger row, then `driver` runs the head
-    /// through the stages into it until the input ends or the outputs close.
+    /// through the stages into it until the input ends, the outputs close or the
+    /// head fails. The tail, and with it the chain's outputs, is dropped only after
+    /// the head has returned.
     fn sealed<T, M, X>(
         name: String,
         tail: String,
-        driver: impl FnOnce(&OpCounters, &mut X) -> Result<(), ChannelClosed> + Send + 'static,
+        driver: impl FnOnce(&OpCounters, &mut X) -> Result<(), SpeError> + Send + 'static,
         open: impl FnOnce(&str, OpCounters) -> X + Send + 'static,
     ) -> FusedOp
     where
@@ -457,28 +504,33 @@ impl FusedOp {
             name,
             body: Box::new(move |counters| {
                 let mut opened = open(&tail, counters.tail_row());
-                // Either way the chain is done: the end of the input has reached
-                // the tail, or its outputs have closed.
-                let _ = driver(&counters, &mut opened);
+                driver(&counters, &mut opened)
             }),
         }
+    }
+
+    /// The chain's name: its parts' logical names joined with `+`, or the one
+    /// part's own name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Runs the chain to completion on this thread, counting into `counters`: its
+    /// rows of the operator ledger ([`crate::metrics`]), one per part, head first.
+    /// The chain only increments; whoever minted the rows keeps a clone and reads it.
+    ///
+    /// # Errors
+    /// Returns the error its head failed with (a Receive over a broken link:
+    /// [`SpeError::Runtime`] naming the Receive). A closed downstream is a graceful
+    /// stop, not an error.
+    pub fn run(self, counters: OpCounters) -> Result<(), SpeError> {
+        (self.body)(counters)
     }
 }
 
 impl std::fmt::Debug for FusedOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FusedOp").field("name", &self.name).finish()
-    }
-}
-
-impl Operator for FusedOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
-        (self.body)(counters);
-        Ok(())
     }
 }
 
@@ -531,7 +583,7 @@ pub(crate) mod tests {
         let counters = OpCounters::detached(op.name());
         let probe = counters.clone();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || done_tx.send(Box::new(op).run(counters)));
+        std::thread::spawn(move || done_tx.send(op.run(counters)));
         let ran = done_rx
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("the chain returns by itself");
@@ -657,7 +709,7 @@ pub(crate) mod tests {
         let op = Box::new((chain, out_slot)).seal("evens+double".into());
         assert_eq!(op.name(), "evens+double");
         let stats = OpCounters::mint(&MetricsRegistry::disabled(), ["evens", "double"]);
-        Box::new(op).run(stats.clone()).unwrap();
+        op.run(stats.clone()).unwrap();
         assert_eq!(stats.tuples_in(), 6, "chain input = head stage input");
         assert_eq!(stats.tuples_out(), 3, "chain output = tail stage output");
         let [filter_counters, map_counters] = stats.stages() else {
@@ -690,7 +742,6 @@ pub(crate) mod tests {
         let chain = PendingChain::<i64, ()>::pumped(rx);
         let mut entry = ChainEntry {
             nodes: vec![0],
-            stages: Vec::new(),
             group: Some(ShardGroup {
                 name: "pre".into(),
                 instances: 2,

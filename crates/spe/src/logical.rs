@@ -1237,7 +1237,9 @@ mod tests {
         let (sharded_report, sharded) = run(3);
         assert!(!plain.is_empty());
         assert_eq!(plain, sharded, "shard count must not change join output");
-        assert!(plain_report.operator("match").is_some());
+        // The sink extends the plain Join's chain; the sharded Join's shards feed
+        // the merge's.
+        assert!(plain_report.operator("match+sink").is_some());
         assert_eq!(sharded_report.operator("match").unwrap().instances, 3);
     }
 

@@ -4,8 +4,10 @@
 //! The paper assumes (§2) that operators with multiple input streams merge them *in
 //! timestamp order*, so that query execution — and therefore provenance — is
 //! deterministic and independent of thread interleaving or transmission latency. This
-//! module is the one place that rule lives: [`DeterministicMerge`] (behind Union and
-//! the keyed shard merge) and the Join both drive their inputs through `step`.
+//! module is the one place that rule lives: Union, the keyed shard merge and the Join
+//! head their chains ([`crate::fusion`]) with `drive`, which hands every `step` of the
+//! protocol below to the operator's `FanIn` rule; [`DeterministicMerge`] is the same
+//! protocol in pull form.
 //!
 //! # The protocol
 //!
@@ -43,7 +45,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::channel::{wait_any, Ready, StreamReceiver};
+use genealog_metrics::Counter;
+
+use crate::channel::{wait_any, ChannelClosed, Ready, StreamReceiver};
+use crate::fusion::Tail;
 use crate::time::Timestamp;
 use crate::tuple::{Element, GTuple};
 
@@ -136,9 +141,9 @@ pub(crate) trait FanInputs {
     fn resume(&mut self);
 }
 
-impl<T, M> FanInputs for [FanInput<T, M>] {
+impl<T, M> FanInputs for Vec<FanInput<T, M>> {
     fn len(&self) -> usize {
-        <[_]>::len(self)
+        Vec::len(self)
     }
     fn front(&self, index: usize) -> Front {
         self[index].front()
@@ -250,6 +255,73 @@ pub(crate) fn step<I: FanInputs + ?Sized>(
     }
 }
 
+/// A fan-in operator's rule: what it does with each [`Step`] over its inputs `I`,
+/// handing what it emits to the rest of its chain. The hooks after `release` forward
+/// by default, the way [`FusedStage`](crate::operator::FusedStage)'s do; a stateful
+/// rule overrides them.
+pub(crate) trait FanIn<I: ?Sized, O, M>: Send + 'static {
+    /// Takes the tuple the merge released: the head of input `index`, to
+    /// [`FanInput::pop`].
+    fn release(
+        &mut self,
+        inputs: &mut I,
+        index: usize,
+        next: &mut dyn Tail<O, M>,
+    ) -> Result<(), ChannelClosed>;
+
+    /// Takes the merge's watermark; forwards it by default.
+    fn watermark(&mut self, ts: Timestamp, next: &mut dyn Tail<O, M>) -> Result<(), ChannelClosed> {
+        next.watermark(ts)
+    }
+
+    /// Takes the barrier of an aligned cut, with nothing pending on any input;
+    /// forwards it by default.
+    fn barrier(&mut self, epoch: u64, next: &mut dyn Tail<O, M>) -> Result<(), ChannelClosed> {
+        next.barrier(epoch)
+    }
+
+    /// Every input has ended; ends the rest of the chain by default.
+    fn end(&mut self, next: &mut dyn Tail<O, M>) {
+        next.end();
+    }
+
+    /// The watermark the fan-in emitted last before this run: none by default, the
+    /// restored one for a rule that restored its state from a checkpoint.
+    fn restored_watermark(&self) -> Timestamp {
+        Timestamp::MIN
+    }
+}
+
+/// The fan-in head: hands every step of the merge over `inputs` to `rule`, counting
+/// each released tuple into `tuples_in`, until the inputs end (`Ok`) or the chain's
+/// outputs close ([`ChannelClosed`]).
+pub(crate) fn drive<I, O, M, R>(
+    inputs: &mut I,
+    rule: &mut R,
+    tuples_in: &Counter,
+    next: &mut dyn Tail<O, M>,
+) -> Result<(), ChannelClosed>
+where
+    I: FanInputs + ?Sized,
+    R: FanIn<I, O, M> + ?Sized,
+{
+    let mut emitted_watermark = rule.restored_watermark();
+    loop {
+        match step(inputs, &mut emitted_watermark) {
+            Step::Release(index) => {
+                tuples_in.inc();
+                rule.release(inputs, index, next)?;
+            }
+            Step::Watermark(ts) => rule.watermark(ts, next)?,
+            Step::Barrier(epoch) => rule.barrier(epoch, next)?,
+            Step::End => {
+                rule.end(next);
+                return Ok(());
+            }
+        }
+    }
+}
+
 /// An element produced by the merge: tuples in timestamp order between cuts.
 #[derive(Debug)]
 pub enum MergedElement<T, M> {
@@ -294,7 +366,7 @@ impl<T, M> DeterministicMerge<T, M> {
     /// open, and the blocking receive semantics do not fit `Iterator` adapters.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> MergedElement<T, M> {
-        match step(self.inputs.as_mut_slice(), &mut self.emitted_watermark) {
+        match step(&mut self.inputs, &mut self.emitted_watermark) {
             Step::Release(index) => MergedElement::Tuple(self.inputs[index].pop(), index),
             Step::Watermark(ts) => MergedElement::Watermark(ts),
             Step::Barrier(epoch) => MergedElement::Barrier(epoch),

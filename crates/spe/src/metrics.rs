@@ -11,12 +11,11 @@
 //!   `n` for a fused chain of `n` stages — a plain operator is a chain of one for
 //!   accounting exactly as it is for execution.
 //! * **Who increments.** The thread, through the handle
-//!   [`Operator::run`](crate::operator::Operator::run) receives: a relaxed atomic
-//!   add per tuple, no locks, no registry lookups. A chain's pump counts its head
+//!   [`FusedOp::run`](crate::fusion::FusedOp::run) receives: a relaxed atomic
+//!   add per tuple, no locks, no registry lookups. A chain's head counts its
 //!   row's `tuples_in`; an output is counted at the stage's downstream boundary —
-//!   a chain's tail (and every multi-stream operator) counts `tuples_out` only
-//!   after a successful send, so a tuple dropped by a closed downstream is in
-//!   nobody's output.
+//!   a chain's tail counts `tuples_out` only after a successful send, so a tuple
+//!   dropped by a closed downstream is in nobody's output.
 //! * **Who reads.** The runtime alone. While the query runs, the summing
 //!   collectors `genealog_operator_tuples_{in,out}_total{operator=<logical name>}`
 //!   registered at deploy time over the rows sharing a name; after the threads are
@@ -71,11 +70,16 @@ impl OpCounters {
         }
     }
 
-    /// A single row bound to no query, for running an operator bare (as unit tests
-    /// do by calling [`Operator::run`](crate::operator::Operator::run) directly):
+    /// A single row bound to no query, for running a chain bare (as unit tests do
+    /// by calling [`FusedOp::run`](crate::fusion::FusedOp::run) directly):
     /// the counters count, gauges and histograms are inert.
     pub fn detached(name: &str) -> Self {
-        Self::mint(&MetricsRegistry::disabled(), [name])
+        Self::detached_chain(&[name])
+    }
+
+    /// One detached row per part, in part order, for a chain of several run bare.
+    pub fn detached_chain(parts: &[&str]) -> Self {
+        Self::mint(&MetricsRegistry::disabled(), parts.iter().copied())
     }
 
     /// The stage whose input is the thread's input.

@@ -8,8 +8,11 @@
 //!
 //! The two inputs are processed in global timestamp order (left side wins ties), so
 //! the sequence of output tuples is deterministic regardless of thread scheduling: the
-//! Join is a fan-in like any other, and [`crate::merge`] holds the protocol — release
-//! order, barrier alignment, the watermark it purges by, end of stream, waiting.
+//! Join is a fan-in like any other, heading its chain, and [`crate::merge`] holds the
+//! protocol — release order, barrier alignment, the watermark it purges by, end of
+//! stream, waiting. The Join's rule probes on every release, purges at a watermark,
+//! commits its windows at a barrier and closes its output with a watermark at the end
+//! of time.
 //!
 //! # Keyed windows
 //!
@@ -37,11 +40,10 @@ use std::sync::Arc;
 
 use genealog_metrics::{Counter, Gauge};
 
-use crate::channel::{ChannelClosed, OutputSlot, StreamReceiver};
-use crate::error::SpeError;
-use crate::merge::{step, FanInput, Step};
+use crate::channel::{ChannelClosed, StreamReceiver};
+use crate::fusion::{PendingChain, Tail};
+use crate::merge::{FanIn, FanInput};
 use crate::metrics::OpCounters;
-use crate::operator::Operator;
 use crate::provenance::{detach_tuple, ProvenanceSystem};
 use crate::state::{CheckpointHandle, Participant, Snapshot};
 use crate::time::{Duration, Timestamp};
@@ -161,24 +163,27 @@ impl Drop for JoinInstruments {
     }
 }
 
-/// The Join operator runtime.
-pub struct JoinOp<L, R, O, K, LK, RK, PR, CF, P: ProvenanceSystem> {
-    name: String,
-    inputs: (FanInput<L, P::Meta>, FanInput<R, P::Meta>),
+/// The Join's rule over its two inputs: both sides' retained windows and the
+/// functions that match, combine and key their tuples.
+pub(crate) struct Join<L, R, K, LK, RK, PR, CF, P: ProvenanceSystem> {
     left: JoinSide<L, K, P::Meta>,
     right: JoinSide<R, K, P::Meta>,
-    output: OutputSlot<O, P::Meta>,
     window: Duration,
     left_key: LK,
     right_key: RK,
     predicate: PR,
     combine: CF,
     provenance: P,
+    /// The last watermark the fan-in emitted: what a snapshot records and a restored
+    /// Join resumes from.
     emitted_watermark: Timestamp,
-    checkpoints: CheckpointHandle,
+    /// The operator's checkpoint seat, when the deployment checkpoints.
+    checkpoint: Option<Participant>,
+    instruments: JoinInstruments,
 }
 
-impl<L, R, O, K, LK, RK, PR, CF, P> JoinOp<L, R, O, K, LK, RK, PR, CF, P>
+impl<L, R, O, K, LK, RK, PR, CF, P> FanIn<(FanInput<L, P::Meta>, FanInput<R, P::Meta>), O, P::Meta>
+    for Join<L, R, K, LK, RK, PR, CF, P>
 where
     L: TupleData,
     R: TupleData,
@@ -190,35 +195,135 @@ where
     CF: FnMut(&L, &R) -> O + Send + 'static,
     P: ProvenanceSystem,
 {
-    /// Creates a Join operator with the given window size `WS`, matching pairs with
-    /// equal `left_key`/`right_key` that also satisfy the residual `predicate`. When
-    /// `checkpoints` is filled before the query is deployed, the Join aligns epoch
-    /// barriers across its two inputs and snapshots both time windows at each
-    /// aligned cut.
-    ///
-    /// # Panics
-    /// Panics if the window size is zero.
-    #[allow(clippy::too_many_arguments)] // mirrors the paper's Join parameters
-    pub fn new(
-        name: impl Into<String>,
-        left: StreamReceiver<L, P::Meta>,
-        right: StreamReceiver<R, P::Meta>,
-        output: OutputSlot<O, P::Meta>,
-        window: Duration,
-        left_key: LK,
-        right_key: RK,
-        predicate: PR,
-        combine: CF,
-        provenance: P,
-        checkpoints: CheckpointHandle,
-    ) -> Self {
-        assert!(!window.is_zero(), "Join window size must be positive");
-        JoinOp {
-            name: name.into(),
-            inputs: (FanInput::new(left), FanInput::new(right)),
+    fn release(
+        &mut self,
+        inputs: &mut (FanInput<L, P::Meta>, FanInput<R, P::Meta>),
+        side: usize,
+        next: &mut dyn Tail<O, P::Meta>,
+    ) -> Result<(), ChannelClosed> {
+        let Join {
+            left,
+            right,
+            window,
+            left_key,
+            right_key,
+            predicate,
+            combine,
+            provenance,
+            instruments,
+            ..
+        } = self;
+        let mut pair = |l: &Arc<GTuple<L, _>>, r: &Arc<GTuple<R, _>>| {
+            instruments.unpublished_candidates += 1;
+            if l.ts.distance(r.ts) <= *window && predicate(&l.data, &r.data) {
+                let data = combine(&l.data, &r.data);
+                let meta = provenance.join_meta(l, r);
+                let stimulus = l.stimulus.max(r.stimulus);
+                next.tuple(Arc::new(GTuple::new(l.ts.max(r.ts), stimulus, data, meta)))?;
+            }
+            Ok(())
+        };
+        // Probe the other side's bucket, then retain (ties went to the left).
+        if side == 0 {
+            let tuple = inputs.0.pop();
+            let key = left_key(&tuple.data);
+            let sent = right.candidates(&key).try_for_each(|r| pair(&tuple, r));
+            left.retain(key, tuple);
+            sent
+        } else {
+            let tuple = inputs.1.pop();
+            let key = right_key(&tuple.data);
+            let sent = left.candidates(&key).try_for_each(|l| pair(l, &tuple));
+            right.retain(key, tuple);
+            sent
+        }
+    }
+
+    /// Neither side can still hand over a tuple older than the frontier, so nothing
+    /// retained more than a window before it can still be matched.
+    fn watermark(
+        &mut self,
+        frontier: Timestamp,
+        next: &mut dyn Tail<O, P::Meta>,
+    ) -> Result<(), ChannelClosed> {
+        self.left.purge(frontier, self.window, &mut self.left_key);
+        self.right.purge(frontier, self.window, &mut self.right_key);
+        let retained = [self.left.window.len(), self.right.window.len()];
+        self.instruments.publish(retained);
+        self.emitted_watermark = frontier;
+        next.watermark(frontier)
+    }
+
+    /// The windows are the only state crossing the cut.
+    fn barrier(
+        &mut self,
+        epoch: u64,
+        next: &mut dyn Tail<O, P::Meta>,
+    ) -> Result<(), ChannelClosed> {
+        if let Some(seat) = &self.checkpoint {
+            let snapshot = JoinSnapshot {
+                left_window: self.left.window.iter().cloned().collect(),
+                right_window: self.right.window.iter().cloned().collect(),
+                emitted_watermark: self.emitted_watermark,
+            };
+            seat.commit(epoch, Snapshot::inline(snapshot));
+        }
+        next.barrier(epoch)
+    }
+
+    fn end(&mut self, next: &mut dyn Tail<O, P::Meta>) {
+        if next.watermark(Timestamp::MAX).is_ok() {
+            next.end();
+        }
+    }
+
+    fn restored_watermark(&self) -> Timestamp {
+        self.emitted_watermark
+    }
+}
+
+/// A Join heading a new chain over `left` and `right`, with the window size `WS`:
+/// pairs with equal `left_key`/`right_key` that also satisfy the residual
+/// `predicate` are combined. The stages and the tail added to the chain run on the
+/// Join's thread; seal it with [`PendingChain::into_channel`] to run the Join on its
+/// own. The Join is built on its chain's thread from its node name and ledger row.
+/// When `checkpoints` is filled, it takes its checkpoint seat under its node name,
+/// restores the windows committed for it, and snapshots both time windows at each
+/// aligned cut.
+///
+/// # Panics
+/// Panics if the window size is zero.
+#[allow(clippy::too_many_arguments)] // mirrors the paper's Join parameters
+pub fn chain<L, R, O, K, LK, RK, PR, CF, P>(
+    name: &str,
+    left: StreamReceiver<L, P::Meta>,
+    right: StreamReceiver<R, P::Meta>,
+    window: Duration,
+    left_key: LK,
+    right_key: RK,
+    predicate: PR,
+    combine: CF,
+    provenance: P,
+    checkpoints: CheckpointHandle,
+) -> PendingChain<O, P::Meta>
+where
+    L: TupleData,
+    R: TupleData,
+    O: TupleData,
+    K: Hash + Eq + Send + 'static,
+    LK: FnMut(&L) -> K + Send + 'static,
+    RK: FnMut(&R) -> K + Send + 'static,
+    PR: FnMut(&L, &R) -> bool + Send + 'static,
+    CF: FnMut(&L, &R) -> O + Send + 'static,
+    P: ProvenanceSystem,
+{
+    assert!(!window.is_zero(), "Join window size must be positive");
+    let inputs = (FanInput::new(left), FanInput::new(right));
+    PendingChain::fan_in(name, inputs, move |name, row| {
+        let (checkpoint, restored) = Participant::join(&checkpoints, name).unzip();
+        let mut join = Join {
             left: JoinSide::new(),
             right: JoinSide::new(),
-            output,
             window,
             left_key,
             right_key,
@@ -226,130 +331,34 @@ where
             combine,
             provenance,
             emitted_watermark: Timestamp::MIN,
-            checkpoints,
+            checkpoint,
+            instruments: JoinInstruments::new(&row),
+        };
+        let restored = restored.flatten();
+        if let Some(snapshot) = restored.and_then(|s| s.downcast::<JoinSnapshot<L, R, P::Meta>>()) {
+            // Re-stitch the provenance graph slice: every restored window tuple gets
+            // a fresh, unset N-cell so recovered chains link only among recovered
+            // tuples (see `ProvenanceSystem::detach_meta`).
+            let provenance = &join.provenance;
+            let (left, right) = (snapshot.left_window.iter(), snapshot.right_window.iter());
+            join.left.restore(
+                left.map(|t| detach_tuple(provenance, t)),
+                &mut join.left_key,
+            );
+            join.right.restore(
+                right.map(|t| detach_tuple(provenance, t)),
+                &mut join.right_key,
+            );
+            join.emitted_watermark = snapshot.emitted_watermark;
         }
-    }
-}
-
-impl<L, R, O, K, LK, RK, PR, CF, P> Operator for JoinOp<L, R, O, K, LK, RK, PR, CF, P>
-where
-    L: TupleData,
-    R: TupleData,
-    O: TupleData,
-    K: Hash + Eq + Send + 'static,
-    LK: FnMut(&L) -> K + Send + 'static,
-    RK: FnMut(&R) -> K + Send + 'static,
-    PR: FnMut(&L, &R) -> bool + Send + 'static,
-    CF: FnMut(&L, &R) -> O + Send + 'static,
-    P: ProvenanceSystem,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(mut self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
-        let mut out = self.output.open();
-        let mut instruments = JoinInstruments::new(&counters);
-        let checkpoint = Participant::join(&self.checkpoints, &self.name);
-        if let Some((_, Some(restored))) = &checkpoint {
-            if let Some(snapshot) = restored.downcast::<JoinSnapshot<L, R, P::Meta>>() {
-                // Re-stitch the provenance graph slice: every restored window tuple
-                // gets a fresh, unset N-cell so recovered chains link only among
-                // recovered tuples (see `ProvenanceSystem::detach_meta`).
-                let provenance = &self.provenance;
-                self.left.restore(
-                    snapshot
-                        .left_window
-                        .iter()
-                        .map(|t| detach_tuple(provenance, t)),
-                    &mut self.left_key,
-                );
-                self.right.restore(
-                    snapshot
-                        .right_window
-                        .iter()
-                        .map(|t| detach_tuple(provenance, t)),
-                    &mut self.right_key,
-                );
-                self.emitted_watermark = snapshot.emitted_watermark;
-            }
-        }
-        loop {
-            match step(&mut self.inputs, &mut self.emitted_watermark) {
-                Step::Release(side) => {
-                    counters.inc_in();
-                    let mut pair = |l: &Arc<GTuple<L, _>>, r: &Arc<GTuple<R, _>>| {
-                        instruments.unpublished_candidates += 1;
-                        if l.ts.distance(r.ts) <= self.window && (self.predicate)(&l.data, &r.data)
-                        {
-                            let data = (self.combine)(&l.data, &r.data);
-                            let meta = self.provenance.join_meta(l, r);
-                            let stimulus = l.stimulus.max(r.stimulus);
-                            let output = GTuple::new(l.ts.max(r.ts), stimulus, data, meta);
-                            out.send_tuple(Arc::new(output))?;
-                            counters.inc_out();
-                        }
-                        Ok::<(), ChannelClosed>(())
-                    };
-                    // Probe the other side's bucket, then retain (ties went to the left).
-                    let sent = if side == 0 {
-                        let tuple = self.inputs.0.pop();
-                        let key = (self.left_key)(&tuple.data);
-                        let sent = self
-                            .right
-                            .candidates(&key)
-                            .try_for_each(|r| pair(&tuple, r));
-                        self.left.retain(key, tuple);
-                        sent
-                    } else {
-                        let tuple = self.inputs.1.pop();
-                        let key = (self.right_key)(&tuple.data);
-                        let sent = self.left.candidates(&key).try_for_each(|l| pair(l, &tuple));
-                        self.right.retain(key, tuple);
-                        sent
-                    };
-                    if sent.is_err() {
-                        return Ok(());
-                    }
-                }
-                // The windows are the only state crossing the cut.
-                Step::Barrier(epoch) => {
-                    if let Some((seat, _)) = &checkpoint {
-                        let snapshot = JoinSnapshot {
-                            left_window: self.left.window.iter().cloned().collect(),
-                            right_window: self.right.window.iter().cloned().collect(),
-                            emitted_watermark: self.emitted_watermark,
-                        };
-                        seat.commit(epoch, Snapshot::inline(snapshot));
-                    }
-                    if out.send_barrier(epoch).is_err() {
-                        return Ok(());
-                    }
-                }
-                // Neither side can still hand over a tuple older than the frontier, so
-                // nothing retained more than a window before it can still be matched.
-                Step::Watermark(frontier) => {
-                    self.left.purge(frontier, self.window, &mut self.left_key);
-                    self.right.purge(frontier, self.window, &mut self.right_key);
-                    instruments.publish([self.left.window.len(), self.right.window.len()]);
-                    if out.send_watermark(frontier).is_err() {
-                        return Ok(());
-                    }
-                }
-                Step::End => {
-                    let _ = out.send_watermark(Timestamp::MAX);
-                    let _ = out.send_end();
-                    return Ok(());
-                }
-            }
-        }
-    }
+        join
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::stream_channel;
+    use crate::channel::{stream_channel, OutputSlot};
     use crate::operator::tests::run_bare;
     use crate::provenance::NoProvenance;
     use crate::tuple::Element;
@@ -387,11 +396,10 @@ mod tests {
         }
         rtx.send(Element::End).unwrap();
 
-        let op = JoinOp::new(
+        let op = chain(
             "join",
             lrx,
             rrx,
-            out_slot,
             Duration::from_secs(window_secs),
             |l: &(u32, i64)| l.0,
             |r: &(u32, i64)| r.0,
@@ -399,7 +407,8 @@ mod tests {
             |l: &(u32, i64), r: &(u32, i64)| (l.0, l.1, r.1),
             NoProvenance,
             checkpoints,
-        );
+        )
+        .into_channel("join", out_slot);
         run_bare(op);
         let mut outputs = Vec::new();
         loop {
@@ -486,11 +495,10 @@ mod tests {
             tx.send(Element::Tuple(tup(10, (key, 0i64)))).unwrap();
             tx.send(Element::End).unwrap();
         }
-        let op = JoinOp::new(
+        let op = chain(
             "join",
             lrx,
             rrx,
-            OutputSlot::<i64, ()>::new(),
             Duration::from_secs(60),
             |l: &(u32, i64)| l.0,
             |r: &(u32, i64)| r.0,
@@ -498,7 +506,8 @@ mod tests {
             |l: &(u32, i64), r: &(u32, i64)| l.1 + r.1,
             NoProvenance,
             Default::default(),
-        );
+        )
+        .into_channel("join", OutputSlot::<i64, ()>::new());
         let stats = run_bare(op);
         assert_eq!((stats.tuples_in, stats.tuples_out), (2, 0));
     }
@@ -578,12 +587,10 @@ mod tests {
     fn zero_window_is_rejected() {
         let (_ltx, lrx) = stream_channel::<i64, ()>(1);
         let (_rtx, rrx) = stream_channel::<i64, ()>(1);
-        let slot = OutputSlot::<i64, ()>::new();
-        let _ = JoinOp::new(
+        let _ = chain(
             "join",
             lrx,
             rrx,
-            slot,
             Duration::ZERO,
             |_: &i64| (),
             |_: &i64| (),
@@ -610,11 +617,10 @@ mod tests {
         rtx.send(Element::Barrier(1)).unwrap();
         rtx.send(Element::End).unwrap();
 
-        let op = JoinOp::new(
+        let op = chain(
             "join",
             lrx,
             rrx,
-            out_slot,
             Duration::from_secs(60),
             |l: &(u32, i64)| l.0,
             |r: &(u32, i64)| r.0,
@@ -622,7 +628,8 @@ mod tests {
             |l: &(u32, i64), r: &(u32, i64)| (l.0, l.1, r.1),
             NoProvenance,
             Default::default(),
-        );
+        )
+        .into_channel("join", out_slot);
         run_bare(op);
         let mut tuples = Vec::new();
         let mut barriers = Vec::new();

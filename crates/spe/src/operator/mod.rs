@@ -1,9 +1,14 @@
 //! The standard streaming operators of the paper's §2.
 //!
-//! Every single-input operator runs in a chain ([`crate::fusion`]): *head →
-//! stages → one tail*, on one thread.
+//! Every operator is a part of a chain ([`crate::fusion`]): *head → stages → one
+//! tail*, on one thread.
 //!
 //! * A Source ([`source`]) is a head: its loop drives what follows it.
+//! * Union, Join and the shard merge are *fan-in* heads: one loop ([`crate::merge`])
+//!   merges their inputs in timestamp order and aligns their barriers, and each
+//!   supplies only its rule — hooks for a released tuple, a watermark, an aligned
+//!   barrier and the end, which forward by default ([`union`] overrides nothing but
+//!   the release).
 //! * Filter, Map and Aggregate are [`FusedStage`]s — [`filter::FilterStage`],
 //!   [`map::MapStage`], [`map::MetaMapStage`] and the stateful
 //!   [`aggregate`] stage — composed behind the head, one stage per chain when
@@ -12,17 +17,13 @@
 //!   ([`crate::parallel`]) are [`Tail`]s: each seals the chain feeding it, owns its
 //!   outputs and is built on the chain's thread from its node name and ledger row.
 //!
-//! Everything the runtime spawns implements the [`Operator`] trait: a sealed chain
-//! as [`FusedOp`](crate::fusion::FusedOp), and the multi-stream operators —
-//! [`union::UnionOp`], [`join::JoinOp`] and the shard merge — themselves, each a
-//! blocking `run` loop over its fan-in. The query builder ([`crate::query::Query`])
-//! constructs operators and the runtime ([`crate::runtime`]) runs each one on its
-//! own thread. Wherever an operator creates a tuple it calls the matching hook of
-//! the query's [`ProvenanceSystem`](crate::provenance::ProvenanceSystem).
+//! The runtime spawns only chains ([`FusedOp`](crate::fusion::FusedOp)), one thread
+//! each. Wherever an operator creates a tuple it calls the matching hook of the
+//! query's [`ProvenanceSystem`](crate::provenance::ProvenanceSystem).
 //!
-//! An operator holds no counters of its own: `run` receives the thread's rows of
-//! the operator ledger ([`crate::metrics`]) from the runtime, increments them, and
-//! returns `()`. What the operator counted is the runtime's to read and report.
+//! An operator holds no counters of its own: each part of a chain is built from its
+//! row of the operator ledger ([`crate::metrics`]), increments it and returns `()`.
+//! What the parts counted is the runtime's to read and report.
 
 pub mod aggregate;
 pub mod filter;
@@ -37,9 +38,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::channel::ChannelClosed;
-use crate::error::SpeError;
 use crate::fusion::Tail;
-use crate::metrics::OpCounters;
 use crate::provenance::MetaData;
 use crate::time::Timestamp;
 use crate::tuple::{GTuple, TupleData};
@@ -125,23 +124,6 @@ pub trait FusedStage<I: TupleData, O: TupleData, M: MetaData>: Send + 'static {
     }
 }
 
-/// Runtime behaviour of what the runtime spawns — a sealed chain or a multi-stream
-/// operator: a blocking loop that runs until its inputs end.
-pub trait Operator: Send {
-    /// The operator's name (unique within its query).
-    fn name(&self) -> &str;
-
-    /// Runs the operator to completion, counting the tuples it consumes and
-    /// produces into `counters` — its rows of the operator ledger
-    /// ([`crate::metrics`]). The operator only increments; the runtime, which
-    /// minted the rows and keeps a clone, reads them.
-    ///
-    /// # Errors
-    /// Returns [`SpeError::Runtime`] if the operator fails irrecoverably; downstream
-    /// shutdown (a closed output channel) is treated as a graceful stop, not an error.
-    fn run(self: Box<Self>, counters: OpCounters) -> Result<(), SpeError>;
-}
-
 /// Process-wide monotonic clock anchor used for stimulus/latency measurement.
 fn clock_anchor() -> Instant {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
@@ -160,14 +142,15 @@ pub fn now_nanos() -> u64 {
 pub(crate) mod tests {
     use super::*;
 
-    /// Runs an operator outside a query, on this thread, and reads back what it
-    /// counted into a detached ledger row — the way the runtime reads a deployed one.
-    pub(crate) fn run_bare(op: impl Operator + 'static) -> OperatorStats {
+    use crate::fusion::FusedOp;
+    use crate::metrics::OpCounters;
+
+    /// Runs a chain outside a query, on this thread, and reads back what it counted
+    /// into a detached ledger row — the way the runtime reads a deployed one.
+    pub(crate) fn run_bare(op: FusedOp) -> OperatorStats {
         let counters = OpCounters::detached(op.name());
         let name = counters.name().to_string();
-        Box::new(op)
-            .run(counters.clone())
-            .expect("operator runs to the end");
+        op.run(counters.clone()).expect("chain runs to the end");
         OperatorStats {
             name,
             tuples_in: counters.tuples_in(),

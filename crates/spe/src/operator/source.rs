@@ -6,9 +6,8 @@
 //! metadata (§4.1) and forwards the tuple followed by a watermark, so downstream
 //! stateful operators can make deterministic progress.
 //!
-//! A Source is not an [`Operator`](crate::operator::Operator) of its own: its loop
-//! heads a chain ([`crate::fusion`]) and hands every tuple, watermark and barrier to
-//! what follows it. The stateless stages the builder fuses behind it run on the
+//! A Source's loop heads a chain ([`crate::fusion`]) and hands every tuple,
+//! watermark and barrier to what follows it. The stateless stages the builder fuses behind it run on the
 //! source's thread, so a tuple a filter drops never crosses a channel; with nothing
 //! fusable behind it (or fusion off) the Source is a chain of one whose tail is its
 //! output channel.

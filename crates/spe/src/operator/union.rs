@@ -1,94 +1,38 @@
 //! The Union operator: deterministically merges multiple streams into one.
 //!
 //! Union is a forwarding operator (no provenance instrumentation, Definition 3.1 type
-//! (i)). Determinism comes from the timestamp-ordered merge of
-//! [`DeterministicMerge`], as required by §2.
+//! (i)). It heads a chain as a fan-in ([`crate::merge`]): determinism comes from the
+//! timestamp-ordered merge, as required by §2, and Union's rule is to forward each
+//! released tuple — the same `Arc` — into the rest of its chain. Every other step of
+//! the merge takes the fan-in defaults: the merge aligned the cut and drained every
+//! pre-barrier tuple, so Union holds no state across a barrier and forwarding it is
+//! the entire checkpoint protocol of this operator.
 
-use crate::channel::{OutputSlot, StreamReceiver};
-use crate::error::SpeError;
-use crate::merge::{DeterministicMerge, MergedElement};
-use crate::metrics::OpCounters;
-use crate::operator::Operator;
+use crate::channel::ChannelClosed;
+use crate::fusion::Tail;
+use crate::merge::{FanIn, FanInput};
 use crate::provenance::MetaData;
 use crate::tuple::TupleData;
 
-/// The Union operator runtime.
-pub struct UnionOp<T, M> {
-    name: String,
-    inputs: Vec<StreamReceiver<T, M>>,
-    output: OutputSlot<T, M>,
-}
+/// Union's rule over its inputs: forward every released tuple.
+pub(crate) struct Union;
 
-impl<T, M> UnionOp<T, M>
-where
-    T: TupleData,
-    M: MetaData,
-{
-    /// Creates a Union operator.
-    ///
-    /// # Panics
-    /// Panics if `inputs` is empty.
-    pub fn new(
-        name: impl Into<String>,
-        inputs: Vec<StreamReceiver<T, M>>,
-        output: OutputSlot<T, M>,
-    ) -> Self {
-        assert!(!inputs.is_empty(), "Union requires at least one input");
-        UnionOp {
-            name: name.into(),
-            inputs,
-            output,
-        }
-    }
-}
-
-impl<T, M> Operator for UnionOp<T, M>
-where
-    T: TupleData,
-    M: MetaData,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
-        let mut out = self.output.open();
-        let mut merge = DeterministicMerge::new(self.inputs);
-        loop {
-            match merge.next() {
-                MergedElement::Tuple(tuple, _) => {
-                    counters.inc_in();
-                    if out.send_tuple(tuple).is_err() {
-                        return Ok(());
-                    }
-                    counters.inc_out();
-                }
-                MergedElement::Watermark(ts) => {
-                    if out.send_watermark(ts).is_err() {
-                        return Ok(());
-                    }
-                }
-                MergedElement::Barrier(epoch) => {
-                    // The merge aligned the cut and drained every pre-barrier tuple,
-                    // so Union holds no state across the barrier: forwarding it is
-                    // the entire checkpoint protocol for this operator.
-                    if out.send_barrier(epoch).is_err() {
-                        return Ok(());
-                    }
-                }
-                MergedElement::End => {
-                    let _ = out.send_end();
-                    return Ok(());
-                }
-            }
-        }
+impl<T: TupleData, M: MetaData> FanIn<Vec<FanInput<T, M>>, T, M> for Union {
+    fn release(
+        &mut self,
+        inputs: &mut Vec<FanInput<T, M>>,
+        index: usize,
+        next: &mut dyn Tail<T, M>,
+    ) -> Result<(), ChannelClosed> {
+        next.tuple(inputs[index].pop())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::stream_channel;
+    use crate::channel::{stream_channel, OutputSlot};
+    use crate::fusion::PendingChain;
     use crate::operator::tests::run_bare;
     use crate::time::Timestamp;
     use crate::tuple::{Element, GTuple};
@@ -117,9 +61,10 @@ mod tests {
             .unwrap();
         tx2.send(Element::End).unwrap();
 
-        let op = UnionOp::new("union", vec![rx1, rx2], out_slot);
-        let stats = run_bare(op);
-        assert_eq!(stats.tuples_out, 2);
+        let inputs = vec![FanInput::new(rx1), FanInput::new(rx2)];
+        let chain = PendingChain::fan_in("union", inputs, |_, _| Union);
+        let stats = run_bare(chain.into_channel("union", out_slot));
+        assert_eq!((stats.tuples_in, stats.tuples_out), (2, 2));
 
         let first = out_rx.recv();
         let first = first.as_tuple().unwrap().clone();
@@ -139,7 +84,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one input")]
     fn union_requires_inputs() {
-        let slot = OutputSlot::<i64, ()>::new();
-        let _ = UnionOp::new("union", Vec::new(), slot);
+        let mut q = crate::query::Query::new(crate::provenance::NoProvenance);
+        let _ = q.union::<i64>("union", Vec::new());
     }
 }

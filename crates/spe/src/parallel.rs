@@ -6,8 +6,9 @@
 //! a keyed stream is split by a **shuffle exchange** (`PartitionTail`, a deterministic
 //! hash partitioner writing to one stream channel per shard), each shard runs its own
 //! instance of a stateful operator (Aggregate or Join) with private windows and state,
-//! and the shard outputs are reunified by a **canonicalising fan-in**
-//! ([`KeyedMergeOp`]) built on [`DeterministicMerge`].
+//! and the shard outputs are reunified by a **canonicalising fan-in** (the keyed
+//! merge, [`Query::keyed_merge`]), which heads the chain behind the region like
+//! every fan-in ([`crate::merge`]).
 //!
 //! # Why this is provenance-safe
 //!
@@ -26,10 +27,11 @@
 //!   observe the same stream — and the same contribution graphs — as the
 //!   single-instance plan, for **any** shard count.
 //!
-//! The canonical order matters: [`DeterministicMerge`] alone breaks timestamp ties by
-//! input index, which would interleave equal-timestamp windows of different keys
-//! differently for different shard counts. [`KeyedMergeOp`] therefore buffers each
-//! equal-timestamp run and stable-sorts it by the operator's group key before
+//! The canonical order matters: the timestamp-ordered merge
+//! ([`DeterministicMerge`](crate::merge::DeterministicMerge)) alone breaks timestamp
+//! ties by input index, which would interleave equal-timestamp windows of different
+//! keys differently for different shard counts. The keyed merge therefore buffers
+//! each equal-timestamp run and stable-sorts it by the operator's group key before
 //! releasing it.
 //!
 //! # Example
@@ -66,16 +68,14 @@ use std::cmp::Ordering as CmpOrdering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use crate::channel::{ChannelClosed, OutputHandle, OutputSlot, StreamReceiver};
-use crate::error::SpeError;
-use crate::fusion::Tail;
-use crate::merge::{DeterministicMerge, MergedElement};
+use crate::channel::{ChannelClosed, OutputHandle, OutputSlot};
+use crate::fusion::{PendingChain, Tail};
+use crate::merge::{FanIn, FanInput};
 use crate::metrics::OpCounters;
 use crate::operator::aggregate::{AggregateStage, WindowView};
 use crate::operator::filter::FilterStage;
-use crate::operator::join::JoinOp;
+use crate::operator::join;
 use crate::operator::map::MapStage;
-use crate::operator::Operator;
 use crate::provenance::{MetaData, ProvenanceSystem};
 use crate::query::{NodeKind, Query, ShardGroup, ShardPlacement, StreamRef};
 use crate::time::{Duration, Timestamp};
@@ -204,133 +204,73 @@ where
     }
 }
 
-/// The provenance-safe fan-in reunifying shard outputs into one canonical stream.
-///
-/// Built on [`DeterministicMerge`] for the global timestamp order, with one extra
-/// step: each run of equal-timestamp tuples is buffered and stable-sorted by the
-/// operator's group key before release. The merge alone breaks timestamp ties by
-/// input index, which depends on how keys were spread over shards; the key sort makes
-/// the output order `(timestamp, key, per-key emission order)` — independent of the
-/// shard count, including the degenerate single-shard plan.
-///
-/// Like Union, the fan-in *forwards* tuples (same `Arc`), so GeneaLog chain pointers
-/// pass through untouched.
+/// The provenance-safe fan-in's rule, reunifying shard outputs into one canonical
+/// stream: it buffers each run of equal-timestamp tuples the merge releases and
+/// stable-sorts it by the operator's group key, so the output order is `(timestamp,
+/// key, per-key emission order)` for any shard count (see the module docs). Like
+/// Union, it *forwards* tuples (same `Arc`), so GeneaLog chain pointers pass
+/// through untouched.
 ///
 /// The equal-timestamp run buffer is bounded by the number of tuples the upstream
 /// operator emits *at one timestamp* (for an aggregate: at most one window output per
 /// group key), not by a channel capacity — canonical ordering requires the whole run
 /// before it can be sorted. Extremely skewed workloads (e.g. a join producing
 /// quadratically many matches at a single timestamp) pay for that run in memory.
-pub struct KeyedMergeOp<T, M> {
-    name: String,
-    inputs: Vec<StreamReceiver<T, M>>,
-    output: OutputSlot<T, M>,
+pub(crate) struct KeyedMerge<T, M> {
     cmp: KeyComparator<T>,
+    /// The run of equal-timestamp tuples being collected. It is released once the
+    /// merge proves its timestamp complete: a later tuple, a strictly later
+    /// watermark, an aligned barrier or the end of the inputs.
+    run: Vec<Arc<GTuple<T, M>>>,
 }
 
-impl<T, M> KeyedMergeOp<T, M>
-where
-    T: TupleData,
-    M: MetaData,
-{
-    /// Creates a fan-in over the given shard outputs, ordering equal-timestamp runs
-    /// with `cmp` (a comparison on the payloads' group keys).
-    ///
-    /// # Panics
-    /// Panics if `inputs` is empty.
-    pub fn new(
-        name: impl Into<String>,
-        inputs: Vec<StreamReceiver<T, M>>,
-        output: OutputSlot<T, M>,
-        cmp: KeyComparator<T>,
-    ) -> Self {
-        assert!(!inputs.is_empty(), "ShardMerge requires at least one input");
-        KeyedMergeOp {
-            name: name.into(),
-            inputs,
-            output,
-            cmp,
-        }
-    }
-
+impl<T, M> KeyedMerge<T, M> {
     /// Sorts the buffered equal-timestamp run by key (stable, so per-key emission
-    /// order survives) and releases it downstream. Returns `false` on shutdown.
-    fn flush_run(
-        run: &mut Vec<Arc<GTuple<T, M>>>,
-        cmp: &mut (dyn FnMut(&T, &T) -> CmpOrdering + Send),
-        out: &mut OutputHandle<T, M>,
-        counters: &OpCounters,
-    ) -> bool {
-        run.sort_by(|a, b| cmp(&a.data, &b.data));
-        for tuple in run.drain(..) {
-            if out.send_tuple(tuple).is_err() {
-                return false;
-            }
-            counters.inc_out();
-        }
-        true
+    /// order survives) and hands it on.
+    fn flush(&mut self, next: &mut dyn Tail<T, M>) -> Result<(), ChannelClosed> {
+        let cmp = &mut self.cmp;
+        self.run.sort_by(|a, b| cmp(&a.data, &b.data));
+        self.run.drain(..).try_for_each(|tuple| next.tuple(tuple))
     }
 }
 
-impl<T, M> Operator for KeyedMergeOp<T, M>
-where
-    T: TupleData,
-    M: MetaData,
-{
-    fn name(&self) -> &str {
-        &self.name
+impl<T: TupleData, M: MetaData> FanIn<Vec<FanInput<T, M>>, T, M> for KeyedMerge<T, M> {
+    fn release(
+        &mut self,
+        inputs: &mut Vec<FanInput<T, M>>,
+        index: usize,
+        next: &mut dyn Tail<T, M>,
+    ) -> Result<(), ChannelClosed> {
+        let tuple = inputs[index].pop();
+        if self.run.first().is_some_and(|head| head.ts != tuple.ts) {
+            self.flush(next)?;
+        }
+        self.run.push(tuple);
+        Ok(())
     }
 
-    fn run(self: Box<Self>, counters: OpCounters) -> Result<(), SpeError> {
-        let mut out = self.output.open();
-        let mut merge = DeterministicMerge::new(self.inputs);
-        let mut cmp = self.cmp;
-        // The run of equal-timestamp tuples currently being collected. It is released
-        // once the merge proves the timestamp is complete (a later tuple, a strictly
-        // later watermark, or end-of-stream).
-        let mut run: Vec<Arc<GTuple<T, M>>> = Vec::new();
-        loop {
-            match merge.next() {
-                MergedElement::Tuple(tuple, _) => {
-                    counters.inc_in();
-                    if run.first().is_some_and(|head| head.ts != tuple.ts)
-                        && !Self::flush_run(&mut run, &mut *cmp, &mut out, &counters)
-                    {
-                        return Ok(());
-                    }
-                    run.push(tuple);
-                }
-                MergedElement::Watermark(ts) => {
-                    // A watermark beyond the run's timestamp proves the run complete.
-                    // A watermark at or below it must still be forwarded (held tuples
-                    // have ts >= the watermark, so ordering semantics are preserved).
-                    if run.first().is_some_and(|head| ts > head.ts)
-                        && !Self::flush_run(&mut run, &mut *cmp, &mut out, &counters)
-                    {
-                        return Ok(());
-                    }
-                    if out.send_watermark(ts).is_err() {
-                        return Ok(());
-                    }
-                }
-                MergedElement::Barrier(epoch) => {
-                    // The aligned barrier proves every shard has emitted all outputs
-                    // for the windows closed before the cut (watermarks precede the
-                    // barrier on every shard channel), so the held run is complete:
-                    // flush it and the fan-in crosses the barrier stateless.
-                    if !Self::flush_run(&mut run, &mut *cmp, &mut out, &counters) {
-                        return Ok(());
-                    }
-                    if out.send_barrier(epoch).is_err() {
-                        return Ok(());
-                    }
-                }
-                MergedElement::End => {
-                    let _ = Self::flush_run(&mut run, &mut *cmp, &mut out, &counters);
-                    let _ = out.send_end();
-                    return Ok(());
-                }
-            }
+    fn watermark(&mut self, ts: Timestamp, next: &mut dyn Tail<T, M>) -> Result<(), ChannelClosed> {
+        // A watermark beyond the run's timestamp proves the run complete. A
+        // watermark at or below it must still be forwarded (held tuples have
+        // ts >= the watermark, so ordering semantics are preserved).
+        if self.run.first().is_some_and(|head| ts > head.ts) {
+            self.flush(next)?;
+        }
+        next.watermark(ts)
+    }
+
+    fn barrier(&mut self, epoch: u64, next: &mut dyn Tail<T, M>) -> Result<(), ChannelClosed> {
+        // The aligned barrier proves every shard has emitted all outputs for the
+        // windows closed before the cut (watermarks precede the barrier on every
+        // shard channel), so the held run is complete: flush it and the fan-in
+        // crosses the barrier stateless.
+        self.flush(next)?;
+        next.barrier(epoch)
+    }
+
+    fn end(&mut self, next: &mut dyn Tail<T, M>) {
+        if self.flush(next).is_ok() {
+            next.end();
         }
     }
 }
@@ -408,14 +348,13 @@ impl<P: ProvenanceSystem> Query<P> {
         assert!(!inputs.is_empty(), "ShardMerge requires at least one input");
         let node = self.add_node(name, NodeKind::ShardMerge);
         self.set_shard_group(node, name, inputs.len());
-        let rxs: Vec<_> = inputs
+        let inputs: Vec<_> = inputs
             .into_iter()
-            .map(|stream| self.attach_input(stream, node))
+            .map(|stream| FanInput::new(self.attach_input(stream, node)))
             .collect();
-        let (slot, stream) = self.new_output_stream(node, format!("{name}.out"));
-        let op = KeyedMergeOp::new(name, rxs, slot, cmp);
-        self.set_operator(node, Box::new(op));
-        stream
+        let run = Vec::new();
+        let chain = PendingChain::fan_in(name, inputs, move |_, _| KeyedMerge { cmp, run });
+        self.open_chain(node, chain)
     }
 
     /// Adds a key-partitioned Aggregate running `parallelism` shard instances.
@@ -597,14 +536,10 @@ impl<P: ProvenanceSystem> Query<P> {
             let shard_name = format!("{name}[{i}]");
             let node = self.add_node(shard_name.clone(), NodeKind::ShardedJoin);
             self.set_shard_group(node, name, instances);
-            let left_rx = self.attach_input(l, node);
-            let right_rx = self.attach_input(r, node);
-            let (slot, mut stream) = self.new_output_stream(node, format!("{shard_name}.out"));
-            let op = JoinOp::new(
-                shard_name,
-                left_rx,
-                right_rx,
-                slot,
+            let join = join::chain(
+                &shard_name,
+                self.attach_input(l, node),
+                self.attach_input(r, node),
                 window,
                 left_key.clone(),
                 right_key.clone(),
@@ -613,7 +548,8 @@ impl<P: ProvenanceSystem> Query<P> {
                 self.provenance().clone(),
                 self.checkpoint_handle(),
             );
-            self.set_operator(node, Box::new(op));
+            // The shard's chain stays open: per-shard stages chain onto it.
+            let mut stream = self.open_chain(node, join);
             // Shard outputs feeding the fan-in are one logical edge.
             stream.capacity_share = instances;
             outs.push(stream);
@@ -628,8 +564,8 @@ impl<P: ProvenanceSystem> Query<P> {
     /// form a shard group, so the runtime folds their statistics into one report and
     /// DOT exports annotate them with the shard count. Under
     /// [`QueryConfig::fusion`](crate::query::QueryConfig) consecutive per-shard
-    /// stateless stages fuse *within* each shard — never across the exchange or the
-    /// fan-in, which are multi-stream fusion boundaries.
+    /// stages fuse *within* each shard — never across the exchange, and the fan-in
+    /// that closes the region heads a chain of its own.
     pub(crate) fn filter_shard_streams<T, F>(
         &mut self,
         name: &str,
@@ -705,7 +641,7 @@ impl<P: ProvenanceSystem> Query<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::stream_channel;
+    use crate::channel::{stream_channel, StreamReceiver};
     use crate::fusion::FusedOp;
     use crate::operator::source::VecSource;
     use crate::operator::tests::run_bare;
@@ -714,6 +650,18 @@ mod tests {
 
     fn tuple(ts: u64, key: u32, v: i64) -> Arc<GTuple<(u32, i64), ()>> {
         Arc::new(GTuple::new(Timestamp::from_secs(ts), 0, (key, v), ()))
+    }
+
+    /// A keyed merge on the first field, alone in its chain, writing `output`.
+    fn keyed_merge(
+        inputs: Vec<StreamReceiver<(u32, i64), ()>>,
+        output: OutputSlot<(u32, i64), ()>,
+    ) -> FusedOp {
+        let cmp: KeyComparator<(u32, i64)> = Box::new(|a, b| a.0.cmp(&b.0));
+        let inputs = inputs.into_iter().map(FanInput::new).collect();
+        let run = Vec::new();
+        PendingChain::fan_in("merge", inputs, move |_, _| KeyedMerge { cmp, run })
+            .into_channel("merge", output)
     }
 
     #[test]
@@ -813,13 +761,7 @@ mod tests {
         tx1.send(Element::Tuple(tuple(10, 3, 30))).unwrap();
         tx1.send(Element::End).unwrap();
 
-        let op = KeyedMergeOp::new(
-            "merge",
-            vec![rx0, rx1],
-            out_slot,
-            Box::new(|a: &(u32, i64), b: &(u32, i64)| a.0.cmp(&b.0)),
-        );
-        let stats = run_bare(op);
+        let stats = run_bare(keyed_merge(vec![rx0, rx1], out_slot));
         assert_eq!(stats.tuples_in, 4);
         assert_eq!(stats.tuples_out, 4);
 
@@ -852,13 +794,7 @@ mod tests {
             .unwrap();
         tx0.send(Element::End).unwrap();
 
-        let op = KeyedMergeOp::new(
-            "merge",
-            vec![rx0],
-            out_slot,
-            Box::new(|a: &(u32, i64), b: &(u32, i64)| a.0.cmp(&b.0)),
-        );
-        run_bare(op);
+        run_bare(keyed_merge(vec![rx0], out_slot));
 
         let mut seen: Vec<(bool, u64)> = Vec::new();
         loop {
@@ -1075,10 +1011,12 @@ mod tests {
         assert_eq!(fused, unfused, "shard-local fusion must not change results");
         // Unfused: src, part, 4 keep, 4 scale, merge, sink = 12 threads but the
         // shard groups fold to 6 reports; fused: the exchange seals the source's
-        // chain, and the 4 keep+scale chains fold into one grouped chain report.
+        // chain, the 4 keep+scale chains fold into one grouped chain report, and
+        // the sink extends the merge's chain.
         assert_eq!(unfused_report.operator_stats().len(), 6);
-        assert_eq!(fused_report.operator_stats().len(), 4);
+        assert_eq!(fused_report.operator_stats().len(), 3);
         assert!(fused_report.operator("src+part").is_some());
+        assert!(fused_report.operator("merge+sink").is_some());
         let chain = fused_report.operator("keep+scale").expect("fused chain");
         assert_eq!(chain.kind, NodeKind::Fused);
         assert_eq!(chain.instances, 4, "one fused thread per shard");

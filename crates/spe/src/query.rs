@@ -20,20 +20,21 @@ use genealog_metrics::MetricsRegistry;
 
 use crate::channel::{stream_channel, BatchConfig, OutputSlot, StreamReceiver};
 use crate::error::SpeError;
-use crate::fusion::{ChainEntry, FusedOp, PendingChain, Sealed, Tail};
+use crate::fusion::{ChainEntry, PendingChain, Sealed, Tail};
+use crate::merge::FanInput;
 use crate::metrics::OpCounters;
 use crate::operator::aggregate::{AggregateStage, WindowView};
 use crate::operator::filter::FilterStage;
-use crate::operator::join::JoinOp;
+use crate::operator::join;
 use crate::operator::map::{MapStage, MetaMapStage};
 use crate::operator::multiplex::MultiplexTail;
 use crate::operator::sink::{CollectedStream, SinkStats, SinkTail};
 use crate::operator::source::{SourceConfig, SourceGenerator, SourceOp};
-use crate::operator::union::UnionOp;
-use crate::operator::{FusedStage, Operator};
+use crate::operator::union::Union;
+use crate::operator::FusedStage;
 use crate::provenance::ProvenanceSystem;
 use crate::reclaim::Reclaimer;
-use crate::runtime::{OperatorSpec, QueryHandle, Runtime};
+use crate::runtime::{OperatorSpec, QueryHandle};
 use crate::state::{CheckpointConfig, CheckpointHandle};
 use crate::time::Duration;
 use crate::tuple::TupleData;
@@ -70,9 +71,9 @@ pub enum NodeKind {
     ShardedJoin,
     /// The provenance-safe fan-in reunifying shard outputs into one ordered stream.
     ShardMerge,
-    /// A fused chain running on one thread: a Source or a single-input operator
-    /// with the stages fused behind it and the tail that seals it (see
-    /// [`crate::fusion`]).
+    /// A fused chain running on one thread: its head — a Source, a fan-in, a
+    /// Receive or a pumped single-input operator — with the stages fused behind it
+    /// and the tail that seals it (see [`crate::fusion`]).
     Fused,
     /// An operator provided by an extension crate (unfolders, Send/Receive, ...).
     Custom(&'static str),
@@ -180,6 +181,7 @@ impl<P: ProvenanceSystem, I, O> std::fmt::Debug for ShardPlacement<P, I, O> {
 }
 
 /// Static description of an operator node.
+#[derive(Debug)]
 pub struct NodeInfo {
     /// Operator name (unique within the query).
     pub name: String,
@@ -187,18 +189,6 @@ pub struct NodeInfo {
     pub kind: NodeKind,
     /// Shard group this node belongs to, if it is part of a parallel operator.
     pub shard_group: Option<ShardGroup>,
-    operator: Option<Box<dyn Operator>>,
-}
-
-impl std::fmt::Debug for NodeInfo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeInfo")
-            .field("name", &self.name)
-            .field("kind", &self.kind)
-            .field("shard_group", &self.shard_group)
-            .field("has_operator", &self.operator.is_some())
-            .finish()
-    }
 }
 
 /// A typed, move-only handle to a stream produced by an operator.
@@ -245,11 +235,12 @@ pub struct QueryConfig {
     /// [`Parallelism::default()`](crate::parallel::Parallelism). Individual operators
     /// override it with [`Parallelism::instances`](crate::parallel::Parallelism::instances).
     pub parallelism: usize,
-    /// Whether the physical-plan fusion pass runs every forward edge between
-    /// single-input operators on one thread: a Source or a pumped operator, the
-    /// Filter, Map and Aggregate stages behind it, and the Sink, Multiplex,
-    /// Partition or Send that seals it, with no intermediate channel (see
-    /// [`crate::fusion`]). With fusion off every operator is a chain of one. Fused
+    /// Whether the physical-plan fusion pass runs every forward edge into a
+    /// single-input operator on one thread: a chain's head — a Source, a fan-in, a
+    /// Receive or a pumped operator — the Filter, Map and Aggregate stages behind
+    /// it, and the Sink, Multiplex, Partition or Send that seals it, with no
+    /// intermediate channel (see [`crate::fusion`]). With fusion off every operator
+    /// is a chain of one. Fused
     /// plans produce the same results and provenance, and every stage keeps its own
     /// ledger row, so `/metrics` reads the same either way. What changes is the
     /// report's shape: a fused chain is one
@@ -491,20 +482,21 @@ impl<P: ProvenanceSystem> Query<P> {
     }
 
     // ------------------------------------------------------------------
-    // Extension API: used by the unfolder operators of `genealog` and the
-    // Send/Receive endpoints of `genealog-distributed` to register custom
-    // operators while reusing the engine's wiring and validation.
+    // Extension API: used by the Send/Receive endpoints of
+    // `genealog-distributed` to register custom operators while reusing the
+    // engine's wiring and validation.
     // ------------------------------------------------------------------
 
-    /// Registers a new operator node and returns its id. The node must later receive
-    /// its runtime operator through [`Query::set_operator`].
+    /// Registers a new operator node and returns its id. The node must later become
+    /// a part of a chain: the head of a new one ([`Query::add_head`]) or the tail
+    /// that seals one ([`Query::set_tail`]); deployment rejects a node that is
+    /// neither.
     pub fn add_node(&mut self, name: impl Into<String>, kind: NodeKind) -> NodeId {
         let id = self.nodes.len();
         self.nodes.push(NodeInfo {
             name: name.into(),
             kind,
             shard_group: None,
-            operator: None,
         });
         id
     }
@@ -584,27 +576,55 @@ impl<P: ProvenanceSystem> Query<P> {
         (slot, stream)
     }
 
-    /// Installs the runtime operator of a node registered with [`Query::add_node`].
-    ///
-    /// # Panics
-    /// Panics if the node already has an operator.
-    pub fn set_operator(&mut self, node: NodeId, operator: Box<dyn Operator>) {
-        let info = &mut self.nodes[node];
-        assert!(
-            info.operator.is_none(),
-            "operator already installed for node `{}`",
-            info.name
-        );
-        info.operator = Some(operator);
+    /// Installs a node's operator as the head of a new chain (see
+    /// [`PendingChain::head`]), such as the Receive of a stream arriving over a
+    /// link, and returns the chain's output stream: with fusion on, the stages and
+    /// the tail added on it extend the chain; deployment seals what stays open with
+    /// its output channel.
+    pub fn add_head<T: TupleData>(
+        &mut self,
+        node: NodeId,
+        head: impl FnOnce(OpCounters, &mut dyn Tail<T, P::Meta>) -> Result<(), SpeError>
+            + Send
+            + 'static,
+    ) -> StreamRef<T, P::Meta> {
+        self.open_chain(node, PendingChain::head(head))
+    }
+
+    /// Opens the chain `chain` heads at `node`, returning its output stream.
+    pub(crate) fn open_chain<T: TupleData>(
+        &mut self,
+        node: NodeId,
+        chain: PendingChain<T, P::Meta>,
+    ) -> StreamRef<T, P::Meta> {
+        let label = format!("{}.out", self.nodes[node].name);
+        let (slot, stream) = self.new_output_stream(node, label);
+        let entry = ChainEntry {
+            nodes: vec![node],
+            group: self.chain_group(node),
+            pending: Some(Box::new((chain, slot))),
+        };
+        self.open_chains.insert(node, entry);
+        stream
+    }
+
+    /// The shard group a node brings to its chain. A Partition's shard group
+    /// describes its outputs and a shard merge's its inputs: the side a chain
+    /// continues on carries one stream, so neither brings one.
+    fn chain_group(&self, node: NodeId) -> Option<ShardGroup> {
+        match self.nodes[node].kind {
+            NodeKind::Partition | NodeKind::ShardMerge => None,
+            _ => self.nodes[node].shard_group.clone(),
+        }
     }
 
     /// Installs a node's operator as the [`Tail`] of a chain fed by `input`: the one
     /// construction path of every single-input operator that ends a chain (Sink,
     /// Multiplex, Partition, Send). `open` builds the tail on the chain's thread,
     /// from the node's name and the tail's ledger row. With fusion on, a tail seals
-    /// the open chain `input` leaves — a Source's, or one ending in a stage — and
-    /// runs on that chain's thread; otherwise it starts a chain of its own, pumped
-    /// from its own input channel.
+    /// the open chain `input` leaves, whatever its head, and runs on that chain's
+    /// thread; otherwise it starts a chain of its own, pumped from its own input
+    /// channel.
     pub fn set_tail<T, X>(
         &mut self,
         node: NodeId,
@@ -615,58 +635,55 @@ impl<P: ProvenanceSystem> Query<P> {
         X: Tail<T, P::Meta>,
     {
         let name = self.nodes[node].name.clone();
-        // A Partition's shard group describes its outputs: its input is one stream.
-        let group = match self.nodes[node].kind {
-            NodeKind::Partition => None,
-            _ => self.nodes[node].shard_group.clone(),
-        };
-        match self.take_open_chain(&input, node, group.as_ref()) {
-            Some((mut entry, chain)) => {
-                entry.nodes.push(node);
-                entry.stages.push(self.logical_name(node));
-                entry.merge_group(group);
-                entry.pending = Some(Box::new(Sealed(Box::new(move |chain_name| {
-                    chain.seal(chain_name, &name, open)
-                }))));
-                self.sealed_chains.push(entry);
-            }
-            None => {
-                let rx = self.attach_input(input, node);
-                self.set_operator(node, Box::new(FusedOp::tail(name, rx, open)));
-            }
-        }
+        let group = self.chain_group(node);
+        let (mut entry, chain) = self.chain_behind(input, node, group);
+        entry.pending = Some(Box::new(Sealed(Box::new(move |chain_name| {
+            chain.seal(chain_name, &name, open)
+        }))));
+        self.sealed_chains.push(entry);
     }
 
-    /// The open chain `input` leaves, when fusion is on and a part whose input side
-    /// carries `group` may extend it: taken out of the open chains with its typed
-    /// composition, and the edge to `consumer` recorded as channel-free.
-    fn take_open_chain<T: TupleData>(
+    /// The chain `node` joins as the part behind `input`, with the typed composition
+    /// in front of it: with fusion on, the open chain `input` leaves if a part whose
+    /// input side carries `group` may extend it (the edge to `node` is then
+    /// channel-free); otherwise a new chain pumped from `input`'s channel.
+    fn chain_behind<T: TupleData>(
         &mut self,
-        input: &StreamRef<T, P::Meta>,
-        consumer: NodeId,
-        group: Option<&ShardGroup>,
-    ) -> Option<(ChainEntry, PendingChain<T, P::Meta>)> {
-        let extends = self
-            .open_chains
-            .get(&input.producer)
-            .is_some_and(|entry| entry.accepts(group));
-        if !self.config.fusion || !extends {
-            return None;
+        input: StreamRef<T, P::Meta>,
+        node: NodeId,
+        group: Option<ShardGroup>,
+    ) -> (ChainEntry, PendingChain<T, P::Meta>) {
+        let extends = self.config.fusion
+            && self
+                .open_chains
+                .get(&input.producer)
+                .is_some_and(|entry| entry.accepts(group.as_ref()));
+        if !extends {
+            let rx = self.attach_input(input, node);
+            let entry = ChainEntry {
+                nodes: vec![node],
+                group,
+                pending: None,
+            };
+            return (entry, PendingChain::pumped(rx));
         }
-        let mut entry = self.open_chains.remove(&input.producer)?;
+        let mut entry = self.open_chains.remove(&input.producer).expect("checked");
         let (chain, _bypassed) = *entry
             .pending
-            .take()?
+            .take()
+            .expect("an open chain is complete")
             .into_any()
             .downcast::<(PendingChain<T, P::Meta>, OutputSlot<T, P::Meta>)>()
             .expect("open chain type mismatch");
         // Bypass the chain's output slot: the parts are connected by direct calls,
         // not a channel. The discard mark satisfies deploy validation.
         input.slot.mark_discard();
-        self.edges.push((input.producer, consumer));
+        self.edges.push((input.producer, node));
         self.edge_budgets.push(0);
         self.edge_channels.push(None);
-        Some((entry, chain))
+        entry.nodes.push(node);
+        entry.merge_group(group);
+        (entry, chain)
     }
 
     /// The name a node's ledger row carries: its shard group's, or its own.
@@ -696,9 +713,8 @@ impl<P: ProvenanceSystem> Query<P> {
     /// Aggregate:
     ///
     /// * if fusion is enabled and `input` leaves an open chain with a compatible
-    ///   shard group — a Source's, or one ending in another stage — the stage
-    ///   *extends* that chain: no channel is allocated between the two, and the
-    ///   stage runs on the chain head's thread;
+    ///   shard group, whatever its head, the stage *extends* that chain: no channel
+    ///   is allocated between the two, and the stage runs on the chain head's thread;
     /// * otherwise the stage starts a new chain, pulling from a regular channel out
     ///   of the producer.
     ///
@@ -721,31 +737,14 @@ impl<P: ProvenanceSystem> Query<P> {
     {
         let node = self.add_node(name, kind);
         self.nodes[node].shard_group = group.clone();
-        let logical = self.logical_name(node);
         // A stage keeps its input's shard membership: its output stream inherits
         // the capacity share, so per-shard pipelines stay jointly budgeted all the
         // way to the fan-in.
         let share = input.capacity_share;
         let (slot, mut stream) = self.new_output_stream(node, format!("{name}.out"));
         stream.capacity_share = share;
-        let entry = match self.take_open_chain(&input, node, group.as_ref()) {
-            Some((mut entry, chain)) => {
-                entry.nodes.push(node);
-                entry.stages.push(logical);
-                entry.merge_group(group);
-                entry.pending = Some(Box::new((chain.then(name, open), slot)));
-                entry
-            }
-            None => {
-                let rx = self.attach_input(input, node);
-                ChainEntry {
-                    nodes: vec![node],
-                    stages: vec![logical],
-                    group,
-                    pending: Some(Box::new((PendingChain::pumped(rx).then(name, open), slot))),
-                }
-            }
-        };
+        let (mut entry, chain) = self.chain_behind(input, node, group);
+        entry.pending = Some(Box::new((chain.then(name, open), slot)));
         self.open_chains.insert(node, entry);
         stream
     }
@@ -772,7 +771,6 @@ impl<P: ProvenanceSystem> Query<P> {
     ) -> StreamRef<G::Item, P::Meta> {
         let node = self.add_node(name, NodeKind::Source);
         let source_id = self.next_origin_id();
-        let (slot, stream) = self.new_output_stream(node, format!("{name}.out"));
         let source = SourceOp::new(
             name,
             source_id,
@@ -786,16 +784,7 @@ impl<P: ProvenanceSystem> Query<P> {
         );
         // The source heads a chain: the stages and the tail added on its stream run
         // on its thread (see `add_fused_stage` and `set_tail`).
-        self.open_chains.insert(
-            node,
-            ChainEntry {
-                nodes: vec![node],
-                stages: vec![name.to_string()],
-                group: None,
-                pending: Some(Box::new((PendingChain::source(source), slot))),
-            },
-        );
-        stream
+        self.open_chain(node, PendingChain::source(source))
     }
 
     /// Adds a Map producing zero or more output payloads per input payload.
@@ -898,14 +887,11 @@ impl<P: ProvenanceSystem> Query<P> {
     {
         assert!(!inputs.is_empty(), "Union requires at least one input");
         let node = self.add_node(name, NodeKind::Union);
-        let rxs: Vec<_> = inputs
+        let inputs: Vec<_> = inputs
             .into_iter()
-            .map(|stream| self.attach_input(stream, node))
+            .map(|stream| FanInput::new(self.attach_input(stream, node)))
             .collect();
-        let (slot, stream) = self.new_output_stream(node, format!("{name}.out"));
-        let op = UnionOp::new(name, rxs, slot);
-        self.set_operator(node, Box::new(op));
-        stream
+        self.open_chain(node, PendingChain::fan_in(name, inputs, |_, _| Union))
     }
 
     /// Adds an Aggregate over a sliding time window with a group-by key.
@@ -959,24 +945,19 @@ impl<P: ProvenanceSystem> Query<P> {
         CF: FnMut(&L, &R) -> O + Send + 'static,
     {
         let node = self.add_node(name, NodeKind::Join);
-        let left_rx = self.attach_input(left, node);
-        let right_rx = self.attach_input(right, node);
-        let (slot, stream) = self.new_output_stream(node, format!("{name}.out"));
-        let op = JoinOp::new(
+        let chain = join::chain(
             name,
-            left_rx,
-            right_rx,
-            slot,
+            self.attach_input(left, node),
+            self.attach_input(right, node),
             window,
             left_key,
             right_key,
             predicate,
             combine,
             self.provenance.clone(),
-            Arc::clone(&self.checkpoints),
+            self.checkpoint_handle(),
         );
-        self.set_operator(node, Box::new(op));
-        stream
+        self.open_chain(node, chain)
     }
 
     /// Adds a Sink invoking `callback` for every sink tuple; returns its statistics.
@@ -1201,19 +1182,20 @@ impl<P: ProvenanceSystem> Query<P> {
     }
 
     /// Validates the query, runs the physical-plan fusion pass and spawns one thread
-    /// per physical operator.
+    /// per chain.
     ///
     /// The fusion pass seals every chain collected by the builder — those a tail
-    /// sealed, and each still-open one with its output channel: a chain of one part
-    /// becomes an ordinary single-operator thread reporting under the part's kind;
-    /// a chain of two or more parts becomes one [`FusedOp`] thread whose report
-    /// still names the original operators (see
-    /// [`OperatorReport::stages`](crate::runtime::OperatorReport)). Every thread
-    /// is handed its rows of the operator ledger ([`crate::metrics`]), minted here.
+    /// sealed, and each still-open one with its output channel — into a
+    /// [`FusedOp`](crate::fusion::FusedOp): a chain of one part reports as that
+    /// operator, under its kind; a chain of two or more parts reports as one `Fused`
+    /// thread that still names the original operators (see
+    /// [`OperatorReport::stages`](crate::runtime::OperatorReport)). Every thread is
+    /// handed its rows of the operator ledger ([`crate::metrics`]), minted here.
     ///
     /// # Errors
     /// Returns [`SpeError::UnconnectedStream`] if an output stream has no consumer and
-    /// was not discarded, or [`SpeError::InvalidQuery`] if a node has no operator.
+    /// was not discarded, or [`SpeError::InvalidQuery`] if a node is a part of no
+    /// chain (it has no operator installed).
     pub fn deploy(mut self) -> Result<QueryHandle, SpeError> {
         for (producer, check) in &self.slot_checks {
             if !check() {
@@ -1236,53 +1218,42 @@ impl<P: ProvenanceSystem> Query<P> {
             members.extend(entry.nodes.iter().copied());
             chains.insert(entry.nodes[0], entry);
         }
-        let kinds: Vec<NodeKind> = self.nodes.iter().map(|node| node.kind).collect();
-        // Mint the operator ledger (see [`crate::metrics`]): one row per physical
-        // stage under its logical name — n for a fused chain, one for anything else.
-        let mut specs = Vec::with_capacity(self.nodes.len());
-        for (id, node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
-            if let Some(entry) = chains.remove(&id) {
-                let name = if entry.nodes.len() == 1 {
-                    node.name.clone()
-                } else {
-                    entry.stages.join("+")
-                };
-                let pending = entry.pending.expect("every collected chain is complete");
-                specs.push(OperatorSpec {
-                    head: node.kind,
-                    tail: kinds[entry.nodes[entry.nodes.len() - 1]],
-                    grouped: entry.group.is_some(),
-                    counters: OpCounters::mint(
-                        &self.registry,
-                        entry.stages.iter().map(String::as_str),
-                    ),
-                    op: Box::new(pending.seal(name)),
-                });
-            } else if members.contains(&id) {
-                // Folded into the chain sealed at its head node.
-                continue;
-            } else {
-                let op = node.operator.ok_or_else(|| {
-                    SpeError::InvalidQuery(format!(
-                        "node `{}` has no operator installed",
-                        node.name
-                    ))
-                })?;
-                let logical = node.shard_group.as_ref().map_or(&node.name, |g| &g.name);
-                specs.push(OperatorSpec {
-                    head: node.kind,
-                    tail: node.kind,
-                    grouped: node.shard_group.is_some(),
-                    counters: OpCounters::mint(&self.registry, [logical.as_str()]),
-                    op,
-                });
-            }
+        // Mint the operator ledger (see [`crate::metrics`]): one row per part of
+        // each chain, under the part's logical name. Names and shard groups are
+        // read now, so a group assigned after its node joined a chain still counts.
+        let mut specs = Vec::with_capacity(chains.len());
+        for (id, node) in self.nodes.iter().enumerate() {
+            let Some(entry) = chains.remove(&id) else {
+                if members.contains(&id) {
+                    // Folded into the chain sealed at its head node.
+                    continue;
+                }
+                return Err(SpeError::InvalidQuery(format!(
+                    "node `{}` has no operator installed",
+                    node.name
+                )));
+            };
+            let stages: Vec<String> = entry.nodes.iter().map(|&n| self.logical_name(n)).collect();
+            let name = match stages.len() {
+                1 => node.name.clone(),
+                _ => stages.join("+"),
+            };
+            let pending = entry.pending.expect("every collected chain is complete");
+            specs.push(OperatorSpec {
+                head: node.kind,
+                tail: self.nodes[entry.nodes[entry.nodes.len() - 1]].kind,
+                // A grouped head — a shard, a shard merge, an exchange alone in its
+                // chain — keeps its thread folded under the group's name.
+                grouped: entry.group.is_some() || node.shard_group.is_some(),
+                counters: OpCounters::mint(&self.registry, stages.iter().map(String::as_str)),
+                op: pending.seal(name),
+            });
         }
         if specs.is_empty() {
             return Err(SpeError::InvalidQuery("query has no operators".into()));
         }
         self.register_collectors(&specs);
-        Ok(Runtime::spawn(
+        Ok(crate::runtime::spawn(
             specs,
             self.stop,
             self.checkpoints,
@@ -1617,8 +1588,8 @@ mod tests {
     #[test]
     fn fusion_stops_at_multi_stream_boundaries() {
         // The multiplex seals the source's chain and its outputs are channels; the
-        // union (fan-in) never chains; the stages on each branch fuse among
-        // themselves only.
+        // union (fan-in) heads a chain of its own behind its input channels, which
+        // the sink extends; the stages on each branch fuse among themselves only.
         let mut q = Query::with_config(NoProvenance, QueryConfig::default().with_fusion(true));
         let src = q.source("numbers", VecSource::with_period((0..20i64).collect(), 500));
         let branches = q.multiplex("mux", src, 2);
@@ -1632,9 +1603,11 @@ mod tests {
         let mut values: Vec<i64> = out.tuples().iter().map(|t| t.data).collect();
         values.sort_unstable();
         assert_eq!(values, vec![15, 16, 17, 18, 19, 100, 101, 102, 103, 104]);
-        // fused(source+mux), fused(small+small2), large, union, sink = 5 physical ops.
-        assert_eq!(report.operator_stats().len(), 5);
+        // fused(source+mux), fused(small+small2), large, fused(union+sink) = 4
+        // physical ops.
+        assert_eq!(report.operator_stats().len(), 4);
         assert!(report.operator("numbers+mux").is_some());
+        assert!(report.operator("union+sink").is_some());
         assert!(report.operator("small+small2").is_some());
         assert!(
             report.operator("large").is_some(),

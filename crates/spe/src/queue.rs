@@ -169,6 +169,14 @@ impl<T> Sender<T> {
         self.send_until(item, Some(Instant::now() + timeout))
     }
 
+    /// Offers `fold` the last queued item while the queue is full, and returns what
+    /// it returns: whether it absorbed the item the caller would otherwise wait to
+    /// enqueue.
+    pub fn fold_if_full(&self, fold: impl FnOnce(&mut T) -> bool) -> bool {
+        let mut core = self.shared.core.lock();
+        core.items.len() >= core.capacity && core.items.back_mut().is_some_and(fold)
+    }
+
     fn send_until(&self, item: T, deadline: Option<Instant>) -> Result<bool, SendTimeoutError> {
         let shared = &*self.shared;
         let mut core = shared.core.lock();
@@ -417,6 +425,23 @@ mod tests {
         // `tx` is still alive, yet neither item is.
         assert_eq!(Arc::strong_count(&queued), 1);
         assert_eq!(Arc::strong_count(&late), 1);
+    }
+
+    #[test]
+    fn fold_if_full_offers_the_last_item_only_while_the_queue_is_full() {
+        let (tx, rx) = bounded::<u32>(2);
+        let add = |item: u32| {
+            move |last: &mut u32| {
+                *last += item;
+                true
+            }
+        };
+        tx.send(1).unwrap();
+        assert!(!tx.fold_if_full(add(10)), "room left: nothing folds");
+        tx.send(2).unwrap();
+        assert!(tx.fold_if_full(add(10)), "full: the last item absorbs");
+        assert!(!tx.fold_if_full(|_| false), "the fold may decline");
+        assert_eq!((rx.recv(), rx.recv()), (Ok(1), Ok(12)));
     }
 
     #[test]

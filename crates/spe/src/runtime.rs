@@ -1,7 +1,8 @@
-//! The thread-per-operator runtime.
+//! The thread-per-chain runtime.
 //!
-//! Each operator of a deployed query runs on its own OS thread (the model of the
-//! paper's SPE instances: threads sharing a process, communicating through queues).
+//! Each chain of a deployed query ([`crate::fusion`]) runs on its own OS thread (the
+//! model of the paper's SPE instances: threads sharing a process, communicating
+//! through queues); with fusion off, every operator is a chain of one.
 //! The runtime owns the operator ledger ([`crate::metrics`]): it hands each thread
 //! its rows, keeps a clone, and — once [`QueryHandle::wait`] has joined the thread —
 //! is the only place that turns rows into [`OperatorStats`] and a [`QueryReport`].
@@ -14,8 +15,9 @@ use std::time::Instant;
 use genealog_metrics::{HistogramSnapshot, MetricsRegistry, Tracer};
 
 use crate::error::SpeError;
+use crate::fusion::FusedOp;
 use crate::metrics::OpCounters;
-use crate::operator::{Operator, OperatorStats};
+use crate::operator::OperatorStats;
 use crate::query::NodeKind;
 
 /// Statistics of one operator after query completion, tagged with its role.
@@ -263,8 +265,8 @@ impl QueryReport {
     }
 }
 
-/// What the runtime spawns for one physical operator: the boxed run loop, its
-/// ledger rows, and the reporting metadata.
+/// What the runtime spawns for one chain: the sealed chain, its ledger rows, and
+/// the reporting metadata.
 pub(crate) struct OperatorSpec {
     /// The kind of the thread's first stage (see [`OperatorReport::head`]).
     pub(crate) head: NodeKind,
@@ -274,7 +276,7 @@ pub(crate) struct OperatorSpec {
     /// with the group name and [`QueryHandle::wait`] folds it with its siblings.
     pub(crate) grouped: bool,
     pub(crate) counters: OpCounters,
-    pub(crate) op: Box<dyn Operator>,
+    pub(crate) op: FusedOp,
 }
 
 /// A joinable operator thread with the runtime's clone of its ledger rows.
@@ -403,51 +405,49 @@ impl QueryHandle {
     }
 }
 
-/// Spawns the operator threads of a validated query.
-pub(crate) struct Runtime;
-
-impl Runtime {
-    pub(crate) fn spawn(
-        operators: Vec<OperatorSpec>,
-        stop: Arc<AtomicBool>,
-        checkpoints: crate::state::CheckpointHandle,
-        registry: Arc<MetricsRegistry>,
-    ) -> QueryHandle {
-        let started = Instant::now();
-        let running = Arc::new(AtomicUsize::new(operators.len()));
-        let threads = operators
-            .into_iter()
-            .map(|spec| {
-                let OperatorSpec {
-                    head,
-                    tail,
-                    grouped,
-                    counters,
-                    op,
-                } = spec;
-                let name = op.name().to_string();
-                let thread_name = format!("spe-{name}");
-                let stop_on_panic = Arc::clone(&stop);
-                let checkpoints = Arc::clone(&checkpoints);
-                let running = Arc::clone(&running);
-                let panic_name = name.clone();
-                // The per-stage entry of the ledger: the thread increments its
-                // clone, `wait` reads this one after the join.
-                let rows = counters.clone();
-                let handle = std::thread::Builder::new()
-                    .name(thread_name)
-                    .spawn(move || {
-                        Tracer::global().emit("operator-start", panic_name.clone(), "spawned");
-                        // A panicking operator must not leave the query wedged:
-                        // catching the unwind lets us (1) raise the stop flag so
-                        // rate-limited sources cease producing, and (2) turn the
-                        // panic into a structured error naming the operator.
-                        // Unwinding has already dropped the operator's channel
-                        // endpoints, so peers drain out naturally: downstream sees
-                        // end-of-stream, upstream sees a closed channel.
-                        let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            move || op.run(rows),
-                        )) {
+/// Spawns the chain threads of a validated query, one per chain.
+pub(crate) fn spawn(
+    operators: Vec<OperatorSpec>,
+    stop: Arc<AtomicBool>,
+    checkpoints: crate::state::CheckpointHandle,
+    registry: Arc<MetricsRegistry>,
+) -> QueryHandle {
+    let started = Instant::now();
+    let running = Arc::new(AtomicUsize::new(operators.len()));
+    let threads = operators
+        .into_iter()
+        .map(|spec| {
+            let OperatorSpec {
+                head,
+                tail,
+                grouped,
+                counters,
+                op,
+            } = spec;
+            let name = op.name().to_string();
+            let thread_name = format!("spe-{name}");
+            let stop_on_panic = Arc::clone(&stop);
+            let checkpoints = Arc::clone(&checkpoints);
+            let running = Arc::clone(&running);
+            let panic_name = name.clone();
+            // The per-stage entry of the ledger: the thread increments its
+            // clone, `wait` reads this one after the join.
+            let rows = counters.clone();
+            let handle = std::thread::Builder::new()
+                .name(thread_name)
+                .spawn(move || {
+                    Tracer::global().emit("operator-start", panic_name.clone(), "spawned");
+                    // A panicking operator must not leave the query wedged:
+                    // catching the unwind lets us (1) raise the stop flag so
+                    // rate-limited sources cease producing, and (2) turn the
+                    // panic into a structured error naming the operator.
+                    // Unwinding has already dropped the operator's channel
+                    // endpoints, so peers drain out naturally: downstream sees
+                    // end-of-stream, upstream sees a closed channel.
+                    let result =
+                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                            op.run(rows)
+                        })) {
                             Ok(result) => {
                                 Tracer::global().emit(
                                     "operator-stop",
@@ -468,37 +468,36 @@ impl Runtime {
                                 })
                             }
                         };
-                        if result.is_err() {
-                            // Keep post-failure commits from other threads out of
-                            // the store, so no epoch influenced by the failure can
-                            // reach completeness and become the restore point.
-                            if let Some(config) = checkpoints.get() {
-                                config.store.fence();
-                            }
+                    if result.is_err() {
+                        // Keep post-failure commits from other threads out of
+                        // the store, so no epoch influenced by the failure can
+                        // reach completeness and become the restore point.
+                        if let Some(config) = checkpoints.get() {
+                            config.store.fence();
                         }
-                        // Panics are already caught above, so this runs on every
-                        // exit path and the completion probe cannot stay stuck.
-                        running.fetch_sub(1, Ordering::Release);
-                        result
-                    })
-                    .expect("failed to spawn operator thread");
-                OperatorThread {
-                    head,
-                    tail,
-                    name,
-                    grouped,
-                    counters,
-                    handle,
-                }
-            })
-            .collect();
-        QueryHandle {
-            threads,
-            stop,
-            started,
-            registry,
-            running,
-        }
+                    }
+                    // Panics are already caught above, so this runs on every
+                    // exit path and the completion probe cannot stay stuck.
+                    running.fetch_sub(1, Ordering::Release);
+                    result
+                })
+                .expect("failed to spawn operator thread");
+            OperatorThread {
+                head,
+                tail,
+                name,
+                grouped,
+                counters,
+                handle,
+            }
+        })
+        .collect();
+    QueryHandle {
+        threads,
+        stop,
+        started,
+        registry,
+        running,
     }
 }
 

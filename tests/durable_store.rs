@@ -345,8 +345,10 @@ impl StateBackend for ReopenedOnRecovery {
         self.disk().serialized_bytes()
     }
 
+    /// Both sides retire what the complete cut made dead.
     fn note_complete_epoch(&self, epoch: u64) {
         self.disk().note_complete_epoch(epoch);
+        self.memory.note_complete_epoch(epoch);
     }
 
     fn is_durable(&self) -> bool {
@@ -361,6 +363,7 @@ struct Q1Run {
     tuples: Vec<Alert>,
     lineage: Vec<(Alert, BTreeSet<Alert>)>,
     backend: Arc<ReopenedOnRecovery>,
+    participants: usize,
     recoveries: u64,
 }
 
@@ -439,6 +442,7 @@ fn run_q1(kill_at_alert: Option<u64>) -> Q1Run {
         tuples,
         lineage,
         backend,
+        participants: store.participants().len(),
         recoveries: store.recoveries(),
     }
 }
@@ -470,6 +474,17 @@ fn q1_gl_window_state_survives_a_reopened_store() {
     );
     assert_eq!(recovered.tuples, clean.tuples);
     assert_eq!(recovered.lineage, clean.lineage);
+    // Every completed cut retires the snapshots older than it on both sides of
+    // the backend, so a run ends holding about its last cut, not every epoch.
+    for (run, name) in [(&clean, "clean"), (&recovered, "recovered")] {
+        let retained = run.backend.snapshot_count();
+        assert!(run.participants > 0);
+        assert!(
+            retained <= 2 * run.participants,
+            "the {name} run retains {retained} snapshots for {} participants",
+            run.participants
+        );
+    }
 }
 
 /// Forwards to `inner` and, after every `put` and every completed cut, probes

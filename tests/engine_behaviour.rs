@@ -10,9 +10,8 @@ use proptest::prelude::*;
 use genealog::prelude::*;
 use genealog_spe::channel::{stream_channel, OutputSlot};
 use genealog_spe::metrics::OpCounters;
-use genealog_spe::operator::join::JoinOp;
+use genealog_spe::operator::join;
 use genealog_spe::operator::source::{RateLimit, SourceConfig};
-use genealog_spe::operator::Operator;
 use genealog_spe::provenance::NoProvenance;
 use genealog_spe::query::NodeKind;
 use genealog_spe::QueryConfig;
@@ -353,7 +352,8 @@ fn brute_force_join(left: &[(u64, Keyed)], right: &[(u64, Keyed)], ws: u64) -> V
     out
 }
 
-/// Runs one `JoinOp` over the two element sequences and returns its output.
+/// Runs one Join, alone in its chain, over the two element sequences and returns its
+/// output.
 fn drive_join<K, LK, RK, PR>(
     sides: &[Vec<Element<Keyed, ()>>; 2],
     ws: u64,
@@ -377,11 +377,10 @@ where
     let slot = OutputSlot::<(u32, i64, i64), ()>::new();
     let (otx, mut orx) = stream_channel(64);
     slot.connect(otx);
-    let op = JoinOp::new(
+    let op = join::chain(
         "join",
         left_rx,
         right_rx,
-        slot,
         Duration::from_secs(ws),
         left_key,
         right_key,
@@ -389,8 +388,9 @@ where
         |l: &Keyed, r: &Keyed| (l.0, l.1, r.1),
         NoProvenance,
         Default::default(),
-    );
-    let running = std::thread::spawn(move || Box::new(op).run(OpCounters::detached("join")));
+    )
+    .into_channel("join", slot);
+    let running = std::thread::spawn(move || op.run(OpCounters::detached("join")));
     let mut out = Vec::new();
     loop {
         match orx.recv() {

@@ -5,7 +5,7 @@
 //!
 //! Through [`DeterministicMerge`] the output must be exactly the stable
 //! `(timestamp, input)` sort of each epoch's tuples with one barrier after each epoch;
-//! through a checkpointed [`JoinOp`] the output must be the nested-loop join of the
+//! through a checkpointed [`join`] the output must be the nested-loop join of the
 //! two inputs. Through both, no watermark may pass a tuple emitted after it — which is
 //! what a fan-in holding an input at a barrier gets wrong when it forgets that the
 //! input still has older tuples to deliver after the cut.
@@ -18,8 +18,7 @@ use proptest::prelude::*;
 use genealog_spe::channel::{stream_channel, Batch, OutputSlot, StreamReceiver, StreamSender};
 use genealog_spe::merge::{DeterministicMerge, MergedElement};
 use genealog_spe::metrics::OpCounters;
-use genealog_spe::operator::join::JoinOp;
-use genealog_spe::operator::Operator;
+use genealog_spe::operator::join;
 use genealog_spe::provenance::NoProvenance;
 use genealog_spe::state::{CheckpointConfig, CheckpointHandle, CheckpointStore};
 use genealog_spe::tuple::{Element, GTuple};
@@ -232,11 +231,10 @@ proptest! {
             output.connect(out_tx);
             let right = receivers.pop().expect("two inputs");
             let left = receivers.pop().expect("two inputs");
-            let join = JoinOp::new(
+            let join = join::chain(
                 "join",
                 left,
                 right,
-                output,
                 Duration::from_millis(window_ms),
                 key,
                 key,
@@ -244,11 +242,11 @@ proptest! {
                 |l: &Payload, r: &Payload| (l.1, r.1),
                 NoProvenance,
                 checkpoints,
-            );
+            )
+            .into_channel("join", output);
             thread::scope(|scope| {
                 scope.spawn(|| {
-                    Box::new(join)
-                        .run(OpCounters::detached("join"))
+                    join.run(OpCounters::detached("join"))
                         .expect("join runs to the end")
                 });
                 let mut seen = Vec::new();

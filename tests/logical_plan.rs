@@ -466,9 +466,9 @@ fn logical_and_physical_dot_show_the_lowering() {
 
     let q = plan.lower().unwrap();
     let physical_dot = q.to_dot();
-    assert!(physical_dot.contains("sum.merge\\n(shard-merge \u{d7}4)"));
-    // The fused source chain renders as one box in the physical view, sealed by
-    // the exchange, whose shard edges are dashed.
+    // The merge heads the chain the sink extends, one box like the fused source
+    // chain, which the exchange seals and whose shard edges are dashed.
+    assert!(physical_dot.contains("sum.merge \u{2192} sink\\n(fused)"));
     assert!(physical_dot.contains("[style=dashed]"));
     assert!(physical_dot.contains("keep \u{2192} scale \u{2192} sum.exchange\\n(fused)"));
 }

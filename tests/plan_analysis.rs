@@ -273,9 +273,9 @@ fn gl031_compares_operator_threads_against_host_cpus() {
 
     let mut facts = analyzed.facts;
     assert_eq!(
-        facts.threads, 5,
-        "the source's chain sealed by the exchange, two shards, the merge, and the sink \
-         behind the merge (a fan-in does not chain)"
+        facts.threads, 4,
+        "the source's chain sealed by the exchange, two shards, and the merge's chain \
+         sealed by the sink"
     );
     facts.host_cpus = 1;
     let report = genealog_analysis::analyze(&facts);
