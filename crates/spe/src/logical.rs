@@ -42,14 +42,13 @@
 //!
 //! * [`LogicalStream::with`] — requested shard count of the producing stateful
 //!   operator ([`Parallelism::shards(n)`](Parallelism::shards)); without it the
-//!   planner uses [`PlannerConfig::parallelism`].
+//!   operator runs as the plain single-instance operator.
 //! * [`LogicalStream::place`] — explicit per-shard placements of an aggregate
 //!   ([`ShardPlacement::Local`] or [`ShardPlacement::Remote`]); remote routes come
 //!   from the `genealog-distributed` shard-group builder. Join shards always run
 //!   in-process.
 //! * [`LogicalStream::keyed`] — re-establishes the canonical merge key after a
-//!   payload-type-changing map, letting the map stay *inside* an open shard region
-//!   (the annotation equivalent of the deprecated `map_shards`).
+//!   payload-type-changing map, letting the map stay *inside* an open shard region.
 //!
 //! # Escape hatches
 //!
@@ -256,7 +255,7 @@ impl<P: ProvenanceSystem> LogicalPlan<P> {
                     hints.push_str(&format!(", {remote} remote"));
                 }
             } else if let Some(p) = node.parallelism {
-                let n = p.resolve(state.config.parallelism);
+                let n = p.count();
                 if n > 1 {
                     hints.push_str(&format!(" \u{d7}{n}"));
                 }
@@ -369,7 +368,7 @@ impl<P: ProvenanceSystem> LogicalPlan<P> {
                     .map(|n| LogicalNodeFacts {
                         name: n.name.clone(),
                         label: n.label.to_string(),
-                        requested_shards: n.parallelism.map(|p| p.resolve(config.parallelism)),
+                        requested_shards: n.parallelism.map(Parallelism::count),
                         placement_total: n.placement_summary.map(|(total, _)| total),
                         placement_remote: n.placement_summary.map_or(0, |(_, remote)| remote),
                     })
@@ -519,8 +518,7 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
     /// equal-timestamp runs of the *mapped* payloads are ordered at the fan-in, so
     /// the map can stay inside the region instead of forcing an early merge. The
     /// key must identify the same groups as the sharded operator's output key
-    /// (i.e. the map must be key-preserving), which is the same contract the
-    /// deprecated `map_shards` + `keyed_merge` combination placed on callers.
+    /// (i.e. the map must be key-preserving).
     ///
     /// Attach it to the stream **returned by the map** it should keep in the
     /// region; anywhere else the annotation is rejected at
@@ -628,10 +626,9 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
     /// Adds an Aggregate over a sliding time window with a group-by key.
     ///
     /// `out_key` re-extracts the group key from an output payload; the planner uses
-    /// it to order the canonical fan-in when it decides to shard the operator
-    /// (via [`with`](LogicalStream::with), [`place`](LogicalStream::place) or
-    /// [`PlannerConfig::parallelism`]). Unannotated aggregates under the default
-    /// configuration lower to the plain single-instance operator.
+    /// it to order the canonical fan-in when the operator shards (via
+    /// [`with`](LogicalStream::with) or [`place`](LogicalStream::place)).
+    /// Unannotated aggregates lower to the plain single-instance operator.
     pub fn aggregate<O, K, KF, AF, OK>(
         self,
         name: &str,
@@ -657,19 +654,14 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
             node,
             build: Box::new(move |q| {
                 let input = prev(q).seal(q);
-                let (placements, default) = {
+                let (placements, shards) = {
                     let mut state = shared.borrow_mut();
-                    let config_default = state.config.parallelism;
                     let node_state = &mut state.nodes[node];
                     // Annotations are taken, not read: whatever is still attached to
                     // a node after lowering was placed where no rule consumes it,
                     // and `lower()` rejects it.
-                    let default = node_state
-                        .parallelism
-                        .take()
-                        .unwrap_or_default()
-                        .resolve(config_default);
-                    (node_state.placements.take(), default)
+                    let shards = node_state.parallelism.take().map_or(1, Parallelism::count);
+                    (node_state.placements.take(), shards)
                 };
                 let placements: Vec<ShardPlacement<P, T, O>> = match placements {
                     Some(any) => *any
@@ -679,11 +671,11 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
                                 "placement annotation on `{owned}` has the wrong input/output types"
                             )
                         }),
-                    None if default <= 1 => {
+                    None if shards == 1 => {
                         // Planner decision: one local instance needs no exchange.
                         return Lowered::Stream(q.aggregate(&owned, input, spec, key_fn, agg_fn));
                     }
-                    None => ShardPlacement::all_local(default),
+                    None => ShardPlacement::all_local(shards),
                 };
                 let streams =
                     q.shard_aggregate_streams(&owned, input, spec, key_fn, agg_fn, placements);
@@ -703,8 +695,8 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
     /// and when the planner shards the join they also partition the inputs, so
     /// matching pairs always meet inside one shard. `predicate` further filters
     /// candidate pairs *within* a key; `out_key` orders the canonical fan-in.
-    /// Unannotated joins under the default configuration lower to the plain
-    /// single-instance operator. Key extractors must be pure.
+    /// Unannotated joins lower to the plain single-instance operator. Key
+    /// extractors must be pure.
     ///
     /// # Panics
     /// Panics if `right` belongs to a different [`LogicalPlan`].
@@ -747,19 +739,14 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
             build: Box::new(move |q| {
                 let left = left_build(q).seal(q);
                 let right = right_build(q).seal(q);
-                let instances = {
-                    let mut state = shared.borrow_mut();
-                    let config_default = state.config.parallelism;
-                    // Annotations are taken, not read: whatever is still attached to
-                    // a node after lowering was placed where no rule consumes it,
-                    // and `lower()` rejects it.
-                    state.nodes[node]
-                        .parallelism
-                        .take()
-                        .unwrap_or_default()
-                        .resolve(config_default)
-                };
-                if instances <= 1 {
+                // Annotations are taken, not read: whatever is still attached to a
+                // node after lowering was placed where no rule consumes it, and
+                // `lower()` rejects it.
+                let instances = shared.borrow_mut().nodes[node]
+                    .parallelism
+                    .take()
+                    .map_or(1, Parallelism::count);
+                if instances == 1 {
                     return Lowered::Stream(q.join(
                         &owned, left, right, window, left_key, right_key, predicate, combine,
                     ));
@@ -1098,24 +1085,6 @@ mod tests {
         let report = q.deploy().unwrap().wait().unwrap();
         assert!(!out.is_empty());
         assert_eq!(report.operator("count").unwrap().instances, 4);
-    }
-
-    #[test]
-    fn planner_default_parallelism_applies_without_annotations() {
-        let plan =
-            LogicalPlan::with_config(NoProvenance, PlannerConfig::default().with_parallelism(3));
-        let _out = plan
-            .source("src", VecSource::with_period(readings(24), 1_000))
-            .aggregate(
-                "count",
-                spec(),
-                |r: &Reading| r.0,
-                count_window,
-                |o: &Reading| o.0,
-            )
-            .collecting_sink("sink");
-        let report = plan.deploy().unwrap().wait().unwrap();
-        assert_eq!(report.operator("count").unwrap().instances, 3);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! hash partitioner writing to one stream channel per shard), each shard runs its own
 //! instance of a stateful operator (Aggregate or Join) with private windows and state,
 //! and the shard outputs are reunified by a **canonicalising fan-in** (the keyed
-//! merge, [`Query::keyed_merge`]), which heads the chain behind the region like
-//! every fan-in ([`crate::merge`]).
+//! merge), which heads the chain behind the region like every fan-in
+//! ([`crate::merge`]). The planner ([`crate::planner`]) is the only caller: a
+//! stateful operator shards when its logical stream carries
+//! [`Parallelism::shards`] or explicit placements.
 //!
 //! # Why this is provenance-safe
 //!
@@ -37,28 +39,26 @@
 //! # Example
 //!
 //! ```rust
-//! use genealog_spe::parallel::Parallelism;
 //! use genealog_spe::prelude::*;
-//! use genealog_spe::operator::aggregate::WindowView;
 //!
 //! # fn main() -> Result<(), SpeError> {
-//! let mut q = Query::new(NoProvenance);
-//! let readings = q.source(
-//!     "meters",
-//!     VecSource::with_period((0..100u32).map(|i| (i % 8, i as i64)).collect(), 1_000),
-//! );
+//! let plan = LogicalPlan::new(NoProvenance);
 //! // Count readings per meter in 1-minute tumbling windows, on 4 parallel shards.
-//! let counts = q.sharded_aggregate(
-//!     "count",
-//!     readings,
-//!     WindowSpec::tumbling(Duration::from_secs(60))?,
-//!     |r: &(u32, i64)| r.0,
-//!     |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
-//!     |o: &(u32, i64)| o.0,
-//!     Parallelism::instances(4),
-//! );
-//! let out = q.collecting_sink("sink", counts);
-//! q.deploy()?.wait()?;
+//! let out = plan
+//!     .source(
+//!         "meters",
+//!         VecSource::with_period((0..100u32).map(|i| (i % 8, i as i64)).collect(), 1_000),
+//!     )
+//!     .aggregate(
+//!         "count",
+//!         WindowSpec::tumbling(Duration::from_secs(60))?,
+//!         |r: &(u32, i64)| r.0,
+//!         |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
+//!         |o: &(u32, i64)| o.0,
+//!     )
+//!     .with(Parallelism::shards(4))
+//!     .collecting_sink("sink");
+//! plan.deploy()?.wait()?;
 //! assert!(!out.is_empty());
 //! # Ok(())
 //! # }
@@ -85,40 +85,26 @@ use crate::window::WindowSpec;
 /// Boxed key comparator ordering the payloads of an equal-timestamp run.
 pub type KeyComparator<T> = Box<dyn FnMut(&T, &T) -> CmpOrdering + Send>;
 
-/// Number of parallel instances a sharded operator runs with.
-///
-/// [`Parallelism::default()`] defers to the query-wide default
-/// ([`QueryConfig::parallelism`](crate::query::QueryConfig)); an explicit
-/// [`Parallelism::instances`] overrides it per operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Number of parallel instances a sharded operator runs with: the planner hint
+/// [`LogicalStream::with`](crate::logical::LogicalStream::with) takes. A stateful
+/// operator without it runs as the plain single-instance operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
-    /// Explicit instance count; 0 means "use the query default".
-    instances: usize,
+    shards: usize,
 }
 
 impl Parallelism {
-    /// Runs the operator with exactly `n` parallel instances (clamped to at least 1,
-    /// so an explicit request never silently falls back to the query default).
-    pub const fn instances(n: usize) -> Self {
+    /// Runs the operator on exactly `n` shards (clamped to at least 1):
+    /// `.with(Parallelism::shards(4))`.
+    pub const fn shards(n: usize) -> Self {
         Parallelism {
-            instances: if n == 0 { 1 } else { n },
+            shards: if n == 0 { 1 } else { n },
         }
     }
 
-    /// Alias of [`Parallelism::instances`] reading naturally as a planner hint on a
-    /// [`LogicalStream`](crate::logical::LogicalStream): `.with(Parallelism::shards(4))`.
-    pub const fn shards(n: usize) -> Self {
-        Self::instances(n)
-    }
-
-    /// Resolves the effective instance count against the query-wide default.
-    pub fn resolve(self, default: usize) -> usize {
-        let n = if self.instances == 0 {
-            default
-        } else {
-            self.instances
-        };
-        n.max(1)
+    /// The requested shard count, at least 1.
+    pub(crate) const fn count(self) -> usize {
+        self.shards
     }
 }
 
@@ -284,7 +270,7 @@ impl<P: ProvenanceSystem> Query<P> {
     ///
     /// # Panics
     /// Panics if `shards` is zero.
-    pub fn partition<T, K, KF>(
+    pub(crate) fn partition<T, K, KF>(
         &mut self,
         name: &str,
         input: StreamRef<T, P::Meta>,
@@ -315,27 +301,11 @@ impl<P: ProvenanceSystem> Query<P> {
     }
 
     /// Adds a provenance-safe fan-in over shard outputs: the merged stream is ordered
-    /// by `(timestamp, out_key, per-key emission order)`, independent of how many
-    /// shards produced it.
+    /// by `(timestamp, key, per-key emission order)`, `cmp` ordering the keys of an
+    /// equal-timestamp run, independent of how many shards produced it.
     ///
     /// # Panics
     /// Panics if `inputs` is empty.
-    pub fn keyed_merge<T, K, OK>(
-        &mut self,
-        name: &str,
-        inputs: Vec<StreamRef<T, P::Meta>>,
-        out_key: OK,
-    ) -> StreamRef<T, P::Meta>
-    where
-        T: TupleData,
-        K: Ord,
-        OK: FnMut(&T) -> K + Send + 'static,
-    {
-        self.keyed_merge_cmp(name, inputs, crate::planner::merge_cmp(out_key))
-    }
-
-    /// [`Query::keyed_merge`] with an explicit run comparator instead of a key
-    /// extractor (the form the planner stores while a shard region is open).
     pub(crate) fn keyed_merge_cmp<T>(
         &mut self,
         name: &str,
@@ -357,51 +327,10 @@ impl<P: ProvenanceSystem> Query<P> {
         self.open_chain(node, chain)
     }
 
-    /// Adds a key-partitioned Aggregate running `parallelism` shard instances.
-    ///
-    /// Semantics are identical to [`Query::aggregate`]: a sliding window `spec` with
-    /// group-by `key_fn` and aggregation `agg_fn`. The stream is hash-partitioned on
-    /// the group key, each shard aggregates its keys with a private window store, and
-    /// the shard outputs are reunified in canonical `(timestamp, key)` order via
-    /// `out_key` (the group key re-extracted from an output payload). Output tuples,
-    /// their order, and their GeneaLog contribution graphs are identical for every
-    /// shard count.
-    #[allow(clippy::too_many_arguments)] // mirrors aggregate() plus the sharding knobs
-    pub fn sharded_aggregate<I, O, K, KF, AF, OK>(
-        &mut self,
-        name: &str,
-        input: StreamRef<I, P::Meta>,
-        spec: WindowSpec,
-        key_fn: KF,
-        agg_fn: AF,
-        out_key: OK,
-        parallelism: Parallelism,
-    ) -> StreamRef<O, P::Meta>
-    where
-        I: TupleData,
-        O: TupleData,
-        K: Ord + Hash + Clone + Send + Sync + 'static,
-        KF: FnMut(&I) -> K + Clone + Send + 'static,
-        AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O + Clone + Send + 'static,
-        OK: FnMut(&O) -> K + Send + 'static,
-    {
-        let instances = parallelism.resolve(self.config().parallelism);
-        let shards = self.shard_aggregate_streams(
-            name,
-            input,
-            spec,
-            key_fn,
-            agg_fn,
-            ShardPlacement::all_local(instances),
-        );
-        self.keyed_merge(&format!("{name}.merge"), shards, out_key)
-    }
-
     /// Lowering core of a placed sharded Aggregate: the exchange and the shard
     /// instances (local threads or remote splices), *without* the fan-in. The
-    /// returned shard streams carry the joint capacity share; the caller closes the
-    /// region with [`Query::keyed_merge`] / `keyed_merge_cmp` — immediately
-    /// ([`Query::sharded_aggregate`]) or after further per-shard stages (the planner).
+    /// returned shard streams carry the joint capacity share; the planner closes the
+    /// region with `keyed_merge_cmp`, after any per-shard stages.
     pub(crate) fn shard_aggregate_streams<I, O, K, KF, AF>(
         &mut self,
         name: &str,
@@ -461,48 +390,10 @@ impl<P: ProvenanceSystem> Query<P> {
         outs
     }
 
-    /// Adds a key-partitioned equi-key Join running `parallelism` shard instances.
-    ///
-    /// Both inputs are hash-partitioned on their key extractors (`left_key`,
-    /// `right_key`), so matching pairs always meet inside the same shard, and each
-    /// shard's Join indexes its windows by the same keys; `predicate` further filters
-    /// candidate pairs *within* a key — pairs whose keys differ never meet, which is
-    /// what makes the join shardable. Shard outputs are reunified in canonical
-    /// `(timestamp, out_key, per-key emission order)`.
-    #[allow(clippy::too_many_arguments)] // mirrors join() plus the sharding knobs
-    pub fn sharded_join<L, R, O, K, LK, RK, OK, PR, CF>(
-        &mut self,
-        name: &str,
-        left: StreamRef<L, P::Meta>,
-        right: StreamRef<R, P::Meta>,
-        window: Duration,
-        left_key: LK,
-        right_key: RK,
-        out_key: OK,
-        predicate: PR,
-        combine: CF,
-        parallelism: Parallelism,
-    ) -> StreamRef<O, P::Meta>
-    where
-        L: TupleData,
-        R: TupleData,
-        O: TupleData,
-        K: Ord + Hash + Clone + Send + 'static,
-        LK: FnMut(&L) -> K + Clone + Send + 'static,
-        RK: FnMut(&R) -> K + Clone + Send + 'static,
-        OK: FnMut(&O) -> K + Send + 'static,
-        PR: FnMut(&L, &R) -> bool + Clone + Send + 'static,
-        CF: FnMut(&L, &R) -> O + Clone + Send + 'static,
-    {
-        let instances = parallelism.resolve(self.config().parallelism);
-        let shards = self.shard_join_streams(
-            name, left, right, window, left_key, right_key, predicate, combine, instances,
-        );
-        self.keyed_merge(&format!("{name}.merge"), shards, out_key)
-    }
-
-    /// Lowering core of a sharded Join (see [`Query::shard_aggregate_streams`]):
-    /// both exchanges and `instances` local shard instances, without the fan-in.
+    /// Lowering core of a sharded equi-key Join (see `shard_aggregate_streams`):
+    /// both inputs are hash-partitioned on their key extractors, so matching pairs
+    /// always meet inside one shard, and `instances` local shard instances run
+    /// without the fan-in.
     /// Join shards always run in this process — no remote route exists for a
     /// two-input shard.
     #[allow(clippy::too_many_arguments)] // the full join declaration in one place
@@ -600,7 +491,7 @@ impl<P: ProvenanceSystem> Query<P> {
             .collect()
     }
 
-    /// Lowering core of a per-shard Map (see [`Query::filter_shard_streams`]).
+    /// Lowering core of a per-shard Map (see `filter_shard_streams`).
     pub(crate) fn map_shard_streams<I, O, F>(
         &mut self,
         name: &str,
@@ -643,8 +534,10 @@ mod tests {
     use super::*;
     use crate::channel::{stream_channel, StreamReceiver};
     use crate::fusion::FusedOp;
+    use crate::logical::{LogicalPlan, LogicalStream};
     use crate::operator::source::VecSource;
     use crate::operator::tests::run_bare;
+    use crate::planner::PlannerConfig;
     use crate::provenance::NoProvenance;
     use crate::tuple::Element;
 
@@ -664,14 +557,31 @@ mod tests {
             .into_channel("merge", output)
     }
 
+    /// A logical plan with fusion off, so every physical operator reports alone.
+    fn unfused_plan() -> LogicalPlan<NoProvenance> {
+        LogicalPlan::with_config(NoProvenance, PlannerConfig::default().with_fusion(false))
+    }
+
+    /// `src -> agg`: a count per key in tumbling windows of `window` seconds.
+    fn count_per_key(
+        plan: &LogicalPlan<NoProvenance>,
+        items: Vec<(u32, i64)>,
+        window: u64,
+    ) -> LogicalStream<NoProvenance, (u32, i64)> {
+        plan.source("src", VecSource::with_period(items, 1_000))
+            .aggregate(
+                "agg",
+                WindowSpec::tumbling(Duration::from_secs(window)).unwrap(),
+                |t: &(u32, i64)| t.0,
+                |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
+                |o: &(u32, i64)| o.0,
+            )
+    }
+
     #[test]
-    fn parallelism_resolution() {
-        assert_eq!(Parallelism::default().resolve(1), 1);
-        assert_eq!(Parallelism::default().resolve(8), 8);
-        assert_eq!(Parallelism::instances(4).resolve(1), 4);
-        // An explicit 0 clamps to one instance; it does NOT fall back to the default.
-        assert_eq!(Parallelism::instances(0).resolve(3), 1);
-        assert_eq!(Parallelism::default().resolve(0), 1);
+    fn parallelism_clamps_zero_to_one_shard() {
+        assert_eq!(Parallelism::shards(4).count(), 4);
+        assert_eq!(Parallelism::shards(0).count(), 1);
     }
 
     #[test]
@@ -812,55 +722,50 @@ mod tests {
 
     #[test]
     fn sharded_aggregate_matches_single_instance_aggregate() {
-        fn run(instances: usize) -> Vec<(u64, u32, i64)> {
-            let mut q = Query::new(NoProvenance);
+        // One shard lowers to the plain single-instance aggregate.
+        fn run(shards: usize) -> Vec<(u64, u32, i64)> {
+            let plan = unfused_plan();
             let items: Vec<(u32, i64)> = (0..64).map(|i| (i % 8, i as i64)).collect();
-            let src = q.source("src", VecSource::with_period(items, 1_000));
-            let sums = q.sharded_aggregate(
-                "sum",
-                src,
-                WindowSpec::tumbling(Duration::from_secs(16)).unwrap(),
-                |t: &(u32, i64)| t.0,
-                |w: &WindowView<'_, u32, (u32, i64), ()>| {
-                    (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
-                },
-                |o: &(u32, i64)| o.0,
-                Parallelism::instances(instances),
-            );
-            let out = q.collecting_sink("sink", sums);
-            q.deploy().unwrap().wait().unwrap();
+            let out = count_per_key(&plan, items, 16)
+                .with(Parallelism::shards(shards))
+                .collecting_sink("sink");
+            plan.deploy().unwrap().wait().unwrap();
             out.tuples()
                 .iter()
                 .map(|t| (t.ts.as_secs(), t.data.0, t.data.1))
                 .collect()
         }
-        let one = run(1);
-        let four = run(4);
-        assert!(!one.is_empty());
-        assert_eq!(one, four, "shard count must not change the output stream");
+        let plain = run(1);
+        assert!(!plain.is_empty());
+        assert_eq!(
+            plain,
+            run(4),
+            "shard count must not change the output stream"
+        );
     }
 
     #[test]
     fn sharded_join_matches_pairs_within_keys() {
-        let mut q = Query::new(NoProvenance);
+        let plan = unfused_plan();
         let left_items: Vec<(u32, i64)> = (0..16).map(|i| (i % 4, i as i64)).collect();
         let right_items: Vec<(u32, i64)> = (0..16).map(|i| (i % 4, 100 + i as i64)).collect();
-        let left = q.source("left", VecSource::with_period(left_items, 1_000));
-        let right = q.source("right", VecSource::with_period(right_items, 1_000));
-        let joined = q.sharded_join(
-            "match",
-            left,
-            right,
-            Duration::from_secs(2),
-            |l: &(u32, i64)| l.0,
-            |r: &(u32, i64)| r.0,
-            |o: &(u32, i64, i64)| o.0,
-            |l: &(u32, i64), r: &(u32, i64)| l.0 == r.0,
-            |l: &(u32, i64), r: &(u32, i64)| (l.0, l.1, r.1),
-            Parallelism::instances(3),
-        );
-        let out = q.collecting_sink("sink", joined);
-        q.deploy().unwrap().wait().unwrap();
+        let left = plan.source("left", VecSource::with_period(left_items, 1_000));
+        let right = plan.source("right", VecSource::with_period(right_items, 1_000));
+        let out = left
+            .join(
+                "match",
+                right,
+                Duration::from_secs(2),
+                |l: &(u32, i64)| l.0,
+                |r: &(u32, i64)| r.0,
+                |o: &(u32, i64, i64)| o.0,
+                |l: &(u32, i64), r: &(u32, i64)| l.0 == r.0,
+                |l: &(u32, i64), r: &(u32, i64)| (l.0, l.1, r.1),
+            )
+            .with(Parallelism::shards(3))
+            .collecting_sink("sink");
+        let report = plan.deploy().unwrap().wait().unwrap();
+        assert_eq!(report.operator("match").unwrap().instances, 3);
         assert!(!out.is_empty());
         for t in out.tuples() {
             // Combined pairs agree on the key: left value i pairs with right 100 + j
@@ -871,20 +776,12 @@ mod tests {
 
     #[test]
     fn shard_group_reports_are_aggregated() {
-        let mut q = Query::new(NoProvenance);
+        let plan = unfused_plan();
         let items: Vec<(u32, i64)> = (0..40).map(|i| (i % 5, i as i64)).collect();
-        let src = q.source("src", VecSource::with_period(items, 1_000));
-        let counts = q.sharded_aggregate(
-            "agg",
-            src,
-            WindowSpec::tumbling(Duration::from_secs(10)).unwrap(),
-            |t: &(u32, i64)| t.0,
-            |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
-            |o: &(u32, i64)| o.0,
-            Parallelism::instances(4),
-        );
-        let out = q.collecting_sink("sink", counts);
-        let report = q.deploy().unwrap().wait().unwrap();
+        let out = count_per_key(&plan, items, 10)
+            .with(Parallelism::shards(4))
+            .collecting_sink("sink");
+        let report = plan.deploy().unwrap().wait().unwrap();
         assert!(!out.is_empty());
         // The four shard threads appear as ONE report named after the logical
         // operator, with summed counters covering the whole input.
@@ -915,19 +812,13 @@ mod tests {
         // to whole batches (floor one batch).
         let config = QueryConfig::default(); // 1024 elements, batch 32
         for n in [1usize, 2, 4] {
-            let mut q = Query::with_config(NoProvenance, config);
+            let plan = unfused_plan();
             let items: Vec<(u32, i64)> = (0..8).map(|i| (i % 4, i as i64)).collect();
-            let src = q.source("src", VecSource::with_period(items, 1_000));
-            let counts = q.sharded_aggregate(
-                "agg",
-                src,
-                WindowSpec::tumbling(Duration::from_secs(4)).unwrap(),
-                |t: &(u32, i64)| t.0,
-                |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
-                |o: &(u32, i64)| o.0,
-                Parallelism::instances(n),
-            );
-            let _ = q.collecting_sink("sink", counts);
+            // Explicit placements keep the exchange even for one shard.
+            let _ = count_per_key(&plan, items, 4)
+                .place::<(u32, i64)>(ShardPlacement::all_local(n))
+                .collecting_sink("sink");
+            let q = plan.lower().unwrap();
 
             let kinds: Vec<NodeKind> = q.node_summaries().iter().map(|(_, k)| *k).collect();
             let mut exchange_total = 0usize;
@@ -995,7 +886,8 @@ mod tests {
             let shards = q.partition("part", src, 4, |t: &(u32, i64)| t.0);
             let kept = q.filter_shard_streams("keep", shards, |t: &(u32, i64)| t.1 % 2 == 0);
             let scaled = q.map_shard_streams("scale", kept, |t: &(u32, i64)| vec![(t.0, t.1 * 10)]);
-            let merged = q.keyed_merge("merge", scaled, |t: &(u32, i64)| t.0);
+            let cmp = crate::planner::merge_cmp(|t: &(u32, i64)| t.0);
+            let merged = q.keyed_merge_cmp("merge", scaled, cmp);
             let out = q.collecting_sink("sink", merged);
             let report = q.deploy().unwrap().wait().unwrap();
             let values: Vec<(u64, u32, i64)> = out
@@ -1035,26 +927,5 @@ mod tests {
             32
         );
         assert_eq!(unfused_report.operator("scale").unwrap().instances, 4);
-    }
-
-    #[test]
-    fn query_default_parallelism_applies_to_sharded_operators() {
-        use crate::query::QueryConfig;
-        let mut q = Query::with_config(NoProvenance, QueryConfig::default().with_parallelism(3));
-        let items: Vec<(u32, i64)> = (0..12).map(|i| (i % 3, i as i64)).collect();
-        let src = q.source("src", VecSource::with_period(items, 1_000));
-        let counts = q.sharded_aggregate(
-            "agg",
-            src,
-            WindowSpec::tumbling(Duration::from_secs(4)).unwrap(),
-            |t: &(u32, i64)| t.0,
-            |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
-            |o: &(u32, i64)| o.0,
-            Parallelism::default(),
-        );
-        let out = q.collecting_sink("sink", counts);
-        let report = q.deploy().unwrap().wait().unwrap();
-        assert!(!out.is_empty());
-        assert_eq!(report.operator("agg").unwrap().instances, 3);
     }
 }

@@ -10,6 +10,7 @@
 //!   provenance-safe fan-in; an unannotated operator lowers to the plain
 //!   single-instance operator. The exchange is elided entirely when one local shard
 //!   is requested — the planner, not the user, decides whether an exchange exists.
+//!   The annotation is the only place a shard count is declared.
 //! * **Placement** — each shard placement is either local (an operator thread of this
 //!   SPE instance) or remote (spliced out through Send/Receive endpoints built by a
 //!   [`ShardPlacement::Remote`](crate::query::ShardPlacement) route, e.g. the
@@ -51,12 +52,8 @@ use crate::tuple::TupleData;
 pub struct PlannerConfig {
     /// Capacity (in elements) of the bounded channels between physical operators.
     pub channel_capacity: usize,
-    /// Default batching configuration of operator outputs.
+    /// Batching configuration of every operator output and Source of the plan.
     pub batch: BatchConfig,
-    /// Default shard count for stateful operators annotated with
-    /// [`Parallelism::default()`](crate::parallel::Parallelism) (or not annotated at
-    /// all). 1 lowers unannotated operators to their plain single-instance form.
-    pub parallelism: usize,
     /// Whether eligible stateless chains fuse into single-thread pipelines.
     /// **On by default.**
     pub fusion: bool,
@@ -83,7 +80,6 @@ impl Default for PlannerConfig {
         PlannerConfig {
             channel_capacity: 1024,
             batch: BatchConfig::default(),
-            parallelism: 1,
             fusion: true,
             checkpoints: None,
             metrics: true,
@@ -93,7 +89,7 @@ impl Default for PlannerConfig {
 }
 
 impl PlannerConfig {
-    /// Returns the configuration with a different default batch size.
+    /// Returns the configuration with a different batch size.
     pub fn with_batch_size(mut self, size: usize) -> Self {
         self.batch = BatchConfig::with_size(size);
         self
@@ -108,13 +104,6 @@ impl PlannerConfig {
     /// Returns the configuration with a different per-edge channel capacity.
     pub fn with_channel_capacity(mut self, elements: usize) -> Self {
         self.channel_capacity = elements.max(1);
-        self
-    }
-
-    /// Returns the configuration with a different default shard count (clamped to at
-    /// least 1).
-    pub fn with_parallelism(mut self, instances: usize) -> Self {
-        self.parallelism = instances.max(1);
         self
     }
 
@@ -149,7 +138,6 @@ impl PlannerConfig {
         QueryConfig {
             channel_capacity: self.channel_capacity,
             batch: self.batch,
-            parallelism: self.parallelism,
             fusion: self.fusion,
             metrics: self.metrics,
         }
@@ -169,7 +157,7 @@ pub(crate) enum Lowered<P: ProvenanceSystem, T: TupleData> {
     /// An open shard region awaiting its canonical fan-in.
     Shards {
         /// Logical name of the sharded operator (the fan-in is named
-        /// `{group}.merge`, matching the legacy physical builder).
+        /// `{group}.merge`).
         group: String,
         /// The per-shard streams, already carrying the joint capacity share.
         streams: Vec<StreamRef<T, P::Meta>>,
@@ -212,7 +200,6 @@ mod tests {
     fn planner_config_defaults_enable_fusion() {
         let config = PlannerConfig::default();
         assert!(config.fusion, "the planner fuses by default");
-        assert_eq!(config.parallelism, 1);
         let qc = config.query_config();
         assert!(qc.fusion);
         assert_eq!(qc.channel_capacity, config.channel_capacity);
@@ -222,16 +209,13 @@ mod tests {
     fn planner_config_builders_mirror_query_config() {
         let config = PlannerConfig::default()
             .with_batch_size(64)
-            .with_parallelism(4)
             .with_channel_capacity(512)
             .with_fusion(false);
         let qc = config.query_config();
         assert_eq!(qc.batch.size, 64);
-        assert_eq!(qc.parallelism, 4);
         assert_eq!(qc.channel_capacity, 512);
         assert!(!qc.fusion);
-        // Explicit zeroes clamp instead of producing degenerate configs.
-        assert_eq!(PlannerConfig::default().with_parallelism(0).parallelism, 1);
+        // An explicit zero clamps instead of producing a degenerate config.
         assert_eq!(
             PlannerConfig::default()
                 .with_channel_capacity(0)

@@ -136,8 +136,8 @@ pub type RemoteRoute<P, I, O> = Box<
 ///
 /// [`LogicalStream::place`](crate::logical::LogicalStream::place) takes one
 /// placement per shard of a sharded aggregate: `Local` shards run as threads of the
-/// originating SPE instance (the behaviour of
-/// [`Query::sharded_aggregate`](crate::parallel)); `Remote` shards are spliced out
+/// originating SPE instance (what [`Parallelism::shards`](crate::parallel::Parallelism)
+/// lowers to); `Remote` shards are spliced out
 /// to another SPE instance through a [`RemoteRoute`]. The Partition
 /// exchange, the provenance-safe fan-in and the joint channel budgeting are identical
 /// for both, so local and remote shards can be mixed freely within one group.
@@ -228,13 +228,8 @@ pub struct QueryConfig {
     /// configured elements), so the element-level buffer budget per edge is independent
     /// of the batch size.
     pub channel_capacity: usize,
-    /// Default batching configuration of operator outputs. Individual operators can
-    /// override it via [`Query::set_batch_config`] before they are added.
+    /// Batching configuration of every operator output and Source of the query.
     pub batch: BatchConfig,
-    /// Default number of parallel instances for sharded operators added with
-    /// [`Parallelism::default()`](crate::parallel::Parallelism). Individual operators
-    /// override it with [`Parallelism::instances`](crate::parallel::Parallelism::instances).
-    pub parallelism: usize,
     /// Whether the physical-plan fusion pass runs every forward edge into a
     /// single-input operator on one thread: a chain's head — a Source, a fan-in, a
     /// Receive or a pumped operator — the Filter, Map and Aggregate stages behind
@@ -261,7 +256,6 @@ impl Default for QueryConfig {
         QueryConfig {
             channel_capacity: 1024,
             batch: BatchConfig::default(),
-            parallelism: 1,
             fusion: false,
             metrics: true,
         }
@@ -269,7 +263,7 @@ impl Default for QueryConfig {
 }
 
 impl QueryConfig {
-    /// Returns the configuration with a different default batch size.
+    /// Returns the configuration with a different batch size.
     pub fn with_batch_size(mut self, size: usize) -> Self {
         self.batch = BatchConfig::with_size(size);
         self
@@ -279,13 +273,6 @@ impl QueryConfig {
     /// reproducing the engine's original per-element transport.
     pub fn unbatched(mut self) -> Self {
         self.batch = BatchConfig::unbatched();
-        self
-    }
-
-    /// Returns the configuration with a different default shard count for parallel
-    /// operators (clamped to at least 1).
-    pub fn with_parallelism(mut self, instances: usize) -> Self {
-        self.parallelism = instances.max(1);
         self
     }
 
@@ -307,8 +294,6 @@ impl QueryConfig {
 pub struct Query<P: ProvenanceSystem> {
     provenance: P,
     config: QueryConfig,
-    /// Batch configuration stamped onto output slots of subsequently added operators.
-    current_batch: BatchConfig,
     nodes: Vec<NodeInfo>,
     edges: Vec<(NodeId, NodeId)>,
     /// Element-level buffer headroom of each edge, aligned with `edges` (0 for the
@@ -353,7 +338,6 @@ impl<P: ProvenanceSystem> Query<P> {
         Query {
             provenance,
             config,
-            current_batch: config.batch,
             nodes: Vec::new(),
             edges: Vec::new(),
             edge_budgets: Vec::new(),
@@ -469,18 +453,6 @@ impl<P: ProvenanceSystem> Query<P> {
         self.config
     }
 
-    /// The batch configuration applied to subsequently added operators.
-    pub fn batch_config(&self) -> BatchConfig {
-        self.current_batch
-    }
-
-    /// Overrides the batch configuration for operators added *after* this call,
-    /// allowing per-operator batching (e.g. large batches inside a throughput-bound
-    /// pipeline segment, `BatchConfig::unbatched()` ahead of a latency-critical sink).
-    pub fn set_batch_config(&mut self, batch: BatchConfig) {
-        self.current_batch = batch;
-    }
-
     // ------------------------------------------------------------------
     // Extension API: used by the Send/Receive endpoints of
     // `genealog-distributed` to register custom operators while reusing the
@@ -562,7 +534,7 @@ impl<P: ProvenanceSystem> Query<P> {
         producer: NodeId,
         label: impl Into<String>,
     ) -> (OutputSlot<T, P::Meta>, StreamRef<T, P::Meta>) {
-        let slot = OutputSlot::with_config(self.current_batch);
+        let slot = OutputSlot::with_config(self.config.batch);
         let stream = StreamRef {
             slot: slot.clone(),
             producer,
@@ -776,7 +748,7 @@ impl<P: ProvenanceSystem> Query<P> {
             source_id,
             generator,
             config,
-            self.current_batch,
+            self.config.batch,
             self.provenance.clone(),
             Arc::clone(&self.stop),
             Arc::clone(&self.checkpoints),
@@ -1451,24 +1423,27 @@ mod tests {
 
     #[test]
     fn dot_export_renders_shard_counts_and_exchange_edges() {
+        use crate::logical::LogicalPlan;
         use crate::operator::aggregate::WindowView;
         use crate::parallel::Parallelism;
-        let mut q = Query::new(NoProvenance);
-        let src = q.source(
-            "src",
-            VecSource::with_period((0..8u32).map(|i| (i, 0i64)).collect(), 1_000),
-        );
-        let agg = q.sharded_aggregate(
-            "agg",
-            src,
-            WindowSpec::tumbling(crate::time::Duration::from_secs(4)).unwrap(),
-            |t: &(u32, i64)| t.0,
-            |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
-            |o: &(u32, i64)| o.0,
-            Parallelism::instances(4),
-        );
-        let _ = q.collecting_sink("sink", agg);
-        let dot = q.to_dot();
+        use crate::planner::PlannerConfig;
+        let plan =
+            LogicalPlan::with_config(NoProvenance, PlannerConfig::default().with_fusion(false));
+        let _ = plan
+            .source(
+                "src",
+                VecSource::with_period((0..8u32).map(|i| (i, 0i64)).collect(), 1_000),
+            )
+            .aggregate(
+                "agg",
+                WindowSpec::tumbling(crate::time::Duration::from_secs(4)).unwrap(),
+                |t: &(u32, i64)| t.0,
+                |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
+                |o: &(u32, i64)| o.0,
+            )
+            .with(Parallelism::shards(4))
+            .collecting_sink("sink");
+        let dot = plan.lower().unwrap().to_dot();
         assert!(dot.contains("agg.exchange\\n(partition \u{d7}4)"));
         assert!(dot.contains("agg[0]\\n(sharded-aggregate \u{d7}4)"));
         assert!(dot.contains("agg.merge\\n(shard-merge \u{d7}4)"));

@@ -87,12 +87,11 @@ use crate::segment::{scan, write_frame, Record, RecordKind, FRAME_OVERHEAD};
 /// Tuning knobs of a [`DurableBackend`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoreOptions {
-    /// Encode window-snapshot containers as diffs against the previous epoch
-    /// when the diff is smaller (full records otherwise).
-    pub incremental: bool,
-    /// With incremental snapshots on, force a full rebase record every
-    /// `rebase_interval` snapshots per participant, bounding the delta chain
-    /// recovery must replay. Clamped to at least 1.
+    /// Every `rebase_interval`-th window-snapshot container of a participant is
+    /// a full record; the ones between are diffs against the previous epoch
+    /// where the diff is smaller, which bounds the delta chain recovery must
+    /// replay. 1 (the default) writes full records only; above 1 the store is
+    /// *incremental*. Clamped to at least 1.
     pub rebase_interval: u64,
     /// Roll to a new segment file once the active one exceeds this many bytes.
     pub segment_bytes: u64,
@@ -101,18 +100,18 @@ pub struct StoreOptions {
 impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
-            incremental: false,
-            rebase_interval: 4,
+            rebase_interval: 1,
             segment_bytes: 1 << 20,
         }
     }
 }
 
 impl StoreOptions {
-    /// The default options with incremental snapshots enabled.
+    /// The default options with incremental snapshots enabled: a full rebase
+    /// record every fourth snapshot.
     pub fn incremental() -> Self {
         StoreOptions {
-            incremental: true,
+            rebase_interval: 4,
             ..StoreOptions::default()
         }
     }
@@ -172,7 +171,7 @@ impl fmt::Debug for DurableBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DurableBackend")
             .field("dir", &self.dir)
-            .field("incremental", &self.options.incremental)
+            .field("incremental", &(self.options.rebase_interval > 1))
             .field("bytes_written", &self.bytes_written.load(Ordering::Relaxed))
             .field("segments", &self.segments.load(Ordering::Relaxed))
             .finish()
@@ -347,9 +346,9 @@ impl DurableBackend {
             .latest_complete
             .map_or("null".to_string(), |e| e.to_string());
         format!(
-            "{{\"dir\":{:?},\"incremental\":{},\"segments\":{},\"records\":{},\"bytes_written\":{},\"compactions\":{},\"fsyncs\":{},\"snapshots\":{},\"latest_complete_epoch\":{},\"torn_tail_recovered\":{},\"previous_clean_shutdown\":{}}}",
-            self.dir.display().to_string(),
-            self.options.incremental,
+            "{{\"dir\":{},\"incremental\":{},\"segments\":{},\"records\":{},\"bytes_written\":{},\"compactions\":{},\"fsyncs\":{},\"snapshots\":{},\"latest_complete_epoch\":{},\"torn_tail_recovered\":{},\"previous_clean_shutdown\":{}}}",
+            genealog_control::json::string(&self.dir.display().to_string()),
+            self.options.rebase_interval > 1,
             self.segments.load(Ordering::Relaxed),
             self.records.load(Ordering::Relaxed),
             self.bytes_written.load(Ordering::Relaxed),
@@ -642,7 +641,7 @@ impl StateBackend for DurableBackend {
                 let _appending = self.log.read();
                 let container = is_container(&bytes);
                 // The chain base to diff against, shared out of the lock.
-                let base = if self.options.incremental && container {
+                let base = if container {
                     self.diff_base(participant, epoch)
                 } else {
                     None
@@ -821,5 +820,28 @@ impl StateBackend for ScopedBackend {
 
     fn is_durable(&self) -> bool {
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn status_json_escapes_the_directory_as_a_json_string() {
+        // A control character must become `\u0001`; a combining accent is valid
+        // JSON as it is (Rust's `{:?}` would render both as `\u{..}`).
+        let name = format!("store-\u{1}-e\u{301}\"-{}", std::process::id());
+        let dir = std::env::temp_dir().join(&name);
+        let _ = fs::remove_dir_all(&dir);
+        let backend = DurableBackend::open(&dir).unwrap();
+        let json = backend.status_json();
+        let escaped = format!("store-\\u0001-e\u{301}\\\"-{}", std::process::id());
+        assert!(json.contains(&escaped), "{json}");
+        assert!(json.starts_with("{\"dir\":\""), "{json}");
+        assert!(!json.contains("\\u{"), "{json}");
+        assert!(json.contains("\"incremental\":false,"), "{json}");
+        drop(backend);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -28,7 +28,6 @@ use genealog_distributed::{
     connect_gl_node_group, NetworkConfig, NodeDeployment, NodeReading, ShardOpSpec,
 };
 use genealog_spe::operator::aggregate::WindowView;
-use genealog_spe::parallel::Parallelism;
 
 type Reading = NodeReading;
 type SinkTuple = (u64, String);
@@ -57,15 +56,7 @@ fn readings() -> Vec<(Timestamp, Reading)> {
 fn run_local() -> (Vec<SinkTuple>, Vec<Lineage>) {
     let mut q = GlQuery::new(GeneaLog::new());
     let src = q.source("readings", VecSource::new(readings()));
-    let sums = q.sharded_aggregate(
-        "sum",
-        src,
-        window_spec(),
-        sum_key,
-        sum_window,
-        |o: &Reading| o.0,
-        Parallelism::instances(1),
-    );
+    let sums = q.aggregate("sum", src, window_spec(), sum_key, sum_window);
     let (out, provenance) = attach_provenance_sink(&mut q, "prov", sums);
     let sink = q.collecting_sink("sink", out);
     q.deploy()

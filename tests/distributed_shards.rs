@@ -24,7 +24,6 @@ use genealog_distributed::deployment::{
 use genealog_distributed::{NetworkConfig, TcpLoopbackTransport};
 use genealog_spe::logical::LogicalPlan;
 use genealog_spe::operator::aggregate::WindowView;
-use genealog_spe::parallel::Parallelism;
 use genealog_spe::provenance::NoProvenance;
 use genealog_spe::query::{NodeKind, QueryConfig, ShardPlacement};
 use genealog_spe::{PlannerConfig, Query};
@@ -48,20 +47,12 @@ fn sum_window(w: &WindowView<'_, Key, Reading, GlMeta>) -> Reading {
     (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
 }
 
-/// The single-instance reference: `source -> sharded_aggregate(instances(1)) -> sink`
-/// under GeneaLog, provenance unfolded in-process.
+/// The single-instance reference: `source -> aggregate -> sink` under GeneaLog,
+/// provenance unfolded in-process.
 fn run_gl_local(reports: &[(Timestamp, Reading)]) -> (Vec<SinkTuple>, Vec<Lineage>) {
     let mut q = GlQuery::new(GeneaLog::new());
     let src = q.source("readings", VecSource::new(reports.to_vec()));
-    let sums = q.sharded_aggregate(
-        "sum",
-        src,
-        window_spec(),
-        sum_key,
-        sum_window,
-        |o: &Reading| o.0,
-        Parallelism::instances(1),
-    );
+    let sums = q.aggregate("sum", src, window_spec(), sum_key, sum_window);
     let (out, provenance) = attach_provenance_sink(&mut q, "prov", sums);
     let sink = q.collecting_sink("sink", out);
     q.deploy().unwrap().wait().unwrap();

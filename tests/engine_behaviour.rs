@@ -294,23 +294,6 @@ fn backpressure_blocks_a_fast_source_under_batching() {
     );
 }
 
-#[test]
-fn per_operator_batch_config_is_applied_to_subsequent_operators() {
-    let mut q = GlQuery::new(GeneaLog::new());
-    assert_eq!(q.batch_config(), BatchConfig::default());
-    q.set_batch_config(BatchConfig::with_size(128));
-    let src = q.source(
-        "numbers",
-        VecSource::with_period((0..50i64).collect(), 1_000),
-    );
-    q.set_batch_config(BatchConfig::unbatched());
-    let mapped = q.map_one("copy", src, |v| *v);
-    assert_eq!(q.batch_config(), BatchConfig::unbatched());
-    let out = q.collecting_sink("sink", mapped);
-    q.deploy().unwrap().wait().unwrap();
-    assert_eq!(out.len(), 50);
-}
-
 // ---------------------------------------------------------------------------
 // The keyed Join emits exactly what a scan of the whole window would
 // ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@
 //!
 //! A fan-in — Union, Join, the shard merge — heads a chain of its own, which the
 //! stages and the sink behind it extend: the same equivalence holds through it, with
-//! checkpoints on and a shard killed mid-epoch included, and a panic in a fan-in's
-//! user closure fails the query cleanly, fused or not.
+//! checkpoints on and a shard killed mid-epoch included. A panic in any user
+//! closure — a Source's generator, a Filter, Map or Aggregate function, a Sink
+//! callback, a fan-in's — fails the query cleanly, fused or not.
 //!
 //! This mirrors `tests/parallel_execution.rs`: GeneaLog tuple *ids* are allocated
 //! from a shared atomic counter whose interleaving depends on thread scheduling, so
@@ -23,10 +24,9 @@ use proptest::prelude::*;
 
 use genealog::prelude::*;
 use genealog_spe::operator::aggregate::WindowView;
-use genealog_spe::parallel::Parallelism;
 use genealog_spe::provenance::NoProvenance;
 use genealog_spe::query::NodeKind;
-use genealog_spe::{Query, QueryConfig};
+use genealog_spe::{PlannerConfig, Query, QueryConfig};
 
 type Key = u32;
 type Reading = (Key, i64);
@@ -69,35 +69,38 @@ fn run_gl_chain(reports: &[(Timestamp, Reading)], fusion: bool) -> (Vec<SinkTupl
     (tuples, lineage)
 }
 
-/// Runs `source -> filter -> map -> sharded_aggregate(instances) -> sink` under
+/// Runs `source -> filter -> map -> aggregate.with(shards) -> sink` under
 /// GeneaLog, with fusion/batching either both on (the optimised plan) or both off
-/// (the per-element seed transport), and returns sink stream plus lineage.
+/// (the per-element seed transport), and returns sink stream plus lineage. One
+/// shard lowers to the plain single-instance aggregate.
 fn run_gl_chain_into_shards(
     reports: &[(Timestamp, Reading)],
     fusion: bool,
-    instances: usize,
+    shards: usize,
 ) -> (Vec<SinkTuple>, Vec<Lineage>) {
     let config = if fusion {
-        QueryConfig::default().with_fusion(true)
+        PlannerConfig::default()
     } else {
-        QueryConfig::default().unbatched()
+        PlannerConfig::default().with_fusion(false).unbatched()
     };
-    let mut q = GlQuery::with_config(GeneaLog::new(), config);
-    let src = q.source("readings", VecSource::new(reports.to_vec()));
-    let kept = q.filter("keep", src, |r: &Reading| r.1 % 5 != 0);
-    let scaled = q.map_one("scale", kept, |r: &Reading| (r.0, r.1 * 2));
-    let sums = q.sharded_aggregate(
-        "sum",
-        scaled,
-        WindowSpec::new(Duration::from_secs(8), Duration::from_secs(4)).unwrap(),
-        |r: &Reading| r.0,
-        |w: &WindowView<'_, Key, Reading, GlMeta>| (*w.key, w.payloads().map(|p| p.1).sum::<i64>()),
-        |o: &Reading| o.0,
-        Parallelism::instances(instances),
-    );
-    let (out, provenance) = attach_provenance_sink(&mut q, "prov", sums);
-    let sink = q.collecting_sink("sink", out);
-    q.deploy().unwrap().wait().unwrap();
+    let plan = GlPlan::with_config(GeneaLog::new(), config);
+    let sums = plan
+        .source("readings", VecSource::new(reports.to_vec()))
+        .filter("keep", |r: &Reading| r.1 % 5 != 0)
+        .map_one("scale", |r: &Reading| (r.0, r.1 * 2))
+        .aggregate(
+            "sum",
+            WindowSpec::new(Duration::from_secs(8), Duration::from_secs(4)).unwrap(),
+            |r: &Reading| r.0,
+            |w: &WindowView<'_, Key, Reading, GlMeta>| {
+                (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
+            },
+            |o: &Reading| o.0,
+        )
+        .with(Parallelism::shards(shards));
+    let (out, provenance) = logical_provenance_sink(sums, "prov");
+    let sink = out.collecting_sink("sink");
+    plan.deploy().unwrap().wait().unwrap();
 
     let tuples: Vec<SinkTuple> = sink
         .tuples()
@@ -206,7 +209,7 @@ type Readout = Box<dyn Fn() -> (Vec<SinkTuple>, Vec<Lineage>)>;
 /// A provenance system a plan under test ends in: a collecting sink named `sink`
 /// and, under GeneaLog, the single-stream unfolder and provenance sink beside it.
 trait Ending: ProvenanceSystem {
-    fn end<T: TupleData>(q: &mut Query<Self>, stream: StreamRef<T, Self::Meta>) -> Readout;
+    fn end<T: TupleData>(stream: LogicalStream<Self, T>) -> Readout;
 }
 
 fn sink_bytes<T: TupleData, M>(sink: &CollectedStream<T, M>) -> Vec<SinkTuple> {
@@ -217,16 +220,16 @@ fn sink_bytes<T: TupleData, M>(sink: &CollectedStream<T, M>) -> Vec<SinkTuple> {
 }
 
 impl Ending for NoProvenance {
-    fn end<T: TupleData>(q: &mut Query<Self>, stream: StreamRef<T, ()>) -> Readout {
-        let sink = q.collecting_sink("sink", stream);
+    fn end<T: TupleData>(stream: LogicalStream<Self, T>) -> Readout {
+        let sink = stream.collecting_sink("sink");
         Box::new(move || (sink_bytes(&sink), Vec::new()))
     }
 }
 
 impl Ending for GeneaLog {
-    fn end<T: TupleData>(q: &mut Query<Self>, stream: StreamRef<T, GlMeta>) -> Readout {
-        let (out, provenance) = attach_provenance_sink(q, "prov", stream);
-        let sink = q.collecting_sink("sink", out);
+    fn end<T: TupleData>(stream: LogicalStream<Self, T>) -> Readout {
+        let (out, provenance) = logical_provenance_sink(stream, "prov");
+        let sink = out.collecting_sink("sink");
         Box::new(move || {
             let mut lineage: Vec<Lineage> = provenance
                 .assignments()
@@ -277,36 +280,41 @@ fn fan_in_readings(count: u64, phase: u64) -> Vec<(Timestamp, Reading)> {
         .collect()
 }
 
+/// A logical plan with fusion on or off.
+fn plan_of<P: ProvenanceSystem>(system: P, fusion: bool) -> LogicalPlan<P> {
+    LogicalPlan::with_config(system, PlannerConfig::default().with_fusion(fusion))
+}
+
 /// `a, b → union → keep → end`.
 fn union_then_filter<P: Ending>(system: P, fusion: bool) -> (Outcome, QueryReport) {
-    let mut q = Query::with_config(system, QueryConfig::default().with_fusion(fusion));
-    let a = q.source("a", VecSource::new(fan_in_readings(60, 0)));
-    let b = q.source("b", VecSource::new(fan_in_readings(45, 1)));
-    let merged = q.union("union", vec![a, b]);
-    let kept = q.filter("keep", merged, |r: &Reading| r.1 % 3 != 0);
-    let readout = P::end(&mut q, kept);
-    let report = q.deploy().unwrap().wait().unwrap();
+    let plan = plan_of(system, fusion);
+    let a = plan.source("a", VecSource::new(fan_in_readings(60, 0)));
+    let b = plan.source("b", VecSource::new(fan_in_readings(45, 1)));
+    let kept = LogicalStream::union("union", vec![a, b]).filter("keep", |r: &Reading| r.1 % 3 != 0);
+    let readout = P::end(kept);
+    let report = plan.deploy().unwrap().wait().unwrap();
     (Outcome::of(&readout, &report), report)
 }
 
 /// `left, right → join → diff → end`.
 fn join_then_map<P: Ending>(system: P, fusion: bool) -> (Outcome, QueryReport) {
-    let mut q = Query::with_config(system, QueryConfig::default().with_fusion(fusion));
-    let left = q.source("left", VecSource::new(fan_in_readings(40, 0)));
-    let right = q.source("right", VecSource::new(fan_in_readings(40, 2)));
-    let joined = q.join(
-        "match",
-        left,
-        right,
-        Duration::from_secs(1),
-        |l: &Reading| l.0,
-        |r: &Reading| r.0,
-        |l: &Reading, r: &Reading| l.1 != r.1,
-        |l: &Reading, r: &Reading| (l.0, l.1 - r.1),
-    );
-    let diff = q.map_one("diff", joined, |j: &Reading| (j.0, j.1 * 2));
-    let readout = P::end(&mut q, diff);
-    let report = q.deploy().unwrap().wait().unwrap();
+    let plan = plan_of(system, fusion);
+    let left = plan.source("left", VecSource::new(fan_in_readings(40, 0)));
+    let right = plan.source("right", VecSource::new(fan_in_readings(40, 2)));
+    let diff = left
+        .join(
+            "match",
+            right,
+            Duration::from_secs(1),
+            |l: &Reading| l.0,
+            |r: &Reading| r.0,
+            |o: &Reading| o.0,
+            |l: &Reading, r: &Reading| l.1 != r.1,
+            |l: &Reading, r: &Reading| (l.0, l.1 - r.1),
+        )
+        .map_one("diff", |j: &Reading| (j.0, j.1 * 2));
+    let readout = P::end(diff);
+    let report = plan.deploy().unwrap().wait().unwrap();
     (Outcome::of(&readout, &report), report)
 }
 
@@ -321,28 +329,29 @@ fn killed_sharded_sum<P: Ending>(
     let store = CheckpointStore::in_memory();
     let closes = Arc::new(AtomicU64::new(0));
     let (report, readout) = run_with_recovery(&store, RecoveryConfig::default(), |attempt| {
-        let config = QueryConfig::default().with_fusion(fusion);
-        let mut q = Query::with_config(system.clone(), config);
-        q.set_checkpoints(CheckpointConfig::new(7, Arc::clone(&store)));
-        let src = q.source("readings", VecSource::new(fan_in_readings(90, 0)));
+        let config = PlannerConfig::default()
+            .with_fusion(fusion)
+            .with_checkpoints(CheckpointConfig::new(7, Arc::clone(&store)));
+        let plan = LogicalPlan::with_config(system.clone(), config);
         let closes = Arc::clone(&closes);
-        let sums = q.sharded_aggregate(
-            "sum",
-            src,
-            WindowSpec::tumbling(Duration::from_secs(2)).unwrap(),
-            |r: &Reading| r.0,
-            move |w: &WindowView<'_, Key, Reading, P::Meta>| {
-                let close = closes.fetch_add(1, Ordering::SeqCst) + 1;
-                if attempt == 0 && Some(close) == kill_at_close {
-                    panic!("injected shard failure at window close {close}");
-                }
-                (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
-            },
-            |o: &Reading| o.0,
-            Parallelism::instances(2),
-        );
-        let readout = P::end(&mut q, sums);
-        Ok((q.deploy()?, readout))
+        let sums = plan
+            .source("readings", VecSource::new(fan_in_readings(90, 0)))
+            .aggregate(
+                "sum",
+                WindowSpec::tumbling(Duration::from_secs(2)).unwrap(),
+                |r: &Reading| r.0,
+                move |w: &WindowView<'_, Key, Reading, P::Meta>| {
+                    let close = closes.fetch_add(1, Ordering::SeqCst) + 1;
+                    if attempt == 0 && Some(close) == kill_at_close {
+                        panic!("injected shard failure at window close {close}");
+                    }
+                    (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
+                },
+                |o: &Reading| o.0,
+            )
+            .with(Parallelism::shards(2));
+        let readout = P::end(sums);
+        Ok((plan.deploy()?, readout))
     })
     .expect("recovery succeeds within the attempt budget");
     assert_eq!(store.recoveries(), u64::from(kill_at_close.is_some()));
@@ -438,11 +447,11 @@ fn killed_sharded_aggregate_recovers_equivalently_through_the_merge_head() {
 }
 
 // ---------------------------------------------------------------------------
-// Panicking closures in fan-in-headed chains
+// Panicking user closures
 // ---------------------------------------------------------------------------
 
-/// Sources that would run for well over a minute at their pace unless stopped.
-fn paced_source<P: ProvenanceSystem>(q: &mut Query<P>, name: &str) -> StreamRef<Reading, P::Meta> {
+/// Readings that a Source would take well over a minute to emit at its pace.
+fn paced() -> (VecSource<Reading>, SourceConfig) {
     let readings = (0..2_000_000u64)
         .map(|i| (Timestamp::from_millis(i * 10), ((i % 4) as Key, i as i64)))
         .collect();
@@ -450,7 +459,26 @@ fn paced_source<P: ProvenanceSystem>(q: &mut Query<P>, name: &str) -> StreamRef<
         rate: RateLimit::TuplesPerSecond(20_000),
         watermark_every: 1,
     };
-    q.source_with(name, VecSource::new(readings), paced)
+    (VecSource::new(readings), paced)
+}
+
+/// A Source of [`paced`] readings.
+fn paced_source<P: ProvenanceSystem>(q: &mut Query<P>, name: &str) -> StreamRef<Reading, P::Meta> {
+    let (readings, paced) = paced();
+    q.source_with(name, readings, paced)
+}
+
+/// A generator whose tenth tuple panics.
+struct FailingGenerator(u64);
+
+impl SourceGenerator for FailingGenerator {
+    type Item = Reading;
+
+    fn next_tuple(&mut self) -> Option<(Timestamp, Reading)> {
+        self.0 += 1;
+        assert!(self.0 < 10, "generator failed");
+        Some((Timestamp::from_millis(self.0 * 10), (0, 0)))
+    }
 }
 
 /// Deploys what `build` builds and waits for it on another thread: the query must
@@ -467,18 +495,75 @@ fn assert_panic_fails_the_query(
     });
     let result = done_rx
         .recv_timeout(std::time::Duration::from_secs(30))
-        .unwrap_or_else(|_| panic!("fusion {fusion}: the query hangs after the panic"));
+        .unwrap_or_else(|_| panic!("{thread}: the query hangs after the panic"));
     match result {
-        Err(SpeError::OperatorPanicked { operator }) => {
-            assert_eq!(operator, thread, "fusion {fusion}")
-        }
-        other => panic!("fusion {fusion}: expected OperatorPanicked, got {other:?}"),
+        Err(SpeError::OperatorPanicked { operator }) => assert_eq!(operator, thread),
+        other => panic!("{thread}: expected OperatorPanicked, got {other:?}"),
     }
+}
+
+/// A plain query with fusion on or off.
+fn query(fusion: bool) -> Query<NoProvenance> {
+    Query::with_config(NoProvenance, QueryConfig::default().with_fusion(fusion))
+}
+
+/// `readings → keep → sink`, the filter panicking at its first tuple.
+fn filter_panics(fusion: bool) -> Query<NoProvenance> {
+    let mut q = query(fusion);
+    let readings = paced_source(&mut q, "readings");
+    let kept = q.filter("keep", readings, |_: &Reading| panic!("predicate failed"));
+    let _ = q.collecting_sink("sink", kept);
+    q
+}
+
+/// `readings → scale → sink`, the map panicking at its first tuple.
+fn map_panics(fusion: bool) -> Query<NoProvenance> {
+    let mut q = query(fusion);
+    let readings = paced_source(&mut q, "readings");
+    let scaled = q.map_one("scale", readings, |_: &Reading| -> Reading {
+        panic!("map failed")
+    });
+    let _ = q.collecting_sink("sink", scaled);
+    q
+}
+
+/// `readings → count → sink`, the window function panicking at the first close.
+fn aggregate_panics(fusion: bool) -> Query<NoProvenance> {
+    let mut q = query(fusion);
+    let readings = paced_source(&mut q, "readings");
+    let counts = q.aggregate(
+        "count",
+        readings,
+        WindowSpec::tumbling(Duration::from_secs(1)).unwrap(),
+        |r: &Reading| r.0,
+        |_: &WindowView<'_, Key, Reading, ()>| -> Reading { panic!("window function failed") },
+    );
+    let _ = q.collecting_sink("sink", counts);
+    q
+}
+
+/// `readings → sink`, the sink's callback panicking at its first tuple.
+fn sink_callback_panics(fusion: bool) -> Query<NoProvenance> {
+    let mut q = query(fusion);
+    let readings = paced_source(&mut q, "readings");
+    let _ = q.sink("sink", readings, |_| panic!("callback failed"));
+    q
+}
+
+/// `failing, readings → union → sink`: the failing Source's generator panics at
+/// its tenth tuple, and the paced one must stop.
+fn generator_panics(fusion: bool) -> Query<NoProvenance> {
+    let mut q = query(fusion);
+    let failing = q.source("failing", FailingGenerator(0));
+    let readings = paced_source(&mut q, "readings");
+    let merged = q.union("union", vec![failing, readings]);
+    let _ = q.collecting_sink("sink", merged);
+    q
 }
 
 /// A Join whose `combine` panics at its first pair, with the sink behind it.
 fn join_whose_combine_panics(fusion: bool) -> Query<NoProvenance> {
-    let mut q = Query::with_config(NoProvenance, QueryConfig::default().with_fusion(fusion));
+    let mut q = query(fusion);
     let left = paced_source(&mut q, "left");
     let right = paced_source(&mut q, "right");
     let joined = q.join(
@@ -498,19 +583,39 @@ fn join_whose_combine_panics(fusion: bool) -> Query<NoProvenance> {
 /// A sharded aggregate whose merge's `out_key` panics at the first run of equal
 /// timestamps it sorts, with the sink behind the merge.
 fn keyed_merge_whose_out_key_panics(fusion: bool) -> Query<NoProvenance> {
-    let mut q = Query::with_config(NoProvenance, QueryConfig::default().with_fusion(fusion));
-    let readings = paced_source(&mut q, "readings");
-    let counts = q.sharded_aggregate(
-        "count",
-        readings,
-        WindowSpec::tumbling(Duration::from_secs(1)).unwrap(),
-        |r: &Reading| r.0,
-        |w: &WindowView<'_, Key, Reading, ()>| (*w.key, w.len() as i64),
-        |_: &Reading| -> Key { panic!("out_key failed") },
-        Parallelism::instances(2),
-    );
-    let _ = q.collecting_sink("sink", counts);
-    q
+    let plan = plan_of(NoProvenance, fusion);
+    let (readings, paced) = paced();
+    let _ = plan
+        .source_with("readings", readings, paced)
+        .aggregate(
+            "count",
+            WindowSpec::tumbling(Duration::from_secs(1)).unwrap(),
+            |r: &Reading| r.0,
+            |w: &WindowView<'_, Key, Reading, ()>| (*w.key, w.len() as i64),
+            |_: &Reading| -> Key { panic!("out_key failed") },
+        )
+        .with(Parallelism::shards(2))
+        .collecting_sink("sink");
+    plan.lower().unwrap()
+}
+
+/// Each user closure that can panic, and the chain that must report it unfused
+/// and fused. Fused, a stage or a sink behind a Source fails the Source's own
+/// chain.
+#[test]
+fn a_panicking_user_closure_fails_its_chain_cleanly() {
+    type Case = (fn(bool) -> Query<NoProvenance>, &'static str, &'static str);
+    let cases: [Case; 5] = [
+        (generator_panics, "failing", "failing"),
+        (filter_panics, "keep", "readings+keep+sink"),
+        (map_panics, "scale", "readings+scale+sink"),
+        (aggregate_panics, "count", "readings+count+sink"),
+        (sink_callback_panics, "sink", "readings+sink"),
+    ];
+    for (build, unfused, fused) in cases {
+        assert_panic_fails_the_query(build, false, unfused);
+        assert_panic_fails_the_query(build, true, fused);
+    }
 }
 
 #[test]

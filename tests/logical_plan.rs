@@ -104,27 +104,6 @@ fn legacy_np_plain(reports: &[(Timestamp, Reading)]) -> Vec<SinkTuple> {
     sink_tuples(&out)
 }
 
-/// The legacy reference with the hand-built sharded entry point.
-fn legacy_np_sharded(reports: &[(Timestamp, Reading)], shards: usize) -> Vec<SinkTuple> {
-    let mut q = Query::new(NoProvenance);
-    let src = q.source("readings", VecSource::new(reports.to_vec()));
-    let kept = q.filter("keep", src, keep);
-    let scaled = q.map_one("scale", kept, scale);
-    let sums = q.sharded_aggregate(
-        "sum",
-        scaled,
-        window_spec(),
-        sum_key,
-        sum_window,
-        sum_key,
-        Parallelism::instances(shards),
-    );
-    let alerts = q.filter("busy", sums, busy);
-    let out = q.collecting_sink("sink", alerts);
-    q.deploy().unwrap().wait().unwrap();
-    sink_tuples(&out)
-}
-
 /// The same pipeline, written once on the logical builder; sharding and placement
 /// arrive as annotations, fusion is a planner flag.
 fn new_np(
@@ -264,15 +243,12 @@ fn keyed_readings() -> impl Strategy<Value = Vec<(Timestamp, Reading)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// NP: the builder plan equals the legacy plans byte for byte, for shard counts
-    /// 1/2/4 with fusion on and off (the full annotation matrix against both the
-    /// plain and the deprecated sharded legacy entry points).
+    /// NP: the builder plan equals the plain legacy plan byte for byte, for shard
+    /// counts 1/2/4 with fusion on and off.
     #[test]
     fn np_builder_equals_legacy_across_shards_and_fusion(reports in keyed_readings()) {
         let reference = legacy_np_plain(&reports);
         for shards in [1usize, 2, 4] {
-            let legacy = legacy_np_sharded(&reports, shards);
-            prop_assert_eq!(&legacy, &reference);
             for fusion in [true, false] {
                 let lowered = new_np(&reports, shards, fusion, None);
                 prop_assert_eq!(&lowered, &reference);

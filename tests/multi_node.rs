@@ -28,7 +28,6 @@ use genealog_distributed::{
 };
 use genealog_metrics::MetricsRegistry;
 use genealog_spe::operator::aggregate::WindowView;
-use genealog_spe::parallel::Parallelism;
 use genealog_spe::query::QueryConfig;
 use genealog_spe::runtime::QueryReport;
 use genealog_spe::state::{run_with_recovery, CheckpointConfig, CheckpointStore, RecoveryConfig};
@@ -83,15 +82,7 @@ fn canonical_lineage(
 fn run_local() -> (Vec<SinkTuple>, Vec<Lineage>) {
     let mut q = GlQuery::new(GeneaLog::new());
     let src = q.source("readings", VecSource::new(readings()));
-    let sums = q.sharded_aggregate(
-        "sum",
-        src,
-        window_spec(),
-        sum_key,
-        sum_window,
-        |o: &Reading| o.0,
-        Parallelism::instances(1),
-    );
+    let sums = q.aggregate("sum", src, window_spec(), sum_key, sum_window);
     let (out, provenance) = attach_provenance_sink(&mut q, "prov", sums);
     let sink = q.collecting_sink("sink", out);
     q.deploy().unwrap().wait().unwrap();

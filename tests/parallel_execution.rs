@@ -1,7 +1,8 @@
 //! Shard-equivalence: key-partitioned parallel execution must be invisible in the
-//! results. A keyed aggregate (or equi-key join) run with `instances(1)` and
-//! `instances(N)` must produce the *identical* sink-tuple stream — same tuples, same
-//! order — and, under GeneaLog, identical per-alert contribution sets.
+//! results. A keyed aggregate (or equi-key join) declared on the logical builder
+//! with `.with(Parallelism::shards(n))` must produce the *identical* sink-tuple
+//! stream as the plain single-instance operator — same tuples, same order — and,
+//! under GeneaLog, identical per-alert contribution sets.
 //!
 //! GeneaLog tuple *ids* are allocated from a shared atomic counter whose interleaving
 //! depends on thread scheduling, so the comparisons here use timestamps, payloads and
@@ -12,9 +13,10 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use genealog::prelude::*;
+use genealog_spe::logical::LogicalPlan;
 use genealog_spe::operator::aggregate::WindowView;
-use genealog_spe::parallel::Parallelism;
 use genealog_spe::provenance::NoProvenance;
+use genealog_spe::query::ShardPlacement;
 use genealog_spe::Query;
 
 type Key = u32;
@@ -24,26 +26,29 @@ type SinkTuple = (u64, String);
 /// A sink tuple plus the canonical set of source tuples contributing to it.
 type Lineage = (SinkTuple, BTreeSet<SinkTuple>);
 
-/// Runs `source -> sharded_aggregate(instances) -> sink` under GeneaLog and returns
-/// the ordered sink stream plus the per-sink-tuple contribution sets.
+/// Runs `source -> aggregate.with(shards) -> sink` under GeneaLog and returns the
+/// ordered sink stream plus the per-sink-tuple contribution sets. One shard lowers
+/// to the plain single-instance operator.
 fn run_gl_sharded_sum(
     reports: &[(Timestamp, Reading)],
-    instances: usize,
+    shards: usize,
 ) -> (Vec<SinkTuple>, Vec<Lineage>) {
-    let mut q = GlQuery::new(GeneaLog::new());
-    let src = q.source("readings", VecSource::new(reports.to_vec()));
-    let sums = q.sharded_aggregate(
-        "sum",
-        src,
-        WindowSpec::new(Duration::from_secs(8), Duration::from_secs(4)).unwrap(),
-        |r: &Reading| r.0,
-        |w: &WindowView<'_, Key, Reading, GlMeta>| (*w.key, w.payloads().map(|p| p.1).sum::<i64>()),
-        |o: &Reading| o.0,
-        Parallelism::instances(instances),
-    );
-    let (out, provenance) = attach_provenance_sink(&mut q, "prov", sums);
-    let sink = q.collecting_sink("sink", out);
-    q.deploy().unwrap().wait().unwrap();
+    let plan = GlPlan::new(GeneaLog::new());
+    let sums = plan
+        .source("readings", VecSource::new(reports.to_vec()))
+        .aggregate(
+            "sum",
+            WindowSpec::new(Duration::from_secs(8), Duration::from_secs(4)).unwrap(),
+            |r: &Reading| r.0,
+            |w: &WindowView<'_, Key, Reading, GlMeta>| {
+                (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
+            },
+            |o: &Reading| o.0,
+        )
+        .with(Parallelism::shards(shards));
+    let (out, provenance) = logical_provenance_sink(sums, "prov");
+    let sink = out.collecting_sink("sink");
+    plan.deploy().unwrap().wait().unwrap();
 
     let tuples: Vec<SinkTuple> = sink
         .tuples()
@@ -99,7 +104,8 @@ proptest! {
 }
 
 /// The sharded plan must also match the plain single-instance `aggregate` operator:
-/// partition + shards + merge is a drop-in replacement, not a different semantics.
+/// partition + shards + merge is a drop-in replacement, not a different semantics —
+/// for one shard too, where explicit placements keep the exchange in the plan.
 #[test]
 fn sharded_aggregate_matches_plain_aggregate() {
     let reports: Vec<(Timestamp, Reading)> = (0..200u64)
@@ -125,19 +131,22 @@ fn sharded_aggregate_matches_plain_aggregate() {
             .collect::<Vec<_>>()
     };
     let run_sharded = |instances: usize| {
-        let mut q = Query::new(NoProvenance);
-        let src = q.source("readings", VecSource::new(reports.clone()));
-        let sums = q.sharded_aggregate(
-            "sum",
-            src,
-            spec,
-            |r: &Reading| r.0,
-            |w: &WindowView<'_, Key, Reading, ()>| (*w.key, w.payloads().map(|p| p.1).sum::<i64>()),
-            |o: &Reading| o.0,
-            Parallelism::instances(instances),
-        );
-        let out = q.collecting_sink("sink", sums);
-        q.deploy().unwrap().wait().unwrap();
+        let plan = LogicalPlan::new(NoProvenance);
+        let out = plan
+            .source("readings", VecSource::new(reports.clone()))
+            .aggregate(
+                "sum",
+                spec,
+                |r: &Reading| r.0,
+                |w: &WindowView<'_, Key, Reading, ()>| {
+                    (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
+                },
+                |o: &Reading| o.0,
+            )
+            // Explicit placements keep the exchange and the merge even for one shard.
+            .place::<Reading>(ShardPlacement::all_local(instances))
+            .collecting_sink("sink");
+        plan.deploy().unwrap().wait().unwrap();
         out.tuples()
             .iter()
             .map(|t| (t.ts.as_millis(), t.data))
@@ -166,24 +175,24 @@ fn sharded_join_is_equivalent_across_shard_counts() {
         .map(|i| (Timestamp::from_secs(i), ((i % 5) as Key, 1_000 + i as i64)))
         .collect();
 
-    let run = |instances: usize| {
-        let mut q = Query::new(NoProvenance);
-        let l = q.source("left", VecSource::new(left.clone()));
-        let r = q.source("right", VecSource::new(right.clone()));
-        let joined = q.sharded_join(
-            "match",
-            l,
-            r,
-            Duration::from_secs(3),
-            |l: &Reading| l.0,
-            |r: &Reading| r.0,
-            |o: &(Key, i64, i64)| o.0,
-            |l: &Reading, r: &Reading| l.0 == r.0,
-            |l: &Reading, r: &Reading| (l.0, l.1, r.1),
-            Parallelism::instances(instances),
-        );
-        let out = q.collecting_sink("sink", joined);
-        q.deploy().unwrap().wait().unwrap();
+    let run = |shards: usize| {
+        let plan = LogicalPlan::new(NoProvenance);
+        let l = plan.source("left", VecSource::new(left.clone()));
+        let r = plan.source("right", VecSource::new(right.clone()));
+        let out = l
+            .join(
+                "match",
+                r,
+                Duration::from_secs(3),
+                |l: &Reading| l.0,
+                |r: &Reading| r.0,
+                |o: &(Key, i64, i64)| o.0,
+                |l: &Reading, r: &Reading| l.0 == r.0,
+                |l: &Reading, r: &Reading| (l.0, l.1, r.1),
+            )
+            .with(Parallelism::shards(shards))
+            .collecting_sink("sink");
+        plan.deploy().unwrap().wait().unwrap();
         out.tuples()
             .iter()
             .map(|t| (t.ts.as_millis(), t.data))
@@ -205,20 +214,20 @@ fn sharded_aggregate_contribution_sets_are_the_window_contents() {
     let reports: Vec<(Timestamp, Reading)> = (0..32u64)
         .map(|i| (Timestamp::from_secs(i / 2), ((i % 2) as Key, i as i64)))
         .collect();
-    let mut q = GlQuery::new(GeneaLog::new());
-    let src = q.source("readings", VecSource::new(reports));
-    let counts = q.sharded_aggregate(
-        "count",
-        src,
-        WindowSpec::tumbling(Duration::from_secs(4)).unwrap(),
-        |r: &Reading| r.0,
-        |w: &WindowView<'_, Key, Reading, GlMeta>| (*w.key, w.len() as i64),
-        |o: &Reading| o.0,
-        Parallelism::instances(2),
-    );
-    let (out, provenance) = attach_provenance_sink(&mut q, "prov", counts);
-    q.discard(out);
-    q.deploy().unwrap().wait().unwrap();
+    let plan = GlPlan::new(GeneaLog::new());
+    let counts = plan
+        .source("readings", VecSource::new(reports))
+        .aggregate(
+            "count",
+            WindowSpec::tumbling(Duration::from_secs(4)).unwrap(),
+            |r: &Reading| r.0,
+            |w: &WindowView<'_, Key, Reading, GlMeta>| (*w.key, w.len() as i64),
+            |o: &Reading| o.0,
+        )
+        .with(Parallelism::shards(2));
+    let (out, provenance) = logical_provenance_sink(counts, "prov");
+    out.discard();
+    plan.deploy().unwrap().wait().unwrap();
 
     let assignments = provenance.assignments();
     assert!(!assignments.is_empty());

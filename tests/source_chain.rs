@@ -119,7 +119,7 @@ fn stop_flag_terminates_a_rate_limited_source_headed_chain_early() {
 fn a_send_behind_a_source_frames_by_batch_fused_or_not() {
     let runs = |fusion: bool| {
         let mut q = Query::with_config(NoProvenance, QueryConfig::default().with_fusion(fusion));
-        let batch = q.batch_config().size;
+        let batch = q.config().batch.size;
         let src = q.source_with(
             "numbers",
             VecSource::with_period((0..1_000i64).collect(), 1),
