@@ -79,6 +79,11 @@ pub struct NodeFacts {
     /// moves bytes to or from another SPE instance rather than processing
     /// tuples locally.
     pub remote: bool,
+    /// The chain (thread) the node runs on, chains numbered in the order of
+    /// their head nodes; `None` for a node no operator is installed on yet
+    /// (deployment rejects it). A chain's parts join it as they are created, so
+    /// their ids ascend from head to tail.
+    pub chain: Option<usize>,
 }
 
 /// One dataflow edge.
@@ -104,6 +109,8 @@ pub struct EdgeFacts {
 pub struct LogicalFacts {
     /// The declared logical operators, in declaration order.
     pub nodes: Vec<LogicalNodeFacts>,
+    /// The `(producer, consumer)` streams between them, in declaration order.
+    pub edges: Vec<(usize, usize)>,
 }
 
 /// One declared logical operator with its annotations as written.
@@ -120,6 +127,8 @@ pub struct LogicalNodeFacts {
     pub placement_total: Option<usize>,
     /// How many of those placements are remote.
     pub placement_remote: usize,
+    /// Whether `.keyed(..)` re-established a merge key on the operator's output.
+    pub keyed: bool,
 }
 
 #[cfg(test)]
@@ -144,6 +153,7 @@ mod tests {
                 group: None,
                 instances: 1,
                 remote: false,
+                chain: Some(0),
             }],
             edges: vec![],
             logical: None,

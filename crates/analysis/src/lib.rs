@@ -1,4 +1,4 @@
-//! # genealog-analysis — the deploy-time plan analyzer
+//! # genealog-analysis — the deploy-time plan analyzer and plan renderer
 //!
 //! GeneaLog's provenance guarantee (and the engine's liveness) rests on plan-level
 //! invariants that the runtime only discovers late: a batch budget that over-allocates
@@ -30,6 +30,11 @@
 //! | GL033 | warning | resources | metrics label cardinality exceeds the series budget |
 //! | GL034 | warning | resources | remote Send/Receive endpoints with live metrics disabled |
 //!
+//! The [`dot`] module is the one renderer of plans: it draws the same facts as
+//! Graphviz DOT — the lowered plan (served at the control plane's
+//! `/topology.dot`), the declared logical graph, and the plans of several SPE
+//! instances as one deployment picture.
+//!
 //! The [`source`] module is the second half of the `spe-lint` binary: textual
 //! checks over the workspace sources (no direct stdout/stderr printing in engine
 //! crates, `genealog_*` metric naming).
@@ -37,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod dot;
 pub mod facts;
 pub mod passes;
 pub mod source;
@@ -254,8 +260,9 @@ impl<'a> IntoIterator for &'a Diagnostics {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal (quotes not
+/// included); the control plane's `json::escape` is this function.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

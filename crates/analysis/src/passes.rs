@@ -486,6 +486,7 @@ mod tests {
             group: None,
             instances: 1,
             remote: false,
+            chain: None,
         }
     }
 
@@ -731,7 +732,9 @@ mod tests {
                 requested_shards: Some(4),
                 placement_total: Some(2),
                 placement_remote: 0,
+                keyed: false,
             }],
+            edges: vec![],
         });
         let report = run(&facts);
         let d = report

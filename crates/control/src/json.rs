@@ -1,24 +1,11 @@
 //! Hand-rolled JSON emission helpers for the provenance endpoint.
 //!
-//! The control plane emits small, flat documents; a string escape and a couple of
-//! composition helpers keep the provenance services dependency-free.
+//! The control plane emits small, flat documents; a string escape (the analyzer's,
+//! shared with its `/analyze` report) and a couple of composition helpers keep the
+//! provenance services free of a JSON library.
 
 /// Escapes `s` for inclusion in a JSON string literal (quotes not included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use genealog_analysis::json_escape as escape;
 
 /// Renders a JSON string literal, quotes included.
 pub fn string(s: &str) -> String {

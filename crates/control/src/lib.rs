@@ -8,7 +8,8 @@
 //!   [`MetricsRegistry`](genealog_metrics::MetricsRegistry), including the deltas
 //!   shipped in by remote SPE instances of a spanning shard group.
 //! * `GET /topology.dot` — the deployed query graph in DOT form (as rendered by
-//!   `Query::to_dot` before deployment).
+//!   [`genealog_analysis::dot::physical`] from `Query::plan_facts()` before
+//!   deployment).
 //! * `GET /provenance/{sink_tuple_id}` — the GeneaLog contribution set of one sink
 //!   tuple of the running query, as JSON. Sink ids are `origin#seq` (URL-encode the
 //!   `#` as `%23`) or the curl-friendly `origin-seq`.

@@ -92,7 +92,8 @@ impl ControlPlane {
     }
 
     /// Attaches the DOT rendering served at `/topology.dot` (render it with
-    /// `Query::to_dot` before deploying — deployment consumes the query).
+    /// `genealog_analysis::dot::physical(&query.plan_facts())` before deploying —
+    /// deployment consumes the query).
     pub fn with_topology(mut self, dot: impl Into<String>) -> Self {
         self.topology = Some(dot.into());
         self

@@ -825,28 +825,6 @@ where
     (passthrough, ShardProvenanceCollector { collected })
 }
 
-/// Renders the query graphs of several SPE instances as one DOT digraph with one
-/// cluster per instance, making the process boundaries of a distributed deployment
-/// visible.
-///
-/// Each entry is `(label, fragment)` where the fragment comes from
-/// `Query::to_dot_fragment` rendered with a prefix unique to that instance (e.g.
-/// `i0_`, `i1_`, …); Send/Receive endpoints are already drawn with a distinct shape
-/// by the fragment renderer.
-pub fn instances_dot(instances: &[(String, String)]) -> String {
-    let mut dot = String::from("digraph deployment {\n  rankdir=LR;\n");
-    for (i, (label, fragment)) in instances.iter().enumerate() {
-        let escaped = label.replace('\\', "\\\\").replace('"', "\\\"");
-        dot.push_str(&format!(
-            "  subgraph cluster_{i} {{\n  label=\"{escaped}\";\n  style=dashed;\n"
-        ));
-        dot.push_str(fragment);
-        dot.push_str("  }\n");
-    }
-    dot.push_str("}\n");
-    dot
-}
-
 /// Applies stage 1 to instance 1's source stream (see [`deploy_two_stage`]).
 type Stage1<P, S, D1> = Box<dyn FnOnce(LogicalStream<P, S>) -> LogicalStream<P, D1>>;
 

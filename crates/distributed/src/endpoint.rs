@@ -720,7 +720,7 @@ mod tests {
             output.connect(out_tx);
             let chain = receive_head(link_rx, NoProvenance, checkpoints)
                 .then("plus-one", |_, _| {
-                    MapStage::new(|v: &u32| vec![v + 1], NoProvenance)
+                    MapStage::new(|t: &Arc<GTuple<u32, ()>>| [t.data + 1], NoProvenance)
                 })
                 .into_channel("receive+plus-one", output);
             let counters = OpCounters::detached_chain(&["receive", "plus-one"]);

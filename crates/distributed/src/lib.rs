@@ -55,7 +55,7 @@ pub mod wire;
 
 pub use deployment::{
     deploy_distributed_baseline, deploy_distributed_genealog, deploy_distributed_noprov,
-    group_provenance, instances_dot, logical_shard_provenance_sink, remote_shard_group_gl_over,
+    group_provenance, logical_shard_provenance_sink, remote_shard_group_gl_over,
     remote_shard_group_over, DistributedOutcome, GlShardGroup, ProvenanceRecord, RemoteShardGroup,
     ShardGroupDeployment, ShardLinks, ShardProvenanceCollector, ShardTransport, ShardWiring,
     SimulatedTransport,

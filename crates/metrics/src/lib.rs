@@ -9,7 +9,7 @@
 //! * [`alloc::TrackingAllocator`] — a counting [`core::alloc::GlobalAlloc`] wrapper
 //!   reporting live/peak heap bytes (the substitute for the JVM heap measurements of
 //!   the original testbed).
-//! * [`recorder`] — throughput, latency, traversal-time and memory-sample recorders.
+//! * [`recorder`] — traversal-time and memory-sample recorders.
 //! * [`stats`] — means, standard deviations, 95 % confidence intervals, percentiles.
 //! * [`report`] — figure-style tables (rows of NP/GL/BL per query) and CSV output.
 //!
@@ -35,7 +35,7 @@ pub mod stats;
 pub mod trace;
 
 pub use alloc::TrackingAllocator;
-pub use recorder::{LatencyRecorder, MemorySampler, ThroughputRecorder, TraversalRecorder};
+pub use recorder::{MemorySampler, TraversalRecorder};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Sample, SampleValue,
 };

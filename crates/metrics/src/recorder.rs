@@ -1,131 +1,11 @@
-//! Recorders for the four evaluation metrics.
+//! Recorders for the traversal-time and memory metrics of the evaluation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::stats::{percentile, Summary};
-
-/// Measures throughput: tuples processed per second over a measured interval.
-#[derive(Debug)]
-pub struct ThroughputRecorder {
-    tuples: AtomicU64,
-    started: Mutex<Option<Instant>>,
-    finished: Mutex<Option<Instant>>,
-}
-
-impl Default for ThroughputRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThroughputRecorder {
-    /// Creates an idle recorder.
-    pub fn new() -> Self {
-        ThroughputRecorder {
-            tuples: AtomicU64::new(0),
-            started: Mutex::new(None),
-            finished: Mutex::new(None),
-        }
-    }
-
-    /// Marks the beginning of the measured interval.
-    pub fn start(&self) {
-        *self.started.lock() = Some(Instant::now());
-    }
-
-    /// Marks the end of the measured interval.
-    pub fn finish(&self) {
-        *self.finished.lock() = Some(Instant::now());
-    }
-
-    /// Records `n` processed tuples.
-    pub fn add_tuples(&self, n: u64) {
-        self.tuples.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Number of tuples recorded so far.
-    pub fn tuples(&self) -> u64 {
-        self.tuples.load(Ordering::Relaxed)
-    }
-
-    /// The measured interval (start to finish, or start to now if not finished).
-    pub fn elapsed(&self) -> Duration {
-        match (*self.started.lock(), *self.finished.lock()) {
-            (Some(start), Some(end)) => end.duration_since(start),
-            (Some(start), None) => start.elapsed(),
-            _ => Duration::ZERO,
-        }
-    }
-
-    /// Tuples per second over the measured interval.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed().as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.tuples() as f64 / secs
-        }
-    }
-}
-
-/// Collects per-tuple latency samples (nanoseconds).
-#[derive(Debug, Default)]
-pub struct LatencyRecorder {
-    samples_ns: Mutex<Vec<u64>>,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one latency sample.
-    pub fn record_ns(&self, latency_ns: u64) {
-        self.samples_ns.lock().push(latency_ns);
-    }
-
-    /// Records a batch of samples (e.g. copied from a sink's statistics).
-    pub fn record_all_ns(&self, samples: &[u64]) {
-        self.samples_ns.lock().extend_from_slice(samples);
-    }
-
-    /// Number of samples collected.
-    pub fn count(&self) -> usize {
-        self.samples_ns.lock().len()
-    }
-
-    /// Mean latency in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        self.summary_ms().mean
-    }
-
-    /// The `p`-th percentile latency in milliseconds.
-    pub fn percentile_ms(&self, p: f64) -> f64 {
-        let samples: Vec<f64> = self
-            .samples_ns
-            .lock()
-            .iter()
-            .map(|&ns| ns as f64 / 1e6)
-            .collect();
-        percentile(&samples, p)
-    }
-
-    /// Summary of the latency samples, in milliseconds.
-    pub fn summary_ms(&self) -> Summary {
-        let samples: Vec<f64> = self
-            .samples_ns
-            .lock()
-            .iter()
-            .map(|&ns| ns as f64 / 1e6)
-            .collect();
-        Summary::of(&samples)
-    }
-}
+use crate::stats::Summary;
 
 /// Collects contribution-graph traversal durations (the metric of Figure 14).
 #[derive(Debug, Default)]
@@ -219,34 +99,6 @@ impl MemorySampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn throughput_recorder_measures_rate() {
-        let rec = ThroughputRecorder::new();
-        assert_eq!(rec.throughput(), 0.0);
-        rec.start();
-        rec.add_tuples(500);
-        rec.add_tuples(500);
-        std::thread::sleep(Duration::from_millis(20));
-        rec.finish();
-        assert_eq!(rec.tuples(), 1_000);
-        let tput = rec.throughput();
-        assert!(tput > 0.0);
-        assert!(tput < 1_000.0 / 0.02 * 1.5, "rate bounded by elapsed time");
-    }
-
-    #[test]
-    fn latency_recorder_aggregates_samples() {
-        let rec = LatencyRecorder::new();
-        rec.record_ns(1_000_000); // 1 ms
-        rec.record_all_ns(&[2_000_000, 3_000_000]);
-        assert_eq!(rec.count(), 3);
-        assert!((rec.mean_ms() - 2.0).abs() < 1e-9);
-        assert!((rec.percentile_ms(100.0) - 3.0).abs() < 1e-9);
-        let summary = rec.summary_ms();
-        assert_eq!(summary.count, 3);
-        assert_eq!(summary.min, 1.0);
-    }
 
     #[test]
     fn traversal_recorder_tracks_time_and_graph_size() {

@@ -565,12 +565,28 @@ fn render_labels(labels: &Labels, quantile: Option<&str>) -> String {
     }
     let mut parts: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
+        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
         .collect();
     if let Some(q) = quantile {
         parts.push(format!("quantile=\"{q}\""));
     }
     format!("{{{}}}", parts.join(","))
+}
+
+/// Escapes a label value as the Prometheus text format requires: backslash,
+/// double quote and line feed become `\\`, `\"` and `\n`, so a user-supplied
+/// operator or edge name cannot break a sample line.
+fn escape_label_value(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -698,5 +714,24 @@ mod tests {
         assert!(text.contains("genealog_sink_latency_ns{operator=\"sink\",quantile=\"0.5\"} 2047"));
         assert!(text.contains("genealog_sink_latency_ns_count{operator=\"sink\"} 1"));
         assert!(text.contains("genealog_sink_latency_ns_sum{operator=\"sink\"} 1500"));
+    }
+
+    #[test]
+    fn label_values_escape_newlines_quotes_and_backslashes() {
+        let r = MetricsRegistry::new();
+        r.counter(
+            "genealog_operator_tuples_in_total",
+            &[("operator", "a\nb\"c\\d")],
+        )
+        .add(1);
+        let text = r.render_prometheus();
+        assert!(
+            text.contains("genealog_operator_tuples_in_total{operator=\"a\\nb\\\"c\\\\d\"} 1\n"),
+            "{text}"
+        );
+        // Every line is a comment or a whole sample: the value did not split one.
+        assert!(text
+            .lines()
+            .all(|line| line.starts_with('#') || line.starts_with("genealog_")));
     }
 }

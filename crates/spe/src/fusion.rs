@@ -704,7 +704,7 @@ pub(crate) mod tests {
         let chain = PendingChain::pumped(in_rx)
             .then("evens", |_, _| FilterStage::new(|v: &i64| v % 2 == 0))
             .then("double", |_, _| {
-                MapStage::new(|v: &i64| vec![v * 2], NoProvenance)
+                MapStage::new(|t: &Arc<GTuple<i64, ()>>| [t.data * 2], NoProvenance)
             });
         let op = Box::new((chain, out_slot)).seal("evens+double".into());
         assert_eq!(op.name(), "evens+double");

@@ -81,7 +81,7 @@ use crate::window::WindowSpec;
 /// Identifier of a node in the logical graph.
 pub type LogicalNodeId = usize;
 
-/// A node of the logical graph (introspection and DOT rendering only; the lowering
+/// A node of the logical graph (what [`LogicalPlan::facts`] reports; the lowering
 /// state lives in the typed stream thunks).
 struct LogicalNode {
     name: String,
@@ -96,7 +96,8 @@ struct LogicalNode {
     /// Explicit shard placements ([`LogicalStream::place`]), type-erased; the
     /// lowering closure downcasts them back to `Vec<ShardPlacement<P, I, O>>`.
     placements: Option<Box<dyn Any>>,
-    /// `(total, remote)` placement counts recorded for DOT rendering.
+    /// `(total, remote)` placement counts, readable without downcasting the
+    /// placements (see [`LogicalPlan::facts`]).
     placement_summary: Option<(usize, usize)>,
     /// Merge-key comparator re-established after a map
     /// ([`LogicalStream::keyed`]), type-erased `KeyComparator<T>`.
@@ -192,11 +193,6 @@ impl<P: ProvenanceSystem> LogicalPlan<P> {
         self.shared.borrow().config.clone()
     }
 
-    /// Number of logical nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.shared.borrow().nodes.len()
-    }
-
     /// Adds a Source backed by `generator` with the default source configuration.
     pub fn source<G: SourceGenerator>(
         &self,
@@ -235,47 +231,29 @@ impl<P: ProvenanceSystem> LogicalPlan<P> {
         }
     }
 
-    /// Renders the *logical* graph in Graphviz DOT format: one node per declared
-    /// operator, annotated with its requested parallelism and placements. Compare
-    /// with [`Query::to_dot`] on the lowered plan to see what the planner inserted
-    /// (exchanges, fan-ins, fused chains, Send/Receive endpoints).
-    pub fn to_dot(&self) -> String {
-        fn escape(name: &str) -> String {
-            name.replace('\\', "\\\\").replace('"', "\\\"")
-        }
+    /// Snapshots the declared graph into the plain-data [`LogicalFacts`]: one
+    /// node per declared operator with its annotations as written, and the
+    /// streams between them. Drawn by [`genealog_analysis::dot::logical`];
+    /// compare with [`genealog_analysis::dot::physical`] over the lowered plan's
+    /// [`Query::plan_facts`] to see what the planner inserted (exchanges,
+    /// fan-ins, fused chains, Send/Receive endpoints).
+    pub fn facts(&self) -> LogicalFacts {
         let state = self.shared.borrow();
-        let mut dot = String::from("digraph logical {\n  rankdir=LR;\n");
-        for (id, node) in state.nodes.iter().enumerate() {
-            let mut hints = String::new();
-            // Explicit placements override a `.with(..)` hint at lowering; the
-            // rendered shard count reflects the same precedence.
-            if let Some((total, remote)) = node.placement_summary {
-                hints.push_str(&format!(" \u{d7}{total}"));
-                if remote > 0 {
-                    hints.push_str(&format!(", {remote} remote"));
-                }
-            } else if let Some(p) = node.parallelism {
-                let n = p.count();
-                if n > 1 {
-                    hints.push_str(&format!(" \u{d7}{n}"));
-                }
-            }
-            if node.merge_key.is_some() {
-                hints.push_str(" keyed");
-            }
-            dot.push_str(&format!(
-                "  l{} [label=\"{}\\n({}{})\"];\n",
-                id,
-                escape(&node.name),
-                node.label,
-                hints
-            ));
+        LogicalFacts {
+            nodes: state
+                .nodes
+                .iter()
+                .map(|n| LogicalNodeFacts {
+                    name: n.name.clone(),
+                    label: n.label.to_string(),
+                    requested_shards: n.parallelism.map(Parallelism::count),
+                    placement_total: n.placement_summary.map(|(total, _)| total),
+                    placement_remote: n.placement_summary.map_or(0, |(_, remote)| remote),
+                    keyed: n.merge_key.is_some(),
+                })
+                .collect(),
+            edges: state.edges.clone(),
         }
-        for (from, to) in &state.edges {
-            dot.push_str(&format!("  l{from} -> l{to};\n"));
-        }
-        dot.push_str("}\n");
-        dot
     }
 
     /// Runs the planner: validates the logical graph and lowers it to a physical
@@ -359,22 +337,7 @@ impl<P: ProvenanceSystem> LogicalPlan<P> {
                 std::mem::take(&mut state.sinks),
             )
         };
-        let logical = {
-            let state = self.shared.borrow();
-            LogicalFacts {
-                nodes: state
-                    .nodes
-                    .iter()
-                    .map(|n| LogicalNodeFacts {
-                        name: n.name.clone(),
-                        label: n.label.to_string(),
-                        requested_shards: n.parallelism.map(Parallelism::count),
-                        placement_total: n.placement_summary.map(|(total, _)| total),
-                        placement_remote: n.placement_summary.map_or(0, |(_, remote)| remote),
-                    })
-                    .collect(),
-            }
-        };
+        let logical = self.facts();
         let mut q = Query::with_config(provenance, config.query_config());
         if let Some(checkpoints) = config.checkpoints {
             q.set_checkpoints(checkpoints);
@@ -574,10 +537,11 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
     /// Inside an open shard region the map stays per-shard when the stream carries
     /// a [`keyed`](LogicalStream::keyed) annotation; otherwise the planner seals
     /// the region (inserts the canonical fan-in) first.
-    pub fn map<O, F>(self, name: &str, function: F) -> LogicalStream<P, O>
+    pub fn map<O, R, F>(self, name: &str, function: F) -> LogicalStream<P, O>
     where
         O: TupleData,
-        F: FnMut(&T) -> Vec<O> + Clone + Send + 'static,
+        R: IntoIterator<Item = O>,
+        F: FnMut(&T) -> R + Clone + Send + 'static,
     {
         let node = add_node(&self.shared, name, "map", 1);
         connect(&self.shared, self.node, node);
@@ -616,7 +580,7 @@ impl<P: ProvenanceSystem, T: TupleData> LogicalStream<P, T> {
         O: TupleData,
         F: FnMut(&T) -> O + Clone + Send + 'static,
     {
-        self.map(name, move |data| vec![function(data)])
+        self.map(name, move |data| std::iter::once(function(data)))
     }
 
     // ------------------------------------------------------------------
@@ -1056,10 +1020,11 @@ mod tests {
             .collecting_sink("sink");
         let q = plan.lower().unwrap();
         // No exchange, no fan-in: the planner elided the sharding machinery.
-        let kinds: Vec<NodeKind> = q.node_summaries().iter().map(|(_, k)| *k).collect();
-        assert!(kinds.contains(&NodeKind::Aggregate));
-        assert!(!kinds.contains(&NodeKind::Partition));
-        assert!(!kinds.contains(&NodeKind::ShardMerge));
+        let facts = q.plan_facts();
+        let has = |kind: NodeKind| facts.nodes.iter().any(|n| n.kind == kind.label());
+        assert!(has(NodeKind::Aggregate));
+        assert!(!has(NodeKind::Partition));
+        assert!(!has(NodeKind::ShardMerge));
         q.deploy().unwrap().wait().unwrap();
         assert!(!out.is_empty());
     }
@@ -1079,9 +1044,10 @@ mod tests {
             .with(Parallelism::shards(4))
             .collecting_sink("sink");
         let q = plan.lower().unwrap();
-        let kinds: Vec<NodeKind> = q.node_summaries().iter().map(|(_, k)| *k).collect();
-        assert!(kinds.contains(&NodeKind::Partition));
-        assert!(kinds.contains(&NodeKind::ShardMerge));
+        let facts = q.plan_facts();
+        let has = |kind: NodeKind| facts.nodes.iter().any(|n| n.kind == kind.label());
+        assert!(has(NodeKind::Partition));
+        assert!(has(NodeKind::ShardMerge));
         let report = q.deploy().unwrap().wait().unwrap();
         assert!(!out.is_empty());
         assert_eq!(report.operator("count").unwrap().instances, 4);
@@ -1109,9 +1075,10 @@ mod tests {
             .collecting_sink("sink");
         let q = plan.lower().unwrap();
         let merges = q
-            .node_summaries()
+            .plan_facts()
+            .nodes
             .iter()
-            .filter(|(_, k)| *k == NodeKind::ShardMerge)
+            .filter(|n| n.kind == NodeKind::ShardMerge.label())
             .count();
         assert_eq!(merges, 1, "exactly one fan-in, after the mapped stages");
         let report = q.deploy().unwrap().wait().unwrap();
@@ -1141,16 +1108,18 @@ mod tests {
             .collecting_sink("sink");
         let q = plan.lower().unwrap();
         // The merge precedes the map: the map node consumes the merge output.
-        let summaries = q.node_summaries();
-        let merge = summaries
+        let facts = q.plan_facts();
+        let merge = facts
+            .nodes
             .iter()
-            .position(|(_, k)| *k == NodeKind::ShardMerge)
+            .position(|n| n.kind == NodeKind::ShardMerge.label())
             .expect("merge exists");
-        let map = summaries
+        let map = facts
+            .nodes
             .iter()
-            .position(|(n, _)| n == "describe")
+            .position(|n| n.name == "describe")
             .expect("map exists");
-        assert!(q.edges().contains(&(merge, map)));
+        assert!(facts.edges.iter().any(|e| (e.from, e.to) == (merge, map)));
         q.deploy().unwrap().wait().unwrap();
     }
 
@@ -1306,7 +1275,7 @@ mod tests {
             )
             .with(Parallelism::shards(4))
             .collecting_sink("sink");
-        let dot = plan.to_dot();
+        let dot = genealog_analysis::dot::logical(&plan.facts());
         assert!(dot.contains("digraph logical"));
         assert!(dot.contains("count\\n(aggregate \u{d7}4)"));
         assert!(dot.contains("l0 -> l1"));
@@ -1335,7 +1304,7 @@ mod tests {
                 2,
             ))
             .collecting_sink("sink");
-        let dot = plan.to_dot();
+        let dot = genealog_analysis::dot::logical(&plan.facts());
         // `.place` wins at lowering; the rendered shard count says the same.
         assert!(dot.contains("count\\n(aggregate \u{d7}2)"));
         assert!(!dot.contains("\u{d7}4"));

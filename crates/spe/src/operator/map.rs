@@ -18,12 +18,19 @@ use crate::tuple::{GTuple, TupleData};
 /// alone or fused, so fused and unfused plans produce byte-identical contribution
 /// graphs.
 ///
-/// The user function receives the input payload and returns *zero or more* output
-/// payloads; output tuples inherit the input tuple's timestamp and stimulus.
-/// (Returning zero outputs makes Map usable as a filtering projection, but
+/// The user function receives the *whole input tuple* and returns *zero or more*
+/// output payloads; output tuples inherit the input tuple's timestamp and stimulus.
+/// [`Query::map`](crate::query::Query::map) hands it the payload alone;
+/// [`Query::map_with_meta`](crate::query::Query::map_with_meta) hands it the
+/// provenance metadata too, which is the engine-level facility the paper's §4.1
+/// calls an *instrumented* operator: it can "access and modify the meta-data used
+/// for data provenance and use such metadata to create tuples" (the single-stream
+/// unfolder of `genealog`, §5.1, is a Multiplex plus such a Map applying the
+/// `findProvenance` traversal). Returning zero outputs makes Map usable as a
+/// filtering projection, but
 /// [`FilterStage`](crate::operator::filter::FilterStage) should be preferred when
 /// tuples are merely forwarded, because Filter does not create new tuples and
-/// therefore adds nothing to the contribution graph.)
+/// therefore adds nothing to the contribution graph.
 pub struct MapStage<F, P> {
     function: F,
     provenance: P,
@@ -39,55 +46,12 @@ impl<F, P> MapStage<F, P> {
     }
 }
 
-impl<I, O, F, P> FusedStage<I, O, P::Meta> for MapStage<F, P>
+impl<I, O, R, F, P> FusedStage<I, O, P::Meta> for MapStage<F, P>
 where
     I: TupleData,
     O: TupleData,
-    F: FnMut(&I) -> Vec<O> + Send + 'static,
-    P: ProvenanceSystem,
-{
-    fn process(
-        &mut self,
-        tuple: Arc<GTuple<I, P::Meta>>,
-        next: &mut dyn Tail<O, P::Meta>,
-    ) -> Result<(), ChannelClosed> {
-        for data in (self.function)(&tuple.data) {
-            let meta = self.provenance.map_meta(&tuple);
-            next.tuple(Arc::new(GTuple::new(tuple.ts, tuple.stimulus, data, meta)))?;
-        }
-        Ok(())
-    }
-}
-
-/// The meta-aware Map semantics as a fusable [`FusedStage`]: a Map variant whose
-/// user function receives the *whole input tuple* (payload and provenance metadata)
-/// instead of just the payload.
-///
-/// This is the engine-level facility the paper's §4.1 calls an *instrumented*
-/// operator: it can "access and modify the meta-data used for data provenance and use
-/// such metadata to create tuples". The single-stream unfolder of `genealog` (§5.1) is
-/// built from a Multiplex plus a meta-aware Map applying the `findProvenance`
-/// traversal.
-pub struct MetaMapStage<F, P> {
-    function: F,
-    provenance: P,
-}
-
-impl<F, P> MetaMapStage<F, P> {
-    /// Creates a meta-aware Map stage.
-    pub fn new(function: F, provenance: P) -> Self {
-        MetaMapStage {
-            function,
-            provenance,
-        }
-    }
-}
-
-impl<I, O, F, P> FusedStage<I, O, P::Meta> for MetaMapStage<F, P>
-where
-    I: TupleData,
-    O: TupleData,
-    F: FnMut(&Arc<GTuple<I, P::Meta>>) -> Vec<O> + Send + 'static,
+    R: IntoIterator<Item = O>,
+    F: FnMut(&Arc<GTuple<I, P::Meta>>) -> R + Send + 'static,
     P: ProvenanceSystem,
 {
     fn process(
@@ -130,7 +94,10 @@ mod tests {
             .unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let stage = MapStage::new(|v: &i64| vec![format!("v={}", v * 2)], NoProvenance);
+        let stage = MapStage::new(
+            |t: &Arc<GTuple<i64, ()>>| vec![format!("v={}", t.data * 2)],
+            NoProvenance,
+        );
         let stats = run_stage("fmt", in_rx, |_, _| stage, out_slot);
         assert_eq!(stats.tuples_in, 1);
         assert_eq!(stats.tuples_out, 1);
@@ -154,7 +121,7 @@ mod tests {
         in_tx.send(Element::Tuple(tuple(1, 3))).unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let stage = MapStage::new(|v: &i64| (0..*v).collect::<Vec<_>>(), NoProvenance);
+        let stage = MapStage::new(|t: &Arc<GTuple<i64, ()>>| 0..t.data, NoProvenance);
         let stats = run_stage("explode", in_rx, |_, _| stage, out_slot);
         assert_eq!(stats.tuples_out, 3);
         assert_eq!(out_rx.recv().as_tuple().unwrap().data, 0);
@@ -172,7 +139,7 @@ mod tests {
         in_tx.send(Element::Tuple(tuple(9, 100))).unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let stage = MetaMapStage::new(
+        let stage = MapStage::new(
             |t: &Arc<GTuple<i64, ()>>| vec![t.ts.as_secs()],
             NoProvenance,
         );
@@ -192,7 +159,7 @@ mod tests {
         in_tx.send(Element::Tuple(tuple(1, 3))).unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let stage = MapStage::new(|_: &i64| Vec::<i64>::new(), NoProvenance);
+        let stage = MapStage::new(|_: &Arc<GTuple<i64, ()>>| Vec::<i64>::new(), NoProvenance);
         let stats = run_stage("drop", in_rx, |_, _| stage, out_slot);
         assert_eq!(stats.tuples_in, 1);
         assert_eq!(stats.tuples_out, 0);
@@ -246,7 +213,7 @@ mod tests {
         in_tx.send(Element::Tuple(input)).unwrap();
         in_tx.send(Element::End).unwrap();
 
-        let stage = MapStage::new(|v: &i64| vec![*v, v + 1], Depth);
+        let stage = MapStage::new(|t: &Arc<GTuple<i64, u32>>| [t.data, t.data + 1], Depth);
         let stats = run_stage("twice", in_rx, |_, _| stage, out_slot);
         assert_eq!(stats.tuples_out, 2);
         for expected in [3, 4] {

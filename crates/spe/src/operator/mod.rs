@@ -10,7 +10,7 @@
 //!   barrier and the end, which forward by default ([`union`] overrides nothing but
 //!   the release).
 //! * Filter, Map and Aggregate are [`FusedStage`]s — [`filter::FilterStage`],
-//!   [`map::MapStage`], [`map::MetaMapStage`] and the stateful
+//!   [`map::MapStage`] and the stateful
 //!   [`aggregate`] stage — composed behind the head, one stage per chain when
 //!   fusion is off.
 //! * Sink ([`sink`]), Multiplex ([`multiplex`]) and the shuffle exchange

@@ -492,7 +492,7 @@ impl<P: ProvenanceSystem> Query<P> {
     }
 
     /// Lowering core of a per-shard Map (see `filter_shard_streams`).
-    pub(crate) fn map_shard_streams<I, O, F>(
+    pub(crate) fn map_shard_streams<I, O, R, F>(
         &mut self,
         name: &str,
         shards: Vec<StreamRef<I, P::Meta>>,
@@ -501,7 +501,8 @@ impl<P: ProvenanceSystem> Query<P> {
     where
         I: TupleData,
         O: TupleData,
-        F: FnMut(&I) -> Vec<O> + Clone + Send + 'static,
+        R: IntoIterator<Item = O>,
+        F: FnMut(&I) -> R + Clone + Send + 'static,
     {
         assert!(
             !shards.is_empty(),
@@ -513,7 +514,11 @@ impl<P: ProvenanceSystem> Query<P> {
             .into_iter()
             .enumerate()
             .map(|(i, shard)| {
-                let stage = MapStage::new(function.clone(), provenance.clone());
+                let mut function = function.clone();
+                let stage = MapStage::new(
+                    move |tuple: &Arc<GTuple<I, P::Meta>>| function(&tuple.data),
+                    provenance.clone(),
+                );
                 self.add_fused_stage(
                     &format!("{name}[{i}]"),
                     NodeKind::Map,
@@ -820,15 +825,17 @@ mod tests {
                 .collecting_sink("sink");
             let q = plan.lower().unwrap();
 
-            let kinds: Vec<NodeKind> = q.node_summaries().iter().map(|(_, k)| *k).collect();
+            let facts = q.plan_facts();
             let mut exchange_total = 0usize;
             let mut fanin_total = 0usize;
-            for ((from, to), budget) in q.edges().iter().zip(q.edge_budgets()) {
-                if kinds[*from] == NodeKind::Partition {
-                    exchange_total += budget;
+            for e in &facts.edges {
+                let headroom =
+                    || crate::channel::batch_budget(e.capacity, e.batch_size) * e.batch_size;
+                if facts.node_kind(e.from) == NodeKind::Partition.label() {
+                    exchange_total += headroom();
                 }
-                if kinds[*to] == NodeKind::ShardMerge {
-                    fanin_total += budget;
+                if facts.node_kind(e.to) == NodeKind::ShardMerge.label() {
+                    fanin_total += headroom();
                 }
             }
             // 1024 divides evenly by 1, 2 and 4 shards into whole 32-element
@@ -864,10 +871,12 @@ mod tests {
         for shard in shards {
             let _ = q.collecting_sink(&format!("sink{}", shard.label()), shard);
         }
-        let kinds: Vec<NodeKind> = q.node_summaries().iter().map(|(_, k)| *k).collect();
-        for ((from, _), budget) in q.edges().iter().zip(q.edge_budgets()) {
-            if kinds[*from] == NodeKind::Partition {
-                assert_eq!(*budget, 32, "one whole batch per shard channel");
+        let facts = q.plan_facts();
+        for e in &facts.edges {
+            if facts.node_kind(e.from) == NodeKind::Partition.label() {
+                let headroom =
+                    crate::channel::batch_budget(e.capacity, e.batch_size) * e.batch_size;
+                assert_eq!(headroom, 32, "one whole batch per shard channel");
             }
         }
     }

@@ -16,6 +16,7 @@ use std::hash::Hash;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
 
+use genealog_analysis::{EdgeFacts, NodeFacts, PlanFacts};
 use genealog_metrics::MetricsRegistry;
 
 use crate::channel::{stream_channel, BatchConfig, OutputSlot, StreamReceiver};
@@ -26,7 +27,7 @@ use crate::metrics::OpCounters;
 use crate::operator::aggregate::{AggregateStage, WindowView};
 use crate::operator::filter::FilterStage;
 use crate::operator::join;
-use crate::operator::map::{MapStage, MetaMapStage};
+use crate::operator::map::MapStage;
 use crate::operator::multiplex::MultiplexTail;
 use crate::operator::sink::{CollectedStream, SinkStats, SinkTail};
 use crate::operator::source::{SourceConfig, SourceGenerator, SourceOp};
@@ -295,14 +296,8 @@ pub struct Query<P: ProvenanceSystem> {
     provenance: P,
     config: QueryConfig,
     nodes: Vec<NodeInfo>,
-    edges: Vec<(NodeId, NodeId)>,
-    /// Element-level buffer headroom of each edge, aligned with `edges` (0 for the
-    /// channel-free stage-to-stage edges inside a fused chain).
-    edge_budgets: Vec<usize>,
-    /// Per-edge `(capacity, batch_size)` of the bounded channel, aligned with
-    /// `edges`; `None` for the channel-free edges inside a fused chain. Consumed
-    /// by [`Query::plan_facts`] for the deploy-time analyzer.
-    edge_channels: Vec<Option<(usize, usize)>>,
+    /// The dataflow edges, as [`Query::plan_facts`] reports them.
+    edges: Vec<EdgeFacts>,
     /// Number of provenance collectors attached to this query (see
     /// [`Query::note_provenance_collector`]).
     provenance_collectors: usize,
@@ -340,8 +335,6 @@ impl<P: ProvenanceSystem> Query<P> {
             config,
             nodes: Vec::new(),
             edges: Vec::new(),
-            edge_budgets: Vec::new(),
-            edge_channels: Vec::new(),
             provenance_collectors: 0,
             open_chains: HashMap::new(),
             sealed_chains: Vec::new(),
@@ -393,43 +386,39 @@ impl<P: ProvenanceSystem> Query<P> {
         self.provenance_collectors += 1;
     }
 
-    /// Snapshots the query graph into the plain-data [`PlanFacts`] the
-    /// deploy-time analyzer (`genealog-analysis`) runs over. Cheap (no channels
-    /// or threads are touched), callable any time before deployment; logical
-    /// builders attach their pre-lowering [`LogicalFacts`] on top (see
+    /// Snapshots the query graph into the plain-data [`PlanFacts`]: the one
+    /// description of a physical graph, which the deploy-time analyzer
+    /// (`genealog-analysis`) runs over and its [`dot`] module draws. Cheap (no
+    /// channels or threads are touched), callable any time before deployment;
+    /// logical builders attach their pre-lowering [`LogicalFacts`] on top (see
     /// [`LogicalPlan::analyze`](crate::logical::LogicalPlan::analyze)).
     ///
-    /// [`PlanFacts`]: genealog_analysis::PlanFacts
+    /// [`dot`]: genealog_analysis::dot
     /// [`LogicalFacts`]: genealog_analysis::LogicalFacts
-    pub fn plan_facts(&self) -> genealog_analysis::PlanFacts {
-        let fused_away: usize = self
-            .chains()
-            .map(|entry| entry.nodes.len().saturating_sub(1))
-            .sum();
+    pub fn plan_facts(&self) -> PlanFacts {
+        let mut chains: Vec<&[NodeId]> = self.chains().map(|entry| &entry.nodes[..]).collect();
+        chains.sort_by_key(|parts| parts[0]);
+        let mut chain_of = vec![None; self.nodes.len()];
+        for (chain, parts) in chains.iter().enumerate() {
+            for &part in *parts {
+                chain_of[part] = Some(chain);
+            }
+        }
+        let fused_away: usize = chains.iter().map(|parts| parts.len() - 1).sum();
         let nodes = self
             .nodes
             .iter()
-            .map(|n| genealog_analysis::NodeFacts {
+            .zip(chain_of)
+            .map(|(n, chain)| NodeFacts {
                 name: n.name.clone(),
                 kind: n.kind.label().to_string(),
                 group: n.shard_group.as_ref().map(|g| g.name.clone()),
                 instances: n.shard_group.as_ref().map_or(1, |g| g.instances),
                 remote: matches!(n.kind.label(), "send" | "receive"),
+                chain,
             })
             .collect();
-        let edges = self
-            .edges
-            .iter()
-            .zip(&self.edge_channels)
-            .map(|(&(from, to), channel)| genealog_analysis::EdgeFacts {
-                from,
-                to,
-                capacity: channel.map_or(0, |(c, _)| c),
-                batch_size: channel.map_or(0, |(_, b)| b),
-                fused: channel.is_none(),
-            })
-            .collect();
-        genealog_analysis::PlanFacts {
+        PlanFacts {
             provenance: self.provenance.label().to_string(),
             channel_capacity: self.config.channel_capacity,
             fusion: self.config.fusion,
@@ -443,7 +432,7 @@ impl<P: ProvenanceSystem> Query<P> {
             threads: self.nodes.len().saturating_sub(fused_away),
             provenance_collectors: self.provenance_collectors,
             nodes,
-            edges,
+            edges: self.edges.clone(),
             logical: None,
         }
     }
@@ -521,9 +510,13 @@ impl<P: ProvenanceSystem> Query<P> {
             );
         }
         stream.slot.connect(tx);
-        self.edges.push((stream.producer, consumer));
-        self.edge_budgets.push(batches * batch_size.max(1));
-        self.edge_channels.push(Some((capacity, batch_size)));
+        self.edges.push(EdgeFacts {
+            from: stream.producer,
+            to: consumer,
+            capacity,
+            batch_size,
+            fused: false,
+        });
         rx
     }
 
@@ -650,9 +643,13 @@ impl<P: ProvenanceSystem> Query<P> {
         // Bypass the chain's output slot: the parts are connected by direct calls,
         // not a channel. The discard mark satisfies deploy validation.
         input.slot.mark_discard();
-        self.edges.push((input.producer, node));
-        self.edge_budgets.push(0);
-        self.edge_channels.push(None);
+        self.edges.push(EdgeFacts {
+            from: input.producer,
+            to: node,
+            capacity: 0,
+            batch_size: 0,
+            fused: true,
+        });
         entry.nodes.push(node);
         entry.merge_group(group);
         (entry, chain)
@@ -760,20 +757,24 @@ impl<P: ProvenanceSystem> Query<P> {
     }
 
     /// Adds a Map producing zero or more output payloads per input payload.
-    pub fn map<I, O, F>(
+    pub fn map<I, O, R, F>(
         &mut self,
         name: &str,
         input: StreamRef<I, P::Meta>,
-        function: F,
+        mut function: F,
     ) -> StreamRef<O, P::Meta>
     where
         I: TupleData,
         O: TupleData,
-        F: FnMut(&I) -> Vec<O> + Send + 'static,
+        R: IntoIterator<Item = O>,
+        F: FnMut(&I) -> R + Send + 'static,
     {
         let provenance = self.provenance.clone();
         self.add_fused_stage(name, NodeKind::Map, None, input, move |_, _| {
-            MapStage::new(function, provenance)
+            MapStage::new(
+                move |tuple: &Arc<crate::tuple::GTuple<I, P::Meta>>| function(&tuple.data),
+                provenance,
+            )
         })
     }
 
@@ -793,7 +794,7 @@ impl<P: ProvenanceSystem> Query<P> {
     {
         let provenance = self.provenance.clone();
         self.add_fused_stage(name, NodeKind::Map, None, input, move |_, _| {
-            MetaMapStage::new(function, provenance)
+            MapStage::new(function, provenance)
         })
     }
 
@@ -809,7 +810,7 @@ impl<P: ProvenanceSystem> Query<P> {
         O: TupleData,
         F: FnMut(&I) -> O + Send + 'static,
     {
-        self.map(name, input, move |data| vec![function(data)])
+        self.map(name, input, move |data| std::iter::once(function(data)))
     }
 
     /// Adds a Filter forwarding the tuples that satisfy `predicate`.
@@ -1026,132 +1027,8 @@ impl<P: ProvenanceSystem> Query<P> {
     }
 
     // ------------------------------------------------------------------
-    // Introspection & deployment
+    // Deployment
     // ------------------------------------------------------------------
-
-    /// Number of operator nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The `(producer, consumer)` edges of the query graph.
-    pub fn edges(&self) -> &[(NodeId, NodeId)] {
-        &self.edges
-    }
-
-    /// Element-level buffer headroom of each edge, aligned with [`Query::edges`].
-    ///
-    /// The headroom is the channel's bound in batches times the producer's batch
-    /// size: how many elements the edge can absorb before back-pressure engages.
-    /// The N channels of a shard fan-out are budgeted *jointly* — each reports
-    /// roughly `channel_capacity / N` — and the channel-free stage-to-stage edges
-    /// inside a fused chain report 0.
-    pub fn edge_budgets(&self) -> &[usize] {
-        &self.edge_budgets
-    }
-
-    /// Names and kinds of the operator nodes.
-    pub fn node_summaries(&self) -> Vec<(String, NodeKind)> {
-        self.nodes
-            .iter()
-            .map(|n| (n.name.clone(), n.kind))
-            .collect()
-    }
-
-    /// Renders the query graph in Graphviz DOT format.
-    ///
-    /// Shard-group members carry their shard count on the label (`×N`) and exchange
-    /// edges (out of a Partition, into a ShardMerge) are drawn dashed. A fused chain
-    /// of two or more stages — a Source with the stateless stages behind it, or
-    /// stateless stages alone — renders as a single boxed node listing the stage
-    /// names; its channel-free internal edges are not drawn. Node names are
-    /// escaped, so user-supplied names containing quotes or backslashes cannot break
-    /// the DOT output.
-    pub fn to_dot(&self) -> String {
-        let mut dot = String::from("digraph query {\n  rankdir=LR;\n");
-        dot.push_str(&self.to_dot_fragment("n"));
-        dot.push_str("}\n");
-        dot
-    }
-
-    /// Renders the node and edge statements of the query graph without the
-    /// surrounding `digraph` wrapper, with every node id prefixed by `prefix`.
-    ///
-    /// This is the building block for rendering *distributed* deployments: each SPE
-    /// instance renders its own fragment under a distinct prefix and an outer
-    /// assembler (e.g. `genealog_distributed::deployment::instances_dot`) wraps the
-    /// fragments in one cluster per instance, making process boundaries visible.
-    /// Send and Receive endpoints (nodes of kind `Custom("send")` /
-    /// `Custom("receive")`) are drawn with the `cds` shape to mark where a stream
-    /// leaves or enters the instance.
-    pub fn to_dot_fragment(&self, prefix: &str) -> String {
-        fn escape(name: &str) -> String {
-            name.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut dot = String::new();
-        // Members of a multi-stage fused chain all render through the chain's head.
-        // Chains are rendered in head-node order so the output is deterministic.
-        let mut chain_head: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut chains: Vec<&ChainEntry> = self.chains().filter(|e| e.nodes.len() > 1).collect();
-        chains.sort_by_key(|e| e.nodes[0]);
-        for entry in chains {
-            let head = entry.nodes[0];
-            for &member in &entry.nodes {
-                chain_head.insert(member, head);
-            }
-            let stages = entry
-                .nodes
-                .iter()
-                .map(|&member| escape(&self.nodes[member].name))
-                .collect::<Vec<_>>()
-                .join(" \u{2192} ");
-            let shards = match &entry.group {
-                Some(group) if group.instances > 1 => format!(" \u{d7}{}", group.instances),
-                _ => String::new(),
-            };
-            dot.push_str(&format!(
-                "  {prefix}{head} [shape=box label=\"{stages}\\n(fused{shards})\"];\n"
-            ));
-        }
-        for (id, node) in self.nodes.iter().enumerate() {
-            if chain_head.contains_key(&id) {
-                continue;
-            }
-            let shards = match &node.shard_group {
-                Some(group) if group.instances > 1 => format!(" \u{d7}{}", group.instances),
-                _ => String::new(),
-            };
-            // Instance-boundary endpoints render as "cds" (a tagged box pointing
-            // off the page): the stream leaves or enters the process here.
-            let shape = match node.kind {
-                NodeKind::Custom(kind) if kind == "send" || kind == "receive" => "shape=cds ",
-                _ => "",
-            };
-            dot.push_str(&format!(
-                "  {}{} [{}label=\"{}\\n({}{})\"];\n",
-                prefix,
-                id,
-                shape,
-                escape(&node.name),
-                node.kind.label(),
-                shards
-            ));
-        }
-        for (from, to) in &self.edges {
-            let (f, t) = (
-                chain_head.get(from).copied().unwrap_or(*from),
-                chain_head.get(to).copied().unwrap_or(*to),
-            );
-            if f == t {
-                continue; // channel-free edge inside a fused chain
-            }
-            let exchange = matches!(self.nodes[*from].kind, NodeKind::Partition)
-                || matches!(self.nodes[*to].kind, NodeKind::ShardMerge);
-            let attrs = if exchange { " [style=dashed]" } else { "" };
-            dot.push_str(&format!("  {prefix}{f} -> {prefix}{t}{attrs};\n"));
-        }
-        dot
-    }
 
     /// Validates the query, runs the physical-plan fusion pass and spawns one thread
     /// per chain.
@@ -1326,6 +1203,7 @@ mod tests {
     use super::*;
     use crate::operator::source::VecSource;
     use crate::provenance::NoProvenance;
+    use genealog_analysis::dot;
 
     #[test]
     fn builds_and_runs_a_linear_query() {
@@ -1337,8 +1215,9 @@ mod tests {
         let evens = q.filter("evens", src, |x| x % 2 == 0);
         let doubled = q.map_one("double", evens, |x| x * 2);
         let out = q.collecting_sink("sink", doubled);
-        assert_eq!(q.node_count(), 4);
-        assert_eq!(q.edges().len(), 3);
+        let facts = q.plan_facts();
+        assert_eq!(facts.nodes.len(), 4);
+        assert_eq!(facts.edges.len(), 3);
         let report = q.deploy().unwrap().wait().unwrap();
         assert_eq!(out.len(), 5);
         let values: Vec<i64> = out.tuples().iter().map(|t| t.data).collect();
@@ -1399,15 +1278,15 @@ mod tests {
         let src = q.source("reports", VecSource::with_period(vec![1i64], 1));
         let flt = q.filter("speed0", src, |_| true);
         let _ = q.collecting_sink("alerts", flt);
-        let dot = q.to_dot();
+        let dot = dot::physical(&q.plan_facts());
         assert!(dot.contains("reports"));
         assert!(dot.contains("speed0"));
         assert!(dot.contains("alerts"));
         assert!(dot.contains("n0 -> n1"));
-        let kinds = q.node_summaries();
-        assert_eq!(kinds[0].1, NodeKind::Source);
-        assert_eq!(kinds[1].1, NodeKind::Filter);
-        assert_eq!(kinds[2].1, NodeKind::Sink);
+        let facts = q.plan_facts();
+        assert_eq!(facts.node_kind(0), NodeKind::Source.label());
+        assert_eq!(facts.node_kind(1), NodeKind::Filter.label());
+        assert_eq!(facts.node_kind(2), NodeKind::Sink.label());
     }
 
     #[test]
@@ -1415,7 +1294,7 @@ mod tests {
         let mut q = Query::new(NoProvenance);
         let src = q.source("evil\"]; bad [\\", VecSource::with_period(vec![1i64], 1));
         let _ = q.collecting_sink("sink", src);
-        let dot = q.to_dot();
+        let dot = dot::physical(&q.plan_facts());
         // The quote and backslash are escaped, so the label cannot terminate early.
         assert!(dot.contains("evil\\\"]; bad [\\\\"));
         assert!(!dot.contains("label=\"evil\"]"));
@@ -1443,7 +1322,7 @@ mod tests {
             )
             .with(Parallelism::shards(4))
             .collecting_sink("sink");
-        let dot = plan.lower().unwrap().to_dot();
+        let dot = dot::physical(&plan.lower().unwrap().plan_facts());
         assert!(dot.contains("agg.exchange\\n(partition \u{d7}4)"));
         assert!(dot.contains("agg[0]\\n(sharded-aggregate \u{d7}4)"));
         assert!(dot.contains("agg.merge\\n(shard-merge \u{d7}4)"));
@@ -1598,7 +1477,7 @@ mod tests {
         let flt = q.filter("evens", src, |x| x % 2 == 0);
         let doubled = q.map_one("double", flt, |x| x * 2);
         let _ = q.collecting_sink("sink", doubled);
-        let dot = q.to_dot();
+        let dot = dot::physical(&q.plan_facts());
         // One boxed node lists every stage name, the source first and the sink that
         // seals the chain last; the member nodes are not drawn.
         assert!(dot.contains(

@@ -154,7 +154,7 @@ fn main() {
     let registry = query.registry();
     group.stream_metrics_into("sum", &registry);
     let server = ControlPlane::new(std::sync::Arc::clone(&registry))
-        .with_topology(query.to_dot())
+        .with_topology(genealog_analysis::dot::physical(&query.plan_facts()))
         .with_provenance(provenance.clone())
         .serve()
         .expect("bind control endpoint");

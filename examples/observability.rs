@@ -59,7 +59,7 @@ fn main() {
     // The control plane needs the registry and DOT before deployment consumes
     // the query; the provenance collector fills in while the query runs.
     let server = ControlPlane::new(q.registry())
-        .with_topology(q.to_dot())
+        .with_topology(genealog_analysis::dot::physical(&q.plan_facts()))
         .with_provenance(provenance.clone())
         .serve()
         .expect("bind control endpoint");

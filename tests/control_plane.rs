@@ -130,7 +130,7 @@ fn control_endpoint_serves_live_metrics_and_provenance_of_a_spanning_query() {
     let registry = query.registry();
     group.stream_metrics_into("sum", &registry);
     let server = ControlPlane::new(std::sync::Arc::clone(&registry))
-        .with_topology(query.to_dot())
+        .with_topology(genealog_analysis::dot::physical(&analyzed.facts))
         .with_provenance(provenance.clone())
         .with_analysis(analyzed.report.to_json())
         .serve()

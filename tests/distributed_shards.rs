@@ -17,11 +17,13 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use genealog::prelude::*;
+use genealog_analysis::dot;
 use genealog_distributed::deployment::{
-    instances_dot, logical_shard_provenance_sink, remote_shard_group_gl_over,
-    remote_shard_group_over, ShardTransport, SimulatedTransport,
+    logical_shard_provenance_sink, remote_shard_group_gl_over, remote_shard_group_over,
+    ShardTransport, SimulatedTransport,
 };
 use genealog_distributed::{NetworkConfig, TcpLoopbackTransport};
+use genealog_spe::channel::batch_budget;
 use genealog_spe::logical::LogicalPlan;
 use genealog_spe::operator::aggregate::WindowView;
 use genealog_spe::provenance::NoProvenance;
@@ -367,7 +369,7 @@ fn mixed_local_and_remote_shards_are_equivalent() {
     assert_eq!(all_local, mixed, "placement must not change the results");
 }
 
-/// Shard-channel budgeting over links: `Query::edge_budgets` accounts the egress and
+/// Shard-channel budgeting over links: the lowered plan's facts account the egress and
 /// ingress edges of remote shards exactly like local shard channels — the N channels
 /// of the exchange (and of the fan-in) jointly share the configured per-edge element
 /// budget, for n ∈ {1, 2, 4}.
@@ -400,15 +402,16 @@ fn remote_shard_edges_share_the_edge_budget() {
             .collecting_sink("sink");
         let q = plan.lower().unwrap();
 
-        let kinds: Vec<NodeKind> = q.node_summaries().iter().map(|(_, k)| *k).collect();
+        let facts = q.plan_facts();
         let mut exchange_total = 0usize;
         let mut fanin_total = 0usize;
-        for ((from, to), budget) in q.edges().iter().zip(q.edge_budgets()) {
-            if kinds[*from] == NodeKind::Partition {
-                exchange_total += budget;
+        for e in &facts.edges {
+            let headroom = || batch_budget(e.capacity, e.batch_size) * e.batch_size;
+            if facts.node_kind(e.from) == NodeKind::Partition.label() {
+                exchange_total += headroom();
             }
-            if kinds[*to] == NodeKind::ShardMerge {
-                fanin_total += budget;
+            if facts.node_kind(e.to) == NodeKind::ShardMerge.label() {
+                fanin_total += headroom();
             }
         }
         assert_eq!(
@@ -474,7 +477,8 @@ fn distributed_shard_group_reports_fold_into_one_operator() {
 }
 
 /// The combined DOT export renders every SPE instance as its own cluster with the
-/// Send/Receive endpoints marked, making the process boundaries visible.
+/// Send/Receive endpoints marked, making the process boundaries visible
+/// (`tests/golden/two_instances.dot`).
 #[test]
 fn distributed_plan_renders_instance_clusters() {
     let spec = WindowSpec::tumbling(Duration::from_secs(4)).unwrap();
@@ -494,9 +498,9 @@ fn distributed_plan_renders_instance_clusters() {
     let (tx3, _rx3, _stats3) = genealog_distributed::SimulatedLink::new(NetworkConfig::unlimited());
     genealog_distributed::deployment::add_send(&mut origin, "agg.egress[0]", src, tx3);
 
-    let dot = instances_dot(&[
-        ("origin".to_string(), origin.to_dot_fragment("i0_")),
-        ("instance 1".to_string(), remote.to_dot_fragment("i1_")),
+    let dot = dot::instances(&[
+        ("origin", &origin.plan_facts()),
+        ("instance 1", &remote.plan_facts()),
     ]);
     assert!(dot.contains("subgraph cluster_0"));
     assert!(dot.contains("subgraph cluster_1"));
@@ -507,4 +511,6 @@ fn distributed_plan_renders_instance_clusters() {
     assert!(dot.contains("shape=cds label=\"agg.recv\\n(receive)\""));
     // Node ids are namespaced per instance, so the fragments cannot collide.
     assert!(dot.contains("i0_0") && dot.contains("i1_0"));
+    // Byte for byte the picture recorded from the renderer this one replaced.
+    assert_eq!(dot, include_str!("golden/two_instances.dot"));
 }

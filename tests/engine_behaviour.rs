@@ -141,11 +141,19 @@ fn query_graph_introspection_lists_nodes_and_edges() {
     let src = q.source("numbers", VecSource::with_period(vec![1i64, 2, 3], 1_000));
     let doubled = q.map_one("double", src, |v| v * 2);
     let _ = q.collecting_sink("sink", doubled);
-    assert_eq!(q.node_count(), 3);
-    assert_eq!(q.edges().len(), 2);
-    let kinds: Vec<NodeKind> = q.node_summaries().iter().map(|(_, k)| *k).collect();
-    assert_eq!(kinds, vec![NodeKind::Source, NodeKind::Map, NodeKind::Sink]);
-    let dot = q.to_dot();
+    let facts = q.plan_facts();
+    assert_eq!(facts.nodes.len(), 3);
+    assert_eq!(facts.edges.len(), 2);
+    let kinds: Vec<&str> = facts.nodes.iter().map(|n| n.kind.as_str()).collect();
+    assert_eq!(
+        kinds,
+        vec![
+            NodeKind::Source.label(),
+            NodeKind::Map.label(),
+            NodeKind::Sink.label()
+        ]
+    );
+    let dot = genealog_analysis::dot::physical(&facts);
     assert!(dot.contains("digraph"));
     assert!(dot.contains("double"));
     q.deploy().unwrap().wait().unwrap();

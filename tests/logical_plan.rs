@@ -16,11 +16,13 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use genealog::prelude::*;
+use genealog_analysis::dot;
 use genealog_distributed::deployment::{
     logical_shard_provenance_sink, remote_shard_group_gl_over, remote_shard_group_over,
     SimulatedTransport,
 };
 use genealog_distributed::NetworkConfig;
+use genealog_spe::channel::batch_budget;
 use genealog_spe::logical::LogicalPlan;
 use genealog_spe::operator::aggregate::WindowView;
 use genealog_spe::provenance::{MetaData, NoProvenance};
@@ -401,15 +403,16 @@ fn lowered_shard_channels_share_the_edge_budget() {
             ))
             .collecting_sink("sink");
         let q = plan.lower().unwrap();
-        let kinds: Vec<NodeKind> = q.node_summaries().iter().map(|(_, k)| *k).collect();
+        let facts = q.plan_facts();
         let mut exchange_total = 0usize;
         let mut fanin_total = 0usize;
-        for ((from, to), budget) in q.edges().iter().zip(q.edge_budgets()) {
-            if kinds[*from] == NodeKind::Partition {
-                exchange_total += budget;
+        for e in &facts.edges {
+            let headroom = || batch_budget(e.capacity, e.batch_size) * e.batch_size;
+            if facts.node_kind(e.from) == NodeKind::Partition.label() {
+                exchange_total += headroom();
             }
-            if kinds[*to] == NodeKind::ShardMerge {
-                fanin_total += budget;
+            if facts.node_kind(e.to) == NodeKind::ShardMerge.label() {
+                fanin_total += headroom();
             }
         }
         assert_eq!(exchange_total, config.channel_capacity);
@@ -432,7 +435,7 @@ fn logical_and_physical_dot_show_the_lowering() {
         .aggregate("sum", window_spec(), sum_key, sum_window, sum_key)
         .with(Parallelism::shards(4))
         .collecting_sink("sink");
-    let logical_dot = plan.to_dot();
+    let logical_dot = dot::logical(&plan.facts());
     assert!(logical_dot.contains("digraph logical"));
     assert!(logical_dot.contains("sum\\n(aggregate \u{d7}4)"));
     assert!(
@@ -441,7 +444,7 @@ fn logical_and_physical_dot_show_the_lowering() {
     );
 
     let q = plan.lower().unwrap();
-    let physical_dot = q.to_dot();
+    let physical_dot = dot::physical(&q.plan_facts());
     // The merge heads the chain the sink extends, one box like the fused source
     // chain, which the exchange seals and whose shard edges are dashed.
     assert!(physical_dot.contains("sum.merge \u{2192} sink\\n(fused)"));

@@ -321,11 +321,11 @@ fn a_source_heads_its_chain_in_the_facts_and_the_dot_export() {
     };
     assert!(source_edge(&on), "fused: no channel behind the source");
     assert!(!source_edge(&off));
-    assert!(fused.to_dot().contains(
+    assert!(genealog_analysis::dot::physical(&on).contains(
         "[shape=box label=\"reports \u{2192} q1-speed0 \u{2192} q1-count \u{2192} q1-alert \
          \u{2192} sink\\n(fused)\"]"
     ));
-    assert!(!unfused.to_dot().contains("(fused)"));
+    assert!(!genealog_analysis::dot::physical(&off).contains("(fused)"));
 }
 
 #[test]
