@@ -167,7 +167,6 @@ mod tests {
             checkpoint_durable: None,
             metrics: true,
             host_cpus: 1,
-            threads: 1,
             provenance_collectors: 0,
             nodes: vec![NodeFacts {
                 name: "a\\b".into(),

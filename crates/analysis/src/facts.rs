@@ -27,8 +27,6 @@ pub struct PlanFacts {
     pub metrics: bool,
     /// Number of CPUs of the host the plan will deploy on.
     pub host_cpus: usize,
-    /// Number of operator threads the plan spawns (fused chains count once).
-    pub threads: usize,
     /// Number of provenance collectors attached to the plan.
     pub provenance_collectors: usize,
     /// The physical operator nodes, indexed by node id.
@@ -50,6 +48,15 @@ impl PlanFacts {
     /// The kind label of node `id`, or `""` when out of range.
     pub fn node_kind(&self, id: usize) -> &str {
         self.nodes.get(id).map_or("", |n| n.kind.as_str())
+    }
+
+    /// Number of operator threads the plan spawns: its distinct chains (the parts
+    /// of a fused chain share one thread).
+    pub fn threads(&self) -> usize {
+        let mut chains: Vec<usize> = self.nodes.iter().filter_map(|n| n.chain).collect();
+        chains.sort_unstable();
+        chains.dedup();
+        chains.len()
     }
 
     /// Ids of the edges into `node`.
@@ -145,7 +152,6 @@ mod tests {
             checkpoint_durable: None,
             metrics: true,
             host_cpus: 4,
-            threads: 2,
             provenance_collectors: 0,
             nodes: vec![NodeFacts {
                 name: "src".into(),
@@ -162,5 +168,6 @@ mod tests {
         assert_eq!(facts.node_name(7), "?");
         assert_eq!(facts.node_kind(7), "");
         assert_eq!(facts.incoming(0).count(), 0);
+        assert_eq!(facts.threads(), 1);
     }
 }

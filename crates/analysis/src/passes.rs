@@ -395,7 +395,8 @@ pub fn check_provenance(facts: &PlanFacts, diags: &mut Diagnostics) {
 
 /// Resource-sanity analysis (GL031, GL032, GL033, GL034).
 pub fn check_resources(facts: &PlanFacts, diags: &mut Diagnostics) {
-    if facts.threads > facts.host_cpus {
+    let threads = facts.threads();
+    if threads > facts.host_cpus {
         diags.push(Diagnostic::warning(
             CPU_OVERSUBSCRIPTION,
             Vec::new(),
@@ -403,7 +404,7 @@ pub fn check_resources(facts: &PlanFacts, diags: &mut Diagnostics) {
                 "the plan spawns {} operator threads on a host with {} CPU(s); \
                  heavy oversubscription adds context-switch latency on every hop — \
                  keep fusion on, reduce shard counts, or place shards remotely",
-                facts.threads, facts.host_cpus
+                threads, facts.host_cpus
             ),
         ));
     }
@@ -509,7 +510,6 @@ mod tests {
             checkpoint_durable: None,
             metrics: true,
             host_cpus: 1024,
-            threads: nodes.len(),
             provenance_collectors: 0,
             nodes,
             edges,
@@ -703,11 +703,12 @@ mod tests {
 
     #[test]
     fn gl031_uses_thread_and_cpu_counts() {
-        let mut facts = base(
-            vec![node("src", "source"), node("out", "sink")],
-            vec![edge(0, 1)],
-        );
-        facts.threads = 9;
+        // Nine operators, each on a chain of its own, on four CPUs.
+        let nodes = (0..9).map(|i| NodeFacts {
+            chain: Some(i),
+            ..node(&format!("op{i}"), "map")
+        });
+        let mut facts = base(nodes.collect(), (0..8).map(|i| edge(i, i + 1)).collect());
         facts.host_cpus = 4;
         let report = run(&facts);
         let d = report
@@ -715,7 +716,10 @@ mod tests {
             .next()
             .expect("GL031");
         assert!(d.message.contains('9') && d.message.contains('4'));
-        facts.threads = 4;
+        // Fused into four chains, they fit.
+        for (i, node) in facts.nodes.iter_mut().enumerate() {
+            node.chain = Some(i % 4);
+        }
         assert!(!run(&facts).has_code(CPU_OVERSUBSCRIPTION));
     }
 

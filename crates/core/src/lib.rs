@@ -22,9 +22,10 @@
 //!   (the paper's Listing 1) from any tuple back to its originating `SOURCE` (or
 //!   `REMOTE`) tuples.
 //! * The single-stream unfolder ([`unfolder::attach_unfolder`], §5) and the
-//!   multi-stream unfolder ([`unfolder::attach_multi_unfolder`], §6) express the
-//!   provenance pipeline itself with standard streaming operators, so provenance
-//!   capture can be deployed and distributed like any other part of the query.
+//!   multi-stream unfolder ([`unfolder::attach_multi_unfolder`], §6, one stitch
+//!   fan-in: [`unfolder::attach_stitch`]) express the provenance pipeline itself
+//!   with standard streaming operators, so provenance capture can be deployed and
+//!   distributed like any other part of the query.
 //!
 //! Because the upstream pointers are `Arc` references, a source tuple stays in memory
 //! exactly as long as some in-flight or sink tuple still (transitively) references it;
@@ -82,8 +83,8 @@ pub mod prelude {
     pub use crate::system::GeneaLog;
     pub use crate::traversal::{find_provenance, find_provenance_with_stats};
     pub use crate::unfolder::{
-        attach_multi_unfolder, attach_unfolder, SourceRecord, UnfoldedEvent, UnfoldedTuple,
-        UpstreamEvent,
+        attach_multi_unfolder, attach_stitch, attach_unfolder, LineageGroup, OriginRecord,
+        SourceRecord, UnfoldedEvent, UnfoldedTuple, UpstreamEvent, UpstreamLineage,
     };
     pub use crate::{GlPlan, GlQuery};
     pub use genealog_spe::prelude::*;
@@ -98,8 +99,8 @@ pub use sink::{
 pub use system::GeneaLog;
 pub use traversal::{find_provenance, find_provenance_with_stats, TraversalStats};
 pub use unfolder::{
-    attach_multi_unfolder, attach_unfolder, SourceRecord, UnfoldedEvent, UnfoldedTuple,
-    UpstreamEvent,
+    attach_multi_unfolder, attach_stitch, attach_unfolder, LineageGroup, LineageRef, OriginRecord,
+    SourceRecord, UnfoldedEvent, UnfoldedTuple, UpstreamEvent, UpstreamLineage,
 };
 
 /// A query instrumented with GeneaLog provenance.

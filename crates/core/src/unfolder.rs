@@ -1,5 +1,4 @@
-//! The single-stream unfolder (SU, §5) and the multi-stream unfolder (MU, §6), built
-//! from the standard streaming operators.
+//! The single-stream unfolder (SU, §5) and the multi-stream unfolder (MU, §6).
 //!
 //! *SU* duplicates a delivering stream with a Multiplex and applies the
 //! `findProvenance` traversal in a (meta-aware) Map, producing the *unfolded stream*:
@@ -8,12 +7,23 @@
 //! *MU* stitches unfolded streams from different SPE instances together: tuples whose
 //! originating tuple is already a `SOURCE` pass through, tuples whose originating
 //! tuple is `REMOTE` are replaced by the matching tuples of the upstream instances'
-//! unfolded streams, matched on the unique tuple id (Definition 6.4 / Figure 8). It is
-//! composed of Union + Multiplex + two Filters + Join + Union — only standard
-//! operators, which is the paper's challenge C3.
+//! unfolded streams, matched on the unique tuple id (Definition 6.4 / Figure 8).
+//! Figure 8 draws it as Union + Multiplex + two Filters + Join + Union; here those
+//! steps are one fan-in, the *stitch* ([`attach_stitch`]): the engine's Join rule
+//! over `[derived, upstream_0 … upstream_n]` (`Query::stitch`), which lets a
+//! `SOURCE`-origin event through as it is released and resolves a `REMOTE`-origin
+//! one against the id-keyed window of upstream lineage. Still a standard operator,
+//! which is the paper's challenge C3.
+//!
+//! Upstream lineage arrives in either of two forms ([`UpstreamLineage`]): one
+//! [`UpstreamEvent`] per (delivering tuple, originating tuple) pair, the paper's
+//! unfolded stream, or one [`LineageGroup`] per delivering tuple, which a remote
+//! shard ships from a single traversal ([`LineageRef`]).
 
 use std::fmt;
+use std::marker::PhantomData;
 
+use genealog_spe::codec::Encode;
 use genealog_spe::provenance::ProvenanceSystem;
 use genealog_spe::query::{Query, StreamRef};
 use genealog_spe::tuple::{TupleData, TupleId};
@@ -149,7 +159,7 @@ impl<T: TupleData, S: TupleData> UnfoldedEvent<T, S> {
 /// the delivering tuple at the upstream instance plus its originating tuple.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpstreamEvent<S> {
-    /// Id the delivering tuple had at the upstream instance (`ID`, the MU join key).
+    /// Id the delivering tuple had at the upstream instance (`ID`, the MU's key).
     pub sink_id: TupleId,
     /// Timestamp of the delivering tuple at the upstream instance.
     pub sink_ts: Timestamp,
@@ -171,6 +181,115 @@ genealog_spe::impl_codec_struct!(UpstreamEvent<S> {
     origin_id,
     origin_data
 });
+
+/// One originating tuple of a [`LineageGroup`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct OriginRecord<S> {
+    /// Kind of the originating tuple (`SOURCE` or `REMOTE`).
+    pub kind: OpKind,
+    /// Timestamp of the originating tuple.
+    pub ts: Timestamp,
+    /// Id of the originating tuple.
+    pub id: TupleId,
+    /// Payload of the originating tuple, when it has the source schema `S`.
+    pub data: Option<S>,
+}
+
+genealog_spe::impl_codec_struct!(OriginRecord<S> { kind, ts, id, data });
+
+/// The lineage of one delivering tuple at an upstream instance, shipped once per
+/// delivered tuple: its id and every originating tuple of its contribution graph.
+/// Carries what the [`UpstreamEvent`]s of that tuple would, without repeating the
+/// delivering tuple per origin.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LineageGroup<S> {
+    /// Id the delivering tuple had at the upstream instance (the MU's key).
+    pub sink_id: TupleId,
+    /// The originating tuples, in traversal order.
+    pub origins: Vec<OriginRecord<S>>,
+}
+
+genealog_spe::impl_codec_struct!(LineageGroup<S> { sink_id, origins });
+
+/// A [`LineageGroup`] borrowed from a traversal: encodes to the bytes of the group
+/// whose origins carry the payloads downcast to `S`, without cloning a payload.
+pub struct LineageRef<'a, S> {
+    sink_id: TupleId,
+    origins: &'a [ProvRef],
+    schema: PhantomData<fn() -> S>,
+}
+
+impl<'a, S> LineageRef<'a, S> {
+    /// The lineage of the delivering tuple `sink_id`, whose originating tuples are
+    /// `origins` (as [`find_provenance`] returned them).
+    pub fn new(sink_id: TupleId, origins: &'a [ProvRef]) -> Self {
+        LineageRef {
+            sink_id,
+            origins,
+            schema: PhantomData,
+        }
+    }
+}
+
+impl<S: TupleData + Encode> Encode for LineageRef<'_, S> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.sink_id.encode(out);
+        (self.origins.len() as u32).encode(out);
+        for origin in self.origins {
+            origin.kind().encode(out);
+            origin.ts().encode(out);
+            origin.id().encode(out);
+            let data = origin.payload::<S>();
+            data.is_some().encode(out);
+            if let Some(data) = data {
+                data.encode(out);
+            }
+        }
+    }
+}
+
+/// Upstream lineage as the MU's stitch consumes it: keyed by the id of the
+/// delivering tuple it describes, resolving to that tuple's source records.
+pub trait UpstreamLineage<S>: TupleData {
+    /// Id the delivering tuple had at the upstream instance (`ID`, the join key).
+    fn delivering_id(&self) -> TupleId;
+
+    /// Appends the originating tuples that carry a payload of schema `S`.
+    fn push_sources(&self, sources: &mut Vec<SourceRecord<S>>);
+}
+
+impl<S: TupleData> UpstreamLineage<S> for UpstreamEvent<S> {
+    fn delivering_id(&self) -> TupleId {
+        self.sink_id
+    }
+
+    fn push_sources(&self, sources: &mut Vec<SourceRecord<S>>) {
+        if let Some(data) = &self.origin_data {
+            sources.push(SourceRecord {
+                ts: self.origin_ts,
+                id: self.origin_id,
+                data: data.clone(),
+            });
+        }
+    }
+}
+
+impl<S: TupleData> UpstreamLineage<S> for LineageGroup<S> {
+    fn delivering_id(&self) -> TupleId {
+        self.sink_id
+    }
+
+    fn push_sources(&self, sources: &mut Vec<SourceRecord<S>>) {
+        sources.extend(self.origins.iter().filter_map(|origin| {
+            let data = origin.data.clone()?;
+            Some(SourceRecord {
+                ts: origin.ts,
+                id: origin.id,
+                data,
+            })
+        }));
+    }
+}
 
 /// Attaches a single-stream unfolder (SU) to `input`.
 ///
@@ -216,8 +335,57 @@ pub fn attach_unfolder<T: TupleData>(
     (passthrough, unfolded)
 }
 
+/// Attaches the stitch of a multi-stream unfolder (MU): one fan-in, `{name}-mu`,
+/// over the `derived` unfolded stream and the `upstreams` lineage streams
+/// (Definition 6.4). A derived event whose originating tuple is a `SOURCE` is
+/// resolved alone, `resolve(event, None)`, as it arrives; one whose originating
+/// tuple is `REMOTE` is resolved with every upstream element that describes that
+/// tuple (same id, within `upstream_window`), `resolve(event, Some(element))`,
+/// whichever of the two arrives first. The output's lineage is the derived
+/// event's: upstream elements are lookup state, not contributors.
+///
+/// `upstream_window` must cover the maximum time distance between a delivering tuple
+/// at this instance and the upstream delivering tuples contributing to it — the paper
+/// sets it to the sum of the window sizes of the stateful operators deployed at the
+/// instance producing the derived stream.
+///
+/// # Panics
+/// Panics if `upstreams` is empty.
+pub fn attach_stitch<P, T, S, U, O, F>(
+    q: &mut Query<P>,
+    name: &str,
+    derived: StreamRef<UnfoldedEvent<T, S>, P::Meta>,
+    upstreams: Vec<StreamRef<U, P::Meta>>,
+    upstream_window: Duration,
+    resolve: F,
+) -> StreamRef<O, P::Meta>
+where
+    P: ProvenanceSystem,
+    T: TupleData,
+    S: TupleData,
+    U: UpstreamLineage<S>,
+    O: TupleData,
+    F: FnMut(&UnfoldedEvent<T, S>, Option<&U>) -> O + Send + 'static,
+{
+    assert!(
+        !upstreams.is_empty(),
+        "the MU operator requires at least one upstream unfolded stream"
+    );
+    q.stitch(
+        &format!("{name}-mu"),
+        derived,
+        upstreams,
+        upstream_window,
+        |d: &UnfoldedEvent<T, S>| (d.origin_kind != OpKind::Source).then_some(d.origin_id),
+        |u: &U| u.delivering_id(),
+        resolve,
+    )
+}
+
 /// Attaches a multi-stream unfolder (MU) combining a *derived* unfolded stream with
-/// one or more *upstream* unfolded streams (Definition 6.4).
+/// one or more *upstream* unfolded streams (Definition 6.4), resolving per pair: the
+/// complete unfolded stream carries one event per (delivering tuple, source tuple).
+/// Runs on the stitch of [`attach_stitch`].
 ///
 /// `upstream_window` must cover the maximum time distance between a delivering tuple
 /// at this instance and the upstream delivering tuples contributing to it — the paper
@@ -238,57 +406,25 @@ where
     T: TupleData,
     S: TupleData,
 {
-    assert!(
-        !upstreams.is_empty(),
-        "the MU operator requires at least one upstream unfolded stream"
-    );
-    // Union the upstream unfolded streams into one (optional single-input case is a
-    // pass-through union, kept for structural fidelity with Figure 8).
-    let upstream = if upstreams.len() == 1 {
-        upstreams.into_iter().next().expect("one upstream")
-    } else {
-        q.union(&format!("{name}-mu-upstream-union"), upstreams)
-    };
-
-    // Split the derived stream: SOURCE-originating tuples bypass the Join.
-    let branches = q.multiplex(&format!("{name}-mu-mux"), derived, 2);
-    let mut branches = branches.into_iter();
-    let first = branches.next().expect("multiplex produced two branches");
-    let second = branches.next().expect("multiplex produced two branches");
-    let remote_branch = q.filter(
-        &format!("{name}-mu-remote"),
-        first,
-        |e: &UnfoldedEvent<T, S>| e.origin_kind != OpKind::Source,
-    );
-    let source_branch = q.filter(
-        &format!("{name}-mu-source"),
-        second,
-        |e: &UnfoldedEvent<T, S>| e.origin_kind == OpKind::Source,
-    );
-
-    // Resolve REMOTE originating tuples through the upstream unfolded streams:
-    // match on upstream delivering id == derived originating id. The id is the join
-    // key, so each event probes only the events stored under its own id.
-    let resolved = q.join(
-        &format!("{name}-mu-join"),
-        remote_branch,
-        upstream,
+    attach_stitch(
+        q,
+        name,
+        derived,
+        upstreams,
         upstream_window,
-        |d: &UnfoldedEvent<T, S>| d.origin_id,
-        |u: &UpstreamEvent<S>| u.sink_id,
-        |_: &UnfoldedEvent<T, S>, _: &UpstreamEvent<S>| true,
-        |d: &UnfoldedEvent<T, S>, u: &UpstreamEvent<S>| UnfoldedEvent {
-            sink_ts: d.sink_ts,
-            sink_id: d.sink_id,
-            sink_data: d.sink_data.clone(),
-            origin_kind: u.origin_kind,
-            origin_ts: u.origin_ts,
-            origin_id: u.origin_id,
-            origin_data: u.origin_data.clone(),
+        |d: &UnfoldedEvent<T, S>, u: Option<&UpstreamEvent<S>>| match u {
+            None => d.clone(),
+            Some(u) => UnfoldedEvent {
+                sink_ts: d.sink_ts,
+                sink_id: d.sink_id,
+                sink_data: d.sink_data.clone(),
+                origin_kind: u.origin_kind,
+                origin_ts: u.origin_ts,
+                origin_id: u.origin_id,
+                origin_data: u.origin_data.clone(),
+            },
         },
-    );
-
-    q.union(&format!("{name}-mu-out"), vec![resolved, source_branch])
+    )
 }
 
 #[cfg(test)]
@@ -542,5 +678,76 @@ mod tests {
         let up = ev.to_upstream();
         assert_eq!(up.sink_id, ev.sink_id);
         assert_eq!(up.origin_data, Some(3));
+    }
+
+    /// The lineage a remote shard ships straight from a traversal is byte for byte
+    /// the group it decodes to, payloads of another schema encoded as absent; the
+    /// group and its per-pair events resolve to the same source records.
+    #[test]
+    fn lineage_ref_encodes_as_its_lineage_group() {
+        use genealog_spe::codec::Decode;
+        use genealog_spe::provenance::{RemoteContext, SourceContext};
+        use genealog_spe::tuple::GTuple;
+        use std::sync::Arc;
+
+        let gl = GeneaLog::for_instance(3);
+        let ts = Timestamp::from_secs(4);
+        let ctx = SourceContext {
+            source_id: 0,
+            seq: 0,
+            ts,
+        };
+        let source = Arc::new(GTuple::new(ts, 0, 7i64, gl.source_meta(&ctx, &7i64)));
+        let remote_meta = gl.remote_meta(&RemoteContext {
+            id: TupleId::new(9, 1),
+            ts,
+            was_source: false,
+        });
+        let remote = Arc::new(GTuple::new(ts, 0, "other schema", remote_meta));
+        let origins = [erase(&source), erase(&remote)];
+        let sink_id = TupleId::new(3, 42);
+
+        let group = LineageGroup {
+            sink_id,
+            origins: vec![
+                OriginRecord {
+                    kind: OpKind::Source,
+                    ts,
+                    id: source.meta.id,
+                    data: Some(7i64),
+                },
+                OriginRecord {
+                    kind: OpKind::Remote,
+                    ts,
+                    id: TupleId::new(9, 1),
+                    data: None,
+                },
+            ],
+        };
+        let bytes = LineageRef::<i64>::new(sink_id, &origins).to_bytes();
+        assert_eq!(bytes, group.to_bytes());
+        assert_eq!(LineageGroup::<i64>::from_bytes(&bytes), Ok(group.clone()));
+
+        let mut grouped = Vec::new();
+        group.push_sources(&mut grouped);
+        let mut paired = Vec::new();
+        for origin in &group.origins {
+            let event = UpstreamEvent {
+                sink_id,
+                sink_ts: ts,
+                origin_kind: origin.kind,
+                origin_ts: origin.ts,
+                origin_id: origin.id,
+                origin_data: origin.data,
+            };
+            assert_eq!(event.delivering_id(), group.delivering_id());
+            event.push_sources(&mut paired);
+        }
+        assert_eq!(grouped, paired);
+        assert_eq!(
+            grouped.len(),
+            1,
+            "only the origin with a payload is a source"
+        );
     }
 }

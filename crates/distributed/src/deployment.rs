@@ -9,12 +9,13 @@
 //!   links a [`ShardTransport`] builds. It is the single builder for every
 //!   provenance system, transport and failure mode: the system decides through
 //!   [`WireProvenance::ship_lineage`] whether an instance also ships a lineage
-//!   side-stream (under GeneaLog: a single-stream unfolder feeding
-//!   [`UpstreamEvent`]s back to the origin), and faults are transport decorators
+//!   side-stream (under GeneaLog: one [`LineageGroup`] per shard result, from one
+//!   traversal of its contribution graph), and faults are transport decorators
 //!   (`FaultyTransport`, `TcpLoopbackTransport::with_return_kill`). The `spe-node`
 //!   worker wires the shards it hosts through the same per-instance function.
 //!   [`logical_shard_provenance_sink`] stitches the lineage across the REMOTE
-//!   boundary at the origin with the multi-stream unfolder of §6.
+//!   boundary at the origin with the multi-stream unfolder of §6: one stitch
+//!   fan-in over the derived stream and every shard's lineage.
 //! * **The paper's three-instance deployments** of Q1–Q4 (Figures 7, 9C, 10C, 11C;
 //!   the rows of Figure 13) — [`deploy_distributed_genealog`],
 //!   [`deploy_distributed_noprov`] and [`deploy_distributed_baseline`]. Instance 1
@@ -40,8 +41,9 @@ use genealog_spe::tuple::TupleData;
 use genealog_spe::{Duration, SpeError, Timestamp};
 
 use genealog::{
-    attach_multi_unfolder, attach_unfolder, contribution_document, group_by_sink, GeneaLog, GlMeta,
-    SourceRecord, UnfoldedEvent, UnfoldedTuple, UpstreamEvent,
+    attach_multi_unfolder, attach_stitch, attach_unfolder, contribution_document, group_by_sink,
+    GeneaLog, GlMeta, LineageGroup, SourceRecord, UnfoldedEvent, UnfoldedTuple, UpstreamEvent,
+    UpstreamLineage,
 };
 use genealog_baseline::AriadneBaseline;
 
@@ -649,20 +651,19 @@ where
 /// instances, and the per-shard provenance streams needed to stitch lineage across
 /// the REMOTE boundary (see [`logical_shard_provenance_sink`]).
 ///
-/// Each remote instance runs a single-stream unfolder on its shard output and ships
-/// the unfolded stream — mapped to [`UpstreamEvent`]s keyed by the delivering
-/// tuple's id — back to the origin on the lineage channel of the shard's return
-/// link. The origin resolves the REMOTE originating tuples of its own unfolded sink
-/// stream against these upstream streams with the multi-stream unfolder
-/// (Definition 6.4), which is what makes the distributed shard group's contribution
-/// sets identical to the single-instance plan's.
+/// Each remote instance walks the contribution graph of every shard result once and
+/// ships its origins as one [`LineageGroup`] keyed by the delivering tuple's id,
+/// back to the origin on the lineage channel of the shard's return link. The origin
+/// resolves the REMOTE originating tuples of its own unfolded sink stream against
+/// these groups with the multi-stream unfolder (Definition 6.4); see
+/// [`logical_shard_provenance_sink`] for what the stitched records then hold.
 pub struct GlShardGroup<I, O> {
     /// Placements for `LogicalStream::place` on the originating query.
     pub placements: Vec<ShardPlacement<GeneaLog, I, O>>,
     /// The remote instances and link counters.
     pub group: RemoteShardGroup,
-    /// Per-shard receivers of the remote instances' unfolded provenance streams
-    /// (`UpstreamEvent<I>` frames, multiplexed onto the shards' return links).
+    /// Per-shard receivers of the remote instances' lineage streams
+    /// (`LineageGroup<I>` frames, multiplexed onto the shards' return links).
     pub provenance_links: Vec<Box<dyn FrameSource>>,
 }
 
@@ -702,22 +703,42 @@ where
 }
 
 /// Collects the stitched provenance of a query whose plan contains distributed shard
-/// groups (the output of [`logical_shard_provenance_sink`]).
+/// groups (the output of [`logical_shard_provenance_sink`]): one record fragment per
+/// derived event the stitch resolved, merged per sink tuple on the way out.
 #[derive(Debug, Clone)]
 pub struct ShardProvenanceCollector<O, S> {
-    collected: CollectedStream<UnfoldedEvent<O, S>, GlMeta>,
+    collected: CollectedStream<ProvenanceRecord<O, S>, GlMeta>,
+}
+
+/// Merges record fragments into one record per sink tuple, in the order sink tuples
+/// first appear.
+fn merge_fragments<'a, O: TupleData, S: TupleData>(
+    fragments: impl IntoIterator<Item = &'a ProvenanceRecord<O, S>>,
+) -> Vec<ProvenanceRecord<O, S>> {
+    group_by_sink(
+        fragments,
+        |f| f.sink_id,
+        |f| f.clone_header(),
+        |record, f| record.sources.extend_from_slice(&f.sources),
+    )
+}
+
+impl<D: Clone, S> ProvenanceRecord<D, S> {
+    /// The record's sink tuple, without its sources.
+    fn clone_header(&self) -> Self {
+        ProvenanceRecord {
+            sink_id: self.sink_id,
+            sink_ts: self.sink_ts,
+            sink_data: self.sink_data.clone(),
+            sources: Vec::new(),
+        }
+    }
 }
 
 impl<O: TupleData, S: TupleData> ShardProvenanceCollector<O, S> {
     /// The per-sink-tuple provenance, in sink order.
     pub fn records(&self) -> Vec<ProvenanceRecord<O, S>> {
-        group_provenance(
-            self.collected
-                .tuples()
-                .iter()
-                .map(|t| t.data.clone())
-                .collect(),
-        )
+        merge_fragments(self.collected.tuples().iter().map(|t| &t.data))
     }
 
     /// Resolves a control-endpoint provenance query against the stitched shard
@@ -728,16 +749,10 @@ impl<O: TupleData, S: TupleData> ShardProvenanceCollector<O, S> {
     /// [`ControlPlane::with_provenance`](genealog_control::ControlPlane::with_provenance).
     pub fn contribution_json(&self, sink_id: &str) -> Option<String> {
         let id = genealog_spe::tuple::TupleId::parse(sink_id)?;
-        // One request concerns one sink tuple: group only its own events, not the
-        // whole collection.
-        let record = group_provenance(
-            self.collected
-                .select(|t| t.data.sink_id == id)
-                .iter()
-                .map(|t| t.data.clone())
-                .collect(),
-        )
-        .pop()?;
+        // One request concerns one sink tuple: merge only its own fragments, not
+        // the whole collection.
+        let fragments = self.collected.select(|t| t.data.sink_id == id);
+        let record = merge_fragments(fragments.iter().map(|t| &t.data)).pop()?;
         Some(contribution_document(
             record.sink_id,
             record.sink_ts,
@@ -761,21 +776,27 @@ where
 }
 
 /// Attaches a provenance sink that stitches GeneaLog lineage across the REMOTE
-/// boundaries of distributed shard groups: the unfolder, the MU and the
-/// stitched-provenance sink are spliced in behind the [`LogicalStream`] at lowering
-/// time, and the collector is populated once the lowered query runs.
+/// boundaries of distributed shard groups: the unfolder, the multi-stream
+/// unfolder's stitch and the stitched-provenance sink are spliced in behind the
+/// [`LogicalStream`] at lowering time, and the collector is populated once the
+/// lowered query runs.
 ///
 /// The origin's own unfolded stream terminates at REMOTE originating tuples for
 /// every sink tuple that crossed back from a remote shard; this helper resolves them
-/// with the multi-stream unfolder of §6 against the remote instances' unfolded
-/// streams (`provenance_links`, from [`GlShardGroup`]), so the collected records
-/// carry the actual source tuples — identical to what
-/// `genealog::logical_provenance_sink` reports for the equivalent single-instance
-/// plan. Local shards' lineage needs no stitching (their chain pointers never left
-/// the process) and passes the unfolder through unchanged, so mixed local/remote
-/// groups work too.
+/// with the multi-stream unfolder of §6 against the lineage the remote instances
+/// ship (`provenance_links`, from [`GlShardGroup`]: one [`LineageGroup`] per shard
+/// result). It resolves **one REMOTE level**: a sink tuple's record lists the tuples
+/// that *entered the shard group*, as the remote instance's traversal found them.
+/// When those are the origin's SOURCE tuples — the shard group reads the source
+/// stream directly — the records equal what `genealog::logical_provenance_sink`
+/// reports for the equivalent single-instance plan. When an operator runs between
+/// the source and the exchange (a Map, say), each record ends at that operator's
+/// outputs, the shard inputs, carrying their payloads: the origin's graph below
+/// them is not walked again. Local shards' lineage needs no stitching (their chain
+/// pointers never left the process) and passes the unfolder through unchanged, so
+/// mixed local/remote groups work too.
 ///
-/// `upstream_window` is the MU join window: it must cover the maximum time distance
+/// `upstream_window` is the stitch's window: it must cover the maximum time distance
 /// between a sink tuple and the upstream delivering tuples contributing to it (the
 /// sum of the plan's stateful window sizes, §6.1).
 ///
@@ -796,14 +817,12 @@ where
     S: TupleData + WireEncode + WireDecode,
     R: FrameSource,
 {
-    let collected: CollectedStream<UnfoldedEvent<O, S>, GlMeta> = CollectedStream::new();
-    let copy = collected.clone();
+    let collector = ShardProvenanceCollector {
+        collected: CollectedStream::new(),
+    };
+    let copy = collector.clone();
     let name = name.to_string();
     let passthrough = stream.raw(&format!("{name}-stitch"), move |q, s| {
-        assert!(
-            !provenance_links.is_empty(),
-            "stitching requires at least one remote provenance stream"
-        );
         q.note_provenance_collector();
         let (passthrough, unfolded) = attach_unfolder(q, &name, s);
         let derived = q.map_one(
@@ -811,18 +830,81 @@ where
             unfolded,
             |u: &UnfoldedTuple<O>| u.to_event::<S>(),
         );
-        let upstreams = provenance_links
+        let lineage = provenance_links
             .into_iter()
             .enumerate()
             .map(|(i, link)| {
-                add_receive::<UpstreamEvent<S>, _, _>(q, &format!("{name}.upstream[{i}]"), link)
+                add_receive::<LineageGroup<S>, _, _>(q, &format!("{name}.upstream[{i}]"), link)
             })
             .collect();
-        let complete = attach_multi_unfolder(q, &name, derived, upstreams, upstream_window);
-        q.collecting_sink_into(&format!("{name}.sink"), complete, &copy);
+        stitch_into(q, &name, derived, lineage, upstream_window, &copy);
         passthrough
     });
-    (passthrough, ShardProvenanceCollector { collected })
+    (passthrough, collector)
+}
+
+/// Attaches the multi-stream unfolder's stitch over the origin's `derived` unfolded
+/// stream and the `lineage` streams of its remote shards, and the sink collecting
+/// one [`ProvenanceRecord`] fragment per resolved derived event (the body of
+/// [`logical_shard_provenance_sink`]): a SOURCE-origin event is a fragment of its
+/// one source, a REMOTE-origin event takes the sources of the lineage element it
+/// matched. Lineage can be grouped ([`LineageGroup`], what remote shards ship) or
+/// per pair ([`UpstreamEvent`]); both give the same records.
+///
+/// # Panics
+/// Panics if `lineage` is empty.
+pub fn attach_shard_stitch<O, S, U>(
+    q: &mut Query<GeneaLog>,
+    name: &str,
+    derived: StreamRef<UnfoldedEvent<O, S>, GlMeta>,
+    lineage: Vec<StreamRef<U, GlMeta>>,
+    upstream_window: Duration,
+) -> ShardProvenanceCollector<O, S>
+where
+    O: TupleData,
+    S: TupleData,
+    U: UpstreamLineage<S>,
+{
+    let collector = ShardProvenanceCollector {
+        collected: CollectedStream::new(),
+    };
+    stitch_into(q, name, derived, lineage, upstream_window, &collector);
+    collector
+}
+
+fn stitch_into<O, S, U>(
+    q: &mut Query<GeneaLog>,
+    name: &str,
+    derived: StreamRef<UnfoldedEvent<O, S>, GlMeta>,
+    lineage: Vec<StreamRef<U, GlMeta>>,
+    upstream_window: Duration,
+    collector: &ShardProvenanceCollector<O, S>,
+) where
+    O: TupleData,
+    S: TupleData,
+    U: UpstreamLineage<S>,
+{
+    let fragments = attach_stitch(
+        q,
+        name,
+        derived,
+        lineage,
+        upstream_window,
+        |d: &UnfoldedEvent<O, S>, u: Option<&U>| {
+            let mut sources = Vec::new();
+            match u {
+                None => sources.extend(d.source_record()),
+                Some(u) => u.push_sources(&mut sources),
+            }
+            ProvenanceRecord {
+                sink_id: d.sink_id,
+                sink_ts: d.sink_ts,
+                sink_data: d.sink_data.clone(),
+                sources,
+            }
+        },
+    );
+    q.collecting_sink_into(&format!("{name}.sink"), fragments, &collector.collected);
 }
 
 /// Applies stage 1 to instance 1's source stream (see [`deploy_two_stage`]).
@@ -908,8 +990,8 @@ where
 /// (the GL rows of Figure 13), blocking until completion.
 ///
 /// Instances 1 and 2 each run a single-stream unfolder next to their stage and ship
-/// its unfolded stream to instance 3, whose multi-stream unfolder joins them.
-/// `provenance_window` is the MU join window (the sum of the query's stateful window
+/// its unfolded stream to instance 3, whose multi-stream unfolder stitches them.
+/// `provenance_window` is the MU's stitch window (the sum of the query's stateful window
 /// sizes, §6.1).
 ///
 /// # Errors

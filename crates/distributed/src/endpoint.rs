@@ -23,6 +23,7 @@
 //!
 //! [`PendingChain::head`]: genealog_spe::fusion::PendingChain::head
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use genealog_spe::channel::ChannelClosed;
@@ -31,15 +32,14 @@ use genealog_spe::fusion::Tail;
 use genealog_spe::impl_codec_struct;
 use genealog_spe::metrics::OpCounters;
 use genealog_spe::provenance::{NoProvenance, ProvenanceSystem, RemoteContext};
-use genealog_spe::query::{Query, StreamRef};
+use genealog_spe::query::{NodeKind, Query, StreamRef};
 use genealog_spe::state::CheckpointHandle;
 use genealog_spe::tuple::{GTuple, TupleData, TupleId};
 use genealog_spe::Timestamp;
 
-use genealog::{attach_unfolder, GeneaLog, GlMeta, OpKind, UnfoldedTuple};
+use genealog::{erase, find_provenance, GeneaLog, GlMeta, LineageRef, OpKind};
 use genealog_baseline::{AriadneBaseline, BlMeta};
 
-use crate::deployment::add_send;
 use crate::network::{FrameSink, FrameSource};
 use crate::wire::{WireDecode, WireEncode, WireError, WireReader};
 
@@ -115,10 +115,11 @@ impl WireProvenance for GeneaLog {
         }
     }
 
-    /// A single-stream unfolder on the shard output; its unfolded stream travels
-    /// as [`UpstreamEvent`](genealog::UpstreamEvent)s keyed by the delivering
-    /// tuple's id, which the origin's multi-stream unfolder joins on
-    /// (Definition 6.4).
+    /// A Multiplex on the shard output, so the data Send never waits on a
+    /// traversal, and a lineage tail on its second branch: it walks each delivered
+    /// tuple's contribution graph once and ships the result as one
+    /// [`LineageGroup`](genealog::LineageGroup) keyed by the delivering tuple's
+    /// id, which the origin's multi-stream unfolder stitches on (Definition 6.4).
     fn ship_lineage<I, O, L>(
         q: &mut Query<Self>,
         name: &str,
@@ -130,13 +131,17 @@ impl WireProvenance for GeneaLog {
         O: TupleData + WireEncode + WireDecode,
         L: FrameSink,
     {
-        let (to_send, unfolded) = attach_unfolder(q, &format!("{name}.su"), out);
-        let events = q.map_one(
-            &format!("{name}.su.events"),
-            unfolded,
-            |u: &UnfoldedTuple<O>| u.to_event::<I>().to_upstream(),
-        );
-        add_send(q, &format!("{name}.send.prov"), events, lineage_tx);
+        let mut branches = q
+            .multiplex(&format!("{name}.lineage-mux"), out, 2)
+            .into_iter();
+        let to_send = branches.next().expect("multiplex produced two branches");
+        let to_lineage = branches.next().expect("multiplex produced two branches");
+        let node = q.add_node(format!("{name}.send.prov"), NodeKind::Custom("send"));
+        let lineage = LineageFrames::<I> {
+            provenance: q.provenance().clone(),
+            schema: PhantomData,
+        };
+        q.set_tail(node, to_lineage, SendTail::framing(lineage_tx, lineage));
         to_send
     }
 }
@@ -294,16 +299,60 @@ fn with_seq(seq: u64, frame: Vec<u8>) -> Vec<u8> {
     framed
 }
 
+/// How a Send-framed tail writes one tuple into its pending run.
+pub(crate) trait FrameEncoder<T, M>: Send + 'static {
+    /// Appends `tuple`'s wire tuple to `frame`.
+    fn push(&mut self, frame: &mut TupleFrameBuilder, tuple: &Arc<GTuple<T, M>>);
+}
+
+/// The data Send's encoder: each tuple's payload under its provenance wire tag.
+pub(crate) struct Tagged<P>(P);
+
+impl<T, P> FrameEncoder<T, P::Meta> for Tagged<P>
+where
+    T: TupleData + WireEncode,
+    P: WireProvenance,
+{
+    fn push(&mut self, frame: &mut TupleFrameBuilder, tuple: &Arc<GTuple<T, P::Meta>>) {
+        let tag = self.0.wire_tag(tuple);
+        frame.push(tuple.ts, tuple.stimulus, tag, &tuple.data);
+    }
+}
+
+/// The lineage tail's encoder under GeneaLog: one traversal per delivered tuple,
+/// shipped as one lineage group under the tuple's wire tag (`I` is the source
+/// schema at the origin, which the origins' payloads are downcast to).
+struct LineageFrames<I> {
+    provenance: GeneaLog,
+    schema: PhantomData<fn() -> I>,
+}
+
+impl<O, I> FrameEncoder<O, GlMeta> for LineageFrames<I>
+where
+    O: TupleData,
+    I: TupleData + WireEncode,
+{
+    fn push(&mut self, frame: &mut TupleFrameBuilder, tuple: &Arc<GTuple<O, GlMeta>>) {
+        // The tuple is the lineage branch's Multiplex copy; the tag carries the id of
+        // the delivering tuple the data Send ships, and the traversal walks through
+        // the copy to the delivering tuple's origins.
+        let tag = self.provenance.wire_tag(tuple);
+        let origins = find_provenance(&erase(tuple));
+        let lineage = LineageRef::<I>::new(tag.id, &origins);
+        frame.push(tuple.ts, tuple.stimulus, tag, &lineage);
+    }
+}
+
 /// The Send operator, the tail of its chain: serialises a stream onto a link
-/// towards another SPE instance.
+/// towards another SPE instance, each tuple as its encoder `E` frames it.
 ///
 /// Generic over the frame transport `L`, so the stream can own its link
 /// ([`LinkSender`](crate::network::LinkSender)) or share a multiplexed one
 /// ([`MuxSender`](crate::network::MuxSender)). A link that refuses a frame is
 /// dead: the chain stops.
-pub(crate) struct SendTail<P, L> {
+pub(crate) struct SendTail<E, L> {
     link: L,
-    provenance: P,
+    encoder: E,
     row: OpCounters,
     /// The run of tuples not yet shipped.
     frame: TupleFrameBuilder,
@@ -311,16 +360,27 @@ pub(crate) struct SendTail<P, L> {
     seq: u64,
 }
 
-impl<P: WireProvenance, L: FrameSink> SendTail<P, L> {
-    /// Configures a Send writing to `link`; the returned closure builds it on its
-    /// chain's thread.
+impl<P: WireProvenance, L: FrameSink> SendTail<Tagged<P>, L> {
+    /// Configures a data Send writing to `link`; the returned closure builds it on
+    /// its chain's thread.
     pub(crate) fn open(
         link: L,
         provenance: P,
     ) -> impl FnOnce(&str, OpCounters) -> Self + Send + 'static {
+        SendTail::framing(link, Tagged(provenance))
+    }
+}
+
+impl<E: Send + 'static, L: FrameSink> SendTail<E, L> {
+    /// Configures a Send writing to `link` whose wire tuples `encoder` frames; the
+    /// returned closure builds it on its chain's thread.
+    pub(crate) fn framing(
+        link: L,
+        encoder: E,
+    ) -> impl FnOnce(&str, OpCounters) -> Self + Send + 'static {
         move |_, row| SendTail {
             link,
-            provenance,
+            encoder,
             row,
             frame: TupleFrameBuilder::new(),
             seq: 0,
@@ -355,15 +415,13 @@ impl<P: WireProvenance, L: FrameSink> SendTail<P, L> {
     }
 }
 
-impl<T, P, L> Tail<T, P::Meta> for SendTail<P, L>
+impl<T, M, E, L> Tail<T, M> for SendTail<E, L>
 where
-    T: TupleData + WireEncode,
-    P: WireProvenance,
+    E: FrameEncoder<T, M>,
     L: FrameSink,
 {
-    fn tuple(&mut self, tuple: Arc<GTuple<T, P::Meta>>) -> Result<(), ChannelClosed> {
-        let tag = self.provenance.wire_tag(&tuple);
-        self.frame.push(tuple.ts, tuple.stimulus, tag, &tuple.data);
+    fn tuple(&mut self, tuple: Arc<GTuple<T, M>>) -> Result<(), ChannelClosed> {
+        self.encoder.push(&mut self.frame, &tuple);
         Ok(())
     }
 

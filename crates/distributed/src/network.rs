@@ -8,7 +8,7 @@
 //!
 //! [`SharedLink`] multiplexes several logical frame channels onto one such link (the
 //! common case for distributed shard groups, where a remote instance returns both its
-//! result stream and its unfolded provenance stream to the originating instance over
+//! result stream and its lineage stream to the originating instance over
 //! one physical connection). The [`FrameSink`] / [`FrameSource`] traits abstract over
 //! plain and multiplexed link halves, so the Send and Receive operators work with
 //! either.

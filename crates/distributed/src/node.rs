@@ -18,7 +18,7 @@
 //! With `k` hosted shards the channel layout is, in the client → node
 //! direction, channel `j` = shard `j`'s partitioned sub-stream; in the node →
 //! client direction, the `j`-th run of `RETURN_CHANNELS` channels is shard
-//! `j`'s return link (results, unfolded provenance stream, metrics snapshots) —
+//! `j`'s return link (results, lineage stream, metrics snapshots) —
 //! the same per-shard channels, split by the same function, that
 //! [`remote_shard_group_over`](crate::deployment::remote_shard_group_over)
 //! wires in-process.

@@ -12,8 +12,9 @@
 //! # The protocol
 //!
 //! Every input is a `FanInput`: tuples received but not yet released, the highest
-//! lower bound the input has `promised` (by a tuple or a watermark), the barrier it is
-//! held at, and whether it has ended. Each `step` takes the first of:
+//! lower bound the input has `promised` (by a tuple or a watermark; across a cut by
+//! its last watermark only, see below), its last watermark, the barrier it is held
+//! at, and whether it has ended. Each `step` takes the first of:
 //!
 //! 1. **Release.** The pending head with the least `(timestamp, input index)` is
 //!    released once no input without a pending tuple can still deliver an earlier one
@@ -25,10 +26,10 @@
 //!    downstream; ended inputs count as aligned. With every input ended, the fan-in
 //!    has ended. Every pre-barrier tuple has been released by then, so no pending
 //!    tuple ever crosses a cut.
-//! 3. **Watermark.** The least *progress bound* over the inputs — the pending head,
-//!    else `promised`, for an ended input nothing — once it passes the last watermark
-//!    emitted. A held input still bounds progress by its `promised`: what it delivers
-//!    after the cut may be that old.
+//! 3. **Watermark.** The least *progress bound* over the inputs — an input's last
+//!    watermark, for an ended input nothing — once it passes the last watermark
+//!    emitted. A held input bounds progress too: what it delivers after the cut may
+//!    be as old as its watermark.
 //! 4. **Wait** for whichever live input (neither ended nor held) delivers first.
 //!    Blocking on one specific input can deadlock when it is quiet while another
 //!    input's channel fills up and back-pressures a shared upstream (a Multiplex
@@ -38,9 +39,14 @@
 //! Rules 1 and 3 differ on a held input on purpose. Tuples released past a held input
 //! may overtake the tuples it delivers after the cut, so across a cut the output is
 //! *not* sorted by arrival; what orders it is the watermark, which never passes a
-//! tuple released later. Watermarks are emitted whenever nothing is releasable, not
-//! only when nothing is pending: a Join purges its windows by them, and a side that
-//! always runs ahead would otherwise never let the other side's window shrink.
+//! tuple released later. A fan-in reading such a stream — a Join behind a Union,
+//! say — cannot take a tuple's timestamp as a promise about what follows the next
+//! cut, and it cannot tell whether a barrier follows. So rule 3 bounds progress by
+//! watermarks alone, and a barrier lowers an input's `promised` to its last
+//! watermark, keeping rule 1's release order sorted within the next epoch.
+//! Watermarks are emitted whenever nothing is releasable, not only when nothing is
+//! pending: a Join purges its windows by them, and a side that always runs ahead
+//! would otherwise never let the other side's window shrink.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -60,6 +66,8 @@ pub(crate) struct FanInput<T, M> {
     pending: VecDeque<Arc<GTuple<T, M>>>,
     /// Highest lower bound promised by this input (via watermarks or tuple timestamps).
     promised: Timestamp,
+    /// Highest watermark this input delivered: all it promises across a cut.
+    watermark: Timestamp,
     /// Epoch barrier this input has reached and is held at: it is not pumped again
     /// until every other live input reaches the same barrier. The barrier is always
     /// the last element of the batch that carries it, so a held input never holds
@@ -75,9 +83,8 @@ pub(crate) enum Front {
     Head(Timestamp),
     /// Nothing pending; whatever arrives next is no older than this.
     Open(Timestamp),
-    /// Nothing pending and held at the barrier of this epoch; what arrives after
-    /// the cut is no older than the timestamp.
-    Held(Timestamp, u64),
+    /// Nothing pending and held at the barrier of this epoch.
+    Held(u64),
     /// Nothing pending, nothing to come.
     Ended,
 }
@@ -88,6 +95,7 @@ impl<T, M> FanInput<T, M> {
             rx,
             pending: VecDeque::new(),
             promised: Timestamp::MIN,
+            watermark: Timestamp::MIN,
             at_barrier: None,
             ended: false,
         }
@@ -97,8 +105,19 @@ impl<T, M> FanInput<T, M> {
         match (self.pending.front(), self.at_barrier) {
             (Some(head), _) => Front::Head(head.ts),
             (None, _) if self.ended => Front::Ended,
-            (None, Some(epoch)) => Front::Held(self.promised, epoch),
+            (None, Some(epoch)) => Front::Held(epoch),
             (None, None) => Front::Open(self.promised),
+        }
+    }
+
+    /// What the input bounds the fan-in's watermark by: its own last watermark,
+    /// nothing once it has ended. Never a tuple's timestamp: a stream a fan-in
+    /// produced is sorted only between cuts.
+    fn progress_bound(&self) -> Timestamp {
+        if self.ended && self.pending.is_empty() {
+            Timestamp::MAX
+        } else {
+            self.watermark
         }
     }
 
@@ -117,8 +136,17 @@ impl<T, M> FanInput<T, M> {
                     self.promised = self.promised.max(t.ts);
                     self.pending.push_back(t);
                 }
-                Element::Watermark(ts) => self.promised = self.promised.max(ts),
-                Element::Barrier(epoch) => self.at_barrier = Some(epoch),
+                Element::Watermark(ts) => {
+                    self.promised = self.promised.max(ts);
+                    self.watermark = self.watermark.max(ts);
+                }
+                Element::Barrier(epoch) => {
+                    // What the input delivers after the cut can be older than its
+                    // last tuple (a fan-in upstream releases past its own held
+                    // inputs), never older than its last watermark.
+                    self.at_barrier = Some(epoch);
+                    self.promised = self.watermark;
+                }
                 Element::End => self.ended = true,
             }
         }
@@ -135,6 +163,7 @@ impl<T, M> FanInput<T, M> {
 pub(crate) trait FanInputs {
     fn len(&self) -> usize;
     fn front(&self, index: usize) -> Front;
+    fn progress_bound(&self, index: usize) -> Timestamp;
     fn live(&self, index: usize) -> Option<&dyn Ready>;
     fn pump(&mut self, index: usize);
     /// Clears every barrier mark: the cut is aligned.
@@ -148,6 +177,9 @@ impl<T, M> FanInputs for Vec<FanInput<T, M>> {
     fn front(&self, index: usize) -> Front {
         self[index].front()
     }
+    fn progress_bound(&self, index: usize) -> Timestamp {
+        self[index].progress_bound()
+    }
     fn live(&self, index: usize) -> Option<&dyn Ready> {
         self[index].live()
     }
@@ -159,31 +191,38 @@ impl<T, M> FanInputs for Vec<FanInput<T, M>> {
     }
 }
 
-impl<L, R, M> FanInputs for (FanInput<L, M>, FanInput<R, M>) {
+/// A keyed-window rule's inputs: the left one at index 0, the right ones behind it.
+impl<L, R, M> FanInputs for (FanInput<L, M>, Vec<FanInput<R, M>>) {
     fn len(&self) -> usize {
-        2
+        1 + self.1.len()
     }
     fn front(&self, index: usize) -> Front {
         match index {
             0 => self.0.front(),
-            _ => self.1.front(),
+            _ => self.1[index - 1].front(),
+        }
+    }
+    fn progress_bound(&self, index: usize) -> Timestamp {
+        match index {
+            0 => self.0.progress_bound(),
+            _ => self.1[index - 1].progress_bound(),
         }
     }
     fn live(&self, index: usize) -> Option<&dyn Ready> {
         match index {
             0 => self.0.live(),
-            _ => self.1.live(),
+            _ => self.1[index - 1].live(),
         }
     }
     fn pump(&mut self, index: usize) {
         match index {
             0 => self.0.pump(),
-            _ => self.1.pump(),
+            _ => self.1[index - 1].pump(),
         }
     }
     fn resume(&mut self) {
         self.0.at_barrier = None;
-        self.1.at_barrier = None;
+        self.1.resume();
     }
 }
 
@@ -214,24 +253,17 @@ pub(crate) fn step<I: FanInputs + ?Sized>(
         let mut frontier = Timestamp::MAX;
         let mut epoch = None;
         for index in 0..inputs.len() {
-            let progress_bound = match inputs.front(index) {
+            match inputs.front(index) {
                 Front::Head(ts) => {
                     if head.is_none_or(|(least, _)| ts < least) {
                         head = Some((ts, index));
                     }
-                    ts
                 }
-                Front::Open(promised) => {
-                    hold = hold.min((promised, index));
-                    promised
-                }
-                Front::Held(promised, held_at) => {
-                    epoch = epoch.max(Some(held_at));
-                    promised
-                }
-                Front::Ended => Timestamp::MAX,
-            };
-            frontier = frontier.min(progress_bound);
+                Front::Open(promised) => hold = hold.min((promised, index)),
+                Front::Held(held_at) => epoch = epoch.max(Some(held_at)),
+                Front::Ended => {}
+            }
+            frontier = frontier.min(inputs.progress_bound(index));
         }
         let open = hold.1 != usize::MAX;
         match head {
@@ -625,7 +657,8 @@ mod tests {
 
     /// Input 0 waits at its barrier while input 1, far ahead in event time, runs up to
     /// its own. Input 1's tuple may overtake what input 0 delivers after the cut, but
-    /// no watermark may: the held input still bounds progress by what it promised.
+    /// no watermark may: the held input still bounds progress by its watermark. (T11
+    /// carries no watermark of its own, so none follows it until input 0 ends.)
     #[test]
     fn held_input_bounds_the_watermark_by_what_it_delivers_after_the_cut() {
         let (tx1, rx1) = stream_channel::<i64, ()>(16);
@@ -655,7 +688,59 @@ mod tests {
                 MergedElement::End => break,
             });
         }
-        assert_eq!(out, ["T10", "T100", "W10", "B1", "T11", "W11", "W100"]);
+        assert_eq!(out, ["T10", "T100", "W10", "B1", "T11", "W100"]);
+    }
+
+    /// An input fed by another fan-in can deliver, after a cut, tuples older than
+    /// the ones it delivered before the cut (see the module docs): input 1 below
+    /// is such a merge's output. Across the cut it still promises only its last
+    /// watermark, so no watermark may pass the tuple it delivers after the cut,
+    /// even while input 0 has run far ahead.
+    #[test]
+    fn after_a_cut_an_input_promises_its_watermark_not_its_latest_tuple() {
+        let (tx1, rx1) = stream_channel::<i64, ()>(16);
+        let (tx2, rx2) = stream_channel::<i64, ()>(16);
+        let wm = |secs| Element::Watermark(Timestamp::from_secs(secs));
+        let input_1 = [
+            Element::Tuple(t(15, 1)),
+            wm(15),
+            Element::Barrier(1),
+            Element::Tuple(t(152, 2)),
+            wm(152),
+            Element::End,
+        ];
+        let input_2 = [
+            Element::Tuple(t(1, 3)),
+            wm(1),
+            Element::Tuple(t(112, 4)),
+            Element::Barrier(1),
+            Element::Tuple(t(30, 5)),
+            Element::End,
+        ];
+        for element in input_1 {
+            tx1.send(element).unwrap();
+        }
+        for element in input_2 {
+            tx2.send(element).unwrap();
+        }
+        let mut merge = DeterministicMerge::new(vec![rx1, rx2]);
+        let mut watermark = Timestamp::MIN;
+        let mut tuples = Vec::new();
+        loop {
+            match merge.next() {
+                MergedElement::Tuple(tuple, _) => {
+                    assert!(
+                        tuple.ts >= watermark,
+                        "{tuple:?} below watermark {watermark:?}"
+                    );
+                    tuples.push(tuple.data);
+                }
+                MergedElement::Watermark(ts) => watermark = ts,
+                MergedElement::Barrier(_) => {}
+                MergedElement::End => break,
+            }
+        }
+        assert_eq!(tuples, [3, 1, 4, 5, 2]);
     }
 
     #[test]

@@ -32,6 +32,13 @@
 //! A genuine theta join passes `|_| ()` for both keys: one bucket, scanned in full.
 //!
 //! Key extractors must be pure — the key of a tuple is recomputed when it is purged.
+//!
+//! # The stitch
+//!
+//! [`stitch`] runs the same rule over one probe input and any number of lookup
+//! inputs: a probe without a key is resolved alone, a keyed one against every
+//! same-key lookup tuple within the window, and the output carries the probe's
+//! lineage only. It is the multi-stream unfolder of §6 as one fan-in.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -163,16 +170,20 @@ impl Drop for JoinInstruments {
     }
 }
 
-/// The Join's rule over its two inputs: both sides' retained windows and the
-/// functions that match, combine and key their tuples.
-pub(crate) struct Join<L, R, K, LK, RK, PR, CF, P: ProvenanceSystem> {
+/// The keyed-window rule over one left input and one or more right inputs: both
+/// sides' retained windows and the functions that key and resolve their tuples. A
+/// Join has one right input and emits through its predicate and `combine`; a
+/// [`stitch`] has any number of lookup inputs and emits the probe's resolution.
+pub(crate) struct Join<L, R, K, LK, RK, E, P: ProvenanceSystem> {
     left: JoinSide<L, K, P::Meta>,
     right: JoinSide<R, K, P::Meta>,
     window: Duration,
+    /// `None`: the tuple matches nothing; it is resolved alone and never retained.
     left_key: LK,
     right_key: RK,
-    predicate: PR,
-    combine: CF,
+    /// What a left tuple and a partner within the window (`None` for a left tuple
+    /// without a key) emit: the output's payload and metadata, or nothing.
+    emit: E,
     provenance: P,
     /// The last watermark the fan-in emitted: what a snapshot records and a restored
     /// Join resumes from.
@@ -182,22 +193,50 @@ pub(crate) struct Join<L, R, K, LK, RK, PR, CF, P: ProvenanceSystem> {
     instruments: JoinInstruments,
 }
 
-impl<L, R, O, K, LK, RK, PR, CF, P> FanIn<(FanInput<L, P::Meta>, FanInput<R, P::Meta>), O, P::Meta>
-    for Join<L, R, K, LK, RK, PR, CF, P>
+/// What a keyed-window rule emits for a left tuple and one right partner within the
+/// window — or for a left tuple without a key, alone (`None`): the output's payload
+/// and metadata, or nothing.
+pub(crate) trait Emit<L, R, O, P: ProvenanceSystem>:
+    FnMut(&P, &Arc<GTuple<L, P::Meta>>, Option<&Arc<GTuple<R, P::Meta>>>) -> Option<(O, P::Meta)>
+    + Send
+    + 'static
+{
+}
+
+impl<L, R, O, P: ProvenanceSystem, E> Emit<L, R, O, P> for E where
+    E: FnMut(
+            &P,
+            &Arc<GTuple<L, P::Meta>>,
+            Option<&Arc<GTuple<R, P::Meta>>>,
+        ) -> Option<(O, P::Meta)>
+        + Send
+        + 'static
+{
+}
+
+/// The inputs of a keyed-window rule: the left one, then the right ones.
+type JoinInputs<L, R, M> = (FanInput<L, M>, Vec<FanInput<R, M>>);
+
+/// The key of a left tuple the rule retained: only keyed tuples are.
+fn retained_key<L, K>(left_key: &mut impl FnMut(&L) -> Option<K>) -> impl FnMut(&L) -> K + '_ {
+    |data| left_key(data).expect("only keyed left tuples are retained")
+}
+
+impl<L, R, O, K, LK, RK, E, P> FanIn<JoinInputs<L, R, P::Meta>, O, P::Meta>
+    for Join<L, R, K, LK, RK, E, P>
 where
     L: TupleData,
     R: TupleData,
     O: TupleData,
     K: Hash + Eq + Send + 'static,
-    LK: FnMut(&L) -> K + Send + 'static,
+    LK: FnMut(&L) -> Option<K> + Send + 'static,
     RK: FnMut(&R) -> K + Send + 'static,
-    PR: FnMut(&L, &R) -> bool + Send + 'static,
-    CF: FnMut(&L, &R) -> O + Send + 'static,
+    E: Emit<L, R, O, P>,
     P: ProvenanceSystem,
 {
     fn release(
         &mut self,
-        inputs: &mut (FanInput<L, P::Meta>, FanInput<R, P::Meta>),
+        inputs: &mut JoinInputs<L, R, P::Meta>,
         side: usize,
         next: &mut dyn Tail<O, P::Meta>,
     ) -> Result<(), ChannelClosed> {
@@ -207,31 +246,38 @@ where
             window,
             left_key,
             right_key,
-            predicate,
-            combine,
+            emit,
             provenance,
             instruments,
             ..
         } = self;
+        let mut out = |l: &Arc<GTuple<L, P::Meta>>, r: Option<&Arc<GTuple<R, P::Meta>>>| {
+            let Some((data, meta)) = emit(provenance, l, r) else {
+                return Ok(());
+            };
+            let (ts, stimulus) = r.map_or((l.ts, l.stimulus), |r| {
+                (l.ts.max(r.ts), l.stimulus.max(r.stimulus))
+            });
+            next.tuple(Arc::new(GTuple::new(ts, stimulus, data, meta)))
+        };
         let mut pair = |l: &Arc<GTuple<L, _>>, r: &Arc<GTuple<R, _>>| {
             instruments.unpublished_candidates += 1;
-            if l.ts.distance(r.ts) <= *window && predicate(&l.data, &r.data) {
-                let data = combine(&l.data, &r.data);
-                let meta = provenance.join_meta(l, r);
-                let stimulus = l.stimulus.max(r.stimulus);
-                next.tuple(Arc::new(GTuple::new(l.ts.max(r.ts), stimulus, data, meta)))?;
+            if l.ts.distance(r.ts) <= *window {
+                out(l, Some(r))?;
             }
             Ok(())
         };
         // Probe the other side's bucket, then retain (ties went to the left).
         if side == 0 {
             let tuple = inputs.0.pop();
-            let key = left_key(&tuple.data);
+            let Some(key) = left_key(&tuple.data) else {
+                return out(&tuple, None);
+            };
             let sent = right.candidates(&key).try_for_each(|r| pair(&tuple, r));
             left.retain(key, tuple);
             sent
         } else {
-            let tuple = inputs.1.pop();
+            let tuple = inputs.1[side - 1].pop();
             let key = right_key(&tuple.data);
             let sent = left.candidates(&key).try_for_each(|l| pair(l, &tuple));
             right.retain(key, tuple);
@@ -239,15 +285,17 @@ where
         }
     }
 
-    /// Neither side can still hand over a tuple older than the frontier, so nothing
+    /// No input can still hand over a tuple older than the frontier, so nothing
     /// retained more than a window before it can still be matched.
     fn watermark(
         &mut self,
         frontier: Timestamp,
         next: &mut dyn Tail<O, P::Meta>,
     ) -> Result<(), ChannelClosed> {
-        self.left.purge(frontier, self.window, &mut self.left_key);
-        self.right.purge(frontier, self.window, &mut self.right_key);
+        let window = self.window;
+        self.left
+            .purge(frontier, window, &mut retained_key(&mut self.left_key));
+        self.right.purge(frontier, window, &mut self.right_key);
         let retained = [self.left.window.len(), self.right.window.len()];
         self.instruments.publish(retained);
         self.emitted_watermark = frontier;
@@ -282,27 +330,17 @@ where
     }
 }
 
-/// A Join heading a new chain over `left` and `right`, with the window size `WS`:
-/// pairs with equal `left_key`/`right_key` that also satisfy the residual
-/// `predicate` are combined. The stages and the tail added to the chain run on the
-/// Join's thread; seal it with [`PendingChain::into_channel`] to run the Join on its
-/// own. The Join is built on its chain's thread from its node name and ledger row.
-/// When `checkpoints` is filled, it takes its checkpoint seat under its node name,
-/// restores the windows committed for it, and snapshots both time windows at each
-/// aligned cut.
-///
-/// # Panics
-/// Panics if the window size is zero.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's Join parameters
-pub fn chain<L, R, O, K, LK, RK, PR, CF, P>(
+/// The keyed-window rule heading a new chain over `left` and `rights`: the body of
+/// [`chain`] and [`stitch`].
+#[allow(clippy::too_many_arguments)]
+fn keyed_window<L, R, O, K, LK, RK, E, P>(
     name: &str,
     left: StreamReceiver<L, P::Meta>,
-    right: StreamReceiver<R, P::Meta>,
+    rights: Vec<StreamReceiver<R, P::Meta>>,
     window: Duration,
     left_key: LK,
     right_key: RK,
-    predicate: PR,
-    combine: CF,
+    emit: E,
     provenance: P,
     checkpoints: CheckpointHandle,
 ) -> PendingChain<O, P::Meta>
@@ -311,14 +349,16 @@ where
     R: TupleData,
     O: TupleData,
     K: Hash + Eq + Send + 'static,
-    LK: FnMut(&L) -> K + Send + 'static,
+    LK: FnMut(&L) -> Option<K> + Send + 'static,
     RK: FnMut(&R) -> K + Send + 'static,
-    PR: FnMut(&L, &R) -> bool + Send + 'static,
-    CF: FnMut(&L, &R) -> O + Send + 'static,
+    E: Emit<L, R, O, P>,
     P: ProvenanceSystem,
 {
     assert!(!window.is_zero(), "Join window size must be positive");
-    let inputs = (FanInput::new(left), FanInput::new(right));
+    let inputs = (
+        FanInput::new(left),
+        rights.into_iter().map(FanInput::new).collect(),
+    );
     PendingChain::fan_in(name, inputs, move |name, row| {
         let (checkpoint, restored) = Participant::join(&checkpoints, name).unzip();
         let mut join = Join {
@@ -327,8 +367,7 @@ where
             window,
             left_key,
             right_key,
-            predicate,
-            combine,
+            emit,
             provenance,
             emitted_watermark: Timestamp::MIN,
             checkpoint,
@@ -343,7 +382,7 @@ where
             let (left, right) = (snapshot.left_window.iter(), snapshot.right_window.iter());
             join.left.restore(
                 left.map(|t| detach_tuple(provenance, t)),
-                &mut join.left_key,
+                &mut retained_key(&mut join.left_key),
             );
             join.right.restore(
                 right.map(|t| detach_tuple(provenance, t)),
@@ -353,6 +392,107 @@ where
         }
         join
     })
+}
+
+/// A Join heading a new chain over `left` and `right`, with the window size `WS`:
+/// pairs with equal `left_key`/`right_key` that also satisfy the residual
+/// `predicate` are combined, under [`ProvenanceSystem::join_meta`]. The stages and
+/// the tail added to the chain run on the Join's thread; seal it with
+/// [`PendingChain::into_channel`] to run the Join on its own. The Join is built on
+/// its chain's thread from its node name and ledger row. When `checkpoints` is
+/// filled, it takes its checkpoint seat under its node name, restores the windows
+/// committed for it, and snapshots both time windows at each aligned cut.
+///
+/// # Panics
+/// Panics if the window size is zero.
+#[allow(clippy::too_many_arguments)] // mirrors the paper's Join parameters
+pub fn chain<L, R, O, K, LK, RK, PR, CF, P>(
+    name: &str,
+    left: StreamReceiver<L, P::Meta>,
+    right: StreamReceiver<R, P::Meta>,
+    window: Duration,
+    mut left_key: LK,
+    right_key: RK,
+    mut predicate: PR,
+    mut combine: CF,
+    provenance: P,
+    checkpoints: CheckpointHandle,
+) -> PendingChain<O, P::Meta>
+where
+    L: TupleData,
+    R: TupleData,
+    O: TupleData,
+    K: Hash + Eq + Send + 'static,
+    LK: FnMut(&L) -> K + Send + 'static,
+    RK: FnMut(&R) -> K + Send + 'static,
+    PR: FnMut(&L, &R) -> bool + Send + 'static,
+    CF: FnMut(&L, &R) -> O + Send + 'static,
+    P: ProvenanceSystem,
+{
+    keyed_window(
+        name,
+        left,
+        vec![right],
+        window,
+        move |l: &L| Some(left_key(l)),
+        right_key,
+        move |provenance: &P, l: &Arc<GTuple<L, P::Meta>>, r: Option<&Arc<GTuple<R, P::Meta>>>| {
+            let r = r?;
+            predicate(&l.data, &r.data)
+                .then(|| (combine(&l.data, &r.data), provenance.join_meta(l, r)))
+        },
+        provenance,
+        checkpoints,
+    )
+}
+
+/// A Stitch heading a new chain: the Join's rule over one `probes` input and any
+/// number of `lookups` inputs, merged in timestamp order. A probe whose `probe_key`
+/// is `None` is resolved alone as it is released (`resolve(probe, None)`); a keyed
+/// probe is resolved once with every lookup tuple of its key within `window`,
+/// whichever of the two arrives first (`resolve(probe, Some(lookup))`). Lookup
+/// tuples are state, not contributors: the output's metadata is
+/// [`ProvenanceSystem::map_meta`] of the probe. Windows, purge, instruments and
+/// checkpoints are the Join's.
+///
+/// # Panics
+/// Panics if the window size is zero.
+#[allow(clippy::too_many_arguments)]
+pub fn stitch<L, R, O, K, LK, RK, F, P>(
+    name: &str,
+    probes: StreamReceiver<L, P::Meta>,
+    lookups: Vec<StreamReceiver<R, P::Meta>>,
+    window: Duration,
+    probe_key: LK,
+    lookup_key: RK,
+    mut resolve: F,
+    provenance: P,
+    checkpoints: CheckpointHandle,
+) -> PendingChain<O, P::Meta>
+where
+    L: TupleData,
+    R: TupleData,
+    O: TupleData,
+    K: Hash + Eq + Send + 'static,
+    LK: FnMut(&L) -> Option<K> + Send + 'static,
+    RK: FnMut(&R) -> K + Send + 'static,
+    F: FnMut(&L, Option<&R>) -> O + Send + 'static,
+    P: ProvenanceSystem,
+{
+    keyed_window(
+        name,
+        probes,
+        lookups,
+        window,
+        probe_key,
+        lookup_key,
+        move |provenance: &P, l: &Arc<GTuple<L, P::Meta>>, r: Option<&Arc<GTuple<R, P::Meta>>>| {
+            let data = resolve(&l.data, r.map(|r| &r.data));
+            Some((data, provenance.map_meta(l)))
+        },
+        provenance,
+        checkpoints,
+    )
 }
 
 #[cfg(test)]
@@ -580,6 +720,56 @@ mod tests {
             checkpoints(),
         );
         assert_eq!(after, vec![(12, (1, 110, 12)), (12, (1, 111, 12))]);
+    }
+
+    /// The stitch over two lookup inputs: an unkeyed probe is resolved alone, a
+    /// keyed one with each same-key lookup tuple within the window — one that came
+    /// before it and one that came after — and never with one outside the window.
+    #[test]
+    fn stitch_resolves_probes_alone_or_against_lookups_in_either_order() {
+        let (ptx, prx) = stream_channel(16);
+        let (l0tx, l0rx) = stream_channel(16);
+        let (l1tx, l1rx) = stream_channel(16);
+        let probe = |ts: u64, key: Option<u32>| Element::Tuple(tup(ts, (key, ts)));
+        for el in [probe(10, None), probe(20, Some(1)), Element::End] {
+            ptx.send(el).unwrap();
+        }
+        let lookup = |ts: u64| Element::Tuple(tup(ts, (1u32, ts as i64)));
+        for el in [lookup(5), lookup(60), Element::End] {
+            l0tx.send(el).unwrap();
+        }
+        for el in [lookup(30), Element::End] {
+            l1tx.send(el).unwrap();
+        }
+        let out_slot = OutputSlot::<(u64, Option<i64>), ()>::new();
+        let (otx, mut orx) = stream_channel(16);
+        out_slot.connect(otx);
+        let op = stitch(
+            "stitch",
+            prx,
+            vec![l0rx, l1rx],
+            Duration::from_secs(20),
+            |p: &(Option<u32>, u64)| p.0,
+            |l: &(u32, i64)| l.0,
+            |p: &(Option<u32>, u64), l: Option<&(u32, i64)>| (p.1, l.map(|l| l.1)),
+            NoProvenance,
+            Default::default(),
+        )
+        .into_channel("stitch", out_slot);
+        let stats = run_bare(op);
+        assert_eq!((stats.tuples_in, stats.tuples_out), (5, 3));
+        let mut outputs = Vec::new();
+        loop {
+            match orx.recv() {
+                Element::Tuple(t) => outputs.push((t.ts.as_secs(), t.data)),
+                Element::Watermark(_) | Element::Barrier(_) => {}
+                Element::End => break,
+            }
+        }
+        assert_eq!(
+            outputs,
+            [(10, (10, None)), (20, (20, Some(5))), (30, (20, Some(30)))]
+        );
     }
 
     #[test]

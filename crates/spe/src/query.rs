@@ -404,7 +404,6 @@ impl<P: ProvenanceSystem> Query<P> {
                 chain_of[part] = Some(chain);
             }
         }
-        let fused_away: usize = chains.iter().map(|parts| parts.len() - 1).sum();
         let nodes = self
             .nodes
             .iter()
@@ -429,7 +428,6 @@ impl<P: ProvenanceSystem> Query<P> {
                 .map(|c| c.store.backend().is_durable()),
             metrics: self.config.metrics,
             host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            threads: self.nodes.len().saturating_sub(fused_away),
             provenance_collectors: self.provenance_collectors,
             nodes,
             edges: self.edges.clone(),
@@ -927,6 +925,51 @@ impl<P: ProvenanceSystem> Query<P> {
             right_key,
             predicate,
             combine,
+            self.provenance.clone(),
+            self.checkpoint_handle(),
+        );
+        self.open_chain(node, chain)
+    }
+
+    /// Adds a Stitch: the Join's keyed-window rule over one `probes` stream and any
+    /// number of `lookups` streams (see [`join::stitch`]). A probe whose `probe_key`
+    /// is `None` is resolved alone as it arrives; a keyed probe is resolved with each
+    /// lookup tuple of its key within `window`, whichever arrives first. The output
+    /// carries the probe's lineage only: lookup tuples are state, not contributors.
+    #[allow(clippy::too_many_arguments)]
+    pub fn stitch<L, R, O, K, LK, RK, F>(
+        &mut self,
+        name: &str,
+        probes: StreamRef<L, P::Meta>,
+        lookups: Vec<StreamRef<R, P::Meta>>,
+        window: Duration,
+        probe_key: LK,
+        lookup_key: RK,
+        resolve: F,
+    ) -> StreamRef<O, P::Meta>
+    where
+        L: TupleData,
+        R: TupleData,
+        O: TupleData,
+        K: Hash + Eq + Send + 'static,
+        LK: FnMut(&L) -> Option<K> + Send + 'static,
+        RK: FnMut(&R) -> K + Send + 'static,
+        F: FnMut(&L, Option<&R>) -> O + Send + 'static,
+    {
+        let node = self.add_node(name, NodeKind::Join);
+        let probes = self.attach_input(probes, node);
+        let lookups = lookups
+            .into_iter()
+            .map(|stream| self.attach_input(stream, node))
+            .collect();
+        let chain = join::stitch(
+            name,
+            probes,
+            lookups,
+            window,
+            probe_key,
+            lookup_key,
+            resolve,
             self.provenance.clone(),
             self.checkpoint_handle(),
         );

@@ -244,33 +244,34 @@ fn control_endpoint_serves_live_metrics_and_provenance_of_a_spanning_query() {
         Some(12)
     );
 
-    // The multi-stream unfolder's join stitches by tuple id through its keyed
-    // windows: a probe visits the events stored under its own id, never the
-    // window. Two of the three shards are remote: their 4 sink tuples are REMOTE
-    // at the origin and resolve to their 8 source tuples.
-    let mu_join = merged.operator("prov-mu-join").expect("MU join report");
-    assert_eq!(mu_join.stats.tuples_in, 4 + 8);
-    assert_eq!(mu_join.stats.tuples_out, 8);
+    // The multi-stream unfolder is one stitch, fused with its sink, keyed by tuple
+    // id: a probe visits the entries stored under its own id, never the window. It
+    // takes every derived event — 4 SOURCE-origin events of the local shard's 2 sink
+    // tuples, 4 REMOTE-origin ones of the remote shards' 4 — plus one lineage group
+    // per remote result (4), and emits one record fragment per derived event (8).
+    // Each REMOTE event meets its group once, probing from whichever came second.
+    let mu = merged.fused_stage("prov-mu").expect("MU stitch stage");
+    assert_eq!(mu.tuples_in, 4 + 4 + 4);
+    assert_eq!(mu.tuples_out, 8);
     let candidates = metric_value(
         &exposition,
         "genealog_join_probe_candidates_total",
-        r#"operator="prov-mu-join""#,
+        r#"operator="prov-mu""#,
     )
-    .expect("join probe counter is exported");
-    assert!(
-        (8..=2 * mu_join.stats.tuples_in).contains(&candidates),
-        "{candidates} candidates for {} tuples in: the MU join is scanning",
-        mu_join.stats.tuples_in
+    .expect("stitch probe counter is exported");
+    assert_eq!(
+        candidates, 4,
+        "{candidates} candidates for 4 REMOTE events: the stitch is scanning"
     );
     for side in ["left", "right"] {
         assert_eq!(
             metric_value(
                 &exposition,
                 "genealog_join_window_tuples",
-                &format!(r#"operator="prov-mu-join",side="{side}""#)
+                &format!(r#"operator="prov-mu",side="{side}""#)
             ),
             Some(0),
-            "a finished join retains nothing"
+            "a finished stitch retains nothing"
         );
     }
 

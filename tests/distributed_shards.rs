@@ -28,7 +28,8 @@ use genealog_spe::logical::LogicalPlan;
 use genealog_spe::operator::aggregate::WindowView;
 use genealog_spe::provenance::NoProvenance;
 use genealog_spe::query::{NodeKind, QueryConfig, ShardPlacement};
-use genealog_spe::{PlannerConfig, Query};
+use genealog_spe::runtime::QueryReport;
+use genealog_spe::{PlannerConfig, Query, SpeError};
 
 type Key = u32;
 type Reading = (Key, i64);
@@ -513,4 +514,133 @@ fn distributed_plan_renders_instance_clusters() {
     assert!(dot.contains("i0_0") && dot.contains("i1_0"));
     // Byte for byte the picture recorded from the renderer this one replaced.
     assert_eq!(dot, include_str!("golden/two_instances.dot"));
+}
+
+/// Engine threads of one instance: one per chain, a folded shard group counting
+/// each of its threads.
+fn threads(report: &QueryReport) -> usize {
+    report.operator_stats().iter().map(|o| o.instances).sum()
+}
+
+/// The two-remote-shard plan `source → aggregate (2 remote shards) → sink` runs on
+/// a pinned number of engine threads. Under NP the origin runs the source's chain,
+/// two egress Sends, two ingress Receives and the merge's chain, and each instance
+/// one chain. Under GL each instance adds the data Send and the lineage tail behind
+/// its Multiplex; the origin adds the unfolder's two branches, one Receive per
+/// shard's lineage, and the multi-stream unfolder's stitch fused with its sink.
+#[test]
+fn two_remote_shards_run_on_pinned_thread_counts() {
+    let readings: Vec<(Timestamp, Reading)> = (0..24u64)
+        .map(|i| (Timestamp::from_secs(i), ((i % 4) as Key, i as i64)))
+        .collect();
+    let transport = SimulatedTransport::new(NetworkConfig::unlimited());
+    // The remote engines fuse like the origin's planner does.
+    let remote_config = PlannerConfig::default().query_config();
+
+    let shards = remote_shard_group_gl_over::<Reading, Reading, _>(
+        "sum",
+        2,
+        1,
+        &transport,
+        remote_config,
+        |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, sum_window),
+    )
+    .unwrap();
+    let plan = GlPlan::new(GeneaLog::for_instance(0));
+    let sums = plan
+        .source("readings", VecSource::new(readings.clone()))
+        .aggregate("sum", window_spec(), sum_key, sum_window, |o: &Reading| o.0)
+        .place(shards.placements);
+    let (out, provenance) = logical_shard_provenance_sink::<Reading, Reading, _>(
+        sums,
+        "prov",
+        shards.provenance_links,
+        Duration::from_hours(24),
+    );
+    let _sink = out.collecting_sink("sink");
+    let origin = plan.lower().unwrap();
+    assert_eq!(origin.plan_facts().threads(), 11, "GL origin chains");
+    let origin = origin.deploy().unwrap().wait().unwrap();
+    let remotes = shards.group.wait().unwrap();
+    assert_eq!(threads(&origin), 11, "GL origin threads");
+    assert_eq!(remotes.iter().map(threads).collect::<Vec<_>>(), [3, 3]);
+    assert!(!provenance.records().is_empty());
+
+    let np_agg = |w: &WindowView<'_, Key, Reading, ()>| (*w.key, w.len() as i64);
+    let (placements, group) = remote_shard_group_over::<NoProvenance, Reading, Reading, _, _>(
+        "sum",
+        2,
+        &transport,
+        remote_config,
+        |_| NoProvenance,
+        move |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, np_agg),
+    )
+    .unwrap();
+    let plan = LogicalPlan::new(NoProvenance);
+    let _sink = plan
+        .source("readings", VecSource::new(readings))
+        .aggregate("sum", window_spec(), sum_key, np_agg, |o: &Reading| o.0)
+        .place(placements)
+        .collecting_sink("sink");
+    let origin = plan.lower().unwrap();
+    assert_eq!(origin.plan_facts().threads(), 6, "NP origin chains");
+    let origin = origin.deploy().unwrap().wait().unwrap();
+    let remotes = group.wait().unwrap();
+    assert_eq!(threads(&origin), 6, "NP origin threads");
+    assert_eq!(remotes.iter().map(threads).collect::<Vec<_>>(), [1, 1]);
+}
+
+/// A window function that panics on a remote shard, under GL with lineage shipped
+/// over simulated links, ends the deployment within 30 s: the origin's query
+/// drains (no hang: the dead instance's data Send and lineage tail both close their
+/// channels, so the merge and the stitch see their inputs end) and the shard
+/// group's wait returns the remote engine's typed error naming the operator.
+#[test]
+fn a_panicking_window_function_on_a_remote_shard_fails_the_deployment() {
+    let readings: Vec<(Timestamp, Reading)> = (0..40u64)
+        .map(|i| (Timestamp::from_secs(i), ((i % 4) as Key, i as i64)))
+        .collect();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let shards = remote_shard_group_gl_over::<Reading, Reading, _>(
+            "sum",
+            2,
+            1,
+            &SimulatedTransport::new(NetworkConfig::unlimited()),
+            PlannerConfig::default().query_config(),
+            |rq, i, input| {
+                let window = move |w: &WindowView<'_, Key, Reading, GlMeta>| {
+                    assert!(i != 0, "shard 0's window function panics");
+                    sum_window(w)
+                };
+                rq.aggregate("sum", input, window_spec(), sum_key, window)
+            },
+        )
+        .unwrap();
+        let plan = GlPlan::new(GeneaLog::for_instance(0));
+        let sums = plan
+            .source("readings", VecSource::new(readings))
+            .aggregate("sum", window_spec(), sum_key, sum_window, |o: &Reading| o.0)
+            .place(shards.placements);
+        let (out, _provenance) = logical_shard_provenance_sink::<Reading, Reading, _>(
+            sums,
+            "prov",
+            shards.provenance_links,
+            Duration::from_hours(24),
+        );
+        let _sink = out.collecting_sink("sink");
+        let origin = plan.deploy().and_then(|handle| handle.wait());
+        let remote = shards.group.wait();
+        let _ = done_tx.send((origin.map(|_| ()), remote.map(|_| ())));
+    });
+    let (origin, remote) = done_rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the deployment ends within 30 s");
+    // The aggregate runs fused in the Receive's chain, which the error names.
+    assert!(
+        matches!(&remote, Err(SpeError::OperatorPanicked { operator })
+            if operator.split('+').any(|part| part == "sum")),
+        "the remote panic surfaces as a typed error: {remote:?}"
+    );
+    assert!(origin.and(remote).is_err());
 }

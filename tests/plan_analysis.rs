@@ -273,7 +273,8 @@ fn gl031_compares_operator_threads_against_host_cpus() {
 
     let mut facts = analyzed.facts;
     assert_eq!(
-        facts.threads, 4,
+        facts.threads(),
+        4,
         "the source's chain sealed by the exchange, two shards, and the merge's chain \
          sealed by the sink"
     );
@@ -282,7 +283,7 @@ fn gl031_compares_operator_threads_against_host_cpus() {
     let d = report.with_code("GL031").next().expect("GL031 fires");
     assert_eq!(d.severity, Severity::Warning);
 
-    facts.host_cpus = facts.threads;
+    facts.host_cpus = facts.threads();
     let report = genealog_analysis::analyze(&facts);
     assert!(
         !report.has_code("GL031"),
@@ -309,7 +310,7 @@ fn a_source_heads_its_chain_in_the_facts_and_the_dot_export() {
     };
     let (fused, unfused) = (lower(true), lower(false));
     let (on, off) = (fused.plan_facts(), unfused.plan_facts());
-    assert_eq!((on.threads, off.threads), (1, 5));
+    assert_eq!((on.threads(), off.threads()), (1, 5));
     let source_edge = |facts: &genealog_analysis::PlanFacts| {
         let edge = facts
             .edges
