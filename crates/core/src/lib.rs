@@ -81,7 +81,7 @@ pub mod prelude {
         attach_provenance_sink, logical_provenance_sink, ProvenanceAssignment, ProvenanceCollector,
     };
     pub use crate::system::GeneaLog;
-    pub use crate::traversal::{find_provenance, find_provenance_with_stats};
+    pub use crate::traversal::{find_provenance, find_provenance_with_stats, for_each_origin};
     pub use crate::unfolder::{
         attach_multi_unfolder, attach_stitch, attach_unfolder, LineageGroup, OriginRecord,
         SourceRecord, UnfoldedEvent, UnfoldedTuple, UpstreamEvent, UpstreamLineage,
@@ -97,7 +97,7 @@ pub use sink::{
     ProvenanceAssignment, ProvenanceCollector,
 };
 pub use system::GeneaLog;
-pub use traversal::{find_provenance, find_provenance_with_stats, TraversalStats};
+pub use traversal::{find_provenance, find_provenance_with_stats, for_each_origin, TraversalStats};
 pub use unfolder::{
     attach_multi_unfolder, attach_stitch, attach_unfolder, LineageGroup, LineageRef, OriginRecord,
     SourceRecord, UnfoldedEvent, UnfoldedTuple, UpstreamEvent, UpstreamLineage,

@@ -109,18 +109,12 @@ pub trait ProvNode: Send + Sync + fmt::Debug + 'static {
     fn stimulus(&self) -> u64;
     /// The tuple's unique identifier (meta-attribute `ID`, §6).
     fn id(&self) -> TupleId;
-    /// Upstream pointer `U1` (latest contributing tuple / Map input / Join's recent side).
-    fn u1(&self) -> Option<ProvRef>;
-    /// Upstream pointer `U2` (earliest window tuple / Join's older side).
-    fn u2(&self) -> Option<ProvRef>;
-    /// Chain pointer `N` (next tuple of the same aggregate window).
-    fn next(&self) -> Option<ProvRef>;
-    /// Borrowed view of `U1`, avoiding the reference-count round-trip of
-    /// [`ProvNode::u1`] when the caller only inspects the target.
+    /// Upstream pointer `U1` (latest contributing tuple / Map input / Join's recent
+    /// side), borrowed: clone it only to keep the target past this tuple.
     fn u1_ref(&self) -> Option<&ProvRef>;
-    /// Borrowed view of `U2` (see [`ProvNode::u1_ref`]).
+    /// Upstream pointer `U2` (earliest window tuple / Join's older side), borrowed.
     fn u2_ref(&self) -> Option<&ProvRef>;
-    /// Borrowed view of `N` (see [`ProvNode::u1_ref`]).
+    /// Chain pointer `N` (next tuple of the same aggregate window), borrowed.
     fn next_ref(&self) -> Option<&ProvRef>;
     /// Detaches and returns `N`, leaving it unset. Needs exclusive access, so only
     /// the last owner of a tuple can call it: [`GlMeta`]'s `Drop` does, to take a
@@ -154,7 +148,7 @@ impl dyn ProvNode {
 /// successor of a tuple in the `N` chain is always the next tuple of the same group in
 /// timestamp order, so overlapping sliding windows only ever re-set a pointer to the
 /// value it already holds; the first write wins and later identical writes are no-ops.
-/// Readers ([`NextPointer::get`], traversals on the hot path) never block.
+/// Readers ([`NextPointer::get_ref`], traversals on the hot path) never block.
 #[derive(Default)]
 pub struct NextPointer {
     cell: OnceLock<ProvRef>,
@@ -172,11 +166,6 @@ impl NextPointer {
     /// windows legitimately re-chain a tuple to the same successor) are ignored.
     pub fn set(&self, next: ProvRef) {
         let _ = self.cell.set(next);
-    }
-
-    /// Reads the pointer (lock-free).
-    pub fn get(&self) -> Option<ProvRef> {
-        self.cell.get().cloned()
     }
 
     /// Borrowed view of the pointer (lock-free, no reference-count traffic).
@@ -326,18 +315,6 @@ impl<T: TupleData> ProvNode for GTuple<T, GlMeta> {
         self.meta.id
     }
 
-    fn u1(&self) -> Option<ProvRef> {
-        self.meta.u1.clone()
-    }
-
-    fn u2(&self) -> Option<ProvRef> {
-        self.meta.u2.clone()
-    }
-
-    fn next(&self) -> Option<ProvRef> {
-        self.meta.next.get()
-    }
-
     fn u1_ref(&self) -> Option<&ProvRef> {
         self.meta.u1.as_ref()
     }
@@ -398,9 +375,9 @@ mod tests {
         assert_eq!(node.kind(), OpKind::Source);
         assert_eq!(node.ts(), Timestamp::from_secs(8));
         assert_eq!(node.id(), TupleId::new(0, 3));
-        assert!(node.u1().is_none());
-        assert!(node.u2().is_none());
-        assert!(node.next().is_none());
+        assert!(node.u1_ref().is_none());
+        assert!(node.u2_ref().is_none());
+        assert!(node.next_ref().is_none());
         assert_eq!(node.payload::<i64>(), Some(&42));
         assert!(node.payload::<String>().is_none());
         assert!(node.render().contains("42"));
@@ -425,10 +402,10 @@ mod tests {
         assert!(!a.meta.next.is_set());
         a.meta.next.set(erase(&b));
         assert!(a.meta.next.is_set());
-        assert_eq!(a.meta.next.get().unwrap().id(), b.meta.id);
+        assert_eq!(a.meta.next.get_ref().unwrap().id(), b.meta.id);
         // Re-setting (overlapping windows) is allowed.
         a.meta.next.set(erase(&b));
-        assert_eq!(a.meta.next.get().unwrap().id(), b.meta.id);
+        assert_eq!(a.meta.next.get_ref().unwrap().id(), b.meta.id);
     }
 
     #[test]

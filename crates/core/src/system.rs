@@ -234,7 +234,7 @@ mod tests {
         // N chain: w0 -> w1 -> w2 -> w3, last unset.
         for i in 0..3 {
             assert_eq!(
-                window[i].meta.next.get().unwrap().id(),
+                window[i].meta.next.get_ref().unwrap().id(),
                 window[i + 1].meta.id
             );
         }

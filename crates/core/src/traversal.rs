@@ -6,8 +6,15 @@
 //! tuples are `SOURCE` tuples, which is exactly the fine-grained provenance of the
 //! sink tuple; `REMOTE` tuples appear only in distributed deployments and are resolved
 //! by the multi-stream unfolder of §6.
+//!
+//! This is Listing 1 walked through borrowed references: every node reachable from
+//! the root stays alive as long as the root does, so the queue holds `&ProvRef`s
+//! and a visit touches no reference count. [`for_each_origin`] hands each origin to
+//! a callback, also borrowed; [`find_provenance`] clones the `Arc` of each origin it
+//! returns and of nothing else. The visited set holds node addresses only.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::meta::{OpKind, ProvRef};
 
@@ -20,95 +27,123 @@ pub struct TraversalStats {
     pub originating: usize,
 }
 
-fn node_key(node: &ProvRef) -> usize {
+/// Hashes a node address with one multiply, folding the high half of the 128-bit
+/// product into the low one so that the low bits (the table index) depend on every
+/// address bit, not only on the low ones an allocator's alignment leaves at zero.
+#[derive(Default)]
+struct AddressHasher(u64);
+
+impl Hasher for AddressHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only node addresses are hashed");
+    }
+
+    fn write_usize(&mut self, address: usize) {
+        let product = u128::from(address as u64) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The visited set: addresses of the nodes a walk has reached.
+type AddressSet = HashSet<usize, BuildHasherDefault<AddressHasher>>;
+
+fn address(node: &ProvRef) -> usize {
     // Identity of the referenced tuple: the address of its allocation.
     std::sync::Arc::as_ptr(node) as *const () as usize
 }
 
-/// Enqueues `node` if it has not been visited. Takes a *borrowed* reference and only
-/// clones (bumping the reference count) when the node is actually new, so revisits in
-/// diamond-shaped graphs cost a pointer comparison instead of an `Arc` round-trip.
-fn enqueue_if_not_visited(
-    node: &ProvRef,
-    queue: &mut VecDeque<ProvRef>,
-    visited: &mut HashSet<usize>,
-) {
-    if visited.insert(node_key(node)) {
-        queue.push_back(node.clone());
-    }
-}
-
-/// Finds the originating tuples of `root`, returning them in breadth-first order
-/// together with traversal statistics.
+/// Calls `f` with every originating tuple of `root`, in breadth-first order, and
+/// returns the traversal statistics.
 ///
-/// This is a direct transcription of the paper's Listing 1:
+/// This is Listing 1:
 ///
-/// * `SOURCE` / `REMOTE` nodes are added to the result;
+/// * `SOURCE` / `REMOTE` nodes are passed to `f`;
 /// * `MAP` / `MULTIPLEX` nodes enqueue their `U1` pointer;
 /// * `JOIN` nodes enqueue `U1` and `U2`;
 /// * `AGGREGATE` nodes enqueue `U2`, then follow the `N` chain up to (and including)
 ///   `U1`, enqueueing every window tuple on the way.
-pub fn find_provenance_with_stats(root: &ProvRef) -> (Vec<ProvRef>, TraversalStats) {
-    let mut result = Vec::new();
-    let mut visited: HashSet<usize> = HashSet::new();
-    let mut queue: VecDeque<ProvRef> = VecDeque::new();
+///
+/// The origins are borrowed for as long as `root` is, so `f` may keep them without
+/// cloning. `f` may itself walk another graph.
+pub fn for_each_origin<'a>(root: &'a ProvRef, mut f: impl FnMut(&'a ProvRef)) -> TraversalStats {
+    // Breadth-first: `queue[head..]` is the frontier, `queue[..head]` the nodes
+    // already visited.
+    let mut queue = Vec::new();
+    let mut visited = AddressSet::default();
+    let mut enqueue = |node: &'a ProvRef, queue: &mut Vec<&'a ProvRef>| {
+        if visited.insert(address(node)) {
+            queue.push(node);
+        }
+    };
+    enqueue(root, &mut queue);
+    let mut head = 0;
     let mut stats = TraversalStats::default();
-
-    visited.insert(node_key(root));
-    queue.push_back(root.clone());
-
-    while let Some(tuple) = queue.pop_front() {
-        stats.nodes_visited += 1;
+    while let Some(&tuple) = queue.get(head) {
+        head += 1;
         match tuple.kind() {
-            OpKind::Source | OpKind::Remote => result.push(tuple),
+            OpKind::Source | OpKind::Remote => {
+                stats.originating += 1;
+                f(tuple);
+            }
             OpKind::Map | OpKind::Multiplex => {
                 if let Some(u1) = tuple.u1_ref() {
-                    enqueue_if_not_visited(u1, &mut queue, &mut visited);
+                    enqueue(u1, &mut queue);
                 }
             }
             OpKind::Join => {
                 if let Some(u1) = tuple.u1_ref() {
-                    enqueue_if_not_visited(u1, &mut queue, &mut visited);
+                    enqueue(u1, &mut queue);
                 }
                 if let Some(u2) = tuple.u2_ref() {
-                    enqueue_if_not_visited(u2, &mut queue, &mut visited);
+                    enqueue(u2, &mut queue);
                 }
             }
             OpKind::Aggregate => {
-                let u1_key = tuple.u1_ref().map(node_key);
+                let u1 = tuple.u1_ref();
+                let u1_address = u1.map(address);
                 if let Some(u2) = tuple.u2_ref() {
-                    enqueue_if_not_visited(u2, &mut queue, &mut visited);
+                    enqueue(u2, &mut queue);
                     // Walk the N chain from U2 towards U1 (exclusive); U1 itself is
-                    // enqueued afterwards, mirroring Listing 1. Each step borrows the
-                    // chain pointer and clones once to advance the owned cursor.
+                    // enqueued afterwards, mirroring Listing 1.
                     //
                     // A single-tuple window has U1 == U2 and the walk must not start
                     // at all: the tuple's N pointer — once a later overlapping window
                     // of the same group sets it — leads *past* this window's U1, and
                     // following it would (racily, depending on whether that window
                     // has closed yet) drag unrelated later tuples into the result.
-                    let mut cursor = if Some(node_key(u2)) == u1_key {
+                    let mut cursor = if Some(address(u2)) == u1_address {
                         None
                     } else {
-                        u2.next_ref().cloned()
+                        u2.next_ref()
                     };
                     while let Some(temp) = cursor {
-                        if Some(node_key(&temp)) == u1_key {
+                        if Some(address(temp)) == u1_address {
                             break;
                         }
-                        let next = temp.next_ref().cloned();
-                        enqueue_if_not_visited(&temp, &mut queue, &mut visited);
-                        cursor = next;
+                        enqueue(temp, &mut queue);
+                        cursor = temp.next_ref();
                     }
                 }
-                if let Some(u1) = tuple.u1_ref() {
-                    enqueue_if_not_visited(u1, &mut queue, &mut visited);
+                if let Some(u1) = u1 {
+                    enqueue(u1, &mut queue);
                 }
             }
         }
     }
-    stats.originating = result.len();
-    (result, stats)
+    stats.nodes_visited = head;
+    stats
+}
+
+/// Finds the originating tuples of `root`, returning them in breadth-first order
+/// together with traversal statistics (see [`for_each_origin`]).
+pub fn find_provenance_with_stats(root: &ProvRef) -> (Vec<ProvRef>, TraversalStats) {
+    let mut origins = Vec::new();
+    let stats = for_each_origin(root, |origin| origins.push(origin.clone()));
+    (origins, stats)
 }
 
 /// Finds the originating tuples of `root` (see [`find_provenance_with_stats`]).
@@ -347,5 +382,36 @@ mod tests {
         let (prov, stats) = find_provenance_with_stats(&erase(&alert));
         assert_eq!(prov.len(), 192);
         assert!(stats.nodes_visited > 192 + 8);
+    }
+
+    #[test]
+    fn for_each_origin_borrows_the_origins_find_provenance_returns() {
+        let gl = gl();
+        let sources: Vec<_> = (0..6).map(|i| source(&gl, 10 * i, i as i64)).collect();
+        let level1: Vec<_> = sources
+            .chunks(3)
+            .map(|three| aggregate_of(&gl, three, 0))
+            .collect();
+        let root = erase(&join_of(&gl, &level1[0], &level1[1], 0));
+        let mut borrowed: Vec<&ProvRef> = Vec::new();
+        let stats = for_each_origin(&root, |origin| borrowed.push(origin));
+        let (owned, owned_stats) = find_provenance_with_stats(&root);
+        assert_eq!(stats, owned_stats);
+        assert_eq!(borrowed.len(), owned.len());
+        assert!(borrowed.iter().zip(&owned).all(|(b, o)| Arc::ptr_eq(b, o)));
+    }
+
+    #[test]
+    fn a_callback_may_walk_another_graph() {
+        let gl = gl();
+        let window: Vec<_> = (0..4).map(|i| source(&gl, i, i as i64)).collect();
+        let outer = erase(&aggregate_of(&gl, &window, 0));
+        let other: Vec<_> = (0..3).map(|i| source(&gl, 10 + i, 0)).collect();
+        let inner = erase(&aggregate_of(&gl, &other, 0));
+        let mut inner_ids = Vec::new();
+        let stats = for_each_origin(&outer, |_| inner_ids.push(ids(&find_provenance(&inner))));
+        assert_eq!(stats.originating, 4);
+        let expected = ids(&other.iter().map(erase).collect::<Vec<_>>());
+        assert_eq!(inner_ids, vec![expected; 4]);
     }
 }

@@ -31,7 +31,7 @@ use genealog_spe::{Duration, Timestamp};
 
 use crate::meta::{erase, GlMeta, OpKind, ProvRef};
 use crate::system::GeneaLog;
-use crate::traversal::find_provenance;
+use crate::traversal::for_each_origin;
 
 /// A snapshot of an originating source tuple: timestamp, id and payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,17 +212,18 @@ pub struct LineageGroup<S> {
 genealog_spe::impl_codec_struct!(LineageGroup<S> { sink_id, origins });
 
 /// A [`LineageGroup`] borrowed from a traversal: encodes to the bytes of the group
-/// whose origins carry the payloads downcast to `S`, without cloning a payload.
+/// whose origins carry the payloads downcast to `S`, without cloning an origin or a
+/// payload.
 pub struct LineageRef<'a, S> {
     sink_id: TupleId,
-    origins: &'a [ProvRef],
+    origins: &'a [&'a ProvRef],
     schema: PhantomData<fn() -> S>,
 }
 
 impl<'a, S> LineageRef<'a, S> {
     /// The lineage of the delivering tuple `sink_id`, whose originating tuples are
-    /// `origins` (as [`find_provenance`] returned them).
-    pub fn new(sink_id: TupleId, origins: &'a [ProvRef]) -> Self {
+    /// `origins` (as [`for_each_origin`] passed them).
+    pub fn new(sink_id: TupleId, origins: &'a [&'a ProvRef]) -> Self {
         LineageRef {
             sink_id,
             origins,
@@ -319,18 +320,19 @@ pub fn attach_unfolder<T: TupleData>(
             .as_ref()
             .map(|origin| origin.id())
             .unwrap_or(tuple.meta.id);
-        find_provenance(&root)
-            .into_iter()
-            .map(|origin| UnfoldedTuple {
+        let mut unfolded = Vec::new();
+        for_each_origin(&root, |origin| {
+            unfolded.push(UnfoldedTuple {
                 sink_ts: tuple.ts,
                 sink_id: delivering_id,
                 sink_data: tuple.data.clone(),
                 origin_kind: origin.kind(),
                 origin_ts: origin.ts(),
                 origin_id: origin.id(),
-                origin,
+                origin: origin.clone(),
             })
-            .collect()
+        });
+        unfolded
     });
     (passthrough, unfolded)
 }
@@ -704,7 +706,8 @@ mod tests {
             was_source: false,
         });
         let remote = Arc::new(GTuple::new(ts, 0, "other schema", remote_meta));
-        let origins = [erase(&source), erase(&remote)];
+        let (source_ref, remote_ref) = (erase(&source), erase(&remote));
+        let origins = [&source_ref, &remote_ref];
         let sink_id = TupleId::new(3, 42);
 
         let group = LineageGroup {

@@ -37,7 +37,7 @@ use genealog_spe::state::CheckpointHandle;
 use genealog_spe::tuple::{GTuple, TupleData, TupleId};
 use genealog_spe::Timestamp;
 
-use genealog::{erase, find_provenance, GeneaLog, GlMeta, LineageRef, OpKind};
+use genealog::{erase, for_each_origin, GeneaLog, GlMeta, LineageRef, OpKind};
 use genealog_baseline::{AriadneBaseline, BlMeta};
 
 use crate::network::{FrameSink, FrameSource};
@@ -98,16 +98,12 @@ impl WireProvenance for GeneaLog {
         // join key).
         let mut id = tuple.meta.id;
         let mut kind = tuple.meta.kind;
-        let mut cursor = tuple.meta.u1.clone();
+        let mut cursor = tuple.meta.u1.as_ref();
         while kind == OpKind::Multiplex {
-            match cursor {
-                Some(origin) => {
-                    id = origin.id();
-                    kind = origin.kind();
-                    cursor = origin.u1();
-                }
-                None => break,
-            }
+            let Some(origin) = cursor else { break };
+            id = origin.id();
+            kind = origin.kind();
+            cursor = origin.u1_ref();
         }
         WireTag {
             id,
@@ -337,7 +333,9 @@ where
         // the delivering tuple the data Send ships, and the traversal walks through
         // the copy to the delivering tuple's origins.
         let tag = self.provenance.wire_tag(tuple);
-        let origins = find_provenance(&erase(tuple));
+        let root = erase(tuple);
+        let mut origins = Vec::new();
+        for_each_origin(&root, |origin| origins.push(origin));
         let lineage = LineageRef::<I>::new(tag.id, &origins);
         frame.push(tuple.ts, tuple.stimulus, tag, &lineage);
     }
